@@ -70,7 +70,6 @@ CEILINGS = {
 #: ratio), so the fresh value must clear the acceptance bar on its own.
 FLOORS = {
     "BENCH_pool_smoke.json": {
-        "verify_epoch_speedup": 2.0,
         "respawn_speedup": 5.0,
     },
 }

@@ -11,30 +11,26 @@ speedup, and the pool's counters.
 
 Wall-clock speedup needs real cores: the **>= 2x** acceptance floor is
 asserted only when >= 4 CPUs are available (the CI runners), so the
-bench stays honest on smaller machines instead of flaking.  A MINI
-smoke variant (``-k smoke``) runs in seconds and additionally writes
-``results/BENCH_parallel_smoke.json`` for the regression gate.
+bench stays honest on smaller machines instead of flaking.  When the
+workers outnumber the CPUs the record says ``"oversubscribed": true``
+and the report calls the result a contention measurement, not a
+scaling claim.  A MINI smoke variant (``-k smoke``) runs in seconds and
+additionally writes ``results/BENCH_parallel_smoke.json`` for the
+regression gate.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import time
 
 from _util import RESULTS_DIR, emit
 from repro.core.local_opt import LocalOptConfig, LocalOptimizer
 from repro.core.ml.training import train_predictor
 from repro.core.objective import SkewVariationProblem
+from repro.parallel.pool import effective_cpu_count
 from repro.testcases.cls1 import build_cls1
 from repro.testcases.mini import build_mini
-
-
-def _available_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # non-Linux
-        return os.cpu_count() or 1
 
 
 def _run_once(build, workers, max_iterations):
@@ -74,11 +70,13 @@ def _run_comparison(build, workers, max_iterations):
     serial_trial = serial.stats["stage"]["seconds"].get("trial", 0.0)
     parallel_trial = parallel.stats["stage"]["seconds"].get("trial", 0.0)
     pool_stats = parallel.stats["parallel"]
+    cpus = effective_cpu_count()
     record = {
         "design": design.name,
         "corners": [c.name for c in design.library.corners],
-        "cpus": _available_cpus(),
+        "cpus": cpus,
         "workers": workers,
+        "oversubscribed": workers > cpus,
         "iterations": len(parallel.history),
         "serial_s": round(serial_s, 4),
         "parallel_s": round(parallel_s, 4),
@@ -102,6 +100,10 @@ def _report(tag, record):
         f"BENCH parallel ({record['design']}): "
         f"workers=1 vs workers={record['workers']} on "
         f"{record['cpus']} CPU(s), {record['iterations']} iterations",
+    ]
+    if record["oversubscribed"]:
+        lines.append("  (workers outnumber CPUs: contention measurement, not a scaling claim)")
+    lines += [
         f"  serial   : {record['serial_s']:8.3f} s "
         f"(trial stage {record['serial_trial_s']:.3f} s)",
         f"  parallel : {record['parallel_s']:8.3f} s "
@@ -110,7 +112,7 @@ def _report(tag, record):
         f"{record['trial_speedup']:.2f}x trial stage "
         f"(trajectory identical: {record['trajectory_identical']})",
         f"  pool     : {pool['verify_batches']} batches, "
-        f"{pool['verify_tasks']} tasks, {pool['sharded_batches']} sharded, "
+        f"{pool['verify_tasks']} tasks, {pool['steals']} steals, "
         f"{pool['crashes']} crashes, "
         f"{pool['serial_fallbacks']} serial fallbacks, "
         f"concurrency {pool['verify_speedup']:.2f}",

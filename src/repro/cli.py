@@ -206,14 +206,12 @@ def cmd_optimize(args: argparse.Namespace) -> int:
             sweep_factors=(1.0, 1.15),
             workers=global_workers,
             eco=ECOConfig(backend=args.eco_backend),
-            pool_backend=args.pool_backend,
         ),
         local_config=LocalOptConfig(
             max_iterations=args.local_iterations,
             buffers_per_iteration=args.buffers_per_iteration,
             workers=args.workers,
             feature_backend=args.feature_backend,
-            pool_backend=args.pool_backend,
         ),
     )
     tracer = _start_trace(args, "optimize")
@@ -620,17 +618,6 @@ def build_parser() -> argparse.ArgumentParser:
             "process-pool size for verification fan-out (1 = serial; "
             "'auto' sizes to the effective CPU count and degrades to "
             "serial on 1-CPU hosts)"
-        ),
-    )
-    p_opt.add_argument(
-        "--pool-backend",
-        default="pipe",
-        choices=("pipe", "shm"),
-        help=(
-            "worker-pool transport (bit-identical trajectories either "
-            "way): 'pipe' ships replica state per spawn and gathers in "
-            "worker order; 'shm' maps a shared-memory arena of compiled "
-            "planes and schedules via an event-driven work-stealing loop"
         ),
     )
     p_opt.add_argument(

@@ -59,15 +59,10 @@ class GlobalOptConfig:
     LP solves and the per-sweep-point ECO realizations are independent,
     so each sweep point runs on its own worker; the fold over sweep
     points keeps the serial order and comparison, so the chosen tree is
-    the one the serial sweep would have chosen.
-
-    ``pool_backend`` selects the pool transport: ``"pipe"`` (reference)
-    ships the full realization context inside every sweep-point payload;
-    ``"shm"`` publishes the static context — library, stage LUTs,
-    compiled ECO planes — once into a shared-memory arena that workers
-    map zero-copy, so payloads carry only the per-point dynamics and the
-    scatter uses the event-driven work-stealing scheduler.  Either way
-    the fold is identical.
+    the one the serial sweep would have chosen.  The static realization
+    context — library, stage LUTs, compiled ECO planes — is published
+    once into a shared-memory arena that workers map zero-copy, so
+    sweep-point payloads carry only the per-point dynamics.
     """
 
     sweep_factors: Tuple[float, ...] = (1.0, 1.15, 1.5)
@@ -79,6 +74,7 @@ class GlobalOptConfig:
     improvement_eps_ps: float = 0.25
     workers: int = 1
     mp_context: Optional[str] = None
+    #: Unread; kept because the frozen end-to-end benchmark still passes it.
     pool_backend: str = "pipe"
 
 
@@ -330,19 +326,13 @@ class GlobalOptimizer:
         arena = None
         if cfg.workers > 1:
             from repro.parallel.pool import WorkerPool
+            from repro.parallel.shm import SharedPlaneArena
+            from repro.parallel.sweep import publish_sweep_arena
 
-            if cfg.pool_backend == "shm":
-                from repro.parallel.shm import SharedPlaneArena
-                from repro.parallel.sweep import publish_sweep_arena
-
-                arena = SharedPlaneArena(tag="sweep")
-                publish_sweep_arena(arena, ctx, self._problem)
+            arena = SharedPlaneArena(tag="sweep")
+            publish_sweep_arena(arena, ctx, self._problem)
             pool = WorkerPool(
-                cfg.workers,
-                mp_context=cfg.mp_context,
-                backend=cfg.pool_backend,
-                arena=arena,
-                tag="sweep",
+                cfg.workers, mp_context=cfg.mp_context, arena=arena, tag="sweep"
             )
         try:
             return self._run(tree, pool, ctx)
@@ -476,17 +466,8 @@ class GlobalOptimizer:
             from repro.netlist.serialize import tree_from_dict
             from repro.parallel.sweep import build_realize_payload
 
-            use_arena = pool.backend == "shm"
             payloads = [
-                build_realize_payload(
-                    ctx,
-                    problem,
-                    current,
-                    data,
-                    solution,
-                    allow_batches,
-                    use_arena=use_arena,
-                )
+                build_realize_payload(current, data, solution, allow_batches)
                 for _bound, solution in solutions
             ]
             remote = pool.call(

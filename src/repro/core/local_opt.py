@@ -65,7 +65,8 @@ class LocalOptConfig:
     feature_backend: str = "kernel"
     #: ``workers > 1`` fans the top-``R`` trial verification out to a
     #: persistent process pool (:mod:`repro.parallel`): each worker holds
-    #: a delta-synced tree + timer replica and golden-verifies its shard.
+    #: a delta-synced tree + timer replica and golden-verifies whole
+    #: candidates as they are handed out.
     #: The reduce is deterministic, so the committed-move trajectory is
     #: bit-identical to the serial one.  ``workers == 1`` runs today's
     #: serial path exactly.  ``"auto"`` resolves against the CPUs
@@ -74,11 +75,7 @@ class LocalOptConfig:
     workers: object = 1
     #: Multiprocessing start method (``None`` = fork where available).
     mp_context: Optional[str] = None
-    #: Pool transport backend: ``"pipe"`` (reference — per-worker pipes,
-    #: static shards, in-order gather) or ``"shm"`` (shared-memory plane
-    #: arena + event-driven work-stealing gather).  Both commit
-    #: byte-identical trajectories; ``shm`` makes worker spawn/respawn
-    #: near-instant and hides stragglers.
+    #: Unread; kept because the frozen end-to-end benchmark still passes it.
     pool_backend: str = "pipe"
 
 
@@ -165,7 +162,6 @@ class LocalOptimizer:
                 workers,
                 local_skew_tolerance_ps=cfg.local_skew_tolerance_ps,
                 mp_context=cfg.mp_context,
-                backend=cfg.pool_backend,
             )
 
         try:

@@ -1,12 +1,13 @@
-"""Process-parallel verification engine (corner-sharded timing fan-out).
+"""Process-parallel verification engine (top-R and U-sweep fan-out).
 
-The package splits into three layers:
+The package splits into four layers:
 
 * :mod:`repro.parallel.replica` — worker-side state: a tree + timer
   replica kept bit-identical to the main process via delta replay;
 * :mod:`repro.parallel.pool` — the persistent process pool with
-  per-worker pipes, crash detection/recovery, and the stateless
-  ``call`` channel used by the global flow's U-sweep;
+  per-worker pipes, an event-driven work-stealing scheduler, crash
+  requeue/respawn, and the stateless ``call`` channel used by the
+  global flow's U-sweep;
 * :mod:`repro.parallel.verify` — the local-opt bridge: top-R candidate
   fan-out with a deterministic reduce;
 * :mod:`repro.parallel.shm` — the zero-copy shared-memory backplane:
@@ -25,7 +26,6 @@ from repro.parallel.replica import (
     Replica,
     ReplicaSpec,
     VerifyOutcome,
-    merge_sharded_outcome,
     publish_replica_arena,
 )
 from repro.parallel.shm import ArenaView, SharedPlaneArena, attach
@@ -43,7 +43,6 @@ __all__ = [
     "WorkerError",
     "WorkerPool",
     "attach",
-    "merge_sharded_outcome",
     "publish_replica_arena",
     "worker_arena",
 ]

@@ -6,34 +6,29 @@ pipe, so the pool can address workers individually and detect a single
 worker's death without losing the batch.  Two request kinds exist:
 
 * ``verify`` — the local-opt fan-out: the request carries the slice of
-  the committed-move delta stream the worker hasn't seen yet plus its
-  assigned candidate shards (whole candidates, or candidate x corner
-  group when workers outnumber the batch).
+  the committed-move delta stream the worker hasn't seen yet plus one
+  whole candidate to golden-verify.
 * ``call`` — a stateless remote procedure call used by the global flow's
   U-sweep (independent LP solves and ECO realizations per sweep point).
   The function is named ``"module:function"`` and must be importable in
   the worker.
 
-Crash policy: a worker that dies mid-request forfeits only its own
-shard.  The pool marks it dead, reports the shard as failed (the caller
-re-verifies it serially — bit-identical, just slower), and respawns dead
-workers before the next request; fresh workers resynchronize by
-replaying the full delta stream from the run's starting tree, which
-keeps their float state bit-identical to the survivors'.
+Workers are born from a :class:`~repro.parallel.shm.SharedPlaneArena`:
+they attach the published baseline (zero-copy compiled planes for a
+verify pool, the static realization context for a sweep pool) instead
+of receiving state over the pipe, and requests carry only delta
+suffixes and single tasks.  Both request kinds drain one shared queue
+through an event-driven ``multiprocessing.connection.wait`` loop with
+work-stealing refill, so a straggler never blocks the batch.
 
-Two transport backends exist.  ``pipe`` (the default, and the
-bit-identical reference) ships the replica spec to each worker at spawn
-and gathers verify replies in fixed worker order.  ``shm`` maps a
-:class:`~repro.parallel.shm.SharedPlaneArena` instead: workers attach
-the published baseline (zero-copy compiled planes), requests carry only
-delta suffixes and single tasks, and the gather is an event-driven
-``multiprocessing.connection.wait`` loop with work-stealing refill.  A
-worker dying mid-task under ``shm`` has its in-flight verify tasks
-requeued to the survivors (verification is pure), and its respawn
-re-attaches to the live arena generation.  Both backends fold results
-through the same index-keyed deterministic reduce, so committed-move
-trajectories are byte-identical across backends, worker counts, and
-completion orders.
+Crash policy: a worker that dies mid-task has its in-flight verify task
+requeued to the survivors (verification is pure); ``call`` targets are
+not assumed idempotent, so only a crashed worker's in-flight payload is
+forfeited while its queued payloads migrate.  Dead workers are respawned
+before the next request and re-attach the live arena generation,
+replaying only the delta suffix from its baseline.  Results fold through
+an index-keyed deterministic reduce, so committed-move trajectories are
+byte-identical across worker counts and completion orders.
 """
 
 from __future__ import annotations
@@ -47,12 +42,12 @@ import traceback
 import weakref
 from collections import deque
 from multiprocessing import connection
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.moves import Move
 from repro.obs import trace as obs_trace
 from repro.parallel import shm as shm_arena
-from repro.parallel.replica import Replica, ReplicaSpec, VerifyOutcome
+from repro.parallel.replica import Replica, VerifyOutcome
 
 #: Exit code used by the test-only ``crash`` request.
 CRASH_EXIT_CODE = 13
@@ -136,20 +131,14 @@ def worker_arena() -> Optional[shm_arena.ArenaView]:
     return _WORKER_ARENA
 
 
-def _worker_main(
-    conn,
-    spec: Optional[ReplicaSpec],
-    lane: int = 0,
-    arena_name: Optional[str] = None,
-) -> None:
-    """Worker loop: build the replica once, then serve until told to exit.
+def _worker_main(conn, lane: int, arena_name: Optional[str]) -> None:
+    """Worker loop: attach the arena once, then serve until told to exit.
 
     The worker traces into its own observability lane and ships the
     drained span/metric events with every response — the parent merges
-    them into the run trace (or discards them when tracing is off).
-    With ``arena_name`` the worker attaches the shared-memory arena and
-    builds its replica from the published baseline (zero-copy planes)
-    instead of unpickling a spec shipped over the pipe.
+    them into the run trace (or discards them when tracing is off).  A
+    replica arena gives the worker its verification replica, built from
+    the published baseline; a sweep arena only feeds ``call`` targets.
     """
     global _WORKER_ARENA
     tracer = obs_trace.activate(obs_trace.Tracer(worker=lane))
@@ -158,8 +147,6 @@ def _worker_main(
         _WORKER_ARENA = shm_arena.attach(arena_name)
         if _WORKER_ARENA.meta.get("kind") == "replica":
             replica = Replica.from_arena(_WORKER_ARENA)
-    elif spec is not None:
-        replica = Replica(spec)
     crash_after: Optional[int] = None
     while True:
         try:
@@ -181,25 +168,17 @@ def _worker_main(
             if op == "ping":
                 result: Any = replica.applied if replica else None
             elif op == "verify":
-                _, deltas, first_index, tasks = message
+                _, deltas, first_index, index, move = message
                 if replica is None:
-                    raise RuntimeError("pool has no replica spec")
+                    raise RuntimeError("pool has no replica arena")
                 if crash_after is not None:
                     if crash_after <= 0:
                         os._exit(CRASH_EXIT_CODE)
                     crash_after -= 1
                 with tracer.span("verify", phase="local") as span:
                     replica.sync(deltas, first_index)
-                    outcomes: List[VerifyOutcome] = []
-                    for index, move, corner_names in tasks:
-                        if corner_names is None:
-                            outcomes.append(replica.verify(index, move))
-                        else:
-                            outcomes.append(
-                                replica.verify_corners(index, move, corner_names)
-                            )
-                    span.set(tasks=len(tasks), synced=len(deltas))
-                result = outcomes
+                    result = replica.verify(index, move)
+                    span.set(tasks=1, synced=len(deltas))
             elif op == "call":
                 _, fn_spec, payload = message
                 result = _resolve(fn_spec)(payload)
@@ -249,35 +228,32 @@ class WorkerError(RuntimeError):
 
 
 class WorkerPool:
-    """Persistent pool of replica workers addressed over per-worker pipes."""
+    """Persistent pool of arena-born workers addressed over per-worker pipes.
+
+    ``arena`` is the published :class:`~repro.parallel.shm.
+    SharedPlaneArena` every worker attaches at spawn; ``verify_batch``
+    needs a replica arena (:func:`~repro.parallel.replica.
+    publish_replica_arena`), while ``call`` works with any arena or none.
+    """
 
     def __init__(
         self,
         workers: int,
-        spec: Optional[ReplicaSpec] = None,
         mp_context: Optional[str] = None,
-        backend: str = "pipe",
         arena: Optional[shm_arena.SharedPlaneArena] = None,
         tag: str = "pool",
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if backend not in ("pipe", "shm"):
-            raise ValueError("backend must be 'pipe' or 'shm'")
-        if backend == "shm" and arena is None:
-            raise ValueError("the shm backend requires a published arena")
         if mp_context is None:
             methods = multiprocessing.get_all_start_methods()
             mp_context = "fork" if "fork" in methods else "spawn"
         self._ctx = multiprocessing.get_context(mp_context)
-        self._spec = spec
         self._size = workers
-        self._backend = backend
         self._arena = arena
         self.tag = tag  # telemetry label ("verify", "sweep", "batch"...)
         self._closed = False
-        #: Tasks queued but not yet dispatched in the overlapped
-        #: scheduler (0 outside a batch / on the static pipe path).
+        #: Tasks queued but not yet dispatched (0 outside a batch).
         #: Plain int assignment, safe to read from the sampler thread.
         self._queue_depth = 0
         self._workers: List[_WorkerHandle] = []
@@ -288,7 +264,6 @@ class WorkerPool:
             "workers": workers,
             "verify_batches": 0,
             "verify_tasks": 0,
-            "sharded_batches": 0,
             "call_tasks": 0,
             "crashes": 0,
             "rebuilds": 0,
@@ -300,7 +275,7 @@ class WorkerPool:
             "compactions": 0,
         }
         #: Worker trace deltas from the most recent request, as
-        #: ``(lane, events)`` — per engaged worker for ``verify_batch``,
+        #: ``(lane, events)`` — per answered task for ``verify_batch``,
         #: aligned with payload order (``None`` = crashed/orphaned) for
         #: ``call``.  Callers holding an active tracer merge these via
         #: :func:`repro.obs.merge.merge_worker_events`.
@@ -317,10 +292,6 @@ class WorkerPool:
     def size(self) -> int:
         return self._size
 
-    @property
-    def backend(self) -> str:
-        return self._backend
-
     def _arena_baseline(self) -> int:
         """Global delta index a freshly spawned worker starts from."""
         if self._arena is None:
@@ -334,20 +305,17 @@ class WorkerPool:
         # lane and (lane, span-id) keys never collide.
         lane = obs_trace.allocate_lane()
         parent_conn, child_conn = self._ctx.Pipe()
-        if self._arena is not None:
-            # The worker maps the live arena generation; the spec (and
-            # its tree payload) never crosses the pipe.
-            args = (child_conn, None, lane, self._arena.name)
-            synced = self._arena_baseline()
-        else:
-            args = (child_conn, self._spec, lane)
-            synced = 0
+        # The worker maps the live arena generation; no state crosses
+        # the pipe at spawn.
+        arena_name = self._arena.name if self._arena is not None else None
         process = self._ctx.Process(
-            target=_worker_main, args=args, daemon=True
+            target=_worker_main, args=(child_conn, lane, arena_name), daemon=True
         )
         process.start()
         child_conn.close()
-        return _WorkerHandle(process, parent_conn, lane, synced=synced)
+        return _WorkerHandle(
+            process, parent_conn, lane, synced=self._arena_baseline()
+        )
 
     def _spawn_missing(self) -> None:
         """Respawn dead workers until the pool is at full strength."""
@@ -462,7 +430,6 @@ class WorkerPool:
             )
         return {
             "tag": self.tag,
-            "backend": self._backend,
             "size": self._size,
             "queue_depth": self._queue_depth,
             "alive": sum(1 for w in per_worker if w["alive"]),
@@ -502,10 +469,7 @@ class WorkerPool:
 
         A prefix is droppable once every *live* worker's ``synced``
         watermark and the arena baseline (where respawned workers start
-        replaying) are both beyond it.  Without an arena the baseline is
-        move 0 — a fresh pipe worker replays from the run's starting
-        tree — so the stream is kept whole, matching the reference
-        backend's behavior.
+        replaying) are both beyond it.
         """
         floor = self._arena_baseline()
         for worker in self._workers:
@@ -522,292 +486,91 @@ class WorkerPool:
     # ------------------------------------------------------------------
     # Verification fan-out
     # ------------------------------------------------------------------
-    def _plan_shards(
-        self, moves: Sequence[Move], corner_names: Sequence[str]
-    ) -> Tuple[List[List[Tuple[int, Move, Optional[Tuple[str, ...]]]]], int]:
-        """Assign candidate (x corner-group) shards to workers.
-
-        Returns per-worker task lists plus the number of corner groups
-        each candidate was split into (1 = whole-candidate tasks).  When
-        workers outnumber the candidates, each candidate's corner set is
-        split across ``workers // len(moves)`` groups so idle workers
-        pick up corner slices instead of waiting.
-        """
-        n_workers = len(self._workers)
-        tasks: List[Tuple[int, Move, Optional[Tuple[str, ...]]]] = []
-        groups = 1
-        if len(moves) < n_workers and len(corner_names) >= 2:
-            groups = min(len(corner_names), n_workers // len(moves))
-        if groups > 1:
-            bounds = [
-                (g * len(corner_names)) // groups for g in range(groups + 1)
-            ]
-            for index, move in enumerate(moves):
-                for g in range(groups):
-                    names = tuple(corner_names[bounds[g] : bounds[g + 1]])
-                    tasks.append((index, move, names))
-        else:
-            tasks = [(index, move, None) for index, move in enumerate(moves)]
-        plans: List[List[Tuple[int, Move, Optional[Tuple[str, ...]]]]] = [
-            [] for _ in range(n_workers)
-        ]
-        for position, task in enumerate(tasks):
-            plans[position % n_workers].append(task)
-        return plans, groups
-
-    def verify_batch(
-        self, moves: Sequence[Move]
-    ) -> List[Optional[List[VerifyOutcome]]]:
+    def verify_batch(self, moves: Sequence[Move]) -> List[Optional[VerifyOutcome]]:
         """Fan a candidate batch out to the workers and gather outcomes.
 
-        Returns, per candidate index, the list of its outcome shards
-        (one element unless corner-sharded) — or ``None`` for candidates
-        whose worker died; the caller re-verifies those serially.  Dead
-        workers are respawned before returning.
+        Returns one outcome per candidate, in batch order — ``None`` only
+        for candidates still queued when every worker had died; the
+        caller re-verifies those serially.  Dead workers are respawned
+        before returning.
 
-        The ``pipe`` backend sends each worker its whole statically
-        planned shard list and gathers replies in fixed worker order
-        (the bit-identical reference).  The ``shm`` backend streams
-        tasks one at a time through an event loop — see
-        :meth:`_verify_batch_overlapped`.  Both fold results through the
-        same index-keyed deterministic reduce, so verdicts are identical
-        for any backend, worker count, or completion order.
+        Every worker starts with one candidate; whichever finishes first
+        is refilled from the shared queue, so a straggler never blocks
+        the batch.  A worker that dies mid-task has its candidate
+        requeued to the survivors — verification is a pure function of
+        (replica state, move), so re-execution is safe.  Outcomes are
+        keyed by candidate index, which makes the reduce independent of
+        completion order.
         """
-        if self._spec is None:
-            raise RuntimeError("verify_batch requires a pool built with a spec")
+        if self._arena is None or self._arena.meta.get("kind") != "replica":
+            raise RuntimeError("verify_batch requires a pool on a replica arena")
         if not moves:
             return []
         started = time.perf_counter()
         self._spawn_missing()
         self.stats["verify_batches"] += 1
         self.stats["verify_tasks"] += len(moves)
-        if self._backend == "shm":
-            shards, failed, groups = self._verify_batch_overlapped(moves)
-        else:
-            shards, failed, groups = self._verify_batch_static(moves)
-        # A candidate misses the cut when any of its shards is absent —
-        # its worker crashed, or never received the plan (send failed).
-        for index in range(len(moves)):
-            if len(shards.get(index, ())) != groups:
-                failed.add(index)
-        self.stats["failed_shards"] += len(failed)
-        self._spawn_missing()
-        self.stats["verify_wall_s"] += time.perf_counter() - started
-        return [
-            None if index in failed else shards[index]
-            for index in range(len(moves))
-        ]
-
-    def _verify_batch_static(
-        self, moves: Sequence[Move]
-    ) -> Tuple[Dict[int, List[VerifyOutcome]], Set[int], int]:
-        """Reference gather: static plans, fixed-worker-order receive."""
-        corner_names = [c.name for c in self._spec.library.corners]
-        plans, groups = self._plan_shards(moves, corner_names)
-        if groups > 1:
-            self.stats["sharded_batches"] += 1
-
-        engaged: List[Tuple[_WorkerHandle, List]] = []
-        for worker, plan in zip(self._workers, plans):
-            if not plan:
-                continue
-            deltas, first_index = self._sync_args(worker)
-            if self._send(worker, ("verify", deltas, first_index, plan)):
-                engaged.append((worker, plan))
-
-        shards: Dict[int, List[VerifyOutcome]] = {}
-        failed: Set[int] = set()
-        self.last_verify_obs = []
-        for worker, plan in engaged:
-            try:
-                outcomes = self._recv(worker)
-            except WorkerCrash:
-                failed.update(index for index, _, _ in plan)
-                continue
-            if worker.last_events:
-                self.last_verify_obs.append((worker.lane, worker.last_events))
-            worker.synced = self.committed
-            for outcome in outcomes:
-                shards.setdefault(outcome.index, []).append(outcome)
-                self.stats["worker_busy_s"] += outcome.eval_s
-        return shards, failed, groups
-
-    def _plan_tasks(
-        self, moves: Sequence[Move], corner_names: Sequence[str]
-    ) -> Tuple[List[Tuple[int, Move, Optional[Tuple[str, ...]]]], int]:
-        """Flat task queue for the overlapped scheduler.
-
-        Kernel-backend replicas retime *every* corner in one batched
-        pass regardless of the subset requested, so corner-sharding
-        multiplies total work by the group count for zero kernel-path
-        savings — whole-candidate tasks are strictly cheaper and the
-        dynamic refill keeps stragglers from idling the pool.  The
-        reference backend propagates per corner, so its corner groups
-        still pay off when workers outnumber the batch and are kept.
-        """
-        n_workers = max(len(self._workers), 1)
-        groups = 1
-        if (
-            self._spec.wire_backend != "kernel"
-            and len(moves) < n_workers
-            and len(corner_names) >= 2
-        ):
-            groups = min(len(corner_names), n_workers // len(moves))
-        if groups > 1:
-            bounds = [
-                (g * len(corner_names)) // groups for g in range(groups + 1)
-            ]
-            tasks = [
-                (index, move, tuple(corner_names[bounds[g] : bounds[g + 1]]))
-                for index, move in enumerate(moves)
-                for g in range(groups)
-            ]
-        else:
-            tasks = [(index, move, None) for index, move in enumerate(moves)]
-        return tasks, groups
-
-    def _verify_batch_overlapped(
-        self, moves: Sequence[Move]
-    ) -> Tuple[Dict[int, List[VerifyOutcome]], Set[int], int]:
-        """Event-driven gather: ``connection.wait`` + work-stealing refill.
-
-        Every worker starts with one task; whichever finishes first is
-        refilled from the shared queue, so a straggler never blocks the
-        batch (no head-of-line gather order).  A worker that dies
-        mid-task has its in-flight task requeued to the survivors —
-        verification is a pure function of (replica state, move), so
-        re-execution is safe.  Determinism: results are keyed by
-        candidate index and merged in library corner order downstream,
-        which makes the reduce independent of completion order.
-        """
-        corner_names = [c.name for c in self._spec.library.corners]
-        tasks, groups = self._plan_tasks(moves, corner_names)
-        if groups > 1:
-            self.stats["sharded_batches"] += 1
-        queue: deque = deque(tasks)
-        shards: Dict[int, List[VerifyOutcome]] = {}
+        queue: deque = deque(enumerate(moves))
+        outcomes: List[Optional[VerifyOutcome]] = [None] * len(moves)
         self.last_verify_obs = []
         idle: List[_WorkerHandle] = [w for w in self._workers if w.alive]
-        fair = -(-len(tasks) // max(len(idle), 1))
+        fair = -(-len(moves) // max(len(idle), 1))
         dispatched: Dict[int, int] = {}
-        inflight: Dict[Any, Tuple[_WorkerHandle, Tuple]] = {}
+        inflight: Dict[Any, Tuple[_WorkerHandle, Tuple[int, Move]]] = {}
         head = self.committed
-        waits = 0
-        tracer = obs_trace.active()
-        with tracer.span("queue_wait", phase="parallel") as span:
-            while queue or inflight:
-                while queue and idle:
-                    worker = idle.pop(0)
-                    task = queue.popleft()
-                    deltas, first_index = self._sync_args(worker)
-                    sent = self._send(
-                        worker, ("verify", deltas, first_index, [task])
-                    )
-                    if not sent:
-                        queue.appendleft(task)
-                        continue
-                    worker.synced = head
-                    inflight[worker.conn] = (worker, task)
-                    count = dispatched.get(worker.lane, 0) + 1
-                    dispatched[worker.lane] = count
-                    if count > fair:
-                        self.stats["steals"] += 1
-                self._queue_depth = len(queue)
-                if not inflight:
-                    break  # every worker died; leftovers fail below
-                ready = connection.wait(list(inflight))
-                waits += 1
-                for conn in ready:
-                    worker, task = inflight.pop(conn)
-                    try:
-                        outcomes = self._recv(worker)
-                    except WorkerCrash:
-                        queue.append(task)
-                        self.stats["requeued"] += 1
-                        continue
-                    if worker.last_events:
-                        self.last_verify_obs.append(
-                            (worker.lane, worker.last_events)
-                        )
-                    for outcome in outcomes:
-                        shards.setdefault(outcome.index, []).append(outcome)
-                        self.stats["worker_busy_s"] += outcome.eval_s
-                    idle.append(worker)
-            span.set(
-                tasks=len(tasks),
-                waits=waits,
-                steals=int(self.stats["steals"]),
-                requeued=int(self.stats["requeued"]),
-            )
+        while queue or inflight:
+            while queue and idle:
+                worker = idle.pop(0)
+                task = queue.popleft()
+                deltas, first_index = self._sync_args(worker)
+                if not self._send(worker, ("verify", deltas, first_index, *task)):
+                    queue.appendleft(task)
+                    continue
+                worker.synced = head
+                inflight[worker.conn] = (worker, task)
+                count = dispatched.get(worker.lane, 0) + 1
+                dispatched[worker.lane] = count
+                if count > fair:
+                    self.stats["steals"] += 1
+            self._queue_depth = len(queue)
+            if not inflight:
+                break  # every worker died; the leftovers stay None
+            for conn in connection.wait(list(inflight)):
+                worker, task = inflight.pop(conn)
+                try:
+                    outcome = self._recv(worker)
+                except WorkerCrash:
+                    queue.append(task)
+                    self.stats["requeued"] += 1
+                    continue
+                if worker.last_events:
+                    self.last_verify_obs.append((worker.lane, worker.last_events))
+                outcomes[outcome.index] = outcome
+                self.stats["worker_busy_s"] += outcome.eval_s
+                idle.append(worker)
         self._queue_depth = 0
-        failed: Set[int] = {index for index, _, _ in queue}
-        return shards, failed, groups
+        self.stats["failed_shards"] += len(queue)
+        self._spawn_missing()
+        self.stats["verify_wall_s"] += time.perf_counter() - started
+        return outcomes
 
     # ------------------------------------------------------------------
     # Stateless remote calls (U-sweep)
     # ------------------------------------------------------------------
-    def call(
-        self, fn_spec: str, payloads: Sequence[Any]
-    ) -> List[Optional[Any]]:
+    def call(self, fn_spec: str, payloads: Sequence[Any]) -> List[Optional[Any]]:
         """Scatter ``payloads`` over the workers; ``None`` marks a crash.
 
         Results keep payload order.  Worker exceptions propagate as
-        :class:`WorkerError` (they are bugs, not crashes); a dead worker
-        yields ``None`` for its payloads and is respawned.
-
-        The ``shm`` backend drains one shared payload queue through the
-        event loop instead of static round-robin queues: only the
+        :class:`WorkerError` (they are bugs, not crashes).  Payloads
+        drain one shared queue through the event loop: only the
         in-flight payload of a crashed worker is forfeited (call targets
         are not assumed idempotent) — its queued payloads migrate to the
-        survivors.
+        survivors, and the dead worker is respawned.
         """
         if not payloads:
             return []
         self._spawn_missing()
         self.stats["call_tasks"] += len(payloads)
-        if self._backend == "shm":
-            results = self._call_overlapped(fn_spec, payloads)
-            self._spawn_missing()
-            return results
-        assignments: List[List[int]] = [[] for _ in self._workers]
-        for position in range(len(payloads)):
-            assignments[position % len(self._workers)].append(position)
-
-        results: List[Optional[Any]] = [None] * len(payloads)
-        self.last_call_obs = [None] * len(payloads)
-        # Round-robin queues: send one payload per worker, receive, send
-        # the next, so a worker crash costs only its in-flight payload.
-        pending = [list(queue) for queue in assignments]
-        inflight: Dict[int, int] = {}
-        for worker_index, worker in enumerate(self._workers):
-            if pending[worker_index]:
-                position = pending[worker_index].pop(0)
-                if self._send(worker, ("call", fn_spec, payloads[position])):
-                    inflight[worker_index] = position
-        while inflight:
-            for worker_index in list(inflight):
-                worker = self._workers[worker_index]
-                position = inflight.pop(worker_index)
-                try:
-                    results[position] = self._recv(worker)
-                except WorkerCrash:
-                    continue
-                if worker.last_events:
-                    self.last_call_obs[position] = (worker.lane, worker.last_events)
-                if pending[worker_index]:
-                    nxt = pending[worker_index].pop(0)
-                    if self._send(
-                        worker, ("call", fn_spec, payloads[nxt])
-                    ):
-                        inflight[worker_index] = nxt
-        # Orphaned payloads (their worker died before send): leave None.
-        self._spawn_missing()
-        return results
-
-    def _call_overlapped(
-        self, fn_spec: str, payloads: Sequence[Any]
-    ) -> List[Optional[Any]]:
-        """Event-driven scatter over one shared payload queue."""
         results: List[Optional[Any]] = [None] * len(payloads)
         self.last_call_obs = [None] * len(payloads)
         queue: deque = deque(range(len(payloads)))
@@ -831,12 +594,10 @@ class WorkerPool:
                 except WorkerCrash:
                     continue
                 if worker.last_events:
-                    self.last_call_obs[position] = (
-                        worker.lane,
-                        worker.last_events,
-                    )
+                    self.last_call_obs[position] = (worker.lane, worker.last_events)
                 idle.append(worker)
         self._queue_depth = 0
+        self._spawn_missing()
         return results
 
     # ------------------------------------------------------------------

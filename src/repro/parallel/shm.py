@@ -35,6 +35,7 @@ import os
 import pickle
 import struct
 import threading
+import time
 import weakref
 from multiprocessing import shared_memory
 from typing import Any, Dict, List, Mapping, Optional
@@ -92,6 +93,22 @@ def _aligned(offset: int) -> int:
     return (offset + _ALIGN - 1) & ~(_ALIGN - 1)
 
 
+def _transfer_metric(name: str, started: float, size: int, generation: int) -> None:
+    """Record one export/attach as a timer metric, not a span.
+
+    A span would add a path that serial runs lack to the merged span
+    tree (exports run before the flow's root span, attaches inside
+    whichever request a fresh worker serves first), breaking its
+    worker-count invariance.
+    """
+    obs_trace.active().metric(
+        name,
+        round(time.perf_counter() - started, 6),
+        kind="timer",
+        labels={"bytes": size, "generation": generation},
+    )
+
+
 def _attach_segment(name: str) -> shared_memory.SharedMemory:
     """Attach to an existing segment without adopting ownership.
 
@@ -123,27 +140,22 @@ class ArenaView:
     """Read-only attached view of one published arena generation."""
 
     def __init__(self, name: str) -> None:
-        tracer = obs_trace.active()
-        with tracer.span("shm_attach", phase="parallel") as span:
-            self.name = name
-            self._segment = _attach_segment(name)
-            buf = self._segment.buf
-            (header_len,) = struct.unpack_from(_LEN_FMT, buf, 0)
-            header = pickle.loads(bytes(buf[_LEN_SIZE : _LEN_SIZE + header_len]))
-            self.meta: Dict[str, Any] = header["meta"]
-            self._blobs: Dict[str, bytes] = header["blobs"]
-            self.arrays: Dict[str, np.ndarray] = {}
-            for entry_name, dtype, shape, offset in header["arrays"]:
-                view = np.ndarray(
-                    shape, dtype=np.dtype(dtype), buffer=buf, offset=offset
-                )
-                view.flags.writeable = False
-                self.arrays[entry_name] = view
-            span.set(
-                generation=int(self.meta.get("generation", 0)),
-                bytes=self._segment.size,
-                arrays=len(self.arrays),
+        started = time.perf_counter()
+        self.name = name
+        self._segment = _attach_segment(name)
+        buf = self._segment.buf
+        (header_len,) = struct.unpack_from(_LEN_FMT, buf, 0)
+        header = pickle.loads(bytes(buf[_LEN_SIZE : _LEN_SIZE + header_len]))
+        self.meta: Dict[str, Any] = header["meta"]
+        self._blobs: Dict[str, bytes] = header["blobs"]
+        self.arrays: Dict[str, np.ndarray] = {}
+        for entry_name, dtype, shape, offset in header["arrays"]:
+            view = np.ndarray(
+                shape, dtype=np.dtype(dtype), buffer=buf, offset=offset
             )
+            view.flags.writeable = False
+            self.arrays[entry_name] = view
+        _transfer_metric("shm.attach_s", started, self._segment.size, self.generation)
 
     @property
     def generation(self) -> int:
@@ -200,72 +212,66 @@ class SharedPlaneArena:
         old complete segment or the new complete segment, never a torn
         one.
         """
-        tracer = obs_trace.active()
-        with tracer.span("shm_export", phase="parallel") as span:
-            generation = self.generation + 1
-            full_meta = dict(meta or {})
-            full_meta["generation"] = generation
-            entries = []
-            header_stub = {
-                "meta": full_meta,
-                "blobs": {name: bytes(blob) for name, blob in blobs.items()},
-                "arrays": entries,
-            }
-            # Two-pass layout: sizing needs the final header, whose array
-            # offsets depend on its own pickled length.  Reserve with
-            # placeholder offsets, then re-pickle into the same length by
-            # padding the length prefix region — simpler: fix the header
-            # by computing offsets relative to a padded header block.
-            plain = [
-                (name, np.ascontiguousarray(arr)) for name, arr in arrays.items()
-            ]
-            probe = [
-                (name, arr.dtype.str, arr.shape, 0) for name, arr in plain
-            ]
-            header_stub["arrays"] = probe
-            header_len = len(pickle.dumps(header_stub, protocol=5))
-            # Offsets only grow the header by a bounded number of digits;
-            # pad the header region so the final pickle always fits.
-            header_room = _aligned(_LEN_SIZE + header_len + 16 * len(plain) + 64)
-            offset = header_room
-            final_entries = []
-            for name, arr in plain:
-                offset = _aligned(offset)
-                final_entries.append((name, arr.dtype.str, arr.shape, offset))
-                offset += arr.nbytes
-            header_stub["arrays"] = final_entries
-            header = pickle.dumps(header_stub, protocol=5)
-            if _LEN_SIZE + len(header) > header_room:  # pragma: no cover
-                raise RuntimeError("arena header overflow")
-            total = max(offset, header_room + 1)
+        started = time.perf_counter()
+        generation = self.generation + 1
+        full_meta = dict(meta or {})
+        full_meta["generation"] = generation
+        entries = []
+        header_stub = {
+            "meta": full_meta,
+            "blobs": {name: bytes(blob) for name, blob in blobs.items()},
+            "arrays": entries,
+        }
+        # Two-pass layout: sizing needs the final header, whose array
+        # offsets depend on its own pickled length.  Reserve with
+        # placeholder offsets, then re-pickle into the same length by
+        # padding the length prefix region — simpler: fix the header
+        # by computing offsets relative to a padded header block.
+        plain = [
+            (name, np.ascontiguousarray(arr)) for name, arr in arrays.items()
+        ]
+        probe = [
+            (name, arr.dtype.str, arr.shape, 0) for name, arr in plain
+        ]
+        header_stub["arrays"] = probe
+        header_len = len(pickle.dumps(header_stub, protocol=5))
+        # Offsets only grow the header by a bounded number of digits;
+        # pad the header region so the final pickle always fits.
+        header_room = _aligned(_LEN_SIZE + header_len + 16 * len(plain) + 64)
+        offset = header_room
+        final_entries = []
+        for name, arr in plain:
+            offset = _aligned(offset)
+            final_entries.append((name, arr.dtype.str, arr.shape, offset))
+            offset += arr.nbytes
+        header_stub["arrays"] = final_entries
+        header = pickle.dumps(header_stub, protocol=5)
+        if _LEN_SIZE + len(header) > header_room:  # pragma: no cover
+            raise RuntimeError("arena header overflow")
+        total = max(offset, header_room + 1)
 
-            name = f"{self._base}-g{generation}"
-            segment = shared_memory.SharedMemory(
-                name=name, create=True, size=total
+        name = f"{self._base}-g{generation}"
+        segment = shared_memory.SharedMemory(
+            name=name, create=True, size=total
+        )
+        buf = segment.buf
+        struct.pack_into(_LEN_FMT, buf, 0, len(header))
+        buf[_LEN_SIZE : _LEN_SIZE + len(header)] = header
+        for (name_, _, _, arr_offset), (_, arr) in zip(final_entries, plain):
+            dest = np.ndarray(
+                arr.shape, dtype=arr.dtype, buffer=buf, offset=arr_offset
             )
-            buf = segment.buf
-            struct.pack_into(_LEN_FMT, buf, 0, len(header))
-            buf[_LEN_SIZE : _LEN_SIZE + len(header)] = header
-            for (name_, _, _, arr_offset), (_, arr) in zip(final_entries, plain):
-                dest = np.ndarray(
-                    arr.shape, dtype=arr.dtype, buffer=buf, offset=arr_offset
-                )
-                dest[...] = arr
-                del dest
-            previous = self._segment
-            self._segment = segment
-            self.name = segment.name
-            self.generation = generation
-            self.meta = full_meta
-            self.bytes_shared = total
-            if previous is not None:
-                self._discard(previous)
-            span.set(
-                generation=generation,
-                bytes=total,
-                arrays=len(plain),
-                blobs=len(blobs),
-            )
+            dest[...] = arr
+            del dest
+        previous = self._segment
+        self._segment = segment
+        self.name = segment.name
+        self.generation = generation
+        self.meta = full_meta
+        self.bytes_shared = total
+        if previous is not None:
+            self._discard(previous)
+        _transfer_metric("shm.export_s", started, total, generation)
         return segment.name
 
     @staticmethod

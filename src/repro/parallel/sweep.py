@@ -4,17 +4,16 @@ The global flow's sweep points are embarrassingly parallel: each solves
 Eq. (4) at its own bound and realizes the resulting plan starting from
 the *same* base tree.  These functions are the ``"module:function"``
 targets :meth:`repro.parallel.pool.WorkerPool.call` resolves inside a
-worker process; payloads are self-contained (tree payload + frozen
-problem artifacts) so the workers need no replica state.
+worker process, so the workers need no replica state.
 
-With the shm pool backend the static realization context — library,
-stage LUTs, legalizer, region, frozen baseline artifacts — is published
-once into the pool's :class:`~repro.parallel.shm.SharedPlaneArena`
+The static realization context — library, stage LUTs, legalizer,
+region, frozen baseline artifacts — is published once into the sweep
+pool's :class:`~repro.parallel.shm.SharedPlaneArena`
 (:func:`publish_sweep_arena`) together with the compiled ECO
 :class:`~repro.tech.stage_lut.StageLUTPlanes` arrays; per-point payloads
-then carry only the dynamic part (tree, LP data, solution), and workers
-seed their stage-LUT plane memos with zero-copy views of the shared
-arrays instead of recompiling them.
+carry only the dynamic part (tree, LP data, solution), and workers seed
+their stage-LUT plane memos with zero-copy views of the shared arrays
+instead of recompiling them.
 """
 
 from __future__ import annotations
@@ -98,7 +97,7 @@ def _arena_context() -> Dict[str, Any]:
 
     view = worker_arena()
     if view is None:
-        raise RuntimeError("arena-relative sweep payload without an arena")
+        raise RuntimeError("sweep payload in a worker without a sweep arena")
     cached = _SWEEP_CTX.get(view.generation)
     if cached is not None:
         return cached
@@ -129,37 +128,32 @@ def realize_point(payload: Dict[str, Any]) -> Dict[str, Any]:
     """Realize one sweep point's LP plan inside a worker.
 
     Rebuilds the tree and a :class:`RealizationContext` from the
-    payload, runs the same :func:`realize_verified_plan` the serial
-    path runs, and ships the realized tree back serialized (the main
-    process re-evaluates it with its own engine before the fold).
-    Arena-relative payloads (``use_arena``) pull the static context from
-    the worker's attached shared-memory arena.
+    payload plus the static context in the worker's attached arena,
+    runs the same :func:`realize_verified_plan` the serial path runs,
+    and ships the realized tree back serialized (the main process
+    re-evaluates it with its own engine before the fold).
     """
     from repro.core.framework import RealizationContext, realize_verified_plan
 
-    if payload.get("use_arena"):
-        merged = dict(_arena_context())
-        merged.update(payload)
-        payload = merged
-
+    static = _arena_context()
     tree = tree_from_dict(payload["tree"])
     engine = IncrementalTimer(
-        payload["library"],
-        wire_metric=payload["wire_metric"],
-        segment_um=payload["segment_um"],
-        wire_backend=payload.get("wire_backend", "kernel"),
+        static["library"],
+        wire_metric=static["wire_metric"],
+        segment_um=static["segment_um"],
+        wire_backend=static["wire_backend"],
     )
     ctx = RealizationContext(
-        library=payload["library"],
-        stage_luts=payload["stage_luts"],
-        legalizer=payload["legalizer"],
-        region=payload["region"],
-        pairs=payload["pairs"],
-        alphas=payload["alphas"],
-        baseline_skews=payload["baseline_skews"],
-        eco_config=payload["eco_config"],
-        batch_size=payload["batch_size"],
-        improvement_eps_ps=payload["improvement_eps_ps"],
+        library=static["library"],
+        stage_luts=static["stage_luts"],
+        legalizer=static["legalizer"],
+        region=static["region"],
+        pairs=static["pairs"],
+        alphas=static["alphas"],
+        baseline_skews=static["baseline_skews"],
+        eco_config=static["eco_config"],
+        batch_size=static["batch_size"],
+        improvement_eps_ps=static["improvement_eps_ps"],
         engine=engine,
     )
     realized, _result, stats, eco_stats = realize_verified_plan(
@@ -176,36 +170,11 @@ def realize_point(payload: Dict[str, Any]) -> Dict[str, Any]:
     }
 
 
-def build_realize_payload(
-    ctx, problem, tree, data, solution, allow_batches: bool, use_arena: bool = False
-) -> Dict[str, Any]:
-    """Package one sweep point for :func:`realize_point`.
-
-    ``use_arena`` payloads ship only the dynamic per-point part — the
-    static context rides in the pool's shared-memory arena.
-    """
-    dynamic = {
+def build_realize_payload(tree, data, solution, allow_batches: bool) -> Dict[str, Any]:
+    """Package one sweep point's dynamic part for :func:`realize_point`."""
+    return {
         "tree": tree_to_dict(tree),
         "data": data,
         "solution": solution,
         "allow_batches": allow_batches,
-    }
-    if use_arena:
-        dynamic["use_arena"] = True
-        return dynamic
-    return {
-        **dynamic,
-        "library": ctx.library,
-        "stage_luts": ctx.stage_luts,
-        "legalizer": ctx.legalizer,
-        "region": ctx.region,
-        "pairs": list(ctx.pairs),
-        "alphas": dict(ctx.alphas),
-        "baseline_skews": ctx.baseline_skews,
-        "eco_config": ctx.eco_config,
-        "batch_size": ctx.batch_size,
-        "improvement_eps_ps": ctx.improvement_eps_ps,
-        "wire_metric": problem.timer.wire_metric,
-        "segment_um": problem.timer.segment_um,
-        "wire_backend": problem.timer.wire_backend,
     }

@@ -1,21 +1,20 @@
 """Top-R verification fan-out with a deterministic reduce.
 
 :class:`ParallelVerifier` is the bridge between Algorithm 2's trial loop
-and the worker pool.  It ships the ranked batch to the workers, merges
-corner shards, and falls back to the main process's own engine for any
-candidate whose worker died — so a crash costs wall-clock time, never
-correctness.  The returned verdicts are in batch order and bit-identical
-to what the serial loop computes, which makes the subsequent pick
-(:meth:`LocalOptimizer._pick_best`) produce the same committed-move
-trajectory regardless of worker count.
+and the worker pool.  It ships the ranked batch to the workers and, if
+every worker died before a candidate was verified, re-verifies that
+candidate with the main process's own engine — so a crash costs
+wall-clock time, never correctness.  The returned verdicts are in batch
+order and bit-identical to what the serial loop computes, which makes
+the subsequent pick (:meth:`LocalOptimizer._pick_best`) produce the same
+committed-move trajectory regardless of worker count.
 
-With ``backend="shm"`` the verifier also owns a
-:class:`~repro.parallel.shm.SharedPlaneArena`: it publishes the run's
-starting tree plus the main engine's compiled kernel planes as
-generation 1, and republishes a fresh baseline every
-``compact_every`` committed moves so the pool can compact its delta
-stream — a respawned worker then adopts the latest baseline and replays
-only the delta suffix instead of the whole run history.
+The verifier owns the pool's :class:`~repro.parallel.shm.
+SharedPlaneArena`: it publishes the run's starting tree plus the main
+engine's compiled kernel planes as generation 1, and republishes a fresh
+baseline every ``compact_every`` committed moves so the pool can compact
+its delta stream — a respawned worker then adopts the latest baseline
+and replays only the delta suffix instead of the whole run history.
 """
 
 from __future__ import annotations
@@ -27,11 +26,7 @@ from repro.netlist.tree import ClockTree
 from repro.obs.merge import merge_worker_events
 from repro.obs.trace import active as active_tracer
 from repro.parallel.pool import WorkerPool
-from repro.parallel.replica import (
-    ReplicaSpec,
-    merge_sharded_outcome,
-    publish_replica_arena,
-)
+from repro.parallel.replica import ReplicaSpec, publish_replica_arena
 from repro.parallel.shm import SharedPlaneArena
 
 #: One candidate's verification verdict: (total variation, degraded?).
@@ -52,7 +47,6 @@ class ParallelVerifier:
         workers: int,
         local_skew_tolerance_ps: float = 0.5,
         mp_context: Optional[str] = None,
-        backend: str = "pipe",
         compact_every: int = DEFAULT_COMPACT_EVERY,
     ) -> None:
         if workers < 2:
@@ -61,25 +55,17 @@ class ParallelVerifier:
         self._spec = ReplicaSpec.from_problem(
             problem, tree, local_skew_tolerance_ps=local_skew_tolerance_ps
         )
-        self._backend = backend
         self._compact_every = max(2, compact_every)
-        self._arena: Optional[SharedPlaneArena] = None
-        if backend == "shm":
-            self._arena = SharedPlaneArena(tag="verify")
-            publish_replica_arena(
-                self._arena,
-                self._spec,
-                tree,
-                engine=problem.engine(),
-                baseline_index=0,
-            )
+        self._arena = SharedPlaneArena(tag="verify")
+        publish_replica_arena(
+            self._arena,
+            self._spec,
+            tree,
+            engine=problem.engine(),
+            baseline_index=0,
+        )
         self._pool = WorkerPool(
-            workers,
-            spec=self._spec,
-            mp_context=mp_context,
-            backend=backend,
-            arena=self._arena,
-            tag="verify",
+            workers, mp_context=mp_context, arena=self._arena, tag="verify"
         )
         self._serial_fallbacks = 0
 
@@ -88,7 +74,7 @@ class ParallelVerifier:
         self, tree: ClockTree, moves: Sequence[Move]
     ) -> List[Verdict]:
         """Verify ``moves`` against the current state, in batch order."""
-        gathered = self._pool.verify_batch(moves)
+        outcomes = self._pool.verify_batch(moves)
         tracer = active_tracer()
         if tracer.enabled:
             # Hang each worker's ``verify`` span under the span that
@@ -97,19 +83,16 @@ class ParallelVerifier:
             for lane, events in self._pool.last_verify_obs:
                 merge_worker_events(tracer, events, lane)
         verdicts: List[Verdict] = []
-        for move, shards in zip(moves, gathered):
-            if shards is None:
+        for move, outcome in zip(moves, outcomes):
+            if outcome is None:
                 self._serial_fallbacks += 1
                 verdicts.append(self._verify_serial(tree, move))
-            elif shards[0].latencies is not None:
-                verdicts.append(merge_sharded_outcome(self._spec, shards))
             else:
-                shard = shards[0]
-                verdicts.append((shard.total_variation, shard.degraded))
+                verdicts.append((outcome.total_variation, outcome.degraded))
         return verdicts
 
     def _verify_serial(self, tree: ClockTree, move: Move) -> Verdict:
-        """Main-process re-verification of a forfeited shard."""
+        """Main-process re-verification once every worker has died."""
         result = self._problem.evaluate_move(tree, move)
         return (
             result.total_variation,
@@ -123,16 +106,12 @@ class ParallelVerifier:
     def record_commit(self, move: Move, tree: Optional[ClockTree] = None) -> None:
         """Extend the delta stream the workers replay to stay in sync.
 
-        With the shm backend and the committed ``tree`` in hand, a
-        baseline republish + delta compaction triggers once the retained
-        stream reaches the compaction threshold.
+        With the committed ``tree`` in hand, a baseline republish + delta
+        compaction triggers once the retained stream reaches the
+        compaction threshold.
         """
         self._pool.record_commit(move)
-        if (
-            self._arena is not None
-            and tree is not None
-            and self._pool.retained_deltas >= self._compact_every
-        ):
+        if tree is not None and self._pool.retained_deltas >= self._compact_every:
             self._refresh_baseline(tree)
 
     def _refresh_baseline(self, tree: ClockTree) -> None:
@@ -149,23 +128,20 @@ class ParallelVerifier:
     def stats_dict(self) -> Dict[str, float]:
         stats = dict(self._pool.stats)
         stats["serial_fallbacks"] = self._serial_fallbacks
-        stats["backend"] = self._backend
         wall = stats.get("verify_wall_s", 0.0)
         busy = stats.get("worker_busy_s", 0.0)
         # Effective verification concurrency: worker-side eval seconds
         # per wall second of fan-out.  > 1 means the pool verified faster
         # than one process could have.
         stats["verify_speedup"] = round(busy / wall, 3) if wall > 0 else 0.0
-        if self._arena is not None:
-            stats["arena_generation"] = self._arena.generation
-            stats["arena_bytes"] = self._arena.bytes_shared
-            stats["retained_deltas"] = self._pool.retained_deltas
+        stats["arena_generation"] = self._arena.generation
+        stats["arena_bytes"] = self._arena.bytes_shared
+        stats["retained_deltas"] = self._pool.retained_deltas
         return stats
 
     def close(self) -> None:
         self._pool.close()
-        if self._arena is not None:
-            self._arena.close()
+        self._arena.close()
 
     def __enter__(self) -> "ParallelVerifier":
         return self

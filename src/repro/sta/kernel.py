@@ -909,19 +909,13 @@ class CompiledTree:
         )
 
     def sink_latencies(
-        self,
-        state: KernelState,
-        sinks: Sequence[int],
-        names: Optional[Sequence[str]] = None,
+        self, state: KernelState, sinks: Sequence[int]
     ) -> Dict[str, Dict[int, float]]:
-        """``{corner: {sink: arrival}}`` in the requested corner order."""
+        """``{corner: {sink: arrival}}`` in compiled corner order."""
         pos = np.fromiter(
             (self.index[s] for s in sinks), dtype=np.int64, count=len(sinks)
         )
-        wanted = (
-            tuple(names) if names is not None else tuple(c.name for c in self.corners)
-        )
         return {
-            name: dict(zip(sinks, state.arrival[self.corner_pos[name], pos].tolist()))
-            for name in wanted
+            corner.name: dict(zip(sinks, state.arrival[k, pos].tolist()))
+            for k, corner in enumerate(self.corners)
         }

@@ -455,6 +455,35 @@ class TestTracedFlows:
             result_pool.final_objective_ps
         )
 
+    def test_span_tree_identical_across_sweep_worker_counts(
+        self, mini_problem, mini_design
+    ):
+        """The pooled U-sweep (arena export, worker attach) adds no paths."""
+        from repro.core.framework import (
+            GlobalOptConfig,
+            GlobalOptimizer,
+            TechnologyCache,
+        )
+
+        tech = TechnologyCache(mini_design.library)
+        runs = {}
+        for workers in (1, 2):
+            config = GlobalOptConfig(
+                sweep_factors=(1.0, 1.15), max_iterations=1, workers=workers
+            )
+            with tracing() as tracer:
+                result = GlobalOptimizer(mini_problem, tech, config).run()
+            runs[workers] = (result, tracer.events)
+        (serial_result, serial), (pooled_result, pooled) = runs[1], runs[2]
+        assert validate_events(serial) == []
+        assert validate_events(pooled) == []
+        assert span_tree(serial) == span_tree(pooled)
+        assert len({e["worker"] for e in pooled}) > 1
+        # Arena transfers are timer metrics, not spans.
+        names = {e["name"] for e in pooled if e["type"] == "metric"}
+        assert {"shm.export_s", "shm.attach_s"} <= names
+        assert serial_result.final_objective_ps == pooled_result.final_objective_ps
+
     def test_pooled_trace_has_worker_lanes(self, mini_problem, predictor):
         _result, pooled = self._run(mini_problem, predictor, 2)
         lanes = {e["worker"] for e in pooled}

@@ -6,19 +6,19 @@ The contracts under test:
   (bit-identical floats, same degradation flag);
 * replaying the committed-move delta stream keeps a replica's timing
   within 1e-9 ps of the main process (in practice: bit-identical);
-* corner-sharded verification merges to the whole-candidate verdict;
-* a worker crash mid-batch forfeits only its shard — the caller's
-  serial fallback produces correct results and the pool is rebuilt to
-  full strength for the next batch;
+* a worker crash mid-batch requeues its candidate to the survivors —
+  every verdict arrives and equals the serial one, and the pool is
+  rebuilt to full strength for the next batch; only when every worker
+  is dead does the verifier re-verify serially;
 * the parallel local-opt trajectory is identical to the serial one;
-* the shm backend — arena-born replicas, the event-driven overlapped
-  scheduler, mid-steal crash requeue, and delta compaction — produces
-  byte-identical verdicts and trajectories to the pipe reference, and
-  leaves no orphaned /dev/shm segments behind.
+* arena-born replicas, the event-driven scheduler, and delta compaction
+  produce byte-identical verdicts and trajectories to the serial loop,
+  and leave no orphaned /dev/shm segments behind.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 
 import pytest
@@ -28,16 +28,17 @@ from repro.core.ml.training import train_predictor
 from repro.core.moves import enumerate_moves
 from repro.core.objective import SkewVariationProblem
 from repro.parallel import (
+    CRASH_EXIT_CODE,
     ParallelVerifier,
     Replica,
     ReplicaSpec,
     SharedPlaneArena,
     WorkerPool,
     attach,
-    merge_sharded_outcome,
     publish_replica_arena,
 )
 from repro.parallel.pool import effective_cpu_count, resolve_workers
+from repro.sta.timer import GoldenTimer
 from repro.testcases.mini import build_mini
 
 
@@ -66,6 +67,18 @@ def moves(problem):
 @pytest.fixture(scope="module")
 def predictor(problem):
     return train_predictor(problem.design.library, [], "full_rsmt_d2m")
+
+
+@contextlib.contextmanager
+def replica_pool(problem, tree, workers=2):
+    """A verify pool born from a replica arena of ``tree``."""
+    arena = SharedPlaneArena(tag="test")
+    try:
+        publish_replica_arena(arena, ReplicaSpec.from_problem(problem, tree), tree)
+        with WorkerPool(workers, arena=arena) as pool:
+            yield pool
+    finally:
+        arena.close()
 
 
 def serial_verdict(problem, tree, move, tol_ps=0.5):
@@ -130,24 +143,6 @@ class TestReplica:
         with pytest.raises(ValueError, match="gap"):
             replica.sync([move], first_index=3)
 
-    def test_sharded_merge_equals_whole_candidate(self, problem, moves):
-        tree = problem.design.tree.clone()
-        spec = ReplicaSpec.from_problem(problem, tree)
-        corner_names = [c.name for c in spec.library.corners]
-        assert len(corner_names) >= 2
-        split = len(corner_names) // 2
-        for index, move in enumerate(moves[:3]):
-            whole = Replica(spec).verify(index, move)
-            shard_a = Replica(spec).verify_corners(
-                index, move, corner_names[:split]
-            )
-            shard_b = Replica(spec).verify_corners(
-                index, move, corner_names[split:]
-            )
-            tv, degraded = merge_sharded_outcome(spec, [shard_b, shard_a])
-            assert tv == whole.total_variation
-            assert degraded == whole.degraded
-
 
 # ----------------------------------------------------------------------
 # WorkerPool
@@ -155,56 +150,40 @@ class TestReplica:
 class TestWorkerPool:
     def test_verify_batch_matches_serial(self, problem, moves):
         tree = problem.design.tree.clone()
-        spec = ReplicaSpec.from_problem(problem, tree)
-        with WorkerPool(2, spec=spec) as pool:
-            gathered = pool.verify_batch(moves)
-            assert len(gathered) == len(moves)
-            for move, shards in zip(moves, gathered):
-                assert shards is not None and len(shards) == 1
+        with replica_pool(problem, tree) as pool:
+            outcomes = pool.verify_batch(moves)
+            assert len(outcomes) == len(moves)
+            for index, (move, outcome) in enumerate(zip(moves, outcomes)):
+                assert outcome is not None and outcome.index == index
                 tv, degraded = serial_verdict(problem, tree, move)
-                assert shards[0].total_variation == tv
-                assert shards[0].degraded == degraded
+                assert outcome.total_variation == tv
+                assert outcome.degraded == degraded
 
-    def test_corner_sharding_when_workers_outnumber_batch(self, problem, moves):
-        tree = problem.design.tree.clone()
-        spec = ReplicaSpec.from_problem(problem, tree)
-        n_corners = len(spec.library.corners)
-        with WorkerPool(4, spec=spec) as pool:
-            gathered = pool.verify_batch(moves[:2])
-            assert pool.stats["sharded_batches"] == 1
-            for move, shards in zip(moves[:2], gathered):
-                assert shards is not None
-                assert 2 <= len(shards) <= n_corners
-                tv, degraded = merge_sharded_outcome(spec, shards)
-                want_tv, want_degraded = serial_verdict(problem, tree, move)
-                assert tv == want_tv
-                assert degraded == want_degraded
+    def test_verify_batch_requires_replica_arena(self, moves):
+        with WorkerPool(2) as pool:
+            with pytest.raises(RuntimeError, match="replica arena"):
+                pool.verify_batch(moves)
 
     def test_crash_mid_batch_recovers_with_correct_results(self, problem, moves):
         tree = problem.design.tree.clone()
-        spec = ReplicaSpec.from_problem(problem, tree)
-        with WorkerPool(2, spec=spec) as pool:
+        with replica_pool(problem, tree) as pool:
             pool.crash_worker(0)
-            gathered = pool.verify_batch(moves)
-            # The dead worker's shard is forfeited, the other's survives.
-            assert any(shards is None for shards in gathered)
-            assert any(shards is not None for shards in gathered)
+            outcomes = pool.verify_batch(moves)
+            # The dead worker's candidate is requeued to the survivor:
+            # nothing is forfeited.
             assert pool.stats["crashes"] == 1
-            assert pool.stats["failed_shards"] > 0
-            for move, shards in zip(moves, gathered):
-                if shards is None:
-                    continue
-                tv, _ = serial_verdict(problem, tree, move)
-                assert shards[0].total_variation == tv
+            assert pool.stats["failed_shards"] == 0
+            for move, outcome in zip(moves, outcomes):
+                assert outcome is not None
+                tv, degraded = serial_verdict(problem, tree, move)
+                assert (outcome.total_variation, outcome.degraded) == (tv, degraded)
             # The pool rebuilt itself: next batch is fully parallel.
             assert pool.alive_workers() == 2
-            gathered = pool.verify_batch(moves)
-            assert all(shards is not None for shards in gathered)
+            assert all(o is not None for o in pool.verify_batch(moves))
 
     def test_crash_after_commits_resyncs_fresh_worker(self, problem, moves):
         tree = problem.design.tree.clone()
-        spec = ReplicaSpec.from_problem(problem, tree)
-        with WorkerPool(2, spec=spec) as pool:
+        with replica_pool(problem, tree) as pool:
             committed = []
             for move in moves:
                 try:
@@ -218,23 +197,19 @@ class TestWorkerPool:
             assert len(committed) == 2
             pool.crash_worker(0)
             pool.crash_worker(1)
-            # Every shard of this batch is forfeited (both workers died
-            # mid-flight); the pool rebuilds afterwards.
-            gathered = pool.verify_batch(moves[:2])
-            assert all(shards is None for shards in gathered)
+            # With every worker dead no candidate can be verified; the
+            # pool rebuilds afterwards.
+            outcomes = pool.verify_batch(moves[:2])
+            assert outcomes == [None, None]
+            assert pool.stats["failed_shards"] == 2
             assert pool.alive_workers() == 2
-            # Fresh workers replay the full delta stream from the
-            # starting tree, so verdicts match the advanced main engine.
-            gathered = pool.verify_batch(moves[:2])
-            for move, shards in zip(moves[:2], gathered):
-                assert shards is not None
+            # Fresh workers replay the delta stream from the arena
+            # baseline, so verdicts match the advanced main engine.
+            outcomes = pool.verify_batch(moves[:2])
+            for move, outcome in zip(moves[:2], outcomes):
+                assert outcome is not None
                 tv, degraded = serial_verdict(problem, tree, move)
-                merged = (
-                    merge_sharded_outcome(spec, shards)
-                    if shards[0].latencies is not None
-                    else (shards[0].total_variation, shards[0].degraded)
-                )
-                assert merged == (tv, degraded)
+                assert (outcome.total_variation, outcome.degraded) == (tv, degraded)
 
     def test_call_scatters_and_keeps_order(self):
         with WorkerPool(2) as pool:
@@ -244,10 +219,10 @@ class TestWorkerPool:
 
     def test_call_crash_yields_none_for_forfeited_payloads(self):
         with WorkerPool(2) as pool:
-            pool.crash_worker(0)
-            results = pool.call("builtins:len", [[1]] * 4)
-            assert results.count(None) > 0
-            assert all(r == 1 for r in results if r is not None)
+            # A worker dying mid-call forfeits its in-flight payload
+            # (call targets are not assumed idempotent).
+            assert pool.call("os:_exit", [CRASH_EXIT_CODE]) == [None]
+            assert pool.stats["crashes"] == 1
             # Dead worker respawned for subsequent calls.
             assert pool.alive_workers() == 2
             assert pool.call("builtins:len", [[1]] * 4) == [1, 1, 1, 1]
@@ -288,22 +263,19 @@ class TestParallelLocalOpt:
         assert stats["serial_fallbacks"] == 0
         assert serial_outcome.stats["parallel"] is None
 
-    def test_sharded_workers_trajectory_identical(self, predictor):
-        serial, _ = self._run(predictor, workers=1, top_r=2, iterations=2)
-        parallel, outcome = self._run(predictor, workers=5, top_r=2, iterations=2)
-        assert serial == parallel
-        assert outcome.stats["parallel"]["sharded_batches"] > 0
-
     def test_verifier_serial_fallback_matches(self, problem, moves):
         tree = problem.design.tree.clone()
         with ParallelVerifier(problem, tree, workers=2) as verifier:
+            # The serial fallback runs only once every worker is dead.
             verifier._pool.crash_worker(0)
+            verifier._pool.crash_worker(1)
             verdicts = verifier.verify_batch(tree, list(moves))
-            assert verifier.stats_dict()["serial_fallbacks"] > 0
-            for move, (tv, degraded) in zip(moves, verdicts):
-                want_tv, want_degraded = serial_verdict(problem, tree, move)
-                assert tv == want_tv
-                assert degraded == want_degraded
+            stats = verifier.stats_dict()
+            assert stats["serial_fallbacks"] == len(moves)
+            assert stats["crashes"] == 2
+            for move, verdict in zip(moves, verdicts):
+                assert verdict == serial_verdict(problem, tree, move)
+            assert verifier._pool.alive_workers() == 2
 
 
 # ----------------------------------------------------------------------
@@ -368,20 +340,18 @@ class TestSharedArena:
 
 
 # ----------------------------------------------------------------------
-# shm backend: overlapped scheduler, crash requeue, compaction
+# Event-driven scheduler, crash requeue, compaction
 # ----------------------------------------------------------------------
 class TestShmPool:
     def _verifier(self, problem, tree, workers=2, **kwargs):
-        return ParallelVerifier(
-            problem, tree, workers=workers, backend="shm", **kwargs
-        )
+        return ParallelVerifier(problem, tree, workers=workers, **kwargs)
 
     def test_shm_verify_batch_matches_serial(self, problem, moves):
         tree = problem.design.tree.clone()
         with self._verifier(problem, tree) as verifier:
             verdicts = verifier.verify_batch(tree, list(moves))
             stats = verifier.stats_dict()
-            assert stats["backend"] == "shm"
+            assert "backend" not in stats
             assert stats["arena_generation"] == 1
             assert stats["serial_fallbacks"] == 0
         for move, verdict in zip(moves, verdicts):
@@ -446,40 +416,27 @@ class TestShmPool:
 
     def test_call_overlapped_migrates_queued_payloads(self, problem):
         tree = problem.design.tree.clone()
-        spec = ReplicaSpec.from_problem(problem, tree)
-        arena = SharedPlaneArena(tag="call")
-        try:
-            publish_replica_arena(arena, spec, tree)
-            with WorkerPool(2, spec=spec, backend="shm", arena=arena) as pool:
-                assert pool.call("builtins:len", [[1], [1, 2], [], [1, 2, 3]]) == [
-                    1,
-                    2,
-                    0,
-                    3,
-                ]
-                # A worker dead *before* the scatter forfeits nothing:
-                # its queued payloads migrate to the survivor.
-                pool.crash_worker(0)
-                results = pool.call("builtins:len", [[1]] * 5)
-                assert results == [1] * 5
-                assert pool.alive_workers() == 2
-        finally:
-            arena.close()
+        with replica_pool(problem, tree) as pool:
+            assert pool.call("builtins:len", [[1], [1, 2], [], [1, 2, 3]]) == [1, 2, 0, 3]
+            # A worker dead *before* the scatter forfeits nothing: its
+            # queued payloads migrate to the survivor.
+            pool.crash_worker(0)
+            results = pool.call("builtins:len", [[1]] * 5)
+            assert results == [1] * 5
+            assert pool.stats["crashes"] == 1
+            assert pool.alive_workers() == 2
         assert _own_shm_segments() == []
 
 
 # ----------------------------------------------------------------------
-# shm backend: end-to-end trajectory identity
+# End-to-end trajectory identity
 # ----------------------------------------------------------------------
 class TestShmLocalOpt:
-    def _run(self, predictor, workers, backend="pipe", top_r=5, iterations=3):
-        prob = SkewVariationProblem.create(build_mini())
-        config = LocalOptConfig(
-            max_iterations=iterations,
-            workers=workers,
-            top_r=top_r,
-            pool_backend=backend,
-        )
+    def _run(self, predictor, workers, top_r=5, iterations=3, wire_backend="kernel"):
+        design = build_mini()
+        timer = GoldenTimer(design.library, wire_backend=wire_backend)
+        prob = SkewVariationProblem.create(design, timer=timer)
+        config = LocalOptConfig(max_iterations=iterations, workers=workers, top_r=top_r)
         outcome = LocalOptimizer(prob, predictor, config).run()
         trajectory = [
             (
@@ -493,25 +450,27 @@ class TestShmLocalOpt:
         return trajectory, outcome
 
     def test_shm_trajectory_identical_to_serial_and_pipe(self, predictor):
+        """Serial vs a pool whose workers adopt the published kernel
+        planes vs a pool whose workers compile and propagate their own
+        replicas (the reference wire backend publishes no planes)."""
         serial, serial_outcome = self._run(predictor, workers=1)
-        pipe, pipe_outcome = self._run(predictor, workers=2, backend="pipe")
-        shm, shm_outcome = self._run(predictor, workers=2, backend="shm")
-        assert serial == pipe == shm
+        adopted, adopted_outcome = self._run(predictor, workers=2)
+        rebuilt, rebuilt_outcome = self._run(
+            predictor, workers=2, wire_backend="reference"
+        )
+        assert serial == adopted == rebuilt
         assert (
             serial_outcome.final_objective_ps
-            == pipe_outcome.final_objective_ps
-            == shm_outcome.final_objective_ps
+            == adopted_outcome.final_objective_ps
+            == rebuilt_outcome.final_objective_ps
         )
-        stats = shm_outcome.stats["parallel"]
-        assert stats["backend"] == "shm"
-        assert stats["serial_fallbacks"] == 0
+        for outcome in (adopted_outcome, rebuilt_outcome):
+            assert outcome.stats["parallel"]["serial_fallbacks"] == 0
         assert _own_shm_segments() == []
 
     def test_shm_oversubscribed_trajectory_identical(self, predictor):
         serial, _ = self._run(predictor, workers=1, top_r=2, iterations=2)
-        shm, outcome = self._run(
-            predictor, workers=5, backend="shm", top_r=2, iterations=2
-        )
+        shm, outcome = self._run(predictor, workers=5, top_r=2, iterations=2)
         assert serial == shm
         workers_stats = outcome.stats["workers"]
         assert workers_stats["requested"] == 5
