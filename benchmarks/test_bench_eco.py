@@ -9,9 +9,11 @@ estimate agreement to <= 1e-9 ps (bit-identical trees in practice) — so
 this bench measures pure candidate-evaluation speedup.
 
 Writes ``results/BENCH_eco.json`` with one-shot LP-plan realization
-times for both backends plus a warm re-realization time (sweep-level
-table cache), and asserts the tentpole target: **>= 5x** on CLS1v1.
-A MINI smoke variant (``-k smoke``) runs in seconds for CI.
+times for both backends, each from a cold hop-delay memo, plus a second
+kernel realization on a warm hop memo (the state every sweep point after
+the first sees: the memo is process-wide, candidate tables are rebuilt
+per plan), and asserts the tentpole target: **>= 5x** on CLS1v1.  A MINI
+smoke variant (``-k smoke``) runs in seconds for CI.
 """
 
 from __future__ import annotations
@@ -88,7 +90,10 @@ def _run_comparison(design):
     ker_s, ker_eco, ker_tree, ker_report = _realize_once(
         design, luts, data, solution, timings, "kernel"
     )
-    # Warm pass: same eco instance, so every candidate table cache-hits.
+    # One plan's counters, before the second pass adds to them.
+    counters = dict(ker_eco.stats["counters"])
+    # Warm-hop-memo pass: the hop memo keeps what the cold kernel pass
+    # filled; every candidate table is built again.
     trial = design.tree.clone()
     t0 = time.perf_counter()
     ker_eco.realize(trial, data, solution, timings)
@@ -97,7 +102,6 @@ def _run_comparison(design):
     same_choices, max_err, same_tree = _parity(
         ref_report, ker_report, ref_tree, ker_tree
     )
-    counters = ker_eco.stats["counters"]
     compile_s = ker_eco.stats["timers"]["seconds"].get("compile", 0.0)
     return {
         "design": design.name,
@@ -105,15 +109,14 @@ def _run_comparison(design):
         "arcs_realized": len(ker_report),
         "candidates_evaluated": counters["candidates_evaluated"],
         "tables_built": counters["tables_built"],
-        "table_hits": counters["table_hits"],
         "max_est_err_ps": max_err,
         "kernel_identical": same_choices and same_tree and max_err <= TOL_PS,
         "reference_ms": round(1000.0 * ref_s, 3),
         "kernel_ms": round(1000.0 * ker_s, 3),
-        "kernel_warm_ms": round(1000.0 * warm_s, 3),
+        "kernel_warm_hops_ms": round(1000.0 * warm_s, 3),
         "kernel_compile_ms": round(1000.0 * compile_s, 3),
         "speedup": round(ref_s / ker_s, 2),
-        "warm_speedup": round(ref_s / warm_s, 2),
+        "warm_hops_speedup": round(ref_s / warm_s, 2),
     }
 
 
@@ -125,10 +128,10 @@ def _report(tag, record):
         f"  reference   : {record['reference_ms']:9.3f} ms",
         f"  kernel      : {record['kernel_ms']:9.3f} ms "
         f"(compile {record['kernel_compile_ms']:.3f} ms)",
-        f"  kernel warm : {record['kernel_warm_ms']:9.3f} ms "
-        f"({record['table_hits']} table hits)",
+        f"  warm hops   : {record['kernel_warm_hops_ms']:9.3f} ms "
+        "(kernel again, hop memo kept)",
         f"  speedup     : {record['speedup']:.2f}x cold, "
-        f"{record['warm_speedup']:.2f}x warm",
+        f"{record['warm_hops_speedup']:.2f}x warm hops",
         f"  max |d| = {record['max_est_err_ps']:.3e} ps",
     ]
     emit(tag, "\n".join(lines))

@@ -233,10 +233,10 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         if counters:
             print(
                 f"eco backend={eco_stats.get('backend')}: "
-                f"{counters.get('candidates_evaluated', 0)} candidates in "
-                f"{counters.get('tables_built', 0)} tables "
-                f"({counters.get('table_hits', 0)} cache hits, "
-                f"{counters.get('selects', 0)} selects)"
+                f"{counters.get('tables_built', 0)} tables built, "
+                f"{counters.get('candidates_evaluated', 0)} candidates, "
+                f"{counters.get('selects', 0)} selects, "
+                f"{counters.get('arcs_chosen', 0)} arcs chosen"
             )
 
     if args.trajectory_out and result.local_result is not None:

@@ -103,7 +103,6 @@ class LPGuidedECO:
         region: Optional[BBox] = None,
         config: ECOConfig = ECOConfig(),
         incremental: Optional[IncrementalTimer] = None,
-        candidate_kernel: Optional[ECOCandidateKernel] = None,
     ) -> None:
         self._library = library
         self._luts = stage_luts
@@ -117,7 +116,7 @@ class LPGuidedECO:
         self._corners = list(library.corners)
         self._corner_names = [c.name for c in self._corners]
         self._pin_caps = {s: library.input_cap_ff(s) for s in library.sizes}
-        self._kernel = candidate_kernel
+        self._kernel: Optional[ECOCandidateKernel] = None
         self._kernel_failed = False
         self._backend_active = "reference"
 
@@ -128,11 +127,6 @@ class LPGuidedECO:
         if self._kernel is not None:
             payload.update(self._kernel.stats())
         return payload
-
-    @property
-    def candidate_kernel(self) -> Optional[ECOCandidateKernel]:
-        """The kernel in use (None on the reference path/fallback)."""
-        return self._kernel
 
     def _ensure_kernel(self) -> Optional[ECOCandidateKernel]:
         """Build (or reuse) the candidate kernel; None means reference path."""
@@ -230,8 +224,8 @@ class LPGuidedECO:
         realizing a config that would land farther from the plan.
 
         With ``kernel`` set, the whole candidate scan below collapses to
-        one cached table lookup plus a masked argmin; the scalar loops
-        here remain the reference semantics it must reproduce bit-exactly.
+        one table build plus a masked argmin; the scalar loops here
+        remain the reference semantics it must reproduce bit-exactly.
         """
         cfg = self._config
         lib = self._library

@@ -23,7 +23,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.eco_flow import ECOConfig, LPGuidedECO
-from repro.core.instrument import diff_stats
 from repro.core.local_opt import LocalOptConfig, LocalOptimizer, LocalOptResult
 from repro.core.lp import (
     DEFAULT_BETA,
@@ -160,10 +159,6 @@ class RealizationContext:
     batch_size: int
     improvement_eps_ps: float
     engine: object
-    #: Lazily-built ECO candidate kernel, kept here so its compiled LUT
-    #: planes and sweep-level table cache survive across sweep points,
-    #: verification batches, and outer iterations.
-    eco_kernel: object = None
 
     @staticmethod
     def from_problem(
@@ -237,17 +232,7 @@ def _realize_verified_plan(
         region=ctx.region,
         config=ctx.eco_config,
         incremental=ctx.engine,
-        candidate_kernel=ctx.eco_kernel,
     )
-    stats_before = eco.stats
-
-    def finish(tree, result, counts):
-        # Keep the (possibly just-built) kernel for the next sweep point
-        # so its candidate-table cache carries across the U sweep, and
-        # report this call's stats as a delta (the shared kernel's
-        # counters are cumulative).
-        ctx.eco_kernel = eco.candidate_kernel
-        return tree, result, counts, diff_stats(eco.stats, stats_before)
 
     current = base_tree.clone()
     current_result = ctx.evaluate(current)
@@ -266,10 +251,10 @@ def _realize_verified_plan(
             ctx.baseline_skews, tol_ps=0.5
         )
         if improved and not degraded:
-            return finish(full_trial, full_result, (len(full_report), 1, 0))
+            return full_trial, full_result, (len(full_report), 1, 0), eco.stats
 
     if not allow_batches:
-        return finish(current, current_result, (0, 0, 1))
+        return current, current_result, (0, 0, 1), eco.stats
 
     # Fallback: benefit-sorted batches, largest requested |delta|
     # first, each golden-verified and reverted on regression.
@@ -300,7 +285,7 @@ def _realize_verified_plan(
             committed += 1
         else:
             reverted += 1
-    return finish(current, current_result, (arcs_done, committed, reverted))
+    return current, current_result, (arcs_done, committed, reverted), eco.stats
 
 
 class GlobalOptimizer:

@@ -81,28 +81,6 @@ def merge_stats(dst: Dict[str, object], src: Mapping[str, object]) -> Dict[str, 
     return dst
 
 
-def diff_stats(
-    new: Mapping[str, object], old: Mapping[str, object]
-) -> Dict[str, object]:
-    """Recursive numeric difference ``new - old`` (missing old keys = 0).
-
-    Turns cumulative counters/timers into per-interval deltas, so stats
-    from a long-lived accumulator (e.g. the ECO kernel shared across a
-    sweep) can be attributed to one call and then re-merged without
-    double counting.  Non-numeric leaves keep ``new``'s value.
-    """
-    out: Dict[str, object] = {}
-    for key, value in new.items():
-        prev = old.get(key) if isinstance(old, Mapping) else None
-        if isinstance(value, Mapping):
-            out[key] = diff_stats(value, prev if isinstance(prev, Mapping) else {})
-        elif _is_number(value):
-            out[key] = value - prev if _is_number(prev) else value
-        else:
-            out[key] = value
-    return out
-
-
 class StageTimers:
     """Accumulates elapsed seconds and call counts per stage name.
 

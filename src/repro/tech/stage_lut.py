@@ -114,9 +114,94 @@ class HopDelayCache:
 _HOP_CACHE = HopDelayCache()
 
 
+class _HopRow:
+    """Dense ``(delay, elmore)`` memo of one (library, corner, load) key.
+
+    Indexed by the 0.25-um length bucket ``rint(length * 4)``, the same
+    round-half-even quantization :class:`HopDelayCache` keys on, so every
+    length in a bucket maps to one value.  Holding the library keeps its
+    ``id`` from being reused while the row lives.
+    """
+
+    __slots__ = ("library", "delay", "elmore", "filled")
+
+    def __init__(self, library: Library, capacity: int) -> None:
+        self.library = library
+        self.delay = np.zeros(capacity)
+        self.elmore = np.zeros(capacity)
+        self.filled = np.zeros(capacity, dtype=bool)
+
+    def grow(self, needed: int) -> None:
+        """Double the capacity until ``needed`` buckets fit."""
+        capacity = self.delay.size
+        while capacity < needed:
+            capacity *= 2
+        pad = capacity - self.delay.size
+        self.delay = np.concatenate([self.delay, np.zeros(pad)])
+        self.elmore = np.concatenate([self.elmore, np.zeros(pad)])
+        self.filled = np.concatenate([self.filled, np.zeros(pad, dtype=bool)])
+
+
+#: Dense companion of ``_HOP_CACHE`` for the ECO kernel's vector gathers,
+#: keyed like it minus the length: (library id, corner, quantized load).
+_HOP_ROWS: Dict[Tuple[int, str, float], _HopRow] = {}
+
+
 def clear_hop_cache() -> None:
-    """Drop the process-wide hop memo (benches use this between timed runs)."""
+    """Drop the process-wide hop memos (benches use this between timed runs)."""
     _HOP_CACHE.clear()
+    _HOP_ROWS.clear()
+
+
+def hop_wire_delays(
+    library: Library,
+    corner: Corner,
+    lengths: np.ndarray,
+    loads: Sequence[float],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`hop_wire_delay` for every (load, length) pair, as arrays.
+
+    Returns ``(delay, elmore)``, each of shape ``(len(loads),
+    lengths.size)``, gathered from a dense per-(corner, load) memo.  A
+    missing bucket is filled through :func:`hop_wire_delay` with an
+    original length from that bucket, not ``bucket / 4``: lengths under
+    0.125 um land in bucket 0, which the scalar call times as a
+    zero-length net, while a length of exactly zero short-circuits to
+    ``(0, 0)``.  Every value therefore equals the scalar call's bit for
+    bit.
+    """
+    lengths = np.asarray(lengths, dtype=float).reshape(-1)
+    if lengths.size and float(lengths.min()) <= 0.0:
+        keep = lengths > 0.0
+        delay = np.zeros((len(loads), lengths.size))
+        elmore = np.zeros_like(delay)
+        delay[:, keep], elmore[:, keep] = hop_wire_delays(
+            library, corner, lengths[keep], loads
+        )
+        return delay, elmore
+    buckets = np.rint(lengths * 4.0).astype(np.intp)
+    needed = int(buckets.max()) + 1 if buckets.size else 0
+    delay = np.empty((len(loads), lengths.size))
+    elmore = np.empty_like(delay)
+    for i, load_ff in enumerate(loads):
+        key = (id(library), corner.name, round(load_ff * 20.0) / 20.0)
+        row = _HOP_ROWS.get(key)
+        if row is None:
+            row = _HOP_ROWS[key] = _HopRow(library, 64)
+        if row.delay.size < needed:
+            row.grow(needed)
+        missing = ~row.filled[buckets]
+        if missing.any():
+            todo, first = np.unique(buckets[missing], return_index=True)
+            originals = lengths[missing][first]
+            for bucket, length in zip(todo.tolist(), originals.tolist()):
+                d, e = hop_wire_delay(library, corner, length, load_ff)
+                row.delay[bucket] = d
+                row.elmore[bucket] = e
+            row.filled[todo] = True
+        delay[i] = row.delay[buckets]
+        elmore[i] = row.elmore[buckets]
+    return delay, elmore
 
 
 def hop_wire_delay(

@@ -12,7 +12,6 @@ import pytest
 from repro.core.instrument import (
     COLLISION_KEY,
     StageTimers,
-    diff_stats,
     merge_stats,
 )
 
@@ -76,38 +75,6 @@ class TestMergeStats:
     def test_returns_dst_for_chaining(self):
         dst = {}
         assert merge_stats(dst, {"a": 1}) is dst
-
-
-class TestDiffStats:
-    def test_flat_numeric_delta(self):
-        assert diff_stats({"a": 5, "b": 2.5}, {"a": 3, "b": 1.0}) == {
-            "a": 2,
-            "b": 1.5,
-        }
-
-    def test_nested_delta(self):
-        new = {"counters": {"built": 10, "hits": 4}, "timers": {"s": 2.0}}
-        old = {"counters": {"built": 7, "hits": 1}, "timers": {"s": 0.5}}
-        assert diff_stats(new, old) == {
-            "counters": {"built": 3, "hits": 3},
-            "timers": {"s": 1.5},
-        }
-
-    def test_missing_old_keys_count_from_zero(self):
-        assert diff_stats({"a": 5, "deep": {"b": 2}}, {}) == {
-            "a": 5,
-            "deep": {"b": 2},
-        }
-
-    def test_non_numeric_keeps_new_value(self):
-        assert diff_stats({"backend": "kernel"}, {"backend": "reference"}) == {
-            "backend": "kernel"
-        }
-
-    def test_old_scalar_under_new_mapping(self):
-        # A kind change between snapshots: the new mapping diffs against
-        # an empty old mapping rather than crashing.
-        assert diff_stats({"x": {"n": 3}}, {"x": 7}) == {"x": {"n": 3}}
 
 
 class TestStageTimers:

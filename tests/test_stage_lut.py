@@ -1,12 +1,16 @@
 """Stage-delay LUT characterization (paper Figure 3)."""
 
+import numpy as np
 import pytest
 
+from repro.tech import stage_lut
 from repro.tech.stage_lut import (
     DEFAULT_WL_AXIS,
     HopDelayCache,
     characterize_stage_luts,
+    clear_hop_cache,
     hop_wire_delay,
+    hop_wire_delays,
     stage_delay,
     steady_state_stage,
 )
@@ -116,6 +120,82 @@ class TestHopDelayCache:
     def test_rejects_degenerate_capacity(self):
         with pytest.raises(ValueError):
             HopDelayCache(max_entries=1)
+
+
+class TestHopWireDelays:
+    """The dense hop memo must gather exactly what the scalar memo holds."""
+
+    @staticmethod
+    def _expected(library, corner, lengths, loads):
+        fresh = HopDelayCache()
+        pairs = [
+            [fresh.metrics(library, corner, length, load) for length in lengths]
+            for load in loads
+        ]
+        return (
+            [[d for d, _ in row] for row in pairs],
+            [[e for _, e in row] for row in pairs],
+        )
+
+    def test_half_quantum_lengths_round_half_even(self, library_cls1):
+        corner = library_cls1.corners.nominal
+        # x.125 and x.375 sit exactly on a bucket boundary (x4 = n + 0.5);
+        # each comes after both neighbouring bucket centres, so a boundary
+        # length put in the wrong bucket reads its neighbour's value.
+        lengths = [80.0, 80.25, 80.5, 80.125, 80.375, 81.0, 81.125, 40.1]
+        loads = (4.0, 6.3)
+        clear_hop_cache()
+        delay, elmore = hop_wire_delays(
+            library_cls1, corner, np.asarray(lengths), loads
+        )
+        assert (delay.tolist(), elmore.tolist()) == self._expected(
+            library_cls1, corner, lengths, loads
+        )
+
+    def test_lengths_under_a_quarter_bucket(self, library_cls1):
+        """Bucket 0 holds the zero-length RC net, not the 0.0 short cut."""
+        corner = library_cls1.corners.nominal
+        lengths = [0.05, 0.1, 0.125]
+        clear_hop_cache()
+        delay, elmore = hop_wire_delays(
+            library_cls1, corner, np.asarray(lengths), (4.0,)
+        )
+        assert (delay.tolist(), elmore.tolist()) == self._expected(
+            library_cls1, corner, lengths, (4.0,)
+        )
+        # A zero length still short-circuits like the scalar call.
+        delay, elmore = hop_wire_delays(
+            library_cls1, corner, np.asarray([0.0, 0.1]), (4.0,)
+        )
+        expected_d, expected_e = self._expected(library_cls1, corner, [0.1], (4.0,))
+        assert delay.tolist() == [[0.0, expected_d[0][0]]]
+        assert elmore.tolist() == [[0.0, expected_e[0][0]]]
+
+    def test_correct_after_growing(self, library_cls1):
+        corner = library_cls1.corners.nominal
+        clear_hop_cache()
+        short = [10.0, 12.5]
+        hop_wire_delays(library_cls1, corner, np.asarray(short), (4.0,))
+        (row,) = stage_lut._HOP_ROWS.values()
+        capacity = row.delay.size
+        far = float(capacity)  # bucket 4 * capacity: past the current end
+        lengths = short + [far, far + 0.3]
+        delay, elmore = hop_wire_delays(
+            library_cls1, corner, np.asarray(lengths), (4.0,)
+        )
+        (row,) = stage_lut._HOP_ROWS.values()
+        assert row.delay.size > 4 * capacity
+        assert (delay.tolist(), elmore.tolist()) == self._expected(
+            library_cls1, corner, lengths, (4.0,)
+        )
+
+    def test_clear_hop_cache_empties_both_memos(self, library_cls1):
+        corner = library_cls1.corners.nominal
+        hop_wire_delays(library_cls1, corner, np.asarray([50.0]), (4.0,))
+        assert stage_lut._HOP_ROWS and len(stage_lut._HOP_CACHE) > 0
+        clear_hop_cache()
+        assert not stage_lut._HOP_ROWS
+        assert len(stage_lut._HOP_CACHE) == 0
 
 
 class TestCharacterization:
