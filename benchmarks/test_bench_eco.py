@@ -3,13 +3,14 @@
 The kernel compiles each corner's stage LUT into dense planes once per
 library, enumerates the full (size, wirelength, count) candidate grid as
 arrays, and resolves each arc with one masked argmin; the reference path
-scans candidates one scalar estimate at a time.  Both are the *same*
-search — the kernel's contract is identical chosen candidates and
-estimate agreement to <= 1e-9 ps (bit-identical trees in practice) — so
-this bench measures pure candidate-evaluation speedup.
+(the test oracle ``LPGuidedECO._scan_candidates``, swapped in for the
+kernel search) scans candidates one scalar estimate at a time.  Both are
+the *same* search — the kernel's contract is identical chosen candidates
+and estimate agreement to <= 1e-9 ps (bit-identical trees in practice) —
+so this bench measures pure candidate-evaluation speedup.
 
 Writes ``results/BENCH_eco.json`` with one-shot LP-plan realization
-times for both backends, each from a cold hop-delay memo, plus a second
+times for both paths, each from a cold hop-delay memo, plus a second
 kernel realization on a warm hop memo (the state every sweep point after
 the first sees: the memo is process-wide, candidate tables are rebuilt
 per plan), and asserts the tentpole target: **>= 5x** on CLS1v1.  A MINI
@@ -22,9 +23,10 @@ import json
 import time
 
 import numpy as np
+import pytest
 from _util import RESULTS_DIR, emit
 
-from repro.core.eco_flow import ECOConfig, LPGuidedECO
+from repro.core.eco_flow import LPGuidedECO
 from repro.core.lp import GlobalSkewLP, build_model_data
 from repro.core.objective import SkewVariationProblem
 from repro.netlist.serialize import tree_to_dict
@@ -33,12 +35,12 @@ from repro.tech.stage_lut import characterize_stage_luts, clear_hop_cache
 from repro.testcases.cls1 import build_cls1
 from repro.testcases.mini import build_mini
 
-#: Estimate agreement bound between the two backends (ps).
+#: Estimate agreement bound between the two paths (ps).
 TOL_PS = 1e-9
 
 
 def _plan(design):
-    """One LP plan (Eq. 4 at a relaxed bound) shared by both backends."""
+    """One LP plan (Eq. 4 at a relaxed bound) shared by both paths."""
     problem = SkewVariationProblem.create(design)
     luts = characterize_stage_luts(design.library)
     data = build_model_data(
@@ -55,15 +57,16 @@ def _plan(design):
     return luts, data, solution, timings
 
 
-def _realize_once(design, luts, data, solution, timings, backend):
+def _realize_once(design, luts, data, solution, timings, scalar):
     clear_hop_cache()
-    eco = LPGuidedECO(
-        design.library, luts, design.legalizer, config=ECOConfig(backend=backend)
-    )
+    eco = LPGuidedECO(design.library, luts, design.legalizer)
     trial = design.tree.clone()
-    t0 = time.perf_counter()
-    report = eco.realize(trial, data, solution, timings)
-    elapsed = time.perf_counter() - t0
+    with pytest.MonkeyPatch.context() as patch:
+        if scalar:
+            patch.setattr(LPGuidedECO, "_search", LPGuidedECO._scan_candidates)
+        t0 = time.perf_counter()
+        report = eco.realize(trial, data, solution, timings)
+        elapsed = time.perf_counter() - t0
     return elapsed, eco, trial, report
 
 
@@ -85,10 +88,10 @@ def _run_comparison(design):
     luts, data, solution, timings = _plan(design)
 
     ref_s, _ref_eco, ref_tree, ref_report = _realize_once(
-        design, luts, data, solution, timings, "reference"
+        design, luts, data, solution, timings, scalar=True
     )
     ker_s, ker_eco, ker_tree, ker_report = _realize_once(
-        design, luts, data, solution, timings, "kernel"
+        design, luts, data, solution, timings, scalar=False
     )
     # One plan's counters, before the second pass adds to them.
     counters = dict(ker_eco.stats["counters"])

@@ -8,13 +8,15 @@ every candidate was scored through the per-pair python loop.  The
 evaluates all estimator variants for all corners in broadcast numpy,
 and ``batched_variation_reductions`` vectorizes the scorer.
 
-Runs the same optimization twice — ``feature_backend="reference"`` (the
-scalar walk) and ``"kernel"`` — checks the committed-move trajectories
-are byte-identical, and writes ``results/BENCH_features.json`` with the
-featurize+score stage times and kernel counters.  Asserts the tentpole
-target: **>= 5x** on the featurize+score stages on CLS1v1.  A MINI smoke
-variant (``-k smoke``) runs in seconds for CI, and a pooled variant
-checks the kernel composes with the 4-worker verification pool.
+Runs the same optimization twice — once with the scalar oracles swapped
+in for the kernel (per-move ``compute_move_components`` and
+``predicted_variation_reduction``) and once on the kernel — checks the
+committed-move trajectories are byte-identical, and writes
+``results/BENCH_features.json`` with the featurize+score stage times and
+kernel counters.  Asserts the tentpole target: **>= 5x** on the
+featurize+score stages on CLS1v1.  A MINI smoke variant (``-k smoke``)
+runs in seconds for CI, and a pooled variant checks the kernel composes
+with the 4-worker verification pool.
 """
 
 from __future__ import annotations
@@ -22,15 +24,17 @@ from __future__ import annotations
 import json
 import time
 
+import pytest
 from _util import RESULTS_DIR, emit
 from repro.core.local_opt import LocalOptConfig, LocalOptimizer
 from repro.core.ml.training import train_predictor
 from repro.core.objective import SkewVariationProblem
 from repro.testcases.cls1 import build_cls1
 from repro.testcases.mini import build_mini
+from tests.oracles import use_scalar_features
 
 
-def _run_once(build, backend, max_iterations, workers=1):
+def _run_once(build, max_iterations, workers=1, scalar=False):
     design = build()
     problem = SkewVariationProblem.create(design)
     predictor = train_predictor(design.library, [], "full_rsmt_d2m")
@@ -40,13 +44,15 @@ def _run_once(build, backend, max_iterations, workers=1):
         LocalOptConfig(
             max_iterations=max_iterations,
             max_batches_per_iteration=8,
-            feature_backend=backend,
             workers=workers,
         ),
     )
-    t0 = time.perf_counter()
-    outcome = optimizer.run()
-    elapsed = time.perf_counter() - t0
+    with pytest.MonkeyPatch.context() as patch:
+        if scalar:
+            use_scalar_features(patch)
+        t0 = time.perf_counter()
+        outcome = optimizer.run()
+        elapsed = time.perf_counter() - t0
     return design, outcome, elapsed
 
 
@@ -63,9 +69,9 @@ def _stage_featurize_score(outcome):
 
 
 def _run_comparison(build, max_iterations):
-    design, kernel, kernel_s = _run_once(build, "kernel", max_iterations)
-    _, reference, reference_s = _run_once(build, "reference", max_iterations)
-    _, pooled, _ = _run_once(build, "kernel", max_iterations, workers=4)
+    design, kernel, kernel_s = _run_once(build, max_iterations)
+    _, reference, reference_s = _run_once(build, max_iterations, scalar=True)
+    _, pooled, _ = _run_once(build, max_iterations, workers=4)
 
     identical = (
         _trajectory(kernel) == _trajectory(reference)

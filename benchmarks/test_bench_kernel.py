@@ -1,13 +1,15 @@
 """Bench: batched array kernel vs the scalar reference timing path.
 
 The kernel compiles the clock tree to SoA/CSR arrays and propagates all
-corners at once with vectorized NLDM lookups; the reference path walks
-the tree corner-by-corner with dict state.  Both are the *same* model —
-the kernel's contract is agreement to <= 1e-9 ps (bit-identical in
-practice), so this bench measures pure execution-engine speedup.
+corners at once with vectorized NLDM lookups; the reference path (the
+test oracles ``GoldenTimer._analyze_corner_reference`` and
+``ReferenceIncrementalTimer``) walks the tree corner-by-corner with dict
+state.  Both are the *same* model — the kernel's contract is agreement
+to <= 1e-9 ps (bit-identical in practice), so this bench measures pure
+execution-engine speedup.
 
 Writes ``results/BENCH_kernel.json`` with full-tree all-corner analysis
-times for both backends, the incremental preview (retime) times, and a
+times for both paths, the incremental preview (retime) times, and a
 ``kernel_identical`` flag, and asserts the tentpole target: **>= 5x**
 single-thread full-tree analysis on CLS1v1.  A MINI smoke variant
 (``-k smoke``) runs in seconds for CI.
@@ -20,12 +22,12 @@ import time
 
 from _util import RESULTS_DIR, emit
 from repro.core.moves import apply_move_undoable, enumerate_moves, undo_move
-from repro.sta.incremental import IncrementalTimer
+from repro.sta.incremental import IncrementalTimer, ReferenceIncrementalTimer
 from repro.sta.timer import GoldenTimer
 from repro.testcases.cls1 import build_cls1
 from repro.testcases.mini import build_mini
 
-#: Agreement bound between the two backends (ps).
+#: Agreement bound between the two paths (ps).
 TOL_PS = 1e-9
 
 _FIELDS = (
@@ -50,18 +52,18 @@ def _max_err(got, want):
     return worst
 
 
-def _time_full(timer, tree, repeats):
-    timer.analyze_all_corners(tree)  # warm edge/gate caches + compile
+def _time_full(analyze, tree, repeats):
+    analyze(tree)  # warm edge/gate caches + compile
     best = float("inf")
     for _ in range(repeats):
         t0 = time.perf_counter()
-        timer.analyze_all_corners(tree)
+        analyze(tree)
         best = min(best, time.perf_counter() - t0)
     return best
 
 
-def _time_retime(design, wire_backend, moves, pairs):
-    engine = IncrementalTimer(design.library, wire_backend=wire_backend)
+def _time_retime(design, engine_cls, moves, pairs):
+    engine = engine_cls(design.library)
     tree = design.tree.clone()
     engine.ensure(tree)
     t0 = time.perf_counter()
@@ -83,19 +85,22 @@ def _candidate_moves(design, limit):
 
 def _run_comparison(design, repeats, move_limit):
     tree = design.tree
-    reference = GoldenTimer(design.library, wire_backend="reference")
-    kernel = GoldenTimer(design.library, wire_backend="kernel")
+    timer = GoldenTimer(design.library)
 
-    max_err = _max_err(
-        kernel.analyze_all_corners(tree), reference.analyze_all_corners(tree)
-    )
-    ref_s = _time_full(reference, tree, repeats)
-    ker_s = _time_full(kernel, tree, repeats)
+    def reference_all_corners(tree):
+        return {
+            c.name: timer._analyze_corner_reference(tree, c)
+            for c in design.library.corners
+        }
+
+    max_err = _max_err(timer.analyze_all_corners(tree), reference_all_corners(tree))
+    ref_s = _time_full(reference_all_corners, tree, repeats)
+    ker_s = _time_full(timer.analyze_all_corners, tree, repeats)
 
     moves = _candidate_moves(design, move_limit)
     pairs = design.pairs
-    retime_ref_s = _time_retime(design, "reference", moves, pairs)
-    retime_ker_s = _time_retime(design, "kernel", moves, pairs)
+    retime_ref_s = _time_retime(design, ReferenceIncrementalTimer, moves, pairs)
+    retime_ker_s = _time_retime(design, IncrementalTimer, moves, pairs)
 
     return {
         "design": design.name,

@@ -7,8 +7,9 @@ move featurizations across iterations (invalidating only the committed
 move's dirty frontier), shares analytical net evaluations under value
 keys, and assembles/infers per corner in single vectorized calls.
 
-Runs the same optimization twice — ``use_pipeline=False`` (the pre-PR
-per-move path) and ``True`` — checks the committed-move trajectories are
+Runs the same optimization twice — with the bench-local
+``_LegacyLocalOptimizer`` (the pre-pipeline per-move ranking) and with
+the production ranking — checks the committed-move trajectories are
 identical, and writes ``results/BENCH_localopt.json`` with wall times,
 per-stage timers and cache counters.  Asserts the tentpole target:
 **>= 5x** end-to-end iteration throughput on CLS1v1.  A MINI smoke
@@ -21,25 +22,72 @@ import json
 import time
 
 from _util import RESULTS_DIR, emit
-from repro.core.local_opt import LocalOptConfig, LocalOptimizer
+from repro.core.local_opt import (
+    LocalOptConfig,
+    LocalOptimizer,
+    predicted_variation_reduction,
+)
+from repro.core.ml.features import extract_features
 from repro.core.ml.training import train_predictor
+from repro.core.moves import enumerate_moves
 from repro.core.objective import SkewVariationProblem
 from repro.testcases.cls1 import build_cls1
 from repro.testcases.mini import build_mini
 
 
-def _run_once(build, use_pipeline, max_iterations):
+class _LegacyLocalOptimizer(LocalOptimizer):
+    """Algorithm 2 with the pre-pipeline ranking.
+
+    Every iteration re-extracts features per move from scratch
+    (``extract_features``), predicts them with ``predict_batch`` and
+    scores each move with the scalar ``predicted_variation_reduction``;
+    the pipeline the run passes in goes unused.
+    """
+
+    def _rank_moves(self, tree, result, pipeline, timers):
+        cfg = self._config
+        problem = self._problem
+        library = problem.design.library
+        buffers = self._select_buffers(tree, result)
+        with timers.stage("enumerate"):
+            moves = enumerate_moves(
+                tree,
+                library,
+                buffers=buffers,
+                surgery_window_um=cfg.surgery_window_um,
+            )
+        if not moves:
+            return []
+        with timers.stage("featurize"):
+            features = [
+                extract_features(tree, library, result.per_corner, move)
+                for move in moves
+            ]
+        with timers.stage("predict"):
+            predictions = self._predictor.predict_batch(features)
+        ranked = []
+        with timers.stage("score"):
+            for feats, pred in zip(features, predictions):
+                reduction = predicted_variation_reduction(
+                    problem, tree, result, feats, pred
+                )
+                if reduction > cfg.min_predicted_reduction_ps:
+                    ranked.append((reduction, feats))
+            ranked.sort(key=lambda item: -item[0])
+        return ranked
+
+
+def _run_once(build, optimizer_cls, max_iterations):
     """One full Algorithm-2 run on a fresh design + engine."""
     design = build()
     problem = SkewVariationProblem.create(design)
     predictor = train_predictor(design.library, [], "full_rsmt_d2m")
-    optimizer = LocalOptimizer(
+    optimizer = optimizer_cls(
         problem,
         predictor,
         LocalOptConfig(
             max_iterations=max_iterations,
             max_batches_per_iteration=8,
-            use_pipeline=use_pipeline,
         ),
     )
     t0 = time.perf_counter()
@@ -56,8 +104,8 @@ def _trajectory(outcome):
 
 
 def _run_comparison(build, max_iterations):
-    design, batched, batched_s = _run_once(build, True, max_iterations)
-    _, legacy, legacy_s = _run_once(build, False, max_iterations)
+    design, batched, batched_s = _run_once(build, LocalOptimizer, max_iterations)
+    _, legacy, legacy_s = _run_once(build, _LegacyLocalOptimizer, max_iterations)
 
     identical = (
         _trajectory(batched) == _trajectory(legacy)

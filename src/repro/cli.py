@@ -174,11 +174,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     from repro.core.ml.training import train_predictor
     from repro.core.objective import SkewVariationProblem
 
-    from repro.sta.timer import GoldenTimer
-
     design = _build_design(args.testcase)
-    timer = GoldenTimer(design.library, wire_backend=args.wire_backend)
-    problem = SkewVariationProblem.create(design, timer=timer)
+    problem = SkewVariationProblem.create(design)
     base = problem.baseline
     print(f"baseline sum of skew variations: {base.total_variation:.1f} ps")
 
@@ -195,7 +192,6 @@ def cmd_optimize(args: argparse.Namespace) -> int:
             )
             predictor = train_predictor(design.library, samples, args.predictor)
 
-    from repro.core.eco_flow import ECOConfig
     from repro.parallel.pool import resolve_workers
 
     # The local config resolves "auto" itself (and notes it in stats);
@@ -205,13 +201,11 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         global_config=GlobalOptConfig(
             sweep_factors=(1.0, 1.15),
             workers=global_workers,
-            eco=ECOConfig(backend=args.eco_backend),
         ),
         local_config=LocalOptConfig(
             max_iterations=args.local_iterations,
             buffers_per_iteration=args.buffers_per_iteration,
             workers=args.workers,
-            feature_backend=args.feature_backend,
         ),
     )
     tracer = _start_trace(args, "optimize")
@@ -232,8 +226,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         counters = eco_stats.get("counters", {})
         if counters:
             print(
-                f"eco backend={eco_stats.get('backend')}: "
-                f"{counters.get('tables_built', 0)} tables built, "
+                f"eco: {counters.get('tables_built', 0)} tables built, "
                 f"{counters.get('candidates_evaluated', 0)} candidates, "
                 f"{counters.get('selects', 0)} selects, "
                 f"{counters.get('arcs_chosen', 0)} arcs chosen"
@@ -631,27 +624,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write a span/metric trace of the run as JSONL (see 'repro report')",
     )
     _add_telemetry_args(p_opt)
-    p_opt.add_argument(
-        "--wire-backend",
-        default="kernel",
-        choices=("kernel", "reference"),
-        help="timing execution engine (bit-identical; reference is the scalar path)",
-    )
-    p_opt.add_argument(
-        "--eco-backend",
-        default="kernel",
-        choices=("kernel", "reference"),
-        help="ECO candidate-search engine (bit-identical; reference is the scalar scan)",
-    )
-    p_opt.add_argument(
-        "--feature-backend",
-        default="kernel",
-        choices=("kernel", "reference"),
-        help=(
-            "move-featurization engine (bit-identical; reference is the "
-            "scalar per-move path)"
-        ),
-    )
     p_opt.add_argument("--out", default=None)
 
     p_batch = sub.add_parser(

@@ -24,6 +24,10 @@ stated goal for this flow):
 What remains unmodeled — legalization snap, slew interaction with
 neighbouring nets, LUT grid snapping — is exactly the residual the paper
 also accepts.
+
+The search runs on the vectorized candidate kernel
+(:mod:`repro.eco.candidate_kernel`); the scalar scan in this module is
+its definition and test oracle.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.lp import LPModelData, LPSolution
-from repro.eco.candidate_kernel import ECOCandidateKernel, ECOKernelUnsupported
+from repro.eco.candidate_kernel import ECOCandidateKernel
 from repro.eco.legalize import Legalizer
 from repro.eco.operators import ArcRebuildResult, rebuild_arc
 from repro.geometry import BBox
@@ -51,10 +55,6 @@ from repro.sta.timer import CornerTiming
 from repro.tech.library import Library
 from repro.tech.stage_lut import StageDelayLUT, hop_wire_delay
 
-#: Recognized ECO candidate-search backends.
-ECO_BACKENDS = ("kernel", "reference")
-
-
 @dataclass(frozen=True)
 class ECOConfig:
     """Tuning of the Algorithm-1 search."""
@@ -66,16 +66,6 @@ class ECOConfig:
     wire_extension_steps: Tuple[float, ...] = tuple(
         float(x) for x in range(0, 301, 15)
     )
-    #: Candidate-search backend: "kernel" (vectorized, bit-identical) or
-    #: "reference" (the scalar triple loop).  The kernel backend falls
-    #: back to reference when the LUTs cannot be compiled into planes.
-    backend: str = "kernel"
-
-    def __post_init__(self) -> None:
-        if self.backend not in ECO_BACKENDS:
-            raise ValueError(
-                f"unknown eco backend {self.backend!r}; expected one of {ECO_BACKENDS}"
-            )
 
 
 @dataclass(frozen=True)
@@ -93,7 +83,16 @@ class ArcECO:
 
 
 class LPGuidedECO:
-    """Realizes an LP solution on a clock tree (Algorithm 1)."""
+    """Realizes an LP solution on a clock tree (Algorithm 1).
+
+    The candidate search runs on the vectorized
+    :class:`~repro.eco.candidate_kernel.ECOCandidateKernel`, built at
+    construction; stage LUTs it cannot compile raise
+    :class:`~repro.eco.candidate_kernel.ECOKernelUnsupported` with the
+    reason.  :meth:`_scan_candidates` is the scalar scan the kernel
+    reproduces bit for bit — the test oracle, with the same signature
+    as :meth:`_search`; no production path calls it.
+    """
 
     def __init__(
         self,
@@ -110,39 +109,17 @@ class LPGuidedECO:
         self._region = region or legalizer.region
         self._config = config
         self._incremental = incremental
-        # Hoisted once per instance: the reference path used to rebuild
-        # these per candidate (corner name list, nominal index lookup,
-        # per-size pin caps).
+        # Hoisted once per instance (corner name list, nominal index
+        # lookup, per-size pin caps).
         self._corners = list(library.corners)
         self._corner_names = [c.name for c in self._corners]
         self._pin_caps = {s: library.input_cap_ff(s) for s in library.sizes}
-        self._kernel: Optional[ECOCandidateKernel] = None
-        self._kernel_failed = False
-        self._backend_active = "reference"
+        self._kernel = ECOCandidateKernel(library, stage_luts, config)
 
     @property
     def stats(self) -> Dict[str, object]:
-        """Backend identity plus kernel counters/timers (when active)."""
-        payload: Dict[str, object] = {"backend": self._backend_active}
-        if self._kernel is not None:
-            payload.update(self._kernel.stats())
-        return payload
-
-    def _ensure_kernel(self) -> Optional[ECOCandidateKernel]:
-        """Build (or reuse) the candidate kernel; None means reference path."""
-        if self._config.backend != "kernel" or self._kernel_failed:
-            return None
-        if self._kernel is None:
-            try:
-                self._kernel = ECOCandidateKernel(
-                    self._library, self._luts, self._config
-                )
-            except ECOKernelUnsupported:
-                self._kernel_failed = True
-                self._backend_active = "reference-fallback"
-                return None
-        self._backend_active = "kernel"
-        return self._kernel
+        """The candidate kernel's counters and phase timers."""
+        return self._kernel.stats()
 
     # ------------------------------------------------------------------
     def realize(
@@ -173,7 +150,6 @@ class LPGuidedECO:
         if arc_indices is None:
             arc_indices = solution.nonzero_arcs(self._config.delta_threshold_ps)
         arc_indices = list(arc_indices)
-        kernel = self._ensure_kernel()
         report: List[ArcECO] = []
         with active_tracer().span("eco_realize", phase="eco") as span:
             for j in arc_indices:
@@ -186,9 +162,7 @@ class LPGuidedECO:
                         for c in self._corners
                     ]
                 )
-                eco = self._realize_arc(
-                    tree, arc, j, targets, current, timings, kernel
-                )
+                eco = self._realize_arc(tree, arc, j, targets, current, timings)
                 if eco is not None:
                     report.append(eco)
             tree.validate()
@@ -214,7 +188,6 @@ class LPGuidedECO:
         targets: np.ndarray,
         current_delays: np.ndarray,
         baseline: Mapping[str, CornerTiming],
-        kernel: Optional[ECOCandidateKernel] = None,
     ) -> Optional[ArcECO]:
         """Search (size, spacing, count) and rebuild one arc.
 
@@ -222,19 +195,8 @@ class LPGuidedECO:
         if no rebuild matches the LP targets better than leaving the arc
         alone, nothing is touched.  Keeping a known-good arc always beats
         realizing a config that would land farther from the plan.
-
-        With ``kernel`` set, the whole candidate scan below collapses to
-        one table build plus a masked argmin; the scalar loops here
-        remain the reference semantics it must reproduce bit-exactly.
         """
-        cfg = self._config
-        lib = self._library
-        corner_names = self._corner_names
-        nominal = corner_names[0]
-
-        keep_err = self._error(
-            [float(current_delays[k]) for k in range(len(corner_names))], targets
-        )
+        keep_err = self._error([float(d) for d in current_delays], targets)
 
         start_loc = tree.node(arc.start).location
         end_loc = tree.node(arc.end).location
@@ -245,18 +207,10 @@ class LPGuidedECO:
         # load and the old first edge's contribution, so candidate loads
         # can be formed as (baseline load - old contribution + new hop).
         ctx = self._arc_context(tree, arc, baseline)
-
-        if kernel is not None:
-            table = kernel.table(direct, end_cap, ctx)
-            choice = kernel.select(table, targets, keep_err)
-            if choice is None:
-                return None
-            size, spacing, count, best_err, best_est = choice
-        else:
-            found = self._scan_candidates(direct, end_cap, ctx, targets, keep_err)
-            if found is None:
-                return None
-            size, spacing, count, best_err, best_est = found
+        found = self._search(direct, end_cap, ctx, targets, keep_err)
+        if found is None:
+            return None
+        size, spacing, count, best_err, best_est = found
         realized = rebuild_arc(
             tree,
             self._legalizer,
@@ -280,6 +234,22 @@ class LPGuidedECO:
             realized=realized,
         )
 
+    def _search(
+        self,
+        direct: float,
+        end_cap: float,
+        ctx: Mapping[str, Mapping[str, float]],
+        targets: np.ndarray,
+        keep_err: float,
+    ) -> Optional[Tuple[int, float, int, float, List[float]]]:
+        """Best ``(size, spacing, count, error, estimates)`` beating ``keep_err``.
+
+        One kernel table build plus a masked argmin; ``None`` keeps the
+        arc as it is.
+        """
+        table = self._kernel.table(direct, end_cap, ctx)
+        return self._kernel.select(table, targets, keep_err)
+
     def _scan_candidates(
         self,
         direct: float,
@@ -288,7 +258,7 @@ class LPGuidedECO:
         targets: np.ndarray,
         keep_err: float,
     ) -> Optional[Tuple[int, float, int, float, List[float]]]:
-        """Reference scalar candidate scan (the kernel's golden semantics)."""
+        """Scalar candidate scan: the test oracle of :meth:`_search`."""
         cfg = self._config
         lib = self._library
         nominal = self._corner_names[0]

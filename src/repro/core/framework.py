@@ -82,8 +82,8 @@ class GlobalOptResult:
     """Outcome of the global flow.
 
     ``stats`` aggregates per-phase instrumentation across every sweep
-    point and iteration (currently the ECO candidate-search backend's
-    counters and timers under ``"eco"``), mirroring the
+    point and iteration (currently the ECO candidate kernel's counters
+    and timers under ``"eco"``), mirroring the
     ``LocalOptResult.stats`` pattern.
     """
 
@@ -203,8 +203,8 @@ def realize_verified_plan(
     flow fall back to committing benefit-sorted batches with per-batch
     verification, which salvages the separable part of the plan.
 
-    The fourth return element is the ECO backend's stats payload
-    (:attr:`LPGuidedECO.stats`) for this plan's realizations.
+    The fourth return element is the ECO candidate kernel's stats
+    payload (:attr:`LPGuidedECO.stats`) for this plan's realizations.
 
     The ``realize`` span opens here — shared by the serial path and the
     pool workers (:func:`repro.parallel.sweep.realize_point`), so traced

@@ -41,7 +41,7 @@ def _kind(value: object) -> str:
 def merge_stats(dst: Dict[str, object], src: Mapping[str, object]) -> Dict[str, object]:
     """Recursively fold ``src`` into ``dst``: numbers add, dicts merge.
 
-    Non-numeric leaves of the *same* kind (backend names, flags) take
+    Non-numeric leaves of the *same* kind (labels, flags) take
     ``src``'s value.  A *kind* collision — a number meeting a string, a
     dict meeting a scalar (e.g. a worker's note string landing on an int
     counter) — is made explicit instead of silently overwriting: the

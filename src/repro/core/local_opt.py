@@ -3,10 +3,13 @@
 Each iteration:
 
 1. enumerate candidate moves (Table 2) and featurize them against the
-   current golden timing snapshot;
+   current golden timing snapshot through the candidate pipeline
+   (cross-iteration move cache + array feature kernel);
 2. predict each move's per-corner delta-latency with the trained model
    and translate it into a predicted reduction of the sum of skew
-   variations over the affected sink pairs;
+   variations over the affected sink pairs
+   (:func:`batched_variation_reductions`, bit-identical to the per-move
+   :func:`predicted_variation_reduction`);
 3. trial the top-``R`` moves in place via the incremental timing engine
    (apply → re-time the dirty cone → undo; no clone, no full re-time)
    and assess them at golden accuracy — paper Line 4;
@@ -29,7 +32,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.core.instrument import StageTimers
-from repro.core.ml.features import SIDE_EFFECT_VARIANT, MoveFeatures, extract_features
+from repro.core.ml.features import SIDE_EFFECT_VARIANT, MoveFeatures
 from repro.core.ml.pipeline import CandidatePipeline
 from repro.core.ml.training import DeltaLatencyPredictor
 from repro.core.moves import Move, MoveType, enumerate_moves
@@ -52,17 +55,6 @@ class LocalOptConfig:
     buffers_per_iteration: Optional[int] = None  # None = all buffers
     surgery_window_um: float = 50.0
     local_skew_tolerance_ps: float = 0.5
-    #: Use the incremental batched candidate pipeline (cross-iteration
-    #: feature caching + vectorized assembly + one-call inference).
-    #: ``False`` runs the original per-move ``extract_features`` path;
-    #: both produce identical committed-move trajectories.
-    use_pipeline: bool = True
-    #: Featurization backend: ``"kernel"`` batches cache misses through
-    #: the array-backed :class:`~repro.core.ml.feature_kernel.
-    #: FeatureKernel` (and vectorizes the score stage); ``"reference"``
-    #: runs the scalar per-move path.  Both commit byte-identical
-    #: trajectories.  Ignored when ``use_pipeline`` is False.
-    feature_backend: str = "kernel"
     #: ``workers > 1`` fans the top-``R`` trial verification out to a
     #: persistent process pool (:mod:`repro.parallel`): each worker holds
     #: a delta-synced tree + timer replica and golden-verifies whole
@@ -98,10 +90,10 @@ class LocalOptResult:
     """Outcome of a local optimization run.
 
     ``stats`` carries the run's observability payload: per-stage wall
-    clock (``stage``), candidate-pipeline cache counters (``pipeline``,
-    ``None`` on the legacy path) and incremental-engine counters
-    (``engine``) — what ``benchmarks/test_bench_localopt_perf.py`` dumps
-    to ``BENCH_localopt.json``.
+    clock (``stage``), candidate-pipeline cache counters (``pipeline``)
+    and incremental-engine counters (``engine``) — what
+    ``benchmarks/test_bench_localopt_perf.py`` dumps to
+    ``BENCH_localopt.json``.
     """
 
     tree: ClockTree
@@ -139,13 +131,7 @@ class LocalOptimizer:
         initial = result.total_variation
         timers = StageTimers(phase="local")
         tracer = active_tracer()
-        pipeline = (
-            CandidatePipeline(
-                problem.design.library, backend=cfg.feature_backend
-            )
-            if cfg.use_pipeline
-            else None
-        )
+        pipeline = CandidatePipeline(problem.design.library)
         from repro.parallel.pool import resolve_workers
 
         workers, workers_note = resolve_workers(cfg.workers)
@@ -199,10 +185,9 @@ class LocalOptimizer:
                                         verifier.record_commit(
                                             features.move, tree=current
                                         )
-                                    if pipeline is not None:
-                                        self._invalidate_pipeline(
-                                            pipeline, features.move
-                                        )
+                                    self._invalidate_pipeline(
+                                        pipeline, features.move
+                                    )
                                 history.append(
                                     IterationRecord(
                                         iteration=iteration,
@@ -236,9 +221,7 @@ class LocalOptimizer:
 
         registry = MetricsRegistry()
         registry.absorb({"stage": timers.as_dict()})
-        registry.set(
-            "pipeline", pipeline.cache_stats() if pipeline is not None else None
-        )
+        registry.set("pipeline", pipeline.cache_stats())
         registry.absorb({"engine": dict(problem.engine().stats)})
         registry.set(
             "parallel", verifier.stats_dict() if verifier is not None else None
@@ -368,21 +351,19 @@ class LocalOptimizer:
         self,
         tree: ClockTree,
         result: TimingResult,
-        pipeline: Optional[CandidatePipeline] = None,
-        timers: Optional[StageTimers] = None,
+        pipeline: CandidatePipeline,
+        timers: StageTimers,
     ) -> List[Tuple[float, MoveFeatures]]:
         """Featurize, predict, and rank all candidate moves.
 
-        With a ``pipeline``, featurization goes through the incremental
-        component cache and vectorized assembly, and inference consumes
-        the per-corner matrices in one call per model.  Without one, the
-        original per-move path runs.  Both paths produce numerically
-        identical rankings (same floats, same stable sort).
+        Featurization goes through the pipeline's incremental component
+        cache and vectorized assembly, inference consumes the per-corner
+        matrices in one call per model, and scoring is vectorized over
+        the batch.  Ranking is a stable sort on the predicted reduction.
         """
         cfg = self._config
         problem = self._problem
         library = problem.design.library
-        timers = timers or StageTimers()
         buffers = self._select_buffers(tree, result)
         with timers.stage("enumerate"):
             moves = enumerate_moves(
@@ -393,33 +374,16 @@ class LocalOptimizer:
             )
         if not moves:
             return []
-        if pipeline is not None:
-            with timers.stage("featurize"):
-                batch = pipeline.featurize(tree, result.per_corner, moves)
-            features: Sequence = batch.components
-            with timers.stage("predict"):
-                predictions = self._predictor.predict_matrix(batch)
-        else:
-            with timers.stage("featurize"):
-                features = [
-                    extract_features(tree, library, result.per_corner, move)
-                    for move in moves
-                ]
-            with timers.stage("predict"):
-                predictions = self._predictor.predict_batch(features)
+        with timers.stage("featurize"):
+            batch = pipeline.featurize(tree, result.per_corner, moves)
+        features = batch.components
+        with timers.stage("predict"):
+            predictions = self._predictor.predict_matrix(batch)
         ranked: List[Tuple[float, MoveFeatures]] = []
         with timers.stage("score"):
-            if pipeline is not None and pipeline.backend == "kernel":
-                reductions = batched_variation_reductions(
-                    problem, tree, result, features, predictions
-                )
-            else:
-                reductions = [
-                    predicted_variation_reduction(
-                        problem, tree, result, feats, pred
-                    )
-                    for feats, pred in zip(features, predictions)
-                ]
+            reductions = batched_variation_reductions(
+                problem, tree, result, features, predictions
+            )
             for feats, reduction in zip(features, reductions):
                 if reduction > cfg.min_predicted_reduction_ps:
                     ranked.append((reduction, feats))

@@ -231,7 +231,6 @@ def generate_dataset(
     last_stage_fraction: float = 0.25,
     tree_case_fraction: float = 0.5,
     timer: Optional[GoldenTimer] = None,
-    feature_backend: str = "kernel",
 ) -> List[MoveSample]:
     """Generate a full training dataset (cases x sampled moves).
 
@@ -240,11 +239,10 @@ def generate_dataset(
     paper-style single-target bounding-box cases, a
     ``last_stage_fraction`` of which use last-stage (sink-heavy) fanout.
 
-    Each case's sampled moves featurize in one batch through a
-    :class:`CandidatePipeline` (``feature_backend`` selects the array
-    kernel or the scalar reference; both yield identical features).  A
-    fresh pipeline per case keeps the tree-scoped sink-weight memo from
-    aliasing across the generated (and garbage-collected) trees.
+    Each case's sampled moves featurize in one kernel batch through a
+    :class:`CandidatePipeline`.  A fresh pipeline per case keeps the
+    tree-scoped sink-weight memo from aliasing across the generated (and
+    garbage-collected) trees.
     """
     rng = np.random.default_rng(seed)
     timer = timer or GoldenTimer(library)
@@ -266,7 +264,7 @@ def generate_dataset(
         count = min(moves_per_case, len(moves))
         chosen = rng.choice(len(moves), size=count, replace=False)
         picked = [moves[int(move_idx)] for move_idx in chosen]
-        pipeline = CandidatePipeline(library, backend=feature_backend)
+        pipeline = CandidatePipeline(library)
         batch = pipeline.featurize(case.tree, timings, picked)
         for move, features in zip(picked, batch.components):
             target = golden_subtree_delta(

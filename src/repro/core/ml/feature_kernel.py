@@ -42,15 +42,18 @@ trajectory to byte identity).  Sequential sums use
 counterparts bitwise on these inputs.
 
 Moves the array path cannot express — tree surgery (changes both
-drivers' child sets) and drive sizes outside the stacked tables — fall
-back to the scalar reference per move; libraries whose cells do not
-share one characterization grid raise :class:`FeatureKernelUnsupported`
-at construction and the pipeline falls back wholesale.
+drivers' child sets) and drive sizes outside the stacked tables — take
+the per-move :func:`~repro.core.ml.features.compute_move_components`
+inside a batch; it is the only path for those inputs, and the test
+oracle for every other move.  Libraries whose cells do not share one
+characterization grid raise :class:`FeatureKernelUnsupported` at
+construction; there is no wholesale scalar fallback.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -83,7 +86,7 @@ from repro.tech.library import Library
 
 
 class FeatureKernelUnsupported(Exception):
-    """The library cannot be compiled (fall back to the reference path)."""
+    """The library cannot be compiled into stacked NLDM tables."""
 
 
 #: Route models featurization evaluates, in the reference's sorted order.
@@ -439,7 +442,11 @@ class FeatureKernel:
         return (plan.route_model, plan.driver_loc, plan.children)
 
     def ensure_metrics(self, plans: Sequence[_NetPlan]) -> None:
-        """Compile + lockstep-evaluate every plan missing from the memo."""
+        """Compile + lockstep-evaluate every plan missing from the memo.
+
+        Nothing is evicted here: the batch reads its plans back through
+        :meth:`metrics_for`, so :meth:`_trim_wire_memo` runs after it.
+        """
         pending: List[Tuple[tuple, _NetPlan]] = []
         seen = set()
         for plan in plans:
@@ -469,8 +476,6 @@ class FeatureKernel:
                         loc for _, loc, _ in plan.children
                     ]
                     bbox = BBox.of_points(points)
-                    if len(self._wire_memo) >= self.max_entries:
-                        self._wire_memo.pop(next(iter(self._wire_memo)))
                     self._wire_memo[key] = _WireMetrics(
                         child_ids=tuple(cid for cid, _, _ in plan.children),
                         elm=elm,
@@ -484,6 +489,13 @@ class FeatureKernel:
 
     def metrics_for(self, plan: _NetPlan) -> _WireMetrics:
         return self._wire_memo[self._plan_key(plan)]
+
+    def _trim_wire_memo(self) -> None:
+        """Evict the oldest wire metrics beyond ``max_entries`` (FIFO)."""
+        excess = len(self._wire_memo) - self.max_entries
+        if excess > 0:
+            for key in list(islice(self._wire_memo, excess)):
+                del self._wire_memo[key]
 
     # ------------------------------------------------------------------
     # Batched featurization
@@ -502,7 +514,7 @@ class FeatureKernel:
         ``stats['fallback_moves']``); everything else evaluates in
         batch.  ``cache`` is the pipeline's shared
         :class:`AnalyticalCache` — plans, routes and sink weights flow
-        through the same memos as the reference backend.
+        through the same memos as the per-move path.
         """
         lib = self.library
         self.stats["batches"] += 1
@@ -519,6 +531,7 @@ class FeatureKernel:
             self.ensure_metrics(plans)
             with self.timers.stage("kernel_assemble"):
                 components = self._assemble(tree, timings, prep, cache)
+            self._trim_wire_memo()
             for entry, comp in zip(prep, components):
                 out[entry["index"]] = comp
             self.stats["kernel_moves"] += len(prep)

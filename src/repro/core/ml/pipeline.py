@@ -15,9 +15,12 @@ tree:
   the re-timed frontier; tree surgery changes subtree membership (sink
   weights), so structural commits flush the move cache entirely.
 
-Feature assembly across the surviving + recomputed components is
-vectorized: one ``(n_moves, n_features)`` numpy matrix per corner, bit
-identical to stacking per-move ``extract_features`` vectors.
+Cache misses featurize in one batch through the array-backed
+:class:`~repro.core.ml.feature_kernel.FeatureKernel`; the per-move
+:func:`~repro.core.ml.features.compute_move_components` is its test
+oracle.  Feature assembly across the surviving + recomputed components
+is vectorized: one ``(n_moves, n_features)`` numpy matrix per corner,
+bit identical to stacking per-move ``extract_features`` vectors.
 """
 
 from __future__ import annotations
@@ -28,12 +31,8 @@ from typing import Dict, FrozenSet, Iterable, List, Mapping, Sequence, Set, Tupl
 import numpy as np
 
 from repro.core.ml.analytical import AnalyticalCache
-from repro.core.ml.feature_kernel import FeatureKernel, FeatureKernelUnsupported
-from repro.core.ml.features import (
-    MoveComponents,
-    assemble_feature_matrix,
-    compute_move_components,
-)
+from repro.core.ml.feature_kernel import FeatureKernel
+from repro.core.ml.features import MoveComponents, assemble_feature_matrix
 from repro.core.moves import Move, MoveType
 from repro.netlist.tree import ClockTree
 from repro.sta.timer import CornerTiming
@@ -85,26 +84,17 @@ class FeatureBatch:
 
 
 class CandidatePipeline:
-    """Cross-iteration cache + vectorized assembly for move featurization."""
+    """Cross-iteration cache + vectorized assembly for move featurization.
 
-    def __init__(
-        self,
-        library: Library,
-        max_cached_moves: int = 200_000,
-        backend: str = "kernel",
-    ) -> None:
-        if backend not in ("kernel", "reference"):
-            raise ValueError("backend must be 'kernel' or 'reference'")
+    A library whose cells do not share one characterization grid raises
+    :class:`~repro.core.ml.feature_kernel.FeatureKernelUnsupported` here.
+    """
+
+    def __init__(self, library: Library, max_cached_moves: int = 200_000) -> None:
         self.library = library
         self.max_cached_moves = max_cached_moves
         self.analytical = AnalyticalCache()
-        self.kernel: FeatureKernel | None = None
-        if backend == "kernel":
-            try:
-                self.kernel = FeatureKernel(library)
-            except FeatureKernelUnsupported:
-                backend = "reference"
-        self.backend = backend
+        self.kernel = FeatureKernel(library)
         self._components: Dict[Move, MoveComponents] = {}
         self._deps: Dict[Move, Tuple[FrozenSet[int], FrozenSet[int]]] = {}
         self._by_local: Dict[int, Set[Move]] = {}
@@ -125,11 +115,10 @@ class CandidatePipeline:
     ) -> FeatureBatch:
         """Components + per-corner design matrices for ``moves``.
 
-        Cached components are reused verbatim; misses are recomputed
-        through the shared analytical cache — in one kernel batch when
-        the array backend is active, per move otherwise — and registered
-        against their dependency nodes for later :meth:`invalidate`
-        calls.
+        Cached components are reused verbatim; misses are recomputed in
+        one kernel batch through the shared analytical cache and
+        registered against their dependency nodes for later
+        :meth:`invalidate` calls.
         """
         components: List[MoveComponents | None] = []
         miss_at: List[int] = []
@@ -144,17 +133,9 @@ class CandidatePipeline:
                 self.stats["move_hits"] += 1
             components.append(comp)
         if miss_moves:
-            if self.kernel is not None:
-                fresh = self.kernel.compute_components_batch(
-                    tree, timings, miss_moves, self.analytical
-                )
-            else:
-                fresh = [
-                    compute_move_components(
-                        tree, self.library, timings, move, self.analytical
-                    )
-                    for move in miss_moves
-                ]
+            fresh = self.kernel.compute_components_batch(
+                tree, timings, miss_moves, self.analytical
+            )
             for slot, move, comp in zip(miss_at, miss_moves, fresh):
                 components[slot] = comp
                 self._remember(tree, move, comp)
@@ -237,11 +218,9 @@ class CandidatePipeline:
         out.update(self.analytical.stats)
         out.update(self.analytical.hit_rates())
         out["cached_moves"] = len(self._components)
-        out["feature_backend"] = self.backend
-        if self.kernel is not None:
-            out["kernel"] = dict(self.kernel.stats)
-            out["kernel_seconds"] = {
-                name: round(secs, 6)
-                for name, secs in self.kernel.timers.seconds.items()
-            }
+        out["kernel"] = dict(self.kernel.stats)
+        out["kernel_seconds"] = {
+            name: round(secs, 6)
+            for name, secs in self.kernel.timers.seconds.items()
+        }
         return out

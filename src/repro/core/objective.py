@@ -32,8 +32,8 @@ class SkewVariationProblem:
       baseline and remains the arbiter of "actual" values (use
       :meth:`evaluate_golden` to consult it directly).
     * :meth:`engine` — an :class:`IncrementalTimer` producing the same
-      numbers (differential-tested to 1e-9 ps) with per-net caching and
-      dirty-frontier re-propagation.  :meth:`evaluate`,
+      numbers (differential-tested to 1e-9 ps) with compiled-array state
+      and dirty-frontier re-propagation.  :meth:`evaluate`,
       :meth:`evaluate_move` and :meth:`commit_move` route through it, so
       candidate-move trials no longer clone and re-time the whole tree.
     """
@@ -66,7 +66,6 @@ class SkewVariationProblem:
                 self.design.library,
                 wire_metric=self.timer.wire_metric,
                 segment_um=self.timer.segment_um,
-                wire_backend=self.timer.wire_backend,
             )
             self.__dict__["_engine"] = engine
         return engine
@@ -74,7 +73,7 @@ class SkewVariationProblem:
     def evaluate(self, tree: ClockTree) -> TimingResult:
         """Time ``tree`` against the baseline normalization.
 
-        Served by the incremental engine (net-cached full propagation —
+        Served by the incremental engine (one compiled full propagation —
         numerically the golden result; see ``tests/test_incremental_timer``).
         """
         return self.engine().time_tree(tree, self.design.pairs, alphas=self.alphas)

@@ -1,11 +1,12 @@
 """Array-backed LP-guided ECO candidate kernel (Algorithm 1, vectorized).
 
-The reference realization in :mod:`repro.core.eco_flow` scans every
+The scalar scan in :mod:`repro.core.eco_flow`
+(``LPGuidedECO._scan_candidates``, kept as the test oracle) visits every
 (gate size, inter-pair wirelength, pair count) candidate — plus the
 wire-only route-length sweep — with a scalar ``_estimate``/``_error``
-round trip per candidate.  That triple loop dominates every iteration of
-``sweep_upper_bound``.  This kernel compiles the same search into array
-form:
+round trip per candidate.  That triple loop would dominate every
+iteration of ``sweep_upper_bound``.  This kernel, the only production
+search, compiles it into array form:
 
 * each corner's :class:`~repro.tech.stage_lut.StageDelayLUT` is compiled
   once into dense numpy planes (:meth:`StageDelayLUT.planes`);
@@ -67,8 +68,8 @@ class ECOKernelUnsupported(Exception):
 
     Raised at construction when the LUT planes cannot represent the
     scalar lookup semantics (missing corners/sizes, detail grids that
-    disagree on axes, degenerate single-point axes).  The caller falls
-    back to the scalar reference path.
+    disagree on axes, degenerate single-point axes).  The message names
+    the reason; there is no scalar fallback.
     """
 
 

@@ -52,7 +52,6 @@ class ReplicaSpec:
     wire_metric: str = "d2m"
     segment_um: float = DEFAULT_SEGMENT_UM
     local_skew_tolerance_ps: float = 0.5
-    wire_backend: str = "kernel"
 
     @staticmethod
     def from_problem(
@@ -69,7 +68,6 @@ class ReplicaSpec:
             wire_metric=problem.timer.wire_metric,
             segment_um=problem.timer.segment_um,
             local_skew_tolerance_ps=local_skew_tolerance_ps,
-            wire_backend=problem.timer.wire_backend,
         )
 
 
@@ -103,10 +101,9 @@ class Replica:
             spec.library,
             wire_metric=spec.wire_metric,
             segment_um=spec.segment_um,
-            wire_backend=spec.wire_backend,
         )
         corner_names = view.meta.get("corner_names") if view is not None else None
-        if spec.wire_backend == "kernel" and corner_names and "tree/ids" in view.arrays:
+        if corner_names and "tree/ids" in view.arrays:
             from repro.sta.kernel import CompiledTree, KernelState
 
             planes = {
@@ -200,7 +197,7 @@ def publish_replica_arena(
     The published spec carries ``tree`` serialized *as of*
     ``baseline_index`` committed moves, so workers built from this
     generation replay only the delta suffix.  When ``engine`` is an
-    attached kernel-backend :class:`IncrementalTimer`, its compiled SoA
+    :class:`IncrementalTimer` attached to ``tree``, its compiled SoA
     planes and propagation state ride along and workers adopt them
     instead of recompiling (see :class:`Replica`); otherwise each worker
     compiles and propagates the published tree itself.

@@ -55,16 +55,12 @@ def publish_sweep_arena(arena, ctx, problem) -> str:
         "improvement_eps_ps": ctx.improvement_eps_ps,
         "wire_metric": problem.timer.wire_metric,
         "segment_um": problem.timer.segment_um,
-        "wire_backend": problem.timer.wire_backend,
     }
     blobs = {"sweep_ctx": pickle.dumps(ctx_payload, protocol=5)}
     arrays: Dict[str, Any] = {}
     eco_planes = []
     for name, lut in ctx.stage_luts.items():
-        try:
-            planes = lut.planes()
-        except ValueError:
-            continue  # uncompilable grids: the worker recompiles/falls back
+        planes = lut.planes()
         for field in (
             "uniform",
             "uniform_slew",
@@ -141,7 +137,6 @@ def realize_point(payload: Dict[str, Any]) -> Dict[str, Any]:
         static["library"],
         wire_metric=static["wire_metric"],
         segment_um=static["segment_um"],
-        wire_backend=static["wire_backend"],
     )
     ctx = RealizationContext(
         library=static["library"],

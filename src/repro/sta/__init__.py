@@ -7,6 +7,6 @@ propagation — plus the skew / skew-variation arithmetic of the paper's
 Equations (1)-(3).
 
 :mod:`repro.sta.incremental` provides the :class:`IncrementalTimer`, a
-golden-identical engine with per-net caching and dirty-frontier
+golden-identical engine with compiled-array state and dirty-frontier
 re-propagation that serves high-volume move-trial evaluation.
 """

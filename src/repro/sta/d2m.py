@@ -15,9 +15,9 @@ with the standard linear-time recursion:
 
 Per-edge D2M values are slew-independent, so the array kernel
 (:mod:`repro.sta.kernel`) evaluates them once at tree-compile time via
-:class:`repro.route.rc_net.EdgeRCCache` — the cached scalars feed both
-backends, which keeps the kernel's wire delays bit-identical to this
-implementation by construction.
+:class:`repro.route.rc_net.EdgeRCCache` — the cached scalars feed the
+kernel and the scalar reference alike, which keeps the kernel's wire
+delays bit-identical to this implementation by construction.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ This scalar evaluator is the *reference semantics* for the batched array
 kernel (:mod:`repro.sta.kernel`): the kernel replicates the quantize →
 lookup → correction sequence operation-for-operation (``np.rint`` on the
 same quanta, the same four-corner bilinear blend, ``math``-backed
-transcendentals) so both backends produce bit-identical delays.  Any
+transcendentals) so both paths produce bit-identical delays.  Any
 change here must be mirrored there or the kernel differential suite
 (`tests/test_kernel.py`) will fail.
 """

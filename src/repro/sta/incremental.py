@@ -1,4 +1,4 @@
-"""Incremental multi-corner timing engine with per-net caching.
+"""Incremental multi-corner timing engine with frontier re-propagation.
 
 The golden timer (:mod:`repro.sta.timer`) re-propagates the whole tree at
 every corner for every evaluation — the reproduction-scale version of the
@@ -6,31 +6,33 @@ paper's 70-minute commercial ECO+STA loop.  But a Table-2 local move only
 perturbs one driver net, its parent net, and the downstream cone; every
 other net's *local* timing artifacts (driver delay, output slew, per-edge
 wire delay/Elmore, fanout slews) are functions of the net's own geometry
-and its input slew alone — arrival only offsets them.  This module
-exploits that structure three ways:
+and its input slew alone — arrival only offsets them.
+:class:`IncrementalTimer` exploits that structure on the batched array
+kernel (:mod:`repro.sta.kernel`):
 
-1. **Per-net caching** — each net evaluation is memoized under a *net
-   signature*: corner, resolved drive size, driver location, input slew,
-   and per-fanout (location, via geometry, pin class).  Any change that
-   could alter the result changes the signature, so a hit is exact.
-2. **Per-edge RC caching** — inside a net evaluation, each edge's
+1. **Compiled state** — the attached tree is compiled once into
+   struct-of-arrays form and all corners propagate together; per-edge
    Elmore/D2M metrics come from :class:`repro.route.rc_net.EdgeRCCache`,
-   keyed on edge length, load, and wire RC.  Star branches are
-   electrically independent, so per-edge memoization is exact; slew-only
-   cascades (where geometry is untouched) skip all RC reconstruction.
-3. **Dirty-frontier re-propagation** — :meth:`IncrementalTimer.preview`
+   keyed on edge length, load, and wire RC, so recompiles of mutated
+   trees skip RC reconstruction for unchanged edges.
+2. **Dirty-frontier re-propagation** — :meth:`IncrementalTimer.preview`
    and :meth:`IncrementalTimer.advance` take the set of structurally
-   dirty drivers, re-evaluate nets outward from that frontier in depth
-   order, and handle clean subtrees whose input slew is unchanged with a
-   constant arrival shift instead of re-evaluation.
+   dirty drivers, re-evaluate their rows from that frontier in depth
+   order with per-corner masks, and handle clean subtrees whose input
+   slew is unchanged with a constant arrival shift instead of
+   re-evaluation.  Committed displacement/sizing moves patch rows in
+   place; surgery recompiles.
 
 The golden timer remains the arbiter of correctness: every artifact here
 is computed with the *same* formulas on the *same* float operations, so
 incremental results match full golden re-analysis to ~1e-12 ps (the
 differential tests in ``tests/test_incremental_timer.py`` enforce 1e-9).
 A tree-revision stamp (see :meth:`repro.netlist.tree.ClockTree.revision`)
-detects out-of-band mutations and falls back to a full — but still
-net-cached — re-propagation, so arbitrary ECO surgery stays correct.
+detects out-of-band mutations and falls back to a full re-propagation,
+so arbitrary ECO surgery stays correct.
+
+:class:`ReferenceIncrementalTimer`, the scalar dict engine the kernel
+path replays, is the test oracle of :class:`IncrementalTimer`.
 """
 
 from __future__ import annotations
@@ -117,16 +119,19 @@ class _CornerState:
 
 
 class IncrementalTimer:
-    """Clock-tree STA with net-level caching and frontier re-propagation.
+    """Clock-tree STA on compiled arrays with frontier re-propagation.
 
     The three entry points, in increasing specificity:
 
     * :meth:`time_tree` — GoldenTimer-compatible full result for any tree
-      (attaches if needed; full pass with net-cache reuse);
+      (attaches if needed: compile plus one batched propagation);
     * :meth:`preview` — trial evaluation of an already-applied mutation
       from its dirty frontier, *without* adopting the new state (caller
       undoes the mutation and calls :meth:`rebase`);
     * :meth:`advance` — like preview, but commits the new state.
+
+    ``max_cache_entries`` bounds the per-edge RC memo (twice that many
+    edges), which the kernel shares across compiles.
     """
 
     def __init__(
@@ -135,34 +140,21 @@ class IncrementalTimer:
         wire_metric: str = "d2m",
         segment_um: float = DEFAULT_SEGMENT_UM,
         max_cache_entries: int = 131072,
-        wire_backend: str = "kernel",
     ) -> None:
         if wire_metric not in ("d2m", "elmore"):
             raise ValueError("wire_metric must be 'd2m' or 'elmore'")
-        if wire_backend not in ("kernel", "reference"):
-            raise ValueError("wire_backend must be 'kernel' or 'reference'")
         self._library = library
         self._wire_metric = wire_metric
         self._segment_um = segment_um
-        self._max_entries = max(2, max_cache_entries)
-        self._net_cache: Dict[Tuple, _NetEval] = {}
-        self._gate_cache: Dict[Tuple, Tuple[float, float]] = {}
-        self._edge_cache = EdgeRCCache(max_entries=2 * self._max_entries)
-        self._wire_backend = wire_backend
-        self._kernel = None  # lazy TimingKernel (kernel backend only)
-        self._kernel_unsupported = False
+        self._edge_cache = EdgeRCCache(max_entries=2 * max(2, max_cache_entries))
+        self._kernel = None  # lazy TimingKernel
         self._compiled = None  # CompiledTree of the attached tree
         self._kstate = None  # KernelState of the attached tree
         self._tree: Optional[ClockTree] = None
         self._stamp: Optional[Tuple[int, int]] = None
-        self._states: Dict[str, _CornerState] = {}
         self.stats: Dict[str, int] = {
             "full_passes": 0,
             "retimes": 0,
-            "net_evals": 0,
-            "net_hits": 0,
-            "gate_evals": 0,
-            "gate_hits": 0,
             "subtree_shifts": 0,
         }
         #: Nodes touched by the last :meth:`advance`, as ``(local,
@@ -189,15 +181,13 @@ class IncrementalTimer:
     def edge_cache(self) -> EdgeRCCache:
         return self._edge_cache
 
-    @property
-    def wire_backend(self) -> str:
-        return self._wire_backend
-
     def _kernel_obj(self):
         """The lazily built :class:`~repro.sta.kernel.TimingKernel`.
 
-        Shares this timer's :class:`EdgeRCCache`, so compiled edge
-        metrics and reference-path evaluations draw from one pool.
+        Shares this timer's :class:`EdgeRCCache`, so every compile draws
+        its edge metrics from one pool.  Raises
+        :class:`~repro.sta.kernel.KernelUnsupported` when the library
+        cannot be batched.
         """
         if self._kernel is None:
             from repro.sta.kernel import TimingKernel
@@ -214,33 +204,17 @@ class IncrementalTimer:
         """True if ``tree`` is the tree this timer's state describes."""
         return self._stamp == (id(tree), tree.revision)
 
-    def attach(self, tree: ClockTree) -> None:
-        """Bind to ``tree``: full propagation (batched or per corner)."""
-        self.stats["full_passes"] += 1
-        if self._wire_backend == "kernel" and not self._kernel_unsupported:
-            from repro.sta.kernel import KernelUnsupported
-
-            try:
-                compiled = self._kernel_obj().compile(tree)
-            except KernelUnsupported:
-                self._kernel_unsupported = True
-            else:
-                self._compiled = compiled
-                self._kstate = compiled.propagate()
-                self._states = {}
-                self._tree = tree
-                self._stamp = (id(tree), tree.revision)
-                self.last_touched = None
-                return
-        self._compiled = None
-        self._kstate = None
-        self._states = {
-            corner.name: self._full_state(tree, corner)
-            for corner in self._library.corners
-        }
+    def _bind(self, tree: ClockTree) -> None:
         self._tree = tree
         self._stamp = (id(tree), tree.revision)
         self.last_touched = None
+
+    def attach(self, tree: ClockTree) -> None:
+        """Bind to ``tree``: compile it and propagate all corners at once."""
+        self.stats["full_passes"] += 1
+        self._compiled = self._kernel_obj().compile(tree)
+        self._kstate = self._compiled.propagate()
+        self._bind(tree)
 
     def ensure(self, tree: ClockTree) -> None:
         """Attach to ``tree`` unless the current state already matches."""
@@ -262,13 +236,11 @@ class IncrementalTimer:
     def kernel_snapshot(self, tree: ClockTree):
         """The attached ``(CompiledTree, KernelState)``, or ``None``.
 
-        Only available on the kernel backend while attached to ``tree``
-        — the pair describes exactly that tree's geometry.  The shared
-        -memory arena exports it so worker replicas can adopt the main
-        engine's compiled planes instead of recompiling.
+        Only available while attached to ``tree`` — the pair describes
+        exactly that tree's geometry.  The shared-memory arena exports
+        it so worker replicas can adopt the main engine's compiled
+        planes instead of recompiling.
         """
-        if self._compiled is None or self._kstate is None:
-            return None
         if not self.is_attached(tree):
             return None
         return self._compiled, self._kstate
@@ -282,16 +254,10 @@ class IncrementalTimer:
         :meth:`attach` plus a delta replay — without the per-net scalar
         compile and full propagation.
         """
-        if self._wire_backend != "kernel":
-            raise ValueError("adopt_compiled requires the kernel wire backend")
         self._kernel = compiled._kernel
-        self._kernel_unsupported = False
         self._compiled = compiled
         self._kstate = state
-        self._states = {}
-        self._tree = tree
-        self._stamp = (id(tree), tree.revision)
-        self.last_touched = None
+        self._bind(tree)
 
     # ------------------------------------------------------------------
     # Evaluation entry points
@@ -299,24 +265,14 @@ class IncrementalTimer:
     def corner_timings(self, tree: ClockTree) -> Dict[str, CornerTiming]:
         """Per-corner timing of ``tree`` (attaching if needed)."""
         self.ensure(tree)
-        if self._kstate is not None:
-            return {
-                corner.name: self._compiled.corner_timing(
-                    self._kstate, corner.name
-                )
-                for corner in self._library.corners
-            }
         return {
-            corner.name: self._states[corner.name].as_corner_timing(corner)
+            corner.name: self._compiled.corner_timing(self._kstate, corner.name)
             for corner in self._library.corners
         }
 
     def analyze_corner(self, tree: ClockTree, corner: Corner) -> CornerTiming:
         """GoldenTimer-compatible single-corner analysis of ``tree``."""
-        self.ensure(tree)
-        if self._kstate is not None:
-            return self._compiled.corner_timing(self._kstate, corner.name)
-        return self._states[corner.name].as_corner_timing(corner)
+        return self.corner_timings(tree)[corner.name]
 
     def time_tree(
         self,
@@ -326,11 +282,9 @@ class IncrementalTimer:
     ) -> TimingResult:
         """GoldenTimer-compatible full result (memoized full propagation)."""
         self.ensure(tree)
-        if self._kstate is not None:
-            return self._snapshot_kernel(
-                tree, self._compiled, self._kstate, pairs, alphas
-            )
-        return self._snapshot(tree, self._states, pairs, alphas)
+        return self._snapshot_kernel(
+            tree, self._compiled, self._kstate, pairs, alphas
+        )
 
     def preview(
         self,
@@ -347,11 +301,8 @@ class IncrementalTimer:
         state is left at the pre-mutation tree: undo the mutation and
         call :meth:`rebase` to continue issuing previews cheaply.
         """
-        if self._kstate is not None:
-            state, _, compiled = self._kernel_retime(tree, dirty)
-            return self._snapshot_kernel(tree, compiled, state, pairs, alphas)
-        states = self._retime(tree, dirty)
-        return self._snapshot(tree, states, pairs, alphas)
+        state, _, compiled = self._kernel_retime(tree, dirty)
+        return self._snapshot_kernel(tree, compiled, state, pairs, alphas)
 
     def advance(
         self,
@@ -362,27 +313,166 @@ class IncrementalTimer:
     ) -> TimingResult:
         """Like :meth:`preview`, but adopt the mutated tree as current."""
         touched = (set(), set())
-        if self._kstate is not None:
-            state, overrides, compiled = self._kernel_retime(
-                tree, dirty, touched
+        state, overrides, compiled = self._kernel_retime(tree, dirty, touched)
+        if compiled is not self._compiled:
+            # Mutation outside the compiled node set: adopt the fresh
+            # compile and its full propagation.
+            self._compiled = compiled
+        elif not self._compiled.apply_rows(overrides):
+            # Structural move (surgery): BFS order changed, so rebuild
+            # the CSR arrays and carry the retimed state across by
+            # node-id permutation.
+            recompiled = self._kernel_obj().compile(tree)
+            state = recompiled.remap_state(self._compiled, state)
+            self._compiled = recompiled
+        self._kstate = state
+        self._stamp = (id(tree), tree.revision)
+        self.last_touched = (frozenset(touched[0]), frozenset(touched[1]))
+        return self._snapshot_kernel(tree, self._compiled, state, pairs, alphas)
+
+    # ------------------------------------------------------------------
+    # Core propagation
+    # ------------------------------------------------------------------
+    def _kernel_retime(
+        self,
+        tree: ClockTree,
+        dirty: Iterable[int],
+        touched: Optional[Tuple[set, set]] = None,
+    ):
+        """Masked kernel retime of the attached tree from ``dirty``.
+
+        Returns ``(state, overrides, compiled)``.  ``compiled`` is the
+        attached :class:`CompiledTree` except when the mutation referenced
+        nodes the compiled arrays do not know (ECO surgery outside the
+        Table-2 move set): then the mutated tree is fully recompiled and
+        freshly propagated, and ``compiled`` is that new object.
+        """
+        if self._tree is not tree:
+            raise ValueError(
+                "preview/advance requires the attached tree; call ensure() first"
             )
-            if compiled is not self._compiled:
-                # Mutation outside the compiled node set: adopt the fresh
-                # compile and its full propagation.
-                self._compiled = compiled
-            elif not self._compiled.apply_rows(overrides):
-                # Structural move (surgery): BFS order changed, so rebuild
-                # the CSR arrays and carry the retimed state across by
-                # node-id permutation.
-                recompiled = self._kernel_obj().compile(tree)
-                state = recompiled.remap_state(self._compiled, state)
-                self._compiled = recompiled
-            self._kstate = state
-            self._stamp = (id(tree), tree.revision)
-            self.last_touched = (frozenset(touched[0]), frozenset(touched[1]))
-            return self._snapshot_kernel(
-                tree, self._compiled, state, pairs, alphas
+        from repro.sta.kernel import KernelStale
+
+        self.stats["retimes"] += 1
+        try:
+            overrides, seeds = self._compiled.build_overrides(tree, set(dirty))
+            state = self._compiled.retime(
+                tree,
+                self._kstate,
+                overrides,
+                seeds,
+                stats=self.stats,
+                touched=touched,
             )
+            return state, overrides, self._compiled
+        except KernelStale:
+            compiled = self._kernel_obj().compile(tree)
+            state = compiled.propagate()
+            if touched is not None:
+                touched[0].update(compiled.ids)
+                touched[1].update(compiled.ids)
+            return state, {}, compiled
+
+    def _snapshot_kernel(
+        self,
+        tree: ClockTree,
+        compiled,
+        state,
+        pairs: Sequence[Tuple[int, int]],
+        alphas: Optional[Mapping[str, float]],
+    ) -> TimingResult:
+        """A :class:`TimingResult` over one kernel state."""
+        latencies = compiled.sink_latencies(state, tree.sinks())
+        per_corner = {
+            corner.name: compiled.corner_timing(state, corner.name)
+            for corner in self._library.corners
+        }
+        skews = SkewAnalysis.from_latencies(
+            latencies, list(pairs), self._library.corners, alphas
+        )
+        return TimingResult(
+            per_corner=per_corner, latencies=latencies, skews=skews
+        )
+
+
+class ReferenceIncrementalTimer(IncrementalTimer):
+    """The scalar dict engine: test oracle of :class:`IncrementalTimer`.
+
+    Same entry points, run one node and one corner at a time over
+    per-corner ``Dict[int, float]`` state:
+
+    1. **Per-net caching** — each net evaluation is memoized under a
+       *net signature*: corner, resolved drive size, driver location,
+       input slew, and per-fanout (location, via geometry, pin class).
+       Any change that could alter the result changes the signature, so
+       a hit is exact.
+    2. **Per-edge RC caching** — each edge's Elmore/D2M metrics come from
+       the shared :class:`~repro.route.rc_net.EdgeRCCache`.
+    3. **Dirty-frontier re-propagation** — the scalar walk that
+       :meth:`~repro.sta.kernel.CompiledTree.retime` replays with
+       per-corner masks, decision for decision.
+
+    The differential tests and ``BENCH_kernel`` construct it directly;
+    no production path does.
+    """
+
+    def __init__(
+        self,
+        library: Library,
+        wire_metric: str = "d2m",
+        segment_um: float = DEFAULT_SEGMENT_UM,
+        max_cache_entries: int = 131072,
+    ) -> None:
+        super().__init__(library, wire_metric, segment_um, max_cache_entries)
+        self._max_entries = max(2, max_cache_entries)
+        self._net_cache: Dict[Tuple, _NetEval] = {}
+        self._gate_cache: Dict[Tuple, Tuple[float, float]] = {}
+        self._states: Dict[str, _CornerState] = {}
+        self.stats.update(net_evals=0, net_hits=0, gate_evals=0, gate_hits=0)
+
+    def attach(self, tree: ClockTree) -> None:
+        """Bind to ``tree``: full per-corner propagation (net-cached)."""
+        self.stats["full_passes"] += 1
+        self._states = {
+            corner.name: self._full_state(tree, corner)
+            for corner in self._library.corners
+        }
+        self._bind(tree)
+
+    def corner_timings(self, tree: ClockTree) -> Dict[str, CornerTiming]:
+        self.ensure(tree)
+        return {
+            corner.name: self._states[corner.name].as_corner_timing(corner)
+            for corner in self._library.corners
+        }
+
+    def time_tree(
+        self,
+        tree: ClockTree,
+        pairs: Sequence[Tuple[int, int]],
+        alphas: Optional[Mapping[str, float]] = None,
+    ) -> TimingResult:
+        self.ensure(tree)
+        return self._snapshot(tree, self._states, pairs, alphas)
+
+    def preview(
+        self,
+        tree: ClockTree,
+        dirty: Iterable[int],
+        pairs: Sequence[Tuple[int, int]],
+        alphas: Optional[Mapping[str, float]] = None,
+    ) -> TimingResult:
+        states = self._retime(tree, dirty)
+        return self._snapshot(tree, states, pairs, alphas)
+
+    def advance(
+        self,
+        tree: ClockTree,
+        dirty: Iterable[int],
+        pairs: Sequence[Tuple[int, int]],
+        alphas: Optional[Mapping[str, float]] = None,
+    ) -> TimingResult:
+        touched = (set(), set())
         states = self._retime(tree, dirty, touched)
         self._states = states
         self._stamp = (id(tree), tree.revision)
@@ -445,46 +535,6 @@ class IncrementalTimer:
             )
             for corner in self._library.corners
         }
-
-    def _kernel_retime(
-        self,
-        tree: ClockTree,
-        dirty: Iterable[int],
-        touched: Optional[Tuple[set, set]] = None,
-    ):
-        """Kernel-backend counterpart of :meth:`_retime`.
-
-        Returns ``(state, overrides, compiled)``.  ``compiled`` is the
-        attached :class:`CompiledTree` except when the mutation referenced
-        nodes the compiled arrays do not know (ECO surgery outside the
-        Table-2 move set): then the mutated tree is fully recompiled and
-        freshly propagated, and ``compiled`` is that new object.
-        """
-        if self._tree is not tree:
-            raise ValueError(
-                "preview/advance requires the attached tree; call ensure() first"
-            )
-        from repro.sta.kernel import KernelStale
-
-        self.stats["retimes"] += 1
-        try:
-            overrides, seeds = self._compiled.build_overrides(tree, set(dirty))
-            state = self._compiled.retime(
-                tree,
-                self._kstate,
-                overrides,
-                seeds,
-                stats=self.stats,
-                touched=touched,
-            )
-            return state, overrides, self._compiled
-        except KernelStale:
-            compiled = self._kernel_obj().compile(tree)
-            state = compiled.propagate()
-            if touched is not None:
-                touched[0].update(compiled.ids)
-                touched[1].update(compiled.ids)
-            return state, {}, compiled
 
     def _retime_state(
         self,
@@ -692,27 +742,6 @@ class IncrementalTimer:
             state = states[corner.name]
             per_corner[corner.name] = state.as_corner_timing(corner)
             latencies[corner.name] = {s: state.arrival[s] for s in sinks}
-        skews = SkewAnalysis.from_latencies(
-            latencies, list(pairs), self._library.corners, alphas
-        )
-        return TimingResult(
-            per_corner=per_corner, latencies=latencies, skews=skews
-        )
-
-    def _snapshot_kernel(
-        self,
-        tree: ClockTree,
-        compiled,
-        state,
-        pairs: Sequence[Tuple[int, int]],
-        alphas: Optional[Mapping[str, float]],
-    ) -> TimingResult:
-        """Kernel-state counterpart of :meth:`_snapshot`."""
-        latencies = compiled.sink_latencies(state, tree.sinks())
-        per_corner = {
-            corner.name: compiled.corner_timing(state, corner.name)
-            for corner in self._library.corners
-        }
         skews = SkewAnalysis.from_latencies(
             latencies, list(pairs), self._library.corners, alphas
         )

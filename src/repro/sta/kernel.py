@@ -31,9 +31,10 @@ Bit-compatibility contract
 The kernel is a *performance* transform, not a remodel: every array
 operation reproduces the scalar engines' float operations in the same
 order (IEEE-754 elementwise ops are identical scalar or vectorized), so
-kernel results match the reference backend **bit for bit** — the
-differential suite (``tests/test_kernel.py``) holds both backends to
-1e-9 ps and the local-opt trajectory to byte identity, and observed
+kernel results match the scalar reference engines (the test oracles)
+**bit for bit** — the differential suite (``tests/test_kernel.py``)
+holds the two to 1e-9 ps and the local-opt trajectory to byte
+identity, and observed
 disagreement is exactly 0.  Where a numpy ufunc is *not* bit-identical
 to the ``math`` module (``tanh``, ``hypot``), the kernel either
 memoizes the scalar function or the scalar reference was rewritten in
@@ -80,7 +81,7 @@ from repro.tech.library import Library
 
 
 class KernelUnsupported(Exception):
-    """The library/tree cannot be compiled (fall back to the reference)."""
+    """The library/tree cannot be compiled (the message names the reason)."""
 
 
 class KernelStale(Exception):

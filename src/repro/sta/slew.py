@@ -23,8 +23,8 @@ def peri_slew(input_slew_ps: float, step_output_slew_ps: float) -> float:
 
     Written as ``sqrt(x*x + y*y)`` rather than ``hypot``: slews never
     approach overflow, and this exact operation sequence is what the
-    batched kernel (:mod:`repro.sta.kernel`) vectorizes, so reference and
-    kernel backends agree bit for bit.
+    batched kernel (:mod:`repro.sta.kernel`) vectorizes, so the scalar
+    reference and the kernel agree bit for bit.
     """
     if input_slew_ps < 0 or step_output_slew_ps < 0:
         raise ValueError("negative slew")

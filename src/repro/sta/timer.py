@@ -15,6 +15,9 @@ single root-to-leaves propagation:
 Latency at a sink is the sum of pair delays and wire delays along its root
 path.  Arc delays (for the LP) are arrival differences between arc
 endpoints, so path latency is exactly the sum of its arc delays.
+
+:class:`GoldenTimer` executes this model on the batched array kernel
+(:mod:`repro.sta.kernel`); its scalar per-node form is the test oracle.
 """
 
 from __future__ import annotations
@@ -45,10 +48,10 @@ class CornerTiming:
     to the clock source input); ``input_slew`` the transition at each input;
     ``driver_delay`` the inverter-pair delay at each driver node.
 
-    Fields are read-only mappings by contract: the reference backend fills
-    plain dicts, the batched kernel returns array-backed views
-    (:class:`repro.sta.kernel.ArrayMap`) with identical lookup/iteration
-    behavior.  Consumers must not mutate them.
+    Fields are read-only mappings by contract: the batched kernel returns
+    array-backed views (:class:`repro.sta.kernel.ArrayMap`), the scalar
+    reference fills plain dicts with identical lookup/iteration behavior.
+    Consumers must not mutate them.
     """
 
     corner: Corner
@@ -81,12 +84,14 @@ class TimingResult:
 class GoldenTimer:
     """Clock-tree STA across a library's corner set.
 
-    ``wire_backend`` selects the execution engine, not the model:
-    ``"kernel"`` (default) compiles the tree into struct-of-arrays form and
-    propagates all corners at once (:mod:`repro.sta.kernel`);
-    ``"reference"`` runs the original scalar per-node, per-corner loop.
-    The two agree bit for bit; the reference path is kept for differential
-    testing and as the authoritative definition of the timing model.
+    Analysis runs on the array kernel (:mod:`repro.sta.kernel`): the tree
+    compiles into struct-of-arrays form and all corners propagate at
+    once.  :meth:`_analyze_corner_reference`, the scalar per-node,
+    per-corner loop, is the authoritative definition of the timing model
+    and the oracle of the differential tests; the kernel agrees with it
+    bit for bit.  A library the kernel cannot batch (cells that do not
+    share one NLDM grid) raises
+    :class:`~repro.sta.kernel.KernelUnsupported` on first use.
     """
 
     def __init__(
@@ -94,18 +99,13 @@ class GoldenTimer:
         library: Library,
         wire_metric: str = "d2m",
         segment_um: float = DEFAULT_SEGMENT_UM,
-        wire_backend: str = "kernel",
     ) -> None:
         if wire_metric not in ("d2m", "elmore"):
             raise ValueError("wire_metric must be 'd2m' or 'elmore'")
-        if wire_backend not in ("kernel", "reference"):
-            raise ValueError("wire_backend must be 'kernel' or 'reference'")
         self._library = library
         self._wire_metric = wire_metric
         self._segment_um = segment_um
-        self._wire_backend = wire_backend
         self._kernel = None
-        self._kernel_unsupported = False
 
     @property
     def library(self) -> Library:
@@ -119,46 +119,20 @@ class GoldenTimer:
     def segment_um(self) -> float:
         return self._segment_um
 
-    @property
-    def wire_backend(self) -> str:
-        return self._wire_backend
-
-    def _try_kernel(self):
-        """The shared :class:`~repro.sta.kernel.TimingKernel`, or ``None``.
-
-        Returns ``None`` when the reference backend was requested or the
-        library cannot be batched (non-uniform NLDM grids); the caller
-        then runs the scalar path.
-        """
-        if self._wire_backend != "kernel" or self._kernel_unsupported:
-            return None
+    def _timing_kernel(self):
+        """The shared :class:`~repro.sta.kernel.TimingKernel` (built lazily)."""
         if self._kernel is None:
-            from repro.sta.kernel import KernelUnsupported, TimingKernel
+            from repro.sta.kernel import TimingKernel
 
-            try:
-                self._kernel = TimingKernel(
-                    self._library, self._wire_metric, self._segment_um
-                )
-            except KernelUnsupported:
-                self._kernel_unsupported = True
-                return None
+            self._kernel = TimingKernel(
+                self._library, self._wire_metric, self._segment_um
+            )
         return self._kernel
 
     def analyze_corner(self, tree: ClockTree, corner: Corner) -> CornerTiming:
         """Propagate arrivals and slews through ``tree`` at one corner."""
-        kernel = self._try_kernel()
-        if kernel is not None:
-            from repro.sta.kernel import KernelUnsupported
-
-            try:
-                compiled = kernel.compile(tree, corners=[corner])
-            except KernelUnsupported:
-                pass
-            else:
-                return compiled.corner_timing(
-                    compiled.propagate(), corner.name
-                )
-        return self._analyze_corner_reference(tree, corner)
+        compiled = self._timing_kernel().compile(tree, corners=[corner])
+        return compiled.corner_timing(compiled.propagate(), corner.name)
 
     def _analyze_corner_reference(
         self, tree: ClockTree, corner: Corner
@@ -246,30 +220,18 @@ class GoldenTimer:
         )
 
     def analyze_all_corners(self, tree: ClockTree) -> Dict[str, CornerTiming]:
-        """One :meth:`analyze_corner` per library corner, keyed by name.
+        """Timing of every library corner, keyed by name.
 
         The shared primitive behind :meth:`latencies` and
         :meth:`time_tree`, so callers that need both sink latencies and
-        the per-corner artifacts run the per-corner analysis exactly once.
-        With the kernel backend, all corners propagate in one batched
-        pass and each :class:`CornerTiming` is a view over its slice.
+        the per-corner artifacts run the analysis exactly once.  All
+        corners propagate in one batched pass and each
+        :class:`CornerTiming` is a view over its slice.
         """
-        kernel = self._try_kernel()
-        if kernel is not None:
-            from repro.sta.kernel import KernelUnsupported
-
-            try:
-                compiled = kernel.compile(tree)
-            except KernelUnsupported:
-                pass
-            else:
-                state = compiled.propagate()
-                return {
-                    corner.name: compiled.corner_timing(state, corner.name)
-                    for corner in self._library.corners
-                }
+        compiled = self._timing_kernel().compile(tree)
+        state = compiled.propagate()
         return {
-            corner.name: self._analyze_corner_reference(tree, corner)
+            corner.name: compiled.corner_timing(state, corner.name)
             for corner in self._library.corners
         }
 

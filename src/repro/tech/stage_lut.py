@@ -109,8 +109,9 @@ class HopDelayCache:
         return delay, elmore
 
 
-#: Process-wide hop memo shared by both ECO backends (reference and kernel
-#: paths hit identical quantized keys, so warm entries transfer for free).
+#: Process-wide hop memo.  The ECO kernel's dense rows fill their misses
+#: here and the scalar ``_estimate`` oracle reads it directly; both hit
+#: identical quantized keys, so warm entries transfer for free.
 _HOP_CACHE = HopDelayCache()
 
 
@@ -301,7 +302,8 @@ class StageLUTPlanes:
     dicts/tables, so array gathers reproduce dict lookups bit for bit.
     The detail grids must share one (slew, load) axis pair across all
     (size, wirelength) entries — the compile step verifies that, and the
-    ECO kernel falls back to the scalar reference path when it fails.
+    ECO candidate kernel refuses LUTs that fail it
+    (:class:`~repro.eco.candidate_kernel.ECOKernelUnsupported`).
     """
 
     sizes: Tuple[int, ...]

@@ -1,11 +1,13 @@
 """Differential contract of the vectorized ECO candidate kernel.
 
-The kernel backend must be a pure accelerator: same chosen (size,
-spacing, count) tuples, estimate agreement within 1e-9 ps (in practice
+The kernel must be a pure accelerator: same chosen (size, spacing,
+count) tuples, estimate agreement within 1e-9 ps (in practice
 bit-identical), and byte-identical realized trees and sweep trajectories
-against the scalar reference path — serial or pooled.
+against the scalar scan (``LPGuidedECO._scan_candidates``, swapped in
+for the kernel's ``_search``) — serial or pooled.
 """
 
+import contextlib
 import dataclasses
 import json
 import math
@@ -32,6 +34,15 @@ def _tree_bytes(tree) -> str:
     return json.dumps(tree_to_dict(tree), sort_keys=True)
 
 
+@contextlib.contextmanager
+def _scanning(scalar):
+    """Run ``LPGuidedECO`` on the scalar scan instead of the kernel."""
+    with pytest.MonkeyPatch.context() as patch:
+        if scalar:
+            patch.setattr(LPGuidedECO, "_search", LPGuidedECO._scan_candidates)
+        yield
+
+
 @pytest.fixture(scope="module")
 def mini_plan(mini_design, mini_problem, stage_luts):
     """One LP plan on MINI, shared by every differential test."""
@@ -54,32 +65,21 @@ def mini_plan(mini_design, mini_problem, stage_luts):
     return lp, data, solution, timings
 
 
-def _realize(mini_design, stage_luts, plan, backend, arc_indices=None):
+def _realize(mini_design, stage_luts, plan, scalar=False):
     _, data, solution, timings = plan
-    eco = LPGuidedECO(
-        mini_design.library,
-        stage_luts,
-        mini_design.legalizer,
-        config=ECOConfig(backend=backend),
-    )
+    eco = LPGuidedECO(mini_design.library, stage_luts, mini_design.legalizer)
     trial = mini_design.tree.clone()
-    report = eco.realize(
-        trial, data, solution, timings, arc_indices=arc_indices
-    )
+    with _scanning(scalar):
+        report = eco.realize(trial, data, solution, timings)
     return eco, trial, report
 
 
 class TestEstimateParity:
     @pytest.fixture(scope="class")
     def both(self, mini_design, stage_luts, mini_plan):
-        ref = _realize(mini_design, stage_luts, mini_plan, "reference")
-        ker = _realize(mini_design, stage_luts, mini_plan, "kernel")
+        ref = _realize(mini_design, stage_luts, mini_plan, scalar=True)
+        ker = _realize(mini_design, stage_luts, mini_plan)
         return ref, ker
-
-    def test_backends_identify_themselves(self, both):
-        (ref_eco, _, _), (ker_eco, _, _) = both
-        assert ref_eco.stats["backend"] == "reference"
-        assert ker_eco.stats["backend"] == "kernel"
 
     def test_same_arcs_chosen(self, both):
         (_, _, ref_rep), (_, _, ker_rep) = both
@@ -114,22 +114,24 @@ class TestSweepTrajectory:
     def test_sweep_points_byte_identical(
         self, mini_problem, stage_luts, mini_plan
     ):
-        """Every sweep point's realized tree matches across backends."""
+        """Every sweep point's realized tree matches the scalar scan's."""
         lp, data, _, _ = mini_plan
         solutions = sweep_upper_bound(lp, (1.0, 1.15))
+        ctx = RealizationContext.from_problem(
+            mini_problem, stage_luts, GlobalOptConfig()
+        )
+        base = mini_problem.design.tree
         trajectories = {}
-        for backend in ("reference", "kernel"):
-            cfg = GlobalOptConfig(eco=ECOConfig(backend=backend))
-            ctx = RealizationContext.from_problem(mini_problem, stage_luts, cfg)
-            base = mini_problem.design.tree
+        for scalar in (True, False):
             points = []
-            for _bound, solution in solutions:
-                tree_u, _result, counts, _eco_stats = realize_verified_plan(
-                    ctx, base, data, solution, allow_batches=False
-                )
-                points.append((counts, _tree_bytes(tree_u)))
-            trajectories[backend] = points
-        assert trajectories["reference"] == trajectories["kernel"]
+            with _scanning(scalar):
+                for _bound, solution in solutions:
+                    tree_u, _result, counts, _eco_stats = realize_verified_plan(
+                        ctx, base, data, solution, allow_batches=False
+                    )
+                    points.append((counts, _tree_bytes(tree_u)))
+            trajectories[scalar] = points
+        assert trajectories[True] == trajectories[False]
 
     @pytest.mark.slow
     def test_workers_1_vs_4_byte_identical(self, mini_problem, mini_design):
@@ -146,7 +148,6 @@ class TestSweepTrajectory:
                     sweep_factors=(1.0, 1.15),
                     max_iterations=1,
                     workers=workers,
-                    eco=ECOConfig(backend="kernel"),
                 ),
             ).run()
             trees[workers] = (result.arcs_realized, _tree_bytes(result.tree))
@@ -159,12 +160,7 @@ class TestSweepCacheAndStats:
     ):
         """Re-realizing the same plan on one ECO reproduces it exactly."""
         _, data, solution, timings = mini_plan
-        eco = LPGuidedECO(
-            mini_design.library,
-            stage_luts,
-            mini_design.legalizer,
-            config=ECOConfig(backend="kernel"),
-        )
+        eco = LPGuidedECO(mini_design.library, stage_luts, mini_design.legalizer)
         runs = []
         for _ in range(2):
             trial = mini_design.tree.clone()
@@ -180,7 +176,7 @@ class TestSweepCacheAndStats:
         assert runs[0] == runs[1]
 
     def test_kernel_reports_phase_timers(self, mini_design, stage_luts, mini_plan):
-        eco, _, _ = _realize(mini_design, stage_luts, mini_plan, "kernel")
+        eco, _, _ = _realize(mini_design, stage_luts, mini_plan)
         timers = eco.stats["timers"]["seconds"]
         assert "compile" in timers
         assert "table_build" in timers
@@ -194,14 +190,9 @@ class TestSweepCacheAndStats:
         result = GlobalOptimizer(
             mini_problem,
             TechnologyCache(mini_design.library),
-            GlobalOptConfig(
-                sweep_factors=(1.1,),
-                max_iterations=1,
-                eco=ECOConfig(backend="kernel"),
-            ),
+            GlobalOptConfig(sweep_factors=(1.1,), max_iterations=1),
         ).run()
         eco_stats = result.stats["eco"]
-        assert eco_stats["backend"] == "kernel"
         assert eco_stats["counters"]["candidates_evaluated"] > 0
         assert eco_stats["timers"]["seconds"]["select"] >= 0.0
 
@@ -236,18 +227,14 @@ class TestCLS1Parity:
         design, luts, data, solution, timings = cls1_plan
         subset = solution.nonzero_arcs()[:8]
         outputs = {}
-        for backend in ("reference", "kernel"):
-            eco = LPGuidedECO(
-                design.library,
-                luts,
-                design.legalizer,
-                config=ECOConfig(backend=backend),
-            )
+        for scalar in (True, False):
+            eco = LPGuidedECO(design.library, luts, design.legalizer)
             trial = design.tree.clone()
-            report = eco.realize(
-                trial, data, solution, timings, arc_indices=subset
-            )
-            outputs[backend] = (
+            with _scanning(scalar):
+                report = eco.realize(
+                    trial, data, solution, timings, arc_indices=subset
+                )
+            outputs[scalar] = (
                 [
                     (r.arc_index, r.size, r.pair_count, r.spacing_um)
                     for r in report
@@ -255,7 +242,7 @@ class TestCLS1Parity:
                 [r.estimates_ps for r in report],
                 _tree_bytes(trial),
             )
-        ref, ker = outputs["reference"], outputs["kernel"]
+        ref, ker = outputs[True], outputs[False]
         assert len(ref[0]) > 0
         assert ref[0] == ker[0]
         for a, b in zip(ref[1], ker[1]):
@@ -328,6 +315,8 @@ class TestTanhMemo:
 
 
 class TestFallback:
+    """LUTs the kernel cannot compile are refused; nothing falls back."""
+
     def _doctored_luts(self, stage_luts):
         """Break one corner's detail grid so plane compilation fails."""
         name = sorted(stage_luts)[-1]
@@ -355,30 +344,11 @@ class TestFallback:
                 ECOConfig(),
             )
 
-    def test_falls_back_to_reference_semantics(
-        self, mini_design, stage_luts, mini_plan
-    ):
-        """Uncompilable LUTs silently use the scalar path (same results)."""
-        _, data, solution, timings = mini_plan
-        doctored = self._doctored_luts(stage_luts)
-        nonzero = solution.nonzero_arcs()[:3]
-        outputs = {}
-        for backend in ("kernel", "reference"):
-            eco = LPGuidedECO(
+    def test_eco_rejects_uncompilable_luts(self, mini_design, stage_luts):
+        """No scalar fallback: the ECO refuses LUTs it cannot compile."""
+        with pytest.raises(ECOKernelUnsupported, match="do not share one grid"):
+            LPGuidedECO(
                 mini_design.library,
-                doctored,
+                self._doctored_luts(stage_luts),
                 mini_design.legalizer,
-                config=ECOConfig(backend=backend),
             )
-            trial = mini_design.tree.clone()
-            report = eco.realize(
-                trial, data, solution, timings, arc_indices=nonzero
-            )
-            outputs[backend] = (
-                eco.stats["backend"],
-                [(r.arc_index, r.size, r.pair_count, r.spacing_um) for r in report],
-                _tree_bytes(trial),
-            )
-        assert outputs["kernel"][0] == "reference-fallback"
-        assert outputs["reference"][0] == "reference"
-        assert outputs["kernel"][1:] == outputs["reference"][1:]

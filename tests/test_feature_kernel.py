@@ -16,13 +16,16 @@ The suite checks that contract four ways:
 * a 200+-step randomized move/undo walk where featurize / commit /
   invalidate rounds interleave with returns to the pristine tree, so the
   value-keyed wire memo is exercised warm, cold, and across epochs;
-* full Algorithm-2 trajectory byte-identity with the kernel on vs off,
-  serial and with a 4-worker verification pool;
-* graceful degradation — ``FeatureKernelUnsupported`` falls the
-  pipeline back to the reference backend, and unsupported moves
-  (surgery) fall back per-move inside a kernel batch.
+* full Algorithm-2 trajectory byte-identity against the scalar oracles
+  swapped in (per-move featurization and scoring), and serial vs a
+  4-worker verification pool;
+* failure outcomes — an unstackable library makes the pipeline raise
+  ``FeatureKernelUnsupported``, and unsupported moves (surgery) take the
+  per-move path inside a kernel batch.
 """
 
+import dataclasses
+import functools
 import random
 
 import numpy as np
@@ -46,8 +49,10 @@ from repro.core.ml.training import train_predictor
 from repro.core.moves import MoveType, enumerate_moves
 from repro.core.objective import SkewVariationProblem
 from repro.parallel.pool import effective_cpu_count, resolve_workers
+from repro.tech.cells import NLDMTable
 from repro.testcases.cls1 import build_cls1
 from repro.testcases.mini import build_mini
+from tests.oracles import per_move_components, use_scalar_features
 
 # The reference path publishes both metrics for every route model it
 # evaluates — the four estimator variants, the star side-effect variant,
@@ -180,6 +185,30 @@ class TestKernelParity:
         assert kernel.stats["wire_misses"] == misses
         assert kernel.stats["wire_hits"] > 0
 
+    def test_full_wire_memo_keeps_the_batch_metrics(self, mini_design):
+        """A batch that overflows the memo still reads all its own plans.
+
+        With ``max_entries`` far below the batch's plan count, eviction
+        must not drop a plan the batch has yet to read (a cold batch,
+        then a warm repeat that also hits); the memo is back within its
+        bound afterwards.
+        """
+        problem = SkewVariationProblem.create(mini_design)
+        tree = mini_design.tree
+        timings = problem.evaluate(tree.clone()).per_corner
+        moves = enumerate_moves(tree, mini_design.library)[:40]
+        kernel = FeatureKernel(mini_design.library)
+        kernel.max_entries = 8
+        reference = _reference_components(tree, mini_design.library, timings, moves)
+        for _ in range(2):
+            batch = kernel.compute_components_batch(
+                tree, timings, moves, AnalyticalCache()
+            )
+            for got, ref in zip(batch, reference):
+                _assert_components_equal(got, ref)
+        assert kernel.stats["wire_hits"] > 0
+        assert len(kernel._wire_memo) <= kernel.max_entries
+
 
 # ---------------------------------------------------------------------------
 # randomized move/undo walk (200+ steps)
@@ -188,8 +217,10 @@ class TestRandomWalk:
     def test_mini_walk_with_commits_and_undo(self):
         """Kernel stays bit-identical across commits and tree restores.
 
-        Each round featurizes a random move subset through both backends
-        (byte-equal matrices + components), commits a random move, and
+        Each round featurizes a random move subset through the kernel
+        pipeline and a pipeline whose kernel batch is swapped for the
+        per-move oracle (byte-equal matrices + components), commits a
+        random move, and
         invalidates like the optimizer.  Every other round restores the
         pristine tree ("undo"), which re-exercises the kernel's warm
         wire memo against geometry it has already compiled under a
@@ -200,10 +231,11 @@ class TestRandomWalk:
         pristine = design.tree.clone()
         tree = design.tree.clone()
         result = problem.evaluate(tree)
-        kernel_pipe = CandidatePipeline(design.library, backend="kernel")
-        ref_pipe = CandidatePipeline(design.library, backend="reference")
-        assert kernel_pipe.backend == "kernel"
-        assert ref_pipe.backend == "reference"
+        kernel_pipe = CandidatePipeline(design.library)
+        ref_pipe = CandidatePipeline(design.library)
+        ref_pipe.kernel.compute_components_batch = functools.partial(
+            per_move_components, ref_pipe.kernel
+        )
         rng = random.Random(17)
         compared = 0
 
@@ -245,13 +277,14 @@ class TestRandomWalk:
                 ref_pipe.flush()
         assert compared >= 200
         assert kernel_pipe.kernel.stats["wire_hits"] > 0
+        assert ref_pipe.kernel.stats["batches"] == 0
 
 
 # ---------------------------------------------------------------------------
-# trajectory byte-identity (kernel on/off, serial and pooled)
+# trajectory byte-identity (kernel vs oracles, serial vs pooled)
 # ---------------------------------------------------------------------------
 class TestTrajectoryIdentity:
-    def _run(self, predictor, backend, workers=1):
+    def _run(self, predictor, workers=1):
         problem = SkewVariationProblem.create(build_mini())
         optimizer = LocalOptimizer(
             problem,
@@ -259,7 +292,6 @@ class TestTrajectoryIdentity:
             LocalOptConfig(
                 max_iterations=4,
                 max_batches_per_iteration=2,
-                feature_backend=backend,
                 workers=workers,
             ),
         )
@@ -270,19 +302,21 @@ class TestTrajectoryIdentity:
         ]
         return trajectory, outcome
 
-    def test_kernel_matches_reference_serial(self, library_cls1):
+    def test_kernel_matches_reference_serial(self, library_cls1, monkeypatch):
         predictor = train_predictor(library_cls1, [], "full_rsmt_d2m")
-        kernel_traj, kernel_out = self._run(predictor, "kernel")
-        ref_traj, ref_out = self._run(predictor, "reference")
+        kernel_traj, kernel_out = self._run(predictor)
+        with monkeypatch.context() as patch:
+            use_scalar_features(patch)
+            ref_traj, ref_out = self._run(predictor)
         assert kernel_traj == ref_traj
         assert kernel_out.final_objective_ps == ref_out.final_objective_ps
-        assert kernel_out.stats["pipeline"]["feature_backend"] == "kernel"
-        assert ref_out.stats["pipeline"]["feature_backend"] == "reference"
+        assert kernel_out.stats["pipeline"]["kernel"]["batches"] > 0
+        assert ref_out.stats["pipeline"]["kernel"]["batches"] == 0
 
     def test_kernel_workers4_matches_serial(self, library_cls1):
         predictor = train_predictor(library_cls1, [], "full_rsmt_d2m")
-        serial_traj, serial_out = self._run(predictor, "kernel", workers=1)
-        pooled_traj, pooled_out = self._run(predictor, "kernel", workers=4)
+        serial_traj, serial_out = self._run(predictor, workers=1)
+        pooled_traj, pooled_out = self._run(predictor, workers=4)
         assert serial_traj == pooled_traj
         assert serial_out.final_objective_ps == pooled_out.final_objective_ps
         assert pooled_out.stats["workers"]["effective"] == 4
@@ -316,28 +350,23 @@ class TestScoreParity:
 
 
 # ---------------------------------------------------------------------------
-# fallbacks and degradation
+# unsupported inputs
 # ---------------------------------------------------------------------------
 class TestFallbacks:
-    def test_unsupported_library_falls_back_to_reference(
-        self, mini_design, monkeypatch
-    ):
-        import repro.core.ml.pipeline as pipeline_mod
-
-        class _Broken:
-            def __init__(self, *args, **kwargs):
-                raise FeatureKernelUnsupported("stub: unstackable library")
-
-        monkeypatch.setattr(pipeline_mod, "FeatureKernel", _Broken)
-        pipeline = CandidatePipeline(mini_design.library, backend="kernel")
-        assert pipeline.backend == "reference"
-        assert pipeline.kernel is None
-        # The degraded pipeline must still featurize correctly.
-        problem = SkewVariationProblem.create(mini_design)
-        result = problem.evaluate(mini_design.tree.clone())
-        moves = enumerate_moves(mini_design.tree, mini_design.library)[:6]
-        batch = pipeline.featurize(mini_design.tree, result.per_corner, moves)
-        assert len(batch.components) == len(moves)
+    def test_unstackable_library_raises(self, mini_design):
+        """No scalar fallback: the pipeline refuses the library."""
+        library = mini_design.library
+        corner, size = library.corners[-1], library.sizes[-1]
+        cell = library.cell(size, corner)
+        table = cell.delay_table
+        shifted = NLDMTable(
+            tuple(s + 1.0 for s in table.slew_axis), table.load_axis, table.values
+        )
+        cells = dict(library.cells)
+        cells[(size, corner.name)] = dataclasses.replace(cell, delay_table=shifted)
+        library = dataclasses.replace(library, cells=cells)
+        with pytest.raises(FeatureKernelUnsupported, match="one characterization grid"):
+            CandidatePipeline(library)
 
     def test_surgery_moves_use_per_move_fallback(self, mini_design):
         problem = SkewVariationProblem.create(mini_design)
@@ -352,10 +381,6 @@ class TestFallbacks:
         )
         assert kernel.stats["fallback_moves"] == len(surgeries)
         assert kernel.stats["kernel_moves"] == 0
-
-    def test_invalid_backend_rejected(self, mini_design):
-        with pytest.raises(ValueError):
-            CandidatePipeline(mini_design.library, backend="simd")
 
 
 # ---------------------------------------------------------------------------

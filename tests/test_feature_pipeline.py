@@ -4,9 +4,8 @@ The batched/cached featurization path (``CandidatePipeline``) must be a
 pure performance transform: its per-corner design matrices have to match
 the original per-move ``extract_features`` vectors to 1e-9 ps — on fresh
 trees, on randomized move subsets, and (critically) after committed
-moves invalidate part of the cache.  The full Algorithm-2 loop must then
-produce an identical committed-move trajectory with the pipeline on or
-off.
+moves invalidate part of the cache.  Trajectory identity against the
+scalar oracles is checked in ``tests/test_feature_kernel.py``.
 """
 
 import random
@@ -167,33 +166,6 @@ class TestInvalidation:
 
 
 class TestTrajectoryIdentity:
-    def test_pipeline_matches_legacy_path(self, library_cls1):
-        """Algorithm 2 commits the same moves with the pipeline on/off."""
-        predictor = train_predictor(library_cls1, [], "full_rsmt_d2m")
-        histories = []
-        finals = []
-        for use_pipeline in (True, False):
-            problem = SkewVariationProblem.create(build_mini())
-            optimizer = LocalOptimizer(
-                problem,
-                predictor,
-                LocalOptConfig(
-                    max_iterations=5,
-                    max_batches_per_iteration=2,
-                    use_pipeline=use_pipeline,
-                ),
-            )
-            outcome = optimizer.run()
-            histories.append(
-                [
-                    (h.move, h.predicted_reduction_ps, h.objective_after_ps)
-                    for h in outcome.history
-                ]
-            )
-            finals.append(outcome.final_objective_ps)
-        assert histories[0] == histories[1]
-        assert finals[0] == finals[1]
-
     def test_stats_payload_present(self, library_cls1):
         predictor = train_predictor(library_cls1, [], "full_rsmt_d2m")
         problem = SkewVariationProblem.create(build_mini())
@@ -216,4 +188,4 @@ class TestTrajectoryIdentity:
         assert "predict" in stats["stage"]["seconds"]
         assert stats["pipeline"] is not None
         assert stats["pipeline"]["move_misses"] > 0
-        assert stats["pipeline"]["feature_backend"] == "kernel"
+        assert stats["pipeline"]["kernel"]["kernel_moves"] > 0

@@ -2,10 +2,10 @@
 
 The kernel (:mod:`repro.sta.kernel`) is a pure execution-engine swap —
 same model, same float operations, vectorized.  Its contract is
-agreement with the reference backend to ≤1e-9 ps on every artifact at
-every corner (in practice the two are bit-identical), and byte-identical
-local-opt trajectories with the kernel on and off, including under the
-workers=4 verification pool.
+agreement with the scalar oracles (``GoldenTimer._analyze_corner_reference``
+and ``ReferenceIncrementalTimer``) to ≤1e-9 ps on every artifact at
+every corner (in practice the two are bit-identical), and a
+byte-identical local-opt trajectory when the oracles time the run.
 """
 
 from __future__ import annotations
@@ -13,15 +13,21 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.eco_flow import ECOConfig
 from repro.core.local_opt import LocalOptConfig, LocalOptimizer
+from repro.core.ml.feature_kernel import FeatureKernel
 from repro.core.ml.training import train_predictor
 from repro.core.moves import apply_move_undoable, enumerate_moves, undo_move
 from repro.core.objective import SkewVariationProblem
-from repro.sta.incremental import IncrementalTimer
+from repro.eco.candidate_kernel import ECOCandidateKernel
+from repro.sta.incremental import IncrementalTimer, ReferenceIncrementalTimer
 from repro.sta.kernel import ArrayMap, TimingKernel
 from repro.sta.timer import GoldenTimer
+from repro.tech.stage_lut import characterize_stage_luts
 from repro.testcases.cls1 import build_cls1
+from repro.testcases.cls2 import build_cls2
 from repro.testcases.mini import build_mini
+from tests.oracles import reference_time_tree, reference_timings
 
 TOL_PS = 1e-9
 
@@ -69,13 +75,10 @@ def _assert_timings_match(got, want, context):
 @pytest.mark.parametrize("metric", ["d2m", "elmore"])
 def test_golden_kernel_matches_reference_mini(mini4_design, metric):
     design = mini4_design
-    ref = GoldenTimer(
-        design.library, wire_metric=metric, wire_backend="reference"
-    )
-    ker = GoldenTimer(design.library, wire_metric=metric, wire_backend="kernel")
+    timer = GoldenTimer(design.library, wire_metric=metric)
     _assert_timings_match(
-        ker.analyze_all_corners(design.tree),
-        ref.analyze_all_corners(design.tree),
+        timer.analyze_all_corners(design.tree),
+        reference_timings(timer, design.tree),
         f"MINI/{metric}",
     )
 
@@ -83,35 +86,30 @@ def test_golden_kernel_matches_reference_mini(mini4_design, metric):
 @pytest.mark.parametrize("metric", ["d2m", "elmore"])
 def test_golden_kernel_matches_reference_cls1(cls1_design, metric):
     design = cls1_design
-    ref = GoldenTimer(
-        design.library, wire_metric=metric, wire_backend="reference"
-    )
-    ker = GoldenTimer(design.library, wire_metric=metric, wire_backend="kernel")
+    timer = GoldenTimer(design.library, wire_metric=metric)
     _assert_timings_match(
-        ker.analyze_all_corners(design.tree),
-        ref.analyze_all_corners(design.tree),
+        timer.analyze_all_corners(design.tree),
+        reference_timings(timer, design.tree),
         f"CLS1/{metric}",
     )
 
 
 def test_single_corner_analysis_matches(mini4_design):
     design = mini4_design
-    ref = GoldenTimer(design.library, wire_backend="reference")
-    ker = GoldenTimer(design.library, wire_backend="kernel")
+    timer = GoldenTimer(design.library)
     for corner in design.library.corners:
         _assert_timings_match(
-            {corner.name: ker.analyze_corner(design.tree, corner)},
-            {corner.name: ref.analyze_corner(design.tree, corner)},
+            {corner.name: timer.analyze_corner(design.tree, corner)},
+            {corner.name: timer._analyze_corner_reference(design.tree, corner)},
             f"single/{corner.name}",
         )
 
 
 def test_latencies_and_objective_match(cls1_design):
     design = cls1_design
-    ref = GoldenTimer(design.library, wire_backend="reference")
-    ker = GoldenTimer(design.library, wire_backend="kernel")
-    want = ref.time_tree(design.tree, design.pairs)
-    got = ker.time_tree(design.tree, design.pairs)
+    timer = GoldenTimer(design.library)
+    want = reference_time_tree(timer, design.tree, design.pairs)
+    got = timer.time_tree(design.tree, design.pairs)
     assert got.latencies == want.latencies
     assert got.total_variation == want.total_variation
 
@@ -126,12 +124,8 @@ def _differential_walk(design, metric, steps, seed, commit_every=5):
     compares every artifact at every corner.  Returns the number of
     moves applied.
     """
-    ref = IncrementalTimer(
-        design.library, wire_metric=metric, wire_backend="reference"
-    )
-    ker = IncrementalTimer(
-        design.library, wire_metric=metric, wire_backend="kernel"
-    )
+    ref = ReferenceIncrementalTimer(design.library, wire_metric=metric)
+    ker = IncrementalTimer(design.library, wire_metric=metric)
     rng = np.random.default_rng(seed)
     tree_ref = design.tree.clone()
     tree_ker = design.tree.clone()
@@ -191,7 +185,7 @@ def test_random_walk_cls1(cls1_design):
 
 
 # ----------------------------------------------------------------------
-# Trajectory byte-identity, kernel on vs off
+# Trajectory byte-identity, kernel vs the scalar oracles
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def predictor():
@@ -199,12 +193,25 @@ def predictor():
     return train_predictor(design.library, [], "full_rsmt_d2m")
 
 
-def _trajectory(predictor, wire_backend, workers):
+def _trajectory(predictor, reference):
+    """Serial local-opt trajectory, timed by the kernel or the oracles.
+
+    With ``reference``, the baseline comes from the scalar golden loop
+    and the reference dict engine is seeded as the problem's engine, so
+    every evaluation, trial and commit runs on the oracles.
+    """
     design = build_mini()
-    timer = GoldenTimer(design.library, wire_backend=wire_backend)
-    problem = SkewVariationProblem.create(design, timer=timer)
-    config = LocalOptConfig(max_iterations=3, workers=workers, top_r=5)
+    if reference:
+        timer = GoldenTimer(design.library)
+        baseline = reference_time_tree(timer, design.tree, design.pairs)
+        problem = SkewVariationProblem(design=design, timer=timer, baseline=baseline)
+        problem.__dict__["_engine"] = ReferenceIncrementalTimer(design.library)
+    else:
+        problem = SkewVariationProblem.create(design)
+    config = LocalOptConfig(max_iterations=3, top_r=5)
     outcome = LocalOptimizer(problem, predictor, config).run()
+    if reference:
+        assert problem.engine().stats["net_evals"] > 0
     return [
         (
             repr(record.move),
@@ -217,23 +224,10 @@ def _trajectory(predictor, wire_backend, workers):
 
 
 def test_local_opt_trajectory_identical_kernel_on_off(predictor):
-    """Serial local opt commits the exact same move stream either way."""
-    assert _trajectory(predictor, "kernel", workers=1) == _trajectory(
-        predictor, "reference", workers=1
-    )
-
-
-def test_pool_trajectory_identical_kernel_on_off(predictor):
-    """A workers=4 pool run is byte-identical with the kernel on and off.
-
-    Workers outnumber the verification batch, so this exercises the
-    corner-sharded path with kernel-backed replicas on both sides of the
-    comparison.
-    """
-    kernel_on = _trajectory(predictor, "kernel", workers=4)
-    kernel_off = _trajectory(predictor, "reference", workers=4)
-    assert kernel_on == kernel_off
-    assert len(kernel_on) > 0
+    """Serial local opt commits the same move stream on kernel and oracles."""
+    kernel = _trajectory(predictor, reference=False)
+    assert kernel == _trajectory(predictor, reference=True)
+    assert len(kernel) > 0
 
 
 # ----------------------------------------------------------------------
@@ -241,11 +235,10 @@ def test_pool_trajectory_identical_kernel_on_off(predictor):
 # ----------------------------------------------------------------------
 def test_array_map_behaves_like_dict(mini4_design):
     design = mini4_design
-    ref = GoldenTimer(design.library, wire_backend="reference")
-    ker = GoldenTimer(design.library, wire_backend="kernel")
+    timer = GoldenTimer(design.library)
     corner = design.library.corners[0]
-    want = ref.analyze_corner(design.tree, corner)
-    got = ker.analyze_corner(design.tree, corner)
+    want = timer._analyze_corner_reference(design.tree, corner)
+    got = timer.analyze_corner(design.tree, corner)
     assert isinstance(got.arrival, ArrayMap)
     # Mapping protocol: equality against the reference dicts.
     assert dict(got.arrival) == dict(want.arrival)
@@ -265,9 +258,38 @@ def test_array_map_behaves_like_dict(mini4_design):
 
 def test_kernel_shares_edge_cache_with_incremental(mini4_design):
     design = mini4_design
-    inc = IncrementalTimer(design.library, wire_backend="kernel")
+    inc = IncrementalTimer(design.library)
     inc.ensure(design.tree.clone())
     kernel = inc._kernel
     assert isinstance(kernel, TimingKernel)
     assert kernel.edge_cache is inc.edge_cache
     assert inc.edge_cache.misses > 0
+
+
+# ----------------------------------------------------------------------
+# Compile coverage: every shipped testcase
+# ----------------------------------------------------------------------
+def test_every_shipped_testcase_compiles():
+    """All three kernels accept every shipped library and tree.
+
+    No scalar fallback exists, so an input the kernels cannot compile
+    would fail the flow; this pins the shipped set as compilable.
+    """
+    builds = {
+        "MINI/3": build_mini,
+        "MINI/4": lambda: build_mini(corner_names=("c0", "c1", "c2", "c3")),
+        "CLS1v1": lambda: build_cls1(1),
+        "CLS1v2": lambda: build_cls1(2),
+        "CLS2v1": build_cls2,
+    }
+    luts = {}
+    for name, build in builds.items():
+        design = build()
+        library = design.library
+        compiled = TimingKernel(library).compile(design.tree)
+        assert compiled.n == len(design.tree), name
+        FeatureKernel(library)
+        corners = tuple(c.name for c in library.corners)
+        if corners not in luts:
+            luts[corners] = characterize_stage_luts(library)
+        ECOCandidateKernel(library, luts[corners], ECOConfig())

@@ -37,8 +37,8 @@ from repro.parallel import (
     attach,
     publish_replica_arena,
 )
+from repro.parallel import verify as verify_mod
 from repro.parallel.pool import effective_cpu_count, resolve_workers
-from repro.sta.timer import GoldenTimer
 from repro.testcases.mini import build_mini
 
 
@@ -432,10 +432,8 @@ class TestShmPool:
 # End-to-end trajectory identity
 # ----------------------------------------------------------------------
 class TestShmLocalOpt:
-    def _run(self, predictor, workers, top_r=5, iterations=3, wire_backend="kernel"):
-        design = build_mini()
-        timer = GoldenTimer(design.library, wire_backend=wire_backend)
-        prob = SkewVariationProblem.create(design, timer=timer)
+    def _run(self, predictor, workers, top_r=5, iterations=3):
+        prob = SkewVariationProblem.create(build_mini())
         config = LocalOptConfig(max_iterations=iterations, workers=workers, top_r=top_r)
         outcome = LocalOptimizer(prob, predictor, config).run()
         trajectory = [
@@ -449,15 +447,18 @@ class TestShmLocalOpt:
         ]
         return trajectory, outcome
 
-    def test_shm_trajectory_identical_to_serial_and_pipe(self, predictor):
+    def test_shm_trajectory_identical_to_serial_and_pipe(self, predictor, monkeypatch):
         """Serial vs a pool whose workers adopt the published kernel
         planes vs a pool whose workers compile and propagate their own
-        replicas (the reference wire backend publishes no planes)."""
+        replicas (the arena is published without a kernel snapshot)."""
         serial, serial_outcome = self._run(predictor, workers=1)
         adopted, adopted_outcome = self._run(predictor, workers=2)
-        rebuilt, rebuilt_outcome = self._run(
-            predictor, workers=2, wire_backend="reference"
-        )
+
+        def publish_without_planes(arena, spec, tree, engine=None, baseline_index=0):
+            return publish_replica_arena(arena, spec, tree, baseline_index=baseline_index)
+
+        monkeypatch.setattr(verify_mod, "publish_replica_arena", publish_without_planes)
+        rebuilt, rebuilt_outcome = self._run(predictor, workers=2)
         assert serial == adopted == rebuilt
         assert (
             serial_outcome.final_objective_ps
