@@ -8,8 +8,17 @@ EXPERIMENTS.md can reference exact runs.
 
 from __future__ import annotations
 
+import json
+import os
 import pathlib
+import platform
+import subprocess
 import sys
+
+import numpy
+import scipy
+
+from repro.parallel.pool import effective_cpu_count
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -21,3 +30,41 @@ def emit(name: str, text: str) -> None:
     sys.__stdout__.write(banner)
     sys.__stdout__.flush()
     (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
+
+
+def _git(*args: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        ["git", *args], cwd=RESULTS_DIR.parent, capture_output=True, text=True
+    )
+
+
+def machine() -> dict:
+    """The checkout and machine a bench ran on, for its BENCH record.
+
+    ``git_sha`` is the checked-out commit, suffixed ``-dirty`` when the
+    library sources under ``src/`` differ from it; ``None`` outside git.
+    """
+    try:
+        head = _git("rev-parse", "HEAD")
+        sha = head.stdout.strip() if head.returncode == 0 else None
+        if sha and _git("diff", "--quiet", "HEAD", "--", "../src").returncode:
+            sha += "-dirty"
+    except OSError:
+        sha = None
+    return {
+        "git_sha": sha,
+        "effective_cpu_count": effective_cpu_count(),
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "scipy": scipy.__version__,
+    }
+
+
+def write_record(name: str, record: dict) -> None:
+    """Write ``record`` to results/<name>.json, stamped with :func:`machine`."""
+    RESULTS_DIR.mkdir(exist_ok=True)
+    stamped = {**record, "machine": machine()}
+    (RESULTS_DIR / f"{name}.json").write_text(
+        json.dumps(stamped, indent=2, default=str) + "\n"
+    )

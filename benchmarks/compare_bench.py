@@ -35,6 +35,7 @@ TRACKED = {
     "BENCH_kernel_smoke.json": ("speedup",),
     "BENCH_eco_smoke.json": ("speedup",),
     "BENCH_features_smoke.json": ("speedup",),
+    "BENCH_characterize_smoke.json": ("speedup",),
 }
 
 #: file name -> boolean flags that must not regress to false.
@@ -45,6 +46,7 @@ FLAGS = {
     "BENCH_kernel_smoke.json": ("kernel_identical",),
     "BENCH_eco_smoke.json": ("kernel_identical",),
     "BENCH_features_smoke.json": ("kernel_identical", "pooled_identical"),
+    "BENCH_characterize_smoke.json": ("kernel_identical",),
     "BENCH_trace_smoke.json": (
         "schema_valid",
         "span_tree_stable",

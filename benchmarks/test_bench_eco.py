@@ -24,7 +24,7 @@ import time
 
 import numpy as np
 import pytest
-from _util import RESULTS_DIR, emit
+from _util import emit, write_record
 
 from repro.core.eco_flow import LPGuidedECO
 from repro.core.lp import GlobalSkewLP, build_model_data
@@ -144,8 +144,7 @@ def test_bench_eco_cls1():
     """Tentpole acceptance: >= 5x one-shot realization on CLS1v1."""
     record = _run_comparison(build_cls1(1))
     _report("BENCH_eco", record)
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "BENCH_eco.json").write_text(json.dumps(record, indent=2) + "\n")
+    write_record("BENCH_eco", record)
     assert record["kernel_identical"], record
     assert record["speedup"] >= 5.0, record
 
@@ -154,9 +153,6 @@ def test_bench_eco_smoke():
     """MINI-scale smoke (CI): identity plus a modest speedup floor."""
     record = _run_comparison(build_mini())
     _report("BENCH_eco_smoke", record)
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "BENCH_eco_smoke.json").write_text(
-        json.dumps(record, indent=2) + "\n"
-    )
+    write_record("BENCH_eco_smoke", record)
     assert record["kernel_identical"], record
     assert record["speedup"] >= 2.0, record

@@ -21,11 +21,10 @@ with the 4-worker verification pool.
 
 from __future__ import annotations
 
-import json
 import time
 
 import pytest
-from _util import RESULTS_DIR, emit
+from _util import emit, write_record
 from repro.core.local_opt import LocalOptConfig, LocalOptimizer
 from repro.core.ml.training import train_predictor
 from repro.core.objective import SkewVariationProblem
@@ -130,10 +129,7 @@ def test_bench_features_cls1():
     """Tentpole acceptance: >= 5x featurize+score on CLS1v1."""
     record = _run_comparison(lambda: build_cls1(1), max_iterations=10)
     _report("BENCH_features", record)
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "BENCH_features.json").write_text(
-        json.dumps(record, indent=2, default=str) + "\n"
-    )
+    write_record("BENCH_features", record)
     assert record["kernel_identical"], record
     assert record["pooled_identical"], record
     assert record["iterations"] > 0, record
@@ -146,10 +142,7 @@ def test_bench_features_smoke():
     """MINI-scale smoke (CI): identical trajectories, modest floor."""
     record = _run_comparison(build_mini, max_iterations=4)
     _report("BENCH_features_smoke", record)
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "BENCH_features_smoke.json").write_text(
-        json.dumps(record, indent=2, default=str) + "\n"
-    )
+    write_record("BENCH_features_smoke", record)
     assert record["kernel_identical"], record
     assert record["pooled_identical"], record
     # MINI batches are tiny, so array overheads eat most of the win; the

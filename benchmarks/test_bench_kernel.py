@@ -17,10 +17,9 @@ single-thread full-tree analysis on CLS1v1.  A MINI smoke variant
 
 from __future__ import annotations
 
-import json
 import time
 
-from _util import RESULTS_DIR, emit
+from _util import emit, write_record
 from repro.core.moves import apply_move_undoable, enumerate_moves, undo_move
 from repro.sta.incremental import IncrementalTimer, ReferenceIncrementalTimer
 from repro.sta.timer import GoldenTimer
@@ -137,10 +136,7 @@ def test_bench_kernel_cls1():
     design = build_cls1(1)
     record = _run_comparison(design, repeats=5, move_limit=60)
     _report("BENCH_kernel", record)
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "BENCH_kernel.json").write_text(
-        json.dumps(record, indent=2) + "\n"
-    )
+    write_record("BENCH_kernel", record)
     assert record["kernel_identical"], record
     assert record["speedup"] >= 5.0, record
 
@@ -150,10 +146,7 @@ def test_bench_kernel_smoke():
     design = build_mini()
     record = _run_comparison(design, repeats=20, move_limit=30)
     _report("BENCH_kernel_smoke", record)
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "BENCH_kernel_smoke.json").write_text(
-        json.dumps(record, indent=2) + "\n"
-    )
+    write_record("BENCH_kernel_smoke", record)
     assert record["kernel_identical"], record
     # MINI's tree is tiny, so per-level batches are short; the floor
     # only guards against regressions.

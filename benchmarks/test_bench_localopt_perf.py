@@ -18,10 +18,9 @@ variant (`-k smoke`) runs in seconds for CI.
 
 from __future__ import annotations
 
-import json
 import time
 
-from _util import RESULTS_DIR, emit
+from _util import emit, write_record
 from repro.core.local_opt import (
     LocalOptConfig,
     LocalOptimizer,
@@ -155,10 +154,7 @@ def test_bench_localopt_perf_cls1():
     """Tentpole acceptance: >= 5x iteration throughput on CLS1v1."""
     record = _run_comparison(lambda: build_cls1(1), max_iterations=10)
     _report("BENCH_localopt", record)
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "BENCH_localopt.json").write_text(
-        json.dumps(record, indent=2, default=str) + "\n"
-    )
+    write_record("BENCH_localopt", record)
     assert record["trajectory_identical"], record
     assert record["iterations"] > 0, record
     assert record["speedup"] >= 5.0, record
@@ -171,10 +167,7 @@ def test_bench_localopt_perf_smoke():
     """MINI-scale smoke (CI): identical trajectories, modest floor."""
     record = _run_comparison(build_mini, max_iterations=4)
     _report("BENCH_localopt_smoke", record)
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "BENCH_localopt_smoke.json").write_text(
-        json.dumps(record, indent=2, default=str) + "\n"
-    )
+    write_record("BENCH_localopt_smoke", record)
     assert record["trajectory_identical"], record
     # MINI's move pool is tiny, so the relative win is smaller; the
     # floor only guards against the pipeline regressing below parity.

@@ -21,10 +21,9 @@ regression gate.
 
 from __future__ import annotations
 
-import json
 import time
 
-from _util import RESULTS_DIR, emit
+from _util import emit, write_record
 from repro.core.local_opt import LocalOptConfig, LocalOptimizer
 from repro.core.ml.training import train_predictor
 from repro.core.objective import SkewVariationProblem
@@ -124,10 +123,7 @@ def test_bench_parallel_cls1():
     """Tentpole acceptance: identical trajectory; >= 2x with >= 4 CPUs."""
     record = _run_comparison(lambda: build_cls1(1), workers=4, max_iterations=10)
     _report("BENCH_parallel", record)
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "BENCH_parallel.json").write_text(
-        json.dumps(record, indent=2, default=str) + "\n"
-    )
+    write_record("BENCH_parallel", record)
     assert record["trajectory_identical"], record
     assert record["iterations"] > 0, record
     assert record["pool_stats"]["serial_fallbacks"] == 0, record
@@ -141,9 +137,7 @@ def test_bench_parallel_smoke():
     """MINI-scale smoke (CI): identical trajectories, pool engaged."""
     record = _run_comparison(build_mini, workers=2, max_iterations=4)
     _report("BENCH_parallel_smoke", record)
-    (RESULTS_DIR / "BENCH_parallel_smoke.json").write_text(
-        json.dumps(record, indent=2, default=str) + "\n"
-    )
+    write_record("BENCH_parallel_smoke", record)
     assert record["trajectory_identical"], record
     assert record["pool_stats"]["verify_batches"] > 0, record
     assert record["pool_stats"]["crashes"] == 0, record

@@ -25,11 +25,10 @@ not scaling.
 
 from __future__ import annotations
 
-import json
 import statistics
 import time
 
-from _util import RESULTS_DIR, emit
+from _util import emit, write_record
 from repro.core.moves import enumerate_moves
 from repro.core.objective import SkewVariationProblem
 from repro.parallel import (
@@ -160,10 +159,7 @@ def _check(record):
 
 def _write(tag, record):
     _report(tag, record)
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / f"{tag}.json").write_text(
-        json.dumps(record, indent=2, default=str) + "\n"
-    )
+    write_record(tag, record)
     _check(record)
 
 

@@ -13,11 +13,10 @@ and the engine's cache statistics, and asserts the tentpole target:
 
 from __future__ import annotations
 
-import json
 import time
 
 
-from _util import RESULTS_DIR, emit
+from _util import emit, write_record
 from repro.core.moves import apply_move, enumerate_moves
 from repro.core.objective import SkewVariationProblem
 from repro.sta.timer import GoldenTimer
@@ -107,10 +106,7 @@ def test_bench_timer_perf_cls1():
     design = build_cls1(1)
     record = _run_comparison(design, limit=120)
     _report("BENCH_timer", record)
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "BENCH_timer.json").write_text(
-        json.dumps(record, indent=2) + "\n"
-    )
+    write_record("BENCH_timer", record)
     assert record["max_objective_err_ps"] <= TOL_PS
     assert record["speedup"] >= 5.0, record
     # The kernel batches gate evaluations without the scalar memo;
@@ -123,10 +119,7 @@ def test_bench_timer_perf_smoke():
     design = build_mini()
     record = _run_comparison(design, limit=40)
     _report("BENCH_timer_smoke", record)
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / "BENCH_timer_smoke.json").write_text(
-        json.dumps(record, indent=2) + "\n"
-    )
+    write_record("BENCH_timer_smoke", record)
     assert record["max_objective_err_ps"] <= TOL_PS
     # MINI's tree is tiny, so the full pass is cheap and the relative
     # win is smaller; the floor only guards against regressions.

@@ -25,10 +25,9 @@ variant records the full-scale number for the nightly trend artifacts.
 
 from __future__ import annotations
 
-import json
 import time
 
-from _util import RESULTS_DIR, emit
+from _util import emit, write_record
 from repro.core.local_opt import LocalOptConfig, LocalOptimizer
 from repro.core.ml.training import train_predictor
 from repro.core.objective import SkewVariationProblem
@@ -138,10 +137,7 @@ def _run_bench(tag, design_name, build, max_iterations, repeats):
     record = dict(design=design_name)
     record.update(_measure(build, max_iterations, repeats))
     _report(tag, design_name, record)
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / f"{tag}.json").write_text(
-        json.dumps(record, indent=2, default=str) + "\n"
-    )
+    write_record(tag, record)
     assert record["schema_valid"], record
     assert record["span_tree_stable"], record
     # Tracing must not change the optimization result.

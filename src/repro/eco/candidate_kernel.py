@@ -55,7 +55,7 @@ from repro.sta.signoff import (
     SLEW_SCALE_PS,
 )
 from repro.sta.slew import LN9
-from repro.tech.cells import NLDMTable
+from repro.tech.cells import NLDMTable, _blend, _memo_tanh, _vector_weights
 from repro.tech.library import Library
 from repro.tech.stage_lut import StageDelayLUT, hop_wire_delays
 
@@ -105,28 +105,6 @@ def _scalar_weights(axis: np.ndarray, x: float) -> Tuple[int, float]:
     i = int(np.searchsorted(axis, c, side="right") - 1)
     i = min(max(i, 0), axis.size - 2)
     return i, (c - axis[i]) / (axis[i + 1] - axis[i])
-
-
-def _vector_weights(axis: np.ndarray, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Elementwise :func:`_scalar_weights` (min/max clamps equal ``np.clip``)."""
-    c = np.minimum(np.maximum(x, axis[0]), axis[-1])
-    i = np.searchsorted(axis, c, side="right") - 1
-    i = np.minimum(np.maximum(i, 0), axis.size - 2)
-    return i, (c - axis[i]) / (axis[i + 1] - axis[i])
-
-
-def _blend(flat: np.ndarray, i00, n_load: int, u, t) -> np.ndarray:
-    """Bilinear blend of a flattened (slew, load) grid around flat index ``i00``.
-
-    ``i00 + 1`` is the next load point and ``i00 + n_load`` the next slew
-    point; the four terms keep :meth:`NLDMTable.lookup`'s associativity.
-    """
-    return (
-        flat[i00] * (1 - u) * (1 - t)
-        + flat[i00 + 1] * (1 - u) * t
-        + flat[i00 + n_load] * u * (1 - t)
-        + flat[i00 + (n_load + 1)] * u * t
-    )
 
 
 def _lookup_load_vec(
@@ -326,24 +304,8 @@ class ECOCandidateKernel:
 
     # -- internals -----------------------------------------------------
     def _tanh(self, values: np.ndarray) -> np.ndarray:
-        """Elementwise tanh that matches ``math.tanh`` bit for bit.
-
-        ``np.tanh`` differs from the C library in the last ulp on some
-        platforms, so gather unique values and evaluate each through
-        ``math.tanh`` (memoized), exactly like the timing kernel.
-        """
-        uniq, inverse = np.unique(values, return_inverse=True)
-        keys = uniq.tolist()
-        memo = self._tanh_memo
-        missing = [v for v in keys if v not in memo]
-        if missing:
-            if len(memo) + len(missing) > _TANH_MEMO_LIMIT:
-                # Clearing drops this call's hits too: refill every key.
-                memo.clear()
-                missing = keys
-            memo.update(zip(missing, map(math.tanh, missing)))
-        out = np.fromiter(map(memo.__getitem__, keys), dtype=float, count=len(keys))
-        return out[inverse]
+        """Elementwise tanh that matches ``math.tanh`` bit for bit."""
+        return _memo_tanh(values, self._tanh_memo, _TANH_MEMO_LIMIT)
 
     def _snap_idx(self, values: np.ndarray) -> np.ndarray:
         """Vectorized ``snap_wl``: index of the nearest axis point (first tie wins)."""

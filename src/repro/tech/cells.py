@@ -10,8 +10,9 @@ table-vs-reality gap the paper's ML models must absorb is genuine.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -100,6 +101,69 @@ class NLDMTable:
             + v10 * u * (1 - t)
             + v11 * u * t
         )
+
+    def lookup_array(self, slew_ps, load_ff) -> np.ndarray:
+        """:meth:`lookup` elementwise over broadcast slew/load arrays.
+
+        Every value equals the scalar lookup bit for bit: the general
+        two-axis branch runs :func:`_vector_weights` and :func:`_blend`,
+        and a table with a single-point axis takes :meth:`lookup` itself.
+        """
+        slews = self._slews
+        loads = self._loads
+        if slews.size < 2 or loads.size < 2:
+            return np.vectorize(self.lookup, otypes=[float])(slew_ps, load_ff)
+        si, u = _vector_weights(slews, np.asarray(slew_ps, dtype=float))
+        ci, t = _vector_weights(loads, np.asarray(load_ff, dtype=float))
+        return _blend(self._vals.reshape(-1), si * loads.size + ci, loads.size, u, t)
+
+
+def _vector_weights(axis: np.ndarray, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Cell index and fraction of each query on one NLDM axis.
+
+    Replicates :meth:`NLDMTable.lookup` (clamp, right-searchsorted minus
+    one, clamp to the last cell) on the general two-axis branch; the
+    min/max clamps equal ``np.clip``.
+    """
+    c = np.minimum(np.maximum(x, axis[0]), axis[-1])
+    i = np.searchsorted(axis, c, side="right") - 1
+    i = np.minimum(np.maximum(i, 0), axis.size - 2)
+    return i, (c - axis[i]) / (axis[i + 1] - axis[i])
+
+
+def _blend(flat: np.ndarray, i00, n_load: int, u, t) -> np.ndarray:
+    """Bilinear blend of a flattened (slew, load) grid around flat index ``i00``.
+
+    ``i00 + 1`` is the next load point and ``i00 + n_load`` the next slew
+    point; the four terms keep :meth:`NLDMTable.lookup`'s associativity.
+    """
+    return (
+        flat[i00] * (1 - u) * (1 - t)
+        + flat[i00 + 1] * (1 - u) * t
+        + flat[i00 + n_load] * u * (1 - t)
+        + flat[i00 + (n_load + 1)] * u * t
+    )
+
+
+def _memo_tanh(values: np.ndarray, memo: Dict[float, float], limit: int) -> np.ndarray:
+    """Elementwise tanh of a 1-D array that matches ``math.tanh`` bit for bit.
+
+    ``np.tanh`` differs from the C library in the last ulp on some
+    platforms, so gather the unique values and evaluate each through
+    ``math.tanh``, memoized in ``memo``.  When the new keys would push
+    the memo past ``limit`` it is cleared and refilled with this call's
+    keys, so every key of the call is present for the gather.
+    """
+    uniq, inverse = np.unique(values, return_inverse=True)
+    keys = uniq.tolist()
+    missing = [v for v in keys if v not in memo]
+    if missing:
+        if len(memo) + len(missing) > limit:
+            memo.clear()
+            missing = keys
+        memo.update(zip(missing, map(math.tanh, missing)))
+    out = np.fromiter(map(memo.__getitem__, keys), dtype=float, count=len(keys))
+    return out[inverse]
 
 
 #: Characterization grid (ps) for input slew.

@@ -23,8 +23,11 @@ from repro.tech.stage_lut import (
     DEFAULT_WL_AXIS,
     DETAIL_LOAD_AXIS,
     DETAIL_SLEW_AXIS,
-    stage_delay,
+    stage_delays,
 )
+
+#: The cloud samples every ``CLOUD_WL_STRIDE``-th LUT wirelength.
+CLOUD_WL_STRIDE = 2
 
 
 @dataclass(frozen=True)
@@ -69,6 +72,58 @@ class RatioBounds:
         return self.lower(density) - slack <= ratio <= self.upper(density) + slack
 
 
+def _delay_grids(
+    library: Library,
+    corners: Sequence[Corner],
+    sizes: Sequence[int],
+    wl_axis: Sequence[float],
+    slew_axis: Sequence[float],
+    load_axis: Sequence[float],
+) -> Dict[str, np.ndarray]:
+    """Stage delay per corner over the (size, wirelength, slew, load) grid.
+
+    One :func:`stage_delays` grid per (corner, size); a corner listed
+    twice is evaluated once.
+    """
+    lanes = (
+        np.asarray(wl_axis, dtype=float)[:, None, None],
+        np.asarray(slew_axis, dtype=float)[None, :, None],
+        np.asarray(load_axis, dtype=float)[None, None, :],
+    )
+    grids: Dict[str, np.ndarray] = {}
+    for corner in corners:
+        if corner.name not in grids:
+            grids[corner.name] = np.stack(
+                [stage_delays(library, corner, size, *lanes)[0] for size in sizes]
+            )
+    return grids
+
+
+def _ratio_cloud(
+    library: Library,
+    grids: Dict[str, np.ndarray],
+    corner_a: Corner,
+    corner_b: Corner,
+    wl_axis: Sequence[float],
+) -> RatioCloud:
+    """The cloud of one corner pair, read from :func:`_delay_grids`.
+
+    Samples stay in (size, wirelength, slew, load) order, and a
+    configuration whose ``corner_b`` delay is not positive is dropped.
+    """
+    d_nom = grids[library.corners.nominal.name]
+    density = (d_nom / np.asarray(wl_axis, dtype=float)[:, None, None]).ravel()
+    d_a = grids[corner_a.name].ravel()
+    d_b = grids[corner_b.name].ravel()
+    keep = ~(d_b <= 0.0)
+    return RatioCloud(
+        corner_a=corner_a,
+        corner_b=corner_b,
+        density=tuple(density[keep].tolist()),
+        ratio=tuple((d_a[keep] / d_b[keep]).tolist()),
+    )
+
+
 def sample_ratio_cloud(
     library: Library,
     corner_a: Corner,
@@ -77,7 +132,7 @@ def sample_ratio_cloud(
     wl_axis: Sequence[float] = DEFAULT_WL_AXIS,
     slew_axis: Sequence[float] = DETAIL_SLEW_AXIS,
     load_axis: Sequence[float] = DETAIL_LOAD_AXIS,
-    wl_stride: int = 2,
+    wl_stride: int = CLOUD_WL_STRIDE,
 ) -> RatioCloud:
     """Sample the stage-delay ratio cloud for a corner pair.
 
@@ -86,26 +141,10 @@ def sample_ratio_cloud(
     divided by the stage's routed wirelength (two segments of ``wl`` each).
     """
     use_sizes = tuple(sizes) if sizes else library.sizes
-    nominal = library.corners.nominal
-    densities: List[float] = []
-    ratios: List[float] = []
-    for size in use_sizes:
-        for wl in wl_axis[::wl_stride]:
-            for slew in slew_axis:
-                for load in load_axis:
-                    d_nom, _ = stage_delay(library, nominal, size, wl, slew, load)
-                    d_a, _ = stage_delay(library, corner_a, size, wl, slew, load)
-                    d_b, _ = stage_delay(library, corner_b, size, wl, slew, load)
-                    if d_b <= 0.0:
-                        continue
-                    densities.append(d_nom / wl)
-                    ratios.append(d_a / d_b)
-    return RatioCloud(
-        corner_a=corner_a,
-        corner_b=corner_b,
-        density=tuple(densities),
-        ratio=tuple(ratios),
-    )
+    wls = wl_axis[::wl_stride]
+    corners = (library.corners.nominal, corner_a, corner_b)
+    grids = _delay_grids(library, corners, use_sizes, wls, slew_axis, load_axis)
+    return _ratio_cloud(library, grids, corner_a, corner_b, wls)
 
 
 def fit_ratio_bounds(
@@ -161,11 +200,10 @@ def _widen_to_cover(
     samples; Constraint (11) must never forbid a configuration that the
     LUTs can actually realize, so we widen by the worst residual.
     """
-    upper_gap = 0.0
-    lower_gap = 0.0
-    for d, r in zip(density, ratio):
-        upper_gap = max(upper_gap, r - bounds.upper(d))
-        lower_gap = max(lower_gap, bounds.lower(d) - r)
+    # RatioBounds.upper/lower per sample, as one Horner pass each.
+    d = np.clip(density, bounds.density_min, bounds.density_max)
+    upper_gap = max(0.0, np.max(ratio - np.polyval(bounds.upper_coeffs, d)))
+    lower_gap = max(0.0, np.max(np.polyval(bounds.lower_coeffs, d) - ratio))
     upper = np.asarray(bounds.upper_coeffs, dtype=float)
     lower = np.asarray(bounds.lower_coeffs, dtype=float)
     upper[-1] += upper_gap
@@ -184,16 +222,22 @@ def _widen_to_cover(
 def fit_all_ratio_bounds(
     library: Library, degree: int = 2
 ) -> Dict[Tuple[str, str], RatioBounds]:
-    """Ratio bounds for every ordered non-nominal/nominal corner pairing.
+    """Ratio bounds for every ordered pair of distinct corners.
 
-    Returns bounds keyed by (corner_a.name, corner_b.name) for every ordered
-    pair of distinct corners — Constraint (11) needs both orientations.
+    Returns bounds keyed by (corner_a.name, corner_b.name), both
+    orientations of every pair; :class:`~repro.core.lp.GlobalSkewLP`
+    reads only the (k, k2), k < k2 orientation in library corner order.
+    Each corner's delay grid is evaluated once and shared by every pair.
     """
+    wls = DEFAULT_WL_AXIS[::CLOUD_WL_STRIDE]
+    grids = _delay_grids(
+        library, library.corners, library.sizes, wls, DETAIL_SLEW_AXIS, DETAIL_LOAD_AXIS
+    )
     out: Dict[Tuple[str, str], RatioBounds] = {}
     for a in library.corners:
         for b in library.corners:
             if a.name == b.name:
                 continue
-            cloud = sample_ratio_cloud(library, a, b)
+            cloud = _ratio_cloud(library, grids, a, b, wls)
             out[(a.name, b.name)] = fit_ratio_bounds(cloud, degree=degree)
     return out

@@ -13,18 +13,36 @@ once per technology, two lookup tables per corner:
   of an arc, whose boundary conditions differ from the steady state.
 
 Wirelengths sweep 10um..200um in 5um steps, matching the paper.
+
+Both tables are built by :func:`stage_delays`, the array form of the
+scalar :func:`stage_delay` (kept unchanged as its definition and test
+oracle); every table value equals the scalar result bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import islice
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Sequence, Tuple
 
 import numpy as np
 
-from repro.sta.slew import wire_degraded_slew
-from repro.tech.cells import NLDMTable
+from repro.geometry import Point
+from repro.route.congestion import chain_length_factor
+from repro.route.rc_net import edge_rc_tree
+from repro.sta.d2m import d2m_delays
+from repro.sta.elmore import elmore_delays
+from repro.sta.signoff import (
+    LOAD_GAIN,
+    LOAD_SCALE_FF,
+    MAX_SIZE,
+    REFERENCE_SIZE,
+    SLEW_GAIN,
+    SLEW_SCALE_PS,
+    signoff_gate_factor,
+)
+from repro.sta.slew import LN9, wire_degraded_slew
+from repro.tech.cells import NLDMTable, _memo_tanh
 from repro.tech.corners import Corner
 from repro.tech.library import Library
 
@@ -44,93 +62,25 @@ _SLEW_TOL_PS = 0.01
 _MAX_FIXED_POINT_ITERS = 60
 
 
-class HopDelayCache:
-    """Bounded LRU memo for :func:`hop_wire_delay`.
-
-    The ECO candidate search evaluates the same (corner, length, load)
-    combinations thousands of times, and each cold evaluation builds a
-    discretized RC tree.  Keys quantize to 0.25 um and 0.05 fF — far below
-    any delay-relevant resolution.  Like :class:`repro.route.rc_net.EdgeRCCache`,
-    the memo relies on dict insertion order for LRU bookkeeping: a hit
-    re-inserts its key, and when the cache is full the oldest half is
-    dropped in one sweep (amortized O(1), no per-entry linked list).
-    """
-
-    def __init__(self, max_entries: int = 200_000) -> None:
-        if max_entries < 2:
-            raise ValueError("cache needs at least two entries")
-        self._max_entries = max_entries
-        self._values: Dict[Tuple[int, str, float, float], Tuple[float, float]] = {}
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    def clear(self) -> None:
-        self._values.clear()
-
-    def metrics(
-        self, library: Library, corner: Corner, wirelength_um: float, load_ff: float
-    ) -> Tuple[float, float]:
-        """``(delay_ps, elmore_ps)`` for one hop, memoized on quantized keys."""
-        from repro.route.congestion import chain_length_factor
-        from repro.route.rc_net import edge_rc_tree
-        from repro.sta.d2m import d2m_delays
-        from repro.sta.elmore import elmore_delays
-        from repro.geometry import Point
-
-        key = (
-            id(library),
-            corner.name,
-            round(wirelength_um * 4.0) / 4.0,
-            round(load_ff * 20.0) / 20.0,
-        )
-        cached = self._values.get(key)
-        if cached is not None:
-            self.hits += 1
-            # Refresh recency: move the key to the dict's insertion tail.
-            del self._values[key]
-            self._values[key] = cached
-            return cached
-        self.misses += 1
-        length = key[2] * chain_length_factor()
-        wire = library.wire(corner)
-        rc = edge_rc_tree([Point(0.0, 0.0), Point(length, 0.0)], wire, key[3])
-        delay = d2m_delays(rc)["sink"]
-        elmore = elmore_delays(rc)["sink"]
-        if len(self._values) >= self._max_entries:
-            stale = list(islice(self._values, self._max_entries // 2))
-            for old in stale:
-                del self._values[old]
-            self.evictions += len(stale)
-        self._values[key] = (delay, elmore)
-        return delay, elmore
-
-
-#: Process-wide hop memo.  The ECO kernel's dense rows fill their misses
-#: here and the scalar ``_estimate`` oracle reads it directly; both hit
-#: identical quantized keys, so warm entries transfer for free.
-_HOP_CACHE = HopDelayCache()
-
-
 class _HopRow:
     """Dense ``(delay, elmore)`` memo of one (library, corner, load) key.
 
-    Indexed by the 0.25-um length bucket ``rint(length * 4)``, the same
-    round-half-even quantization :class:`HopDelayCache` keys on, so every
-    length in a bucket maps to one value.  Holding the library keeps its
-    ``id`` from being reused while the row lives.
+    Indexed by the 0.25-um length bucket ``round(length * 4)``
+    (round-half-even, like ``np.rint``), so every length in a bucket maps
+    to one value: the hop timed at the bucket length ``bucket / 4`` and
+    the row's quantized load.  Holding the library keeps its ``id`` from
+    being reused while the row lives.
     """
 
-    __slots__ = ("library", "delay", "elmore", "filled")
+    __slots__ = ("library", "corner", "load_ff", "delay", "elmore", "filled")
 
-    def __init__(self, library: Library, capacity: int) -> None:
+    def __init__(self, library: Library, corner: Corner, load_ff: float) -> None:
         self.library = library
-        self.delay = np.zeros(capacity)
-        self.elmore = np.zeros(capacity)
-        self.filled = np.zeros(capacity, dtype=bool)
+        self.corner = corner
+        self.load_ff = load_ff
+        self.delay = np.zeros(64)
+        self.elmore = np.zeros(64)
+        self.filled = np.zeros(64, dtype=bool)
 
     def grow(self, needed: int) -> None:
         """Double the capacity until ``needed`` buckets fit."""
@@ -142,16 +92,40 @@ class _HopRow:
         self.elmore = np.concatenate([self.elmore, np.zeros(pad)])
         self.filled = np.concatenate([self.filled, np.zeros(pad, dtype=bool)])
 
+    def fill(self, buckets: Iterable[int]) -> None:
+        """Time each bucket's hop: a discretized RC tree, D2M and Elmore."""
+        wire = self.library.wire(self.corner)
+        for bucket in buckets:
+            length = bucket / 4.0 * chain_length_factor()
+            rc = edge_rc_tree(
+                [Point(0.0, 0.0), Point(length, 0.0)], wire, self.load_ff
+            )
+            self.delay[bucket] = d2m_delays(rc)["sink"]
+            self.elmore[bucket] = elmore_delays(rc)["sink"]
+            self.filled[bucket] = True
 
-#: Dense companion of ``_HOP_CACHE`` for the ECO kernel's vector gathers,
-#: keyed like it minus the length: (library id, corner, quantized load).
+
+#: Process-wide hop memo, one dense row per (library id, corner, load
+#: quantized to 0.05 fF).  The ECO search evaluates the same hops
+#: thousands of times, and each cold evaluation builds an RC tree.
 _HOP_ROWS: Dict[Tuple[int, str, float], _HopRow] = {}
 
 
 def clear_hop_cache() -> None:
-    """Drop the process-wide hop memos (benches use this between timed runs)."""
-    _HOP_CACHE.clear()
+    """Drop the process-wide hop memo (benches use this between timed runs)."""
     _HOP_ROWS.clear()
+
+
+def _hop_row(library: Library, corner: Corner, load_ff: float, needed: int) -> _HopRow:
+    """The memo row of (library, corner, quantized load), ``needed`` buckets long."""
+    load_key = round(load_ff * 20.0) / 20.0
+    key = (id(library), corner.name, load_key)
+    row = _HOP_ROWS.get(key)
+    if row is None:
+        row = _HOP_ROWS[key] = _HopRow(library, corner, load_key)
+    if row.delay.size < needed:
+        row.grow(needed)
+    return row
 
 
 def hop_wire_delays(
@@ -163,13 +137,10 @@ def hop_wire_delays(
     """:func:`hop_wire_delay` for every (load, length) pair, as arrays.
 
     Returns ``(delay, elmore)``, each of shape ``(len(loads),
-    lengths.size)``, gathered from a dense per-(corner, load) memo.  A
-    missing bucket is filled through :func:`hop_wire_delay` with an
-    original length from that bucket, not ``bucket / 4``: lengths under
-    0.125 um land in bucket 0, which the scalar call times as a
-    zero-length net, while a length of exactly zero short-circuits to
-    ``(0, 0)``.  Every value therefore equals the scalar call's bit for
-    bit.
+    lengths.size)``, gathered from the memo rows.  Lengths under 0.125 um
+    land in bucket 0, the zero-length RC net, while a length of exactly
+    zero short-circuits to ``(0, 0)`` as the scalar call does; every
+    value equals the scalar call's bit for bit.
     """
     lengths = np.asarray(lengths, dtype=float).reshape(-1)
     if lengths.size and float(lengths.min()) <= 0.0:
@@ -185,21 +156,10 @@ def hop_wire_delays(
     delay = np.empty((len(loads), lengths.size))
     elmore = np.empty_like(delay)
     for i, load_ff in enumerate(loads):
-        key = (id(library), corner.name, round(load_ff * 20.0) / 20.0)
-        row = _HOP_ROWS.get(key)
-        if row is None:
-            row = _HOP_ROWS[key] = _HopRow(library, 64)
-        if row.delay.size < needed:
-            row.grow(needed)
+        row = _hop_row(library, corner, load_ff, needed)
         missing = ~row.filled[buckets]
         if missing.any():
-            todo, first = np.unique(buckets[missing], return_index=True)
-            originals = lengths[missing][first]
-            for bucket, length in zip(todo.tolist(), originals.tolist()):
-                d, e = hop_wire_delay(library, corner, length, load_ff)
-                row.delay[bucket] = d
-                row.elmore[bucket] = e
-            row.filled[todo] = True
+            row.fill(np.unique(buckets[missing]).tolist())
         delay[i] = row.delay[buckets]
         elmore[i] = row.elmore[buckets]
     return delay, elmore
@@ -210,7 +170,6 @@ def hop_wire_delay(
     corner: Corner,
     wirelength_um: float,
     load_ff: float,
-    cache: Optional[HopDelayCache] = None,
 ) -> Tuple[float, float]:
     """Distributed wire delay and Elmore of one hop with a far pin load.
 
@@ -219,13 +178,16 @@ def hop_wire_delay(
     lumped-vs-distributed bias) and includes the chain-level routed-length
     overhead (the LUTs are characterized through the router, exactly as
     the paper's technology characterization is).  The Elmore value feeds
-    PERI slew degradation at the far pin.
+    PERI slew degradation at the far pin.  Memoized on 0.25-um length
+    buckets and 0.05-fF loads, far below any delay-relevant resolution.
     """
     if wirelength_um <= 0.0:
         return 0.0, 0.0
-    return (cache if cache is not None else _HOP_CACHE).metrics(
-        library, corner, wirelength_um, load_ff
-    )
+    bucket = int(round(wirelength_um * 4.0))
+    row = _hop_row(library, corner, load_ff, bucket + 1)
+    if not row.filled[bucket]:
+        row.fill((bucket,))
+    return float(row.delay[bucket]), float(row.elmore[bucket])
 
 
 def stage_delay(
@@ -246,9 +208,6 @@ def stage_delay(
     disagree only through genuinely unmodeled effects (distributed-RC
     vs lumped wire, legalization displacement, slew iteration).
     """
-    from repro.route.congestion import chain_length_factor
-    from repro.sta.signoff import signoff_gate_factor
-
     cell = library.cell(size, corner)
     routed_wl = wirelength_um * chain_length_factor()
     net_load = library.wire(corner).segment_cap(routed_wl) + fanout_load_ff
@@ -289,6 +248,94 @@ def steady_state_stage(
         if abs(new_slew - slew) < _SLEW_TOL_PS:
             return delay, new_slew
         slew = new_slew
+    return delay, slew
+
+
+def stage_delays(
+    library: Library,
+    corner: Corner,
+    size: int,
+    wirelength_um,
+    input_slew_ps,
+    fanout_load_ff,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`stage_delay` over a batch of (wirelength, slew, load) lanes.
+
+    The three arguments broadcast to one lane shape; returns ``(delay,
+    out_slew)`` arrays of that shape.  Every lane repeats the scalar
+    operation sequence: NLDM lookups through
+    :meth:`~repro.tech.cells.NLDMTable.lookup_array`, the signoff factor
+    as ``1.0 + load_term - slew_term`` with ``math.tanh`` over unique
+    values, the hop from :func:`hop_wire_delays`, and PERI as
+    ``sqrt(s*s + step*step)``.  Each value therefore equals the scalar
+    call's bit for bit, and inputs the scalar call rejects (a negative
+    slew or load) raise the same :class:`ValueError`.
+    """
+    wl, slew, load = np.broadcast_arrays(
+        np.asarray(wirelength_um, dtype=float),
+        np.asarray(input_slew_ps, dtype=float),
+        np.asarray(fanout_load_ff, dtype=float),
+    )
+    shape = wl.shape
+    wl, slew, load = wl.ravel(), slew.ravel(), load.ravel()
+    cell = library.cell(size, corner)
+    routed_wl = wl * chain_length_factor()
+    if np.any(routed_wl < 0.0):
+        raise ValueError("negative wire length")
+    net_load = library.wire(corner).cap_per_um * routed_wl + load
+    if np.any(slew < 0.0) or np.any(net_load < 0.0):
+        raise ValueError("negative slew or load")
+
+    pin = cell.input_cap_ff
+    internal_delay = cell.delay_table.lookup_array(slew, pin)
+    internal_slew = cell.slew_table.lookup_array(slew, pin)
+    drive_delay = cell.delay_table.lookup_array(internal_slew, net_load)
+    drive_slew = cell.slew_table.lookup_array(internal_slew, net_load)
+    # One fresh memo per call: it cannot outgrow the call's arguments.
+    n = wl.size
+    tanh = _memo_tanh(
+        np.concatenate([net_load / LOAD_SCALE_FF, slew / SLEW_SCALE_PS]), {}, 2 * n
+    )
+    load_term = LOAD_GAIN * tanh[:n] * math.sqrt(REFERENCE_SIZE / size)
+    slew_term = SLEW_GAIN * tanh[n:] * (size / MAX_SIZE)
+    pair_delay = (internal_delay + drive_delay) * (1.0 + load_term - slew_term)
+
+    # Each lane's hop, gathered from the row of its own load.
+    hop_loads, which = np.unique(load, return_inverse=True)
+    hop_d, hop_e = hop_wire_delays(library, corner, wl, hop_loads.tolist())
+    lane = np.arange(n)
+    step = LN9 * hop_e[which, lane]
+    if np.any(drive_slew < 0.0) or np.any(step < 0.0):
+        raise ValueError("negative slew")
+    out_slew = np.sqrt(drive_slew * drive_slew + step * step)
+    return (pair_delay + hop_d[which, lane]).reshape(shape), out_slew.reshape(shape)
+
+
+def _steady_state_stages(
+    library: Library, corner: Corner, size: int, wl_axis: Sequence[float]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`steady_state_stage` for every wirelength lane at once.
+
+    A masked fixed-point iteration: a lane stops once its slew moves less
+    than ``_SLEW_TOL_PS`` and keeps that ``(delay, slew)``; a lane still
+    running after ``_MAX_FIXED_POINT_ITERS`` keeps its last values, which
+    is what the scalar loop returns too.
+    """
+    wl = np.asarray(wl_axis, dtype=float)
+    fanout = library.cell(size, corner).input_cap_ff
+    delay = np.zeros(wl.size)
+    slew = np.full(wl.size, library.source_slew_ps)
+    running = np.arange(wl.size)
+    for _ in range(_MAX_FIXED_POINT_ITERS):
+        if not running.size:
+            break
+        d, new_slew = stage_delays(
+            library, corner, size, wl[running], slew[running], fanout
+        )
+        delay[running] = d
+        settled = np.abs(new_slew - slew[running]) < _SLEW_TOL_PS
+        slew[running] = new_slew
+        running = running[~settled]
     return delay, slew
 
 
@@ -424,9 +471,21 @@ def characterize_stage_luts(
     """Characterize LUTuniform and LUTdetail for every corner of ``library``.
 
     This is the once-per-technology step of the paper's Section 4.1.  The
-    result maps corner name to that corner's :class:`StageDelayLUT`.
+    result maps corner name to that corner's :class:`StageDelayLUT`.  Per
+    (corner, size), LUTdetail is one :func:`stage_delays` grid over
+    (wirelength, slew, load) and LUTuniform one masked fixed-point
+    iteration over the wirelength lanes; every value equals the scalar
+    :func:`stage_delay` / :func:`steady_state_stage` result bit for bit.
     """
     use_sizes = tuple(sizes) if sizes else library.sizes
+    wls = tuple(wl_axis)
+    slews = tuple(detail_slew_axis)
+    loads = tuple(detail_load_axis)
+    lanes = (
+        np.asarray(wls, dtype=float)[:, None, None],
+        np.asarray(slews, dtype=float)[None, :, None],
+        np.asarray(loads, dtype=float)[None, None, :],
+    )
     luts: Dict[str, StageDelayLUT] = {}
     for corner in library.corners:
         uniform: Dict[Tuple[int, float], float] = {}
@@ -434,33 +493,21 @@ def characterize_stage_luts(
         detail: Dict[Tuple[int, float], NLDMTable] = {}
         detail_slew: Dict[Tuple[int, float], NLDMTable] = {}
         for size in use_sizes:
-            for wl in wl_axis:
-                d, s = steady_state_stage(library, corner, size, wl)
-                uniform[(size, wl)] = d
-                uniform_slew[(size, wl)] = s
-                delay_rows: List[Tuple[float, ...]] = []
-                slew_rows: List[Tuple[float, ...]] = []
-                for slew_in in detail_slew_axis:
-                    drow = []
-                    srow = []
-                    for load in detail_load_axis:
-                        dd, ss = stage_delay(
-                            library, corner, size, wl, slew_in, load
-                        )
-                        drow.append(dd)
-                        srow.append(ss)
-                    delay_rows.append(tuple(drow))
-                    slew_rows.append(tuple(srow))
+            steady_d, steady_s = _steady_state_stages(library, corner, size, wls)
+            grid_d, grid_s = stage_delays(library, corner, size, *lanes)
+            for j, wl in enumerate(wls):
+                uniform[(size, wl)] = float(steady_d[j])
+                uniform_slew[(size, wl)] = float(steady_s[j])
                 detail[(size, wl)] = NLDMTable(
-                    tuple(detail_slew_axis), tuple(detail_load_axis), tuple(delay_rows)
+                    slews, loads, tuple(map(tuple, grid_d[j].tolist()))
                 )
                 detail_slew[(size, wl)] = NLDMTable(
-                    tuple(detail_slew_axis), tuple(detail_load_axis), tuple(slew_rows)
+                    slews, loads, tuple(map(tuple, grid_s[j].tolist()))
                 )
         luts[corner.name] = StageDelayLUT(
             corner=corner,
             sizes=use_sizes,
-            wl_axis=tuple(wl_axis),
+            wl_axis=wls,
             uniform=uniform,
             uniform_slew=uniform_slew,
             detail=detail,

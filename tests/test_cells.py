@@ -1,5 +1,6 @@
 """NLDM tables and inverter cell characterization."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -52,6 +53,37 @@ class TestNLDMTable:
         table = simple_table()
         value = table.lookup(slew, load)
         assert 1.0 - 1e-9 <= value <= 4.0 + 1e-9
+
+
+class TestLookupArray:
+    """The array lookup equals the scalar one bit for bit."""
+
+    def test_inverter_table_off_grid_and_clamped(self):
+        table = characterize_inverter(8, 1.07).delay_table
+        rng = np.random.default_rng(5)
+        slews = np.concatenate([[0.0, 5.0, 160.0, 400.0], rng.uniform(0.0, 250.0, 60)])
+        loads = np.concatenate([[0.0, 1.0, 128.0, 300.0], rng.uniform(0.0, 180.0, 60)])
+        got = table.lookup_array(slews, loads)
+        assert got.tolist() == [
+            table.lookup(s, c) for s, c in zip(slews.tolist(), loads.tolist())
+        ]
+        # A scalar load broadcasts against a slew vector.
+        assert table.lookup_array(slews, 4.16).tolist() == [
+            table.lookup(s, 4.16) for s in slews.tolist()
+        ]
+
+    def test_single_point_axes_take_the_scalar_branches(self):
+        tables = [
+            NLDMTable((10.0,), (1.0, 3.0), ((1.0, 3.0),)),
+            NLDMTable((10.0, 20.0), (1.0,), ((1.0,), (2.0,))),
+            NLDMTable((10.0,), (1.0,), ((7.0,),)),
+        ]
+        slews = np.array([0.0, 12.5, 17.0, 40.0])
+        loads = np.array([0.0, 1.5, 2.2, 9.0])
+        for table in tables:
+            assert table.lookup_array(slews, loads).tolist() == [
+                table.lookup(s, c) for s, c in zip(slews.tolist(), loads.tolist())
+            ]
 
 
 class TestCharacterizeInverter:

@@ -2,7 +2,27 @@
 
 import pytest
 
-from repro.tech.ratio_bounds import fit_ratio_bounds, sample_ratio_cloud
+from repro.tech.ratio_bounds import (
+    fit_all_ratio_bounds,
+    fit_ratio_bounds,
+    sample_ratio_cloud,
+)
+from repro.tech.stage_lut import clear_hop_cache
+from tests.oracles import (
+    PARITY_LIBRARIES,
+    reference_ratio_bounds,
+    reference_ratio_cloud,
+)
+
+
+#: The custom sampling of the ``cloud`` fixture.
+CLOUD_AXES = dict(
+    sizes=(4, 16),
+    wl_axis=(20.0, 80.0, 160.0),
+    slew_axis=(10.0, 50.0),
+    load_axis=(2.0, 20.0),
+    wl_stride=1,
+)
 
 
 @pytest.fixture(scope="module")
@@ -11,11 +31,7 @@ def cloud(library_cls1):
         library_cls1,
         library_cls1.corners.by_name("c1"),
         library_cls1.corners.by_name("c0"),
-        sizes=(4, 16),
-        wl_axis=(20.0, 80.0, 160.0),
-        slew_axis=(10.0, 50.0),
-        load_axis=(2.0, 20.0),
-        wl_stride=1,
+        **CLOUD_AXES,
     )
 
 
@@ -74,3 +90,40 @@ class TestBounds:
         )
         with pytest.raises(ValueError):
             fit_ratio_bounds(tiny, degree=2)
+
+
+class TestBatchedClouds:
+    """Delay grids against the scalar sample loop, with exact ``==``."""
+
+    def test_cloud_equals_oracle(self, cloud, library_cls1):
+        expected = reference_ratio_cloud(
+            library_cls1,
+            library_cls1.corners.by_name("c1"),
+            library_cls1.corners.by_name("c0"),
+            **CLOUD_AXES,
+        )
+        assert cloud.density == expected.density
+        assert cloud.ratio == expected.ratio
+        assert (cloud.corner_a, cloud.corner_b) == (expected.corner_a, expected.corner_b)
+
+    def test_nominal_pair_on_default_axes(self, library_cls1):
+        """A pair that includes the nominal corner, on the default sampling."""
+        c0, c3 = library_cls1.corners.by_name("c0"), library_cls1.corners.by_name("c3")
+        assert sample_ratio_cloud(library_cls1, c0, c3) == reference_ratio_cloud(
+            library_cls1, c0, c3
+        )
+
+    @pytest.mark.parametrize("name", sorted(PARITY_LIBRARIES))
+    def test_all_bounds_equal_oracle(self, name):
+        """Every ordered pair, every RatioBounds field, bit for bit."""
+        library = PARITY_LIBRARIES[name]()
+        clear_hop_cache()
+        expected = reference_ratio_bounds(library)
+        clear_hop_cache()
+        got = fit_all_ratio_bounds(library)
+        assert list(got) == list(expected)
+        for key, bounds in got.items():
+            ref = expected[key]
+            assert bounds.upper_coeffs == ref.upper_coeffs, key
+            assert bounds.lower_coeffs == ref.lower_coeffs, key
+            assert bounds == ref, key

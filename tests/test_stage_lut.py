@@ -3,17 +3,47 @@
 import numpy as np
 import pytest
 
+from repro.geometry import Point
+from repro.route.congestion import chain_length_factor
+from repro.route.rc_net import edge_rc_tree
+from repro.sta.d2m import d2m_delays
+from repro.sta.elmore import elmore_delays
 from repro.tech import stage_lut
 from repro.tech.stage_lut import (
     DEFAULT_WL_AXIS,
-    HopDelayCache,
     characterize_stage_luts,
     clear_hop_cache,
     hop_wire_delay,
     hop_wire_delays,
     stage_delay,
+    stage_delays,
     steady_state_stage,
 )
+from tests.oracles import PARITY_LIBRARIES, reference_stage_luts
+
+
+def _hop_at_key(library, corner, wirelength_um, load_ff):
+    """One hop timed from scratch at its quantized (length, load) key."""
+    if wirelength_um <= 0.0:
+        return 0.0, 0.0
+    length = round(wirelength_um * 4.0) / 4.0 * chain_length_factor()
+    load = round(load_ff * 20.0) / 20.0
+    rc = edge_rc_tree(
+        [Point(0.0, 0.0), Point(length, 0.0)], library.wire(corner), load
+    )
+    return d2m_delays(rc)["sink"], elmore_delays(rc)["sink"]
+
+
+def assert_luts_equal(got, expected):
+    """Every LUTuniform and LUTdetail value equal, bit for bit."""
+    assert got.keys() == expected.keys()
+    for name, lut in got.items():
+        ref = expected[name]
+        assert (lut.sizes, lut.wl_axis) == (ref.sizes, ref.wl_axis)
+        assert lut.uniform == ref.uniform, name
+        assert lut.uniform_slew == ref.uniform_slew, name
+        assert lut.detail == ref.detail, name
+        assert lut.detail_slew == ref.detail_slew, name
 
 
 class TestStageDelay:
@@ -66,60 +96,87 @@ class TestHopWireDelay:
         assert 0.0 < d <= e
 
 
-class TestHopDelayCache:
+class TestHopMemo:
+    """The scalar hop lookup reads the same dense rows the kernel gathers."""
+
     def test_hit_returns_cached_value(self, library_cls1):
         corner = library_cls1.corners.nominal
-        cache = HopDelayCache(max_entries=4)
-        first = cache.metrics(library_cls1, corner, 80.0, 4.0)
-        again = cache.metrics(library_cls1, corner, 80.0, 4.0)
-        assert again == first
-        assert cache.hits == 1
-        assert cache.misses == 1
-        assert cache.evictions == 0
+        clear_hop_cache()
+        first = hop_wire_delay(library_cls1, corner, 80.0, 4.0)
+        (row,) = stage_lut._HOP_ROWS.values()
+        assert row.filled.sum() == 1
+        assert hop_wire_delay(library_cls1, corner, 80.0, 4.0) == first
+        assert row.filled.sum() == 1
+        assert all(type(v) is float for v in first)
 
     def test_quantized_keys_share_entries(self, library_cls1):
         corner = library_cls1.corners.nominal
-        cache = HopDelayCache(max_entries=4)
-        cache.metrics(library_cls1, corner, 80.0, 4.0)
-        # 80.1 um rounds to the same 0.25-um bucket as 80.0.
-        cache.metrics(library_cls1, corner, 80.1, 4.0)
-        assert cache.hits == 1
-
-    def test_eviction_is_bounded_and_counted(self, library_cls1):
-        """Overfilling drops the oldest half instead of growing forever."""
-        corner = library_cls1.corners.nominal
-        cache = HopDelayCache(max_entries=4)
-        for wl in (10.0, 20.0, 30.0, 40.0, 50.0):
-            cache.metrics(library_cls1, corner, wl, 4.0)
-        assert len(cache) <= 4
-        assert cache.evictions == 2
-        # The oldest entries (10, 20) were dropped; recent ones survive.
-        cache.metrics(library_cls1, corner, 50.0, 4.0)
-        assert cache.hits == 1
-        cache.metrics(library_cls1, corner, 10.0, 4.0)
-        assert cache.misses == 6
-
-    def test_hit_refreshes_lru_position(self, library_cls1):
-        corner = library_cls1.corners.nominal
-        cache = HopDelayCache(max_entries=4)
-        for wl in (10.0, 20.0, 30.0, 40.0):
-            cache.metrics(library_cls1, corner, wl, 4.0)
-        # Touch the oldest entry, then overflow: it must survive the purge.
-        cache.metrics(library_cls1, corner, 10.0, 4.0)
-        cache.metrics(library_cls1, corner, 50.0, 4.0)
-        cache.metrics(library_cls1, corner, 10.0, 4.0)
-        assert cache.hits == 2
+        clear_hop_cache()
+        first = hop_wire_delay(library_cls1, corner, 80.0, 4.0)
+        # 80.1 um rounds to the same 0.25-um bucket as 80.0, and 4.01 fF
+        # to the same 0.05-fF load.
+        assert hop_wire_delay(library_cls1, corner, 80.1, 4.01) == first
+        (row,) = stage_lut._HOP_ROWS.values()
+        assert row.filled.sum() == 1
 
     def test_values_match_uncached_compute(self, library_cls1):
         corner = library_cls1.corners.nominal
-        cache = HopDelayCache(max_entries=4)
-        assert cache.metrics(library_cls1, corner, 120.0, 6.0) == hop_wire_delay(
+        clear_hop_cache()
+        assert hop_wire_delay(library_cls1, corner, 120.0, 6.0) == _hop_at_key(
             library_cls1, corner, 120.0, 6.0
         )
 
-    def test_rejects_degenerate_capacity(self):
-        with pytest.raises(ValueError):
-            HopDelayCache(max_entries=1)
+    @pytest.mark.parametrize("scalar_first", [True, False])
+    def test_scalar_equals_gathered_across_bucket_edge(
+        self, library_cls1, scalar_first
+    ):
+        """x.125 sits on a bucket edge (x4 = n + 0.5, rounds half to even)."""
+        corner = library_cls1.corners.nominal
+        lengths = [80.12499, 80.125, 80.12501, 80.375, 80.37501]
+        loads = (4.0, 6.3)
+        clear_hop_cache()
+        if scalar_first:
+            scalar = [
+                [hop_wire_delay(library_cls1, corner, wl, load) for wl in lengths]
+                for load in loads
+            ]
+        delay, elmore = hop_wire_delays(
+            library_cls1, corner, np.asarray(lengths), loads
+        )
+        if not scalar_first:
+            scalar = [
+                [hop_wire_delay(library_cls1, corner, wl, load) for wl in lengths]
+                for load in loads
+            ]
+        gathered = [list(zip(d, e)) for d, e in zip(delay.tolist(), elmore.tolist())]
+        assert gathered == scalar
+        # Three buckets per load: 320 (both sides of 80.125), 321, 322.
+        assert sum(int(row.filled.sum()) for row in stage_lut._HOP_ROWS.values()) == 6
+
+    def test_scalar_equals_gathered_under_a_quarter_bucket(self, library_cls1):
+        """Bucket 0 is the zero-length RC net, not the zero-length short cut."""
+        corner = library_cls1.corners.nominal
+        clear_hop_cache()
+        scalar = [hop_wire_delay(library_cls1, corner, wl, 4.0) for wl in (0.05, 0.125)]
+        assert scalar[0] == scalar[1] == _hop_at_key(library_cls1, corner, 0.05, 4.0)
+        (row,) = stage_lut._HOP_ROWS.values()
+        assert row.filled.tolist().index(True) == 0 and row.filled.sum() == 1
+        clear_hop_cache()
+        delay, elmore = hop_wire_delays(
+            library_cls1, corner, np.asarray([0.05, 0.125]), (4.0,)
+        )
+        assert list(zip(delay[0].tolist(), elmore[0].tolist())) == scalar
+
+    def test_zero_length_short_cut(self, library_cls1):
+        corner = library_cls1.corners.nominal
+        clear_hop_cache()
+        assert hop_wire_delay(library_cls1, corner, 0.0, 4.0) == (0.0, 0.0)
+        assert hop_wire_delay(library_cls1, corner, -3.0, 4.0) == (0.0, 0.0)
+        assert not stage_lut._HOP_ROWS
+        delay, elmore = hop_wire_delays(
+            library_cls1, corner, np.asarray([0.0]), (4.0,)
+        )
+        assert delay.tolist() == [[0.0]] and elmore.tolist() == [[0.0]]
 
 
 class TestHopWireDelays:
@@ -127,9 +184,8 @@ class TestHopWireDelays:
 
     @staticmethod
     def _expected(library, corner, lengths, loads):
-        fresh = HopDelayCache()
         pairs = [
-            [fresh.metrics(library, corner, length, load) for length in lengths]
+            [_hop_at_key(library, corner, length, load) for length in lengths]
             for load in loads
         ]
         return (
@@ -190,35 +246,34 @@ class TestHopWireDelays:
         )
 
     def test_clear_hop_cache_empties_both_memos(self, library_cls1):
+        """Scalar and gathered hops land in the one memo; clearing empties it."""
         corner = library_cls1.corners.nominal
-        hop_wire_delays(library_cls1, corner, np.asarray([50.0]), (4.0,))
-        assert stage_lut._HOP_ROWS and len(stage_lut._HOP_CACHE) > 0
+        clear_hop_cache()
+        hop_wire_delay(library_cls1, corner, 50.0, 4.0)
+        hop_wire_delays(library_cls1, corner, np.asarray([60.0]), (4.0, 5.0))
+        assert len(stage_lut._HOP_ROWS) == 2
         clear_hop_cache()
         assert not stage_lut._HOP_ROWS
-        assert len(stage_lut._HOP_CACHE) == 0
 
 
 class TestCharacterization:
     @pytest.fixture(scope="class")
-    def luts(self, library_cls1):
-        # Small sweep to keep the test fast; full axis is bench territory.
-        return characterize_stage_luts(
-            library_cls1, sizes=(4, 16), wl_axis=(10.0, 60.0, 120.0)
-        )
+    def luts(self, stage_luts):
+        return stage_luts
 
     def test_one_lut_per_corner(self, luts, library_cls1):
         assert set(luts) == {c.name for c in library_cls1.corners}
 
-    def test_uniform_entries_complete(self, luts):
+    def test_uniform_entries_complete(self, luts, library_cls1):
         lut = luts["c0"]
         assert set(lut.uniform) == {
-            (s, w) for s in (4, 16) for w in (10.0, 60.0, 120.0)
+            (s, w) for s in library_cls1.sizes for w in DEFAULT_WL_AXIS
         }
 
     def test_snap_wl(self, luts):
         lut = luts["c0"]
         assert lut.snap_wl(58.0) == 60.0
-        assert lut.snap_wl(500.0) == 120.0
+        assert lut.snap_wl(500.0) == 200.0
         assert lut.snap_wl(0.0) == 10.0
 
     def test_uniform_delay_accessor(self, luts):
@@ -237,3 +292,63 @@ class TestCharacterization:
         assert DEFAULT_WL_AXIS[-1] == 200.0
         assert DEFAULT_WL_AXIS[1] - DEFAULT_WL_AXIS[0] == 5.0
         assert len(DEFAULT_WL_AXIS) == 39
+
+
+class TestBatchedCharacterization:
+    """The array evaluator against the scalar loops, with exact ``==``."""
+
+    @pytest.mark.parametrize("name", sorted(PARITY_LIBRARIES))
+    def test_full_axes_equal_oracle(self, name):
+        library = PARITY_LIBRARIES[name]()
+        clear_hop_cache()
+        expected = reference_stage_luts(library)
+        clear_hop_cache()
+        assert_luts_equal(characterize_stage_luts(library), expected)
+
+    def test_iteration_cap_keeps_last_values(self, monkeypatch, library_cls1):
+        """Lanes cut off by the cap still equal ``steady_state_stage``."""
+        sizes = (2, 8, 32)
+        axis = DEFAULT_WL_AXIS[::4]
+        settled = characterize_stage_luts(library_cls1, sizes=sizes, wl_axis=axis)
+        monkeypatch.setattr(stage_lut, "_MAX_FIXED_POINT_ITERS", 2)
+        capped = characterize_stage_luts(library_cls1, sizes=sizes, wl_axis=axis)
+        assert_luts_equal(
+            capped, reference_stage_luts(library_cls1, sizes=sizes, wl_axis=axis)
+        )
+        # The cap bites on some lanes and not on others.
+        same = [
+            capped[c].uniform_slew[k] == settled[c].uniform_slew[k]
+            for c in capped
+            for k in capped[c].uniform_slew
+        ]
+        assert any(same) and not all(same)
+
+    def test_irregular_lanes_equal_scalar(self, library_cls1):
+        """Off-grid, clamped, zero and sub-bucket lanes, broadcast together."""
+        rng = np.random.default_rng(3)
+        wl = np.concatenate([[0.0, 0.05, 0.125, 12.5, 80.125], rng.uniform(0, 260, 15)])
+        slew = rng.uniform(0.0, 220.0, wl.size)
+        load = np.concatenate([[0.0, 0.3], rng.uniform(0.0, 120.0, wl.size - 2)])
+        for corner in library_cls1.corners:
+            for size in library_cls1.sizes:
+                delay, out_slew = stage_delays(library_cls1, corner, size, wl, slew, load)
+                expected = [
+                    stage_delay(library_cls1, corner, size, w, s, c)
+                    for w, s, c in zip(wl.tolist(), slew.tolist(), load.tolist())
+                ]
+                assert list(zip(delay.tolist(), out_slew.tolist())) == expected
+        grid_d, grid_s = stage_delays(
+            library_cls1, corner, 8, wl[:, None], 20.0, load[None, :3]
+        )
+        assert grid_d.shape == grid_s.shape == (wl.size, 3)
+        assert grid_d[4, 2] == stage_delay(library_cls1, corner, 8, wl[4], 20.0, load[2])[0]
+
+    @pytest.mark.parametrize(
+        "slew, load", [(-1.0, 4.0), (20.0, -100.0), (20.0, -1.0)]
+    )
+    def test_negative_slew_or_load_raises(self, library_cls1, slew, load):
+        corner = library_cls1.corners.nominal
+        with pytest.raises(ValueError):
+            stage_delay(library_cls1, corner, 8, 50.0, slew, load)
+        with pytest.raises(ValueError):
+            stage_delays(library_cls1, corner, 8, [50.0, 60.0], [20.0, slew], load)
