@@ -416,7 +416,9 @@ def cmd_report(args: argparse.Namespace) -> int:
     """Summarize a ``--trace-out`` JSONL trace (phases, hotspots, caches).
 
     Degrades gracefully: an unreadable, meta-less or zero-span trace
-    prints one clear message and exits 2 instead of raising.
+    prints one clear message and exits 2 instead of raising.  A failed
+    check (``--validate``, ``--compare-tree`` or the structural check
+    of a ``--chrome-out`` export) lists its errors and exits 1.
     """
     from repro.obs.merge import span_tree
     from repro.obs.report import render_report
@@ -488,9 +490,15 @@ def cmd_report(args: argparse.Namespace) -> int:
             return 1
         print(f"span trees identical ({len(mine)} paths)")
     if args.chrome_out:
-        from repro.obs.export import write_chrome_trace
+        from repro.obs.export import validate_chrome_trace, write_chrome_trace
 
         count = write_chrome_trace(events, args.chrome_out)
+        with open(args.chrome_out) as handle:
+            errors = validate_chrome_trace(json.load(handle))
+        if errors:
+            for error in errors:
+                print(f"{args.chrome_out}: {error}", file=sys.stderr)
+            return 1
         print(
             f"Chrome trace-event JSON written to {args.chrome_out} "
             f"({count} events; load in Perfetto or chrome://tracing)"
@@ -680,7 +688,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="OUT.json",
         help=(
             "also export the trace as Chrome trace-event JSON "
-            "(loads in Perfetto / chrome://tracing)"
+            "(loads in Perfetto / chrome://tracing); exits 1 if the "
+            "written export fails its structural check"
         ),
     )
 

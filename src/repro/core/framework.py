@@ -36,7 +36,7 @@ from repro.core.ml.training import DeltaLatencyPredictor
 from repro.core.objective import SkewVariationProblem
 from repro.netlist.tree import ClockTree
 from repro.obs.merge import merge_worker_events
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import emit_stats, merge_stats
 from repro.obs.trace import active as active_tracer
 from repro.sta.timer import TimingResult
 from repro.tech.ratio_bounds import RatioBounds, fit_all_ratio_bounds
@@ -340,8 +340,8 @@ class GlobalOptimizer:
         total_committed = 0
         total_reverted = 0
         last_bound = 0.0
-        registry = MetricsRegistry()
-        registry.absorb({"eco": {}})  # keep the key on no-op runs
+        # Keep the key on no-op runs.
+        run_stats: Dict[str, object] = {"eco": {}}
         tracer = active_tracer()
 
         with tracer.span("global_opt", phase="global") as run_span:
@@ -385,7 +385,7 @@ class GlobalOptimizer:
                         # Every sweep point did its candidate-search work
                         # whether or not it wins the fold; account for
                         # all of it.
-                        registry.absorb({"eco": point_eco})
+                        merge_stats(run_stats, {"eco": point_eco})
                         if (
                             result_u.total_variation
                             < best_result.total_variation
@@ -415,7 +415,7 @@ class GlobalOptimizer:
                 committed=total_committed,
                 reverted=total_reverted,
             )
-        registry.emit(tracer, prefix="global_opt")
+        emit_stats(tracer, run_stats, "global_opt")
 
         return GlobalOptResult(
             tree=current,
@@ -425,7 +425,7 @@ class GlobalOptimizer:
             arcs_realized=total_arcs,
             batches_committed=total_committed,
             batches_reverted=total_reverted,
-            stats=registry.snapshot(),
+            stats=run_stats,
         )
 
     # ------------------------------------------------------------------

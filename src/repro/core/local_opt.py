@@ -31,14 +31,13 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.core.instrument import StageTimers
 from repro.core.ml.features import SIDE_EFFECT_VARIANT, MoveFeatures
 from repro.core.ml.pipeline import CandidatePipeline
 from repro.core.ml.training import DeltaLatencyPredictor
 from repro.core.moves import Move, MoveType, enumerate_moves
 from repro.core.objective import SkewVariationProblem
 from repro.netlist.tree import ClockTree
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import StageTimers, emit_stats
 from repro.obs.trace import active as active_tracer
 from repro.sta.skew import worst_pair_variation
 from repro.sta.timer import TimingResult
@@ -219,23 +218,20 @@ class LocalOptimizer:
             if verifier is not None:
                 verifier.close()
 
-        registry = MetricsRegistry()
-        registry.absorb({"stage": timers.as_dict()})
-        registry.set("pipeline", pipeline.cache_stats())
-        registry.absorb({"engine": dict(problem.engine().stats)})
-        registry.set(
-            "parallel", verifier.stats_dict() if verifier is not None else None
-        )
-        registry.set(
-            "workers",
-            {
+        # Every part is a fresh copy, so ``stats`` never aliases the
+        # live engine, pipeline or pool counters.
+        stats: Dict[str, object] = {
+            "stage": timers.as_dict(),
+            "pipeline": pipeline.cache_stats(),
+            "engine": dict(problem.engine().stats),
+            "parallel": verifier.stats_dict() if verifier is not None else None,
+            "workers": {
                 "requested": cfg.workers,
                 "effective": workers,
                 "note": workers_note,
             },
-        )
-        stats: Dict[str, object] = registry.snapshot()
-        registry.emit(tracer, prefix="local_opt")
+        }
+        emit_stats(tracer, stats, "local_opt")
         return LocalOptResult(
             tree=current,
             history=history,

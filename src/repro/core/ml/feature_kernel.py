@@ -58,7 +58,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.instrument import StageTimers
 from repro.core.ml.analytical import (
     ESTIMATE_SEGMENT_UM,
     AnalyticalCache,
@@ -78,6 +77,7 @@ from repro.core.ml.features import (
 from repro.core.moves import Move, MoveType
 from repro.geometry import BBox, path_length
 from repro.netlist.tree import ClockTree
+from repro.obs.metrics import StageTimers
 from repro.sta.d2m import LN2
 from repro.sta.gate import GATE_LOAD_QUANTUM_FF, GATE_SLEW_QUANTUM_PS
 from repro.sta.slew import LN9

@@ -44,7 +44,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.core.instrument import StageTimers
+from repro.obs.metrics import StageTimers
 from repro.route.congestion import chain_length_factor
 from repro.sta.signoff import (
     LOAD_GAIN,
@@ -55,7 +55,7 @@ from repro.sta.signoff import (
     SLEW_SCALE_PS,
 )
 from repro.sta.slew import LN9
-from repro.tech.cells import NLDMTable, _blend, _memo_tanh, _vector_weights
+from repro.tech.cells import _blend, _memo_tanh, _vector_weights
 from repro.tech.library import Library
 from repro.tech.stage_lut import StageDelayLUT, hop_wire_delays
 
@@ -105,16 +105,6 @@ def _scalar_weights(axis: np.ndarray, x: float) -> Tuple[int, float]:
     i = int(np.searchsorted(axis, c, side="right") - 1)
     i = min(max(i, 0), axis.size - 2)
     return i, (c - axis[i]) / (axis[i + 1] - axis[i])
-
-
-def _lookup_load_vec(
-    table: NLDMTable, slew: float, load: np.ndarray
-) -> np.ndarray:
-    """:meth:`NLDMTable.lookup` at one slew over a vector of loads."""
-    n_load = table.load_grid.size
-    si, u = _scalar_weights(table.slew_grid, slew)
-    ci, t = _vector_weights(table.load_grid, load)
-    return _blend(table.value_grid.reshape(-1), si * n_load + ci, n_load, u, t)
 
 
 class ECOCandidateKernel:
@@ -366,8 +356,8 @@ class ECOCandidateKernel:
             )
             seg = lib.wire(corner).cap_per_um * (lengths * routed)
             load = np.maximum((base + seg) + pins, 0.0)
-            d2 = _lookup_load_vec(cell_start.delay_table, s1, load)
-            s2 = _lookup_load_vec(cell_start.slew_table, s1, load)
+            d2 = cell_start.delay_table.lookup_array(s1, load)
+            s2 = cell_start.slew_table.lookup_array(s1, load)
             load_term = LOAD_GAIN * self._tanh(load / LOAD_SCALE_FF) * sqrt_ref
             factor = 1.0 + load_term - slew_term
             pair = (d1 + d2) * factor

@@ -1,13 +1,13 @@
-"""Unified observability layer: span tracing, metrics, worker merging.
+"""Unified observability layer: span tracing, run stats, worker merging.
 
-Public surface:
+Modules (import them directly; the package re-exports nothing):
 
 * :mod:`repro.obs.trace` — :class:`Tracer`/:class:`Span` context
   managers emitting JSONL events; process-wide :func:`active` tracer
   (a no-op :class:`NullTracer` unless a run is traced);
-* :mod:`repro.obs.metrics` — typed :class:`MetricsRegistry`
-  (counters/gauges/timers with labels) that absorbs the per-phase stats
-  payloads and emits them into traces;
+* :mod:`repro.obs.metrics` — the flows' run stats: :class:`StageTimers`,
+  :func:`merge_stats`, and :func:`emit_stats`, which streams a finished
+  ``.stats`` dict into a trace as ``metric`` events;
 * :mod:`repro.obs.merge` — worker-lane event merging and the canonical
   :func:`span_tree` used by the CI determinism check;
 * :mod:`repro.obs.schema` — trace event validation (v1);
@@ -17,65 +17,10 @@ Public surface:
   trace lane;
 * :mod:`repro.obs.profile` — :class:`SpanProfiler`, opt-in cProfile
   wrapping of glob-matched spans with flamegraph/top-N sidecars;
-* :mod:`repro.obs.export` — Chrome trace-event JSON (Perfetto) and
-  Prometheus text exporters;
+* :mod:`repro.obs.export` — Chrome trace-event JSON (Perfetto) export
+  and its structural check;
 * :mod:`repro.obs.sentinel` — trace perf-diffs by canonical span path
   and nightly bench-trend drift detection.
+
+``repro report`` is the one command that reads a trace file.
 """
-
-from repro.obs.trace import (
-    SCHEMA_VERSION,
-    NullTracer,
-    Span,
-    Tracer,
-    activate,
-    active,
-    allocate_lane,
-    deactivate,
-    tracing,
-)
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.merge import load_events, merge_worker_events, span_paths, span_tree
-from repro.obs.schema import validate_event, validate_events, validate_file
-from repro.obs.report import path_self_times, render_report, render_report_file
-from repro.obs.sampler import ResourceSampler
-from repro.obs.profile import SpanProfiler
-from repro.obs.export import (
-    chrome_trace_events,
-    prometheus_text,
-    validate_chrome_trace,
-    write_chrome_trace,
-)
-from repro.obs.sentinel import perf_diff_rows, render_perf_diff, trend_rows
-
-__all__ = [
-    "SCHEMA_VERSION",
-    "NullTracer",
-    "Span",
-    "Tracer",
-    "activate",
-    "active",
-    "allocate_lane",
-    "deactivate",
-    "tracing",
-    "MetricsRegistry",
-    "load_events",
-    "merge_worker_events",
-    "span_paths",
-    "span_tree",
-    "validate_event",
-    "validate_events",
-    "validate_file",
-    "path_self_times",
-    "render_report",
-    "render_report_file",
-    "ResourceSampler",
-    "SpanProfiler",
-    "chrome_trace_events",
-    "prometheus_text",
-    "validate_chrome_trace",
-    "write_chrome_trace",
-    "perf_diff_rows",
-    "render_perf_diff",
-    "trend_rows",
-]

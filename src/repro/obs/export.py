@@ -1,4 +1,4 @@
-"""Exporters: JSONL trace -> Chrome trace-event JSON, registry -> Prometheus.
+"""Export a JSONL trace as Chrome trace-event JSON.
 
 Chrome trace-event JSON (the format Perfetto and ``chrome://tracing``
 load) maps the repro trace model as:
@@ -21,23 +21,14 @@ not wall clock; each track is internally consistent.
 exported MINI w4 trace: every event references a declared (pid, tid)
 thread, ``B``/``E`` pairs balance LIFO per thread, and every counter
 series declared monotonic (``cat == "counter"``) never decreases.
-
-Prometheus: :func:`prometheus_text` renders a
-:class:`~repro.obs.metrics.MetricsRegistry` in the text exposition
-format (``# TYPE`` comments, ``repro_``-prefixed sanitized names,
-``{label="value"}`` selectors).  Trace ``timer`` kinds map to the
-Prometheus ``counter`` type (their leaves — ``.seconds``/``.count`` —
-accumulate).
-
-Runnable: ``python -m repro.obs.export TRACE.jsonl --chrome OUT.json
-[--check]`` — exit 0 on success, 1 on validation failure, 2 on usage or
-unreadable input (the same contract as ``python -m repro.obs.schema``).
+``repro report --trace FILE --chrome-out OUT.json`` writes the export
+and runs that check on what it wrote.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 _PID = 1
 
@@ -134,7 +125,7 @@ def chrome_trace_events(
         elif kind == "metric":
             value = event.get("value", 0)
             if not isinstance(value, (int, float)) or isinstance(value, bool):
-                continue  # raw "set" payloads have no counter-track shape
+                continue  # non-numeric values have no counter-track shape
             out.append(
                 {
                     "ph": "C",
@@ -231,97 +222,3 @@ def validate_chrome_trace(payload: Mapping[str, object]) -> List[str]:
         for name in stack:
             errors.append(f"thread {key}: B {name!r} never closed")
     return errors
-
-
-# ----------------------------------------------------------------------
-# Prometheus text exposition
-# ----------------------------------------------------------------------
-def _prom_name(name: str, prefix: str) -> str:
-    safe = "".join(
-        ch if ch.isalnum() or ch == "_" else "_" for ch in name
-    )
-    return f"{prefix}{safe}"
-
-
-def _prom_labels(labels: Mapping[str, object]) -> str:
-    if not labels:
-        return ""
-    inner = ",".join(
-        '{}="{}"'.format(
-            "".join(ch if ch.isalnum() or ch == "_" else "_" for ch in str(k)),
-            str(v).replace("\\", "\\\\").replace('"', '\\"'),
-        )
-        for k, v in sorted(labels.items(), key=lambda item: str(item[0]))
-    )
-    return f"{{{inner}}}"
-
-
-_PROM_TYPES = {"counter": "counter", "gauge": "gauge", "timer": "counter"}
-
-
-def prometheus_text(registry, prefix: str = "repro_") -> str:
-    """Render a MetricsRegistry in the Prometheus text exposition format."""
-    by_name: Dict[str, Tuple[str, List[Tuple[str, float]]]] = {}
-    samples = [
-        (name, kind, value, {}) for name, kind, value in registry.metrics()
-    ] + list(registry.labeled_metrics())
-    for name, kind, value, labels in samples:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            continue  # "set" payloads (strings, lists) are not exposable
-        prom = _prom_name(name, prefix)
-        entry = by_name.setdefault(prom, (_PROM_TYPES.get(kind, "gauge"), []))
-        entry[1].append((_prom_labels(labels or {}), float(value)))
-    lines: List[str] = []
-    for prom in sorted(by_name):
-        prom_type, samples = by_name[prom]
-        lines.append(f"# TYPE {prom} {prom_type}")
-        for label_text, value in sorted(samples):
-            rendered = repr(value) if value != int(value) else str(int(value))
-            lines.append(f"{prom}{label_text} {rendered}")
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-# ----------------------------------------------------------------------
-# CLI entry point
-# ----------------------------------------------------------------------
-def main(argv: Optional[List[str]] = None) -> int:
-    import argparse
-
-    from repro.obs.merge import load_events
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.obs.export",
-        description="Export a JSONL trace to Chrome trace-event JSON.",
-    )
-    parser.add_argument("trace", help="input JSONL trace")
-    parser.add_argument(
-        "--chrome", required=True, metavar="OUT.json",
-        help="Chrome trace-event JSON output path",
-    )
-    parser.add_argument(
-        "--check", action="store_true",
-        help="validate the exported payload and fail on errors",
-    )
-    args = parser.parse_args(argv)
-    try:
-        events = load_events(args.trace)
-    except OSError as exc:
-        print(f"cannot read trace {args.trace!r}: {exc}")
-        return 2
-    count = write_chrome_trace(events, args.chrome)
-    print(f"{args.chrome}: {count} Chrome trace events")
-    if args.check:
-        with open(args.chrome) as handle:
-            payload = json.load(handle)
-        errors = validate_chrome_trace(payload)
-        for error in errors:
-            print(f"{args.chrome}: {error}")
-        if errors:
-            print(f"{args.chrome}: INVALID ({len(errors)} error(s))")
-            return 1
-        print(f"{args.chrome}: OK")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

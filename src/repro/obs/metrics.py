@@ -1,180 +1,145 @@
-"""Typed metrics registry: counters, gauges and timers with labels.
+"""Run stats: per-stage timers, stats merging, and their trace emission.
 
-:class:`MetricsRegistry` is the single aggregation surface for the
-per-phase stats payloads that used to be hand-assembled dicts scattered
-across ``LocalOptResult``, ``GlobalOptResult``, the candidate pipeline
-and the kernel caches.  It supports two usage styles:
+The flows report their observability payload as plain nested dicts
+(``GlobalOptResult.stats``, ``LocalOptResult.stats``).  This module
+holds the three pieces they are built from:
 
-* typed point updates — ``reg.count("pool.crashes")``,
-  ``reg.gauge("overhead_pct", 1.3)``, ``with reg.timer("featurize"): ...``;
-* bulk absorption — ``reg.absorb({"eco": eco_stats})`` folds an existing
-  nested stats dict in with :func:`repro.core.instrument.merge_stats`
-  semantics (numbers add, dicts merge, kind collisions become explicit).
+* :class:`StageTimers` accumulates wall-clock time and invocation counts
+  per named stage with context-manager ergonomics::
 
-``snapshot()`` returns the nested JSON-ready dict the result objects
-expose as ``.stats`` (shape-compatible with the pre-registry payloads),
-and ``emit()`` streams every numeric leaf into a tracer as ``metric``
-events so trace files carry the run's counters alongside its spans.
+      timers = StageTimers(phase="local")
+      with timers.stage("featurize"):
+          ...
+
+  The numbers are cheap enough to leave on unconditionally.  Each stage
+  also opens a span on the active tracer (:func:`repro.obs.trace.active`),
+  so traced runs get a span per stage invocation for free; untraced runs
+  hit the no-op tracer.
+* :func:`merge_stats` folds one stats dict into another (numbers add,
+  dicts merge, kind collisions become explicit), which is how the global
+  flow aggregates its sweep points.
+* :func:`emit_stats` streams every numeric leaf of a finished stats dict
+  into a tracer as ``metric`` events, so trace files carry the run's
+  counters alongside its spans.
 """
 
 from __future__ import annotations
 
-import copy
+import time
 from contextlib import contextmanager
-from time import perf_counter
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, Iterator, Mapping, Optional
 
-_LabelKey = Tuple[Tuple[str, object], ...]
+from repro.obs.trace import active as _active_tracer
+
+#: Key marking a merge collision node (see :func:`merge_stats`).
+COLLISION_KEY = "__collision__"
 
 
 def _is_number(value: object) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-class MetricsRegistry:
-    """Nested, typed metric store addressed by dotted paths."""
+def _kind(value: object) -> str:
+    if isinstance(value, Mapping):
+        return "mapping"
+    if _is_number(value):
+        return "number"
+    return "other"
 
-    def __init__(self) -> None:
-        self._root: Dict[str, object] = {}
-        self._kinds: Dict[str, str] = {}
-        self._labeled: Dict[Tuple[str, _LabelKey], float] = {}
-        self._labeled_kinds: Dict[str, str] = {}
 
-    # ------------------------------------------------------------------
-    # Path plumbing
-    # ------------------------------------------------------------------
-    def _node(self, path: List[str]) -> Dict[str, object]:
-        node = self._root
-        for part in path:
-            child = node.get(part)
-            if not isinstance(child, dict):
-                child = {}
-                node[part] = child
-            node = child
-        return node
+def merge_stats(dst: Dict[str, object], src: Mapping[str, object]) -> Dict[str, object]:
+    """Recursively fold ``src`` into ``dst``: numbers add, dicts merge.
 
-    def _put(self, name: str, value: object, kind: str, add: bool) -> None:
-        parts = name.split(".")
-        node = self._node(parts[:-1])
-        leaf = parts[-1]
-        if add and _is_number(node.get(leaf)) and _is_number(value):
-            node[leaf] = node[leaf] + value
+    Non-numeric leaves of the *same* kind (labels, flags) take
+    ``src``'s value.  A *kind* collision — a number meeting a string, a
+    dict meeting a scalar (e.g. a worker's note string landing on an int
+    counter) — is made explicit instead of silently overwriting: the
+    slot becomes ``{COLLISION_KEY: [first, second, ...]}`` so the
+    conflicting values survive for inspection and later merges append
+    to the list.  Used to aggregate per-phase stats payloads across
+    sweep points, workers, and iterations; returns ``dst`` for chaining.
+    """
+    for key, value in src.items():
+        if key not in dst:
+            if isinstance(value, Mapping):
+                node: Dict[str, object] = {}
+                dst[key] = node
+                merge_stats(node, value)
+            else:
+                dst[key] = value
+            continue
+        existing = dst[key]
+        if isinstance(existing, dict) and COLLISION_KEY in existing:
+            existing[COLLISION_KEY].append(
+                dict(value) if isinstance(value, Mapping) else value
+            )
+            continue
+        if isinstance(value, Mapping) and isinstance(existing, dict):
+            merge_stats(existing, value)
+        elif _is_number(value) and _is_number(existing):
+            dst[key] = existing + value
+        elif _kind(value) == _kind(existing):
+            dst[key] = value
         else:
-            node[leaf] = value
-        self._kinds[name] = kind
+            dst[key] = {
+                COLLISION_KEY: [
+                    existing,
+                    dict(value) if isinstance(value, Mapping) else value,
+                ]
+            }
+    return dst
 
-    # ------------------------------------------------------------------
-    # Typed updates
-    # ------------------------------------------------------------------
-    def count(self, name: str, value: float = 1, **labels: object) -> None:
-        """Monotonic counter: adds ``value`` (default 1)."""
-        if labels:
-            self._labeled_update(name, value, "counter", labels, add=True)
-            return
-        self._put(name, value, "counter", add=True)
 
-    def gauge(self, name: str, value: object, **labels: object) -> None:
-        """Gauge: last write wins."""
-        if labels:
-            self._labeled_update(name, value, "gauge", labels, add=False)
-            return
-        self._put(name, value, "gauge", add=False)
+class StageTimers:
+    """Accumulates elapsed seconds and call counts per stage name.
+
+    ``phase`` labels the spans this accumulator mirrors onto the active
+    tracer (``None`` leaves them unlabeled).
+    """
+
+    def __init__(self, phase: Optional[str] = None) -> None:
+        self.seconds: Dict[str, float] = {}
+        self.counts: Dict[str, int] = {}
+        self.phase = phase
 
     @contextmanager
-    def timer(self, name: str) -> Iterator[None]:
-        """Timer: accumulates ``<name>.seconds`` and ``<name>.count``."""
-        start = perf_counter()
-        try:
-            yield
-        finally:
-            elapsed = perf_counter() - start
-            self._put(f"{name}.seconds", elapsed, "timer", add=True)
-            self._put(f"{name}.count", 1, "timer", add=True)
+    def stage(self, name: str) -> Iterator[None]:
+        with _active_tracer().span(name, phase=self.phase):
+            start = time.perf_counter()
+            try:
+                yield
+            finally:
+                elapsed = time.perf_counter() - start
+                self.seconds[name] = self.seconds.get(name, 0.0) + elapsed
+                self.counts[name] = self.counts.get(name, 0) + 1
 
-    def set(self, name: str, value: object) -> None:
-        """Raw set: used for non-numeric payloads (notes, None markers)."""
-        self._put(name, value, "gauge", add=False)
+    def as_dict(self) -> Dict[str, Dict[str, float]]:
+        """JSON-friendly snapshot: ``{"seconds": {...}, "counts": {...}}``."""
+        return {
+            "seconds": {k: round(v, 6) for k, v in sorted(self.seconds.items())},
+            "counts": dict(sorted(self.counts.items())),
+        }
 
-    def _labeled_update(
-        self, name: str, value: object, kind: str, labels: Mapping[str, object],
-        add: bool,
-    ) -> None:
-        key = (name, tuple(sorted(labels.items())))
-        if add and _is_number(self._labeled.get(key)) and _is_number(value):
-            self._labeled[key] = self._labeled[key] + value  # type: ignore[operator]
-        else:
-            self._labeled[key] = value  # type: ignore[assignment]
-        self._labeled_kinds[name] = kind
 
-    # ------------------------------------------------------------------
-    # Bulk absorption of legacy stats payloads
-    # ------------------------------------------------------------------
-    def absorb(self, payload: Mapping[str, object], prefix: str = "") -> None:
-        """Fold a nested stats dict in (numbers add, dicts merge).
+def emit_stats(tracer, stats: Mapping[str, object], prefix: str) -> None:
+    """Stream every numeric leaf of ``stats`` into ``tracer`` as a metric.
 
-        Uses :func:`repro.core.instrument.merge_stats`, so repeated
-        absorption across sweep points / iterations / workers aggregates
-        exactly the way the pre-registry code did — including the
-        explicit collision marker on kind mismatches.
-        """
-        from repro.core.instrument import merge_stats
+    Nested mappings are walked in ``sorted(key=str)`` order and each leaf
+    is named ``<prefix>.<dotted path>``: ints emit as ``counter``, floats
+    as ``gauge``.  Bools, ``None``, strings and :data:`COLLISION_KEY`
+    lists are skipped.  A disabled tracer emits nothing.
+    """
+    if not tracer.enabled:
+        return
 
-        node = self._node(prefix.split(".")) if prefix else self._root
-        merge_stats(node, payload)
+    def walk(node: Mapping[str, object], path: str) -> None:
+        for key in sorted(node, key=str):
+            value = node[key]
+            name = f"{path}.{key}"
+            if isinstance(value, Mapping):
+                walk(value, name)
+            elif _is_number(value):
+                kind = "counter" if isinstance(value, int) else "gauge"
+                tracer.metric(name, value, kind=kind)
 
-    # ------------------------------------------------------------------
-    # Read side
-    # ------------------------------------------------------------------
-    def snapshot(self) -> Dict[str, object]:
-        """Deep-copied nested dict of everything absorbed/recorded."""
-        return copy.deepcopy(self._root)
-
-    def metrics(self) -> List[Tuple[str, str, float]]:
-        """Flat, sorted ``(dotted_name, kind, value)`` numeric leaves."""
-        out: List[Tuple[str, str, float]] = []
-
-        def walk(node: Mapping[str, object], path: str) -> None:
-            for key in sorted(node, key=str):
-                value = node[key]
-                name = f"{path}.{key}" if path else str(key)
-                if isinstance(value, Mapping):
-                    walk(value, name)
-                elif _is_number(value):
-                    kind = self._kinds.get(
-                        name, "counter" if isinstance(value, int) else "gauge"
-                    )
-                    if kind not in ("counter", "gauge", "timer"):
-                        kind = "gauge"
-                    out.append((name, kind, value))
-
-        walk(self._root, "")
-        return out
-
-    def labeled_metrics(
-        self,
-    ) -> List[Tuple[str, str, float, Dict[str, object]]]:
-        """Flat ``(name, kind, value, labels)`` for labeled series."""
-        out = []
-        for (name, label_key), value in sorted(
-            self._labeled.items(), key=lambda item: (item[0][0], str(item[0][1]))
-        ):
-            if _is_number(value):
-                out.append(
-                    (name, self._labeled_kinds[name], value, dict(label_key))
-                )
-        return out
-
-    def emit(self, tracer, prefix: Optional[str] = None) -> int:
-        """Stream every numeric metric into ``tracer``; returns the count."""
-        if not getattr(tracer, "enabled", False):
-            return 0
-        emitted = 0
-        for name, kind, value in self.metrics():
-            full = f"{prefix}.{name}" if prefix else name
-            tracer.metric(full, value, kind=kind)
-            emitted += 1
-        for name, kind, value, labels in self.labeled_metrics():
-            full = f"{prefix}.{name}" if prefix else name
-            tracer.metric(full, value, kind=kind, labels=labels)
-            emitted += 1
-        return emitted
+    walk(stats, prefix)

@@ -8,9 +8,10 @@ trace (``--trace-out``), it prints
   minus its direct children's, so nothing double-counts;
 * the top-N hotspot span paths by total self time;
 * a cache summary assembled from ``*_hits``/``*_misses`` counter pairs
-  and ``*_hit_rate`` gauges emitted by the metrics registry.
+  and ``*_hit_rate`` gauges, as :func:`repro.obs.metrics.emit_stats`
+  streams them from the flows' ``.stats``.
 
-Rendering is a pure function of the trace file, so the committed MINI
+Rendering is a pure function of the trace events, so the committed MINI
 trace in ``tests/data/`` has a byte-stable golden report.
 """
 
@@ -19,7 +20,7 @@ from __future__ import annotations
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.analysis.report import render_table
-from repro.obs.merge import load_events, _span_index
+from repro.obs.merge import _span_index
 
 _SpanKey = Tuple[int, int]
 
@@ -213,7 +214,3 @@ def render_report(events: List[Mapping[str, object]], top: int = 10) -> str:
             )
         )
     return "\n\n".join(sections)
-
-
-def render_report_file(path: str, top: int = 10) -> str:
-    return render_report(load_events(path), top=top)

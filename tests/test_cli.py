@@ -142,7 +142,7 @@ class TestTraceCLI:
     @pytest.mark.slow
     def test_batch_trace_out_round_trip(self, capsys, tmp_path):
         from repro.obs.merge import load_events, span_tree
-        from repro.obs.schema import validate_file
+        from repro.obs.schema import validate_events
 
         trace = tmp_path / "batch.jsonl"
         code = main(
@@ -164,8 +164,9 @@ class TestTraceCLI:
         )
         assert code == 0
         assert "trace written to" in capsys.readouterr().out
-        assert validate_file(str(trace)) == []
-        tree = span_tree(load_events(str(trace)))
+        events = load_events(str(trace))
+        assert validate_events(events) == []
+        tree = span_tree(events)
         assert "batch" in tree
         assert "batch/batch_case" in tree
         assert any(path.endswith("/local_opt") for path in tree)

@@ -1,4 +1,4 @@
-"""Unit coverage for :mod:`repro.core.instrument`.
+"""Unit coverage for :func:`merge_stats` and :class:`StageTimers`.
 
 The merge-collision regression: ``merge_stats`` used to silently
 overwrite a non-numeric leaf when the incoming value had a different
@@ -9,7 +9,7 @@ nodes that keep every conflicting value.
 
 import pytest
 
-from repro.core.instrument import (
+from repro.obs.metrics import (
     COLLISION_KEY,
     StageTimers,
     merge_stats,
@@ -85,18 +85,6 @@ class TestStageTimers:
                 pass
         assert timers.counts["work"] == 3
         assert timers.seconds["work"] >= 0.0
-
-    def test_add_merges(self):
-        a = StageTimers()
-        b = StageTimers()
-        with a.stage("x"):
-            pass
-        with b.stage("x"):
-            pass
-        with b.stage("y"):
-            pass
-        a.add(b)
-        assert a.counts == {"x": 2, "y": 1}
 
     def test_as_dict_shape(self):
         timers = StageTimers(phase="local")

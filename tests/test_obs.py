@@ -1,18 +1,19 @@
-"""The observability layer: tracing, metrics, merging, schema, report."""
+"""The observability layer: tracing, run-stats emission, merging, schema, report."""
 
 import json
 
 import pytest
 
+from repro.cli import main
 from repro.obs.merge import (
     load_events,
     merge_worker_events,
     span_paths,
     span_tree,
 )
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import COLLISION_KEY, emit_stats
 from repro.obs.report import cache_rows, hotspot_rows, phase_rows, render_report
-from repro.obs.schema import validate_event, validate_events, validate_file
+from repro.obs.schema import validate_event, validate_events
 from repro.obs.trace import (
     SCHEMA_VERSION,
     NullTracer,
@@ -115,92 +116,46 @@ class TestTracer:
         deactivate()
 
 
-class TestMetricsRegistry:
-    def test_counter_adds(self):
-        reg = MetricsRegistry()
-        reg.count("pool.crashes")
-        reg.count("pool.crashes", 2)
-        assert reg.snapshot() == {"pool": {"crashes": 3}}
-
-    def test_gauge_last_write_wins(self):
-        reg = MetricsRegistry()
-        reg.gauge("overhead_pct", 1.5)
-        reg.gauge("overhead_pct", 0.5)
-        assert reg.snapshot() == {"overhead_pct": 0.5}
-
-    def test_timer_accumulates(self):
-        reg = MetricsRegistry()
-        for _ in range(2):
-            with reg.timer("stage"):
-                pass
-        snap = reg.snapshot()
-        assert snap["stage"]["count"] == 2
-        assert snap["stage"]["seconds"] >= 0.0
-
-    def test_set_allows_none_payloads(self):
-        # LocalOptResult.stats uses None markers ("parallel": None when
-        # the run was serial); the registry must reproduce them.
-        reg = MetricsRegistry()
-        reg.set("parallel", None)
-        reg.set("workers", {"requested": 1, "effective": 1, "note": "explicit"})
-        snap = reg.snapshot()
-        assert snap["parallel"] is None
-        assert snap["workers"]["effective"] == 1
-
-    def test_absorb_uses_merge_semantics(self):
-        reg = MetricsRegistry()
-        reg.absorb({"eco": {"counters": {"built": 2}}})
-        reg.absorb({"eco": {"counters": {"built": 3}, "backend": "kernel"}})
-        snap = reg.snapshot()
-        assert snap["eco"]["counters"]["built"] == 5
-        assert snap["eco"]["backend"] == "kernel"
-
-    def test_absorb_with_prefix(self):
-        reg = MetricsRegistry()
-        reg.absorb({"hits": 1}, prefix="cache.wire")
-        assert reg.snapshot() == {"cache": {"wire": {"hits": 1}}}
-
-    def test_snapshot_is_detached(self):
-        reg = MetricsRegistry()
-        reg.count("a.b")
-        snap = reg.snapshot()
-        snap["a"]["b"] = 99
-        assert reg.snapshot()["a"]["b"] == 1
-
-    def test_metrics_flat_view(self):
-        reg = MetricsRegistry()
-        reg.count("a.hits", 2)
-        reg.gauge("b", 1.5)
-        reg.set("note", "text")  # non-numeric: excluded
-        flat = reg.metrics()
-        assert ("a.hits", "counter", 2) in flat
-        assert ("b", "gauge", 1.5) in flat
-        assert all(name != "note" for name, _, _ in flat)
-
-    def test_labeled_metrics_kept_separate(self):
-        reg = MetricsRegistry()
-        reg.count("verify_tasks", 3, worker=1)
-        reg.count("verify_tasks", 4, worker=2)
-        reg.count("verify_tasks", 1, worker=1)
-        labeled = reg.labeled_metrics()
-        assert ("verify_tasks", "counter", 4, {"worker": 1}) in labeled
-        assert ("verify_tasks", "counter", 4, {"worker": 2}) in labeled
-        assert "verify_tasks" not in reg.snapshot()
-
-    def test_emit_streams_to_tracer(self):
-        reg = MetricsRegistry()
-        reg.count("hits", 2)
-        reg.gauge("rate", 0.5, cache="wire")
+class TestEmitStats:
+    def _emitted(self, stats):
         tracer = Tracer()
-        emitted = reg.emit(tracer, prefix="run")
-        assert emitted == 2
-        names = {e["name"] for e in tracer.events}
-        assert names == {"run.hits", "run.rate"}
+        emit_stats(tracer, stats, "run")
+        return [(e["name"], e["kind"], e["value"]) for e in tracer.events]
 
-    def test_emit_noop_on_null_tracer(self):
-        reg = MetricsRegistry()
-        reg.count("hits")
-        assert reg.emit(NullTracer()) == 0
+    def test_leaves_in_sorted_dotted_order(self):
+        stats = {"b": {"y": 1, "x": 2}, "a": 3, 10: {"c": 4}, 9: 5}
+        assert [name for name, _, _ in self._emitted(stats)] == [
+            "run.10.c",
+            "run.9",
+            "run.a",
+            "run.b.x",
+            "run.b.y",
+        ]
+
+    def test_ints_are_counters_and_floats_gauges(self):
+        assert self._emitted({"hits": 2, "rate": 0.5, "secs": 1.0}) == [
+            ("run.hits", "counter", 2),
+            ("run.rate", "gauge", 0.5),
+            ("run.secs", "gauge", 1.0),
+        ]
+
+    def test_non_numeric_leaves_skipped(self):
+        stats = {
+            "flag": True,
+            "parallel": None,
+            "note": "serial",
+            "workers": {"requested": "auto", "effective": 1},
+        }
+        assert self._emitted(stats) == [("run.workers.effective", "counter", 1)]
+
+    def test_collision_lists_skipped(self):
+        stats = {"note": {COLLISION_KEY: [3, "text"]}, "n": 1}
+        assert self._emitted(stats) == [("run.n", "counter", 1)]
+
+    def test_disabled_tracer_emits_nothing(self):
+        tracer = NullTracer()
+        emit_stats(tracer, {"hits": 1}, "run")
+        assert tracer.events == []
 
 
 class TestMerge:
@@ -357,19 +312,24 @@ class TestSchema:
         ]
         assert any("not in trace" in e for e in validate_events(events))
 
-    def test_validate_file(self, tmp_path):
+    def test_validate_file(self, tmp_path, capsys):
         tracer = Tracer()
+        tracer.meta(command="test")
         with tracer.span("s"):
             pass
         good = tmp_path / "good.jsonl"
         tracer.write(str(good))
-        assert validate_file(str(good)) == []
+        assert validate_events(load_events(str(good))) == []
+        assert main(["report", "--trace", str(good), "--validate"]) == 0
+        assert "schema OK" in capsys.readouterr().out
         bad = tmp_path / "bad.jsonl"
         bad.write_text("not json\n")
-        assert any("not valid JSON" in e for e in validate_file(str(bad)))
+        assert main(["report", "--trace", str(bad), "--validate"]) == 2
+        assert "not a JSONL trace" in capsys.readouterr().err
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")
-        assert any("empty trace" in e for e in validate_file(str(empty)))
+        assert main(["report", "--trace", str(empty), "--validate"]) == 2
+        assert "empty trace" in capsys.readouterr().err
 
 
 class TestReport:
@@ -516,3 +476,56 @@ class TestTracedFlows:
         _result, events = self._run(mini_problem, predictor, 1)
         for event in events:
             json.dumps(event, sort_keys=True)
+
+    def test_stats_leaves_are_the_flow_metrics(
+        self, mini_problem, mini_design, predictor
+    ):
+        """Each numeric ``.stats`` leaf is one metric event, and no more."""
+        from repro.core.framework import (
+            FrameworkConfig,
+            GlobalLocalOptimizer,
+            GlobalOptConfig,
+            TechnologyCache,
+        )
+        from repro.core.local_opt import LocalOptConfig
+
+        config = FrameworkConfig(
+            global_config=GlobalOptConfig(sweep_factors=(1.0, 1.15)),
+            local_config=LocalOptConfig(max_iterations=3),
+        )
+        with tracing() as tracer:
+            result = GlobalLocalOptimizer(
+                mini_problem,
+                predictor,
+                TechnologyCache(mini_design.library),
+                config,
+            ).run("global-local")
+
+        def leaves(node, path):
+            for key, value in node.items():
+                name = f"{path}.{key}"
+                if isinstance(value, dict):
+                    yield from leaves(value, name)
+                elif isinstance(value, (int, float)) and not isinstance(
+                    value, bool
+                ):
+                    yield name, value
+
+        expected = dict(leaves(result.global_result.stats, "global_opt"))
+        expected.update(leaves(result.local_result.stats, "local_opt"))
+        assert "global_opt.eco.counters.selects" in expected
+        assert "local_opt.stage.counts.trial" in expected
+        flow_metrics = [
+            e
+            for e in tracer.events
+            if e["type"] == "metric"
+            and e["name"].split(".")[0] in ("global_opt", "local_opt")
+            and e["name"] not in ("global_opt.objective_ps", "local_opt.objective_ps")
+        ]
+        names = [e["name"] for e in flow_metrics]
+        assert len(names) == len(set(names))
+        assert set(names) == set(expected)
+        for event in flow_metrics:
+            value = expected[event["name"]]
+            kind = "counter" if isinstance(value, int) else "gauge"
+            assert (event["kind"], event["value"]) == (kind, value), event

@@ -14,9 +14,8 @@ The contracts under test:
   writes flamegraph-ready sidecars;
 * the Chrome trace-event exporter round-trips a merged trace through
   its own validator, which catches undeclared threads, unbalanced B/E
-  and non-monotonic counters;
-* the Prometheus exporter renders both labeled and unlabeled registry
-  series;
+  and non-monotonic counters, and ``repro report --chrome-out`` fails
+  on what that validator finds;
 * the sentinel ranks an injected slowdown's exact span path as the top
   regression and flags bench-history drift in the bad direction only;
 * the CLI degrades gracefully (documented exit codes) on unreadable,
@@ -35,11 +34,9 @@ from repro.core.moves import enumerate_moves
 from repro.core.objective import SkewVariationProblem
 from repro.obs.export import (
     chrome_trace_events,
-    prometheus_text,
     validate_chrome_trace,
     write_chrome_trace,
 )
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.profile import SpanProfiler
 from repro.obs.report import path_self_times, trace_health
 from repro.obs.sampler import ResourceSampler
@@ -398,36 +395,6 @@ class TestChromeExport:
 
 
 # ----------------------------------------------------------------------
-# Prometheus text exposition
-# ----------------------------------------------------------------------
-class TestPrometheusText:
-    def test_unlabeled_and_labeled_series_render(self):
-        registry = MetricsRegistry()
-        registry.count("pool.crashes", 2)
-        registry.gauge("overhead_pct", 1.5)
-        registry.count("steals", 3, pool="verify")
-        text = prometheus_text(registry)
-        assert "# TYPE repro_pool_crashes counter" in text
-        assert "repro_pool_crashes 2" in text
-        assert "repro_overhead_pct 1.5" in text
-        assert 'repro_steals{pool="verify"} 3' in text
-
-    def test_timers_map_to_counter_type(self):
-        registry = MetricsRegistry()
-        with registry.timer("featurize"):
-            pass
-        text = prometheus_text(registry)
-        assert "# TYPE repro_featurize_seconds counter" in text
-        assert "# TYPE repro_featurize_count counter" in text
-
-    def test_non_numeric_payloads_skipped(self):
-        registry = MetricsRegistry()
-        registry.set("note", "hello")
-        registry.gauge("flag", True)
-        assert prometheus_text(registry) == ""
-
-
-# ----------------------------------------------------------------------
 # Sentinel: perf-diff and bench trend
 # ----------------------------------------------------------------------
 class TestPerfDiff:
@@ -606,20 +573,39 @@ class TestCLIv2:
         assert main(["trend", str(tmp_path / "nope.json")]) == 2
 
     def test_schema_cli_unreadable_exits_2(self, tmp_path, capsys):
-        from repro.obs.schema import main as schema_main
-
-        assert schema_main([str(tmp_path / "nope.jsonl")]) == 2
-        assert "unreadable" in capsys.readouterr().err
-
-    def test_export_cli_contract(self, tmp_path, capsys):
-        from repro.obs.export import main as export_main
-
-        trace = self._write(tmp_path / "t.jsonl", _synthetic_run(0.1))
-        out = tmp_path / "chrome.json"
-        assert export_main([trace, "--chrome", str(out), "--check"]) == 0
-        assert "OK" in capsys.readouterr().out
         missing = str(tmp_path / "nope.jsonl")
-        assert export_main([missing, "--chrome", str(out)]) == 2
+        assert main(["report", "--trace", missing, "--validate"]) == 2
+        assert "cannot read trace" in capsys.readouterr().err
+
+    def test_report_non_json_line_exits_2(self, tmp_path, capsys):
+        lines = [json.dumps(event) for event in _synthetic_run(0.1)]
+        lines.insert(2, "not json")
+        trace = tmp_path / "t.jsonl"
+        trace.write_text("\n".join(lines) + "\n")
+        for extra in ([], ["--validate"]):
+            assert main(["report", "--trace", str(trace), *extra]) == 2
+            assert "not a JSONL trace" in capsys.readouterr().err
+
+    def test_chrome_out_decreasing_counter_exits_1(self, tmp_path, capsys):
+        events = _synthetic_run(0.1)
+        end = max(event["ts"] for event in events)
+        for value in (5, 3):
+            events.append(
+                {
+                    "type": "metric",
+                    "ts": end,
+                    "worker": 0,
+                    "name": "pool.steals",
+                    "kind": "counter",
+                    "value": value,
+                }
+            )
+        assert validate_events(events) == []
+        trace = self._write(tmp_path / "t.jsonl", events)
+        out = tmp_path / "chrome.json"
+        assert main(["report", "--trace", trace, "--chrome-out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "monotonic counter 'pool.steals' decreased 5.0 -> 3" in err
 
     def test_trace_health_reasons(self):
         assert trace_health([]) == "empty trace (no events)"
