@@ -209,7 +209,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         ),
     )
     tracer = _start_trace(args, "optimize")
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         with obs_trace.active().span(
             "optimize", phase="cli", testcase=args.testcase, flow=args.flow
@@ -219,7 +219,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
             ).run(args.flow)
     finally:
         _finish_trace(tracer, args.trace_out)
-    print(f"{args.flow} flow finished in {time.time() - t0:.0f}s")
+    print(f"{args.flow} flow finished in {time.perf_counter() - t0:.0f}s")
 
     if result.global_result is not None:
         eco_stats = result.global_result.stats.get("eco", {})
@@ -309,7 +309,7 @@ def _batch_one(payload: Dict[str, Any]) -> Dict[str, Any]:
             buffers_per_iteration=payload["buffers_per_iteration"],
         ),
     )
-    t0 = time.time()
+    t0 = time.perf_counter()
     # Shared span site: serial batches emit this in the main lane, pooled
     # batches in the worker lane — same tree either way.
     with obs_trace.active().span(
@@ -326,7 +326,7 @@ def _batch_one(payload: Dict[str, Any]) -> Dict[str, Any]:
         "baseline_ps": base,
         "final_ps": final,
         "reduction_pct": 100.0 * (base - final) / base if base > 0 else 0.0,
-        "runtime_s": time.time() - t0,
+        "runtime_s": time.perf_counter() - t0,
     }
 
 
@@ -345,7 +345,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
     ]
     jobs = max(1, min(args.jobs, len(payloads)))
     tracer = _start_trace(args, "batch")
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         with obs_trace.active().span("batch", phase="cli", jobs=jobs):
             if jobs == 1:
@@ -385,7 +385,7 @@ def cmd_batch(args: argparse.Namespace) -> int:
             rows,
         )
     )
-    print(f"batch wall clock: {time.time() - t0:.1f}s")
+    print(f"batch wall clock: {time.perf_counter() - t0:.1f}s")
     if args.out:
         with open(args.out, "w") as handle:
             json.dump(results, handle, indent=2, sort_keys=True)

@@ -6,10 +6,10 @@ Each iteration:
    current golden timing snapshot through the candidate pipeline
    (cross-iteration move cache + array feature kernel);
 2. predict each move's per-corner delta-latency with the trained model
-   and translate it into a predicted reduction of the sum of skew
-   variations over the affected sink pairs
-   (:func:`batched_variation_reductions`, bit-identical to the per-move
-   :func:`predicted_variation_reduction`);
+   (one ``(moves, corners)`` matrix) and translate it into a predicted
+   reduction of the sum of skew variations over the affected sink pairs
+   (:func:`batched_variation_reductions`, one array pass per move group,
+   bit-identical to the per-move :func:`predicted_variation_reduction`);
 3. trial the top-``R`` moves in place via the incremental timing engine
    (apply → re-time the dirty cone → undo; no clone, no full re-time)
    and assess them at golden accuracy — paper Line 4;
@@ -152,7 +152,7 @@ class LocalOptimizer:
         try:
             with tracer.span("local_opt", phase="local") as run_span:
                 for iteration in range(cfg.max_iterations):
-                    started = time.time()
+                    started = time.perf_counter()
                     with tracer.span("iteration", phase="local"):
                         ranked = self._rank_moves(
                             current, result, pipeline, timers
@@ -196,7 +196,7 @@ class LocalOptimizer:
                                         actual_reduction_ps=actual_red,
                                         objective_after_ps=result.total_variation,
                                         candidates_evaluated=evaluated,
-                                        elapsed_s=time.time() - started,
+                                        elapsed_s=time.perf_counter() - started,
                                     )
                                 )
                                 committed = True
@@ -354,8 +354,9 @@ class LocalOptimizer:
 
         Featurization goes through the pipeline's incremental component
         cache and vectorized assembly, inference consumes the per-corner
-        matrices in one call per model, and scoring is vectorized over
-        the batch.  Ranking is a stable sort on the predicted reduction.
+        matrices in one call per model and hands back one ``(moves,
+        corners)`` matrix, and scoring runs one array pass per move
+        group.  Ranking is a stable sort on the predicted reduction.
         """
         cfg = self._config
         problem = self._problem
@@ -375,16 +376,19 @@ class LocalOptimizer:
         features = batch.components
         with timers.stage("predict"):
             predictions = self._predictor.predict_matrix(batch)
-        ranked: List[Tuple[float, MoveFeatures]] = []
         with timers.stage("score"):
-            reductions = batched_variation_reductions(
-                problem, tree, result, features, predictions
+            reductions = np.asarray(
+                batched_variation_reductions(
+                    problem, tree, result, features, predictions
+                ),
+                dtype=float,
             )
-            for feats, reduction in zip(features, reductions):
-                if reduction > cfg.min_predicted_reduction_ps:
-                    ranked.append((reduction, feats))
-            ranked.sort(key=lambda item: -item[0])
-        return ranked
+            # Filter, then a stable sort on the negated reduction: the
+            # order of Python's stable ``sort(key=-reduction)``.
+            keep = np.flatnonzero(reductions > cfg.min_predicted_reduction_ps)
+            order = keep[np.argsort(-reductions[keep], kind="stable")]
+            values = reductions.tolist()
+            return [(values[i], features[i]) for i in order.tolist()]
 
 
 def predicted_variation_reduction(
@@ -455,107 +459,82 @@ def batched_variation_reductions(
     tree: ClockTree,
     result: TimingResult,
     features: Sequence[MoveFeatures],
-    predictions: Sequence[Mapping[str, float]],
-) -> List[float]:
+    predictions: np.ndarray,
+) -> np.ndarray:
     """Vectorized :func:`predicted_variation_reduction` over a batch.
 
+    ``predictions`` is the ``(n_moves, n_corners)`` matrix of
+    :meth:`DeltaLatencyPredictor.predict_matrix`, columns in
+    ``library.corners`` order; the result is one reduction per move.
+
     Bit-identical to calling the scalar function per move: the affected
-    sink sets and pair filters depend only on (buffer, surgery target),
-    so they are grouped and computed once; per move, the per-pair
-    adjusted skews, the Eq. (1) variations over the corner pairs (in
-    ``corners.pairs()`` order) and the running Eq. (3) delta sum all run
-    as arrays whose elementwise operations replay the scalar float
-    sequence exactly (``np.maximum`` chains match builtin ``max``,
-    ``np.add.accumulate`` matches the ``+=`` loop).
+    sink sets and pair filters depend only on (buffer, surgery, new
+    parent), so moves are grouped by that key and each group is scored
+    as one ``(moves, corners, pairs)`` array.  The adjusted skews, the
+    Eq. (1) variations over the corner pairs (in ``corners.pairs()``
+    order) and the running Eq. (3) delta sum replay the scalar float
+    sequence elementwise (``np.maximum`` chains match builtin ``max``,
+    ``np.add.accumulate`` along the pair axis matches the ``+=`` loop).
     """
     corners = problem.design.library.corners
-    corner_list = list(corners)
-    n_corner = len(corner_list)
-    alphas = problem.alphas
-    alpha = np.array([alphas[c.name] for c in corner_list])
-    idx_of = {c.name: i for i, c in enumerate(corner_list)}
+    names = [c.name for c in corners]
+    n_corner = len(names)
+    alpha = np.array([problem.alphas[name] for name in names])
+    idx_of = {name: i for i, name in enumerate(names)}
     corner_pairs = [
         (idx_of[a.name], idx_of[b.name]) for a, b in corners.pairs()
     ]
-    latencies = result.latencies
-    pair_variation = result.skews.pair_variation
-
-    group_cache: Dict[Tuple, object] = {}
-    out: List[float] = []
-    for feats, pred in zip(features, predictions):
+    out = np.zeros(len(features))
+    groups: Dict[Tuple, List[int]] = {}
+    for i, feats in enumerate(features):
         move = feats.move
         key = (move.buffer, move.type is MoveType.SURGERY, move.new_parent)
-        group = group_cache.get(key)
-        if group is None:
-            subtree_sinks = set(tree.subtree_sinks(move.buffer))
-            old_parent = tree.parent(move.buffer)
-            old_sib_sinks = (
-                set(tree.subtree_sinks(old_parent)) - subtree_sinks
-                if old_parent is not None
-                else set()
-            )
-            new_sib_sinks: Set[int] = set()
-            if move.type is MoveType.SURGERY and move.new_parent is not None:
-                new_sib_sinks = (
-                    set(tree.subtree_sinks(move.new_parent)) - subtree_sinks
-                )
-            affected = subtree_sinks | old_sib_sinks | new_sib_sinks
-            pairs = [
-                p
-                for p in problem.pairs
-                if p[0] in affected or p[1] in affected
-            ]
-            if pairs:
+        groups.setdefault(key, []).append(i)
+    if not groups:
+        return out
 
-                def classify(sink: int) -> int:
-                    # Same priority order as delta_for's if-chain.
-                    if sink in subtree_sinks:
-                        return 0
-                    if sink in old_sib_sinks:
-                        return 1
-                    if sink in new_sib_sinks:
-                        return 2
-                    return 3
+    pairs = problem.pairs
+    pair_a = np.array([p[0] for p in pairs], dtype=np.int64)
+    pair_b = np.array([p[1] for p in pairs], dtype=np.int64)
+    latencies = [result.latencies[name] for name in names]
+    lat_a_all = np.array([[lat[p[0]] for p in pairs] for lat in latencies])
+    lat_b_all = np.array([[lat[p[1]] for p in pairs] for lat in latencies])
+    pair_variation = result.skews.pair_variation
+    current_all = np.array([pair_variation[p] for p in pairs])
+    corner_rows = np.arange(n_corner)[:, None]
 
-                cls_a = np.array([classify(p[0]) for p in pairs])
-                cls_b = np.array([classify(p[1]) for p in pairs])
-                lat_a = np.array(
-                    [
-                        [latencies[c.name][p[0]] for p in pairs]
-                        for c in corner_list
-                    ]
-                )
-                lat_b = np.array(
-                    [
-                        [latencies[c.name][p[1]] for p in pairs]
-                        for c in corner_list
-                    ]
-                )
-                current_v = np.array([pair_variation[p] for p in pairs])
-                group = (cls_a, cls_b, lat_a, lat_b, current_v)
-            else:
-                group = ()
-            group_cache[key] = group
-        if not group:
-            out.append(0.0)
+    for (buffer, surgery, new_parent), members in groups.items():
+        # Sink classes in delta_for's priority order: 0 moved subtree,
+        # 1 old siblings, 2 new siblings, 3 unaffected.  Lower classes
+        # are written last, so they win where the sets overlap.
+        cls = np.full(tree.next_id, 3, dtype=np.int64)
+        if surgery and new_parent is not None:
+            cls[tree.subtree_sinks(new_parent)] = 2
+        old_parent = tree.parent(buffer)
+        if old_parent is not None:
+            cls[tree.subtree_sinks(old_parent)] = 1
+        cls[tree.subtree_sinks(buffer)] = 0
+        cls_a_all = cls[pair_a]
+        cls_b_all = cls[pair_b]
+        hit = np.flatnonzero((cls_a_all != 3) | (cls_b_all != 3))
+        if hit.size == 0:
             continue
-        cls_a, cls_b, lat_a, lat_b, current_v = group
-        side = feats.impacts[SIDE_EFFECT_VARIANT]
-        dval = np.zeros((n_corner, 4))
-        for c, corner in enumerate(corner_list):
-            name = corner.name
-            dval[c, 0] = pred[name]
-            dval[c, 1] = side.old_siblings[name]
-            dval[c, 2] = side.new_siblings[name]
-        skew = (lat_a + dval[np.arange(n_corner)[:, None], cls_a[None, :]]) - (
-            lat_b + dval[np.arange(n_corner)[:, None], cls_b[None, :]]
+        cls_a = cls_a_all[hit]
+        cls_b = cls_b_all[hit]
+        sides = [features[i].impacts[SIDE_EFFECT_VARIANT] for i in members]
+        dval = np.zeros((len(members), n_corner, 4))
+        dval[:, :, 0] = predictions[members]
+        dval[:, :, 1] = [[s.old_siblings[name] for name in names] for s in sides]
+        dval[:, :, 2] = [[s.new_siblings[name] for name in names] for s in sides]
+        skew = (lat_a_all[:, hit] + dval[:, corner_rows, cls_a]) - (
+            lat_b_all[:, hit] + dval[:, corner_rows, cls_b]
         )
         new_v = None
         for i, j in corner_pairs:
-            v = np.abs(alpha[i] * skew[i] - alpha[j] * skew[j])
+            v = np.abs(alpha[i] * skew[:, i] - alpha[j] * skew[:, j])
             new_v = v if new_v is None else np.maximum(new_v, v)
-        total_delta = np.add.accumulate(new_v - current_v)[-1]
-        out.append(-float(total_delta))
+        total_delta = np.add.accumulate(new_v - current_all[hit], axis=1)
+        out[members] = -total_delta[:, -1]
     return out
 
 

@@ -52,9 +52,10 @@ construction; there is no wholesale scalar fallback.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, field
 from itertools import islice
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -75,8 +76,8 @@ from repro.core.ml.features import (
     compute_move_components,
 )
 from repro.core.moves import Move, MoveType
-from repro.geometry import BBox, path_length
-from repro.netlist.tree import ClockTree
+from repro.geometry import BBox, Point, path_length
+from repro.netlist.tree import ClockNode, ClockTree
 from repro.obs.metrics import StageTimers
 from repro.sta.d2m import LN2
 from repro.sta.gate import GATE_LOAD_QUANTUM_FF, GATE_SLEW_QUANTUM_PS
@@ -118,7 +119,6 @@ class _NetProgram:
 class _WireMetrics:
     """Slew/size-independent per-plan wire artifacts, all corners."""
 
-    child_ids: Tuple[int, ...]
     elm: np.ndarray  # (corners, fanout) per-child Elmore (ps)
     d2m: np.ndarray  # (corners, fanout) per-child D2M (ps)
     total_load: np.ndarray  # (corners,) driver load (fF)
@@ -126,6 +126,179 @@ class _WireMetrics:
     fanout: int
     bbox_area_um2: float
     bbox_aspect: float
+    #: Nominal-corner ``{metric: {child: delay}}`` maps, shared read-only
+    #: by every :class:`NetEstimate` of this plan.
+    nominal_wire: Dict[str, Dict[int, float]]
+
+
+@dataclass(frozen=True)
+class _Buffer:
+    """A moved buffer's fixed context within one batch."""
+
+    node: ClockNode
+    parent: int
+    parent_size: int
+    parent_loc: Point
+    parent_spec: List[Tuple[int, Point, float]]  # unmodified child specs
+    b_spec: List[Tuple[int, Point, float]]
+    b_pos: int  # the buffer's slot in ``parent_spec``
+
+
+@dataclass(frozen=True)
+class _ParentNet:
+    """One distinct parent-net spec of a batch and its plans."""
+
+    buf: int  # row in ``_Batch.buffers``
+    new_size: int  # the moved buffer's size after the move
+    plans: Tuple[_NetPlan, ...]  # one per ``_ROUTE_MODELS`` entry
+
+
+@dataclass(frozen=True)
+class _OwnNet:
+    """One distinct own-net spec (the moved buffer's net) and its plans."""
+
+    buf: int
+    plans: Tuple[_NetPlan, ...]
+    #: Resized child that drives a net of its own (else ``None``), with
+    #: its new size, its slot in the spec and its sink-weight share.
+    child: Optional[int] = None
+    child_size: Optional[int] = None
+    rc_pos: int = 0
+    share: float = 0.0
+
+
+@dataclass
+class _Batch:
+    """The kernel moves of one batch in struct-of-lists form.
+
+    The tree is fixed within a batch, so a move's parent-net spec is
+    fixed by (buffer, displacement, new size) and its own net's spec by
+    (buffer, displacement, resized child, child size): each distinct
+    spec is resolved once, with its plans, and the moves index it.
+    """
+
+    index: List[int] = field(default_factory=list)  # position in the input
+    moves: List[Move] = field(default_factory=list)
+    move_buf: List[int] = field(default_factory=list)
+    move_pnet: List[int] = field(default_factory=list)
+    move_bnet: List[int] = field(default_factory=list)
+    size_after: List[int] = field(default_factory=list)
+    buffers: List[_Buffer] = field(default_factory=list)
+    parent_nets: List[_ParentNet] = field(default_factory=list)
+    own_nets: List[_OwnNet] = field(default_factory=list)
+
+
+def _flat_slots(fanouts: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
+    """(row, column) of every child when ragged rows are padded flat."""
+    fan = np.asarray(fanouts, dtype=np.int64)
+    rows = np.repeat(np.arange(fan.size), fan)
+    starts = np.cumsum(fan) - fan
+    return rows, np.arange(rows.size) - np.repeat(starts, fan)
+
+
+#: Impact variants a component publishes, in the reference's order.
+_VARIANTS: Tuple[Tuple[str, str], ...] = tuple(
+    (r, m) for r in _ROUTE_MODELS for m in ("elmore", "d2m")
+)
+
+
+@dataclass(frozen=True)
+class _NominalNets:
+    """One role's nets of a batch under one route model, nominal corner."""
+
+    metrics: Sequence[_WireMetrics]
+    pair: List[float]
+    out_slew: List[float]
+    total_load: List[float]
+
+    def estimate(self, j: int) -> NetEstimate:
+        """Net ``j``'s :class:`NetEstimate`; the plan's per-child wire
+        maps are shared read-only."""
+        m = self.metrics[j]
+        return NetEstimate(
+            pair_delay_ps=self.pair[j],
+            out_slew_ps=self.out_slew[j],
+            wire_delay_ps=m.nominal_wire,
+            wire_elmore_ps=m.nominal_wire["elmore"],
+            total_load_ff=self.total_load[j],
+            wirelength_um=m.wirelength_um,
+            fanout=m.fanout,
+            bbox_area_um2=m.bbox_area_um2,
+            bbox_aspect=m.bbox_aspect,
+        )
+
+
+class _BatchImpacts:
+    """A batch's impact arrays, from which its moves build MoveImpacts.
+
+    Per variant: the ``(n_move, corners)`` subtree and wire-only deltas
+    and the ``(n_parent_nets, corners)`` old-sibling deltas.  Per route
+    model: the nominal own nets (one per move) and parent nets (one per
+    parent-net entry, built once and shared).
+    """
+
+    def __init__(
+        self,
+        names: Sequence[str],
+        move_pnet: List[int],
+        deltas: Dict[Tuple[str, str], Tuple[np.ndarray, np.ndarray, np.ndarray]],
+        own: Dict[str, _NominalNets],
+        parent: Dict[str, _NominalNets],
+    ) -> None:
+        self._names = names
+        self._move_pnet = move_pnet
+        self._deltas = deltas
+        self._own = own
+        self._parent = parent
+        self._parent_est: Dict[Tuple[str, int], NetEstimate] = {}
+
+    def impact(self, i: int, variant: Tuple[str, str]) -> MoveImpact:
+        subtree, wire_only, old_siblings = self._deltas[variant]
+        route = variant[0]
+        p = self._move_pnet[i]
+        parent_est = self._parent_est.get((route, p))
+        if parent_est is None:
+            parent_est = self._parent[route].estimate(p)
+            self._parent_est[(route, p)] = parent_est
+        names = self._names
+        return MoveImpact(
+            subtree=dict(zip(names, subtree[i].tolist())),
+            old_siblings=dict(zip(names, old_siblings[p].tolist())),
+            new_siblings=dict.fromkeys(names, 0.0),
+            net_after=self._own[route].estimate(i),
+            parent_net=parent_est,
+            subtree_wire_only=dict(zip(names, wire_only[i].tolist())),
+        )
+
+
+class _LazyImpacts(Mapping):
+    """Read-only ``{variant: MoveImpact}`` of one kernel move.
+
+    Ranking reads one variant per move (the scorer's side-effect
+    variant, or an analytical predictor's own), so each MoveImpact is
+    built from the batch arrays on first access and kept.  Equal, as a
+    mapping, to the dict :func:`compute_move_components` builds.
+    """
+
+    __slots__ = ("_batch", "_i", "_built")
+
+    def __init__(self, batch: _BatchImpacts, i: int) -> None:
+        self._batch = batch
+        self._i = i
+        self._built: Dict[Tuple[str, str], MoveImpact] = {}
+
+    def __getitem__(self, variant: Tuple[str, str]) -> MoveImpact:
+        impact = self._built.get(variant)
+        if impact is None:
+            impact = self._batch.impact(self._i, variant)
+            self._built[variant] = impact
+        return impact
+
+    def __iter__(self):
+        return iter(_VARIANTS)
+
+    def __len__(self) -> int:
+        return len(_VARIANTS)
 
 
 class FeatureKernel:
@@ -141,6 +314,7 @@ class FeatureKernel:
         self._corners = corners
         self._res = np.array([library.wire(c).res_per_um for c in corners])
         self._capu = np.array([library.wire(c).cap_per_um for c in corners])
+        self._nom = self._corner_row[library.corners.nominal.name]
         self._wire_memo: Dict[tuple, _WireMetrics] = {}
         self.max_entries = 200_000
         self.timers = StageTimers(phase="features")
@@ -441,31 +615,31 @@ class FeatureKernel:
     def _plan_key(plan: _NetPlan) -> tuple:
         return (plan.route_model, plan.driver_loc, plan.children)
 
-    def ensure_metrics(self, plans: Sequence[_NetPlan]) -> None:
-        """Compile + lockstep-evaluate every plan missing from the memo.
+    def ensure_metrics(self, plans: Sequence[_NetPlan]) -> List[_WireMetrics]:
+        """Wire metrics of ``plans``, in order.
 
-        Nothing is evicted here: the batch reads its plans back through
-        :meth:`metrics_for`, so :meth:`_trim_wire_memo` runs after it.
+        Every plan missing from the memo is compiled and evaluated in
+        lockstep first.  Nothing is evicted here: :meth:`_trim_wire_memo`
+        runs after the batch has read its metrics.
         """
-        pending: List[Tuple[tuple, _NetPlan]] = []
-        seen = set()
-        for plan in plans:
-            key = self._plan_key(plan)
-            if key in self._wire_memo:
+        keys = [self._plan_key(plan) for plan in plans]
+        found = [self._wire_memo.get(key) for key in keys]
+        pending: Dict[tuple, _NetPlan] = {}
+        for key, plan, metrics in zip(keys, plans, found):
+            if metrics is not None:
                 self.stats["wire_hits"] += 1
-                continue
-            if key in seen:
-                continue
-            seen.add(key)
-            self.stats["wire_misses"] += 1
-            pending.append((key, plan))
+            elif key not in pending:
+                self.stats["wire_misses"] += 1
+                pending[key] = plan
         if not pending:
-            return
+            return found
+        items = list(pending.items())
+        nom = self._nom
         with self.timers.stage("kernel_compile"):
-            programs = [self._compile_plan(plan) for _, plan in pending]
+            programs = [self._compile_plan(plan) for _, plan in items]
         with self.timers.stage("kernel_eval"):
-            for lo in range(0, len(pending), _EVAL_CHUNK):
-                chunk = pending[lo : lo + _EVAL_CHUNK]
+            for lo in range(0, len(items), _EVAL_CHUNK):
+                chunk = items[lo : lo + _EVAL_CHUNK]
                 results = self._eval_programs(
                     programs[lo : lo + _EVAL_CHUNK]
                 )
@@ -476,8 +650,8 @@ class FeatureKernel:
                         loc for _, loc, _ in plan.children
                     ]
                     bbox = BBox.of_points(points)
+                    child_ids = tuple(cid for cid, _, _ in plan.children)
                     self._wire_memo[key] = _WireMetrics(
-                        child_ids=tuple(cid for cid, _, _ in plan.children),
                         elm=elm,
                         d2m=d2m,
                         total_load=total_load,
@@ -485,10 +659,15 @@ class FeatureKernel:
                         fanout=len(plan.children),
                         bbox_area_um2=bbox.area,
                         bbox_aspect=bbox.aspect_ratio,
+                        nominal_wire={
+                            "elmore": dict(zip(child_ids, elm[nom].tolist())),
+                            "d2m": dict(zip(child_ids, d2m[nom].tolist())),
+                        },
                     )
-
-    def metrics_for(self, plan: _NetPlan) -> _WireMetrics:
-        return self._wire_memo[self._plan_key(plan)]
+        return [
+            metrics if metrics is not None else self._wire_memo[key]
+            for key, metrics in zip(keys, found)
+        ]
 
     def _trim_wire_memo(self) -> None:
         """Evict the oldest wire metrics beyond ``max_entries`` (FIFO)."""
@@ -520,21 +699,18 @@ class FeatureKernel:
         self.stats["batches"] += 1
         out: List[Optional[MoveComponents]] = [None] * len(moves)
         with self.timers.stage("kernel_prep"):
-            prep, fallback = self._prepare(tree, timings, moves, cache)
-        if prep:
-            plans = [
-                plans_by_model[r]
-                for entry in prep
-                for plans_by_model in (entry["parent_plans"], entry["b_plans"])
-                for r in _ROUTE_MODELS
-            ]
-            self.ensure_metrics(plans)
+            batch, fallback = self._prepare(tree, moves, cache)
+        if batch.moves:
+            nets = (*batch.parent_nets, *batch.own_nets)
+            metrics = self.ensure_metrics(
+                [plan for net in nets for plan in net.plans]
+            )
             with self.timers.stage("kernel_assemble"):
-                components = self._assemble(tree, timings, prep, cache)
+                components = self._assemble(tree, timings, batch, metrics, cache)
             self._trim_wire_memo()
-            for entry, comp in zip(prep, components):
-                out[entry["index"]] = comp
-            self.stats["kernel_moves"] += len(prep)
+            for mi, comp in zip(batch.index, components):
+                out[mi] = comp
+            self.stats["kernel_moves"] += len(batch.moves)
         for mi in fallback:
             out[mi] = compute_move_components(
                 tree, lib, timings, moves[mi], cache
@@ -546,106 +722,124 @@ class FeatureKernel:
     def _prepare(
         self,
         tree: ClockTree,
-        timings: Mapping[str, CornerTiming],
         moves: Sequence[Move],
         cache: AnalyticalCache,
-    ) -> Tuple[List[dict], List[int]]:
-        """Scalar per-move setup: specs, plans, sizes, fallback routing."""
+    ) -> Tuple[_Batch, List[int]]:
+        """Scalar per-move setup: sizes, fallback routing, shared specs.
+
+        Each distinct parent-net and own-net spec is built once (from
+        the buffer's unmodified child specs, with the one moved or
+        resized pin replaced) and planned once per route model.
+        """
         lib = self.library
-        prep: List[dict] = []
+        size_pos = self._size_pos
+        batch = _Batch()
         fallback: List[int] = []
+        buf_row: Dict[int, int] = {}
+        pnet_of: Dict[tuple, int] = {}
+        bnet_of: Dict[tuple, int] = {}
         for mi, move in enumerate(moves):
             if move.type is MoveType.SURGERY:
                 fallback.append(mi)
                 continue
             b = move.buffer
-            parent = tree.parent(b)
-            node = tree.node(b)
-            new_loc = node.location.translated(move.dx, move.dy)
+            row = buf_row.get(b)
+            if row is None:
+                row = buf_row[b] = len(batch.buffers)
+                parent = tree.parent(b)
+                parent_spec = _children_spec(tree, lib, parent)
+                batch.buffers.append(
+                    _Buffer(
+                        node=tree.node(b),
+                        parent=parent,
+                        parent_size=_driver_size(tree, lib, parent),
+                        parent_loc=tree.node(parent).location,
+                        parent_spec=parent_spec,
+                        b_spec=_children_spec(tree, lib, b),
+                        b_pos=[cid for cid, _, _ in parent_spec].index(b),
+                    )
+                )
+            buf = batch.buffers[row]
+            node = buf.node
             new_size = node.size
             if move.type is MoveType.SIZING_DISPLACE and move.size_step:
                 new_size = lib.step_size(node.size, move.size_step)
-            new_pin = lib.input_cap_ff(new_size)
-
-            child_overrides = {}
-            resized_child = None
-            child_new_size = None
+            child = None
+            child_size = None
             if move.type is MoveType.CHILD_SIZING and move.child is not None:
-                resized_child = move.child
-                child_new_size = lib.step_size(
-                    tree.node(resized_child).size, move.child_size_step
+                child = move.child
+                child_size = lib.step_size(
+                    tree.node(child).size, move.child_size_step
                 )
-                child_overrides[resized_child] = (
-                    tree.node(resized_child).location,
-                    lib.input_cap_ff(child_new_size),
-                )
-            parent_size = _driver_size(tree, lib, parent)
             if (
-                parent_size not in self._size_pos
-                or new_size not in self._size_pos
-                or (
-                    child_new_size is not None
-                    and child_new_size not in self._size_pos
-                )
+                buf.parent_size not in size_pos
+                or new_size not in size_pos
+                or (child_size is not None and child_size not in size_pos)
             ):
                 fallback.append(mi)
                 continue
 
-            parent_spec = _children_spec(
-                tree, lib, parent, overrides={b: (new_loc, new_pin)}
-            )
-            b_spec = _children_spec(tree, lib, b, overrides=child_overrides)
-            parent_loc = tree.node(parent).location
-            parent_plans = {
-                r: cache.plan_net(parent_loc, parent_spec, r)
-                for r in _ROUTE_MODELS
-            }
-            b_plans = {
-                r: cache.plan_net(new_loc, b_spec, r) for r in _ROUTE_MODELS
-            }
-            b_pos = next(
-                i for i, (cid, _, _) in enumerate(parent_spec) if cid == b
-            )
+            pkey = (b, move.dx, move.dy, new_size)
+            p = pnet_of.get(pkey)
+            if p is None:
+                new_loc = node.location.translated(move.dx, move.dy)
+                spec = list(buf.parent_spec)
+                spec[buf.b_pos] = (b, new_loc, lib.input_cap_ff(new_size))
+                p = pnet_of[pkey] = len(batch.parent_nets)
+                batch.parent_nets.append(
+                    _ParentNet(
+                        buf=row,
+                        new_size=new_size,
+                        plans=tuple(
+                            cache.plan_net(buf.parent_loc, spec, r)
+                            for r in _ROUTE_MODELS
+                        ),
+                    )
+                )
+            bkey = (b, move.dx, move.dy, child, child_size)
+            q = bnet_of.get(bkey)
+            if q is None:
+                new_loc = node.location.translated(move.dx, move.dy)
+                spec = buf.b_spec
+                sizing = {}
+                if child is not None:
+                    rc_pos = [cid for cid, _, _ in spec].index(child)
+                    spec = list(spec)
+                    spec[rc_pos] = (
+                        child,
+                        spec[rc_pos][1],
+                        lib.input_cap_ff(child_size),
+                    )
+                    if tree.children(child):
+                        weights = cache.sink_weights(tree, b)
+                        sizing = dict(
+                            child=child,
+                            child_size=child_size,
+                            rc_pos=rc_pos,
+                            share=weights.get(child, 1)
+                            / max(sum(weights.values()), 1),
+                        )
+                q = bnet_of[bkey] = len(batch.own_nets)
+                batch.own_nets.append(
+                    _OwnNet(
+                        buf=row,
+                        plans=tuple(
+                            cache.plan_net(new_loc, spec, r)
+                            for r in _ROUTE_MODELS
+                        ),
+                        **sizing,
+                    )
+                )
             size_after = node.size or 0
             if move.type is MoveType.SIZING_DISPLACE and move.size_step:
                 size_after = lib.step_size(size_after, move.size_step)
-            child_sizing_active = resized_child is not None and bool(
-                tree.children(resized_child)
-            )
-            rc_pos = None
-            share = 0.0
-            if child_sizing_active:
-                rc_pos = next(
-                    i
-                    for i, (cid, _, _) in enumerate(b_spec)
-                    if cid == resized_child
-                )
-                weights = cache.sink_weights(tree, b)
-                share = weights.get(resized_child, 1) / max(
-                    sum(weights.values()), 1
-                )
-            prep.append(
-                {
-                    "index": mi,
-                    "move": move,
-                    "b": b,
-                    "parent": parent,
-                    "parent_size": parent_size,
-                    "new_size": new_size,
-                    "child_new_size": child_new_size,
-                    "size_after": size_after,
-                    "resized_child": resized_child,
-                    "child_sizing_active": child_sizing_active,
-                    "rc_pos": rc_pos,
-                    "share": share,
-                    "parent_spec": parent_spec,
-                    "b_spec": b_spec,
-                    "parent_plans": parent_plans,
-                    "b_plans": b_plans,
-                    "b_pos": b_pos,
-                }
-            )
-        return prep, fallback
+            batch.index.append(mi)
+            batch.moves.append(move)
+            batch.move_buf.append(row)
+            batch.move_pnet.append(p)
+            batch.move_bnet.append(q)
+            batch.size_after.append(size_after)
+        return batch, fallback
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -675,331 +869,301 @@ class FeatureKernel:
         safe = np.where(total_w != 0.0, total_w, 1.0)
         return np.where(total_w[None, :] != 0.0, total / safe[None, :], 0.0)
 
+    def _child_axis(
+        self,
+        tree: ClockTree,
+        cache: AnalyticalCache,
+        drivers: Sequence[int],
+        specs: Sequence[List[Tuple[int, Point, float]]],
+        edge_delays: Sequence[Mapping[int, float]],
+        width: int,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Padded per-driver child rows: sink weights, baseline edge
+        delays ``(corners, drivers, width)`` and the slot mask, each
+        filled by one flat scatter."""
+        rows, cols = _flat_slots([len(spec) for spec in specs])
+        flat_ids = [cid for spec in specs for cid, _, _ in spec]
+        flat_w: List[int] = []
+        for driver, spec in zip(drivers, specs):
+            weights = cache.sink_weights(tree, driver)
+            flat_w.extend(weights[cid] for cid, _, _ in spec)
+        n = len(specs)
+        w = np.zeros((n, width))
+        w[rows, cols] = flat_w
+        old = np.zeros((len(edge_delays), n, width))
+        old[:, rows, cols] = [[ed.get(cid, 0.0) for cid in flat_ids] for ed in edge_delays]
+        valid = np.zeros((n, width), dtype=bool)
+        valid[rows, cols] = True
+        return w, old, valid
+
+    def _wire_arrays(
+        self, metrics: Sequence[_WireMetrics], width: int
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Padded ``(corners, nets, width)`` Elmore and D2M child delays
+        and the ``(corners, nets)`` driver loads of ``metrics``."""
+        n_corner = len(self._corners)
+        rows, cols = _flat_slots([m.fanout for m in metrics])
+        elm = np.zeros((n_corner, len(metrics), width))
+        d2m = np.zeros((n_corner, len(metrics), width))
+        elm[:, rows, cols] = np.concatenate([m.elm for m in metrics], axis=1)
+        d2m[:, rows, cols] = np.concatenate([m.d2m for m in metrics], axis=1)
+        total_load = np.stack([m.total_load for m in metrics], axis=1)
+        return elm, d2m, total_load
+
     def _assemble(
         self,
         tree: ClockTree,
         timings: Mapping[str, CornerTiming],
-        prep: List[dict],
+        batch: _Batch,
+        metrics: List[_WireMetrics],
         cache: AnalyticalCache,
     ) -> List[MoveComponents]:
-        """Vectorized impact + feature assembly for the prepared moves."""
+        """Vectorized impact + feature assembly for the prepared moves.
+
+        Parent-net quantities are evaluated once per parent-net entry,
+        own-net wire deltas once per own-net entry; the per-move arrays
+        gather them.  Gathering copies floats, so every value is the
+        one the per-move evaluation computes.
+        """
         lib = self.library
         corners = self._corners
         n_corner = len(corners)
-        n_move = len(prep)
-        nominal_name = lib.corners.nominal.name
-        nom = self._corner_row[nominal_name]
+        n_move = len(batch.moves)
+        bufs = batch.buffers
+        n_p = len(batch.parent_nets)
+        n_route = len(_ROUTE_MODELS)
+        parent_metrics = metrics[: n_p * n_route]
+        own_metrics = metrics[n_p * n_route :]
+        move_buf = np.asarray(batch.move_buf, dtype=np.int64)
+        move_pnet = np.asarray(batch.move_pnet, dtype=np.int64)
+        move_bnet = np.asarray(batch.move_bnet, dtype=np.int64)
+        pbuf = np.array([net.buf for net in batch.parent_nets], dtype=np.int64)
+        bbuf = np.array([net.buf for net in batch.own_nets], dtype=np.int64)
 
-        # --- model-independent per-(corner, move) snapshot gathers ----
-        s_parent = np.empty((n_corner, n_move))
-        dd_parent = np.empty((n_corner, n_move))
-        dd_b = np.empty((n_corner, n_move))
-        ed_b = np.empty((n_corner, n_move))
+        # --- timing snapshot, one array per column ---------------------
+        snaps = [timings[c.name] for c in corners]
+        parents = [x.parent for x in bufs]
+        moved = [x.node.id for x in bufs]
         source_slew = lib.source_slew_ps
-        for c, corner in enumerate(corners):
-            timing = timings[corner.name]
-            in_slew = timing.input_slew
-            drv_delay = timing.driver_delay
-            edge_delay = timing.edge_delay
-            for i, e in enumerate(prep):
-                s_parent[c, i] = in_slew.get(e["parent"], source_slew)
-                dd_parent[c, i] = drv_delay[e["parent"]]
-                dd_b[c, i] = drv_delay.get(e["b"], 0.0)
-                ed_b[c, i] = edge_delay.get(e["b"], 0.0)
-
-        # --- padded per-child weight / baseline-delay arrays ----------
-        max_fp = max((len(e["parent_spec"]) for e in prep), default=1)
-        max_fb = max((len(e["b_spec"]) for e in prep), default=1)
-        max_fp = max(max_fp, 1)
-        max_fb = max(max_fb, 1)
-        w_par = np.zeros((n_move, max_fp))
-        valid_par = np.zeros((n_move, max_fp), dtype=bool)
-        w_b = np.zeros((n_move, max_fb))
-        valid_b = np.zeros((n_move, max_fb), dtype=bool)
-        old_par = np.zeros((n_corner, n_move, max_fp))
-        old_b = np.zeros((n_corner, n_move, max_fb))
-        edge_delays = [timings[c.name].edge_delay for c in corners]
-        for i, e in enumerate(prep):
-            pw = cache.sink_weights(tree, e["parent"])
-            for k, (cid, _, _) in enumerate(e["parent_spec"]):
-                w_par[i, k] = pw[cid]
-                valid_par[i, k] = cid != e["b"]
-                for c in range(n_corner):
-                    old_par[c, i, k] = edge_delays[c].get(cid, 0.0)
-            bw = cache.sink_weights(tree, e["b"])
-            for k, (cid, _, _) in enumerate(e["b_spec"]):
-                w_b[i, k] = bw[cid]
-                valid_b[i, k] = True
-                for c in range(n_corner):
-                    old_b[c, i, k] = edge_delays[c].get(cid, 0.0)
-
-        size_parent = np.array(
-            [self._size_pos[e["parent_size"]] for e in prep], dtype=np.int64
+        s_parent = np.array(
+            [[t.input_slew.get(p, source_slew) for p in parents] for t in snaps]
         )
-        size_b = np.array(
-            [self._size_pos[e["new_size"]] for e in prep], dtype=np.int64
-        )
-        b_pos = np.array([e["b_pos"] for e in prep], dtype=np.int64)
-        rows = np.arange(n_move)
-        ci_grid = np.broadcast_to(
-            np.arange(n_corner)[:, None], (n_corner, n_move)
-        )
-        si_parent = np.broadcast_to(size_parent[None, :], (n_corner, n_move))
-        si_b = np.broadcast_to(size_b[None, :], (n_corner, n_move))
+        dd_parent = np.array([[t.driver_delay[p] for p in parents] for t in snaps])
+        dd_b = np.array([[t.driver_delay.get(b, 0.0) for b in moved] for t in snaps])
+        ed_b = np.array([[t.edge_delay.get(b, 0.0) for b in moved] for t in snaps])
 
-        sub = [i for i, e in enumerate(prep) if e["child_sizing_active"]]
-        if sub:
-            sub_idx = np.asarray(sub, dtype=np.int64)
-            rc_pos = np.array([prep[i]["rc_pos"] for i in sub], dtype=np.int64)
-            share = np.array([prep[i]["share"] for i in sub])
+        # --- padded per-child weight / baseline-delay rows -------------
+        max_fp = max(max(len(x.parent_spec) for x in bufs), 1)
+        max_fb = max(max(len(x.b_spec) for x in bufs), 1)
+        edge_delays = [t.edge_delay for t in snaps]
+        w_par, old_par, valid_par = self._child_axis(
+            tree, cache, parents, [x.parent_spec for x in bufs], edge_delays, max_fp
+        )
+        valid_par[np.arange(len(bufs)), [x.b_pos for x in bufs]] = False
+        w_b, old_b, valid_b = self._child_axis(
+            tree, cache, moved, [x.b_spec for x in bufs], edge_delays, max_fb
+        )
+        w_par, old_par, valid_par = w_par[pbuf], old_par[:, pbuf], valid_par[pbuf]
+        w_b, old_b, valid_b = w_b[bbuf], old_b[:, bbuf], valid_b[bbuf]
+
+        size_pos = self._size_pos
+        b_pos = np.array([bufs[i].b_pos for i in pbuf.tolist()], dtype=np.int64)
+        si_parent = np.broadcast_to(
+            np.array([size_pos[x.parent_size] for x in bufs], dtype=np.int64)[pbuf],
+            (n_corner, n_p),
+        )
+        si_b = np.broadcast_to(
+            np.array(
+                [size_pos[net.new_size] for net in batch.parent_nets], dtype=np.int64
+            )[move_pnet],
+            (n_corner, n_move),
+        )
+        ci_p = np.broadcast_to(np.arange(n_corner)[:, None], (n_corner, n_p))
+        ci_move = np.broadcast_to(np.arange(n_corner)[:, None], (n_corner, n_move))
+        p_rows = np.arange(n_p)
+        s_parent_p = s_parent[:, pbuf]
+        dd_parent_p = dd_parent[:, pbuf]
+        ed_b_p = ed_b[:, pbuf]
+        dd_b_move = dd_b[:, move_buf]
+
+        sizing = np.array([net.child is not None for net in batch.own_nets])
+        sub = np.flatnonzero(sizing[move_bnet])
+        if sub.size:
+            sub_net = move_bnet[sub]
+            nets = [batch.own_nets[q] for q in sub_net.tolist()]
+            rc_pos = np.array([net.rc_pos for net in nets], dtype=np.int64)
+            share = np.array([net.share for net in nets])
             si_child = np.broadcast_to(
-                np.array(
-                    [self._size_pos[prep[i]["child_new_size"]] for i in sub],
-                    dtype=np.int64,
-                )[None, :],
-                (n_corner, len(sub)),
+                np.array([size_pos[net.child_size] for net in nets], dtype=np.int64),
+                (n_corner, sub.size),
             )
             ci_sub = np.broadcast_to(
-                np.arange(n_corner)[:, None], (n_corner, len(sub))
+                np.arange(n_corner)[:, None], (n_corner, sub.size)
             )
-            load_child = np.empty((n_corner, len(sub)))
-            dd_child = np.empty((n_corner, len(sub)))
-            for c, corner in enumerate(corners):
-                timing = timings[corner.name]
-                for j, i in enumerate(sub):
-                    rc = prep[i]["resized_child"]
-                    load_child[c, j] = timing.driver_load.get(rc, 0.0)
-                    dd_child[c, j] = timing.driver_delay.get(rc, 0.0)
+            load_child = np.array(
+                [[t.driver_load.get(net.child, 0.0) for net in nets] for t in snaps]
+            )
+            dd_child = np.array(
+                [[t.driver_delay.get(net.child, 0.0) for net in nets] for t in snaps]
+            )
 
         # --- per route model: gate rounds + per-metric deltas ---------
-        per_variant: Dict[Tuple[str, str], Dict[str, np.ndarray]] = {}
-        nominal_nets: Dict[str, Tuple[list, list]] = {}
-        for r in _ROUTE_MODELS:
-            elm_par = np.zeros((n_corner, n_move, max_fp))
-            d2m_par = np.zeros((n_corner, n_move, max_fp))
-            elm_bn = np.zeros((n_corner, n_move, max_fb))
-            d2m_bn = np.zeros((n_corner, n_move, max_fb))
-            tl_par = np.empty((n_corner, n_move))
-            tl_b = np.empty((n_corner, n_move))
-            met_par: List[_WireMetrics] = []
-            met_b: List[_WireMetrics] = []
-            for i, e in enumerate(prep):
-                mp = self.metrics_for(e["parent_plans"][r])
-                mb = self.metrics_for(e["b_plans"][r])
-                met_par.append(mp)
-                met_b.append(mb)
-                fp, fb = mp.fanout, mb.fanout
-                if fp:
-                    elm_par[:, i, :fp] = mp.elm
-                    d2m_par[:, i, :fp] = mp.d2m
-                if fb:
-                    elm_bn[:, i, :fb] = mb.elm
-                    d2m_bn[:, i, :fb] = mb.d2m
-                tl_par[:, i] = mp.total_load
-                tl_b[:, i] = mb.total_load
-
-            elm_to_b = elm_par[:, rows, b_pos]
-            d2m_to_b = d2m_par[:, rows, b_pos]
+        nom = self._nom
+        per_variant: Dict[Tuple[str, str], Tuple[np.ndarray, ...]] = {}
+        own_nets: Dict[str, _NominalNets] = {}
+        parent_nets: Dict[str, _NominalNets] = {}
+        for k, r in enumerate(_ROUTE_MODELS):
+            met_par = parent_metrics[k::n_route]
+            met_b = own_metrics[k::n_route]
+            elm_par, d2m_par, tl_par = self._wire_arrays(met_par, max_fp)
+            elm_bn, d2m_bn, tl_b = self._wire_arrays(met_b, max_fb)
+            elm_to_b = elm_par[:, p_rows, b_pos]
+            d2m_to_b = d2m_par[:, p_rows, b_pos]
 
             pair_parent, slew_parent = self._pair_batch(
-                ci_grid, si_parent, s_parent, tl_par
+                ci_p, si_parent, s_parent_p, tl_par
             )
             step = LN9 * elm_to_b
             slew_at_b = np.sqrt(slew_parent * slew_parent + step * step)
-            pair_b, slew_b = self._pair_batch(ci_grid, si_b, slew_at_b, tl_b)
+            tl_b_move = tl_b[:, move_bnet]
+            pair_b, slew_b = self._pair_batch(
+                ci_move, si_b, slew_at_b[:, move_pnet], tl_b_move
+            )
 
             d_child_pair = np.zeros((n_corner, n_move))
-            if sub:
-                elm_b_rc = elm_bn[:, sub_idx, :][
-                    :, np.arange(len(sub)), rc_pos
-                ]
-                cstep = LN9 * elm_b_rc
+            if sub.size:
+                cstep = LN9 * elm_bn[:, sub_net, rc_pos]
                 child_slew = np.sqrt(
-                    slew_b[:, sub_idx] * slew_b[:, sub_idx] + cstep * cstep
+                    slew_b[:, sub] * slew_b[:, sub] + cstep * cstep
                 )
                 pair_child, _ = self._pair_batch(
                     ci_sub, si_child, child_slew, load_child
                 )
-                d_child_pair[:, sub_idx] = share[None, :] * (
-                    pair_child - dd_child
-                )
+                d_child_pair[:, sub] = share[None, :] * (pair_child - dd_child)
 
-            d_parent_pair = pair_parent - dd_parent
-            d_b_pair = pair_b - dd_b
-            old_sib_delta = {
-                "elmore": self._weighted_delta(
-                    elm_par, old_par, w_par, valid_par
-                ),
-                "d2m": self._weighted_delta(d2m_par, old_par, w_par, valid_par),
-            }
-            b_wire_delta = {
-                "elmore": self._weighted_delta(elm_bn, old_b, w_b, valid_b),
-                "d2m": self._weighted_delta(d2m_bn, old_b, w_b, valid_b),
-            }
-            to_b = {"elmore": elm_to_b, "d2m": d2m_to_b}
-            for metric in ("elmore", "d2m"):
-                d_wire_to_b = to_b[metric] - ed_b
-                d_b_wire = b_wire_delta[metric]
-                per_variant[(r, metric)] = {
-                    "subtree": d_parent_pair
+            d_parent_pair = pair_parent - dd_parent_p
+            d_b_pair = pair_b - dd_b_move
+            wires = {"elmore": (elm_par, elm_bn, elm_to_b), "d2m": (d2m_par, d2m_bn, d2m_to_b)}
+            for metric, (par, own, to_b) in wires.items():
+                d_wire_to_b = (to_b - ed_b_p)[:, move_pnet]
+                d_b_wire = self._weighted_delta(own, old_b, w_b, valid_b)[:, move_bnet]
+                old_sib = self._weighted_delta(par, old_par, w_par, valid_par)
+                per_variant[(r, metric)] = (
+                    d_parent_pair[:, move_pnet]
                     + d_wire_to_b
                     + d_b_pair
                     + d_b_wire
                     + d_child_pair,
-                    "wire_only": d_wire_to_b + d_b_wire,
-                    "old_siblings": d_parent_pair + old_sib_delta[metric],
-                }
-            nominal_nets[r] = (
-                self._nominal_estimates(
-                    met_b, elm_bn, d2m_bn, pair_b, slew_b, tl_b, nom
-                ),
-                self._nominal_estimates(
-                    met_par,
-                    elm_par,
-                    d2m_par,
-                    pair_parent,
-                    slew_parent,
-                    tl_par,
-                    nom,
-                ),
-            )
-
-        return self._build_components(
-            timings, prep, per_variant, nominal_nets
-        )
-
-    @staticmethod
-    def _nominal_estimates(
-        metrics: List[_WireMetrics],
-        elm: np.ndarray,
-        d2m: np.ndarray,
-        pair: np.ndarray,
-        out_slew: np.ndarray,
-        total_load: np.ndarray,
-        nom: int,
-    ) -> List[NetEstimate]:
-        """Nominal-corner :class:`NetEstimate` objects for one net role."""
-        elm_l = elm[nom].tolist()
-        d2m_l = d2m[nom].tolist()
-        pair_l = pair[nom].tolist()
-        slew_l = out_slew[nom].tolist()
-        load_l = total_load[nom].tolist()
-        out: List[NetEstimate] = []
-        for i, m in enumerate(metrics):
-            ids = m.child_ids
-            elm_map = {cid: elm_l[i][k] for k, cid in enumerate(ids)}
-            d2m_map = {cid: d2m_l[i][k] for k, cid in enumerate(ids)}
-            out.append(
-                NetEstimate(
-                    pair_delay_ps=pair_l[i],
-                    out_slew_ps=slew_l[i],
-                    wire_delay_ps={"elmore": elm_map, "d2m": d2m_map},
-                    wire_elmore_ps=dict(elm_map),
-                    total_load_ff=load_l[i],
-                    wirelength_um=m.wirelength_um,
-                    fanout=m.fanout,
-                    bbox_area_um2=m.bbox_area_um2,
-                    bbox_aspect=m.bbox_aspect,
+                    d_wire_to_b + d_b_wire,
+                    d_parent_pair + old_sib,
                 )
+            own_nets[r] = _NominalNets(
+                metrics=[met_b[q] for q in batch.move_bnet],
+                pair=pair_b[nom].tolist(),
+                out_slew=slew_b[nom].tolist(),
+                total_load=tl_b_move[nom].tolist(),
             )
-        return out
+            parent_nets[r] = _NominalNets(
+                metrics=met_par,
+                pair=pair_parent[nom].tolist(),
+                out_slew=slew_parent[nom].tolist(),
+                total_load=tl_par[nom].tolist(),
+            )
+
+        # The feature rows describe the nets of the rsmt + d2m reference.
+        k_ref = _ROUTE_MODELS.index(ESTIMATOR_VARIANTS[1][0])
+        slews = np.array(
+            [[t.input_slew.get(b, 0.0) for b in moved] for t in snaps]
+        )
+        return self._build_components(
+            batch,
+            per_variant,
+            own_nets,
+            parent_nets,
+            own_metrics[k_ref::n_route],
+            parent_metrics[k_ref::n_route],
+            slews,
+        )
 
     def _build_components(
         self,
-        timings: Mapping[str, CornerTiming],
-        prep: List[dict],
-        per_variant: Dict[Tuple[str, str], Dict[str, np.ndarray]],
-        nominal_nets: Dict[str, Tuple[list, list]],
+        batch: _Batch,
+        per_variant: Dict[Tuple[str, str], Tuple[np.ndarray, ...]],
+        own_nets: Dict[str, _NominalNets],
+        parent_nets: Dict[str, _NominalNets],
+        own_ref: Sequence[_WireMetrics],
+        parent_ref: Sequence[_WireMetrics],
+        slews: np.ndarray,
     ) -> List[MoveComponents]:
-        """Scatter the variant arrays into per-move MoveComponents."""
-        lib = self.library
-        corner_names = [c.name for c in self._corners]
-        n_corner = len(corner_names)
-        variant_lists = {
-            key: {
-                name: [arrs[name][c].tolist() for c in range(n_corner)]
-                for name in ("subtree", "wire_only", "old_siblings")
-            }
-            for key, arrs in per_variant.items()
+        """Per-move MoveComponents over batch-wide matrices.
+
+        The base rows form one ``(n_move, n_features)`` matrix and the
+        estimates one ``(n_move, 4)`` matrix per corner; each component
+        holds read-only row views of them.
+        """
+        names = [c.name for c in self._corners]
+        moves = batch.moves
+        own_of = np.asarray(batch.move_bnet, dtype=np.int64)
+        parent_of = np.asarray(batch.move_pnet, dtype=np.int64)
+
+        def column(values, index):
+            return np.asarray(values, dtype=float)[index]
+
+        size_after = np.asarray(batch.size_after, dtype=np.int64)
+        onehot = {
+            MoveType.SIZING_DISPLACE: (1.0, 0.0, 0.0),
+            MoveType.CHILD_SIZING: (0.0, 1.0, 0.0),
+            MoveType.SURGERY: (0.0, 0.0, 1.0),
         }
-        zero_by_corner = {name: 0.0 for name in corner_names}
-        components: List[MoveComponents] = []
-        for i, e in enumerate(prep):
-            move = e["move"]
-            impacts: Dict[Tuple[str, str], MoveImpact] = {}
-            for r in _ROUTE_MODELS:
-                b_est = nominal_nets[r][0][i]
-                parent_est = nominal_nets[r][1][i]
-                for metric in ("elmore", "d2m"):
-                    lists = variant_lists[(r, metric)]
-                    impacts[(r, metric)] = MoveImpact(
-                        subtree={
-                            name: lists["subtree"][c][i]
-                            for c, name in enumerate(corner_names)
-                        },
-                        old_siblings={
-                            name: lists["old_siblings"][c][i]
-                            for c, name in enumerate(corner_names)
-                        },
-                        new_siblings=dict(zero_by_corner),
-                        net_after=b_est,
-                        parent_net=parent_est,
-                        subtree_wire_only={
-                            name: lists["wire_only"][c][i]
-                            for c, name in enumerate(corner_names)
-                        },
-                    )
-            reference = impacts[ESTIMATOR_VARIANTS[1]]  # rsmt + d2m
-            net = reference.net_after
-            parent_net = reference.parent_net or net
-            size_after = e["size_after"]
-            type_onehot = {
-                MoveType.SIZING_DISPLACE: (1.0, 0.0, 0.0),
-                MoveType.CHILD_SIZING: (0.0, 1.0, 0.0),
-                MoveType.SURGERY: (0.0, 0.0, 1.0),
-            }[move.type]
-            displacement = abs(move.dx) + abs(move.dy)
-            base_row = np.asarray(
-                [
-                    *([0.0] * N_ESTIMATE_COLS),
-                    float(net.fanout),
-                    net.bbox_area_um2 / 1000.0,
-                    net.bbox_aspect,
-                    net.wirelength_um,
-                    float(parent_net.fanout),
-                    parent_net.bbox_area_um2 / 1000.0,
-                    parent_net.bbox_aspect,
-                    parent_net.wirelength_um,
-                    0.0,  # input_slew_ps, scattered per corner
-                    float(size_after),
-                    1.0 / max(size_after, 1),
-                    *type_onehot,
-                    float(move.size_step),
-                    float(move.child_size_step),
-                    displacement,
-                ],
-                dtype=float,
+        type_cols = np.array([onehot[m.type] for m in moves]).reshape(-1, 3)
+        zeros = np.zeros(len(moves))
+        base = np.column_stack(
+            [
+                *([zeros] * N_ESTIMATE_COLS),
+                column([m.fanout for m in own_ref], own_of),
+                column([m.bbox_area_um2 for m in own_ref], own_of) / 1000.0,
+                column([m.bbox_aspect for m in own_ref], own_of),
+                column([m.wirelength_um for m in own_ref], own_of),
+                column([m.fanout for m in parent_ref], parent_of),
+                column([m.bbox_area_um2 for m in parent_ref], parent_of) / 1000.0,
+                column([m.bbox_aspect for m in parent_ref], parent_of),
+                column([m.wirelength_um for m in parent_ref], parent_of),
+                zeros,  # input_slew_ps, scattered per corner
+                size_after.astype(float),
+                1.0 / np.maximum(size_after, 1),
+                type_cols,
+                np.array([float(m.size_step) for m in moves]),
+                np.array([float(m.child_size_step) for m in moves]),
+                np.array([abs(m.dx) + abs(m.dy) for m in moves]),
+            ]
+        )
+        base.flags.writeable = False
+        estimates = []
+        for c in range(len(names)):
+            block = np.stack(
+                [per_variant[v][0][c] for v in ESTIMATOR_VARIANTS], axis=1
             )
-            estimates: Dict[str, np.ndarray] = {}
-            input_slew: Dict[str, float] = {}
-            for c, name in enumerate(corner_names):
-                estimates[name] = np.asarray(
-                    [
-                        variant_lists[variant]["subtree"][c][i]
-                        for variant in ESTIMATOR_VARIANTS
-                    ],
-                    dtype=float,
-                )
-                input_slew[name] = float(
-                    timings[name].input_slew.get(move.buffer, 0.0)
-                )
-            components.append(
-                MoveComponents(
-                    move=move,
-                    impacts=impacts,
-                    base_row=base_row,
-                    estimates=estimates,
-                    input_slew=input_slew,
-                )
+            block.flags.writeable = False
+            estimates.append(block)
+
+        impacts = _BatchImpacts(
+            names,
+            batch.move_pnet,
+            {
+                key: tuple(np.ascontiguousarray(a.T) for a in arrays)
+                for key, arrays in per_variant.items()
+            },
+            own_nets,
+            parent_nets,
+        )
+        slew_rows = slews.T.tolist()
+        return [
+            MoveComponents(
+                move=move,
+                impacts=_LazyImpacts(impacts, i),
+                base_row=base[i],
+                estimates={name: block[i] for name, block in zip(names, estimates)},
+                input_slew=dict(zip(names, slew_rows[buf])),
             )
-        return components
+            for i, (move, buf) in enumerate(zip(moves, batch.move_buf))
+        ]

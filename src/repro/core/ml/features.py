@@ -168,7 +168,7 @@ class MoveComponents:
     """
 
     move: Move
-    impacts: Dict[Tuple[str, str], MoveImpact]
+    impacts: Mapping[Tuple[str, str], MoveImpact]
     base_row: np.ndarray
     estimates: Dict[str, np.ndarray]  # corner name -> (4,) estimator deltas
     input_slew: Dict[str, float]  # corner name -> slew at the buffer (ps)
@@ -263,9 +263,9 @@ def assemble_feature_matrix(
     move ``i`` bit-for-bit: the shared base rows are stacked once and
     the corner-dependent columns are scattered in as a block.
     """
-    matrix = np.vstack([c.base_row for c in components])
-    matrix[:, :N_ESTIMATE_COLS] = np.vstack(
-        [c.estimates[corner_name] for c in components]
+    matrix = np.array([c.base_row for c in components], dtype=float)
+    matrix[:, :N_ESTIMATE_COLS] = np.array(
+        [c.estimates[corner_name] for c in components], dtype=float
     )
     matrix[:, SLEW_COL] = np.asarray(
         [c.input_slew[corner_name] for c in components]

@@ -134,33 +134,35 @@ class DeltaLatencyPredictor:
             for i in range(len(feature_list))
         ]
 
-    def predict_matrix(self, batch) -> List[Dict[str, float]]:
-        """Predictions from a pre-assembled feature batch.
+    def predict_matrix(self, batch) -> np.ndarray:
+        """Predictions from a pre-assembled feature batch, as one matrix.
 
         ``batch`` is a :class:`repro.core.ml.pipeline.FeatureBatch`: the
         per-corner design matrices go straight into each corner's model
-        in one call — no per-move vector stacking.  Numerically equal to
-        :meth:`predict_batch` over the same moves (the matrices are bit
+        in one call — no per-move vector stacking.  Returns an
+        ``(n_moves, n_corners)`` float64 array, columns in
+        ``corner_names`` (library) order; row ``i`` holds the values of
+        :meth:`predict_batch`'s ``i``-th dict (the matrices are bit
         identical to stacked ``extract_features`` vectors).
         """
         components = batch.components
+        out = np.empty((len(components), len(self.corner_names)))
         if not components:
-            return []
+            return out
         if not self.is_learned:
             # Analytical kinds only read ``impacts`` off each component.
-            return [self.predict_subtree_delta(c) for c in components]
+            for i, component in enumerate(components):
+                delta = self.predict_subtree_delta(component)
+                out[i] = [delta[name] for name in self.corner_names]
+            return out
         col = _anchor_column()
-        per_corner: Dict[str, np.ndarray] = {}
-        for name in self.corner_names:
+        for k, name in enumerate(self.corner_names):
             x = batch.matrices[name]
             pred = self.models[name].predict(x)
             if self.residual:
                 pred = pred + x[:, col]
-            per_corner[name] = pred
-        return [
-            {name: float(per_corner[name][i]) for name in self.corner_names}
-            for i in range(len(components))
-        ]
+            out[:, k] = pred
+        return out
 
 
 def train_predictor(

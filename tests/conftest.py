@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.ml.dataset import generate_dataset
+from repro.core.ml.training import train_predictor
 from repro.core.objective import SkewVariationProblem
 from repro.sta.timer import GoldenTimer
 from repro.tech.library import default_library
@@ -48,3 +50,10 @@ def mini_problem(mini_design):
 def stage_luts(library_cls1):
     """Characterized stage-delay LUTs for the CLS1 corner set."""
     return characterize_stage_luts(library_cls1)
+
+
+@pytest.fixture(scope="session")
+def hsm_predictor(library_cls1):
+    """HSM predictor trained on a small artificial-case set (CLS1 corners)."""
+    samples = generate_dataset(library_cls1, n_cases=6, moves_per_case=8, seed=21)
+    return train_predictor(library_cls1, samples, "hsm")

@@ -65,10 +65,17 @@ def per_move_components(kernel, tree, timings, moves, cache):
 
 
 def per_move_reductions(problem, tree, result, features, predictions):
-    """Oracle of :func:`repro.core.local_opt.batched_variation_reductions`."""
+    """Oracle of :func:`repro.core.local_opt.batched_variation_reductions`.
+
+    ``predictions`` is the ``(n_moves, n_corners)`` matrix; each row is
+    turned back into the ``{corner: float}`` the scalar scorer takes.
+    """
+    names = [c.name for c in problem.design.library.corners]
     return [
-        predicted_variation_reduction(problem, tree, result, feats, pred)
-        for feats, pred in zip(features, predictions)
+        predicted_variation_reduction(
+            problem, tree, result, feats, dict(zip(names, map(float, row)))
+        )
+        for feats, row in zip(features, predictions)
     ]
 
 

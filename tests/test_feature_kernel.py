@@ -17,8 +17,9 @@ The suite checks that contract four ways:
   invalidate rounds interleave with returns to the pristine tree, so the
   value-keyed wire memo is exercised warm, cold, and across epochs;
 * full Algorithm-2 trajectory byte-identity against the scalar oracles
-  swapped in (per-move featurization and scoring), and serial vs a
-  4-worker verification pool;
+  swapped in (per-move featurization and scoring), with the analytical
+  and a learned (HSM) predictor, and serial vs a 4-worker verification
+  pool;
 * failure outcomes — an unstackable library makes the pipeline raise
   ``FeatureKernelUnsupported``, and unsupported moves (surgery) take the
   per-move path inside a kernel batch.
@@ -313,6 +314,22 @@ class TestTrajectoryIdentity:
         assert kernel_out.stats["pipeline"]["kernel"]["batches"] > 0
         assert ref_out.stats["pipeline"]["kernel"]["batches"] == 0
 
+    def test_learned_predictor_matches_reference(self, hsm_predictor, monkeypatch):
+        """The learned branch of ``predict_matrix`` against the oracles.
+
+        ``repro optimize`` ranks with a learned predictor by default; its
+        trajectory with the kernel and the grouped scorer must equal the
+        one with the per-move featurizer and scorer swapped in.
+        """
+        kernel_traj, kernel_out = self._run(hsm_predictor)
+        with monkeypatch.context() as patch:
+            use_scalar_features(patch)
+            ref_traj, ref_out = self._run(hsm_predictor)
+        assert kernel_traj
+        assert kernel_traj == ref_traj
+        assert kernel_out.final_objective_ps == ref_out.final_objective_ps
+        assert ref_out.stats["pipeline"]["kernel"]["batches"] == 0
+
     def test_kernel_workers4_matches_serial(self, library_cls1):
         predictor = train_predictor(library_cls1, [], "full_rsmt_d2m")
         serial_traj, serial_out = self._run(predictor, workers=1)
@@ -327,26 +344,42 @@ class TestTrajectoryIdentity:
 # ---------------------------------------------------------------------------
 class TestScoreParity:
     def test_batched_reductions_bit_equal_scalar(self, mini_design):
-        problem = SkewVariationProblem.create(mini_design)
-        tree = mini_design.tree.clone()
-        result = problem.evaluate(tree)
-        moves = enumerate_moves(tree, mini_design.library)
-        pipeline = CandidatePipeline(mini_design.library)
-        batch = pipeline.featurize(tree, result.per_corner, moves)
-        rng = np.random.default_rng(23)
-        predictions = [
-            {c.name: float(rng.normal(0.0, 3.0)) for c in mini_design.library.corners}
-            for _ in moves
-        ]
-        batched = batched_variation_reductions(
-            problem, tree, result, batch.components, predictions
-        )
-        scalar = [
-            predicted_variation_reduction(problem, tree, result, feats, pred)
-            for feats, pred in zip(batch.components, predictions)
-        ]
-        assert batched == scalar
-        assert any(r != 0.0 for r in scalar)
+        """Grouped scores equal the scalar scorer, row by row.
+
+        CLS1v1 adds surgery moves, whose groups carry nonzero
+        new-sibling corrections.
+        """
+        for design in (mini_design, build_cls1(1)):
+            problem = SkewVariationProblem.create(design)
+            tree = design.tree.clone()
+            result = problem.evaluate(tree)
+            moves = enumerate_moves(tree, design.library)
+            pipeline = CandidatePipeline(design.library)
+            batch = pipeline.featurize(tree, result.per_corner, moves)
+            names = [c.name for c in design.library.corners]
+            rng = np.random.default_rng(23)
+            predictions = rng.normal(0.0, 3.0, size=(len(moves), len(names)))
+            batched = batched_variation_reductions(
+                problem, tree, result, batch.components, predictions
+            )
+            scalar = [
+                predicted_variation_reduction(
+                    problem, tree, result, feats, dict(zip(names, row.tolist()))
+                )
+                for feats, row in zip(batch.components, predictions)
+            ]
+            assert batched.shape == (len(moves),)
+            assert batched.tolist() == scalar, design.name
+            assert any(r != 0.0 for r in scalar)
+            if design is not mini_design:
+                new_siblings = [
+                    value
+                    for comp in batch.components
+                    if comp.move.type is MoveType.SURGERY
+                    for value in comp.impacts[SIDE_EFFECT_VARIANT]
+                    .new_siblings.values()
+                ]
+                assert any(v != 0.0 for v in new_siblings)
 
 
 # ---------------------------------------------------------------------------

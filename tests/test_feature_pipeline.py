@@ -165,6 +165,28 @@ class TestInvalidation:
                 assert not arrival
 
 
+class TestPredictMatrix:
+    @pytest.mark.parametrize("kind", ["hsm", "full_rsmt_d2m"])
+    def test_rows_equal_predict_batch(self, kind, mini_problem, library_cls1, request):
+        """``predict_matrix`` rows equal ``predict_batch``'s dicts."""
+        if kind == "hsm":
+            predictor = request.getfixturevalue("hsm_predictor")
+        else:
+            predictor = train_predictor(library_cls1, [], kind)
+        tree = mini_problem.design.tree
+        result = mini_problem.baseline
+        moves = enumerate_moves(tree, mini_problem.design.library)
+        batch = CandidatePipeline(mini_problem.design.library).featurize(
+            tree, result.per_corner, moves
+        )
+        matrix = predictor.predict_matrix(batch)
+        names = [c.name for c in mini_problem.design.library.corners]
+        assert matrix.shape == (len(moves), len(names))
+        assert matrix.dtype == np.float64
+        for row, pred in zip(matrix, predictor.predict_batch(batch.components)):
+            assert row.tolist() == [pred[name] for name in names]
+
+
 class TestTrajectoryIdentity:
     def test_stats_payload_present(self, library_cls1):
         predictor = train_predictor(library_cls1, [], "full_rsmt_d2m")
