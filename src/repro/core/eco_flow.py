@@ -26,8 +26,8 @@ neighbouring nets, LUT grid snapping — is exactly the residual the paper
 also accepts.
 
 The search runs on the vectorized candidate kernel
-(:mod:`repro.eco.candidate_kernel`); the scalar scan in this module is
-its definition and test oracle.
+(:mod:`repro.eco.candidate_kernel`), one chunk of arcs at a time; the
+scalar scan in this module is its definition and test oracle.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.lp import LPModelData, LPSolution
-from repro.eco.candidate_kernel import ECOCandidateKernel
+from repro.eco.candidate_kernel import ArcQuery, ECOCandidateKernel, Pick
 from repro.eco.legalize import Legalizer
 from repro.eco.operators import ArcRebuildResult, rebuild_arc
 from repro.geometry import BBox
@@ -54,6 +54,10 @@ from repro.sta.slew import wire_degraded_slew
 from repro.sta.timer import CornerTiming
 from repro.tech.library import Library
 from repro.tech.stage_lut import StageDelayLUT, hop_wire_delay
+
+#: Arcs searched together: one candidate-table build and one select each.
+_ARC_CHUNK = 16
+
 
 @dataclass(frozen=True)
 class ECOConfig:
@@ -89,9 +93,12 @@ class LPGuidedECO:
     :class:`~repro.eco.candidate_kernel.ECOCandidateKernel`, built at
     construction; stage LUTs it cannot compile raise
     :class:`~repro.eco.candidate_kernel.ECOKernelUnsupported` with the
-    reason.  :meth:`_scan_candidates` is the scalar scan the kernel
-    reproduces bit for bit — the test oracle, with the same signature
-    as :meth:`_search`; no production path calls it.
+    reason.  :meth:`_search` is the one search entry point: it takes a
+    chunk of :class:`~repro.eco.candidate_kernel.ArcQuery` and returns
+    one pick per query.  :meth:`_scan_candidates` is the scalar scan of
+    one query that the kernel reproduces bit for bit — the test oracle,
+    which ``tests/oracles.py`` maps over a chunk in place of
+    :meth:`_search`; no production path calls it.
     """
 
     def __init__(
@@ -115,11 +122,17 @@ class LPGuidedECO:
         self._corner_names = [c.name for c in self._corners]
         self._pin_caps = {s: library.input_cap_ff(s) for s in library.sizes}
         self._kernel = ECOCandidateKernel(library, stage_luts, config)
+        # Realization counters beside the kernel's work counters: arcs
+        # rebuilt, and arcs searched again after an earlier rebuild in
+        # their chunk changed their table key.
+        self._counters: Dict[str, int] = {"arcs_chosen": 0, "rekeyed": 0}
 
     @property
     def stats(self) -> Dict[str, object]:
-        """The candidate kernel's counters and phase timers."""
-        return self._kernel.stats()
+        """The candidate kernel's counters and phase timers, plus ours."""
+        stats = self._kernel.stats()
+        stats["counters"].update(self._counters)
+        return stats
 
     # ------------------------------------------------------------------
     def realize(
@@ -151,22 +164,31 @@ class LPGuidedECO:
             arc_indices = solution.nonzero_arcs(self._config.delta_threshold_ps)
         arc_indices = list(arc_indices)
         report: List[ArcECO] = []
+        rekeyed = 0
         with active_tracer().span("eco_realize", phase="eco") as span:
-            for j in arc_indices:
-                arc = data.arcs[j]
-                targets = data.arc_delay[j] + solution.delta[j]
-                current = np.asarray(
-                    [
-                        timings[c.name].arrival[arc.end]
-                        - timings[c.name].arrival[arc.start]
-                        for c in self._corners
-                    ]
-                )
-                eco = self._realize_arc(tree, arc, j, targets, current, timings)
-                if eco is not None:
-                    report.append(eco)
+            for first in range(0, len(arc_indices), _ARC_CHUNK):
+                chunk = arc_indices[first : first + _ARC_CHUNK]
+                queries = [self._query(tree, data, solution, j, timings) for j in chunk]
+                picks = self._search(queries)
+                rebuilt = False
+                for j, query, found in zip(chunk, queries, picks):
+                    arc = data.arcs[j]
+                    if rebuilt:
+                        # A rebuild earlier in this chunk may have moved
+                        # this arc's table key; a pick is only valid under
+                        # the key it was searched with.
+                        key = self._table_key(tree, arc, timings)
+                        if key != query.key:
+                            rekeyed += 1
+                            query = ArcQuery(*key, query.targets, query.keep_err)
+                            found = self._search([query])[0]
+                    if found is not None:
+                        report.append(self._rebuild(tree, arc, j, query.targets, found))
+                        rebuilt = True
             tree.validate()
-            span.set(arcs=len(arc_indices), realized=len(report))
+            span.set(arcs=len(arc_indices), realized=len(report), rekeyed=rekeyed)
+        self._counters["arcs_chosen"] += len(report)
+        self._counters["rekeyed"] += rekeyed
         return report
 
     # ------------------------------------------------------------------
@@ -180,36 +202,58 @@ class LPGuidedECO:
         node = tree.node(nid)
         return self._library.source_drive_size if node.is_source else node.size
 
-    def _realize_arc(
+    def _table_key(
+        self,
+        tree: ClockTree,
+        arc: Arc,
+        baseline: Mapping[str, CornerTiming],
+    ) -> Tuple[float, float, Dict[str, Dict[str, float]]]:
+        """The arc's ``(direct, end_cap, ctx)`` on the current ``tree``.
+
+        ``ctx`` holds pre-move facts about the start anchor's net (per
+        corner): total load and the old first edge's contribution, so
+        candidate loads can be formed as (baseline load - old
+        contribution + new hop).
+        """
+        start_loc = tree.node(arc.start).location
+        end_loc = tree.node(arc.end).location
+        direct = max(start_loc.manhattan(end_loc), 1.0)
+        end_cap = self._pin_cap(tree, arc.end)
+        return direct, end_cap, self._arc_context(tree, arc, baseline)
+
+    def _query(
+        self,
+        tree: ClockTree,
+        data: LPModelData,
+        solution: LPSolution,
+        arc_index: int,
+        baseline: Mapping[str, CornerTiming],
+    ) -> ArcQuery:
+        """Arc ``arc_index``'s search inputs on the current ``tree``.
+
+        The arc's *current* configuration competes as a no-op candidate:
+        a pick must match the LP targets better than ``keep_err``, the
+        error of leaving the arc alone.  Keeping a known-good arc always
+        beats realizing a config that would land farther from the plan.
+        """
+        arc = data.arcs[arc_index]
+        targets = data.arc_delay[arc_index] + solution.delta[arc_index]
+        current = [
+            float(baseline[name].arrival[arc.end] - baseline[name].arrival[arc.start])
+            for name in self._corner_names
+        ]
+        keep_err = self._error(current, targets)
+        return ArcQuery(*self._table_key(tree, arc, baseline), targets, keep_err)
+
+    def _rebuild(
         self,
         tree: ClockTree,
         arc: Arc,
         arc_index: int,
         targets: np.ndarray,
-        current_delays: np.ndarray,
-        baseline: Mapping[str, CornerTiming],
-    ) -> Optional[ArcECO]:
-        """Search (size, spacing, count) and rebuild one arc.
-
-        The arc's *current* configuration competes as a no-op candidate:
-        if no rebuild matches the LP targets better than leaving the arc
-        alone, nothing is touched.  Keeping a known-good arc always beats
-        realizing a config that would land farther from the plan.
-        """
-        keep_err = self._error([float(d) for d in current_delays], targets)
-
-        start_loc = tree.node(arc.start).location
-        end_loc = tree.node(arc.end).location
-        direct = max(start_loc.manhattan(end_loc), 1.0)
-        end_cap = self._pin_cap(tree, arc.end)
-
-        # Pre-move facts about the start anchor's net (per corner): total
-        # load and the old first edge's contribution, so candidate loads
-        # can be formed as (baseline load - old contribution + new hop).
-        ctx = self._arc_context(tree, arc, baseline)
-        found = self._search(direct, end_cap, ctx, targets, keep_err)
-        if found is None:
-            return None
+        found: Pick,
+    ) -> ArcECO:
+        """Realize one arc's pick with :func:`rebuild_arc`."""
         size, spacing, count, best_err, best_est = found
         realized = rebuild_arc(
             tree,
@@ -234,21 +278,16 @@ class LPGuidedECO:
             realized=realized,
         )
 
-    def _search(
-        self,
-        direct: float,
-        end_cap: float,
-        ctx: Mapping[str, Mapping[str, float]],
-        targets: np.ndarray,
-        keep_err: float,
-    ) -> Optional[Tuple[int, float, int, float, List[float]]]:
-        """Best ``(size, spacing, count, error, estimates)`` beating ``keep_err``.
+    def _search(self, queries: Sequence[ArcQuery]) -> List[Optional[Pick]]:
+        """Best ``(size, spacing, count, error, estimates)`` per query.
 
-        One kernel table build plus a masked argmin; ``None`` keeps the
-        arc as it is.
+        One kernel table build over the whole chunk plus one masked argmin
+        per arc; ``None`` keeps that arc as it is.
         """
-        table = self._kernel.table(direct, end_cap, ctx)
-        return self._kernel.select(table, targets, keep_err)
+        batch = self._kernel.table(queries)
+        return self._kernel.select(
+            batch, [q.targets for q in queries], [q.keep_err for q in queries]
+        )
 
     def _scan_candidates(
         self,
@@ -257,7 +296,7 @@ class LPGuidedECO:
         ctx: Mapping[str, Mapping[str, float]],
         targets: np.ndarray,
         keep_err: float,
-    ) -> Optional[Tuple[int, float, int, float, List[float]]]:
+    ) -> Optional[Pick]:
         """Scalar candidate scan: the test oracle of :meth:`_search`."""
         cfg = self._config
         lib = self._library

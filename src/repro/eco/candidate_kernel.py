@@ -6,41 +6,45 @@ The scalar scan in :mod:`repro.core.eco_flow`
 wire-only route-length sweep — with a scalar ``_estimate``/``_error``
 round trip per candidate.  That triple loop would dominate every
 iteration of ``sweep_upper_bound``.  This kernel, the only production
-search, compiles it into array form:
+search, compiles it into array form and searches a chunk of arcs at a
+time:
 
 * each corner's :class:`~repro.tech.stage_lut.StageDelayLUT` is compiled
-  once into dense numpy planes (:meth:`StageDelayLUT.planes`);
+  once into dense numpy planes (:meth:`StageDelayLUT.planes`), and the
+  library's NLDM delay and slew tables into stacked (corner, size)
+  planes;
 * the full candidate grid is enumerated as flat arrays — wire-only
   extensions first, then buffered candidates in size-major, wirelength,
   count order, exactly the reference enumeration order;
-* one arc's table is built in a few array passes: per corner, one
-  start-pair evaluation (NLDM lookups, signoff correction, first hop)
-  covers the wire-only lanes and every drive size at once; the boundary
-  LUTdetail lookups then run for all corners and sizes together.  Every
-  quantity ahead of the middle-pair term depends on (size, spacing)
-  alone, so it is evaluated once per distinct spacing and gathered back
-  to the (wirelength, count) grid;
+* one chunk's tables are built in a few array passes over lanes
+  concatenated across its arcs: per corner, one start-pair evaluation
+  (NLDM lookups, signoff correction, first hop) covers every arc's
+  wire-only lanes and every drive size at once; the boundary LUTdetail
+  lookups then run for all corners and sizes together.  Every quantity
+  ahead of the middle-pair term depends on (arc, size, spacing) alone,
+  so it is evaluated once per distinct spacing of each arc and gathered
+  back to the (wirelength, count) grid;
 * hop wire delays come from the dense per-(corner, load) memo of
-  :func:`~repro.tech.stage_lut.hop_wire_delays`, one numpy gather per
-  drive size;
+  :func:`~repro.tech.stage_lut.hop_wire_delays`: one gather per drive
+  size, and one per distinct end pin cap for the wire-only lanes;
 * the combined per-corner + cross-corner error (the paper's
-  Eq.-(12)-style blend) is one masked vector reduction with a single
-  ``argmin`` per arc.
+  Eq.-(12)-style blend) is one masked reduction over (arcs, candidates)
+  with one ``argmin`` per arc.
 
-Bit-exactness contract: every float operation replicates the scalar
-reference sequence — same associativity, ``math``-backed tanh via a
-unique-value memo, hop wire delays equal to :func:`hop_wire_delay` on
-the same quantized key, and error terms accumulated term-by-term (never
-``np.sum``, whose pairwise order differs).  The selected (size, spacing,
-count) tuple therefore matches the reference argmin exactly and realized
-trees stay byte-identical.
+Bit-exactness contract: every lane replicates the scalar reference
+sequence — same associativity, ``math``-backed tanh over the chunk's
+unique values, hop wire delays equal to :func:`hop_wire_delay` on the
+same quantized key, and error terms accumulated term-by-term (never
+``np.sum``, whose pairwise order differs).  An arc's table is therefore
+a pure function of its ``(direct, end_cap, ctx)`` key, whichever chunk
+builds it, the selected (size, spacing, count) tuple matches the
+reference argmin exactly, and realized trees stay byte-identical.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,12 +59,12 @@ from repro.sta.signoff import (
     SLEW_SCALE_PS,
 )
 from repro.sta.slew import LN9
-from repro.tech.cells import _blend, _memo_tanh, _vector_weights
+from repro.tech.cells import _blend, _exact_tanh, _vector_weights
 from repro.tech.library import Library
 from repro.tech.stage_lut import StageDelayLUT, hop_wire_delays
 
-#: Cap on the tanh memo (same guard as the timing kernel's).
-_TANH_MEMO_LIMIT = 1 << 20
+#: One search result: ``(size, spacing, count, error, estimates)``.
+Pick = Tuple[int, float, int, float, List[float]]
 
 
 class ECOKernelUnsupported(Exception):
@@ -68,9 +72,31 @@ class ECOKernelUnsupported(Exception):
 
     Raised at construction when the LUT planes cannot represent the
     scalar lookup semantics (missing corners/sizes, detail grids that
-    disagree on axes, degenerate single-point axes).  The message names
-    the reason; there is no scalar fallback.
+    disagree on axes, degenerate single-point axes, cells that do not
+    share one NLDM grid).  The message names the reason; there is no
+    scalar fallback.
     """
+
+
+class ArcQuery(NamedTuple):
+    """One arc's search inputs.
+
+    The first three fields are the arc's table key: its candidate table
+    is a pure function of ``(direct, end_cap, ctx)``.  ``targets`` (the
+    LP's per-corner delays) and ``keep_err`` (the error of keeping the
+    arc as it is, which a pick must beat) enter only at selection.
+    """
+
+    direct: float
+    end_cap: float
+    ctx: Mapping[str, Mapping[str, float]]
+    targets: np.ndarray
+    keep_err: float
+
+    @property
+    def key(self) -> Tuple[float, float, Mapping[str, Mapping[str, float]]]:
+        """``(direct, end_cap, ctx)``: what the arc's table is built from."""
+        return self[:3]
 
 
 @dataclass
@@ -95,16 +121,44 @@ class ArcCandidateTable:
     driver_floor0: float
 
 
-def _scalar_weights(axis: np.ndarray, x: float) -> Tuple[int, float]:
-    """Cell index and fraction of one query on one NLDM axis.
+@dataclass
+class CandidateBatch:
+    """The candidate tables of a chunk of arcs, built together.
 
-    Replicates :meth:`NLDMTable.lookup` (clamp, right-searchsorted minus
-    one, clamp to the last cell) on the general two-axis branch.
+    ``est`` is ``(corners, arcs, candidates)``; ``spacing`` and
+    ``valid_static`` are ``(arcs, candidates)``; ``min_count_geo`` and
+    ``driver_floor0`` hold one value per arc.  The candidate axis, its
+    ``counts`` and ``size_values``, and the nominal ``stage0`` plane are
+    shared by every arc.  :meth:`arc` returns one arc's
+    :class:`ArcCandidateTable` as views.
     """
-    c = float(np.clip(x, axis[0], axis[-1]))
-    i = int(np.searchsorted(axis, c, side="right") - 1)
-    i = min(max(i, 0), axis.size - 2)
-    return i, (c - axis[i]) / (axis[i + 1] - axis[i])
+
+    est: np.ndarray
+    spacing: np.ndarray
+    valid_static: np.ndarray
+    min_count_geo: np.ndarray
+    driver_floor0: np.ndarray
+    counts: np.ndarray
+    size_values: np.ndarray
+    n_wire: int
+    stage0: np.ndarray
+
+    def __len__(self) -> int:
+        return self.est.shape[1]
+
+    def arc(self, index: int) -> ArcCandidateTable:
+        """Arc ``index``'s table (views into the batch arrays)."""
+        return ArcCandidateTable(
+            est=self.est[:, index].T,
+            spacing=self.spacing[index],
+            counts=self.counts,
+            size_values=self.size_values,
+            n_wire=self.n_wire,
+            valid_static=self.valid_static[index],
+            stage0=self.stage0,
+            min_count_geo=int(self.min_count_geo[index]),
+            driver_floor0=float(self.driver_floor0[index]),
+        )
 
 
 class ECOCandidateKernel:
@@ -146,19 +200,31 @@ class ECOCandidateKernel:
             raise ECOKernelUnsupported("library size missing from LUTs") from exc
         if not size_rows:
             raise ECOKernelUnsupported("library has no drive sizes")
-        for corner in self._corners:
-            for size in library.sizes:
-                cell = library.cell(size, corner)
+        if library.source_drive_size not in library.sizes:
+            raise ECOKernelUnsupported("source drive size outside the size list")
+        # Start anchors time against stacked (corner, size) NLDM planes,
+        # so every delay and slew table must share one axis pair.
+        ref = library.cell(library.sizes[0], self._corners[0]).delay_table
+        nldm_sax, nldm_lax = ref.slew_grid, ref.load_grid
+        if nldm_sax.size < 2 or nldm_lax.size < 2:
+            raise ECOKernelUnsupported("degenerate NLDM axes")
+        cells = [[library.cell(s, c) for s in library.sizes] for c in self._corners]
+        for row in cells:
+            for cell in row:
                 for table in (cell.delay_table, cell.slew_table):
-                    if table.slew_grid.size < 2 or table.load_grid.size < 2:
-                        raise ECOKernelUnsupported("degenerate NLDM axes")
+                    if not (
+                        np.array_equal(table.slew_grid, nldm_sax)
+                        and np.array_equal(table.load_grid, nldm_lax)
+                    ):
+                        raise ECOKernelUnsupported(
+                            "cells do not share one NLDM grid"
+                        )
 
         self.timers = StageTimers(phase="eco")
         self.counters: Dict[str, int] = {
             "tables_built": 0,
             "candidates_evaluated": 0,
             "selects": 0,
-            "arcs_chosen": 0,
         }
         with self.timers.stage("compile"):
             uniform = np.stack([p.uniform for p in planes])
@@ -181,11 +247,24 @@ class ECOCandidateKernel:
             wl_sel = np.arange(0, self._wl_full.size, stride)
             self._wl_vals = self._wl_full[wl_sel]
             self._sizes = tuple(library.sizes)
+            self._size_row = {s: i for i, s in enumerate(self._sizes)}
             self._pin_caps = [library.input_cap_ff(s) for s in self._sizes]
-            pin_weights = [_scalar_weights(self._det_lax, c) for c in self._pin_caps]
-            self._pin_ci = np.asarray([w[0] for w in pin_weights])[None, :, None]
-            self._pin_t = np.asarray([w[1] for w in pin_weights])[None, :, None]
+            pin_ci, pin_t = _vector_weights(self._det_lax, np.asarray(self._pin_caps))
+            self._pin_ci = pin_ci[None, :, None]
+            self._pin_t = pin_t[None, :, None]
+            # Start-pair NLDM planes: flat (size, slew, load) per corner.
+            self._nldm_sax = nldm_sax
+            self._nldm_lax = nldm_lax
+            self._nldm_delay = np.stack(
+                [np.stack([c.delay_table.value_grid for c in row]) for row in cells]
+            ).reshape(n_corners, -1)
+            self._nldm_slew = np.stack(
+                [np.stack([c.slew_table.value_grid for c in row]) for row in cells]
+            ).reshape(n_corners, -1)
+            self._start_pin = np.asarray([[c.input_cap_ff for c in row] for row in cells])
+            self._cap_per_um = [library.wire(c).cap_per_um for c in self._corners]
             self._counts = np.arange(1, config.max_pair_count + 1, dtype=np.int64)
+            self._counts_p1 = self._counts + 1.0
             self._ext = np.asarray(config.wire_extension_steps, dtype=float)
             # Per-table constants of the buffered (wirelength, count) grid.
             count_grid = np.tile(self._counts, self._wl_vals.size)
@@ -209,81 +288,87 @@ class ECOCandidateKernel:
                 )
             )
             self._stage0 = _frozen(self._uni[0][:, wl_sel])
-        self._tanh_memo: Dict[float, float] = {}
 
     # -- public API ----------------------------------------------------
-    def table(
-        self,
-        direct: float,
-        end_cap: float,
-        ctx: Mapping[str, Mapping[str, float]],
-    ) -> ArcCandidateTable:
-        """Candidate estimate table for one arc."""
+    def table(self, queries: Sequence[ArcQuery]) -> CandidateBatch:
+        """Candidate estimate tables for a chunk of arcs, built together."""
         with self.timers.stage("table_build"):
-            built = self._build_table(direct, end_cap, ctx)
-        self.counters["tables_built"] += 1
+            built = self._build_batch(queries)
+        self.counters["tables_built"] += len(built)
         self.counters["candidates_evaluated"] += int(built.est.size)
         return built
 
     def select(
         self,
-        table: ArcCandidateTable,
-        targets: np.ndarray,
-        keep_err: float,
-    ) -> Optional[Tuple[int, float, int, float, List[float]]]:
-        """Masked error reduction + argmin over one arc's candidates.
+        batch: CandidateBatch,
+        targets: Sequence[np.ndarray],
+        keep_errs: Sequence[float],
+    ) -> List[Optional[Pick]]:
+        """Masked error reduction + argmin over each arc's candidates.
 
-        Returns ``(size, spacing, count, error, estimates)`` for the best
-        candidate that beats ``keep_err``, or ``None`` (keep the arc).
+        Returns, per arc, ``(size, spacing, count, error, estimates)`` for
+        the best candidate that beats the arc's ``keep_errs`` entry, or
+        ``None`` (keep the arc).
         """
         cfg = self._config
         with self.timers.stage("select"):
-            est = table.est
-            n_corners = est.shape[1]
-            t = [float(targets[k]) for k in range(n_corners)]
+            est = batch.est
+            n_corners, n_arcs, _ = est.shape
+            t = np.asarray(targets, dtype=float).reshape(n_arcs, n_corners).T
             # Accumulate error terms in the scalar reference order: one
             # vector add per term, never np.sum (pairwise order differs).
-            err = np.abs(est[:, 0] - t[0])
+            err = np.abs(est[0] - t[0][:, None])
+            term = np.empty_like(err)
             for k in range(1, n_corners):
-                err = err + np.abs(est[:, k] - t[k])
+                np.subtract(est[k], t[k][:, None], out=term)
+                err += np.abs(term, out=term)
             for k in range(n_corners):
                 for k2 in range(k + 1, n_corners):
-                    err = err + np.abs((est[:, k] - est[:, k2]) - (t[k] - t[k2]))
+                    np.subtract(est[k], est[k2], out=term)
+                    term -= (t[k] - t[k2])[:, None]
+                    err += np.abs(term, out=term)
 
             # Count-window validity depends on the LP target; rebuild the
-            # mask per query from the table's stage0 plane.
-            budget = t[0] - table.driver_floor0
-            safe = table.stage0 > 0.0
-            ratio = np.where(safe, budget / np.where(safe, table.stage0, 1.0), 0.0)
+            # mask per query from the shared stage0 plane.
+            stage0 = batch.stage0
+            budget = (t[0] - batch.driver_floor0)[:, None, None]
+            safe = stage0 > 0.0
+            ratio = np.where(safe, budget / np.where(safe, stage0, 1.0), 0.0)
             u_est = np.rint(ratio).astype(np.int64)
-            lo = np.maximum(np.maximum(u_est - cfg.count_window, 0), table.min_count_geo)
+            geo = batch.min_count_geo[:, None, None]
+            lo = np.maximum(np.maximum(u_est - cfg.count_window, 0), geo)
             hi = np.minimum(
-                np.maximum(u_est + cfg.count_window, table.min_count_geo + cfg.count_window),
+                np.maximum(u_est + cfg.count_window, geo + cfg.count_window),
                 cfg.max_pair_count,
             )
             lo = np.maximum(lo, 1)
-            cgrid = self._counts[None, None, :]
-            ok = (cgrid >= lo[:, :, None]) & (cgrid <= hi[:, :, None]) & safe[:, :, None]
+            cgrid = self._counts
+            ok = (cgrid >= lo[..., None]) & (cgrid <= hi[..., None]) & safe[..., None]
             valid = np.concatenate(
-                [np.ones(table.n_wire, dtype=bool), ok.reshape(-1)]
+                [np.ones((n_arcs, batch.n_wire), dtype=bool), ok.reshape(n_arcs, -1)],
+                axis=1,
             )
-            valid &= table.valid_static
+            valid &= batch.valid_static
 
-            err = np.where(np.isnan(err), np.inf, err)
-            err = np.where(valid, err, np.inf)
-            pos = int(np.argmin(err))
-            best_err = float(err[pos])
-        self.counters["selects"] += 1
-        if not best_err < keep_err:
-            return None
-        self.counters["arcs_chosen"] += 1
-        return (
-            int(table.size_values[pos]),
-            float(table.spacing[pos]),
-            int(table.counts[pos]),
-            best_err,
-            [float(v) for v in est[pos]],
-        )
+            err[~valid | np.isnan(err)] = np.inf
+            pos = np.argmin(err, axis=1)
+            best = err[np.arange(n_arcs), pos]
+        self.counters["selects"] += n_arcs
+        picks: List[Optional[Pick]] = []
+        for a, (p, best_err) in enumerate(zip(pos.tolist(), best.tolist())):
+            if not best_err < keep_errs[a]:
+                picks.append(None)
+                continue
+            picks.append(
+                (
+                    int(batch.size_values[p]),
+                    float(batch.spacing[a, p]),
+                    int(batch.counts[p]),
+                    best_err,
+                    est[:, a, p].tolist(),
+                )
+            )
+        return picks
 
     def stats(self) -> Dict[str, object]:
         """JSON-friendly counters + timers snapshot."""
@@ -293,79 +378,128 @@ class ECOCandidateKernel:
         }
 
     # -- internals -----------------------------------------------------
-    def _tanh(self, values: np.ndarray) -> np.ndarray:
-        """Elementwise tanh that matches ``math.tanh`` bit for bit."""
-        return _memo_tanh(values, self._tanh_memo, _TANH_MEMO_LIMIT)
-
     def _snap_idx(self, values: np.ndarray) -> np.ndarray:
         """Vectorized ``snap_wl``: index of the nearest axis point (first tie wins)."""
         return np.argmin(np.abs(self._wl_full[None, :] - values[:, None]), axis=1)
 
-    def _build_table(
-        self,
-        direct: float,
-        end_cap: float,
-        ctx: Mapping[str, Mapping[str, float]],
-    ) -> ArcCandidateTable:
-        lib = self._library
-        routed = ctx["start_factor"]["value"]
-        start_size = int(ctx["start_size"]["value"])
-        # hop_wire_delay bakes in the chain factor; the first hop belongs
-        # to the start anchor's net, so rescale its length accordingly.
-        hop0_scale = routed / chain_length_factor()
-        wl_max = float(self._wl_full[-1])
-        min_count_geo = max(0, int(math.ceil(direct / wl_max)) - 1)
+    def _start_lookup(
+        self, planes: np.ndarray, rows: np.ndarray, slew_w, load_ff: np.ndarray
+    ) -> np.ndarray:
+        """``NLDMTable.lookup_array`` of each lane's start-size table.
 
-        ext_len = direct + self._ext
+        ``rows`` picks the size plane per lane, ``slew_w`` is the lanes'
+        ``(index, fraction)`` on the slew axis; the blend reads the same
+        four values with the same arithmetic as the per-table lookup.
+        """
+        ci, t = _vector_weights(self._nldm_lax, load_ff)
+        n_load = self._nldm_lax.size
+        si, u = slew_w
+        return _blend(planes, (rows + si) * n_load + ci, n_load, u, t)
+
+    def _build_batch(self, queries: Sequence[ArcQuery]) -> CandidateBatch:
+        lib = self._library
+        n_arcs = len(queries)
         n_wire = int(self._ext.size)
         n_sizes = len(self._sizes)
         n_corners = len(self._corners)
-        spacing = np.maximum(
-            self._wl_vals[:, None], direct / (self._counts[None, :] + 1.0)
-        ).reshape(-1)
-        # Ahead of the middle-pair term every quantity depends on (size,
-        # spacing) alone: evaluate each distinct spacing once and gather
-        # back to the (wirelength, count) grid at the end.
-        sp, sp_inv = np.unique(spacing, return_inverse=True)
-        n_sp = int(sp.size)
-        wl_idx = self._snap_idx(sp)
-        # Start-pair lanes: the wire-only extensions loaded by the arc's
-        # end pin, then every size's first hop loaded by its own pin.
-        lengths = np.concatenate([ext_len, np.tile(sp, n_sizes)])
-        pins = np.concatenate(
-            [np.full(n_wire, end_cap), np.repeat(self._pin_caps, n_sp)]
-        )
-        ext_hop = ext_len * hop0_scale
-        sp_hop = sp * hop0_scale
-        sqrt_ref = math.sqrt(REFERENCE_SIZE / start_size)
+        arcs = np.arange(n_arcs)
+        ctxs = [q.ctx for q in queries]
+        direct = np.asarray([q.direct for q in queries], dtype=float)
+        end_cap = np.asarray([q.end_cap for q in queries], dtype=float)
+        routed = np.asarray([c["start_factor"]["value"] for c in ctxs], dtype=float)
+        sizes = [int(c["start_size"]["value"]) for c in ctxs]
+        start_row = np.asarray([self._size_row[s] for s in sizes])
+        start_size = np.asarray(sizes, dtype=float)
+        # hop_wire_delay bakes in the chain factor; the first hop belongs
+        # to the start anchor's net, so rescale its length accordingly.
+        hop0_scale = routed / chain_length_factor()
+        wl_max = self._wl_full[-1]
+        min_count_geo = np.maximum(np.ceil(direct / wl_max).astype(np.int64) - 1, 0)
 
-        wire_est = np.empty((n_corners, n_wire))
-        head = np.empty((n_corners, n_sizes, n_sp))
+        ext_len = direct[:, None] + self._ext
+        spacing = np.maximum(
+            self._wl_vals[:, None], direct[:, None, None] / self._counts_p1
+        ).reshape(n_arcs, -1)
+        n_grid = spacing.shape[1]
+        # Ahead of the middle-pair term every quantity depends on (arc,
+        # size, spacing) alone: evaluate each arc's distinct spacings
+        # once (sorted, as np.unique would list them), concatenated over
+        # the chunk, and gather back to the (wirelength, count) grid at
+        # the end through each grid point's lane.
+        order = np.argsort(spacing, axis=1, kind="stable")
+        ordered = np.take_along_axis(spacing, order, axis=1)
+        fresh = np.ones(ordered.shape, dtype=bool)
+        fresh[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+        n_sp = fresh.sum(axis=1)
+        lane_of = np.empty_like(order)
+        np.put_along_axis(lane_of, order, np.cumsum(fresh, axis=1) - 1, axis=1)
+        lane_of += (np.cumsum(n_sp) - n_sp)[:, None]
+        sp = ordered[fresh]
+        sp_arc = np.repeat(arcs, n_sp)
+        n_sp_all = int(sp.size)
+        wl_idx = self._snap_idx(sp)
+        # Start-pair lanes: every arc's wire-only extensions loaded by its
+        # end pin, then every size's first hop loaded by its own pin.
+        n_ext = n_arcs * n_wire
+        lane_arc = np.concatenate([np.repeat(arcs, n_wire), np.tile(sp_arc, n_sizes)])
+        buf_arc = lane_arc[n_ext:]
+        routed_len = np.concatenate([ext_len.reshape(-1), np.tile(sp, n_sizes)])
+        routed_len *= routed[lane_arc]
+        pins = np.concatenate(
+            [np.repeat(end_cap, n_wire), np.repeat(self._pin_caps, n_sp_all)]
+        )
+        ext_hop = ext_len * hop0_scale[:, None]
+        sp_hop = sp * hop0_scale[sp_arc]
+        sqrt_ref = np.sqrt(REFERENCE_SIZE / start_size)[lane_arc]
+        size_frac = start_size / MAX_SIZE
+        # Wire-only hops take one memo row per distinct end pin cap.
+        end_caps, end_group = np.unique(end_cap, return_inverse=True)
+        n_lanes = routed_len.size
+        start_plane = start_row * self._nldm_sax.size
+
+        wire_est = np.empty((n_corners, n_arcs, n_wire))
+        head = np.empty((n_corners, n_sizes, n_sp_all))
         slew1 = np.empty_like(head)
+        wire_hop = np.empty((n_arcs, n_wire))
         for k, corner in enumerate(self._corners):
             # The reference ``_estimate`` head: start-anchor pair timed
             # against its new net load, signoff correction, first hop.
             name = corner.name
-            cell_start = lib.cell(start_size, corner)
-            in_slew = ctx["in_slew"][name]
-            base = ctx["load_base"][name] - ctx["old_contrib"][name]
-            d1 = cell_start.delay(in_slew, cell_start.input_cap_ff)
-            s1 = cell_start.output_slew(in_slew, cell_start.input_cap_ff)
-            slew_term = (
-                SLEW_GAIN * math.tanh(in_slew / SLEW_SCALE_PS) * (start_size / MAX_SIZE)
+            in_slew = np.asarray([c["in_slew"][name] for c in ctxs], dtype=float)
+            base = np.asarray(
+                [c["load_base"][name] - c["old_contrib"][name] for c in ctxs],
+                dtype=float,
             )
-            seg = lib.wire(corner).cap_per_um * (lengths * routed)
-            load = np.maximum((base + seg) + pins, 0.0)
-            d2 = cell_start.delay_table.lookup_array(s1, load)
-            s2 = cell_start.slew_table.lookup_array(s1, load)
-            load_term = LOAD_GAIN * self._tanh(load / LOAD_SCALE_FF) * sqrt_ref
-            factor = 1.0 + load_term - slew_term
-            pair = (d1 + d2) * factor
-            wire_d, _ = hop_wire_delays(lib, corner, ext_hop, (end_cap,))
+            delay_k = self._nldm_delay[k]
+            slew_k = self._nldm_slew[k]
+            si, u = _vector_weights(self._nldm_sax, in_slew)
+            pin_k = self._start_pin[k, start_row]
+            d1 = self._start_lookup(delay_k, start_plane, (si, u), pin_k)
+            s1 = self._start_lookup(slew_k, start_plane, (si, u), pin_k)
+            load = np.maximum(
+                (base[lane_arc] + self._cap_per_um[k] * routed_len) + pins, 0.0
+            )
+            si, u = _vector_weights(self._nldm_sax, s1)
+            si, u = si[lane_arc], u[lane_arc]
+            d2 = self._start_lookup(delay_k, start_plane[lane_arc], (si, u), load)
+            s2 = self._start_lookup(
+                slew_k, start_plane[buf_arc], (si[n_ext:], u[n_ext:]), load[n_ext:]
+            )
+            tanh = _exact_tanh(
+                np.concatenate([load / LOAD_SCALE_FF, in_slew / SLEW_SCALE_PS])
+            )
+            load_term = LOAD_GAIN * tanh[:n_lanes] * sqrt_ref
+            slew_term = SLEW_GAIN * tanh[n_lanes:] * size_frac
+            factor = 1.0 + load_term - slew_term[lane_arc]
+            pair = (d1[lane_arc] + d2) * factor
+            for g, cap in enumerate(end_caps.tolist()):
+                group = end_group == g
+                wire_d, _ = hop_wire_delays(lib, corner, ext_hop[group], (cap,))
+                wire_hop[group] = wire_d[0].reshape(-1, n_wire)
             hop_d, hop_e = hop_wire_delays(lib, corner, sp_hop, self._pin_caps)
-            wire_est[k] = pair[:n_wire] + wire_d[0]
-            head[k] = pair[n_wire:].reshape(n_sizes, n_sp) + hop_d
-            s2 = s2[n_wire:].reshape(n_sizes, n_sp)
+            wire_est[k] = pair[:n_ext].reshape(n_arcs, n_wire) + wire_hop
+            head[k] = pair[n_ext:].reshape(n_sizes, n_sp_all) + hop_d
+            s2 = s2.reshape(n_sizes, n_sp_all)
             step = LN9 * hop_e
             slew1[k] = np.sqrt(s2 * s2 + step * step)
 
@@ -373,35 +507,50 @@ class ECOCandidateKernel:
         flat = self._detail_flat
         n_load = self._n_load
         rows = (self._plane_rows[:, :, None] + wl_idx) * self._n_slew
-        end_ci, end_t = _scalar_weights(self._det_lax, end_cap)
+        end_ci, end_t = _vector_weights(self._det_lax, end_cap)
+        end_ci = end_ci[sp_arc]
+        end_t = end_t[sp_arc]
         si, u = _vector_weights(self._det_sax, slew1)
         first_rows = (rows + si) * n_load
         single = head + _blend(flat, first_rows + end_ci, n_load, u, end_t)
         first = head + _blend(flat, first_rows + self._pin_ci, n_load, u, self._pin_t)
         si, u = _vector_weights(self._det_sax, self._steady[:, :, wl_idx])
         last = _blend(flat, (rows + si) * n_load + end_ci, n_load, u, end_t)
-        # Back to the (wirelength, count) grid: ((first + middle pairs) +
-        # last) per count, in place; count-1 columns take the single pair.
-        buffered = first[:, :, sp_inv]
-        middle = self._uni[:, :, wl_idx[sp_inv]]
-        middle *= self._middle
-        buffered += middle
-        buffered += last[:, :, sp_inv]
-        buffered[:, :, self._single] = single[:, :, sp_inv[self._single]]
-        est = np.concatenate([wire_est, buffered.reshape(n_corners, -1)], axis=1)
 
-        return ArcCandidateTable(
-            est=est.T,
-            spacing=np.concatenate([ext_len, np.tile(spacing, n_sizes)]),
+        # Back to each arc's (wirelength, count) grid: ((first + middle
+        # pairs) + last) per count; count-1 columns take the single pair.
+        lanes = lane_of.reshape(-1)
+        buffered = first.take(lanes, axis=2)
+        middle = self._uni[:, :, wl_idx].take(lanes, axis=2)
+        middle *= np.tile(self._middle, n_arcs)
+        buffered += middle
+        buffered += last.take(lanes, axis=2)
+        buffered = buffered.reshape(n_corners, n_sizes, n_arcs, n_grid)
+        buffered[..., self._single] = single[:, :, lane_of[:, self._single]]
+        est = np.empty((n_corners, n_arcs, n_wire + n_sizes * n_grid))
+        est[:, :, :n_wire] = wire_est
+        grid = est[:, :, n_wire:].reshape(n_corners, n_arcs, n_sizes, n_grid)
+        grid[...] = buffered.transpose(0, 2, 1, 3)
+
+        name0 = self._corners[0].name
+        return CandidateBatch(
+            est=est,
+            spacing=np.concatenate([ext_len, np.tile(spacing, n_sizes)], axis=1),
+            valid_static=np.concatenate(
+                [
+                    np.ones((n_arcs, n_wire), dtype=bool),
+                    np.tile(spacing <= wl_max, n_sizes),
+                ],
+                axis=1,
+            ),
+            min_count_geo=min_count_geo,
+            driver_floor0=np.asarray(
+                [c["driver_floor"][name0] for c in ctxs], dtype=float
+            ),
             counts=self._counts_all,
             size_values=self._size_values,
             n_wire=n_wire,
-            valid_static=np.concatenate(
-                [np.ones(n_wire, dtype=bool), np.tile(spacing <= wl_max, n_sizes)]
-            ),
             stage0=self._stage0,
-            min_count_geo=min_count_geo,
-            driver_floor0=ctx["driver_floor"][self._corners[0].name],
         )
 
 

@@ -12,6 +12,10 @@ Three builders cover every analysis need:
 
 All wire segments are discretized into pi-segments of at most
 ``segment_um`` so that Elmore/D2M see distributed, not lumped, wire.
+
+:func:`straight_wire_moments` evaluates the far-end Elmore and D2M of
+many :func:`edge_rc_tree` straight wires at once, without building the
+trees.
 """
 
 from __future__ import annotations
@@ -20,9 +24,12 @@ import math
 from itertools import islice
 from typing import Dict, Hashable, Sequence, Tuple
 
+import numpy as np
+
 from repro.geometry import Point, path_length
 from repro.route.rsmt import RouteTree
 from repro.rc import RCTree
+from repro.sta.d2m import LN2
 from repro.tech.wire import WireModel
 
 #: Default maximum RC segment length (um).
@@ -72,6 +79,62 @@ def edge_rc_tree(
     _add_wire_path(tree, "drv", "sink", path_length(list(polyline)), wire, segment_um)
     tree.add_cap("sink", load_ff)
     return tree
+
+
+def straight_wire_moments(
+    wire: WireModel,
+    lengths,
+    loads,
+    segment_um: float = DEFAULT_SEGMENT_UM,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(elmore, d2m)`` at the far end of straight wires, one lane each.
+
+    Lane ``i`` is the :func:`edge_rc_tree` of a wire ``lengths[i]`` long
+    with ``loads[i]`` at its far end (the two broadcast together).  The
+    chains are laid out on a segment axis padded with zero caps past
+    each lane's far end: downstream sums are reversed ``np.cumsum``s and
+    the moments forward ones, which add the tree recursions' terms in
+    their order, and the padding only adds exact zeros.  Every value
+    therefore equals :func:`~repro.sta.elmore.elmore_delays` and
+    :func:`~repro.sta.d2m.d2m_delays` on the tree bit for bit.  A
+    negative length or load raises :class:`ValueError`, as
+    :meth:`WireModel.segment_cap` and :meth:`RCTree.add_cap` do.
+    """
+    lengths, loads = np.broadcast_arrays(
+        np.asarray(lengths, dtype=float), np.asarray(loads, dtype=float)
+    )
+    shape = lengths.shape
+    lengths, loads = lengths.ravel(), loads.ravel()
+    if (lengths < 0.0).any():
+        raise ValueError("negative wire length")
+    if (loads < 0.0).any():
+        raise ValueError("negative capacitance")
+    # A zero length takes one zero-RC piece: the same zero moments as
+    # the tree's zero-length node.
+    pieces = np.maximum(np.ceil(lengths / segment_um), 1.0)
+    piece_len = lengths / pieces
+    res = wire.res_per_um * piece_len
+    cap = wire.cap_per_um * piece_len
+    last = pieces.astype(np.intp) - 1
+    lane = np.arange(lengths.size)
+    # Node caps below the driver: a full piece cap at each interior
+    # junction, half a piece plus the pin at the far end, zeros after.
+    axis = np.arange(int(last.max()) + 1 if lengths.size else 0)
+    caps = np.where(axis < last[:, None], cap[:, None], 0.0)
+    caps[lane, last] = cap / 2.0 + loads
+    res = res[:, None]
+    down = np.cumsum(caps[:, ::-1], axis=1)[:, ::-1]
+    m1 = np.cumsum(res * down, axis=1)
+    down_cm = np.cumsum((caps * m1)[:, ::-1], axis=1)[:, ::-1]
+    m2 = np.cumsum(res * down_cm, axis=1)
+    first = m1[lane, last]
+    second = m2[lane, last]
+    live = (second > 0.0) & (first > 0.0)
+    d2m = np.zeros_like(first)
+    d2m[live] = np.minimum(
+        LN2 * first[live] * first[live] / np.sqrt(second[live]), first[live]
+    )
+    return first.reshape(shape), d2m.reshape(shape)
 
 
 def star_rc_tree(

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -145,24 +145,15 @@ def _blend(flat: np.ndarray, i00, n_load: int, u, t) -> np.ndarray:
     )
 
 
-def _memo_tanh(values: np.ndarray, memo: Dict[float, float], limit: int) -> np.ndarray:
+def _exact_tanh(values: np.ndarray) -> np.ndarray:
     """Elementwise tanh of a 1-D array that matches ``math.tanh`` bit for bit.
 
     ``np.tanh`` differs from the C library in the last ulp on some
-    platforms, so gather the unique values and evaluate each through
-    ``math.tanh``, memoized in ``memo``.  When the new keys would push
-    the memo past ``limit`` it is cleared and refilled with this call's
-    keys, so every key of the call is present for the gather.
+    platforms, so evaluate each unique value once through ``math.tanh``
+    and gather.
     """
     uniq, inverse = np.unique(values, return_inverse=True)
-    keys = uniq.tolist()
-    missing = [v for v in keys if v not in memo]
-    if missing:
-        if len(memo) + len(missing) > limit:
-            memo.clear()
-            missing = keys
-        memo.update(zip(missing, map(math.tanh, missing)))
-    out = np.fromiter(map(memo.__getitem__, keys), dtype=float, count=len(keys))
+    out = np.fromiter(map(math.tanh, uniq.tolist()), dtype=float, count=uniq.size)
     return out[inverse]
 
 

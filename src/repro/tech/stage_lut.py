@@ -23,15 +23,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from repro.geometry import Point
 from repro.route.congestion import chain_length_factor
-from repro.route.rc_net import edge_rc_tree
-from repro.sta.d2m import d2m_delays
-from repro.sta.elmore import elmore_delays
+from repro.route.rc_net import straight_wire_moments
 from repro.sta.signoff import (
     LOAD_GAIN,
     LOAD_SCALE_FF,
@@ -42,7 +39,7 @@ from repro.sta.signoff import (
     signoff_gate_factor,
 )
 from repro.sta.slew import LN9, wire_degraded_slew
-from repro.tech.cells import NLDMTable, _memo_tanh
+from repro.tech.cells import NLDMTable, _exact_tanh
 from repro.tech.corners import Corner
 from repro.tech.library import Library
 
@@ -92,22 +89,21 @@ class _HopRow:
         self.elmore = np.concatenate([self.elmore, np.zeros(pad)])
         self.filled = np.concatenate([self.filled, np.zeros(pad, dtype=bool)])
 
-    def fill(self, buckets: Iterable[int]) -> None:
-        """Time each bucket's hop: a discretized RC tree, D2M and Elmore."""
-        wire = self.library.wire(self.corner)
-        for bucket in buckets:
-            length = bucket / 4.0 * chain_length_factor()
-            rc = edge_rc_tree(
-                [Point(0.0, 0.0), Point(length, 0.0)], wire, self.load_ff
-            )
-            self.delay[bucket] = d2m_delays(rc)["sink"]
-            self.elmore[bucket] = elmore_delays(rc)["sink"]
-            self.filled[bucket] = True
+    def fill(self, buckets: Sequence[int]) -> None:
+        """Time each bucket's hop, all in one straight-wire moment pass."""
+        buckets = np.asarray(buckets, dtype=np.intp)
+        lengths = buckets / 4.0 * chain_length_factor()
+        elmore, d2m = straight_wire_moments(
+            self.library.wire(self.corner), lengths, self.load_ff
+        )
+        self.delay[buckets] = d2m
+        self.elmore[buckets] = elmore
+        self.filled[buckets] = True
 
 
 #: Process-wide hop memo, one dense row per (library id, corner, load
 #: quantized to 0.05 fF).  The ECO search evaluates the same hops
-#: thousands of times, and each cold evaluation builds an RC tree.
+#: thousands of times; a row fills its missing buckets in one pass.
 _HOP_ROWS: Dict[Tuple[int, str, float], _HopRow] = {}
 
 
@@ -159,7 +155,7 @@ def hop_wire_delays(
         row = _hop_row(library, corner, load_ff, needed)
         missing = ~row.filled[buckets]
         if missing.any():
-            row.fill(np.unique(buckets[missing]).tolist())
+            row.fill(np.unique(buckets[missing]))
         delay[i] = row.delay[buckets]
         elmore[i] = row.elmore[buckets]
     return delay, elmore
@@ -291,11 +287,8 @@ def stage_delays(
     internal_slew = cell.slew_table.lookup_array(slew, pin)
     drive_delay = cell.delay_table.lookup_array(internal_slew, net_load)
     drive_slew = cell.slew_table.lookup_array(internal_slew, net_load)
-    # One fresh memo per call: it cannot outgrow the call's arguments.
     n = wl.size
-    tanh = _memo_tanh(
-        np.concatenate([net_load / LOAD_SCALE_FF, slew / SLEW_SCALE_PS]), {}, 2 * n
-    )
+    tanh = _exact_tanh(np.concatenate([net_load / LOAD_SCALE_FF, slew / SLEW_SCALE_PS]))
     load_term = LOAD_GAIN * tanh[:n] * math.sqrt(REFERENCE_SIZE / size)
     slew_term = SLEW_GAIN * tanh[n:] * (size / MAX_SIZE)
     pair_delay = (internal_delay + drive_delay) * (1.0 + load_term - slew_term)

@@ -15,9 +15,15 @@ import numpy as np
 import pytest
 
 from repro.core import local_opt
+from repro.core.eco_flow import LPGuidedECO
 from repro.core.local_opt import predicted_variation_reduction
 from repro.core.ml.feature_kernel import FeatureKernel
 from repro.core.ml.features import compute_move_components
+from repro.geometry import Point
+from repro.route.congestion import chain_length_factor
+from repro.route.rc_net import edge_rc_tree
+from repro.sta.d2m import d2m_delays
+from repro.sta.elmore import elmore_delays
 from repro.tech import ratio_bounds
 from repro.tech.cells import NLDMTable
 from repro.tech.library import default_library
@@ -83,6 +89,31 @@ def use_scalar_features(monkeypatch):
     """Featurize and score per move wherever the feature kernel would run."""
     monkeypatch.setattr(FeatureKernel, "compute_components_batch", per_move_components)
     monkeypatch.setattr(local_opt, "batched_variation_reductions", per_move_reductions)
+
+
+def per_arc_scan(eco, queries):
+    """Oracle of :meth:`LPGuidedECO._search`: the scalar scan, arc by arc."""
+    return [eco._scan_candidates(*query) for query in queries]
+
+
+def use_scalar_scan(patch):
+    """Search ECO candidates with the scalar scan wherever the kernel would run.
+
+    ``_search`` is the ECO's one search entry point, so no kernel table
+    is built while the patch holds.
+    """
+    patch.setattr(LPGuidedECO, "_search", per_arc_scan)
+
+
+def reference_hop_fill(row, buckets):
+    """Oracle of ``_HopRow.fill``: one discretized RC tree per bucket."""
+    wire = row.library.wire(row.corner)
+    for bucket in buckets:
+        length = bucket / 4.0 * chain_length_factor()
+        rc = edge_rc_tree([Point(0.0, 0.0), Point(length, 0.0)], wire, row.load_ff)
+        row.delay[bucket] = d2m_delays(rc)["sink"]
+        row.elmore[bucket] = elmore_delays(rc)["sink"]
+        row.filled[bucket] = True
 
 
 def reference_stage_luts(

@@ -3,18 +3,19 @@
 The kernel must be a pure accelerator: same chosen (size, spacing,
 count) tuples, estimate agreement within 1e-9 ps (in practice
 bit-identical), and byte-identical realized trees and sweep trajectories
-against the scalar scan (``LPGuidedECO._scan_candidates``, swapped in
-for the kernel's ``_search``) — serial or pooled.
+against the scalar scan (``LPGuidedECO._scan_candidates``, mapped over
+each chunk in place of the kernel's ``_search`` by
+``tests.oracles.use_scalar_scan``) — serial or pooled, at any chunk size.
 """
 
 import contextlib
 import dataclasses
 import json
-import math
 
 import numpy as np
 import pytest
 
+from repro.core import eco_flow
 from repro.core.eco_flow import ECOConfig, LPGuidedECO
 from repro.core.framework import (
     GlobalOptConfig,
@@ -23,11 +24,12 @@ from repro.core.framework import (
     realize_verified_plan,
 )
 from repro.core.lp import GlobalSkewLP, build_model_data, sweep_upper_bound
-from repro.eco import candidate_kernel
 from repro.eco.candidate_kernel import ECOCandidateKernel, ECOKernelUnsupported
 from repro.netlist.serialize import tree_to_dict
+from repro.obs.trace import tracing
 from repro.tech.cells import NLDMTable
 from repro.tech.ratio_bounds import fit_all_ratio_bounds
+from tests.oracles import use_scalar_scan
 
 
 def _tree_bytes(tree) -> str:
@@ -39,7 +41,7 @@ def _scanning(scalar):
     """Run ``LPGuidedECO`` on the scalar scan instead of the kernel."""
     with pytest.MonkeyPatch.context() as patch:
         if scalar:
-            patch.setattr(LPGuidedECO, "_search", LPGuidedECO._scan_candidates)
+            use_scalar_scan(patch)
         yield
 
 
@@ -74,12 +76,31 @@ def _realize(mini_design, stage_luts, plan, scalar=False):
     return eco, trial, report
 
 
+def _picks(report):
+    """Every field a pick sets, per realized arc."""
+    return [
+        (
+            r.arc_index,
+            r.size,
+            r.pair_count,
+            r.spacing_um,
+            r.estimate_error_ps,
+            r.estimates_ps,
+        )
+        for r in report
+    ]
+
+
+@pytest.fixture(scope="module")
+def mini_scan(mini_design, stage_luts, mini_plan):
+    """The MINI plan realized on the scalar scan (chunk-size independent)."""
+    return _realize(mini_design, stage_luts, mini_plan, scalar=True)
+
+
 class TestEstimateParity:
     @pytest.fixture(scope="class")
-    def both(self, mini_design, stage_luts, mini_plan):
-        ref = _realize(mini_design, stage_luts, mini_plan, scalar=True)
-        ker = _realize(mini_design, stage_luts, mini_plan)
-        return ref, ker
+    def both(self, mini_design, stage_luts, mini_plan, mini_scan):
+        return mini_scan, _realize(mini_design, stage_luts, mini_plan)
 
     def test_same_arcs_chosen(self, both):
         (_, _, ref_rep), (_, _, ker_rep) = both
@@ -107,6 +128,52 @@ class TestEstimateParity:
     def test_trees_byte_identical(self, both):
         (_, ref_tree, _), (_, ker_tree, _) = both
         assert _tree_bytes(ref_tree) == _tree_bytes(ker_tree)
+
+    def test_oracle_swap_builds_no_table(self, both):
+        """The swap reaches every search, so the comparison is not vacuous."""
+        (ref_eco, _, ref_rep), (ker_eco, _, _) = both
+        assert ref_eco.stats["counters"]["tables_built"] == 0
+        assert ker_eco.stats["counters"]["tables_built"] > 0
+        assert ref_eco.stats["counters"]["arcs_chosen"] == len(ref_rep) > 0
+
+    def test_arcs_chosen_counts_rebuilt_arcs(self, both):
+        _, (ker_eco, _, ker_rep) = both
+        counters = ker_eco.stats["counters"]
+        assert counters["arcs_chosen"] == len(ker_rep)
+        assert counters["selects"] == counters["tables_built"]
+
+
+class TestChunkedSearch:
+    def test_one_chunk_rekeys_and_matches_scan(
+        self, monkeypatch, mini_design, stage_luts, mini_plan, mini_scan
+    ):
+        """All of MINI's arcs in one chunk: rebuilds move later arcs' keys.
+
+        Those arcs are searched again under their new key, so the tree
+        still equals the scalar scan's, which searches every arc on the
+        tree as it stands.
+        """
+        solution = mini_plan[2]
+        arcs = solution.nonzero_arcs()
+        assert len(arcs) <= 64
+        monkeypatch.setattr(eco_flow, "_ARC_CHUNK", 64)
+        _, ref_tree, ref_rep = mini_scan
+        with tracing() as tracer:
+            ker_eco, ker_tree, ker_rep = _realize(mini_design, stage_luts, mini_plan)
+        rekeyed = ker_eco.stats["counters"]["rekeyed"]
+        assert rekeyed >= 1
+        assert _picks(ker_rep) == _picks(ref_rep)
+        assert _tree_bytes(ker_tree) == _tree_bytes(ref_tree)
+        (span_attrs,) = [
+            e["attrs"]
+            for e in tracer.events
+            if e["type"] == "span_end" and e["name"] == "eco_realize"
+        ]
+        assert span_attrs == {
+            "arcs": len(arcs),
+            "realized": len(ker_rep),
+            "rekeyed": rekeyed,
+        }
 
 
 class TestSweepTrajectory:
@@ -250,12 +317,27 @@ class TestCLS1Parity:
         assert ref[2] == ker[2]
 
     @pytest.mark.slow
-    def test_every_arc_table_equals_scalar_estimate(self, cls1_plan):
-        """Every nonzero arc's table rows equal ``_estimate`` exactly.
+    def test_chunk_of_one_picks_equal_default_chunk(self, monkeypatch, cls1_plan):
+        """Searching arc by arc and in chunks realizes the same picks."""
+        design, luts, data, solution, timings = cls1_plan
+        outputs = {}
+        for chunk in (1, eco_flow._ARC_CHUNK):
+            monkeypatch.setattr(eco_flow, "_ARC_CHUNK", chunk)
+            eco = LPGuidedECO(design.library, luts, design.legalizer)
+            trial = design.tree.clone()
+            report = eco.realize(trial, data, solution, timings)
+            outputs[chunk] = (_picks(report), _tree_bytes(trial))
+        assert outputs[1][0]
+        assert outputs[1] == outputs[eco_flow._ARC_CHUNK]
 
-        A strided row sample, offset per arc, so that across the plan it
-        reaches wire-only rows, every drive size and pair counts 1, 2
-        and beyond (the three branches of the scalar estimate).
+    @pytest.mark.slow
+    def test_every_arc_table_equals_scalar_estimate(self, cls1_plan):
+        """Every nonzero arc's chunk-built table rows equal ``_estimate``.
+
+        The arcs are queried in realize-sized chunks.  A strided row
+        sample, offset per arc, so that across the plan it reaches
+        wire-only rows, every drive size and pair counts 1, 2 and beyond
+        (the three branches of the scalar estimate).
         """
         design, luts, data, solution, timings = cls1_plan
         config = ECOConfig()
@@ -266,17 +348,18 @@ class TestCLS1Parity:
         tree = design.tree
         stride = 211
         arcs = solution.nonzero_arcs(config.delta_threshold_ps)
+        queries = [eco._query(tree, data, solution, j, timings) for j in arcs]
+        chunk = eco_flow._ARC_CHUNK
+        tables = []
+        for first in range(0, len(queries), chunk):
+            batch = kernel.table(queries[first : first + chunk])
+            tables.extend(batch.arc(a) for a in range(len(batch)))
         wire_rows = 0
         sizes = set()
         counts = set()
-        for position, j in enumerate(arcs):
-            arc = data.arcs[j]
-            start = tree.node(arc.start).location
-            direct = max(start.manhattan(tree.node(arc.end).location), 1.0)
-            end_cap = eco._pin_cap(tree, arc.end)
-            ctx = eco._arc_context(tree, arc, timings)
-            table = kernel.table(direct, end_cap, ctx)
-            prep = eco._prepare_estimate(ctx)
+        for position, (j, query, table) in enumerate(zip(arcs, queries, tables)):
+            end_cap = query.end_cap
+            prep = eco._prepare_estimate(query.ctx)
             for row in range(position % stride, table.est.shape[0], stride):
                 if not table.valid_static[row]:
                     continue
@@ -295,23 +378,6 @@ class TestCLS1Parity:
         assert wire_rows > 0
         assert sizes == set(design.library.sizes)
         assert counts == {1, 2, 3}
-
-
-class TestTanhMemo:
-    def test_full_memo_clears_and_keeps_every_key(
-        self, monkeypatch, mini_design, stage_luts
-    ):
-        """A clear triggered by new keys must not drop this call's hits."""
-        monkeypatch.setattr(candidate_kernel, "_TANH_MEMO_LIMIT", 4)
-        kernel = ECOCandidateKernel(mini_design.library, stage_luts, ECOConfig())
-        first = np.array([0.3, 0.1, 0.2, 0.1])
-        second = np.array([0.2, 0.5, 0.3, 0.4, 0.2])
-        for values in (first, second, first):
-            out = kernel._tanh(values)
-            assert out.tolist() == [math.tanh(v) for v in values.tolist()]
-        # The second call overflowed the limit and refilled all its keys;
-        # the third refilled its own after clearing again.
-        assert sorted(kernel._tanh_memo) == [0.1, 0.2, 0.3]
 
 
 class TestFallback:
@@ -343,6 +409,29 @@ class TestFallback:
                 self._doctored_luts(stage_luts),
                 ECOConfig(),
             )
+
+    def test_kernel_rejects_cells_off_one_nldm_grid(self, mini_design, stage_luts):
+        """Start pairs time on stacked NLDM planes: one grid for every cell."""
+        library = mini_design.library
+        key = sorted(library.cells)[-1]
+        cell = library.cells[key]
+        table = cell.delay_table
+        shifted = NLDMTable(
+            tuple(s + 1.0 for s in table.slew_axis), table.load_axis, table.values
+        )
+        cells = dict(library.cells)
+        cells[key] = dataclasses.replace(cell, delay_table=shifted)
+        with pytest.raises(ECOKernelUnsupported, match="one NLDM grid"):
+            ECOCandidateKernel(
+                dataclasses.replace(library, cells=cells), stage_luts, ECOConfig()
+            )
+
+    def test_kernel_rejects_source_size_outside_size_list(
+        self, mini_design, stage_luts
+    ):
+        library = dataclasses.replace(mini_design.library, source_drive_size=64)
+        with pytest.raises(ECOKernelUnsupported, match="source drive size"):
+            ECOCandidateKernel(library, stage_luts, ECOConfig())
 
     def test_eco_rejects_uncompilable_luts(self, mini_design, stage_luts):
         """No scalar fallback: the ECO refuses LUTs it cannot compile."""

@@ -2,12 +2,15 @@
 
 import pytest
 
+import numpy as np
+
 from repro.geometry import Point
 from repro.route.rc_net import (
     EdgeRCCache,
     edge_rc_tree,
     route_rc_tree,
     star_rc_tree,
+    straight_wire_moments,
 )
 from repro.route.rsmt import rsmt
 from repro.sta.d2m import d2m_delays
@@ -62,6 +65,35 @@ class TestEdgeRC:
         )
         assert detour.total_cap_ff() > direct.total_cap_ff()
         assert elmore_delay_to(detour, "sink") > elmore_delay_to(direct, "sink")
+
+
+class TestStraightWireMoments:
+    def test_lanes_equal_edge_trees(self, wire):
+        """Each lane's (Elmore, D2M) equals its edge tree's, bit for bit."""
+        lengths = [0.0, 0.3, 19.99, 20.0, 20.01, 100.0, 333.3, 901.25]
+        loads = [0.0, 0.9, 4.0, 80.0, 2.5, 16.64, 1.04, 7.0]
+        elmore, d2m = straight_wire_moments(wire, lengths, loads)
+        for i, (length, load) in enumerate(zip(lengths, loads)):
+            tree = edge_rc_tree([Point(0, 0), Point(length, 0)], wire, load)
+            assert elmore[i] == elmore_delays(tree)["sink"], length
+            assert d2m[i] == d2m_delays(tree)["sink"], length
+
+    def test_broadcasts_a_scalar_load(self, wire):
+        lengths = np.array([[5.0, 45.0], [70.0, 0.0]])
+        elmore, d2m = straight_wire_moments(wire, lengths, 3.0)
+        assert elmore.shape == d2m.shape == (2, 2)
+        flat = straight_wire_moments(wire, lengths.ravel(), [3.0] * 4)
+        assert elmore.ravel().tolist() == flat[0].tolist()
+        assert d2m.ravel().tolist() == flat[1].tolist()
+
+    def test_empty_input(self, wire):
+        elmore, d2m = straight_wire_moments(wire, np.zeros(0), 1.0)
+        assert elmore.size == d2m.size == 0
+
+    @pytest.mark.parametrize("length, load", [(-1.0, 1.0), (10.0, -0.5)])
+    def test_negative_length_or_load_raises(self, wire, length, load):
+        with pytest.raises(ValueError):
+            straight_wire_moments(wire, [5.0, length], load)
 
 
 class TestStarRC:

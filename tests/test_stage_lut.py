@@ -19,7 +19,7 @@ from repro.tech.stage_lut import (
     stage_delays,
     steady_state_stage,
 )
-from tests.oracles import PARITY_LIBRARIES, reference_stage_luts
+from tests.oracles import PARITY_LIBRARIES, reference_hop_fill, reference_stage_luts
 
 
 def _hop_at_key(library, corner, wirelength_um, load_ff):
@@ -177,6 +177,67 @@ class TestHopMemo:
             library_cls1, corner, np.asarray([0.0]), (4.0,)
         )
         assert delay.tolist() == [[0.0]] and elmore.tolist() == [[0.0]]
+
+
+class TestStraightWireFill:
+    """A row's one-pass fill equals the RC tree per bucket, bit for bit."""
+
+    #: Buckets 0-4000 at stride 7, plus 1-3: bucket 0 (the zero-length
+    #: net), one-piece lanes, exact 20-um multiples and up to 45 pieces.
+    BUCKETS = sorted(set(range(0, 4001, 7)) | {1, 2, 3})
+
+    @staticmethod
+    def _rows(library, corner, load_ff, buckets):
+        """One row filled in one call and its oracle twin, both grown."""
+        batched = stage_lut._HopRow(library, corner, load_ff)
+        oracle = stage_lut._HopRow(library, corner, load_ff)
+        for row in (batched, oracle):
+            row.grow(max(buckets) + 1)
+        batched.fill(buckets)
+        reference_hop_fill(oracle, buckets)
+        return batched, oracle
+
+    @pytest.mark.parametrize("name", ["MINI", "CLS1v1"])
+    def test_fill_equals_rc_tree_oracle(self, name):
+        library = PARITY_LIBRARIES[name]()
+        loads = sorted(
+            {0.0, 0.9, 80.0} | {library.input_cap_ff(s) for s in library.sizes}
+        )
+        lengths = np.asarray(self.BUCKETS) / 4.0 * chain_length_factor()
+        assert int(np.ceil(lengths.max() / 20.0)) >= 45
+        timed = set()
+        for corner in library.corners:
+            wire = library.wire(corner)
+            # Corners with equal wire RC fill equal rows; time each once.
+            if (wire.res_per_um, wire.cap_per_um) in timed:
+                continue
+            timed.add((wire.res_per_um, wire.cap_per_um))
+            for load in loads:
+                batched, oracle = self._rows(library, corner, load, self.BUCKETS)
+                assert batched.delay.tolist() == oracle.delay.tolist(), (corner, load)
+                assert batched.elmore.tolist() == oracle.elmore.tolist(), (corner, load)
+                assert batched.filled.tolist() == oracle.filled.tolist()
+        assert timed
+
+    def test_one_call_equals_bucket_by_bucket(self, library_cls1):
+        corner = library_cls1.corners.nominal
+        buckets = [0, 1, 2, 3, 79, 80, 81, 160, 1601, 4000]
+        at_once, _ = self._rows(library_cls1, corner, 4.16, buckets)
+        one_by_one = stage_lut._HopRow(library_cls1, corner, 4.16)
+        one_by_one.grow(max(buckets) + 1)
+        for bucket in buckets:
+            one_by_one.fill([bucket])
+        assert at_once.delay.tolist() == one_by_one.delay.tolist()
+        assert at_once.elmore.tolist() == one_by_one.elmore.tolist()
+        assert at_once.filled.tolist() == one_by_one.filled.tolist()
+
+    def test_negative_load_raises(self, library_cls1):
+        corner = library_cls1.corners.nominal
+        clear_hop_cache()
+        with pytest.raises(ValueError):
+            hop_wire_delays(library_cls1, corner, np.asarray([50.0]), (-1.0,))
+        with pytest.raises(ValueError):
+            hop_wire_delay(library_cls1, corner, 50.0, -1.0)
 
 
 class TestHopWireDelays:
