@@ -36,6 +36,7 @@ TRACKED = {
     "BENCH_eco_smoke.json": ("speedup",),
     "BENCH_features_smoke.json": ("speedup",),
     "BENCH_characterize_smoke.json": ("speedup",),
+    "BENCH_training_smoke.json": ("speedup",),
 }
 
 #: file name -> boolean flags that must not regress to false.
@@ -47,6 +48,7 @@ FLAGS = {
     "BENCH_eco_smoke.json": ("kernel_identical",),
     "BENCH_features_smoke.json": ("kernel_identical", "pooled_identical"),
     "BENCH_characterize_smoke.json": ("kernel_identical",),
+    "BENCH_training_smoke.json": ("labels_identical", "weights_identical"),
     "BENCH_trace_smoke.json": (
         "schema_valid",
         "span_tree_stable",

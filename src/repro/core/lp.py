@@ -123,10 +123,7 @@ def build_model_data(
     sinks = tree.sinks()
 
     if timings is None:
-        timings = {
-            corner.name: timer.analyze_corner(tree, corner)
-            for corner in corners
-        }
+        timings = timer.analyze_all_corners(tree)
 
     n_arcs = len(arcs)
     arc_delay = np.zeros((n_arcs, len(corner_names)))

@@ -42,14 +42,29 @@ class ANNRegressor:
         self._y_std = 1.0
 
     # ------------------------------------------------------------------
-    def _init_params(self, n_in: int, rng: np.random.Generator) -> None:
+    def _init_params(self, n_in: int, rng: np.random.Generator) -> np.ndarray:
+        """Draw the initial parameters into one flat vector and return it.
+
+        The vector holds every layer's weights, then every layer's
+        biases; ``self._weights[i]`` and ``self._biases[i]`` become
+        C-contiguous views into it, so one Adam step updates them all.
+        """
         sizes = [n_in, *self.config.hidden, 1]
+        shapes = list(zip(sizes, sizes[1:]))
+        theta = np.zeros(sum(fan_in * fan_out + fan_out for fan_in, fan_out in shapes))
         self._weights = []
         self._biases = []
-        for fan_in, fan_out in zip(sizes, sizes[1:]):
+        offset = 0
+        for fan_in, fan_out in shapes:
+            weight = theta[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out)
             scale = np.sqrt(2.0 / (fan_in + fan_out))
-            self._weights.append(rng.normal(0.0, scale, size=(fan_in, fan_out)))
-            self._biases.append(np.zeros(fan_out))
+            weight[...] = rng.normal(0.0, scale, size=(fan_in, fan_out))
+            self._weights.append(weight)
+            offset += fan_in * fan_out
+        for _, fan_out in shapes:
+            self._biases.append(theta[offset : offset + fan_out])
+            offset += fan_out
+        return theta
 
     def _forward(
         self, x: np.ndarray
@@ -107,11 +122,9 @@ class ANNRegressor:
         x_train, y_train = xs[train_idx], ys[train_idx]
         x_val, y_val = xs[val_idx], ys[val_idx]
 
-        self._init_params(xs.shape[1], rng)
-        m_w = [np.zeros_like(w) for w in self._weights]
-        v_w = [np.zeros_like(w) for w in self._weights]
-        m_b = [np.zeros_like(b) for b in self._biases]
-        v_b = [np.zeros_like(b) for b in self._biases]
+        theta = self._init_params(xs.shape[1], rng)
+        m = np.zeros_like(theta)
+        v = np.zeros_like(theta)
         beta1, beta2, eps = 0.9, 0.999, 1e-8
         step = 0
 
@@ -126,22 +139,17 @@ class ANNRegressor:
                 pred, acts = self._forward(xb)
                 grad = 2.0 * (pred - yb[:, None]) / max(len(idx), 1)
                 gw, gb = self._backward(acts, grad)
+                # One Adam step over the flat vector: the same elementwise
+                # operations, in the same order, as one step per array.
+                g = np.concatenate([w.ravel() for w in gw] + gb)
                 step += 1
-                for i in range(len(self._weights)):
-                    m_w[i] = beta1 * m_w[i] + (1 - beta1) * gw[i]
-                    v_w[i] = beta2 * v_w[i] + (1 - beta2) * gw[i] ** 2
-                    m_b[i] = beta1 * m_b[i] + (1 - beta1) * gb[i]
-                    v_b[i] = beta2 * v_b[i] + (1 - beta2) * gb[i] ** 2
-                    mw_hat = m_w[i] / (1 - beta1**step)
-                    vw_hat = v_w[i] / (1 - beta2**step)
-                    mb_hat = m_b[i] / (1 - beta1**step)
-                    vb_hat = v_b[i] / (1 - beta2**step)
-                    self._weights[i] -= cfg.learning_rate * mw_hat / (
-                        np.sqrt(vw_hat) + eps
-                    )
-                    self._biases[i] -= cfg.learning_rate * mb_hat / (
-                        np.sqrt(vb_hat) + eps
-                    )
+                m *= beta1
+                m += (1 - beta1) * g
+                v *= beta2
+                v += (1 - beta2) * g**2
+                m_hat = m / (1 - beta1**step)
+                v_hat = v / (1 - beta2**step)
+                theta -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + eps)
             if n_val:
                 val_pred, _ = self._forward(x_val)
                 val_mse = float(np.mean((val_pred[:, 0] - y_val) ** 2))

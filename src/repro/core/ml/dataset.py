@@ -160,20 +160,22 @@ def golden_subtree_delta(
     """Apply ``move`` to a clone and measure the golden delta-latency.
 
     Returns the mean latency change over the sinks of the moved buffer's
-    subtree, per corner.
+    subtree, per corner.  The clone is timed once for every corner: each
+    corner's row of an all-corner propagation equals that corner's own
+    propagation bit for bit, because every kernel operation is
+    elementwise along the corner axis.
     """
     from repro.core.moves import apply_move
 
     trial = tree.clone()
     apply_move(trial, legalizer, timer.library, move)
     sinks = trial.subtree_sinks(move.buffer)
+    after = timer.analyze_all_corners(trial)
     out: Dict[str, float] = {}
     for corner in timer.library.corners:
-        after = timer.analyze_corner(trial, corner)
-        deltas = [
-            after.arrival[s] - before[corner.name].arrival[s] for s in sinks
-        ]
-        out[corner.name] = float(np.mean(deltas)) if deltas else 0.0
+        name = corner.name
+        deltas = [after[name].arrival[s] - before[name].arrival[s] for s in sinks]
+        out[name] = float(np.mean(deltas)) if deltas else 0.0
     return out
 
 
@@ -255,9 +257,7 @@ def generate_dataset(
             last_stage = rng.random() < last_stage_fraction
             case = generate_case(library, rng, last_stage=last_stage)
             moveable = [case.target_buffer]
-        timings = {
-            c.name: timer.analyze_corner(case.tree, c) for c in library.corners
-        }
+        timings = timer.analyze_all_corners(case.tree)
         moves = enumerate_moves(case.tree, library, buffers=moveable)
         if not moves:
             continue

@@ -23,8 +23,9 @@ once** (corner as the leading axis):
   bilinear interpolation (clamp, ``searchsorted``, the four-corner
   blend) runs on whole driver batches;
 * **vectorized PERI slew degradation** and the signoff gate correction
-  (``tanh`` memoized per unique quantized argument, because
-  ``numpy.tanh`` and ``math.tanh`` differ in the last ulp).
+  (``math.tanh`` evaluated once per unique quantized argument of a
+  batch, because ``numpy.tanh`` and ``math.tanh`` differ in the last
+  ulp).
 
 Bit-compatibility contract
 --------------------------
@@ -37,8 +38,9 @@ holds the two to 1e-9 ps and the local-opt trajectory to byte
 identity, and observed
 disagreement is exactly 0.  Where a numpy ufunc is *not* bit-identical
 to the ``math`` module (``tanh``, ``hypot``), the kernel either
-memoizes the scalar function or the scalar reference was rewritten in
-the vectorizable form (see :func:`repro.sta.slew.peri_slew`).
+gathers the scalar function over the unique arguments or the scalar
+reference was rewritten in the vectorizable form (see
+:func:`repro.sta.slew.peri_slew`).
 
 Incremental use
 ---------------
@@ -76,6 +78,7 @@ from repro.sta.signoff import (
 )
 from repro.sta.slew import LN9
 from repro.sta.timer import CornerTiming
+from repro.tech.cells import _exact_tanh
 from repro.tech.corners import Corner
 from repro.tech.library import Library
 
@@ -181,9 +184,9 @@ class TimingKernel:
     """Library-level compiled context: stacked NLDM tables plus memos.
 
     One instance per (library, wire metric, segmentation); it owns the
-    caches shared across compiles — the per-edge RC metric cache, the
-    routed-length-factor memo and the ``tanh`` memo — so repeated
-    compiles of mutated trees amortize all scalar evaluation.
+    caches shared across compiles — the per-edge RC metric cache and the
+    routed-length-factor memo — so repeated compiles of mutated trees
+    amortize all scalar evaluation.
     """
 
     def __init__(
@@ -200,7 +203,6 @@ class TimingKernel:
         self._segment_um = segment_um
         self._edge_cache = edge_cache if edge_cache is not None else EdgeRCCache()
         self._factor_memo: Dict[Tuple, float] = {}
-        self._tanh_memo: Dict[float, float] = {}
         self._pin_cap_memo: Dict[int, float] = {}
         self._stack_tables()
 
@@ -283,22 +285,11 @@ class TimingKernel:
             self._pin_cap_memo[size] = cap
         return cap
 
-    def _tanh(self, x: np.ndarray) -> np.ndarray:
+    @staticmethod
+    def _tanh(x: np.ndarray) -> np.ndarray:
         # numpy.tanh disagrees with math.tanh in the last ulp; the scalar
-        # engines use math.tanh, so gather it over the unique (quantized)
-        # arguments instead.
-        uniq, inverse = np.unique(x.ravel(), return_inverse=True)
-        memo = self._tanh_memo
-        vals = np.empty(uniq.size)
-        for k, v in enumerate(uniq.tolist()):
-            t = memo.get(v)
-            if t is None:
-                if len(memo) >= 1 << 20:
-                    memo.clear()
-                t = math.tanh(v)
-                memo[v] = t
-            vals[k] = t
-        return vals[inverse].reshape(x.shape)
+        # engines use math.tanh, evaluated once per unique argument.
+        return _exact_tanh(x.ravel()).reshape(x.shape)
 
     # ------------------------------------------------------------------
     # Batched gate evaluation

@@ -17,13 +17,17 @@ import pytest
 from repro.core import local_opt
 from repro.core.eco_flow import LPGuidedECO
 from repro.core.local_opt import predicted_variation_reduction
+from repro.core.ml import dataset
+from repro.core.ml.ann import ANNRegressor
 from repro.core.ml.feature_kernel import FeatureKernel
 from repro.core.ml.features import compute_move_components
+from repro.core.moves import apply_move
 from repro.geometry import Point
 from repro.route.congestion import chain_length_factor
 from repro.route.rc_net import edge_rc_tree
 from repro.sta.d2m import d2m_delays
 from repro.sta.elmore import elmore_delays
+from repro.sta.timer import GoldenTimer
 from repro.tech import ratio_bounds
 from repro.tech.cells import NLDMTable
 from repro.tech.library import default_library
@@ -60,6 +64,126 @@ def reference_timings(timer, tree):
 def reference_time_tree(timer, tree, pairs, alphas=None):
     """:meth:`GoldenTimer.time_tree` over :func:`reference_timings`."""
     return timer.time_tree(tree, pairs, alphas, timings=reference_timings(timer, tree))
+
+
+def per_corner_timings(timer, tree):
+    """Oracle of :meth:`GoldenTimer.analyze_all_corners`: one compile and
+    one propagation per corner."""
+    return {
+        corner.name: timer.analyze_corner(tree, corner)
+        for corner in timer.library.corners
+    }
+
+
+def reference_golden_subtree_delta(timer, tree, legalizer, move, before):
+    """Oracle of :func:`repro.core.ml.dataset.golden_subtree_delta`: the
+    trial clone is timed one corner at a time."""
+    trial = tree.clone()
+    apply_move(trial, legalizer, timer.library, move)
+    sinks = trial.subtree_sinks(move.buffer)
+    out = {}
+    for corner in timer.library.corners:
+        after = timer.analyze_corner(trial, corner)
+        deltas = [after.arrival[s] - before[corner.name].arrival[s] for s in sinks]
+        out[corner.name] = float(np.mean(deltas)) if deltas else 0.0
+    return out
+
+
+def use_per_corner_labels(patch):
+    """Label training moves one corner at a time wherever the dataset
+    generator would run one all-corner analysis: the case trees and every
+    trial clone."""
+    patch.setattr(GoldenTimer, "analyze_all_corners", per_corner_timings)
+    patch.setattr(dataset, "golden_subtree_delta", reference_golden_subtree_delta)
+
+
+def reference_ann_fit(model, x, y):
+    """Oracle of :meth:`ANNRegressor.fit`: parameters and Adam moments
+    kept per layer array, one Adam update per array and step."""
+    cfg = model.config
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float).reshape(-1)
+    if x.ndim != 2 or x.shape[0] != y.shape[0]:
+        raise ValueError("x must be 2-D with one row per target")
+    rng = np.random.default_rng(cfg.seed)
+
+    model._x_mean = x.mean(axis=0)
+    model._x_std = np.where(x.std(axis=0) > 1e-12, x.std(axis=0), 1.0)
+    model._y_mean = float(y.mean())
+    model._y_std = float(y.std()) or 1.0
+    xs = (x - model._x_mean) / model._x_std
+    ys = (y - model._y_mean) / model._y_std
+
+    n = xs.shape[0]
+    n_val = max(1, int(n * cfg.validation_fraction)) if n >= 10 else 0
+    order = rng.permutation(n)
+    val_idx, train_idx = order[:n_val], order[n_val:]
+    x_train, y_train = xs[train_idx], ys[train_idx]
+    x_val, y_val = xs[val_idx], ys[val_idx]
+
+    sizes = [xs.shape[1], *cfg.hidden, 1]
+    model._weights = []
+    model._biases = []
+    for fan_in, fan_out in zip(sizes, sizes[1:]):
+        scale = np.sqrt(2.0 / (fan_in + fan_out))
+        model._weights.append(rng.normal(0.0, scale, size=(fan_in, fan_out)))
+        model._biases.append(np.zeros(fan_out))
+    m_w = [np.zeros_like(w) for w in model._weights]
+    v_w = [np.zeros_like(w) for w in model._weights]
+    m_b = [np.zeros_like(b) for b in model._biases]
+    v_b = [np.zeros_like(b) for b in model._biases]
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    step = 0
+
+    best_val = np.inf
+    best_params = None
+    stall = 0
+    for _ in range(cfg.max_epochs):
+        perm = rng.permutation(len(x_train))
+        for start in range(0, len(perm), cfg.batch_size):
+            idx = perm[start : start + cfg.batch_size]
+            xb, yb = x_train[idx], y_train[idx]
+            pred, acts = model._forward(xb)
+            grad = 2.0 * (pred - yb[:, None]) / max(len(idx), 1)
+            gw, gb = model._backward(acts, grad)
+            step += 1
+            for i in range(len(model._weights)):
+                m_w[i] = beta1 * m_w[i] + (1 - beta1) * gw[i]
+                v_w[i] = beta2 * v_w[i] + (1 - beta2) * gw[i] ** 2
+                m_b[i] = beta1 * m_b[i] + (1 - beta1) * gb[i]
+                v_b[i] = beta2 * v_b[i] + (1 - beta2) * gb[i] ** 2
+                mw_hat = m_w[i] / (1 - beta1**step)
+                vw_hat = v_w[i] / (1 - beta2**step)
+                mb_hat = m_b[i] / (1 - beta1**step)
+                vb_hat = v_b[i] / (1 - beta2**step)
+                model._weights[i] -= cfg.learning_rate * mw_hat / (
+                    np.sqrt(vw_hat) + eps
+                )
+                model._biases[i] -= cfg.learning_rate * mb_hat / (
+                    np.sqrt(vb_hat) + eps
+                )
+        if n_val:
+            val_pred, _ = model._forward(x_val)
+            val_mse = float(np.mean((val_pred[:, 0] - y_val) ** 2))
+            if val_mse < best_val - 1e-6:
+                best_val = val_mse
+                best_params = (
+                    [w.copy() for w in model._weights],
+                    [b.copy() for b in model._biases],
+                )
+                stall = 0
+            else:
+                stall += 1
+                if stall >= cfg.patience:
+                    break
+    if best_params is not None:
+        model._weights, model._biases = best_params
+    return model
+
+
+def use_per_layer_adam(patch):
+    """Train every ANN with the per-layer Adam oracle."""
+    patch.setattr(ANNRegressor, "fit", reference_ann_fit)
 
 
 def per_move_components(kernel, tree, timings, moves, cache):

@@ -6,6 +6,8 @@ import pytest
 from repro.core.ml.ann import ANNConfig, ANNRegressor
 from repro.core.ml.hsm import HybridSurrogateModel, kfold_mse
 from repro.core.ml.svr import RBFKernelSVR, SVRConfig
+from repro.core.ml.training import _make_model
+from tests.oracles import reference_ann_fit, use_per_layer_adam
 
 
 def toy_problem(n=200, seed=0, noise=0.05):
@@ -43,7 +45,7 @@ class TestANN:
         cfg = ANNConfig(max_epochs=50, seed=3)
         a = ANNRegressor(cfg).fit(x, y).predict(x[:5])
         b = ANNRegressor(cfg).fit(x, y).predict(x[:5])
-        assert np.allclose(a, b)
+        assert np.array_equal(a, b)
 
     def test_constant_feature_tolerated(self):
         x, y = toy_problem(n=60)
@@ -51,6 +53,61 @@ class TestANN:
         model = ANNRegressor(ANNConfig(max_epochs=30))
         model.fit(x, y)
         assert np.all(np.isfinite(model.predict(x)))
+
+
+def assert_same_network(got, want, x):
+    """Weights, biases and predictions equal bit for bit."""
+    assert len(got._weights) == len(want._weights)
+    for a, b in zip(got._weights + got._biases, want._weights + want._biases):
+        assert np.array_equal(a, b)
+    assert np.array_equal(got.predict(x), want.predict(x))
+
+
+class TestANNParity:
+    """The flat-vector Adam step equals the per-layer oracle bit for bit."""
+
+    def test_early_stopped_fit_matches_oracle(self, monkeypatch):
+        x, y = toy_problem(n=200)
+        cfg = ANNConfig(max_epochs=400, patience=5, seed=1)
+        calls = []
+        forward = ANNRegressor._forward
+
+        def counting_forward(self, xb):
+            calls.append(len(xb))
+            return forward(self, xb)
+
+        monkeypatch.setattr(ANNRegressor, "_forward", counting_forward)
+        got = ANNRegressor(cfg).fit(x, y)
+        # 170 training rows make 6 batches an epoch, and the 30 validation
+        # rows one more forward pass: fewer than max_epochs epochs ran.
+        assert len(calls) % 7 == 0 and len(calls) // 7 < cfg.max_epochs
+        want = reference_ann_fit(ANNRegressor(cfg), x, y)
+        assert_same_network(got, want, x)
+
+    def test_fit_without_validation_matches_oracle(self):
+        x, y = toy_problem(n=8)
+        cfg = ANNConfig(max_epochs=60, seed=3)
+        got = ANNRegressor(cfg).fit(x, y)
+        # No validation split: the final parameters are the trained views
+        # into the one flat vector.
+        params = got._weights + got._biases
+        theta = params[0].base
+        assert theta.ndim == 1 and theta.size == sum(a.size for a in params)
+        for array in params:
+            assert array.base is theta and array.flags.c_contiguous
+        want = reference_ann_fit(ANNRegressor(cfg), x, y)
+        assert_same_network(got, want, x)
+
+    def test_hsm_ann_matches_oracle(self, monkeypatch):
+        x, y = toy_problem(n=120, seed=5)
+        got = _make_model("hsm").fit(x, y)
+        with monkeypatch.context() as patch:
+            use_per_layer_adam(patch)
+            want = _make_model("hsm").fit(x, y)
+        assert got.cv_mse == want.cv_mse
+        assert got.weights == want.weights
+        assert_same_network(got._models[0], want._models[0], x)
+        assert np.array_equal(got.predict(x), want.predict(x))
 
 
 class TestSVR:

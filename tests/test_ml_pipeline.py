@@ -7,6 +7,8 @@ from repro.core.ml.dataset import (
     dataset_arrays,
     generate_case,
     generate_dataset,
+    generate_tree_case,
+    golden_subtree_delta,
 )
 from repro.core.ml.features import (
     ESTIMATOR_VARIANTS,
@@ -20,8 +22,13 @@ from repro.core.ml.training import (
     evaluate_predictor,
     train_predictor,
 )
-from repro.core.moves import enumerate_moves
+from repro.core.moves import MoveType, enumerate_moves
 from repro.sta.timer import GoldenTimer
+from tests.oracles import (
+    PARITY_LIBRARIES,
+    reference_golden_subtree_delta,
+    use_per_corner_labels,
+)
 
 
 @pytest.fixture(scope="module")
@@ -48,8 +55,6 @@ class TestArtificialCases:
         assert 6 <= fanout <= 40
 
     def test_tree_case_targets_real_buffer(self, library_cls1):
-        from repro.core.ml.dataset import generate_tree_case
-
         rng = np.random.default_rng(4)
         case = generate_tree_case(library_cls1, rng)
         case.tree.validate()
@@ -101,6 +106,44 @@ class TestDataset:
         a = generate_dataset(library_cls1, n_cases=2, moves_per_case=4, seed=9)
         b = generate_dataset(library_cls1, n_cases=2, moves_per_case=4, seed=9)
         assert [s.target for s in a] == [s.target for s in b]
+
+
+class TestLabelParity:
+    """Labels from one all-corner analysis per tree equal per-corner ones."""
+
+    @pytest.mark.parametrize("name", ["CLS1v1", "MINI/4"])
+    def test_subtree_delta_matches_per_corner_oracle(self, name):
+        library = PARITY_LIBRARIES[name]()
+        # Seed 11 synthesizes a tree with surgery candidates, so all three
+        # Table-2 move types are covered (the default training set samples
+        # no type-III move).
+        case = generate_tree_case(library, np.random.default_rng(11))
+        moves = enumerate_moves(case.tree, library, buffers=list(case.tree.buffers()))
+        timer = GoldenTimer(library)
+        before = timer.analyze_all_corners(case.tree)
+        for move_type in MoveType:
+            move = next(m for m in moves if m.type is move_type)
+            got = golden_subtree_delta(timer, case.tree, case.legalizer, move, before)
+            want = reference_golden_subtree_delta(
+                timer, case.tree, case.legalizer, move, before
+            )
+            assert list(got) == [c.name for c in library.corners]
+            assert got == want, move_type
+
+    def test_dataset_matches_per_corner_oracle(
+        self, tiny_dataset, library_cls1, monkeypatch
+    ):
+        use_per_corner_labels(monkeypatch)
+        reference = generate_dataset(
+            library_cls1, n_cases=6, moves_per_case=8, seed=21
+        )
+        assert [s.target for s in tiny_dataset] == [s.target for s in reference]
+        for got, want in zip(tiny_dataset, reference):
+            for corner in library_cls1.corners:
+                assert np.array_equal(
+                    got.features.vector(corner.name),
+                    want.features.vector(corner.name),
+                )
 
 
 class TestTraining:
