@@ -1,6 +1,7 @@
-"""Perf-regression gate: diff fresh smoke-bench JSONs against baselines.
+"""Perf-regression gate: check fresh BENCH records against bounds and baselines.
 
-Usage (what the CI perf-smoke job runs)::
+Usage (what the CI perf-smoke job runs; the nightly job runs the full
+benches instead and passes ``--tolerance 0.5``)::
 
     # snapshot the committed baselines before the benches overwrite them
     cp -r benchmarks/results /tmp/bench_baseline
@@ -8,15 +9,25 @@ Usage (what the CI perf-smoke job runs)::
     python benchmarks/compare_bench.py \
         --baseline /tmp/bench_baseline --fresh benchmarks/results
 
-Each tracked bench exposes ratio metrics (speedups) that are largely
-machine-independent, so a fresh run on a different box is comparable to
-the committed baseline.  The gate fails (exit 1) when any tracked
-metric drops more than ``--tolerance`` (default 25%) below its
-baseline, and when a correctness flag (``trajectory_identical``)
-regresses to false.  Missing fresh files fail the gate — a bench that
-silently stopped producing output is itself a regression; missing
-*baselines* only warn, so brand-new benches can land before their first
-committed baseline.
+Every bench ``x`` in :data:`BENCHES` writes a smoke record
+``BENCH_x_smoke.json`` and a full record ``BENCH_x.json``.  Each record
+is checked the same way:
+
+* every flag in :data:`FLAGS` must be true;
+* every metric in :data:`CEILINGS` / :data:`FLOORS` must stay within
+  its absolute bound (baseline-free contracts);
+* every top-level number whose key contains ``speedup`` (higher is
+  better) or ``overhead`` (lower is better) may move in its bad
+  direction by at most ``--tolerance`` (default 25%) of the same key in
+  the baseline record.  A zero baseline is never gated relatively: the
+  drift is undefined, and absolute contracts belong to the ceilings.
+
+The smoke record is required: a missing fresh one fails, since a bench
+that silently stopped producing output is itself a regression.  The full
+record is checked whenever the fresh directory holds it.  A missing
+*baseline* only warns, so brand-new benches can land before their first
+committed baseline.  Exit status: 0 when every check passes, 1 when any
+fails.
 """
 
 from __future__ import annotations
@@ -26,41 +37,38 @@ import json
 import pathlib
 import sys
 
-#: file name -> ratio metrics gated at (1 - tolerance) * baseline.
-TRACKED = {
-    "BENCH_timer_smoke.json": ("speedup",),
-    "BENCH_localopt_smoke.json": ("speedup",),
-    "BENCH_parallel_smoke.json": (),
-    "BENCH_pool_smoke.json": (),
-    "BENCH_kernel_smoke.json": ("speedup",),
-    "BENCH_eco_smoke.json": ("speedup",),
-    "BENCH_features_smoke.json": ("speedup",),
-    "BENCH_characterize_smoke.json": ("speedup",),
-    "BENCH_training_smoke.json": ("speedup",),
-}
+#: Every gated bench, by name.
+BENCHES = (
+    "characterize",
+    "eco",
+    "features",
+    "kernel",
+    "localopt",
+    "parallel",
+    "pool",
+    "timer",
+    "trace",
+    "training",
+)
 
-#: file name -> boolean flags that must not regress to false.
+#: bench name -> boolean flags that must be true.
 FLAGS = {
-    "BENCH_localopt_smoke.json": ("trajectory_identical",),
-    "BENCH_parallel_smoke.json": ("trajectory_identical",),
-    "BENCH_pool_smoke.json": ("verdicts_identical",),
-    "BENCH_kernel_smoke.json": ("kernel_identical",),
-    "BENCH_eco_smoke.json": ("kernel_identical",),
-    "BENCH_features_smoke.json": ("kernel_identical", "pooled_identical"),
-    "BENCH_characterize_smoke.json": ("kernel_identical",),
-    "BENCH_training_smoke.json": ("labels_identical", "weights_identical"),
-    "BENCH_trace_smoke.json": (
-        "schema_valid",
-        "span_tree_stable",
-        "result_identical",
-    ),
+    "localopt": ("trajectory_identical",),
+    "parallel": ("trajectory_identical",),
+    "pool": ("verdicts_identical",),
+    "kernel": ("kernel_identical",),
+    "eco": ("kernel_identical",),
+    "features": ("kernel_identical", "pooled_identical"),
+    "characterize": ("kernel_identical",),
+    "training": ("labels_identical", "weights_identical"),
+    "trace": ("schema_valid", "span_tree_stable", "result_identical"),
 }
 
-#: file name -> {metric: absolute ceiling}.  Ceilings are baseline-free:
-#: the metric is a bounded contract (the trace-overhead budget), not a
-#: machine-relative ratio, so the fresh value alone is gated.
+#: bench name -> {metric: absolute ceiling}.  The metric is a bounded
+#: contract (the trace-overhead budget), not a machine-relative ratio,
+#: so the fresh value alone is gated.
 CEILINGS = {
-    "BENCH_trace_smoke.json": {
+    "trace": {
         "overhead_pct": 2.0,
         # The background resource sampler at its default interval must
         # fit inside the same traced-overhead budget.
@@ -68,83 +76,120 @@ CEILINGS = {
     },
 }
 
-#: file name -> {metric: absolute minimum}.  Floors are baseline-free
+#: bench name -> {metric: absolute minimum}.  Floors are baseline-free
 #: like ceilings, but lower bounds: the metric is a structural speedup
 #: (work the optimization removes outright, not a machine-relative
 #: ratio), so the fresh value must clear the acceptance bar on its own.
 FLOORS = {
-    "BENCH_pool_smoke.json": {
+    "pool": {
         "respawn_speedup": 5.0,
     },
 }
 
 
-def load(path: pathlib.Path):
+def direction(metric: str):
+    """``"higher"`` for speedups, ``"lower"`` for overheads, else None."""
+    lowered = metric.lower()
+    if "speedup" in lowered:
+        return "higher"
+    if "overhead" in lowered:
+        return "lower"
+    return None
+
+
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def load(path: pathlib.Path) -> dict:
+    """One record; raises ValueError when it is not a JSON object."""
     with open(path) as handle:
-        return json.load(handle)
+        record = json.load(handle)
+    if not isinstance(record, dict):
+        raise ValueError("not a JSON object")
+    return record
+
+
+def check_record(bench, fresh, base, name, tolerance, failures, warnings):
+    """Append the failures and warnings of one fresh record.
+
+    ``base`` is the baseline record, or None when there is none.
+    """
+
+    def bound(metric, value, limit, kind, ok, baseline=None):
+        prefix = "" if baseline is None else f"baseline={baseline:.2f} "
+        status = "OK" if ok else "REGRESSION"
+        line = (
+            f"{name}: {metric} {prefix}fresh={value:.2f} "
+            f"{kind}={limit:.2f} [{status}]"
+        )
+        print(line)
+        if not ok:
+            failures.append(line)
+
+    for flag in FLAGS.get(bench, ()):
+        if not fresh.get(flag, False):
+            failures.append(f"{name}: {flag} is false")
+    for table, kind in ((CEILINGS, "ceiling"), (FLOORS, "floor")):
+        for metric, limit in table.get(bench, {}).items():
+            value = fresh.get(metric)
+            if not _number(value):
+                failures.append(f"{name}: fresh result lacks {metric!r}")
+                continue
+            ok = value <= limit if kind == "ceiling" else value >= limit
+            bound(metric, value, limit, kind, ok)
+    if base is None:
+        warnings.append(f"{name}: no committed baseline yet; skipping ratios")
+        return
+    for metric in sorted(set(base) | set(fresh)):
+        better = direction(metric)
+        if better is None:
+            continue
+        base_value, value = base.get(metric), fresh.get(metric)
+        if not _number(base_value):
+            if _number(value):
+                warnings.append(f"{name}: baseline lacks {metric!r}; skipping")
+            continue
+        if not _number(value):
+            failures.append(f"{name}: fresh result lacks {metric!r}")
+            continue
+        if base_value == 0:
+            print(
+                f"{name}: {metric} baseline=0.00 fresh={value:.2f} "
+                "[not gated: zero baseline]"
+            )
+            continue
+        slack = tolerance * abs(base_value)
+        if better == "higher":
+            bound(metric, value, base_value - slack, "floor",
+                  value >= base_value - slack, base_value)
+        else:
+            bound(metric, value, base_value + slack, "ceiling",
+                  value <= base_value + slack, base_value)
 
 
 def compare(baseline_dir: pathlib.Path, fresh_dir: pathlib.Path, tolerance: float):
+    """(failures, warnings) over the smoke and full record of every bench."""
     failures = []
     warnings = []
-    for name in sorted(set(TRACKED) | set(FLAGS) | set(CEILINGS) | set(FLOORS)):
-        fresh_path = fresh_dir / name
-        base_path = baseline_dir / name
-        if not fresh_path.exists():
-            failures.append(f"{name}: fresh result missing ({fresh_path})")
-            continue
-        fresh = load(fresh_path)
-        for flag in FLAGS.get(name, ()):
-            if not fresh.get(flag, False):
-                failures.append(f"{name}: {flag} is false")
-        for metric, ceiling in CEILINGS.get(name, {}).items():
-            fresh_value = fresh.get(metric)
-            if fresh_value is None:
-                failures.append(f"{name}: fresh result lacks {metric!r}")
+    for bench in BENCHES:
+        for name, required in (
+            (f"BENCH_{bench}_smoke.json", True),
+            (f"BENCH_{bench}.json", False),
+        ):
+            fresh_path = fresh_dir / name
+            if not fresh_path.exists():
+                if required:
+                    failures.append(f"{name}: fresh result missing ({fresh_path})")
                 continue
-            status = "OK" if float(fresh_value) <= ceiling else "REGRESSION"
-            line = (
-                f"{name}: {metric} fresh={fresh_value:.2f} "
-                f"ceiling={ceiling:.2f} [{status}]"
-            )
-            print(line)
-            if status == "REGRESSION":
-                failures.append(line)
-        for metric, floor in FLOORS.get(name, {}).items():
-            fresh_value = fresh.get(metric)
-            if fresh_value is None:
-                failures.append(f"{name}: fresh result lacks {metric!r}")
+            base_path = baseline_dir / name
+            try:
+                fresh = load(fresh_path)
+                base = load(base_path) if base_path.exists() else None
+            except (OSError, ValueError) as exc:
+                failures.append(f"{name}: cannot read record ({exc})")
                 continue
-            status = "OK" if float(fresh_value) >= floor else "REGRESSION"
-            line = (
-                f"{name}: {metric} fresh={fresh_value:.2f} "
-                f"floor={floor:.2f} [{status}]"
-            )
-            print(line)
-            if status == "REGRESSION":
-                failures.append(line)
-        if not base_path.exists():
-            warnings.append(f"{name}: no committed baseline yet; skipping ratios")
-            continue
-        base = load(base_path)
-        for metric in TRACKED.get(name, ()):
-            base_value = base.get(metric)
-            fresh_value = fresh.get(metric)
-            if base_value is None:
-                warnings.append(f"{name}: baseline lacks {metric!r}; skipping")
-                continue
-            if fresh_value is None:
-                failures.append(f"{name}: fresh result lacks {metric!r}")
-                continue
-            floor = (1.0 - tolerance) * float(base_value)
-            status = "OK" if float(fresh_value) >= floor else "REGRESSION"
-            line = (
-                f"{name}: {metric} baseline={base_value:.2f} "
-                f"fresh={fresh_value:.2f} floor={floor:.2f} [{status}]"
-            )
-            print(line)
-            if status == "REGRESSION":
-                failures.append(line)
+            check_record(bench, fresh, base, name, tolerance, failures, warnings)
     return failures, warnings
 
 
@@ -166,7 +211,7 @@ def main(argv=None) -> int:
         "--tolerance",
         type=float,
         default=0.25,
-        help="allowed fractional drop below baseline (default 0.25)",
+        help="allowed fractional move in the bad direction (default 0.25)",
     )
     args = parser.parse_args(argv)
 

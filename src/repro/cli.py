@@ -421,12 +421,10 @@ def cmd_report(args: argparse.Namespace) -> int:
     of a ``--chrome-out`` export) lists its errors and exits 1.
     """
     from repro.obs.merge import span_tree
-    from repro.obs.report import render_report
+    from repro.obs.report import render_perf_diff, render_report
     from repro.obs.schema import validate_events
 
     if args.perf_diff:
-        from repro.obs.sentinel import render_perf_diff
-
         path_a, path_b = args.perf_diff
         events_a, error = _load_reportable(path_a)
         if error is None:
@@ -504,34 +502,6 @@ def cmd_report(args: argparse.Namespace) -> int:
             f"({count} events; load in Perfetto or chrome://tracing)"
         )
     print(render_report(events, top=args.top))
-    return 0
-
-
-def cmd_trend(args: argparse.Namespace) -> int:
-    """Flag metric drift across a history of BENCH_*.json artifacts."""
-    from repro.obs.sentinel import load_bench_history, render_trend
-
-    try:
-        history = load_bench_history(args.files)
-    except OSError as exc:
-        print(f"repro trend: cannot read bench payload ({exc})", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"repro trend: {exc}", file=sys.stderr)
-        return 2
-    table, failures = render_trend(history, band=args.band)
-    print(table)
-    if failures:
-        for failure in failures:
-            print(f"TREND FAIL: {failure}", file=sys.stderr)
-        return 1
-    if not any(len(records) >= 2 for records in history.values()):
-        print(
-            "repro trend: no bench appears twice (group = file basename); "
-            "nothing was compared",
-            file=sys.stderr,
-        )
-        return 2
     return 0
 
 
@@ -693,30 +663,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
 
-    p_trend = sub.add_parser(
-        "trend",
-        help="flag metric drift across nightly BENCH_*.json artifacts",
-    )
-    p_trend.add_argument(
-        "files",
-        nargs="+",
-        metavar="BENCH.json",
-        help=(
-            "bench payloads in history order (grouped by basename; "
-            "the last record of each group is checked against the "
-            "median of its predecessors)"
-        ),
-    )
-    p_trend.add_argument(
-        "--band",
-        type=float,
-        default=0.25,
-        help=(
-            "relative drift tolerance (default 0.25 = 25%%): speedups "
-            "dropping or overheads rising beyond it fail"
-        ),
-    )
-
     p_train = sub.add_parser("train", help="train and score a predictor")
     p_train.add_argument("--cases", type=int, default=20)
     p_train.add_argument("--moves", type=int, default=12)
@@ -735,7 +681,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "train": cmd_train,
         "batch": cmd_batch,
         "report": cmd_report,
-        "trend": cmd_trend,
     }
     return handlers[args.command](args)
 

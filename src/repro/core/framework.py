@@ -403,8 +403,8 @@ class GlobalOptimizer:
                     total_arcs += best_stats[1]
                     total_committed += best_stats[2]
                     total_reverted += best_stats[3]
-                # Per-iteration objective time series (counter track in
-                # the Perfetto export; trendable by the sentinel).
+                # Per-iteration objective time series (a counter track
+                # in the Perfetto export).
                 tracer.metric(
                     "global_opt.objective_ps",
                     round(current_result.total_variation, 6),

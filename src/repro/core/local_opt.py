@@ -204,7 +204,7 @@ class LocalOptimizer:
                         if not committed:
                             break
                     # Per-iteration objective time series (renders as a
-                    # Perfetto counter track; the sentinel can trend it).
+                    # Perfetto counter track).
                     tracer.metric(
                         "local_opt.objective_ps",
                         round(result.total_variation, 6),

@@ -34,10 +34,6 @@ class Point:
         """Return the midpoint between this point and ``other``."""
         return Point((self.x + other.x) / 2.0, (self.y + other.y) / 2.0)
 
-    def as_tuple(self) -> Tuple[float, float]:
-        """Return ``(x, y)``."""
-        return (self.x, self.y)
-
 
 #: The eight compass displacement directions used by local moves (Table 2).
 COMPASS_DIRECTIONS: Tuple[Tuple[str, Tuple[float, float]], ...] = (

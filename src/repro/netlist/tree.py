@@ -27,7 +27,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.geometry import BBox, Point, path_length
+from repro.geometry import Point, path_length
 
 
 class NodeKind(enum.Enum):
@@ -335,10 +335,6 @@ class ClockTree:
             for nid in self._nodes
             if self._parent[nid] is not None
         )
-
-    def bounding_box(self) -> BBox:
-        """Bounding box of all node locations."""
-        return BBox.of_points([n.location for n in self._nodes.values()])
 
     # ------------------------------------------------------------------
     # Mutations used by the optimizers

@@ -89,19 +89,27 @@ def _span_index(
     return index
 
 
-def span_paths(events: List[Mapping[str, object]]) -> Dict[str, int]:
-    """Slash-joined name path -> number of spans on that path."""
-    index = _span_index(events)
-    path_cache: Dict[_SpanKey, str] = {}
+def span_key_paths(
+    events: List[Mapping[str, object]],
+) -> Dict[_SpanKey, str]:
+    """(lane, span) -> slash-joined name path from the root.
 
-    def path_of(key: _SpanKey) -> str:
-        cached = path_cache.get(key)
-        if cached is not None:
-            return cached
+    The one path function every view uses (hotspots, perf-diff and the
+    span tree).  A span whose parent id is absent from the trace hangs
+    under ``<orphan>``; a walk that comes back to a span it already
+    passed stops there under ``<cycle>``, so malformed parent links
+    still give every span one finite path.
+    """
+    index = _span_index(events)
+    paths: Dict[_SpanKey, str] = {}
+    for key in index:
         chain: List[str] = []
         cursor: Optional[_SpanKey] = key
         seen = set()
-        while cursor is not None and cursor not in seen:
+        while cursor is not None:
+            if cursor in seen:
+                chain.append("<cycle>")
+                break
             seen.add(cursor)
             entry = index.get(cursor)
             if entry is None:
@@ -110,13 +118,14 @@ def span_paths(events: List[Mapping[str, object]]) -> Dict[str, int]:
             name, parent = entry
             chain.append(name)
             cursor = parent
-        path = "/".join(reversed(chain))
-        path_cache[key] = path
-        return path
+        paths[key] = "/".join(reversed(chain))
+    return paths
 
+
+def span_paths(events: List[Mapping[str, object]]) -> Dict[str, int]:
+    """Slash-joined name path -> number of spans on that path."""
     counts: Dict[str, int] = {}
-    for key in index:
-        path = path_of(key)
+    for path in span_key_paths(events).values():
         counts[path] = counts.get(path, 0) + 1
     return counts
 

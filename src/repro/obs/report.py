@@ -11,6 +11,15 @@ trace (``--trace-out``), it prints
   and ``*_hit_rate`` gauges, as :func:`repro.obs.metrics.emit_stats`
   streams them from the flows' ``.stats``.
 
+``repro report --perf-diff A.jsonl B.jsonl`` instead aligns two traces
+by canonical span path and ranks the per-path *self*-time deltas
+(:func:`render_perf_diff`).  Self time pinpoints the stage that actually
+slowed down — a slowdown inside ``iteration/featurize`` shows up there,
+not smeared over every ancestor's total.  Each path's seconds are
+normalized by the number of lanes that executed it, so a 4-worker
+trace's fanned-out ``verify`` time compares against a 1-worker run
+like-for-like.
+
 Rendering is a pure function of the trace events, so the committed MINI
 trace in ``tests/data/`` has a byte-stable golden report.
 """
@@ -20,7 +29,7 @@ from __future__ import annotations
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.analysis.report import render_table
-from repro.obs.merge import _span_index
+from repro.obs.merge import _span_index, span_key_paths
 
 _SpanKey = Tuple[int, int]
 
@@ -83,31 +92,17 @@ def path_self_times(
 ) -> Dict[str, Tuple[int, float, int]]:
     """Per canonical span path: (span count, self seconds, distinct lanes).
 
-    The path is the slash-joined name chain from the root (same
-    canonicalization as :func:`repro.obs.merge.span_paths`); lanes count
-    how many workers contributed spans on that path — the sentinel's
+    The path is :func:`repro.obs.merge.span_key_paths`'s, so hotspots,
+    perf-diffs and the span tree name every span alike; lanes count how
+    many workers contributed spans on that path — the perf-diff's
     worker-count normalization divides by it.
     """
-    spans = _self_times(events)
-    paths: Dict[_SpanKey, str] = {}
-
-    def path_of(key: _SpanKey) -> str:
-        cached = paths.get(key)
-        if cached is not None:
-            return cached
-        name, parent, _phase, _self_s = spans[key]
-        if parent is None or parent not in spans:
-            path = name
-        else:
-            path = f"{path_of(parent)}/{name}"
-        paths[key] = path
-        return path
-
+    paths = span_key_paths(events)
     counts: Dict[str, int] = {}
     seconds: Dict[str, float] = {}
     lanes: Dict[str, set] = {}
-    for key, (_name, _parent, _phase, self_s) in spans.items():
-        path = path_of(key)
+    for key, (_name, _parent, _phase, self_s) in _self_times(events).items():
+        path = paths[key]
         counts[path] = counts.get(path, 0) + 1
         seconds[path] = seconds.get(path, 0.0) + self_s
         lanes.setdefault(path, set()).add(key[0])
@@ -213,4 +208,91 @@ def render_report(events: List[Mapping[str, object]], top: int = 10) -> str:
                 "caches", ["cache", "hits", "misses", "hit rate"], cache
             )
         )
+    return "\n\n".join(sections)
+
+
+def perf_diff_rows(
+    events_a: List[Mapping[str, object]],
+    events_b: List[Mapping[str, object]],
+    top: int = 10,
+) -> Tuple[List[List[str]], List[List[str]]]:
+    """(regressions, improvements) rows ranked by normalized self-time delta.
+
+    Row shape: [path, A seconds, B seconds, delta seconds, delta %].
+    Seconds are lane-normalized; a path present in only one trace uses
+    0.0 on the other side (new/removed stages rank by absolute cost).
+    """
+    times_a = path_self_times(events_a)
+    times_b = path_self_times(events_b)
+    deltas: List[Tuple[float, str, float, float]] = []
+    for path in sorted(set(times_a) | set(times_b)):
+        _count_a, secs_a, lanes_a = times_a.get(path, (0, 0.0, 1))
+        _count_b, secs_b, lanes_b = times_b.get(path, (0, 0.0, 1))
+        norm_a = secs_a / max(lanes_a, 1)
+        norm_b = secs_b / max(lanes_b, 1)
+        deltas.append((norm_b - norm_a, path, norm_a, norm_b))
+
+    def rows_for(
+        entries: List[Tuple[float, str, float, float]]
+    ) -> List[List[str]]:
+        rows = []
+        for delta, path, norm_a, norm_b in entries[:top]:
+            pct = 100.0 * delta / norm_a if norm_a > 0 else float("inf")
+            pct_text = f"{pct:+.1f}%" if norm_a > 0 else "new"
+            rows.append(
+                [
+                    path,
+                    f"{norm_a:.4f}",
+                    f"{norm_b:.4f}",
+                    f"{delta:+.4f}",
+                    pct_text,
+                ]
+            )
+        return rows
+
+    regressions = sorted(
+        (entry for entry in deltas if entry[0] > 0.0),
+        key=lambda entry: (-entry[0], entry[1]),
+    )
+    improvements = sorted(
+        (entry for entry in deltas if entry[0] < 0.0),
+        key=lambda entry: (entry[0], entry[1]),
+    )
+    return rows_for(regressions), rows_for(improvements)
+
+
+def render_perf_diff(
+    events_a: List[Mapping[str, object]],
+    events_b: List[Mapping[str, object]],
+    label_a: str = "A",
+    label_b: str = "B",
+    top: int = 10,
+) -> str:
+    """The full ``repro report --perf-diff`` text."""
+    total_a = sum(s for _c, s, _l in path_self_times(events_a).values())
+    total_b = sum(s for _c, s, _l in path_self_times(events_b).values())
+    delta = total_b - total_a
+    pct = 100.0 * delta / total_a if total_a > 0 else 0.0
+    regressions, improvements = perf_diff_rows(events_a, events_b, top=top)
+    header = (
+        f"perf-diff: {label_a} -> {label_b} | total self time "
+        f"{total_a:.4f}s -> {total_b:.4f}s ({delta:+.4f}s, {pct:+.1f}%) | "
+        "per-path seconds are lane-normalized"
+    )
+    headers = ["span path", f"{label_a} s", f"{label_b} s", "delta s", "delta"]
+    sections = [header]
+    sections.append(
+        render_table(
+            f"top {top} regressions",
+            headers,
+            regressions or [["(none)", "-", "-", "-", "-"]],
+        )
+    )
+    sections.append(
+        render_table(
+            f"top {top} improvements",
+            headers,
+            improvements or [["(none)", "-", "-", "-", "-"]],
+        )
+    )
     return "\n\n".join(sections)

@@ -18,7 +18,8 @@ fields: ``type`` (one of ``meta``/``span_start``/``span_end``/
 
 Structural checks beyond field shapes: per-lane LIFO span pairing, no
 span left open at end of trace, parent references resolve to a span
-that appears in the trace.  ``repro report --trace FILE --validate``
+that appears in the trace, and no chain of parent references returns to
+a span it already passed (a cycle).  ``repro report --trace FILE --validate``
 runs these checks on a trace file.
 """
 
@@ -113,6 +114,7 @@ def validate_events(events: List[Mapping[str, object]]) -> List[str]:
     stacks: Dict[int, List[Tuple[int, str]]] = {}
     started: set = set()
     parent_refs: List[Tuple[str, Tuple[int, int]]] = []
+    parents: Dict[Tuple[int, int], Tuple[int, int]] = {}
     for index, event in enumerate(events):
         where = f"event {index}"
         event_errors = validate_event(event, where)
@@ -130,8 +132,9 @@ def validate_events(events: List[Mapping[str, object]]) -> List[str]:
             stacks.setdefault(lane, []).append((span, str(event["name"])))
             parent = event.get("parent")
             if parent is not None:
-                parent_lane = int(event.get("parent_worker", lane))
-                parent_refs.append((where, (parent_lane, int(parent))))
+                parent_key = (int(event.get("parent_worker", lane)), int(parent))
+                parent_refs.append((where, parent_key))
+                parents[key] = parent_key
         elif etype == "span_end":
             span = int(event["span"])
             stack = stacks.setdefault(lane, [])
@@ -154,4 +157,25 @@ def validate_events(events: List[Mapping[str, object]]) -> List[str]:
             errors.append(
                 f"{where}: parent ({key[1]} in lane {key[0]}) not in trace"
             )
+    errors.extend(_parent_cycles(parents))
+    return errors
+
+
+def _parent_cycles(parents: Dict[Tuple[int, int], Tuple[int, int]]) -> List[str]:
+    """One error per cycle of parent references, ``(lane, span)`` keyed."""
+    errors: List[str] = []
+    done: set = set()
+    for start in parents:
+        trail: Dict[Tuple[int, int], int] = {}  # span -> position on the walk
+        cursor = start
+        while cursor in parents and cursor not in done and cursor not in trail:
+            trail[cursor] = len(trail)
+            cursor = parents[cursor]
+        if cursor in trail:
+            cycle = list(trail)[trail[cursor]:] + [cursor]
+            errors.append(
+                "parent cycle: "
+                + " -> ".join(f"span {span} in lane {lane}" for lane, span in cycle)
+            )
+        done.update(trail)
     return errors

@@ -6,8 +6,8 @@ flat list of JSON-ready event dicts.  Every optimization layer opens
 spans through the process-wide active tracer (:func:`active`), which
 defaults to a :class:`NullTracer` whose context managers are shared
 no-ops — untraced runs pay only an attribute lookup per span site, which
-is what keeps the ``compare_bench`` trace-overhead contract (traced wall
-time within 2% of untraced) easy to honor.
+is what keeps the ``compare_bench`` trace-overhead contract (tracing
+within 2% of a run's CPU time) easy to honor.
 
 Event lanes: every event carries a ``worker`` lane id.  Lane 0 is the
 main process; pool workers trace into their own lanes and stream the

@@ -164,9 +164,6 @@ class ArenaView:
     def blob(self, name: str) -> bytes:
         return self._blobs[name]
 
-    def blob_names(self):
-        return tuple(self._blobs)
-
     def close(self) -> None:
         """Drop the mapping (main-process test support only).
 

@@ -87,7 +87,3 @@ def d2m_delays(tree: RCTree) -> Dict[Hashable, float]:
             delays[name] = min(LN2 * first * first / math.sqrt(second), first)
     return delays
 
-
-def d2m_delay_to(tree: RCTree, sink: Hashable) -> float:
-    """D2M delay (ps) from root to one ``sink`` node."""
-    return d2m_delays(tree)[sink]

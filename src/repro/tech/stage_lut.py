@@ -378,23 +378,11 @@ class StageDelayLUT:
         """Steady-state stage delay at the nearest characterized wirelength."""
         return self.uniform[(size, self.snap_wl(wirelength_um))]
 
-    def uniform_out_slew(self, size: int, wirelength_um: float) -> float:
-        """Steady-state stage output slew at the nearest characterized WL."""
-        return self.uniform_slew[(size, self.snap_wl(wirelength_um))]
-
     def detail_delay(
         self, size: int, wirelength_um: float, slew_ps: float, load_ff: float
     ) -> float:
         """Boundary-pair stage delay from LUTdetail (interpolated)."""
         return self.detail[(size, self.snap_wl(wirelength_um))].lookup(
-            slew_ps, load_ff
-        )
-
-    def detail_out_slew(
-        self, size: int, wirelength_um: float, slew_ps: float, load_ff: float
-    ) -> float:
-        """Boundary-pair stage output slew from LUTdetail (interpolated)."""
-        return self.detail_slew[(size, self.snap_wl(wirelength_um))].lookup(
             slew_ps, load_ff
         )
 

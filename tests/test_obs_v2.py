@@ -1,4 +1,4 @@
-"""Telemetry v2: sampler, profiler, exporters, sentinel, CLI contracts.
+"""Telemetry v2: sampler, profiler, exporters, perf-diff, CLI contracts.
 
 The contracts under test:
 
@@ -16,10 +16,11 @@ The contracts under test:
   its own validator, which catches undeclared threads, unbalanced B/E
   and non-monotonic counters, and ``repro report --chrome-out`` fails
   on what that validator finds;
-* the sentinel ranks an injected slowdown's exact span path as the top
-  regression and flags bench-history drift in the bad direction only;
+* the perf-diff ranks an injected slowdown's exact span path as the top
+  regression;
 * the CLI degrades gracefully (documented exit codes) on unreadable,
-  meta-less and zero-span traces (S2).
+  meta-less and zero-span traces (S2), and on spans whose parent links
+  form a cycle or point at no span.
 """
 
 from __future__ import annotations
@@ -37,16 +38,16 @@ from repro.obs.export import (
     validate_chrome_trace,
     write_chrome_trace,
 )
+from repro.obs.merge import span_tree
 from repro.obs.profile import SpanProfiler
-from repro.obs.report import path_self_times, trace_health
-from repro.obs.sampler import ResourceSampler
-from repro.obs.schema import validate_events
-from repro.obs.sentinel import (
-    metric_direction,
+from repro.obs.report import (
+    path_self_times,
     perf_diff_rows,
     render_perf_diff,
-    trend_rows,
+    trace_health,
 )
+from repro.obs.sampler import ResourceSampler
+from repro.obs.schema import validate_events
 from repro.obs.trace import SCHEMA_VERSION, Tracer, tracing
 from repro.parallel import ParallelVerifier
 from repro.testcases.mini import build_mini
@@ -395,7 +396,7 @@ class TestChromeExport:
 
 
 # ----------------------------------------------------------------------
-# Sentinel: perf-diff and bench trend
+# Perf-diff
 # ----------------------------------------------------------------------
 class TestPerfDiff:
     def test_injected_slowdown_ranks_top(self):
@@ -440,61 +441,8 @@ class TestPerfDiff:
         assert seconds == pytest.approx(1.0)
 
 
-class TestTrend:
-    def _history(self, *values, name="verify_speedup"):
-        return {
-            "BENCH_x.json": [
-                (f"run{i}/BENCH_x.json", {name: value})
-                for i, value in enumerate(values)
-            ]
-        }
-
-    def test_direction_classification(self):
-        assert metric_direction("verify_speedup") == "higher"
-        assert metric_direction("overhead_pct") == "lower"
-        assert metric_direction("wall_s") is None
-
-    def test_speedup_drop_fails(self):
-        rows, failures = trend_rows(self._history(2.0, 2.1, 1.0), band=0.25)
-        assert rows[0][-1] == "FAIL"
-        assert len(failures) == 1
-        assert "verify_speedup" in failures[0]
-
-    def test_speedup_rise_passes(self):
-        _rows, failures = trend_rows(self._history(2.0, 2.1, 3.0), band=0.25)
-        assert failures == []
-
-    def test_overhead_rise_fails(self):
-        _rows, failures = trend_rows(
-            self._history(1.0, 1.1, 2.0, name="overhead_pct"), band=0.25
-        )
-        assert len(failures) == 1
-
-    def test_baseline_is_median_of_prior(self):
-        # Latest (1.6) vs median(2.0, 0.1, 2.2) = 2.0 -> -20%, in band.
-        _rows, failures = trend_rows(
-            self._history(2.0, 0.1, 2.2, 1.6), band=0.25
-        )
-        assert failures == []
-
-    def test_single_record_skipped(self):
-        rows, failures = trend_rows(self._history(2.0), band=0.25)
-        assert rows[0][1] == "(single record)"
-        assert failures == []
-
-    def test_zero_baseline_never_gates(self):
-        # A 0% overhead baseline makes relative drift undefined; the row
-        # reports the absolute move but cannot fail (ceilings in
-        # compare_bench own the absolute contract).
-        rows, failures = trend_rows(
-            self._history(0.0, 5.0, name="overhead_pct"), band=0.25
-        )
-        assert failures == []
-        assert "zero baseline" in rows[0][-1]
-
-
 # ----------------------------------------------------------------------
-# S2 + CLI: graceful degradation, perf-diff/trend/chrome-out end-to-end
+# S2 + CLI: graceful degradation, perf-diff/chrome-out end-to-end
 # ----------------------------------------------------------------------
 class TestCLIv2:
     def _write(self, path, events):
@@ -553,25 +501,6 @@ class TestCLIv2:
         assert excinfo.value.code == 2
         assert "--trace-out" in capsys.readouterr().err
 
-    def test_trend_exit_codes(self, capsys, tmp_path):
-        old = tmp_path / "old"
-        new = tmp_path / "new"
-        old.mkdir(), new.mkdir()
-        (old / "BENCH_x.json").write_text('{"verify_speedup": 2.0}\n')
-        (new / "BENCH_x.json").write_text('{"verify_speedup": 1.0}\n')
-        drift = [
-            "trend", str(old / "BENCH_x.json"), str(new / "BENCH_x.json")
-        ]
-        assert main(drift) == 1
-        assert "TREND FAIL" in capsys.readouterr().err
-        # A wide band tolerates the same history.
-        assert main(drift + ["--band", "0.9"]) == 0
-        capsys.readouterr()
-        # Nothing comparable: one record per group.
-        assert main(["trend", str(old / "BENCH_x.json")]) == 2
-        assert "nothing was compared" in capsys.readouterr().err
-        assert main(["trend", str(tmp_path / "nope.json")]) == 2
-
     def test_schema_cli_unreadable_exits_2(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.jsonl")
         assert main(["report", "--trace", missing, "--validate"]) == 2
@@ -612,3 +541,89 @@ class TestCLIv2:
         assert "no meta" in trace_health(_span_pair(0, "x", 0.1))
         assert "zero spans" in trace_health([_meta_event()])
         assert trace_health(_synthetic_run(0.1)) is None
+
+
+def _start(span, name, parent, ts):
+    return {
+        "type": "span_start",
+        "ts": ts,
+        "worker": 0,
+        "span": span,
+        "parent": parent,
+        "name": name,
+    }
+
+
+def _end(span, name, dur, ts):
+    return {
+        "type": "span_end",
+        "ts": ts,
+        "worker": 0,
+        "span": span,
+        "name": name,
+        "dur": dur,
+    }
+
+
+#: case -> (events, every span's path, the schema error --validate names).
+MALFORMED_LINKS = {
+    # Two spans that name each other as parent.
+    "cycle": (
+        [
+            _meta_event(),
+            _start(0, "a", 1, 0.1),
+            _start(1, "b", 0, 0.2),
+            _end(1, "b", 0.1, 0.3),
+            _end(0, "a", 0.3, 0.4),
+        ],
+        {"<cycle>/b/a", "<cycle>/a/b"},
+        "parent cycle: span 0 in lane 0 -> span 1 in lane 0 -> span 0 in lane 0",
+    ),
+    # A span whose parent id is absent from the trace.
+    "orphan": (
+        [_meta_event(), _start(0, "verify", 7, 0.1), _end(0, "verify", 0.2, 0.3)],
+        {"<orphan>/verify"},
+        "event 1: parent (7 in lane 0) not in trace",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_LINKS))
+class TestMalformedSpanLinks:
+    """Bad parent links: defined exits, and one path per span in every view."""
+
+    def _write(self, tmp_path, case):
+        events, _paths, _error = MALFORMED_LINKS[case]
+        trace = tmp_path / f"{case}.jsonl"
+        trace.write_text("".join(json.dumps(event) + "\n" for event in events))
+        return str(trace)
+
+    def test_every_view_names_a_span_alike(self, case):
+        events, paths, _error = MALFORMED_LINKS[case]
+        assert set(path_self_times(events)) == paths
+        assert span_tree(events) == sorted(paths)
+        regressions, _ = perf_diff_rows(_synthetic_run(0.1), events)
+        assert {row[0] for row in regressions} <= paths
+        assert regressions
+
+    def test_validate_names_the_link_and_exits_1(self, case, tmp_path, capsys):
+        _events, _paths, error = MALFORMED_LINKS[case]
+        trace = self._write(tmp_path, case)
+        assert main(["report", "--trace", trace, "--validate"]) == 1
+        captured = capsys.readouterr()
+        assert f"{trace}: {error}" in captured.err.splitlines()
+        assert "schema OK" not in captured.out
+
+    def test_report_perf_diff_and_compare_tree_exit_0(
+        self, case, tmp_path, capsys
+    ):
+        _events, paths, _error = MALFORMED_LINKS[case]
+        trace = self._write(tmp_path, case)
+        assert main(["report", "--trace", trace]) == 0
+        hotspots = capsys.readouterr().out
+        assert all(path in hotspots for path in paths)
+        assert main(["report", "--perf-diff", trace, trace]) == 0
+        assert "perf-diff" in capsys.readouterr().out
+        assert main(["report", "--trace", trace, "--compare-tree", trace]) == 0
+        out = capsys.readouterr().out
+        assert f"span trees identical ({len(paths)} paths)" in out
