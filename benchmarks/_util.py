@@ -12,6 +12,7 @@ import json
 import os
 import pathlib
 import platform
+import statistics
 import subprocess
 import sys
 
@@ -68,3 +69,17 @@ def write_record(name: str, record: dict) -> None:
     (RESULTS_DIR / f"{name}.json").write_text(
         json.dumps(stamped, indent=2, default=str) + "\n"
     )
+
+
+def median_ms(rounds: list, leg: str) -> float:
+    """Median of one leg's seconds over paired ``rounds``, in ms.
+
+    Each round is a dict of leg name -> seconds, timed back to back so
+    that drift in host speed hits every leg of the round alike.
+    """
+    return round(1000.0 * statistics.median(r[leg] for r in rounds), 3)
+
+
+def median_speedup(rounds: list, ref: str, fast: str) -> float:
+    """Median over paired ``rounds`` of each round's ``ref / fast`` ratio."""
+    return round(statistics.median(r[ref] / r[fast] for r in rounds), 2)

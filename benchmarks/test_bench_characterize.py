@@ -22,10 +22,9 @@ rounds' ratios.  A MINI smoke variant (``-k smoke``) writes
 
 from __future__ import annotations
 
-import statistics
 import time
 
-from _util import emit, write_record
+from _util import emit, median_ms, median_speedup, write_record
 
 from repro.tech.ratio_bounds import fit_all_ratio_bounds
 from repro.tech.stage_lut import characterize_stage_luts, clear_hop_cache
@@ -63,12 +62,6 @@ def _run_comparison(design):
         seconds["kernel"] = seconds["luts"] + seconds["bounds"]
         rounds.append(seconds)
 
-    def ms(leg):
-        return round(1000.0 * statistics.median(r[leg] for r in rounds), 3)
-
-    def speedup(ref, kernel):
-        return round(statistics.median(r[ref] / r[kernel] for r in rounds), 2)
-
     return {
         "design": design.name,
         "corners": [c.name for c in library.corners],
@@ -77,15 +70,15 @@ def _run_comparison(design):
         # StageDelayLUT and RatioBounds compare every field with ==.
         "kernel_identical": out["luts"] == out["ref_luts"]
         and out["bounds"] == out["ref_bounds"],
-        "reference_stage_luts_ms": ms("ref_luts"),
-        "kernel_stage_luts_ms": ms("luts"),
-        "reference_ratio_bounds_ms": ms("ref_bounds"),
-        "kernel_ratio_bounds_ms": ms("bounds"),
-        "reference_ms": ms("ref"),
-        "kernel_ms": ms("kernel"),
-        "stage_luts_speedup": speedup("ref_luts", "luts"),
-        "ratio_bounds_speedup": speedup("ref_bounds", "bounds"),
-        "speedup": speedup("ref", "kernel"),
+        "reference_stage_luts_ms": median_ms(rounds, "ref_luts"),
+        "kernel_stage_luts_ms": median_ms(rounds, "luts"),
+        "reference_ratio_bounds_ms": median_ms(rounds, "ref_bounds"),
+        "kernel_ratio_bounds_ms": median_ms(rounds, "bounds"),
+        "reference_ms": median_ms(rounds, "ref"),
+        "kernel_ms": median_ms(rounds, "kernel"),
+        "stage_luts_speedup": median_speedup(rounds, "ref_luts", "luts"),
+        "ratio_bounds_speedup": median_speedup(rounds, "ref_bounds", "bounds"),
+        "speedup": median_speedup(rounds, "ref", "kernel"),
     }
 
 

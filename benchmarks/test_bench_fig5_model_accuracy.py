@@ -16,6 +16,7 @@ from _util import emit
 from repro.analysis.histograms import Histogram
 from repro.analysis.report import render_scatter_summary, render_table
 from repro.core.ml.dataset import generate_dataset
+from repro.core.ml.pipeline import FeatureBatch
 from repro.core.ml.training import evaluate_predictor, train_predictor
 from repro.tech.library import default_library
 
@@ -61,5 +62,5 @@ def test_fig5_model_accuracy(benchmark):
     )
     emit("fig5_model_accuracy", summary + "\n\n" + "\n\n".join(sections))
 
-    feats = [s.features for s in test]
-    benchmark(lambda: predictor.predict_batch(feats))
+    batch = FeatureBatch.assemble([s.features for s in test], predictor.corner_names)
+    benchmark(lambda: predictor.predict_matrix(batch))

@@ -17,9 +17,9 @@ import numpy as np
 from _util import emit
 
 from repro.analysis.report import render_table
-from repro.core.local_opt import predicted_variation_reduction
+from repro.core.local_opt import batched_variation_reductions
 from repro.core.ml.dataset import generate_dataset
-from repro.core.ml.features import extract_features
+from repro.core.ml.pipeline import CandidatePipeline
 from repro.core.ml.training import train_predictor
 from repro.core.moves import apply_move, enumerate_moves
 
@@ -51,23 +51,23 @@ def test_fig6_best_move_identification(benchmark, mini):
     buffers = sorted(tree.buffers())
     solved_at = {kind: np.zeros(MAX_ATTEMPTS) for kind in MODEL_KINDS}
     evaluated_buffers = 0
+    # The tree never changes, so one pipeline serves every buffer; each
+    # buffer's moves are one batch, as a ranking iteration would see.
+    pipeline = CandidatePipeline(library)
 
     for buffer in buffers:
         moves = enumerate_moves(tree, library, buffers=[buffer])
         if len(moves) < 4:
             continue
         evaluated_buffers += 1
-        features = [
-            extract_features(tree, library, result.per_corner, m) for m in moves
-        ]
+        batch = pipeline.featurize(tree, result.per_corner, moves)
         actual = [_actual_reduction(problem, tree, result, m) for m in moves]
         best_index = int(np.argmax(actual))
         for kind, predictor in predictors.items():
-            predictions = predictor.predict_batch(features)
-            scores = [
-                predicted_variation_reduction(problem, tree, result, f, p)
-                for f, p in zip(features, predictions)
-            ]
+            scores = batched_variation_reductions(
+                problem, tree, result, batch.components,
+                predictor.predict_matrix(batch),
+            )
             ranking = list(np.argsort(scores)[::-1])
             rank_of_best = ranking.index(best_index)
             for attempt in range(MAX_ATTEMPTS):
@@ -101,7 +101,7 @@ def test_fig6_best_move_identification(benchmark, mini):
             f"{kind} beat the learned model at one attempt"
         )
 
-    move = enumerate_moves(tree, library, buffers=[buffers[0]])[0]
+    moves = enumerate_moves(tree, library, buffers=[buffers[0]])
     benchmark(
-        lambda: extract_features(tree, library, result.per_corner, move)
+        lambda: CandidatePipeline(library).featurize(tree, result.per_corner, moves)
     )

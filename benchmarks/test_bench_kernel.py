@@ -13,13 +13,18 @@ times for both paths, the incremental preview (retime) times, and a
 ``kernel_identical`` flag, and asserts the tentpole target: **>= 5x**
 single-thread full-tree analysis on CLS1v1.  A MINI smoke variant
 (``-k smoke``) runs in seconds for CI.
+
+Both comparisons take paired rounds: a round times the reference leg
+and then the kernel leg, so drift in host speed hits both sides of a
+ratio alike.  Times are medians of the rounds and each speedup is the
+median of the rounds' ratios.
 """
 
 from __future__ import annotations
 
 import time
 
-from _util import emit, write_record
+from _util import emit, median_ms, median_speedup, write_record
 from repro.core.moves import apply_move_undoable, enumerate_moves, undo_move
 from repro.sta.incremental import IncrementalTimer, ReferenceIncrementalTimer
 from repro.sta.timer import GoldenTimer
@@ -51,14 +56,10 @@ def _max_err(got, want):
     return worst
 
 
-def _time_full(analyze, tree, repeats):
-    analyze(tree)  # warm edge/gate caches + compile
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        analyze(tree)
-        best = min(best, time.perf_counter() - t0)
-    return best
+def _time_full(analyze, tree):
+    t0 = time.perf_counter()
+    analyze(tree)
+    return time.perf_counter() - t0
 
 
 def _time_retime(design, engine_cls, moves, pairs):
@@ -82,7 +83,7 @@ def _candidate_moves(design, limit):
     return [moves[i * stride] for i in range(limit)]
 
 
-def _run_comparison(design, repeats, move_limit):
+def _run_comparison(design, rounds, move_limit):
     tree = design.tree
     timer = GoldenTimer(design.library)
 
@@ -92,14 +93,22 @@ def _run_comparison(design, repeats, move_limit):
             for c in design.library.corners
         }
 
+    # The parity pass also warms the edge/gate caches and the compile.
     max_err = _max_err(timer.analyze_all_corners(tree), reference_all_corners(tree))
-    ref_s = _time_full(reference_all_corners, tree, repeats)
-    ker_s = _time_full(timer.analyze_all_corners, tree, repeats)
-
     moves = _candidate_moves(design, move_limit)
     pairs = design.pairs
-    retime_ref_s = _time_retime(design, ReferenceIncrementalTimer, moves, pairs)
-    retime_ker_s = _time_retime(design, IncrementalTimer, moves, pairs)
+    timed = []
+    for _ in range(rounds):
+        timed.append(
+            {
+                "ref": _time_full(reference_all_corners, tree),
+                "kernel": _time_full(timer.analyze_all_corners, tree),
+                "retime_ref": _time_retime(
+                    design, ReferenceIncrementalTimer, moves, pairs
+                ),
+                "retime_kernel": _time_retime(design, IncrementalTimer, moves, pairs),
+            }
+        )
 
     return {
         "design": design.name,
@@ -107,13 +116,14 @@ def _run_comparison(design, repeats, move_limit):
         "corners": [c.name for c in design.library.corners],
         "max_err_ps": max_err,
         "kernel_identical": max_err <= TOL_PS,
-        "full_reference_ms": round(1000.0 * ref_s, 3),
-        "full_kernel_ms": round(1000.0 * ker_s, 3),
-        "speedup": round(ref_s / ker_s, 2),
+        "rounds": rounds,
+        "full_reference_ms": median_ms(timed, "ref"),
+        "full_kernel_ms": median_ms(timed, "kernel"),
+        "speedup": median_speedup(timed, "ref", "kernel"),
         "retime_moves": len(moves),
-        "retime_reference_ms": round(1000.0 * retime_ref_s, 3),
-        "retime_kernel_ms": round(1000.0 * retime_ker_s, 3),
-        "retime_speedup": round(retime_ref_s / retime_ker_s, 2),
+        "retime_reference_ms": median_ms(timed, "retime_ref"),
+        "retime_kernel_ms": median_ms(timed, "retime_kernel"),
+        "retime_speedup": median_speedup(timed, "retime_ref", "retime_kernel"),
     }
 
 
@@ -125,7 +135,8 @@ def _report(tag, record):
         f"  kernel    : {record['full_kernel_ms']:9.3f} ms",
         f"  speedup   : {record['speedup']:.2f}x "
         f"(retime {record['retime_speedup']:.2f}x over "
-        f"{record['retime_moves']} previews)",
+        f"{record['retime_moves']} previews; medians of "
+        f"{record['rounds']} paired rounds)",
         f"  max |d| = {record['max_err_ps']:.3e} ps",
     ]
     emit(tag, "\n".join(lines))
@@ -134,7 +145,7 @@ def _report(tag, record):
 def test_bench_kernel_cls1():
     """Tentpole acceptance: >= 5x full-tree analysis on CLS1v1."""
     design = build_cls1(1)
-    record = _run_comparison(design, repeats=5, move_limit=60)
+    record = _run_comparison(design, rounds=5, move_limit=60)
     _report("BENCH_kernel", record)
     write_record("BENCH_kernel", record)
     assert record["kernel_identical"], record
@@ -144,7 +155,7 @@ def test_bench_kernel_cls1():
 def test_bench_kernel_smoke():
     """MINI-scale smoke (CI): identity plus a modest speedup floor."""
     design = build_mini()
-    record = _run_comparison(design, repeats=20, move_limit=30)
+    record = _run_comparison(design, rounds=20, move_limit=30)
     _report("BENCH_kernel_smoke", record)
     write_record("BENCH_kernel_smoke", record)
     assert record["kernel_identical"], record

@@ -26,7 +26,8 @@ from repro.core.local_opt import (
     LocalOptimizer,
     predicted_variation_reduction,
 )
-from repro.core.ml.features import extract_features
+from repro.core.ml.features import compute_move_components
+from repro.core.ml.pipeline import FeatureBatch
 from repro.core.ml.training import train_predictor
 from repro.core.moves import enumerate_moves
 from repro.core.objective import SkewVariationProblem
@@ -37,10 +38,11 @@ from repro.testcases.mini import build_mini
 class _LegacyLocalOptimizer(LocalOptimizer):
     """Algorithm 2 with the pre-pipeline ranking.
 
-    Every iteration re-extracts features per move from scratch
-    (``extract_features``), predicts them with ``predict_batch`` and
-    scores each move with the scalar ``predicted_variation_reduction``;
-    the pipeline the run passes in goes unused.
+    Every iteration featurizes each move from scratch with the scalar
+    featurizer (``compute_move_components``, uncached), predicts the
+    assembled batch with ``predict_matrix`` and scores each move with the
+    scalar ``predicted_variation_reduction``; the pipeline the run passes
+    in goes unused.
     """
 
     def _rank_moves(self, tree, result, pipeline, timers):
@@ -57,18 +59,20 @@ class _LegacyLocalOptimizer(LocalOptimizer):
             )
         if not moves:
             return []
+        names = [c.name for c in library.corners]
         with timers.stage("featurize"):
             features = [
-                extract_features(tree, library, result.per_corner, move)
+                compute_move_components(tree, library, result.per_corner, move)
                 for move in moves
             ]
+            batch = FeatureBatch.assemble(features, names)
         with timers.stage("predict"):
-            predictions = self._predictor.predict_batch(features)
+            predictions = self._predictor.predict_matrix(batch)
         ranked = []
         with timers.stage("score"):
-            for feats, pred in zip(features, predictions):
+            for feats, row in zip(features, predictions):
                 reduction = predicted_variation_reduction(
-                    problem, tree, result, feats, pred
+                    problem, tree, result, feats, dict(zip(names, row.tolist()))
                 )
                 if reduction > cfg.min_predicted_reduction_ps:
                     ranked.append((reduction, feats))

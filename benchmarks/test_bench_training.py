@@ -21,14 +21,14 @@ of the rounds' ratios.  A MINI smoke variant (``-k smoke``) writes
 
 from __future__ import annotations
 
-import statistics
 import time
 
 import numpy as np
 import pytest
-from _util import emit, write_record
+from _util import emit, median_ms, median_speedup, write_record
 
-from repro.core.ml.dataset import generate_dataset
+from repro.core.ml.dataset import dataset_arrays, generate_dataset
+from repro.core.ml.pipeline import FeatureBatch
 from repro.core.ml.training import train_predictor
 from repro.testcases.cls1 import build_cls1
 from repro.testcases.mini import build_mini
@@ -52,8 +52,7 @@ def _timed(call, oracle=None):
 
 def _labels_identical(got, want, corner_names):
     return [s.target for s in got] == [s.target for s in want] and all(
-        np.array_equal(a.features.vector(name), b.features.vector(name))
-        for a, b in zip(got, want)
+        np.array_equal(dataset_arrays(got, name)[0], dataset_arrays(want, name)[0])
         for name in corner_names
     )
 
@@ -68,8 +67,8 @@ def _weights_identical(got, want, samples):
         params_b = ann_b._weights + ann_b._biases
         if not all(np.array_equal(p, q) for p, q in zip(params_a, params_b)):
             return False
-    features = [s.features for s in samples]
-    return got.predict_batch(features) == want.predict_batch(features)
+    batch = FeatureBatch.assemble([s.features for s in samples], got.corner_names)
+    return np.array_equal(got.predict_matrix(batch), want.predict_matrix(batch))
 
 
 def _run_comparison(design, n_cases, moves_per_case):
@@ -103,12 +102,6 @@ def _run_comparison(design, n_cases, moves_per_case):
             }
         )
 
-    def ms(leg):
-        return round(1000.0 * statistics.median(r[leg] for r in rounds), 3)
-
-    def speedup(ref, bulk):
-        return round(statistics.median(r[ref] / r[bulk] for r in rounds), 2)
-
     return {
         "design": design.name,
         "corners": corner_names,
@@ -117,15 +110,15 @@ def _run_comparison(design, n_cases, moves_per_case):
         "samples": len(samples),
         "labels_identical": labels_identical,
         "weights_identical": weights_identical,
-        "reference_dataset_ms": ms("ref_dataset"),
-        "bulk_dataset_ms": ms("dataset"),
-        "reference_fit_ms": ms("ref_fit"),
-        "bulk_fit_ms": ms("fit"),
-        "reference_ms": ms("ref"),
-        "bulk_ms": ms("bulk"),
-        "dataset_speedup": speedup("ref_dataset", "dataset"),
-        "fit_speedup": speedup("ref_fit", "fit"),
-        "speedup": speedup("ref", "bulk"),
+        "reference_dataset_ms": median_ms(rounds, "ref_dataset"),
+        "bulk_dataset_ms": median_ms(rounds, "dataset"),
+        "reference_fit_ms": median_ms(rounds, "ref_fit"),
+        "bulk_fit_ms": median_ms(rounds, "fit"),
+        "reference_ms": median_ms(rounds, "ref"),
+        "bulk_ms": median_ms(rounds, "bulk"),
+        "dataset_speedup": median_speedup(rounds, "ref_dataset", "dataset"),
+        "fit_speedup": median_speedup(rounds, "ref_fit", "fit"),
+        "speedup": median_speedup(rounds, "ref", "bulk"),
     }
 
 

@@ -31,7 +31,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.core.ml.features import SIDE_EFFECT_VARIANT, MoveFeatures
+from repro.core.ml.features import SIDE_EFFECT_VARIANT, MoveComponents
 from repro.core.ml.pipeline import CandidatePipeline
 from repro.core.ml.training import DeltaLatencyPredictor
 from repro.core.moves import Move, MoveType, enumerate_moves
@@ -262,7 +262,7 @@ class LocalOptimizer:
     # ------------------------------------------------------------------
     def _verify_batch(
         self, verifier, current: ClockTree, result: TimingResult, batch
-    ) -> List[Tuple[float, bool, float, MoveFeatures]]:
+    ) -> List[Tuple[float, bool, float, MoveComponents]]:
         """Golden-verify one ranked batch, serially or via the pool.
 
         Returns ``(total_variation, degraded, predicted, features)``
@@ -349,7 +349,7 @@ class LocalOptimizer:
         result: TimingResult,
         pipeline: CandidatePipeline,
         timers: StageTimers,
-    ) -> List[Tuple[float, MoveFeatures]]:
+    ) -> List[Tuple[float, MoveComponents]]:
         """Featurize, predict, and rank all candidate moves.
 
         Featurization goes through the pipeline's incremental component
@@ -395,7 +395,7 @@ def predicted_variation_reduction(
     problem: SkewVariationProblem,
     tree: ClockTree,
     result: TimingResult,
-    features: MoveFeatures,
+    features: MoveComponents,
     subtree_delta: Mapping[str, float],
 ) -> float:
     """Translate predicted latency deltas into an objective reduction.
@@ -458,7 +458,7 @@ def batched_variation_reductions(
     problem: SkewVariationProblem,
     tree: ClockTree,
     result: TimingResult,
-    features: Sequence[MoveFeatures],
+    features: Sequence[MoveComponents],
     predictions: np.ndarray,
 ) -> np.ndarray:
     """Vectorized :func:`predicted_variation_reduction` over a batch.

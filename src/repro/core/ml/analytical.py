@@ -216,6 +216,11 @@ def time_net(
     )
 
 
+#: Entries of each :class:`AnalyticalCache` memo; a full memo drops its
+#: oldest entry.
+MAX_CACHE_ENTRIES = 200_000
+
+
 class AnalyticalCache:
     """Value-keyed memo for :func:`plan_net` / :func:`time_net` artifacts.
 
@@ -227,7 +232,7 @@ class AnalyticalCache:
     move changes a net's geometry or slews, the new inputs form a new
     key and the stale entry is simply never looked up again.  Explicit
     invalidation is therefore only a memory-bound concern, handled by
-    FIFO eviction at ``max_entries``.
+    FIFO eviction at :data:`MAX_CACHE_ENTRIES` per memo.
 
     A cache instance is implicitly scoped to one :class:`Library` (the
     key does not encode library tables); use one cache per optimization
@@ -237,8 +242,7 @@ class AnalyticalCache:
     counts, revalidated against ``tree.structure_revision``.
     """
 
-    def __init__(self, max_entries: int = 200_000) -> None:
-        self.max_entries = max_entries
+    def __init__(self) -> None:
         self._plans: Dict[tuple, _NetPlan] = {}
         self._routes: Dict[tuple, Tuple[object, float]] = {}
         self._times: Dict[tuple, NetEstimate] = {}
@@ -310,10 +314,10 @@ class AnalyticalCache:
             else:
                 self.stats["route_misses"] += 1
                 plan = plan_net(driver_loc, children, route_model)
-                if len(self._routes) >= self.max_entries:
+                if len(self._routes) >= MAX_CACHE_ENTRIES:
                     self._routes.pop(next(iter(self._routes)))
                 self._routes[route_key] = (plan.route, plan.wirelength_um)
-        if len(self._plans) >= self.max_entries:
+        if len(self._plans) >= MAX_CACHE_ENTRIES:
             self._plans.pop(next(iter(self._plans)))
         self._plans[key] = plan
         return plan
@@ -346,7 +350,7 @@ class AnalyticalCache:
             return est
         self.stats["time_misses"] += 1
         est = time_net(plan, library, corner, driver_size, in_slew_ps, segment_um)
-        if len(self._times) >= self.max_entries:
+        if len(self._times) >= MAX_CACHE_ENTRIES:
             self._times.pop(next(iter(self._times)))
         self._times[key] = est
         return est

@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.ml.features import MoveFeatures
+from repro.core.ml.features import MoveComponents, assemble_feature_matrix
 from repro.core.ml.pipeline import CandidatePipeline
 from repro.core.moves import Move, enumerate_moves
 from repro.eco.legalize import Legalizer
@@ -42,14 +42,9 @@ class ArtificialCase:
 
 @dataclass
 class MoveSample:
-    """One (features, golden target) training sample.
+    """One (features, golden target) training sample."""
 
-    ``features`` is either a :class:`MoveFeatures` or a
-    :class:`~repro.core.ml.features.MoveComponents` — both expose
-    ``move``, ``impacts`` and ``vector(corner_name)``.
-    """
-
-    features: MoveFeatures
+    features: MoveComponents
     target: Dict[str, float]  # corner name -> golden subtree delta (ps)
 
 
@@ -278,6 +273,6 @@ def dataset_arrays(
     samples: Sequence[MoveSample], corner_name: str
 ) -> Tuple[np.ndarray, np.ndarray]:
     """(X, y) arrays for one corner's model."""
-    x = np.vstack([s.features.vector(corner_name) for s in samples])
+    x = assemble_feature_matrix([s.features for s in samples], corner_name)
     y = np.asarray([s.target[corner_name] for s in samples])
     return x, y

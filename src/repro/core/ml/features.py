@@ -66,88 +66,6 @@ FEATURE_NAMES: Tuple[str, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class MoveFeatures:
-    """Feature vectors (one per corner) for a single candidate move."""
-
-    move: Move
-    per_corner: Dict[str, np.ndarray]
-    impacts: Dict[Tuple[str, str], MoveImpact]
-
-    def vector(self, corner_name: str) -> np.ndarray:
-        return self.per_corner[corner_name]
-
-
-def extract_features(
-    tree: ClockTree,
-    library: Library,
-    timings: Mapping[str, CornerTiming],
-    move: Move,
-) -> MoveFeatures:
-    """Compute the full feature set for ``move`` against ``timings``."""
-    impacts: Dict[Tuple[str, str], MoveImpact] = {}
-    route_models = {r for r, _ in (*ESTIMATOR_VARIANTS, SIDE_EFFECT_VARIANT)}
-    for route_model in sorted(route_models):
-        by_metric = estimate_move_impacts(
-            tree, library, timings, move, route_model
-        )
-        for metric, impact in by_metric.items():
-            impacts[(route_model, metric)] = impact
-
-    reference = impacts[ESTIMATOR_VARIANTS[1]]  # rsmt + d2m
-    net = reference.net_after
-    parent_net = reference.parent_net or net
-    size_after = tree.node(move.buffer).size or 0
-    if move.type is MoveType.SIZING_DISPLACE and move.size_step:
-        size_after = library.step_size(size_after, move.size_step)
-    type_onehot = {
-        MoveType.SIZING_DISPLACE: (1.0, 0.0, 0.0),
-        MoveType.CHILD_SIZING: (0.0, 1.0, 0.0),
-        MoveType.SURGERY: (0.0, 0.0, 1.0),
-    }[move.type]
-    displacement = abs(move.dx) + abs(move.dy)
-
-    per_corner: Dict[str, np.ndarray] = {}
-    for corner in library.corners:
-        name = corner.name
-        estimates = [
-            impacts[variant].subtree[name] for variant in ESTIMATOR_VARIANTS
-        ]
-        per_corner[name] = np.asarray(
-            [
-                *estimates,
-                float(net.fanout),
-                net.bbox_area_um2 / 1000.0,
-                net.bbox_aspect,
-                net.wirelength_um,
-                float(parent_net.fanout),
-                parent_net.bbox_area_um2 / 1000.0,
-                parent_net.bbox_aspect,
-                parent_net.wirelength_um,
-                float(timings[name].input_slew.get(move.buffer, 0.0)),
-                float(size_after),
-                1.0 / max(size_after, 1),
-                *type_onehot,
-                float(move.size_step),
-                float(move.child_size_step),
-                displacement,
-            ],
-            dtype=float,
-        )
-    return MoveFeatures(move=move, per_corner=per_corner, impacts=impacts)
-
-
-def feature_matrix(
-    feature_list: Sequence[MoveFeatures], corner_name: str
-) -> np.ndarray:
-    """Stack per-corner feature vectors into a design matrix."""
-    return np.vstack([f.vector(corner_name) for f in feature_list])
-
-
-# ----------------------------------------------------------------------
-# Batched featurization (components + vectorized assembly)
-# ----------------------------------------------------------------------
-
 #: Columns of the feature row that differ between corners: the four
 #: estimator deltas followed (later) by the buffer's input slew.  Every
 #: other column is corner-independent and shared across the batch.
@@ -157,14 +75,13 @@ SLEW_COL = FEATURE_NAMES.index("input_slew_ps")
 
 @dataclass(frozen=True)
 class MoveComponents:
-    """Corner-split featurization artifacts of one candidate move.
+    """The feature vectors of one candidate move, split by corner.
 
     ``base_row`` is the full feature row with the corner-dependent
     columns (the four estimator deltas and ``input_slew_ps``) left at
     zero; :func:`assemble_feature_matrix` scatters ``estimates`` and
-    ``input_slew`` into a batch copy per corner.  Duck-type compatible
-    with :class:`MoveFeatures` for consumers that only read ``move`` and
-    ``impacts`` (e.g. ``predicted_variation_reduction``).
+    ``input_slew`` into a batch copy per corner.  Analytical predictors
+    and the move scorer read ``impacts``.
     """
 
     move: Move
@@ -172,10 +89,6 @@ class MoveComponents:
     base_row: np.ndarray
     estimates: Dict[str, np.ndarray]  # corner name -> (4,) estimator deltas
     input_slew: Dict[str, float]  # corner name -> slew at the buffer (ps)
-
-    def vector(self, corner_name: str) -> np.ndarray:
-        """Full feature row for one corner (MoveFeatures-compatible)."""
-        return components_features(self, corner_name)
 
 
 def compute_move_components(
@@ -185,11 +98,12 @@ def compute_move_components(
     move: Move,
     cache=None,
 ) -> MoveComponents:
-    """Corner-split equivalent of :func:`extract_features`.
+    """The scalar featurizer: the components of ``move`` against ``timings``.
 
-    Produces the exact same numbers (differential-tested to 1e-9), split
-    into a shared base row plus per-corner estimate/slew values so batch
-    assembly can vectorize across moves.  ``cache`` is an optional
+    One move at a time, through the scalar analytical estimators.  The
+    array :class:`~repro.core.ml.feature_kernel.FeatureKernel` is held
+    bit-identical to it and runs it itself for the moves it does not
+    compile (surgery, off-table sizes).  ``cache`` is an optional
     :class:`repro.core.ml.analytical.AnalyticalCache`.
     """
     impacts: Dict[Tuple[str, str], MoveImpact] = {}
@@ -259,10 +173,12 @@ def assemble_feature_matrix(
 ) -> np.ndarray:
     """Vectorized ``(n_moves, n_features)`` design matrix for one corner.
 
-    Row ``i`` equals ``extract_features(...).vector(corner_name)`` for
-    move ``i`` bit-for-bit: the shared base rows are stacked once and
-    the corner-dependent columns are scattered in as a block.
+    Row ``i`` is move ``i``'s feature vector for the corner: the shared
+    base rows are stacked once and the corner-dependent columns are
+    scattered in as a block.
     """
+    if not components:
+        return np.empty((0, len(FEATURE_NAMES)))
     matrix = np.array([c.base_row for c in components], dtype=float)
     matrix[:, :N_ESTIMATE_COLS] = np.array(
         [c.estimates[corner_name] for c in components], dtype=float
@@ -271,8 +187,3 @@ def assemble_feature_matrix(
         [c.input_slew[corner_name] for c in components]
     )
     return matrix
-
-
-def components_features(component: MoveComponents, corner_name: str) -> np.ndarray:
-    """Single-move feature vector from components (testing convenience)."""
-    return assemble_feature_matrix([component], corner_name)[0]

@@ -19,8 +19,9 @@ Cache misses featurize in one batch through the array-backed
 :class:`~repro.core.ml.feature_kernel.FeatureKernel`; the per-move
 :func:`~repro.core.ml.features.compute_move_components` is its test
 oracle.  Feature assembly across the surviving + recomputed components
-is vectorized: one ``(n_moves, n_features)`` numpy matrix per corner,
-bit identical to stacking per-move ``extract_features`` vectors.
+is vectorized: one ``(n_moves, n_features)`` numpy matrix per corner
+(:meth:`FeatureBatch.assemble`), the input of
+:meth:`~repro.core.ml.training.DeltaLatencyPredictor.predict_matrix`.
 """
 
 from __future__ import annotations
@@ -37,6 +38,10 @@ from repro.core.moves import Move, MoveType
 from repro.netlist.tree import ClockTree
 from repro.sta.timer import CornerTiming
 from repro.tech.library import Library
+
+#: Cached moves at which :meth:`CandidatePipeline.featurize` flushes the
+#: move cache (a memory bound; the flow's move sets stay far below it).
+MAX_CACHED_MOVES = 200_000
 
 
 def move_dependencies(
@@ -79,6 +84,20 @@ class FeatureBatch:
     components: List[MoveComponents]
     matrices: Dict[str, np.ndarray]
 
+    @classmethod
+    def assemble(
+        cls, components: Sequence[MoveComponents], corner_names: Sequence[str]
+    ) -> "FeatureBatch":
+        """The batch of already-computed ``components``, in their order."""
+        components = list(components)
+        return cls(
+            components=components,
+            matrices={
+                name: assemble_feature_matrix(components, name)
+                for name in corner_names
+            },
+        )
+
     def __len__(self) -> int:
         return len(self.components)
 
@@ -90,9 +109,8 @@ class CandidatePipeline:
     :class:`~repro.core.ml.feature_kernel.FeatureKernelUnsupported` here.
     """
 
-    def __init__(self, library: Library, max_cached_moves: int = 200_000) -> None:
+    def __init__(self, library: Library) -> None:
         self.library = library
-        self.max_cached_moves = max_cached_moves
         self.analytical = AnalyticalCache()
         self.kernel = FeatureKernel(library)
         self._components: Dict[Move, MoveComponents] = {}
@@ -139,11 +157,9 @@ class CandidatePipeline:
             for slot, move, comp in zip(miss_at, miss_moves, fresh):
                 components[slot] = comp
                 self._remember(tree, move, comp)
-        matrices = {
-            corner.name: assemble_feature_matrix(components, corner.name)
-            for corner in self.library.corners
-        }
-        return FeatureBatch(components=components, matrices=matrices)
+        return FeatureBatch.assemble(
+            components, [corner.name for corner in self.library.corners]
+        )
 
     # ------------------------------------------------------------------
     def invalidate(
@@ -189,7 +205,7 @@ class CandidatePipeline:
 
     # ------------------------------------------------------------------
     def _remember(self, tree: ClockTree, move: Move, comp: MoveComponents) -> None:
-        if len(self._components) >= self.max_cached_moves:
+        if len(self._components) >= MAX_CACHED_MOVES:
             self.flush()
         deps_local, deps_arrival = move_dependencies(tree, move)
         self._components[move] = comp

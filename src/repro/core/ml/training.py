@@ -10,14 +10,15 @@ purely analytical baselines the paper compares against in Figure 6.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.ml.ann import ANNConfig, ANNRegressor
 from repro.core.ml.dataset import MoveSample, dataset_arrays
-from repro.core.ml.features import ESTIMATOR_VARIANTS, MoveFeatures
+from repro.core.ml.features import ESTIMATOR_VARIANTS, FEATURE_NAMES
 from repro.core.ml.hsm import HybridSurrogateModel
+from repro.core.ml.pipeline import FeatureBatch
 from repro.core.ml.svr import RBFKernelSVR, SVRConfig
 from repro.tech.library import Library
 
@@ -52,13 +53,7 @@ def _make_model(kind: str):
 
 #: Feature column holding the (rsmt, d2m) analytical estimate — the
 #: anchor the learned models' residuals are taken against.
-_ANCHOR_FEATURE = "est_rsmt_d2m"
-
-
-def _anchor_column() -> int:
-    from repro.core.ml.features import FEATURE_NAMES
-
-    return FEATURE_NAMES.index(_ANCHOR_FEATURE)
+_ANCHOR_COLUMN = FEATURE_NAMES.index("est_rsmt_d2m")
 
 
 @dataclass
@@ -87,75 +82,34 @@ class DeltaLatencyPredictor:
     def is_learned(self) -> bool:
         return self.kind in MODEL_KINDS
 
-    def predict_subtree_delta(self, features: MoveFeatures) -> Dict[str, float]:
-        """Predicted per-corner latency change of the moved subtree (ps)."""
-        if self.is_learned:
-            col = _anchor_column()
-            out: Dict[str, float] = {}
-            for name in self.corner_names:
-                vector = features.vector(name)
-                value = float(self.models[name].predict(vector[None, :])[0])
-                if self.residual:
-                    value += float(vector[col])
-                out[name] = value
-            return out
-        kind = self.kind
-        full = kind.startswith("full_")
-        if full:
-            kind = kind[len("full_") :]
-        route_model, metric = kind.rsplit("_", 1)
-        impact = features.impacts[(route_model, metric)]
-        if full:
-            source = impact.subtree
-        else:
-            # Plain analytical kinds are the paper's Figure-6
-            # comparators: raw {route estimate} x {wire metric} deltas.
-            source = impact.subtree_wire_only or impact.subtree
-        return {name: source[name] for name in self.corner_names}
+    def predict_matrix(self, batch: FeatureBatch) -> np.ndarray:
+        """Predicted per-corner latency change (ps) of each move's subtree.
 
-    def predict_batch(
-        self, feature_list: Sequence[MoveFeatures]
-    ) -> List[Dict[str, float]]:
-        """Vectorized predictions for many moves (learned kinds)."""
-        if not feature_list:
-            return []
-        if not self.is_learned:
-            return [self.predict_subtree_delta(f) for f in feature_list]
-        col = _anchor_column()
-        per_corner: Dict[str, np.ndarray] = {}
-        for name in self.corner_names:
-            x = np.vstack([f.vector(name) for f in feature_list])
-            pred = self.models[name].predict(x)
-            if self.residual:
-                pred = pred + x[:, col]
-            per_corner[name] = pred
-        return [
-            {name: float(per_corner[name][i]) for name in self.corner_names}
-            for i in range(len(feature_list))
-        ]
-
-    def predict_matrix(self, batch) -> np.ndarray:
-        """Predictions from a pre-assembled feature batch, as one matrix.
-
-        ``batch`` is a :class:`repro.core.ml.pipeline.FeatureBatch`: the
-        per-corner design matrices go straight into each corner's model
-        in one call — no per-move vector stacking.  Returns an
-        ``(n_moves, n_corners)`` float64 array, columns in
-        ``corner_names`` (library) order; row ``i`` holds the values of
-        :meth:`predict_batch`'s ``i``-th dict (the matrices are bit
-        identical to stacked ``extract_features`` vectors).
+        ``batch`` is a :class:`~repro.core.ml.pipeline.FeatureBatch`:
+        learned kinds feed each corner's design matrix to that corner's
+        model in one call; analytical kinds read their estimate off each
+        move's ``impacts``.  Returns an ``(n_moves, n_corners)`` float64
+        array, columns in ``corner_names`` (library) order.  A learned
+        prediction also depends on the batch's row count, in the last
+        bits (DESIGN §5).
         """
         components = batch.components
         out = np.empty((len(components), len(self.corner_names)))
         if not components:
             return out
         if not self.is_learned:
-            # Analytical kinds only read ``impacts`` off each component.
+            full = self.kind.startswith("full_")
+            variant = tuple(self.kind.removeprefix("full_").rsplit("_", 1))
             for i, component in enumerate(components):
-                delta = self.predict_subtree_delta(component)
-                out[i] = [delta[name] for name in self.corner_names]
+                impact = component.impacts[variant]
+                # Plain analytical kinds are the paper's Figure-6
+                # comparators: raw {route estimate} x {wire metric} deltas.
+                source = impact.subtree if full else (
+                    impact.subtree_wire_only or impact.subtree
+                )
+                out[i] = [source[name] for name in self.corner_names]
             return out
-        col = _anchor_column()
+        col = _ANCHOR_COLUMN
         for k, name in enumerate(self.corner_names):
             x = batch.matrices[name]
             pred = self.models[name].predict(x)
@@ -185,7 +139,7 @@ def train_predictor(
         raise ValueError(f"unknown predictor kind {kind!r}")
     if not samples:
         raise ValueError("training a learned predictor requires samples")
-    col = _anchor_column()
+    col = _ANCHOR_COLUMN
     models: Dict[str, object] = {}
     for name in corner_names:
         x, y = dataset_arrays(samples, name)
@@ -237,12 +191,15 @@ def evaluate_predictor(
     samples: Sequence[MoveSample],
 ) -> Dict[str, AccuracyReport]:
     """Accuracy of ``predictor`` on (held-out) ``samples`` per corner."""
-    reports: Dict[str, AccuracyReport] = {}
-    predictions = predictor.predict_batch([s.features for s in samples])
-    for name in predictor.corner_names:
-        predicted = tuple(p[name] for p in predictions)
-        actual = tuple(s.target[name] for s in samples)
-        reports[name] = AccuracyReport(
-            corner_name=name, predicted=predicted, actual=actual
+    batch = FeatureBatch.assemble(
+        [s.features for s in samples], predictor.corner_names
+    )
+    predictions = predictor.predict_matrix(batch)
+    return {
+        name: AccuracyReport(
+            corner_name=name,
+            predicted=tuple(predictions[:, k].tolist()),
+            actual=tuple(s.target[name] for s in samples),
         )
-    return reports
+        for k, name in enumerate(predictor.corner_names)
+    }

@@ -10,18 +10,21 @@ response surface, and solve for its minimizer in closed form.
 The surface is fitted to *predicted* objective reductions (analytical or
 learned predictor — no golden calls), so scoring a buffer costs a few
 milliseconds; the returned location can then be verified with one golden
-evaluation, exactly like any other local move.
+evaluation, exactly like any other local move.  The grid moves are
+ranked the way Algorithm 2 ranks its candidates: one candidate-pipeline
+batch, one ``predict_matrix`` call, one ``batched_variation_reductions``
+pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.local_opt import predicted_variation_reduction
-from repro.core.ml.features import extract_features
+from repro.core.local_opt import batched_variation_reductions
+from repro.core.ml.pipeline import CandidatePipeline
 from repro.core.ml.training import DeltaLatencyPredictor
 from repro.core.moves import Move, MoveType, apply_move
 from repro.core.objective import SkewVariationProblem
@@ -81,6 +84,26 @@ def _solve_quadratic_max(
     return best
 
 
+def _grid_reductions(
+    problem: SkewVariationProblem,
+    tree: ClockTree,
+    result: TimingResult,
+    predictor: DeltaLatencyPredictor,
+    moves: Sequence[Move],
+) -> np.ndarray:
+    """Predicted objective reduction (ps) of each grid move, in one batch.
+
+    A fresh pipeline per call: it costs a fraction of a millisecond to
+    build, and nothing it caches can go stale between calls.
+    """
+    batch = CandidatePipeline(problem.design.library).featurize(
+        tree, result.per_corner, moves
+    )
+    return batched_variation_reductions(
+        problem, tree, result, batch.components, predictor.predict_matrix(batch)
+    )
+
+
 def fit_location_model(
     problem: SkewVariationProblem,
     tree: ClockTree,
@@ -93,38 +116,24 @@ def fit_location_model(
     """Fit the response surface for one buffer.
 
     ``grid`` x ``grid`` displacement samples spanning ``+-radius_um`` are
-    scored with the predictor; the six quadratic coefficients come from
-    least squares.
+    scored with the predictor (the zero offset scores 0 by definition);
+    the six quadratic coefficients come from least squares.
     """
     if grid < 3:
         raise ValueError("need at least a 3x3 sampling grid")
-    library = problem.design.library
-    offsets = np.linspace(-radius_um, radius_um, grid)
-    rows: List[List[float]] = []
-    values: List[float] = []
-    for dx in offsets:
-        for dy in offsets:
-            if dx == 0.0 and dy == 0.0:
-                reduction = 0.0
-            else:
-                move = Move(
-                    type=MoveType.SIZING_DISPLACE,
-                    buffer=buffer,
-                    dx=float(dx),
-                    dy=float(dy),
-                    size_step=0,
-                )
-                features = extract_features(
-                    tree, library, result.per_corner, move
-                )
-                pred = predictor.predict_subtree_delta(features)
-                reduction = predicted_variation_reduction(
-                    problem, tree, result, features, pred
-                )
-            rows.append([1.0, dx, dy, dx * dx, dy * dy, dx * dy])
-            values.append(reduction)
+    offsets = np.linspace(-radius_um, radius_um, grid).tolist()
+    points = [(dx, dy) for dx in offsets for dy in offsets]
+    moved = np.array([dx != 0.0 or dy != 0.0 for dx, dy in points])
+    moves = [
+        Move(type=MoveType.SIZING_DISPLACE, buffer=buffer, dx=dx, dy=dy, size_step=0)
+        for (dx, dy), is_moved in zip(points, moved)
+        if is_moved
+    ]
+    values = np.zeros(len(points))
+    values[moved] = _grid_reductions(problem, tree, result, predictor, moves)
+    rows = [[1.0, dx, dy, dx * dx, dy * dy, dx * dy] for dx, dy in points]
 
-    coeffs, *_ = np.linalg.lstsq(np.asarray(rows), np.asarray(values), rcond=None)
+    coeffs, *_ = np.linalg.lstsq(np.asarray(rows), values, rcond=None)
     coefficients = tuple(float(c) for c in coeffs)
     optimum = _solve_quadratic_max(coefficients, radius_um)
     model = LocationModel(

@@ -54,6 +54,10 @@ from repro.sta.timer import CornerTiming, TimingResult
 from repro.tech.corners import Corner
 from repro.tech.library import Library
 
+#: Entries of each of the reference engine's net and gate memos; a full
+#: memo drops its older half.
+REFERENCE_CACHE_ENTRIES = 131072
+
 
 @dataclass(frozen=True)
 class _NetEval:
@@ -130,8 +134,8 @@ class IncrementalTimer:
       undoes the mutation and calls :meth:`rebase`);
     * :meth:`advance` — like preview, but commits the new state.
 
-    ``max_cache_entries`` bounds the per-edge RC memo (twice that many
-    edges), which the kernel shares across compiles.
+    The per-edge RC memo (an :class:`~repro.route.rc_net.EdgeRCCache` of
+    its default size) is shared by the kernel across compiles.
     """
 
     def __init__(
@@ -139,14 +143,13 @@ class IncrementalTimer:
         library: Library,
         wire_metric: str = "d2m",
         segment_um: float = DEFAULT_SEGMENT_UM,
-        max_cache_entries: int = 131072,
     ) -> None:
         if wire_metric not in ("d2m", "elmore"):
             raise ValueError("wire_metric must be 'd2m' or 'elmore'")
         self._library = library
         self._wire_metric = wire_metric
         self._segment_um = segment_um
-        self._edge_cache = EdgeRCCache(max_entries=2 * max(2, max_cache_entries))
+        self._edge_cache = EdgeRCCache()
         self._kernel = None  # lazy TimingKernel
         self._compiled = None  # CompiledTree of the attached tree
         self._kstate = None  # KernelState of the attached tree
@@ -421,10 +424,8 @@ class ReferenceIncrementalTimer(IncrementalTimer):
         library: Library,
         wire_metric: str = "d2m",
         segment_um: float = DEFAULT_SEGMENT_UM,
-        max_cache_entries: int = 131072,
     ) -> None:
-        super().__init__(library, wire_metric, segment_um, max_cache_entries)
-        self._max_entries = max(2, max_cache_entries)
+        super().__init__(library, wire_metric, segment_um)
         self._net_cache: Dict[Tuple, _NetEval] = {}
         self._gate_cache: Dict[Tuple, Tuple[float, float]] = {}
         self._states: Dict[str, _CornerState] = {}
@@ -691,8 +692,8 @@ class ReferenceIncrementalTimer(IncrementalTimer):
             edge_elmore=tuple(edge_elmore),
             child_slew=tuple(child_slew),
         )
-        if len(self._net_cache) >= self._max_entries:
-            for key in list(islice(self._net_cache, self._max_entries // 2)):
+        if len(self._net_cache) >= REFERENCE_CACHE_ENTRIES:
+            for key in list(islice(self._net_cache, REFERENCE_CACHE_ENTRIES // 2)):
                 del self._net_cache[key]
         self._net_cache[signature] = ev
         return ev
@@ -719,8 +720,10 @@ class ReferenceIncrementalTimer(IncrementalTimer):
         pair = inverter_pair_timing(cell, gate_slew, gate_load)
         correction = signoff_gate_factor(size, gate_slew, gate_load)
         value = (pair.delay_ps * correction, pair.output_slew_ps)
-        if len(self._gate_cache) >= self._max_entries:
-            for key_old in list(islice(self._gate_cache, self._max_entries // 2)):
+        if len(self._gate_cache) >= REFERENCE_CACHE_ENTRIES:
+            for key_old in list(
+                islice(self._gate_cache, REFERENCE_CACHE_ENTRIES // 2)
+            ):
                 del self._gate_cache[key_old]
         self._gate_cache[key] = value
         return value

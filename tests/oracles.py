@@ -14,13 +14,14 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 import pytest
 
-from repro.core import local_opt
+from repro.core import local_opt, placement_model
 from repro.core.eco_flow import LPGuidedECO
 from repro.core.local_opt import predicted_variation_reduction
 from repro.core.ml import dataset
 from repro.core.ml.ann import ANNRegressor
 from repro.core.ml.feature_kernel import FeatureKernel
 from repro.core.ml.features import compute_move_components
+from repro.core.ml.pipeline import FeatureBatch
 from repro.core.moves import apply_move
 from repro.geometry import Point
 from repro.route.congestion import chain_length_factor
@@ -213,6 +214,31 @@ def use_scalar_features(monkeypatch):
     """Featurize and score per move wherever the feature kernel would run."""
     monkeypatch.setattr(FeatureKernel, "compute_components_batch", per_move_components)
     monkeypatch.setattr(local_opt, "batched_variation_reductions", per_move_reductions)
+
+
+def per_move_grid_reductions(problem, tree, result, predictor, moves):
+    """Oracle of :func:`repro.core.placement_model._grid_reductions`.
+
+    Each grid move is featurized by the scalar featurizer, predicted as
+    a one-row batch and scored by the scalar scorer.
+    """
+    library = problem.design.library
+    names = predictor.corner_names
+    reductions = []
+    for move in moves:
+        comp = compute_move_components(tree, library, result.per_corner, move)
+        row = predictor.predict_matrix(FeatureBatch.assemble([comp], names))[0]
+        reductions.append(
+            predicted_variation_reduction(
+                problem, tree, result, comp, dict(zip(names, row.tolist()))
+            )
+        )
+    return np.asarray(reductions)
+
+
+def use_per_move_location_fit(patch):
+    """Fit location models from per-move scores instead of one batch."""
+    patch.setattr(placement_model, "_grid_reductions", per_move_grid_reductions)
 
 
 def per_arc_scan(eco, queries):

@@ -2,10 +2,11 @@
 
 The batched/cached featurization path (``CandidatePipeline``) must be a
 pure performance transform: its per-corner design matrices have to match
-the original per-move ``extract_features`` vectors to 1e-9 ps — on fresh
-trees, on randomized move subsets, and (critically) after committed
-moves invalidate part of the cache.  Trajectory identity against the
-scalar oracles is checked in ``tests/test_feature_kernel.py``.
+the scalar featurizer's (``compute_move_components``, uncached) rows to
+1e-9 ps — on fresh trees, on randomized move subsets, and (critically)
+after committed moves invalidate part of the cache.  Trajectory identity
+against the scalar oracles is checked in ``tests/test_feature_kernel.py``.
+``predict_matrix``, the one predict call, is tested here too.
 """
 
 import random
@@ -16,10 +17,10 @@ import pytest
 from repro.core.local_opt import LocalOptConfig, LocalOptimizer
 from repro.core.ml.features import (
     SIDE_EFFECT_VARIANT,
-    extract_features,
-    feature_matrix,
+    assemble_feature_matrix,
+    compute_move_components,
 )
-from repro.core.ml.pipeline import CandidatePipeline, move_dependencies
+from repro.core.ml.pipeline import CandidatePipeline, FeatureBatch, move_dependencies
 from repro.core.ml.training import train_predictor
 from repro.core.moves import MoveType, enumerate_moves
 from repro.core.objective import SkewVariationProblem
@@ -31,11 +32,11 @@ TOL = 1e-9
 
 
 def _assert_batch_matches(problem, tree, timings, moves, batch):
-    """Pipeline output vs fresh per-move extraction, all corners."""
+    """Pipeline output vs fresh per-move featurization, all corners."""
     library = problem.design.library
-    reference = [extract_features(tree, library, timings, m) for m in moves]
+    reference = [compute_move_components(tree, library, timings, m) for m in moves]
     for corner in library.corners:
-        ref = feature_matrix(reference, corner.name)
+        ref = assemble_feature_matrix(reference, corner.name)
         got = batch.matrices[corner.name]
         assert got.shape == ref.shape
         assert float(np.max(np.abs(got - ref))) <= TOL
@@ -166,9 +167,15 @@ class TestInvalidation:
 
 
 class TestPredictMatrix:
-    @pytest.mark.parametrize("kind", ["hsm", "full_rsmt_d2m"])
-    def test_rows_equal_predict_batch(self, kind, mini_problem, library_cls1, request):
-        """``predict_matrix`` rows equal ``predict_batch``'s dicts."""
+    @pytest.mark.parametrize("kind", ["hsm", "full_rsmt_d2m", "rsmt_d2m"])
+    def test_rows_equal_one_row_batches(self, kind, mini_problem, library_cls1, request):
+        """Each move predicted alone gives its row of the whole batch.
+
+        A learned model's matrix products round differently for a
+        different row count, so HSM rows may move in the last bits
+        (DESIGN §5); analytical kinds read fixed impacts and match
+        exactly.
+        """
         if kind == "hsm":
             predictor = request.getfixturevalue("hsm_predictor")
         else:
@@ -181,10 +188,26 @@ class TestPredictMatrix:
         )
         matrix = predictor.predict_matrix(batch)
         names = [c.name for c in mini_problem.design.library.corners]
+        assert list(predictor.corner_names) == names
         assert matrix.shape == (len(moves), len(names))
         assert matrix.dtype == np.float64
-        for row, pred in zip(matrix, predictor.predict_batch(batch.components)):
-            assert row.tolist() == [pred[name] for name in names]
+        alone = np.vstack(
+            [
+                predictor.predict_matrix(FeatureBatch.assemble([comp], names))
+                for comp in batch.components
+            ]
+        )
+        if predictor.is_learned:
+            assert float(np.max(np.abs(alone - matrix))) <= TOL
+        else:
+            assert alone.tolist() == matrix.tolist()
+
+    def test_empty_batch(self, hsm_predictor):
+        batch = FeatureBatch.assemble([], hsm_predictor.corner_names)
+        assert hsm_predictor.predict_matrix(batch).shape == (
+            0,
+            len(hsm_predictor.corner_names),
+        )
 
 
 class TestTrajectoryIdentity:

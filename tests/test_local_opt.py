@@ -67,17 +67,16 @@ class TestLocalOpt:
 
 class TestPredictedReduction:
     def test_zero_for_untouched_pairs(self, mini_problem, predictor):
-        from repro.core.ml.features import extract_features
+        from repro.core.ml.features import compute_move_components
         from repro.core.moves import enumerate_moves
 
         tree = mini_problem.design.tree
         result = mini_problem.baseline
         moves = enumerate_moves(tree, mini_problem.design.library)
-        feats = extract_features(
+        feats = compute_move_components(
             tree, mini_problem.design.library, result.per_corner, moves[0]
         )
-        pred = predictor.predict_subtree_delta(feats)
-        zero_pred = {name: 0.0 for name in pred}
+        zero_pred = {name: 0.0 for name in predictor.corner_names}
         # A predicted zero latency change cannot change the objective...
         # except through sibling corrections; force those to zero too by
         # checking the no-op bound: reduction of exactly 0 when all deltas

@@ -13,9 +13,10 @@ from repro.core.ml.dataset import (
 from repro.core.ml.features import (
     ESTIMATOR_VARIANTS,
     FEATURE_NAMES,
-    extract_features,
-    feature_matrix,
+    assemble_feature_matrix,
+    compute_move_components,
 )
+from repro.core.ml.pipeline import FeatureBatch
 from repro.core.ml.training import (
     ANALYTICAL_KINDS,
     AccuracyReport,
@@ -71,9 +72,10 @@ class TestFeatures:
             for c in library_cls1.corners
         }
         moves = enumerate_moves(case.tree, library_cls1, [case.target_buffer])
-        feats = extract_features(case.tree, library_cls1, timings, moves[0])
+        comp = compute_move_components(case.tree, library_cls1, timings, moves[0])
         for corner in library_cls1.corners:
-            assert feats.vector(corner.name).shape == (len(FEATURE_NAMES),)
+            row = assemble_feature_matrix([comp], corner.name)
+            assert row.shape == (1, len(FEATURE_NAMES))
 
     def test_all_variants_present(self, tiny_dataset):
         feats = tiny_dataset[0].features
@@ -81,7 +83,7 @@ class TestFeatures:
             assert variant in feats.impacts
 
     def test_feature_matrix_stacks(self, tiny_dataset):
-        x = feature_matrix([s.features for s in tiny_dataset[:5]], "c0")
+        x = assemble_feature_matrix([s.features for s in tiny_dataset[:5]], "c0")
         assert x.shape == (5, len(FEATURE_NAMES))
 
 
@@ -138,12 +140,11 @@ class TestLabelParity:
             library_cls1, n_cases=6, moves_per_case=8, seed=21
         )
         assert [s.target for s in tiny_dataset] == [s.target for s in reference]
-        for got, want in zip(tiny_dataset, reference):
-            for corner in library_cls1.corners:
-                assert np.array_equal(
-                    got.features.vector(corner.name),
-                    want.features.vector(corner.name),
-                )
+        for corner in library_cls1.corners:
+            assert np.array_equal(
+                dataset_arrays(tiny_dataset, corner.name)[0],
+                dataset_arrays(reference, corner.name)[0],
+            )
 
 
 class TestTraining:
@@ -166,9 +167,10 @@ class TestTraining:
         """Figure-6 analytical comparators are the raw wire-delay deltas."""
         predictor = train_predictor(library_cls1, [], "rsmt_d2m")
         sample = tiny_dataset[0]
-        pred = predictor.predict_subtree_delta(sample.features)
+        batch = FeatureBatch.assemble([sample.features], predictor.corner_names)
+        pred = predictor.predict_matrix(batch)[0]
         impact = sample.features.impacts[("rsmt", "d2m")]
-        for name, value in pred.items():
+        for name, value in zip(predictor.corner_names, pred):
             assert value == impact.subtree_wire_only[name]
 
     def test_unknown_kind_rejected(self, library_cls1):
@@ -180,23 +182,15 @@ class TestTraining:
         predictor = train_predictor(library_cls1, [], "full_rsmt_d2m")
         assert not predictor.is_learned
         sample = tiny_dataset[0]
-        pred = predictor.predict_subtree_delta(sample.features)
+        batch = FeatureBatch.assemble([sample.features], predictor.corner_names)
+        pred = predictor.predict_matrix(batch)[0]
         impact = sample.features.impacts[("rsmt", "d2m")]
-        for name, value in pred.items():
+        for name, value in zip(predictor.corner_names, pred):
             assert value == impact.subtree[name]
 
     def test_learned_requires_samples(self, library_cls1):
         with pytest.raises(ValueError):
             train_predictor(library_cls1, [], "svr")
-
-    def test_predict_batch_matches_single(self, tiny_dataset, library_cls1):
-        predictor = train_predictor(library_cls1, tiny_dataset, "svr")
-        feats = [s.features for s in tiny_dataset[:4]]
-        batch = predictor.predict_batch(feats)
-        for f, row in zip(feats, batch):
-            single = predictor.predict_subtree_delta(f)
-            for name in single:
-                assert single[name] == pytest.approx(row[name], abs=1e-9)
 
     def test_accuracy_report_stats(self):
         report = AccuracyReport(

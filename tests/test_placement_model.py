@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.ml.training import train_predictor
+from repro.core.objective import SkewVariationProblem
 from repro.core.placement_model import (
     LocationModel,
     _solve_quadratic_max,
@@ -10,6 +11,8 @@ from repro.core.placement_model import (
     fit_location_model,
     refine_buffers,
 )
+from repro.testcases.cls1 import build_cls1
+from tests.oracles import use_per_move_location_fit
 
 
 @pytest.fixture(scope="module")
@@ -99,3 +102,67 @@ class TestRefinement:
         )
         for model in accepted:
             assert model.predicted_reduction_ps > 0.0
+
+
+@pytest.fixture(scope="module")
+def cls1_problem():
+    return SkewVariationProblem.create(build_cls1(1))
+
+
+def _problem(name, request):
+    return request.getfixturevalue("mini_problem" if name == "MINI" else "cls1_problem")
+
+
+def _fits(problem, predictor, buffers):
+    tree = problem.design.tree
+    result = problem.evaluate(tree)
+    return [
+        fit_location_model(problem, tree, result, predictor, buffer)
+        for buffer in buffers
+    ]
+
+
+class TestPerMoveOracle:
+    """The one-batch grid scores against today's per-move fit.
+
+    The oracle featurizes each grid move alone, predicts it as a
+    one-row batch and scores it with the scalar scorer.
+    """
+
+    @pytest.mark.parametrize("design", ["MINI", "CLS1v1"])
+    @pytest.mark.parametrize("kind", ["full_rsmt_d2m", "rsmt_d2m"])
+    def test_analytical_fits_and_refinement_equal_oracle(
+        self, kind, design, library_cls1, request
+    ):
+        problem = _problem(design, request)
+        predictor = train_predictor(library_cls1, [], kind)
+        buffers = sorted(problem.design.tree.buffers())[:12]
+        fits = _fits(problem, predictor, buffers)
+        refined, accepted = refine_buffers(
+            problem, problem.design.tree, predictor, buffers=buffers
+        )
+        with pytest.MonkeyPatch.context() as patch:
+            use_per_move_location_fit(patch)
+            want_fits = _fits(problem, predictor, buffers)
+            want_refined, want_accepted = refine_buffers(
+                problem, problem.design.tree, predictor, buffers=buffers
+            )
+        # LocationModel compares coefficients, optimum and predicted
+        # reduction with ==.
+        assert fits == want_fits
+        assert accepted == want_accepted
+        assert (
+            problem.evaluate(refined).total_variation
+            == problem.evaluate(want_refined).total_variation
+        )
+
+    @pytest.mark.parametrize("design", ["MINI", "CLS1v1"])
+    def test_hsm_coefficients_within_tolerance(self, design, hsm_predictor, request):
+        problem = _problem(design, request)
+        buffers = sorted(problem.design.tree.buffers())[:12]
+        fits = _fits(problem, hsm_predictor, buffers)
+        with pytest.MonkeyPatch.context() as patch:
+            use_per_move_location_fit(patch)
+            want_fits = _fits(problem, hsm_predictor, buffers)
+        for got, want in zip(fits, want_fits):
+            assert got.coefficients == pytest.approx(want.coefficients, abs=1e-9)
