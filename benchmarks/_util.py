@@ -71,6 +71,30 @@ def write_record(name: str, record: dict) -> None:
     )
 
 
+#: A leg faster than this many seconds is timed as the best of
+#: :data:`FAST_LEG_REPEATS` back-to-back runs inside its round.
+FAST_LEG_S = 1.0
+FAST_LEG_REPEATS = 5
+
+
+def best_of(leg) -> tuple:
+    """``(output, seconds)`` of one leg of a paired round.
+
+    ``leg()`` runs the leg once, set-up included, and returns
+    ``(output, seconds)`` with only the measured part timed.  A leg of
+    :data:`FAST_LEG_S` or more runs once.  A faster leg runs
+    :data:`FAST_LEG_REPEATS` times back to back and keeps its fastest
+    time: a tens-of-milliseconds leg is as long as one scheduling or
+    clock-speed hiccup, which a single run would count in full.  The
+    output is the first run's.
+    """
+    out, best = leg()
+    if best < FAST_LEG_S:
+        for _ in range(FAST_LEG_REPEATS - 1):
+            best = min(best, leg()[1])
+    return out, best
+
+
 def median_ms(rounds: list, leg: str) -> float:
     """Median of one leg's seconds over paired ``rounds``, in ms.
 

@@ -25,14 +25,14 @@ model, corner); callers pick the metric per variant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.moves import Move, MoveType
 from repro.geometry import BBox, Point
 from repro.netlist.tree import ClockTree
 from repro.route.rc_net import route_rc_tree, star_rc_tree
-from repro.route.rsmt import rsmt
+from repro.route.rsmt import rsmt, rsmt_batch
 from repro.route.single_trunk import single_trunk_tree
 from repro.sta.d2m import d2m_delays
 from repro.sta.elmore import elmore_delays
@@ -126,9 +126,37 @@ def _pin_cap(tree: ClockTree, library: Library, nid: int) -> float:
     return library.input_cap_ff(node.size)
 
 
+class MemoKey:
+    """A memo key that hashes its value once.
+
+    Plan and geometry keys hold :class:`Point` s, whose dataclass hash
+    is a Python-level call; a key built once and looked up in several
+    memos (plans, routes, the feature kernel's templates and wire
+    metrics) pays for that hash once.
+    """
+
+    __slots__ = ("value", "_hash")
+
+    def __init__(self, value: tuple) -> None:
+        self.value = value
+        self._hash = hash(value)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, MemoKey) and self.value == other.value
+
+
 @dataclass(frozen=True)
 class _NetPlan:
-    """Route topology for one candidate net, shared across corners."""
+    """Route topology for one candidate net, shared across corners.
+
+    ``key`` is the plan's value key (route model, driver location, child
+    spec) and ``geometry`` the key of its route (route model, driver
+    location, child locations): plans that share a geometry differ only
+    in child ids and pin caps.
+    """
 
     driver_loc: Point
     children: Tuple[Tuple[int, Point, float], ...]
@@ -136,6 +164,38 @@ class _NetPlan:
     route: Optional[object]  # RouteTree for rsmt/trunk, None for star
     name_of: Dict[int, object]
     wirelength_um: float
+    key: MemoKey = field(compare=False, repr=False)
+    geometry: MemoKey = field(compare=False, repr=False)
+
+
+def _make_plan(
+    key: MemoKey, geometry: MemoKey, routed: Optional[Tuple[object, float]] = None
+) -> _NetPlan:
+    """The plan of ``key``; rsmt/trunk plans take their ``(route,
+    wirelength)``, in which child ``i`` is route pin ``i + 1``."""
+    route_model, driver_loc, children = key.value
+    if route_model == "star":
+        return _NetPlan(
+            driver_loc=driver_loc,
+            children=children,
+            route_model="star",
+            route=None,
+            name_of={cid: cid for cid, _, _ in children},
+            wirelength_um=sum(driver_loc.manhattan(loc) for _, loc, _ in children),
+            key=key,
+            geometry=geometry,
+        )
+    route, wirelength_um = routed
+    return _NetPlan(
+        driver_loc=driver_loc,
+        children=children,
+        route_model=route_model,
+        route=route,
+        name_of={cid: i + 1 for i, (cid, _, _) in enumerate(children)},
+        wirelength_um=wirelength_um,
+        key=key,
+        geometry=geometry,
+    )
 
 
 def plan_net(
@@ -146,25 +206,15 @@ def plan_net(
     """Build the (corner-independent) route topology for a net."""
     if route_model not in ROUTE_MODELS:
         raise ValueError(f"unknown route model {route_model!r}")
-    points = [driver_loc] + [loc for _, loc, _ in children]
+    children = tuple(children)
+    locs = tuple(loc for _, loc, _ in children)
+    key = MemoKey((route_model, driver_loc, children))
+    geometry = MemoKey((route_model, driver_loc, locs))
     if route_model == "star":
-        return _NetPlan(
-            driver_loc=driver_loc,
-            children=tuple(children),
-            route_model="star",
-            route=None,
-            name_of={cid: cid for cid, _, _ in children},
-            wirelength_um=sum(driver_loc.manhattan(loc) for _, loc, _ in children),
-        )
+        return _make_plan(key, geometry)
+    points = [driver_loc, *locs]
     route = rsmt(points) if route_model == "rsmt" else single_trunk_tree(points)
-    return _NetPlan(
-        driver_loc=driver_loc,
-        children=tuple(children),
-        route_model=route_model,
-        route=route,
-        name_of={cid: i + 1 for i, (cid, _, _) in enumerate(children)},
-        wirelength_um=route.length,
-    )
+    return _make_plan(key, geometry, (route, route.length))
 
 
 def time_net(
@@ -243,8 +293,8 @@ class AnalyticalCache:
     """
 
     def __init__(self) -> None:
-        self._plans: Dict[tuple, _NetPlan] = {}
-        self._routes: Dict[tuple, Tuple[object, float]] = {}
+        self._plans: Dict[MemoKey, _NetPlan] = {}
+        self._routes: Dict[MemoKey, Tuple[object, float]] = {}
         self._times: Dict[tuple, NetEstimate] = {}
         self._weights: Dict[int, Dict[int, int]] = {}
         self._weights_scope: Optional[Tuple[int, int]] = None
@@ -253,6 +303,7 @@ class AnalyticalCache:
             "plan_misses": 0,
             "route_hits": 0,
             "route_misses": 0,
+            "rsmt_batches": 0,
             "time_hits": 0,
             "time_misses": 0,
         }
@@ -279,48 +330,91 @@ class AnalyticalCache:
         children: Sequence[Tuple[int, Point, float]],
         route_model: str,
     ) -> _NetPlan:
-        key = (route_model, driver_loc, tuple(children))
-        plan = self._plans.get(key)
-        if plan is not None:
-            self.stats["plan_hits"] += 1
-            return plan
-        self.stats["plan_misses"] += 1
-        if route_model == "star":
-            plan = plan_net(driver_loc, children, route_model)
-        else:
-            # Route topology depends only on the point set, not on pin
-            # caps or child ids, so a second geometry-keyed memo shares
-            # the expensive RSMT/trunk construction across plans that
-            # differ only in sizing (CHILD_SIZING sweeps, resizes).
-            route_key = (
-                route_model,
-                driver_loc,
-                tuple(loc for _, loc, _ in children),
-            )
-            cached = self._routes.get(route_key)
-            if cached is not None:
-                self.stats["route_hits"] += 1
-                route, wirelength = cached
-                plan = _NetPlan(
-                    driver_loc=driver_loc,
-                    children=tuple(children),
-                    route_model=route_model,
-                    route=route,
-                    name_of={
-                        cid: i + 1 for i, (cid, _, _) in enumerate(children)
-                    },
-                    wirelength_um=wirelength,
-                )
-            else:
-                self.stats["route_misses"] += 1
-                plan = plan_net(driver_loc, children, route_model)
-                if len(self._routes) >= MAX_CACHE_ENTRIES:
-                    self._routes.pop(next(iter(self._routes)))
-                self._routes[route_key] = (plan.route, plan.wirelength_um)
-        if len(self._plans) >= MAX_CACHE_ENTRIES:
-            self._plans.pop(next(iter(self._plans)))
-        self._plans[key] = plan
-        return plan
+        """One net's plan under one route model (see :meth:`plan_nets`)."""
+        return self.plan_nets([(driver_loc, children)], (route_model,))[0][0]
+
+    def plan_nets(
+        self,
+        nets: Sequence[Tuple[Point, Sequence[Tuple[int, Point, float]]]],
+        route_models: Sequence[str],
+    ) -> List[Tuple[_NetPlan, ...]]:
+        """Plans of every ``(driver_loc, children)`` net under every model.
+
+        Lookups run in call order, net by net and model by model, and
+        count hits and misses as that many :meth:`plan_net` calls would:
+        a plan or route that an earlier lookup of the batch missed is a
+        hit.  Route topology depends only on the point set, not on pin
+        caps or child ids, so a second geometry-keyed memo shares each
+        RSMT/trunk route across plans that differ only in sizing.  Every
+        RSMT route the batch misses is built by one
+        :func:`~repro.route.rsmt.rsmt_batch` call (counted in
+        ``stats["rsmt_batches"]``).
+        """
+        for model in route_models:
+            if model not in ROUTE_MODELS:
+                raise ValueError(f"unknown route model {model!r}")
+        stats = self.stats
+        out: List[List[Optional[_NetPlan]]] = []
+        new_plans: Dict[MemoKey, Optional[_NetPlan]] = {}
+        geometry_of: Dict[MemoKey, MemoKey] = {}  # plans waiting for a route
+        new_routes: Dict[MemoKey, object] = {}  # geometry -> (route, length)
+        waiting: List[Tuple[int, int, MemoKey]] = []
+        for i, (driver_loc, children) in enumerate(nets):
+            children = tuple(children)
+            row: List[Optional[_NetPlan]] = []
+            for k, model in enumerate(route_models):
+                key = MemoKey((model, driver_loc, children))
+                plan = self._plans.get(key)
+                if plan is not None or key in new_plans:
+                    stats["plan_hits"] += 1
+                    if plan is None:
+                        plan = new_plans[key]
+                else:
+                    stats["plan_misses"] += 1
+                    geometry = MemoKey(
+                        (model, driver_loc, tuple(loc for _, loc, _ in children))
+                    )
+                    if model == "star":
+                        plan = _make_plan(key, geometry)
+                    else:
+                        routed = self._routes.get(geometry)
+                        if routed is not None or geometry in new_routes:
+                            stats["route_hits"] += 1
+                        else:
+                            stats["route_misses"] += 1
+                            new_routes[geometry] = None
+                        if routed is not None:
+                            plan = _make_plan(key, geometry, routed)
+                        else:
+                            geometry_of[key] = geometry
+                    new_plans[key] = plan
+                if plan is None:
+                    waiting.append((i, k, key))
+                row.append(plan)
+            out.append(row)
+
+        rsmt_keys = [g for g in new_routes if g.value[0] == "rsmt"]
+        if rsmt_keys:
+            stats["rsmt_batches"] += 1
+            routes = rsmt_batch([[g.value[1], *g.value[2]] for g in rsmt_keys])
+            new_routes.update(zip(rsmt_keys, routes))
+        for geometry, route in new_routes.items():
+            if route is None:
+                _, driver_loc, locs = geometry.value
+                route = single_trunk_tree([driver_loc, *locs])
+            new_routes[geometry] = (route, route.length)
+            if len(self._routes) >= MAX_CACHE_ENTRIES:
+                self._routes.pop(next(iter(self._routes)))
+            self._routes[geometry] = new_routes[geometry]
+        for key, geometry in geometry_of.items():
+            new_plans[key] = _make_plan(key, geometry, new_routes[geometry])
+        for i, k, key in waiting:
+            out[i][k] = new_plans[key]
+        for key, plan in new_plans.items():
+            if len(self._plans) >= MAX_CACHE_ENTRIES:
+                self._plans.pop(next(iter(self._plans)))
+            self._plans[key] = plan
+        return [tuple(row) for row in out]
 
     def time_net(
         self,

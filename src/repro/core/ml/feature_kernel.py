@@ -10,12 +10,16 @@ struct-of-arrays form and evaluates **every move x every corner x every
 estimator variant** ({rsmt, single_trunk} x {Elmore, D2M}, plus the
 star side-effect variant) in broadcast numpy:
 
-* **plan programs** — each net plan's RC construction
+* **geometry templates** — the RC construction
   (:func:`~repro.route.rc_net.star_rc_tree` /
-  :func:`~repro.route.rc_net.route_rc_tree`) is replayed once into flat
-  arrays: parent slot per node, per-node segment length (resistance =
-  ``res_per_um * len`` per corner), and an ordered list of capacitance
-  terms (wire half/full pi-caps as lengths, pin loads as constants);
+  :func:`~repro.route.rc_net.route_rc_tree`) of each net geometry (route
+  model, driver location, child locations) of a batch is replayed once
+  into flat arrays: parent slot per node, per-node segment length
+  (resistance = ``res_per_um * len`` per corner), and an ordered list of
+  capacitance terms (wire half/full pi-caps as lengths, pin loads as
+  constants).  Plans that share a geometry — the sizing variants of one
+  displacement — differ only in pin caps, which each plan scatters into
+  its template's constant-term slots;
 * **lockstep moment engine** — downstream caps, first moments, the
   D2M second-moment recursion and the Elmore forward pass run over all
   (plans x corners) at once, one vectorized gather/scatter per node
@@ -27,7 +31,8 @@ star side-effect variant) in broadcast numpy:
   ``repro.core.ml.analytical._pair_timing``;
 * **wire-metric memo** — per-plan child Elmore/D2M vectors and total
   loads are slew- and size-independent, so they cache under the plan's
-  value key and survive across local-opt epochs.
+  value key and survive across local-opt epochs; the wirelength, fanout
+  and bounding box come from the template.
 
 Bit-compatibility contract
 --------------------------
@@ -52,6 +57,7 @@ construction; there is no wholesale scalar fallback.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import islice
@@ -62,6 +68,7 @@ import numpy as np
 from repro.core.ml.analytical import (
     ESTIMATE_SEGMENT_UM,
     AnalyticalCache,
+    MemoKey,
     MoveImpact,
     NetEstimate,
     _children_spec,
@@ -104,8 +111,14 @@ _EVAL_CHUNK = 2048
 
 
 @dataclass(frozen=True)
-class _NetProgram:
-    """One net plan's RC construction, replayed as flat arrays."""
+class _Template:
+    """One net geometry's RC construction, replayed as flat arrays.
+
+    A geometry is a route model, a driver location and the child
+    locations; plans that share it differ only in pin caps, the one
+    per-plan input: child ``k``'s cap is the constant term at
+    ``(child_slot[k], cap_term[k])``, which holds 0.0 here.
+    """
 
     n_nodes: int
     parent: np.ndarray  # (n,) parent slot, -1 for the root
@@ -113,6 +126,11 @@ class _NetProgram:
     term_code: np.ndarray  # (n, T) term codes, 0 = absent
     term_val: np.ndarray  # (n, T) term payloads (lengths or constants)
     child_slot: np.ndarray  # (fanout,) RC slot per plan child, spec order
+    cap_term: np.ndarray  # (fanout,) term column of each child's pin cap
+    wirelength_um: float
+    fanout: int
+    bbox_area_um2: float
+    bbox_aspect: float
 
 
 @dataclass(frozen=True)
@@ -146,19 +164,19 @@ class _Buffer:
 
 @dataclass(frozen=True)
 class _ParentNet:
-    """One distinct parent-net spec of a batch and its plans."""
+    """One distinct parent-net spec of a batch."""
 
     buf: int  # row in ``_Batch.buffers``
     new_size: int  # the moved buffer's size after the move
-    plans: Tuple[_NetPlan, ...]  # one per ``_ROUTE_MODELS`` entry
+    spec: int  # row in ``_Batch.plans``
 
 
 @dataclass(frozen=True)
 class _OwnNet:
-    """One distinct own-net spec (the moved buffer's net) and its plans."""
+    """One distinct own-net spec (the moved buffer's net)."""
 
     buf: int
-    plans: Tuple[_NetPlan, ...]
+    spec: int  # row in ``_Batch.plans``
     #: Resized child that drives a net of its own (else ``None``), with
     #: its new size, its slot in the spec and its sink-weight share.
     child: Optional[int] = None
@@ -174,7 +192,8 @@ class _Batch:
     The tree is fixed within a batch, so a move's parent-net spec is
     fixed by (buffer, displacement, new size) and its own net's spec by
     (buffer, displacement, resized child, child size): each distinct
-    spec is resolved once, with its plans, and the moves index it.
+    spec is resolved once and the moves index it.  ``plans`` holds each
+    spec's plans, one per ``_ROUTE_MODELS`` entry, in first-use order.
     """
 
     index: List[int] = field(default_factory=list)  # position in the input
@@ -186,6 +205,7 @@ class _Batch:
     buffers: List[_Buffer] = field(default_factory=list)
     parent_nets: List[_ParentNet] = field(default_factory=list)
     own_nets: List[_OwnNet] = field(default_factory=list)
+    plans: List[Tuple[_NetPlan, ...]] = field(default_factory=list)
 
 
 def _flat_slots(fanouts: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
@@ -315,7 +335,7 @@ class FeatureKernel:
         self._res = np.array([library.wire(c).res_per_um for c in corners])
         self._capu = np.array([library.wire(c).cap_per_um for c in corners])
         self._nom = self._corner_row[library.corners.nominal.name]
-        self._wire_memo: Dict[tuple, _WireMetrics] = {}
+        self._wire_memo: Dict[MemoKey, _WireMetrics] = {}
         self.max_entries = 200_000
         self.timers = StageTimers(phase="features")
         self.stats: Dict[str, int] = {
@@ -324,7 +344,7 @@ class FeatureKernel:
             "fallback_moves": 0,
             "wire_hits": 0,
             "wire_misses": 0,
-            "plans_compiled": 0,
+            "programs_compiled": 0,
             "gate_evals": 0,
         }
 
@@ -424,130 +444,173 @@ class FeatureKernel:
         return d1 + d2, s2
 
     # ------------------------------------------------------------------
-    # Plan compilation: replay the RC builders into flat arrays
+    # Template compilation: replay the RC builders into flat arrays
     # ------------------------------------------------------------------
-    def _compile_plan(self, plan: _NetPlan) -> _NetProgram:
+    def _compile_template(self, plan: _NetPlan) -> _Template:
+        """Replay the RC builder of ``plan``'s geometry, pin caps left 0.0.
+
+        Nodes take slots in the builders' insertion order: the root, then
+        per routed edge its pi-pieces, near end first (see
+        ``route.rc_net._add_wire_path``).  Star nets route each child
+        from the driver in spec order; rsmt/trunk nets walk the route
+        depth-first from the driver pin 0, where child ``k`` is pin
+        ``k + 1``.  A node's terms keep the builders' order too: its own
+        piece cap, its pin cap, then the near-end half caps of the
+        edges leaving it.
+        """
         segment_um = self.segment_um
-        slot_of: Dict[object, int] = {}
-        parent: List[int] = []
-        seg: List[float] = []
-        terms: List[List[Tuple[int, float]]] = []
+        parent: List[int] = [-1]
+        seg: List[float] = [0.0]
+        terms: List[List[Tuple[int, float]]] = [[]]
 
-        def add_root(name) -> None:
-            slot_of[name] = len(parent)
-            parent.append(-1)
-            seg.append(0.0)
-            terms.append([])
-
-        def add_node(name, up, piece_len, term) -> None:
-            slot_of[name] = len(parent)
-            parent.append(slot_of[up])
-            seg.append(piece_len)
-            terms.append([term] if term is not None else [])
-
-        def add_cap(name, term) -> None:
-            terms[slot_of[name]].append(term)
-
-        def add_wire_path(start, end, length) -> None:
-            # Mirrors route.rc_net._add_wire_path's construction order.
+        def add_wire(start: int, length: float) -> int:
+            """Append one routed edge below slot ``start``; its far slot."""
             if length <= 0.0:
-                add_node(end, start, 0.0, None)
-                return
-            pieces = max(1, int(np.ceil(length / segment_um)))
+                parent.append(start)
+                seg.append(0.0)
+                terms.append([])
+                return len(parent) - 1
+            pieces = max(1, math.ceil(length / segment_um))
             piece_len = length / pieces
-            add_cap(start, (_TERM_HALF, piece_len))
+            terms[start].append((_TERM_HALF, piece_len))
             prev = start
-            for i in range(pieces):
-                name = (end, "seg", i) if i < pieces - 1 else end
-                term = (
-                    (_TERM_WIRE, piece_len)
-                    if i < pieces - 1
-                    else (_TERM_HALF, piece_len)
-                )
-                add_node(name, prev, piece_len, term)
-                prev = name
+            for _ in range(pieces - 1):
+                parent.append(prev)
+                seg.append(piece_len)
+                terms.append([(_TERM_WIRE, piece_len)])
+                prev = len(parent) - 1
+            parent.append(prev)
+            seg.append(piece_len)
+            terms.append([(_TERM_HALF, piece_len)])
+            return len(parent) - 1
+
+        fanout = len(plan.children)
+        pin_slot: List[int] = [0] * fanout
+        pin_term: List[int] = [0] * fanout
+
+        def add_pin(k: int, slot: int) -> None:
+            pin_slot[k] = slot
+            pin_term[k] = len(terms[slot])
+            terms[slot].append((_TERM_CONST, 0.0))
 
         if plan.route_model == "star":
-            add_root("drv")
-            for cid, loc, cap in plan.children:
-                add_wire_path(
-                    "drv", cid, path_length([plan.driver_loc, loc])
-                )
-                add_cap(cid, (_TERM_CONST, cap))
+            for k, (_, loc, _) in enumerate(plan.children):
+                add_pin(k, add_wire(0, path_length([plan.driver_loc, loc])))
         else:
             route = plan.route
-            pin_loads = {plan.name_of[cid]: cap for cid, _, cap in plan.children}
+            points = route.points
             adj = route.adjacency()
-            add_root(0)
-            if 0 in pin_loads:
-                add_cap(0, (_TERM_CONST, pin_loads[0]))
-            visited = {0}
+            slot_of = {0: 0}
             stack = [0]
             while stack:
                 cur = stack.pop()
                 for nxt in adj[cur]:
-                    if nxt in visited:
+                    if nxt in slot_of:
                         continue
-                    visited.add(nxt)
-                    length = route.points[cur].manhattan(route.points[nxt])
-                    add_wire_path(cur, nxt, length)
-                    if nxt in pin_loads:
-                        add_cap(nxt, (_TERM_CONST, pin_loads[nxt]))
+                    slot_of[nxt] = add_wire(
+                        slot_of[cur], points[cur].manhattan(points[nxt])
+                    )
+                    if 0 < nxt <= fanout:
+                        add_pin(nxt - 1, slot_of[nxt])
                     stack.append(nxt)
 
         n = len(parent)
-        max_terms = max((len(t) for t in terms), default=0)
-        term_code = np.zeros((n, max(max_terms, 1)), dtype=np.int8)
-        term_val = np.zeros((n, max(max_terms, 1)))
+        width = max(max(len(t) for t in terms), 1)
+        term_code = np.zeros((n, width), dtype=np.int8)
+        term_val = np.zeros((n, width))
         for slot, tlist in enumerate(terms):
             for t, (code, val) in enumerate(tlist):
                 term_code[slot, t] = code
                 term_val[slot, t] = val
-        child_slot = np.array(
-            [slot_of[plan.name_of[cid]] for cid, _, _ in plan.children],
-            dtype=np.int64,
+        bbox = BBox.of_points(
+            [plan.driver_loc] + [loc for _, loc, _ in plan.children]
         )
-        self.stats["plans_compiled"] += 1
-        return _NetProgram(
+        self.stats["programs_compiled"] += 1
+        return _Template(
             n_nodes=n,
             parent=np.asarray(parent, dtype=np.int64),
             seg=np.asarray(seg),
             term_code=term_code,
             term_val=term_val,
-            child_slot=child_slot,
+            child_slot=np.asarray(pin_slot, dtype=np.int64),
+            cap_term=np.asarray(pin_term, dtype=np.int64),
+            wirelength_um=plan.wirelength_um,
+            fanout=fanout,
+            bbox_area_um2=bbox.area,
+            bbox_aspect=bbox.aspect_ratio,
         )
 
     # ------------------------------------------------------------------
     # Lockstep moment engine over (corners x plans x nodes)
     # ------------------------------------------------------------------
+    @staticmethod
+    def _pad_programs(
+        templates: Sequence[_Template], caps: Sequence[Sequence[float]]
+    ) -> Tuple[np.ndarray, ...]:
+        """Padded program arrays of plans given as (template, pin caps).
+
+        Each distinct template is padded once; the plans gather its rows
+        and scatter their caps into its constant-term slots.  Returns
+        ``(parent, valid, seg, code, tval)``, each ``(plans, nodes[,
+        terms])``, and the ``(rows, slots)`` of every plan child in
+        spec order.
+        """
+        row_of: Dict[int, int] = {}
+        distinct: List[_Template] = []
+        tix = []
+        for t in templates:
+            row = row_of.get(id(t))
+            if row is None:
+                row = row_of[id(t)] = len(distinct)
+                distinct.append(t)
+            tix.append(row)
+        n_tpl = len(distinct)
+        max_n = max(t.n_nodes for t in distinct)
+        max_t = max(t.term_code.shape[1] for t in distinct)
+        max_f = max(max(t.fanout for t in distinct), 1)
+        parent = np.zeros((n_tpl, max_n), dtype=np.int64)
+        valid = np.zeros((n_tpl, max_n), dtype=bool)
+        seg = np.zeros((n_tpl, max_n))
+        code = np.zeros((n_tpl, max_n, max_t), dtype=np.int8)
+        tval = np.zeros((n_tpl, max_n, max_t))
+        child = np.zeros((n_tpl, max_f), dtype=np.int64)
+        cap_term = np.zeros((n_tpl, max_f), dtype=np.int64)
+        for i, t in enumerate(distinct):
+            n, nt, f = t.n_nodes, t.term_code.shape[1], t.fanout
+            parent[i, :n] = t.parent
+            valid[i, :n] = True
+            seg[i, :n] = t.seg
+            code[i, :n, :nt] = t.term_code
+            tval[i, :n, :nt] = t.term_val
+            child[i, :f] = t.child_slot
+            cap_term[i, :f] = t.cap_term
+        tix = np.asarray(tix, dtype=np.int64)
+        rows, cols = _flat_slots([t.fanout for t in templates])
+        tpl_rows = tix[rows]
+        slots = child[tpl_rows, cols]
+        tval = tval[tix]
+        tval[rows, slots, cap_term[tpl_rows, cols]] = [
+            c for plan_caps in caps for c in plan_caps
+        ]
+        return parent[tix], valid[tix], seg[tix], code[tix], tval, (rows, slots)
+
     def _eval_programs(
-        self, programs: Sequence[_NetProgram]
+        self, templates: Sequence[_Template], caps: Sequence[Sequence[float]]
     ) -> List[Tuple[np.ndarray, np.ndarray]]:
         """Per-child (Elmore, D2M) arrays, one ``(corners, fanout)`` pair
-        per program, bit-identical to the scalar moment recursions.
+        per plan (a template and its pin caps), bit-identical to the
+        scalar moment recursions.
 
         Each array step applies one node's scalar operation across all
         plans and corners at once; a plan's own node sequence (forward
         insertion order for moments, reverse for subtree accumulations)
         is exactly the scalar engine's, so every float matches.
         """
-        n_prog = len(programs)
+        parent, valid, seg, code, tval, children = self._pad_programs(
+            templates, caps
+        )
+        n_prog, max_n, max_t = code.shape
         n_corner = len(self._corners)
-        max_n = max(p.n_nodes for p in programs)
-        max_t = max(p.term_code.shape[1] for p in programs)
-        parent = np.zeros((n_prog, max_n), dtype=np.int64)
-        valid = np.zeros((n_prog, max_n), dtype=bool)
-        seg = np.zeros((n_prog, max_n))
-        code = np.zeros((n_prog, max_n, max_t), dtype=np.int8)
-        tval = np.zeros((n_prog, max_n, max_t))
-        for i, p in enumerate(programs):
-            n, t = p.n_nodes, p.term_code.shape[1]
-            parent[i, :n] = p.parent
-            valid[i, :n] = True
-            seg[i, :n] = p.seg
-            code[i, :n, :t] = p.term_code
-            tval[i, :n, :t] = p.term_val
-
         res = self._res[:, None, None] * seg[None, :, :]
         cap = np.zeros((n_corner, n_prog, max_n))
         for t in range(max_t):
@@ -602,29 +665,29 @@ class FeatureKernel:
                 (m2 <= 0.0) | (m1 <= 0.0), 0.0, np.minimum(raw, m1)
             )
 
-        out: List[Tuple[np.ndarray, np.ndarray]] = []
-        for i, p in enumerate(programs):
-            slots = p.child_slot
-            out.append((m1[:, i, slots], d2m[:, i, slots]))
-        return out
+        cuts = np.cumsum([t.fanout for t in templates])[:-1]
+        return list(
+            zip(
+                np.split(m1[:, children[0], children[1]], cuts, axis=1),
+                np.split(d2m[:, children[0], children[1]], cuts, axis=1),
+            )
+        )
 
     # ------------------------------------------------------------------
     # Wire-metric memo
     # ------------------------------------------------------------------
-    @staticmethod
-    def _plan_key(plan: _NetPlan) -> tuple:
-        return (plan.route_model, plan.driver_loc, plan.children)
-
     def ensure_metrics(self, plans: Sequence[_NetPlan]) -> List[_WireMetrics]:
         """Wire metrics of ``plans``, in order.
 
-        Every plan missing from the memo is compiled and evaluated in
-        lockstep first.  Nothing is evicted here: :meth:`_trim_wire_memo`
-        runs after the batch has read its metrics.
+        Every plan missing from the memo is evaluated in lockstep first,
+        from its geometry's template and its own pin caps; each geometry
+        of the batch compiles once.  Nothing is evicted here:
+        :meth:`_trim_wire_memo` runs after the batch has read its
+        metrics.
         """
-        keys = [self._plan_key(plan) for plan in plans]
+        keys = [plan.key for plan in plans]
         found = [self._wire_memo.get(key) for key in keys]
-        pending: Dict[tuple, _NetPlan] = {}
+        pending: Dict[MemoKey, _NetPlan] = {}
         for key, plan, metrics in zip(keys, plans, found):
             if metrics is not None:
                 self.stats["wire_hits"] += 1
@@ -636,29 +699,34 @@ class FeatureKernel:
         items = list(pending.items())
         nom = self._nom
         with self.timers.stage("kernel_compile"):
-            programs = [self._compile_plan(plan) for _, plan in items]
+            compiled: Dict[MemoKey, _Template] = {}
+            templates = []
+            for _, plan in items:
+                template = compiled.get(plan.geometry)
+                if template is None:
+                    template = compiled[plan.geometry] = self._compile_template(plan)
+                templates.append(template)
         with self.timers.stage("kernel_eval"):
             for lo in range(0, len(items), _EVAL_CHUNK):
                 chunk = items[lo : lo + _EVAL_CHUNK]
-                results = self._eval_programs(
-                    programs[lo : lo + _EVAL_CHUNK]
-                )
-                for (key, plan), (elm, d2m) in zip(chunk, results):
-                    capsum = sum(c for _, _, c in plan.children)
-                    total_load = self._capu * plan.wirelength_um + capsum
-                    points = [plan.driver_loc] + [
-                        loc for _, loc, _ in plan.children
-                    ]
-                    bbox = BBox.of_points(points)
+                chunk_templates = templates[lo : lo + _EVAL_CHUNK]
+                caps = [[c for _, _, c in plan.children] for _, plan in chunk]
+                results = self._eval_programs(chunk_templates, caps)
+                wirelength = np.array([t.wirelength_um for t in chunk_templates])
+                capsum = np.array([sum(plan_caps) for plan_caps in caps], dtype=float)
+                total_load = self._capu[:, None] * wirelength + capsum
+                for j, ((key, plan), t, (elm, d2m)) in enumerate(
+                    zip(chunk, chunk_templates, results)
+                ):
                     child_ids = tuple(cid for cid, _, _ in plan.children)
                     self._wire_memo[key] = _WireMetrics(
                         elm=elm,
                         d2m=d2m,
-                        total_load=total_load,
-                        wirelength_um=plan.wirelength_um,
-                        fanout=len(plan.children),
-                        bbox_area_um2=bbox.area,
-                        bbox_aspect=bbox.aspect_ratio,
+                        total_load=total_load[:, j],
+                        wirelength_um=t.wirelength_um,
+                        fanout=t.fanout,
+                        bbox_area_um2=t.bbox_area_um2,
+                        bbox_aspect=t.bbox_aspect,
                         nominal_wire={
                             "elmore": dict(zip(child_ids, elm[nom].tolist())),
                             "d2m": dict(zip(child_ids, d2m[nom].tolist())),
@@ -703,7 +771,7 @@ class FeatureKernel:
         if batch.moves:
             nets = (*batch.parent_nets, *batch.own_nets)
             metrics = self.ensure_metrics(
-                [plan for net in nets for plan in net.plans]
+                [plan for net in nets for plan in batch.plans[net.spec]]
             )
             with self.timers.stage("kernel_assemble"):
                 components = self._assemble(tree, timings, batch, metrics, cache)
@@ -729,12 +797,14 @@ class FeatureKernel:
 
         Each distinct parent-net and own-net spec is built once (from
         the buffer's unmodified child specs, with the one moved or
-        resized pin replaced) and planned once per route model.
+        resized pin replaced); then all of them are planned under every
+        route model in one :meth:`AnalyticalCache.plan_nets` call.
         """
         lib = self.library
         size_pos = self._size_pos
         batch = _Batch()
         fallback: List[int] = []
+        specs: List[Tuple[Point, List[Tuple[int, Point, float]]]] = []
         buf_row: Dict[int, int] = {}
         pnet_of: Dict[tuple, int] = {}
         bnet_of: Dict[tuple, int] = {}
@@ -787,15 +857,9 @@ class FeatureKernel:
                 spec[buf.b_pos] = (b, new_loc, lib.input_cap_ff(new_size))
                 p = pnet_of[pkey] = len(batch.parent_nets)
                 batch.parent_nets.append(
-                    _ParentNet(
-                        buf=row,
-                        new_size=new_size,
-                        plans=tuple(
-                            cache.plan_net(buf.parent_loc, spec, r)
-                            for r in _ROUTE_MODELS
-                        ),
-                    )
+                    _ParentNet(buf=row, new_size=new_size, spec=len(specs))
                 )
+                specs.append((buf.parent_loc, spec))
             bkey = (b, move.dx, move.dy, child, child_size)
             q = bnet_of.get(bkey)
             if q is None:
@@ -820,16 +884,8 @@ class FeatureKernel:
                             / max(sum(weights.values()), 1),
                         )
                 q = bnet_of[bkey] = len(batch.own_nets)
-                batch.own_nets.append(
-                    _OwnNet(
-                        buf=row,
-                        plans=tuple(
-                            cache.plan_net(new_loc, spec, r)
-                            for r in _ROUTE_MODELS
-                        ),
-                        **sizing,
-                    )
-                )
+                batch.own_nets.append(_OwnNet(buf=row, spec=len(specs), **sizing))
+                specs.append((new_loc, spec))
             size_after = node.size or 0
             if move.type is MoveType.SIZING_DISPLACE and move.size_step:
                 size_after = lib.step_size(size_after, move.size_step)
@@ -839,6 +895,7 @@ class FeatureKernel:
             batch.move_pnet.append(p)
             batch.move_bnet.append(q)
             batch.size_after.append(size_after)
+        batch.plans = cache.plan_nets(specs, _ROUTE_MODELS)
         return batch, fallback
 
     # ------------------------------------------------------------------

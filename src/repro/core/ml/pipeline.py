@@ -8,12 +8,15 @@ tree:
   plans and per-corner net evaluations under value keys (geometry +
   sizes + slews, the same signature scheme as ``sta/incremental.py``);
 * a move-level :class:`~repro.core.ml.features.MoveComponents` cache
-  with explicit dependency tracking: each cached move records the node
-  ids whose *local* timing state (input slew, driver delay/load, edge
-  delays — see :func:`move_dependencies`) and whose *arrival* it read.
-  After a commit, :meth:`invalidate` drops exactly the moves touching
-  the re-timed frontier; tree surgery changes subtree membership (sink
-  weights), so structural commits flush the move cache entirely.
+  with explicit dependency tracking: the node ids whose *local* timing
+  state (input slew, driver delay/load, edge delays — see
+  :func:`move_dependencies`) and whose *arrival* a move reads depend
+  only on its buffer (and, for surgery, its new parent), so cached
+  moves are grouped by that dependency set, and each set is registered
+  once against its nodes.  After a commit, :meth:`invalidate` drops
+  exactly the moves touching the re-timed frontier, a whole group at a
+  time; tree surgery changes subtree membership (sink weights), so
+  structural commits flush the move cache entirely.
 
 Cache misses featurize in one batch through the array-backed
 :class:`~repro.core.ml.feature_kernel.FeatureKernel`; the per-move
@@ -42,6 +45,17 @@ from repro.tech.library import Library
 #: Cached moves at which :meth:`CandidatePipeline.featurize` flushes the
 #: move cache (a memory bound; the flow's move sets stay far below it).
 MAX_CACHED_MOVES = 200_000
+
+#: A move's ``(local, arrival)`` dependency node sets.
+_Deps = Tuple[FrozenSet[int], FrozenSet[int]]
+
+
+def dependency_key(move: Move) -> Tuple[int, ...]:
+    """What a move's :func:`move_dependencies` depend on, besides the tree:
+    its buffer, and for surgery also its new parent."""
+    if move.type is MoveType.SURGERY:
+        return (move.buffer, move.new_parent)
+    return (move.buffer,)
 
 
 def move_dependencies(
@@ -114,9 +128,11 @@ class CandidatePipeline:
         self.analytical = AnalyticalCache()
         self.kernel = FeatureKernel(library)
         self._components: Dict[Move, MoveComponents] = {}
-        self._deps: Dict[Move, Tuple[FrozenSet[int], FrozenSet[int]]] = {}
-        self._by_local: Dict[int, Set[Move]] = {}
-        self._by_arrival: Dict[int, Set[Move]] = {}
+        #: Cached moves per ``(local, arrival)`` dependency set, and the
+        #: dependency sets registered against each node.
+        self._groups: Dict[_Deps, Set[Move]] = {}
+        self._by_local: Dict[int, Set[_Deps]] = {}
+        self._by_arrival: Dict[int, Set[_Deps]] = {}
         self.stats: Dict[str, int] = {
             "move_hits": 0,
             "move_misses": 0,
@@ -135,8 +151,8 @@ class CandidatePipeline:
 
         Cached components are reused verbatim; misses are recomputed in
         one kernel batch through the shared analytical cache and
-        registered against their dependency nodes for later
-        :meth:`invalidate` calls.
+        registered, by dependency set, for later :meth:`invalidate`
+        calls.
         """
         components: List[MoveComponents | None] = []
         miss_at: List[int] = []
@@ -154,9 +170,9 @@ class CandidatePipeline:
             fresh = self.kernel.compute_components_batch(
                 tree, timings, miss_moves, self.analytical
             )
-            for slot, move, comp in zip(miss_at, miss_moves, fresh):
+            for slot, comp in zip(miss_at, fresh):
                 components[slot] = comp
-                self._remember(tree, move, comp)
+            self._remember(tree, miss_moves, fresh)
         return FeatureBatch.assemble(
             components, [corner.name for corner in self.library.corners]
         )
@@ -181,7 +197,7 @@ class CandidatePipeline:
             count = len(self._components)
             self.flush()
             return count
-        doomed: Set[Move] = set()
+        doomed: Set[_Deps] = set()
         for nid in touched_local:
             bucket = self._by_local.get(nid)
             if bucket:
@@ -190,42 +206,61 @@ class CandidatePipeline:
             bucket = self._by_arrival.get(nid)
             if bucket:
                 doomed.update(bucket)
-        for move in doomed:
-            self._evict(move)
-        self.stats["invalidated"] += len(doomed)
-        return len(doomed)
+        count = 0
+        for deps in doomed:
+            count += self._evict(deps)
+        self.stats["invalidated"] += count
+        return count
 
     def flush(self) -> None:
         """Forget every cached move (analytical value-cache survives)."""
         self.stats["flushes"] += 1
         self._components.clear()
-        self._deps.clear()
+        self._groups.clear()
         self._by_local.clear()
         self._by_arrival.clear()
 
     # ------------------------------------------------------------------
-    def _remember(self, tree: ClockTree, move: Move, comp: MoveComponents) -> None:
-        if len(self._components) >= MAX_CACHED_MOVES:
-            self.flush()
-        deps_local, deps_arrival = move_dependencies(tree, move)
-        self._components[move] = comp
-        self._deps[move] = (deps_local, deps_arrival)
-        for nid in deps_local:
-            self._by_local.setdefault(nid, set()).add(move)
-        for nid in deps_arrival:
-            self._by_arrival.setdefault(nid, set()).add(move)
+    def _remember(
+        self,
+        tree: ClockTree,
+        moves: Sequence[Move],
+        components: Sequence[MoveComponents],
+    ) -> None:
+        """Cache fresh components under their moves' dependency sets.
 
-    def _evict(self, move: Move) -> None:
-        self._components.pop(move, None)
-        deps_local, deps_arrival = self._deps.pop(move, (frozenset(), frozenset()))
-        for nid in deps_local:
-            bucket = self._by_local.get(nid)
-            if bucket is not None:
-                bucket.discard(move)
-        for nid in deps_arrival:
-            bucket = self._by_arrival.get(nid)
-            if bucket is not None:
-                bucket.discard(move)
+        The tree is fixed within a batch, so moves that share a
+        :func:`dependency_key` share their dependency set: it is
+        computed once per key, and registered against its nodes once.
+        """
+        deps_of: Dict[Tuple[int, ...], _Deps] = {}
+        for move, comp in zip(moves, components):
+            if len(self._components) >= MAX_CACHED_MOVES:
+                self.flush()
+            key = dependency_key(move)
+            deps = deps_of.get(key)
+            if deps is None:
+                deps = deps_of[key] = move_dependencies(tree, move)
+            self._components[move] = comp
+            group = self._groups.get(deps)
+            if group is None:
+                group = self._groups[deps] = set()
+                for nid in deps[0]:
+                    self._by_local.setdefault(nid, set()).add(deps)
+                for nid in deps[1]:
+                    self._by_arrival.setdefault(nid, set()).add(deps)
+            group.add(move)
+
+    def _evict(self, deps: _Deps) -> int:
+        """Drop every cached move of one dependency set; returns how many."""
+        group = self._groups.pop(deps)
+        for move in group:
+            del self._components[move]
+        for nid in deps[0]:
+            self._by_local[nid].discard(deps)
+        for nid in deps[1]:
+            self._by_arrival[nid].discard(deps)
+        return len(group)
 
     # ------------------------------------------------------------------
     def cache_stats(self) -> Dict[str, object]:

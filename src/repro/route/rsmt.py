@@ -6,12 +6,17 @@ the classic *iterated 1-Steiner* heuristic (Kahng/Robins) over the Hanan
 grid for small nets and fall back to a rectilinear Prim MST for large
 nets.  Iterated 1-Steiner is within a few percent of optimal RSMT on the
 net sizes clock trees produce, which is the same accuracy class as FLUTE.
+
+:func:`rsmt_batch` routes many nets at once: every Prim pass of every
+net runs in one padded numpy pass over all rows (net, or net plus one
+Hanan candidate), so a featurization batch pays the numpy call overhead
+once per step instead of once per net.  :func:`rsmt` is its one-set call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -72,88 +77,114 @@ class RouteTree:
             raise ValueError("route tree is disconnected")
 
 
-def _distance_matrix(points: Sequence[Point]) -> np.ndarray:
-    xs = np.asarray([p.x for p in points])
-    ys = np.asarray([p.y for p in points])
-    return np.abs(xs[:, None] - xs[None, :]) + np.abs(ys[:, None] - ys[None, :])
+#: Rows of one lockstep Prim chunk.  A row is one tree: a net, or a net
+#: plus one Hanan candidate; the chunk's transient arrays are ``rows x
+#: points`` floats, so this bounds them to a few MB.
+LOCKSTEP_ROWS = 4096
 
 
-def _mst_edges(dist: np.ndarray) -> List[Tuple[int, int]]:
-    """Prim's algorithm on a dense Manhattan distance matrix."""
-    n = dist.shape[0]
-    if n <= 1:
-        return []
-    in_tree = np.zeros(n, dtype=bool)
-    in_tree[0] = True
-    best_dist = dist[0].copy()
-    best_src = np.zeros(n, dtype=int)
-    edges: List[Tuple[int, int]] = []
-    for _ in range(n - 1):
-        masked = np.where(in_tree, np.inf, best_dist)
-        nxt = int(np.argmin(masked))
-        edges.append((int(best_src[nxt]), nxt))
-        in_tree[nxt] = True
-        closer = dist[nxt] < best_dist
-        best_dist = np.where(closer, dist[nxt], best_dist)
-        best_src = np.where(closer, nxt, best_src)
-    return edges
+def _prim_chunk(
+    xs: np.ndarray, ys: np.ndarray, counts: np.ndarray, with_edges: bool
+) -> Tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:
+    """Prim's algorithm on every row of a padded chunk at once.
 
-
-def _mst_length(dist: np.ndarray) -> float:
-    n = dist.shape[0]
-    if n <= 1:
-        return 0.0
-    in_tree = np.zeros(n, dtype=bool)
-    in_tree[0] = True
-    best = dist[0].copy()
-    total = 0.0
-    for _ in range(n - 1):
-        masked = np.where(in_tree, np.inf, best)
-        nxt = int(np.argmin(masked))
-        total += masked[nxt]
-        in_tree[nxt] = True
-        best = np.minimum(best, dist[nxt])
-    return float(total)
-
-
-def _batched_trial_lengths(
-    current: Sequence[Point], candidates: Sequence[Point]
-) -> np.ndarray:
-    """MST length of ``current + [cand]`` for every candidate at once.
-
-    Runs Prim's algorithm on all ``C`` trial point sets in lockstep —
-    every array operation applies :func:`_mst_length`'s scalar operation
-    elementwise across candidates in the same order (same argmin
-    tie-breaks, same ``minimum`` relaxations, same left-to-right adds),
-    so entry ``c`` is bit-identical to
-    ``_mst_length(_distance_matrix(current + [candidates[c]]))``.
+    Row ``r`` spans the points ``(xs[r, :counts[r]], ys[r, :counts[r]])``;
+    later columns are padding, marked in-tree from the start so the
+    argmin never picks them.  Each step applies one scalar Prim step to
+    every row: the first-index argmin tie-break, the left-to-right
+    length sum (finished rows add exact zeros), and, for edges, the
+    strict ``<`` relaxation that keeps the earlier source on ties.  A
+    distance row is computed when its point joins, as
+    ``|x_i - x_j| + |y_i - y_j|``, the value of the dense matrix entry.
+    Returns the lengths and, with ``with_edges``, the ``(rows, steps)``
+    edge sources and targets.  The widest row has two points or more.
     """
-    xs = np.asarray([p.x for p in current])
-    ys = np.asarray([p.y for p in current])
-    base = np.abs(xs[:, None] - xs[None, :]) + np.abs(ys[:, None] - ys[None, :])
-    cx = np.asarray([p.x for p in candidates])
-    cy = np.asarray([p.y for p in candidates])
-    cross = np.abs(cx[:, None] - xs[None, :]) + np.abs(cy[:, None] - ys[None, :])
-    n_cand, n = cross.shape
-    m = n + 1
-    dist = np.empty((n_cand, m, m))
-    dist[:, :n, :n] = base
-    dist[:, n, :n] = cross
-    dist[:, :n, n] = cross
-    dist[:, n, n] = 0.0
-
-    in_tree = np.zeros((n_cand, m), dtype=bool)
+    n_rows, width = xs.shape
+    steps = int(counts.max()) - 1
+    rows = np.arange(n_rows)
+    in_tree = np.arange(width)[None, :] >= counts[:, None]
     in_tree[:, 0] = True
-    best = dist[:, 0, :].copy()
-    total = np.zeros(n_cand)
-    rows = np.arange(n_cand)
-    for _ in range(m - 1):
+    best = np.abs(xs[:, :1] - xs) + np.abs(ys[:, :1] - ys)
+    total = np.zeros(n_rows)
+    if with_edges:
+        src = np.zeros((n_rows, width), dtype=np.intp)
+        edge_src = np.zeros((n_rows, steps), dtype=np.intp)
+        edge_dst = np.zeros_like(edge_src)
+    for step in range(steps):
         masked = np.where(in_tree, np.inf, best)
-        nxt = np.argmin(masked, axis=1)
-        total = total + masked[rows, nxt]
+        nxt = masked.argmin(axis=1)
+        total = total + np.where(step < counts - 1, masked[rows, nxt], 0.0)
         in_tree[rows, nxt] = True
-        best = np.minimum(best, dist[rows, nxt, :])
-    return total
+        dist = np.abs(xs[rows, nxt][:, None] - xs) + np.abs(
+            ys[rows, nxt][:, None] - ys
+        )
+        if with_edges:
+            edge_src[:, step] = src[rows, nxt]
+            edge_dst[:, step] = nxt
+            closer = dist < best
+            best = np.where(closer, dist, best)
+            src = np.where(closer, nxt[:, None], src)
+        else:
+            best = np.minimum(best, dist)
+    if not with_edges:
+        return total, None, None
+    return total, edge_src, edge_dst
+
+
+def _lockstep_prim(
+    px: np.ndarray,
+    py: np.ndarray,
+    net: np.ndarray,
+    counts: np.ndarray,
+    extra: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+    with_edges: bool = False,
+) -> Tuple[np.ndarray, List[List[Tuple[int, int]]]]:
+    """MST length (and edges) of many rows, in chunks.
+
+    Row ``r`` is the first ``counts[r]`` points of row ``net[r]`` of
+    ``(px, py)``; with ``extra``, its last point is ``(extra[0][r],
+    extra[1][r])`` instead.  Rows are chunked in order of point count,
+    :data:`LOCKSTEP_ROWS` at a time, and each chunk's padded arrays are
+    built for it alone, as wide as its widest row; a row's result does
+    not depend on its chunk.  Edges are ``[]`` unless requested.
+    """
+    n_rows = counts.size
+    lengths = np.zeros(n_rows)
+    edges: List[List[Tuple[int, int]]] = [[] for _ in range(n_rows)]
+    order = np.argsort(counts, kind="stable")
+    for lo in range(0, n_rows, LOCKSTEP_ROWS):
+        take = order[lo : lo + LOCKSTEP_ROWS]
+        chunk_counts = counts[take]
+        width = int(chunk_counts.max())
+        if width < 2:
+            continue
+        xs = px[net[take], :width]
+        ys = py[net[take], :width]
+        if extra is not None:
+            last = (np.arange(take.size), chunk_counts - 1)
+            xs[last] = extra[0][take]
+            ys[last] = extra[1][take]
+        total, edge_src, edge_dst = _prim_chunk(xs, ys, chunk_counts, with_edges)
+        lengths[take] = total
+        if with_edges:
+            for r, n, a, b in zip(
+                take.tolist(),
+                chunk_counts.tolist(),
+                edge_src.tolist(),
+                edge_dst.tolist(),
+            ):
+                edges[r] = list(zip(a[: n - 1], b[: n - 1]))
+    return lengths, edges
+
+
+def _padded(coords: Sequence[Sequence[float]], width: int) -> np.ndarray:
+    """``coords`` as the rows of a zero-padded ``(len, width)`` array."""
+    out = np.zeros((len(coords), width))
+    sizes = np.array([len(c) for c in coords], dtype=np.intp)
+    rows = np.repeat(np.arange(len(coords)), sizes)
+    cols = np.arange(rows.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    out[rows, cols] = [v for c in coords for v in c]
+    return out
 
 
 def rectilinear_mst(points: Sequence[Point]) -> RouteTree:
@@ -161,57 +192,116 @@ def rectilinear_mst(points: Sequence[Point]) -> RouteTree:
     pts = tuple(points)
     if not pts:
         raise ValueError("cannot route an empty pin set")
-    dist = _distance_matrix(pts)
-    return RouteTree(points=pts, edges=tuple(_mst_edges(dist)), num_pins=len(pts))
+    xs = np.array([[float(p.x) for p in pts]])
+    ys = np.array([[float(p.y) for p in pts]])
+    _, edges = _lockstep_prim(
+        xs, ys, np.zeros(1, dtype=np.intp), np.array([len(pts)]), with_edges=True
+    )
+    return RouteTree(points=pts, edges=tuple(edges[0]), num_pins=len(pts))
 
 
-def _hanan_candidates(points: Sequence[Point]) -> List[Point]:
+def _hanan_candidates(points: Sequence[Point]) -> List[Tuple[float, float]]:
+    """Hanan-grid points not on a pin, x-major over the sorted axes."""
     xs = sorted({p.x for p in points})
     ys = sorted({p.y for p in points})
     existing = {(p.x, p.y) for p in points}
-    return [
-        Point(x, y) for x in xs for y in ys if (x, y) not in existing
-    ]
+    return [(x, y) for x in xs for y in ys if (x, y) not in existing]
 
 
 def rsmt(points: Sequence[Point]) -> RouteTree:
-    """Rectilinear Steiner tree over ``points``.
+    """Rectilinear Steiner tree over ``points`` (one set of :func:`rsmt_batch`)."""
+    return rsmt_batch([points])[0]
 
-    Uses iterated 1-Steiner (greedy Hanan-point insertion) for nets up to
-    :data:`ONE_STEINER_MAX_PINS` pins and a rectilinear MST beyond that.
-    Duplicated pin locations are handled (zero-length edges).
+
+def rsmt_batch(point_sets: Sequence[Sequence[Point]]) -> List[RouteTree]:
+    """Rectilinear Steiner trees over many point sets at once.
+
+    Nets of 3 to :data:`ONE_STEINER_MAX_PINS` pins use iterated 1-Steiner
+    (greedy Hanan-point insertion); the others a rectilinear MST.  All
+    nets advance in lockstep: each round evaluates the MST of every
+    (net, remaining Hanan candidate) row in one padded Prim pass and
+    gives each net its first candidate of maximal gain, if that gain
+    exceeds 1e-9 um.  The final spanning trees are one more pass, then
+    degree-<=2 Steiner points are pruned.  Each tree equals the one a
+    per-set loop builds, to the last float: rows keep the candidate
+    order, Prim's tie-breaks and the sequential sums.  Duplicated pin
+    locations are handled (zero-length edges).
     """
-    pts = list(points)
-    if not pts:
+    sets = [tuple(points) for points in point_sets]
+    if any(not pts for pts in sets):
         raise ValueError("cannot route an empty pin set")
-    if len(pts) <= 2 or len(pts) > ONE_STEINER_MAX_PINS:
-        return rectilinear_mst(pts)
+    n_sets = len(sets)
+    all_nets = np.arange(n_sets)
+    n_pts = np.array([len(pts) for pts in sets], dtype=np.intp)
+    # Current points per net: the pins, then the Steiner points chosen
+    # (the arrays widen when a net outgrows them).
+    width = int(n_pts.max()) + 1 if n_sets else 1
+    cur_x = _padded([[float(p.x) for p in pts] for pts in sets], width)
+    cur_y = _padded([[float(p.y) for p in pts] for pts in sets], width)
+    # Hanan candidates of every 1-Steiner net, flat in net then
+    # candidate order, with their owner net.
+    cands = [
+        _hanan_candidates(pts) if 2 < len(pts) <= ONE_STEINER_MAX_PINS else []
+        for pts in sets
+    ]
+    flat = [c for net_cands in cands for c in net_cands]
+    cand_x = np.array([float(x) for x, _ in flat])
+    cand_y = np.array([float(y) for _, y in flat])
+    owner = np.repeat(all_nets, [len(c) for c in cands])
+    alive = np.ones(len(flat), dtype=bool)
+    chosen: List[List[int]] = [[] for _ in range(n_sets)]
 
-    chosen: List[Point] = []
-    current = list(pts)
-    current_len = _mst_length(_distance_matrix(current))
-    candidates = _hanan_candidates(pts)
-    while candidates:
-        best_gain = 1e-9
-        best_point = None
-        trial_lengths = _batched_trial_lengths(current, candidates)
-        for cand, trial_len in zip(candidates, trial_lengths.tolist()):
-            gain = current_len - trial_len
-            if gain > best_gain:
-                best_gain = gain
-                best_point = cand
-        if best_point is None:
-            break
-        chosen.append(best_point)
-        current.append(best_point)
-        current_len -= best_gain
-        candidates = [c for c in candidates if c != best_point]
+    active = np.zeros(n_sets, dtype=bool)
+    active[owner] = True
+    cur_len = np.zeros(n_sets)
+    first = np.flatnonzero(active)
+    cur_len[first], _ = _lockstep_prim(cur_x, cur_y, first, n_pts[first])
+    while active.any():
+        rows = np.flatnonzero(alive & active[owner])
+        net = owner[rows]
+        trial, _ = _lockstep_prim(
+            cur_x, cur_y, net, n_pts[net] + 1, (cand_x[rows], cand_y[rows])
+        )
+        gain = cur_len[net] - trial
+        # Rows are grouped by net in candidate order: the first maximum
+        # of each group is the scalar loop's strict-``>`` pick.
+        starts = np.flatnonzero(np.r_[True, net[1:] != net[:-1]])
+        sizes = np.diff(np.r_[starts, net.size])
+        group_max = np.maximum.reduceat(gain, starts)
+        pick = np.minimum.reduceat(
+            np.where(
+                gain == np.repeat(group_max, sizes), np.arange(net.size), net.size
+            ),
+            starts,
+        )
+        win = group_max > 1e-9
+        winners = net[starts[win]]
+        picked = rows[pick[win]]
+        slot = n_pts[winners]
+        if winners.size and int(slot.max()) + 2 > cur_x.shape[1]:
+            # Keep a free column for the next round's candidate.
+            grow = ((0, 0), (0, cur_x.shape[1]))
+            cur_x, cur_y = np.pad(cur_x, grow), np.pad(cur_y, grow)
+        cur_x[winners, slot] = cand_x[picked]
+        cur_y[winners, slot] = cand_y[picked]
+        n_pts[winners] += 1
+        alive[picked] = False
+        cur_len[winners] = cur_len[winners] - group_max[win]
+        for k, c in zip(winners.tolist(), picked.tolist()):
+            chosen[k].append(c)
+        active[:] = False
+        active[winners] = True
+        active &= np.bincount(owner[alive], minlength=n_sets) > 0
 
-    all_points = tuple(pts) + tuple(chosen)
-    dist = _distance_matrix(all_points)
-    edges = _mst_edges(dist)
-    tree = RouteTree(points=all_points, edges=tuple(edges), num_pins=len(pts))
-    return _prune_useless_steiner(tree)
+    _, edges = _lockstep_prim(cur_x, cur_y, all_nets, n_pts, with_edges=True)
+    trees = []
+    for pts, picks, net_edges in zip(sets, chosen, edges):
+        steiner = tuple(Point(*flat[c]) for c in picks)
+        tree = RouteTree(
+            points=pts + steiner, edges=tuple(net_edges), num_pins=len(pts)
+        )
+        trees.append(_prune_useless_steiner(tree) if steiner else tree)
+    return trees
 
 
 def _prune_useless_steiner(tree: RouteTree) -> RouteTree:

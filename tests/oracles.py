@@ -9,6 +9,7 @@ production option.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -19,13 +20,28 @@ from repro.core.eco_flow import LPGuidedECO
 from repro.core.local_opt import predicted_variation_reduction
 from repro.core.ml import dataset
 from repro.core.ml.ann import ANNRegressor
-from repro.core.ml.feature_kernel import FeatureKernel
+from repro.core.ml.feature_kernel import (
+    _TERM_CONST,
+    _TERM_HALF,
+    _TERM_WIRE,
+    FeatureKernel,
+)
 from repro.core.ml.features import compute_move_components
-from repro.core.ml.pipeline import FeatureBatch
+from repro.core.ml.pipeline import (
+    MAX_CACHED_MOVES,
+    CandidatePipeline,
+    FeatureBatch,
+    move_dependencies,
+)
 from repro.core.moves import apply_move
-from repro.geometry import Point
+from repro.geometry import Point, path_length
 from repro.route.congestion import chain_length_factor
 from repro.route.rc_net import edge_rc_tree
+from repro.route.rsmt import (
+    ONE_STEINER_MAX_PINS,
+    RouteTree,
+    _prune_useless_steiner,
+)
 from repro.sta.d2m import d2m_delays
 from repro.sta.elmore import elmore_delays
 from repro.sta.timer import GoldenTimer
@@ -253,6 +269,322 @@ def use_scalar_scan(patch):
     is built while the patch holds.
     """
     patch.setattr(LPGuidedECO, "_search", per_arc_scan)
+
+
+# --- Feature kernel: one program compiled per plan -----------------------
+@dataclass(frozen=True)
+class _NetProgram:
+    """One net plan's RC construction, replayed as flat arrays."""
+
+    n_nodes: int
+    parent: np.ndarray  # (n,) parent slot, -1 for the root
+    seg: np.ndarray  # (n,) pi-piece length (res = res_per_um * seg)
+    term_code: np.ndarray  # (n, T) term codes, 0 = absent
+    term_val: np.ndarray  # (n, T) term payloads (lengths or constants)
+    child_slot: np.ndarray  # (fanout,) RC slot per plan child, spec order
+
+
+def reference_compile_plan(kernel, plan) -> _NetProgram:
+    """Oracle of the feature kernel's templates: one plan's RC
+    construction, pin caps included, replayed as flat arrays."""
+    segment_um = kernel.segment_um
+    slot_of: Dict[object, int] = {}
+    parent: List[int] = []
+    seg: List[float] = []
+    terms: List[List[Tuple[int, float]]] = []
+
+    def add_root(name) -> None:
+        slot_of[name] = len(parent)
+        parent.append(-1)
+        seg.append(0.0)
+        terms.append([])
+
+    def add_node(name, up, piece_len, term) -> None:
+        slot_of[name] = len(parent)
+        parent.append(slot_of[up])
+        seg.append(piece_len)
+        terms.append([term] if term is not None else [])
+
+    def add_cap(name, term) -> None:
+        terms[slot_of[name]].append(term)
+
+    def add_wire_path(start, end, length) -> None:
+        # Mirrors route.rc_net._add_wire_path's construction order.
+        if length <= 0.0:
+            add_node(end, start, 0.0, None)
+            return
+        pieces = max(1, int(np.ceil(length / segment_um)))
+        piece_len = length / pieces
+        add_cap(start, (_TERM_HALF, piece_len))
+        prev = start
+        for i in range(pieces):
+            name = (end, "seg", i) if i < pieces - 1 else end
+            term = (
+                (_TERM_WIRE, piece_len)
+                if i < pieces - 1
+                else (_TERM_HALF, piece_len)
+            )
+            add_node(name, prev, piece_len, term)
+            prev = name
+
+    if plan.route_model == "star":
+        add_root("drv")
+        for cid, loc, cap in plan.children:
+            add_wire_path(
+                "drv", cid, path_length([plan.driver_loc, loc])
+            )
+            add_cap(cid, (_TERM_CONST, cap))
+    else:
+        route = plan.route
+        pin_loads = {plan.name_of[cid]: cap for cid, _, cap in plan.children}
+        adj = route.adjacency()
+        add_root(0)
+        if 0 in pin_loads:
+            add_cap(0, (_TERM_CONST, pin_loads[0]))
+        visited = {0}
+        stack = [0]
+        while stack:
+            cur = stack.pop()
+            for nxt in adj[cur]:
+                if nxt in visited:
+                    continue
+                visited.add(nxt)
+                length = route.points[cur].manhattan(route.points[nxt])
+                add_wire_path(cur, nxt, length)
+                if nxt in pin_loads:
+                    add_cap(nxt, (_TERM_CONST, pin_loads[nxt]))
+                stack.append(nxt)
+
+    n = len(parent)
+    max_terms = max((len(t) for t in terms), default=0)
+    term_code = np.zeros((n, max(max_terms, 1)), dtype=np.int8)
+    term_val = np.zeros((n, max(max_terms, 1)))
+    for slot, tlist in enumerate(terms):
+        for t, (code, val) in enumerate(tlist):
+            term_code[slot, t] = code
+            term_val[slot, t] = val
+    child_slot = np.array(
+        [slot_of[plan.name_of[cid]] for cid, _, _ in plan.children],
+        dtype=np.int64,
+    )
+    return _NetProgram(
+        n_nodes=n,
+        parent=np.asarray(parent, dtype=np.int64),
+        seg=np.asarray(seg),
+        term_code=term_code,
+        term_val=term_val,
+        child_slot=child_slot,
+    )
+
+
+# --- Candidate pipeline: one registry entry per cached move -------------
+class PerMoveRegistryPipeline(CandidatePipeline):
+    """Oracle of :class:`CandidatePipeline`'s move registry.
+
+    Every cached move is registered against its own dependency nodes
+    and evicted alone; the production pipeline registers and evicts a
+    whole dependency set at a time.
+    """
+
+    def __init__(self, library) -> None:
+        super().__init__(library)
+        self._deps = {}
+
+    def _remember(self, tree, moves, components) -> None:
+        for move, comp in zip(moves, components):
+            self._remember_one(tree, move, comp)
+
+    def invalidate(self, touched_local=(), touched_arrival=(), structural=False):
+        if structural:
+            count = len(self._components)
+            self.flush()
+            return count
+        doomed = set()
+        for nid in touched_local:
+            bucket = self._by_local.get(nid)
+            if bucket:
+                doomed.update(bucket)
+        for nid in touched_arrival:
+            bucket = self._by_arrival.get(nid)
+            if bucket:
+                doomed.update(bucket)
+        for move in doomed:
+            self._evict(move)
+        self.stats["invalidated"] += len(doomed)
+        return len(doomed)
+
+    def flush(self) -> None:
+        self.stats["flushes"] += 1
+        self._components.clear()
+        self._deps.clear()
+        self._by_local.clear()
+        self._by_arrival.clear()
+
+    def _remember_one(self, tree, move, comp) -> None:
+        if len(self._components) >= MAX_CACHED_MOVES:
+            self.flush()
+        deps_local, deps_arrival = move_dependencies(tree, move)
+        self._components[move] = comp
+        self._deps[move] = (deps_local, deps_arrival)
+        for nid in deps_local:
+            self._by_local.setdefault(nid, set()).add(move)
+        for nid in deps_arrival:
+            self._by_arrival.setdefault(nid, set()).add(move)
+
+    def _evict(self, move) -> None:
+        self._components.pop(move, None)
+        deps_local, deps_arrival = self._deps.pop(move, (frozenset(), frozenset()))
+        for nid in deps_local:
+            bucket = self._by_local.get(nid)
+            if bucket is not None:
+                bucket.discard(move)
+        for nid in deps_arrival:
+            bucket = self._by_arrival.get(nid)
+            if bucket is not None:
+                bucket.discard(move)
+
+
+# --- RSMT: the per-set iterated 1-Steiner loop ---------------------------
+def _distance_matrix(points: Sequence[Point]) -> np.ndarray:
+    xs = np.asarray([p.x for p in points])
+    ys = np.asarray([p.y for p in points])
+    return np.abs(xs[:, None] - xs[None, :]) + np.abs(ys[:, None] - ys[None, :])
+
+
+def _mst_edges(dist: np.ndarray) -> List[Tuple[int, int]]:
+    """Prim's algorithm on a dense Manhattan distance matrix."""
+    n = dist.shape[0]
+    if n <= 1:
+        return []
+    in_tree = np.zeros(n, dtype=bool)
+    in_tree[0] = True
+    best_dist = dist[0].copy()
+    best_src = np.zeros(n, dtype=int)
+    edges: List[Tuple[int, int]] = []
+    for _ in range(n - 1):
+        masked = np.where(in_tree, np.inf, best_dist)
+        nxt = int(np.argmin(masked))
+        edges.append((int(best_src[nxt]), nxt))
+        in_tree[nxt] = True
+        closer = dist[nxt] < best_dist
+        best_dist = np.where(closer, dist[nxt], best_dist)
+        best_src = np.where(closer, nxt, best_src)
+    return edges
+
+
+def _mst_length(dist: np.ndarray) -> float:
+    n = dist.shape[0]
+    if n <= 1:
+        return 0.0
+    in_tree = np.zeros(n, dtype=bool)
+    in_tree[0] = True
+    best = dist[0].copy()
+    total = 0.0
+    for _ in range(n - 1):
+        masked = np.where(in_tree, np.inf, best)
+        nxt = int(np.argmin(masked))
+        total += masked[nxt]
+        in_tree[nxt] = True
+        best = np.minimum(best, dist[nxt])
+    return float(total)
+
+
+def _batched_trial_lengths(
+    current: Sequence[Point], candidates: Sequence[Point]
+) -> np.ndarray:
+    """MST length of ``current + [cand]`` for every candidate at once.
+
+    Runs Prim's algorithm on all ``C`` trial point sets in lockstep —
+    every array operation applies :func:`_mst_length`'s scalar operation
+    elementwise across candidates in the same order (same argmin
+    tie-breaks, same ``minimum`` relaxations, same left-to-right adds),
+    so entry ``c`` is bit-identical to
+    ``_mst_length(_distance_matrix(current + [candidates[c]]))``.
+    """
+    xs = np.asarray([p.x for p in current])
+    ys = np.asarray([p.y for p in current])
+    base = np.abs(xs[:, None] - xs[None, :]) + np.abs(ys[:, None] - ys[None, :])
+    cx = np.asarray([p.x for p in candidates])
+    cy = np.asarray([p.y for p in candidates])
+    cross = np.abs(cx[:, None] - xs[None, :]) + np.abs(cy[:, None] - ys[None, :])
+    n_cand, n = cross.shape
+    m = n + 1
+    dist = np.empty((n_cand, m, m))
+    dist[:, :n, :n] = base
+    dist[:, n, :n] = cross
+    dist[:, :n, n] = cross
+    dist[:, n, n] = 0.0
+
+    in_tree = np.zeros((n_cand, m), dtype=bool)
+    in_tree[:, 0] = True
+    best = dist[:, 0, :].copy()
+    total = np.zeros(n_cand)
+    rows = np.arange(n_cand)
+    for _ in range(m - 1):
+        masked = np.where(in_tree, np.inf, best)
+        nxt = np.argmin(masked, axis=1)
+        total = total + masked[rows, nxt]
+        in_tree[rows, nxt] = True
+        best = np.minimum(best, dist[rows, nxt, :])
+    return total
+
+
+def reference_rectilinear_mst(points: Sequence[Point]) -> RouteTree:
+    """Oracle of :func:`repro.route.rsmt.rectilinear_mst`."""
+    pts = tuple(points)
+    if not pts:
+        raise ValueError("cannot route an empty pin set")
+    dist = _distance_matrix(pts)
+    return RouteTree(points=pts, edges=tuple(_mst_edges(dist)), num_pins=len(pts))
+
+
+def _hanan_candidates(points: Sequence[Point]) -> List[Point]:
+    xs = sorted({p.x for p in points})
+    ys = sorted({p.y for p in points})
+    existing = {(p.x, p.y) for p in points}
+    return [
+        Point(x, y) for x in xs for y in ys if (x, y) not in existing
+    ]
+
+
+def reference_rsmt(points: Sequence[Point]) -> RouteTree:
+    """Oracle of :func:`repro.route.rsmt.rsmt_batch`: one point set at a time.
+
+    Uses iterated 1-Steiner (greedy Hanan-point insertion) for nets up to
+    :data:`ONE_STEINER_MAX_PINS` pins and a rectilinear MST beyond that.
+    Duplicated pin locations are handled (zero-length edges).
+    """
+    pts = list(points)
+    if not pts:
+        raise ValueError("cannot route an empty pin set")
+    if len(pts) <= 2 or len(pts) > ONE_STEINER_MAX_PINS:
+        return reference_rectilinear_mst(pts)
+
+    chosen: List[Point] = []
+    current = list(pts)
+    current_len = _mst_length(_distance_matrix(current))
+    candidates = _hanan_candidates(pts)
+    while candidates:
+        best_gain = 1e-9
+        best_point = None
+        trial_lengths = _batched_trial_lengths(current, candidates)
+        for cand, trial_len in zip(candidates, trial_lengths.tolist()):
+            gain = current_len - trial_len
+            if gain > best_gain:
+                best_gain = gain
+                best_point = cand
+        if best_point is None:
+            break
+        chosen.append(best_point)
+        current.append(best_point)
+        current_len -= best_gain
+        candidates = [c for c in candidates if c != best_point]
+
+    all_points = tuple(pts) + tuple(chosen)
+    dist = _distance_matrix(all_points)
+    edges = _mst_edges(dist)
+    tree = RouteTree(points=all_points, edges=tuple(edges), num_pins=len(pts))
+    return _prune_useless_steiner(tree)
 
 
 def reference_hop_fill(row, buckets):

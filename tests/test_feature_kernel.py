@@ -8,14 +8,18 @@ nominal net estimate, feature row and score must be **bit-identical** —
 not merely close — because the local optimizer's tie-breaking and the
 CI trajectory gates compare exact floats.
 
-The suite checks that contract four ways:
+The suite checks that contract five ways:
 
 * direct per-move component equality against the scalar path on MINI
   (full move set) and CLS1v1 (randomized subset), all estimator
   variants, all corners;
+* the per-geometry program templates, filled with each plan's pin caps,
+  against the per-plan program compile, array by array;
 * a 200+-step randomized move/undo walk where featurize / commit /
   invalidate rounds interleave with returns to the pristine tree, so the
-  value-keyed wire memo is exercised warm, cold, and across epochs;
+  value-keyed wire memo is exercised warm, cold, and across epochs, and
+  a walk that holds the dependency-set move cache to a per-move
+  registry;
 * full Algorithm-2 trajectory byte-identity against the scalar oracles
   swapped in (per-move featurization and scoring), with the analytical
   and a learned (HSM) predictor, and serial vs a 4-worker verification
@@ -39,6 +43,7 @@ from repro.core.local_opt import (
     predicted_variation_reduction,
 )
 from repro.core.ml.analytical import AnalyticalCache
+from repro.core.ml import feature_kernel
 from repro.core.ml.feature_kernel import FeatureKernel, FeatureKernelUnsupported
 from repro.core.ml.features import (
     ESTIMATOR_VARIANTS,
@@ -53,7 +58,12 @@ from repro.parallel.pool import effective_cpu_count, resolve_workers
 from repro.tech.cells import NLDMTable
 from repro.testcases.cls1 import build_cls1
 from repro.testcases.mini import build_mini
-from tests.oracles import per_move_components, use_scalar_features
+from tests.oracles import (
+    PerMoveRegistryPipeline,
+    per_move_components,
+    reference_compile_plan,
+    use_scalar_features,
+)
 
 # The reference path publishes both metrics for every route model it
 # evaluates — the four estimator variants, the star side-effect variant,
@@ -212,6 +222,89 @@ class TestKernelParity:
 
 
 # ---------------------------------------------------------------------------
+# geometry templates against the per-plan program compile
+# ---------------------------------------------------------------------------
+def _batch_plans(design):
+    """The kernel, and every plan of one batch over the full move set."""
+    problem = SkewVariationProblem.create(design)
+    tree = design.tree
+    kernel = FeatureKernel(design.library)
+    batch, _ = kernel._prepare(
+        tree, enumerate_moves(tree, design.library), AnalyticalCache()
+    )
+    return kernel, [plan for plans in batch.plans for plan in plans]
+
+
+class TestTemplates:
+    @pytest.mark.parametrize("build", [build_mini, lambda: build_cls1(1)])
+    def test_programs_equal_per_plan_compile(self, build):
+        """Padded template rows plus pin caps are the oracle program."""
+        kernel, plans = _batch_plans(build())
+        assert {p.route_model for p in plans} == {"star", "rsmt", "trunk"}
+        templates = {}
+        for plan in plans:
+            if plan.geometry not in templates:
+                templates[plan.geometry] = kernel._compile_template(plan)
+        assert kernel.stats["programs_compiled"] == len(templates) < len(plans)
+        for lo in range(0, len(plans), 64):
+            chunk = plans[lo : lo + 64]
+            parent, valid, seg, code, tval, (rows, slots) = kernel._pad_programs(
+                [templates[p.geometry] for p in chunk],
+                [[c for _, _, c in p.children] for p in chunk],
+            )
+            for i, plan in enumerate(chunk):
+                ref = reference_compile_plan(kernel, plan)
+                n, t = ref.n_nodes, ref.term_code.shape[1]
+                assert valid[i].sum() == n and valid[i, :n].all()
+                assert np.array_equal(parent[i, :n], ref.parent)
+                assert np.array_equal(seg[i, :n], ref.seg)
+                assert np.array_equal(code[i, :n, :t], ref.term_code)
+                assert np.array_equal(tval[i, :n, :t], ref.term_val)
+                assert not code[i, n:].any() and not code[i, :, t:].any()
+                assert not tval[i, n:].any() and not tval[i, :, t:].any()
+                assert np.array_equal(slots[rows == i], ref.child_slot)
+
+    def test_child_sizing_pair_compiles_one_template(self, mini_design):
+        """Two resizes of one child, at one displacement, share every net
+        geometry."""
+        tree, library = mini_design.tree, mini_design.library
+        problem = SkewVariationProblem.create(mini_design)
+        timings = problem.evaluate(tree.clone()).per_corner
+        sizing = [
+            m for m in enumerate_moves(tree, library) if m.type is MoveType.CHILD_SIZING
+        ]
+        pair = next(
+            (a, b)
+            for a in sizing
+            for b in sizing
+            if (a.buffer, a.child, a.dx, a.dy) == (b.buffer, b.child, b.dx, b.dy)
+            and a.child_size_step != b.child_size_step
+        )
+        kernel = FeatureKernel(library)
+        got = kernel.compute_components_batch(tree, timings, pair, AnalyticalCache())
+        # One parent net and two own nets, under three route models; the
+        # own nets differ only in the resized child's pin cap.
+        assert kernel.stats["wire_misses"] == 9
+        assert kernel.stats["programs_compiled"] == 6
+        for g, ref in zip(got, _reference_components(tree, library, timings, pair)):
+            _assert_components_equal(g, ref)
+
+    def test_small_eval_chunks_keep_the_batch_metrics(self, mini_design, monkeypatch):
+        """Templates shared across lockstep chunks give the same metrics."""
+        problem = SkewVariationProblem.create(mini_design)
+        tree = mini_design.tree
+        timings = problem.evaluate(tree.clone()).per_corner
+        moves = enumerate_moves(tree, mini_design.library)[:40]
+        reference = _reference_components(tree, mini_design.library, timings, moves)
+        monkeypatch.setattr(feature_kernel, "_EVAL_CHUNK", 5)
+        kernel = FeatureKernel(mini_design.library)
+        batch = kernel.compute_components_batch(tree, timings, moves, AnalyticalCache())
+        assert kernel.stats["wire_misses"] > 5 * 4
+        for got, ref in zip(batch, reference):
+            _assert_components_equal(got, ref)
+
+
+# ---------------------------------------------------------------------------
 # randomized move/undo walk (200+ steps)
 # ---------------------------------------------------------------------------
 class TestRandomWalk:
@@ -279,6 +372,68 @@ class TestRandomWalk:
         assert compared >= 200
         assert kernel_pipe.kernel.stats["wire_hits"] > 0
         assert ref_pipe.kernel.stats["batches"] == 0
+
+
+    def test_registry_evicts_what_a_per_move_registry_evicts(self):
+        """Dependency-set groups drop exactly the per-move oracle's moves.
+
+        Two pipelines featurize the same random move subsets of a MINI
+        walk: this one, and one that registers and evicts each move on
+        its own.  Commits (one of them a surgery, which flushes), undos
+        and extra invalidations of random node sets must leave both with
+        the same cached moves and counters, and every ``invalidate`` must
+        return the same count.
+        """
+        design = build_mini()
+        problem = SkewVariationProblem.create(design)
+        pristine = design.tree.clone()
+        tree = design.tree.clone()
+        result = problem.evaluate(tree)
+        pipe = CandidatePipeline(design.library)
+        oracle = PerMoveRegistryPipeline(design.library)
+        rng = random.Random(29)
+        checked = 0
+
+        def same_state(context):
+            assert set(pipe._components) == set(oracle._components), context
+            assert pipe.stats == oracle.stats, context
+
+        def invalidate(**touched):
+            nonlocal checked
+            assert pipe.invalidate(**touched) == oracle.invalidate(**touched)
+            same_state(touched)
+            checked += 1
+
+        for step in range(9):
+            moves = enumerate_moves(tree, design.library)
+            subset = rng.sample(moves, min(80, len(moves)))
+            pipe.featurize(tree, result.per_corner, subset)
+            oracle.featurize(tree, result.per_corner, subset)
+            same_state(step)
+            ids = tree.node_ids()
+            for _ in range(2):
+                invalidate(
+                    touched_local=rng.sample(ids, 3),
+                    touched_arrival=rng.sample(ids, 2),
+                )
+            if step % 3 == 2:
+                tree = pristine.clone()
+                result = problem.evaluate(tree)
+                pipe.flush()
+                oracle.flush()
+                continue
+            surgery = [m for m in moves if m.type is MoveType.SURGERY]
+            move = surgery[0] if step == 4 and surgery else rng.choice(subset)
+            result = problem.commit_move(tree, move)
+            local, arrival = problem.engine().last_touched
+            invalidate(
+                touched_local=local,
+                touched_arrival=arrival,
+                structural=move.type is MoveType.SURGERY,
+            )
+        assert pipe.stats["flushes"] >= 4  # the undos and the surgery
+        assert pipe.stats["invalidated"] > 0
+        assert checked >= 20
 
 
 # ---------------------------------------------------------------------------
