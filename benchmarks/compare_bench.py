@@ -14,13 +14,19 @@ Every bench ``x`` in :data:`BENCHES` writes a smoke record
 is checked the same way:
 
 * every flag in :data:`FLAGS` must be true;
-* every metric in :data:`CEILINGS` / :data:`FLOORS` must stay within
-  its absolute bound (baseline-free contracts);
+* every metric in :data:`CEILINGS` must stay under its absolute bound
+  (baseline-free contracts);
 * every top-level number whose key contains ``speedup`` (higher is
-  better) or ``overhead`` (lower is better) may move in its bad
+  better) or ends in ``_cost_ms`` (lower is better) may move in its bad
   direction by at most ``--tolerance`` (default 25%) of the same key in
   the baseline record.  A zero baseline is never gated relatively: the
   drift is undefined, and absolute contracts belong to the ceilings.
+
+The trace bench's ``*overhead_pct`` keys divide the tracer's own cost by
+the traced flow's CPU time, so a faster flow raises them while the
+tracer costs the same: they are gated by their absolute ceilings only,
+and the costs themselves (``tracer_cost_ms``, ``sampler_cost_ms``) by
+the relative rule.
 
 The smoke record is required: a missing fresh one fails, since a bench
 that silently stopped producing output is itself a regression.  The full
@@ -76,23 +82,12 @@ CEILINGS = {
     },
 }
 
-#: bench name -> {metric: absolute minimum}.  Floors are baseline-free
-#: like ceilings, but lower bounds: the metric is a structural speedup
-#: (work the optimization removes outright, not a machine-relative
-#: ratio), so the fresh value must clear the acceptance bar on its own.
-FLOORS = {
-    "pool": {
-        "respawn_speedup": 5.0,
-    },
-}
-
-
 def direction(metric: str):
-    """``"higher"`` for speedups, ``"lower"`` for overheads, else None."""
+    """``"higher"`` for speedups, ``"lower"`` for costs, else None."""
     lowered = metric.lower()
     if "speedup" in lowered:
         return "higher"
-    if "overhead" in lowered:
+    if lowered.endswith("_cost_ms"):
         return "lower"
     return None
 
@@ -130,14 +125,12 @@ def check_record(bench, fresh, base, name, tolerance, failures, warnings):
     for flag in FLAGS.get(bench, ()):
         if not fresh.get(flag, False):
             failures.append(f"{name}: {flag} is false")
-    for table, kind in ((CEILINGS, "ceiling"), (FLOORS, "floor")):
-        for metric, limit in table.get(bench, {}).items():
-            value = fresh.get(metric)
-            if not _number(value):
-                failures.append(f"{name}: fresh result lacks {metric!r}")
-                continue
-            ok = value <= limit if kind == "ceiling" else value >= limit
-            bound(metric, value, limit, kind, ok)
+    for metric, limit in CEILINGS.get(bench, {}).items():
+        value = fresh.get(metric)
+        if not _number(value):
+            failures.append(f"{name}: fresh result lacks {metric!r}")
+            continue
+        bound(metric, value, limit, "ceiling", value <= limit)
     if base is None:
         warnings.append(f"{name}: no committed baseline yet; skipping ratios")
         return

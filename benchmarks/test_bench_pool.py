@@ -1,26 +1,20 @@
 """Bench: the arena-backed worker pool (zero-copy backplane).
 
-Two numbers describe the pool's fixed costs:
+Two numbers describe the pool's fixed costs, both in absolute seconds:
 
 * **cold verify epoch** — verifier construction (arena publish + pool
   bring-up), a mixed batch schedule streamed through the event-driven
   scheduler, and one mid-epoch crash whose in-flight candidate is
-  requeued to the survivors.  Recorded in absolute seconds; there is no
-  second transport to divide it by.
+  requeued to the survivors.
 * **respawn-to-ready** — crash to a respawned worker answering its first
-  request.  A worker born from an arena published *without* kernel
-  planes (``publish_replica_arena(engine=None)``) recompiles and
-  propagates its replica, the work every worker did before the planes
-  were shared; a worker born from the published planes adopts them
-  zero-copy.  ``respawn_speedup`` is the first over the second.
+  request: it maps the arena, compiles and propagates its replica of the
+  published tree.  Median of a few respawns.
 
-Verdicts must equal the serial ``problem.evaluate_move`` verdicts.
-Acceptance floor, asserted here and gated baseline-free by
-``compare_bench.py``: **>= 5x** respawn speedup — the work it removes is
-structural (compile + full propagation), so it holds on 1-CPU runners
-as well as multi-core boxes.  When workers outnumber CPUs the record
-says ``"oversubscribed": true``: the epoch then measures contention,
-not scaling.
+Verdicts must equal the serial ``problem.evaluate_move`` verdicts; the
+gate checks that flag.  There is no second transport or start-up path
+to divide either time by, so no ratio is recorded.  When workers
+outnumber CPUs the record says ``"oversubscribed": true``: the epoch
+then measures contention, not scaling.
 """
 
 from __future__ import annotations
@@ -42,18 +36,17 @@ from repro.parallel.pool import effective_cpu_count
 from repro.testcases.cls1 import build_cls1
 
 
-def _respawn_to_ready_s(problem, tree, engine, reps: int) -> float:
+def _respawn_to_ready_s(problem, tree, reps: int) -> float:
     """Median crash -> respawned-worker-serving time on a fresh arena.
 
     The clock covers spawn through the first answered request, so it
     includes everything a fresh worker does before it is useful: map
-    the arena, then either adopt the published planes or compile and
-    propagate the replica itself (``engine=None``).
+    the arena, then compile and propagate its replica.
     """
     arena = SharedPlaneArena(tag="bench")
     try:
         spec = ReplicaSpec.from_problem(problem, tree)
-        publish_replica_arena(arena, spec, tree, engine=engine)
+        publish_replica_arena(arena, spec, tree)
         with WorkerPool(1, arena=arena) as pool:
             times = []
             for _ in range(reps):
@@ -78,7 +71,7 @@ def _serial_verdict(problem, tree, move):
 
 
 def _run(workers: int, schedule, respawn_reps: int):
-    """One cold epoch plus both respawn measurements."""
+    """One cold epoch plus the respawn measurement."""
     design = build_cls1(1)
     problem = SkewVariationProblem.create(design)
     tree = design.tree.clone()
@@ -103,8 +96,7 @@ def _run(workers: int, schedule, respawn_reps: int):
     verifier.close()
 
     serial = [[_serial_verdict(problem, tree, move) for move in batch] for batch in batches]
-    planeless_s = _respawn_to_ready_s(problem, tree, None, respawn_reps)
-    planes_s = _respawn_to_ready_s(problem, tree, problem.engine(), respawn_reps)
+    respawn_s = _respawn_to_ready_s(problem, tree, respawn_reps)
     cpus = effective_cpu_count()
     return {
         "design": design.name,
@@ -115,9 +107,7 @@ def _run(workers: int, schedule, respawn_reps: int):
         "schedule": list(schedule),
         "epoch_s": round(epoch_s, 4),
         "respawn_reps": respawn_reps,
-        "planeless_respawn_s": round(planeless_s, 4),
-        "planes_respawn_s": round(planes_s, 4),
-        "respawn_speedup": round(planeless_s / planes_s, 2),
+        "respawn_s": round(respawn_s, 4),
         "verdicts_identical": verdicts == serial,
         "serial_fallbacks": stats["serial_fallbacks"],
         "requeued": stats["requeued"],
@@ -136,9 +126,8 @@ def _report(tag, record):
         lines.append("  (workers outnumber CPUs: contention measurement, not a scaling claim)")
     lines += [
         f"  epoch   : {record['epoch_s']:8.3f} s cold (bring-up + schedule + crash requeue)",
-        f"  respawn : no planes {record['planeless_respawn_s']:8.4f} s | "
-        f"planes {record['planes_respawn_s']:8.4f} s -> "
-        f"{record['respawn_speedup']:.2f}x (median of {record['respawn_reps']})",
+        f"  respawn : {record['respawn_s']:8.4f} s to ready "
+        f"(median of {record['respawn_reps']})",
         f"  arena   : gen {record['arena_generation']}, "
         f"{record['arena_bytes']} bytes shared, "
         f"{record['requeued']} requeued, "
@@ -152,9 +141,6 @@ def _check(record):
     assert record["verdicts_identical"], record
     assert record["serial_fallbacks"] == 0, record
     assert record["requeued"] > 0, record
-    # Acceptance floor (see module docstring): the removed work is
-    # structural, so it holds regardless of core count.
-    assert record["respawn_speedup"] >= 5.0, record
 
 
 def _write(tag, record):
@@ -164,7 +150,7 @@ def _write(tag, record):
 
 
 def test_bench_pool_cls1():
-    """Tentpole acceptance: >= 5x respawn, verdicts equal to serial."""
+    """Verdicts equal to serial through a crash; epoch and respawn times."""
     record = _run(workers=4, schedule=(2, 1, 2, 1, 2, 8, 2, 1), respawn_reps=5)
     _write("BENCH_pool", record)
 

@@ -3,12 +3,14 @@
 Every ``repro optimize --predictor hsm`` run trains its per-corner
 delta-latency models on artificial testcases labelled by the golden
 timer (paper Section 4.2).  Production labels each training tree and
-each trial clone with one all-corner golden analysis, and trains each
-ANN with one Adam update over a flat parameter vector.  The oracles in
-``tests/oracles.py`` run today's per-corner analysis (one compile and
-one propagation per corner) and the per-layer Adam loop instead.  Both
-produce the same labels, feature rows and network weights bit for bit,
-so this bench measures pure speedup.
+each trial clone with one all-corner golden analysis, and trains the
+corners' ANNs in lockstep groups (every corner's cross-validation fold
+fits in one stack, their full-data refits in another), one Adam update
+per step over the group's parameter matrix.  The oracles in
+``tests/oracles.py`` run a per-corner analysis (one compile and one
+propagation per corner) and one network at a time with the per-layer
+Adam loop instead.  Both produce the same labels, feature rows and
+network weights bit for bit, so this bench measures pure speedup.
 
 Writes ``results/BENCH_training.json`` for the CLS1v2 library at the
 ``repro optimize`` training-set size (16 cases x 12 moves) and asserts a

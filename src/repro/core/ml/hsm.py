@@ -8,11 +8,19 @@ more weight.  We use the inverse-MSE weighting variant:
 
 computed with K-fold cross-validation on the training set, then each
 base model is refitted on the full data.
+
+Training goes through *group fits*: :func:`fit_jobs` hands every
+``(model, x, y)`` job of one model class to that class's ``fit_group``
+(the ANN trains such a group in lockstep stacks, see
+:mod:`repro.core.ml.ann`), or fits the jobs one at a time when the class
+has none (the SVR).  :meth:`HybridSurrogateModel.fit_group` fits several
+HSMs at once — one per corner — by sending, per family, all their fold
+fits and then all their full-data refits through one group fit each.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -20,26 +28,62 @@ import numpy as np
 ModelFactory = Callable[[], object]
 
 
-def kfold_mse(
-    factory: ModelFactory, x: np.ndarray, y: np.ndarray, folds: int, seed: int
-) -> float:
-    """Mean cross-validated MSE of a model family on ``(x, y)``."""
-    n = len(y)
+def fit_jobs(jobs: Sequence[Tuple[object, np.ndarray, np.ndarray]]) -> None:
+    """Fit every ``(model, x, y)`` job through its class's group fit.
+
+    A class's jobs go to its ``fit_group(jobs)`` when it has one, else
+    to one ``fit(x, y)`` each.
+    """
+    by_class: Dict[type, list] = {}
+    for job in jobs:
+        by_class.setdefault(type(job[0]), []).append(job)
+    for cls, group in by_class.items():
+        fit_group = getattr(cls, "fit_group", None)
+        if fit_group is not None:
+            fit_group(group)
+        else:
+            for model, x, y in group:
+                model.fit(x, y)
+
+
+def _fold_splits(n: int, folds: int, seed: int) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """``(train, test)`` index pairs of a seeded K-fold split of ``n`` rows."""
     if n < folds:
         folds = max(2, n)
     rng = np.random.default_rng(seed)
     order = rng.permutation(n)
-    errors: List[float] = []
+    splits = []
     for f in range(folds):
         test = order[f::folds]
         train = np.setdiff1d(order, test)
-        if len(train) == 0 or len(test) == 0:
-            continue
-        model = factory()
-        model.fit(x[train], y[train])
+        if len(train) and len(test):
+            splits.append((train, test))
+    return splits
+
+
+def _cv_mses(tasks) -> List[float]:
+    """Mean cross-validated MSE of each ``(factory, x, y, folds, seed)``
+    task, every fold fit of every task in one :func:`fit_jobs` call."""
+    jobs, checks = [], []
+    for t, (factory, x, y, folds, seed) in enumerate(tasks):
+        for train, test in _fold_splits(len(y), folds, seed):
+            model = factory()
+            jobs.append((model, x[train], y[train]))
+            checks.append((t, model, test))
+    fit_jobs(jobs)
+    errors: List[List[float]] = [[] for _ in tasks]
+    for t, model, test in checks:
+        _, x, y, _, _ = tasks[t]
         pred = model.predict(x[test])
-        errors.append(float(np.mean((pred - y[test]) ** 2)))
-    return float(np.mean(errors)) if errors else float("inf")
+        errors[t].append(float(np.mean((pred - y[test]) ** 2)))
+    return [float(np.mean(e)) if e else float("inf") for e in errors]
+
+
+def kfold_mse(
+    factory: ModelFactory, x: np.ndarray, y: np.ndarray, folds: int, seed: int
+) -> float:
+    """Mean cross-validated MSE of a model family on ``(x, y)``."""
+    return _cv_mses([(factory, x, y, folds, seed)])[0]
 
 
 class HybridSurrogateModel:
@@ -62,22 +106,38 @@ class HybridSurrogateModel:
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "HybridSurrogateModel":
         """Cross-validate each family, set weights, refit on all data."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float).reshape(-1)
-        self.cv_mse = [
-            kfold_mse(factory, x, y, self._folds, self._seed)
-            for _, factory in self._factories
-        ]
-        inv = np.asarray(
-            [1.0 / max(m, 1e-12) for m in self.cv_mse], dtype=float
-        )
-        self.weights = list(inv / inv.sum())
-        self._models = []
-        for _, factory in self._factories:
-            model = factory()
-            model.fit(x, y)
-            self._models.append(model)
+        HybridSurrogateModel.fit_group([(self, x, y)])
         return self
+
+    @staticmethod
+    def fit_group(
+        jobs: Sequence[Tuple["HybridSurrogateModel", np.ndarray, np.ndarray]]
+    ) -> None:
+        """Fit several HSMs of the same families, one ``(hsm, x, y)`` job
+        each: per family, every HSM's fold fits go through one group fit,
+        then every HSM's full-data refit through another."""
+        hsms = [hsm for hsm, _, _ in jobs]
+        data = [
+            (np.asarray(x, dtype=float), np.asarray(y, dtype=float).reshape(-1))
+            for _, x, y in jobs
+        ]
+        families = range(len(hsms[0]._factories))
+        cv = [
+            _cv_mses(
+                [
+                    (hsm._factories[f][1], x, y, hsm._folds, hsm._seed)
+                    for hsm, (x, y) in zip(hsms, data)
+                ]
+            )
+            for f in families
+        ]
+        for i, hsm in enumerate(hsms):
+            hsm.cv_mse = [cv[f][i] for f in families]
+            inv = np.asarray([1.0 / max(m, 1e-12) for m in hsm.cv_mse], dtype=float)
+            hsm.weights = list(inv / inv.sum())
+            hsm._models = [factory() for _, factory in hsm._factories]
+        for f in families:
+            fit_jobs([(hsm._models[f], x, y) for hsm, (x, y) in zip(hsms, data)])
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Weighted blend of the base models' predictions (one batch call

@@ -17,7 +17,7 @@ import numpy as np
 from repro.core.ml.ann import ANNConfig, ANNRegressor
 from repro.core.ml.dataset import MoveSample, dataset_arrays
 from repro.core.ml.features import ESTIMATOR_VARIANTS, FEATURE_NAMES
-from repro.core.ml.hsm import HybridSurrogateModel
+from repro.core.ml.hsm import HybridSurrogateModel, fit_jobs
 from repro.core.ml.pipeline import FeatureBatch
 from repro.core.ml.svr import RBFKernelSVR, SVRConfig
 from repro.tech.library import Library
@@ -141,13 +141,16 @@ def train_predictor(
         raise ValueError("training a learned predictor requires samples")
     col = _ANCHOR_COLUMN
     models: Dict[str, object] = {}
+    jobs = []
     for name in corner_names:
         x, y = dataset_arrays(samples, name)
         if residual:
             y = y - x[:, col]
-        model = _make_model(kind)
-        model.fit(x, y)
-        models[name] = model
+        models[name] = _make_model(kind)
+        jobs.append((models[name], x, y))
+    # One group fit for every corner: the HSMs' ANN fold fits (and then
+    # their refits) train in lockstep, as do plain ANNs.
+    fit_jobs(jobs)
     return DeltaLatencyPredictor(
         kind=kind, corner_names=corner_names, models=models, residual=residual
     )

@@ -11,8 +11,8 @@ The package splits into four layers:
 * :mod:`repro.parallel.verify` — the local-opt bridge: top-R candidate
   fan-out with a deterministic reduce;
 * :mod:`repro.parallel.shm` — the zero-copy shared-memory backplane:
-  compiled kernel planes exported once per baseline generation, mapped
-  read-only by every worker.
+  the replica baseline (and the sweep's stage-LUT planes) exported once
+  per generation, mapped read-only by every worker.
 """
 
 from repro.parallel.pool import (

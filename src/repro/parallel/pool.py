@@ -14,9 +14,10 @@ worker's death without losing the batch.  Two request kinds exist:
   the worker.
 
 Workers are born from a :class:`~repro.parallel.shm.SharedPlaneArena`:
-they attach the published baseline (zero-copy compiled planes for a
-verify pool, the static realization context for a sweep pool) instead
-of receiving state over the pipe, and requests carry only delta
+they attach the published baseline (the serialized replica tree for a
+verify pool, which each worker compiles and propagates itself; the
+static realization context and zero-copy stage-LUT planes for a sweep
+pool) instead of receiving state over the pipe, and requests carry only delta
 suffixes and single tasks.  Both request kinds drain one shared queue
 through an event-driven ``multiprocessing.connection.wait`` loop with
 work-stealing refill, so a straggler never blocks the batch.

@@ -11,11 +11,12 @@ verification decision consumes.
 Bit-identity contract
 ---------------------
 The main process attaches its engine to the run's starting tree (a full
-propagation) and advances it once per committed move.  A replica attaches
-to a bit-identical copy of the same starting tree and replays the *same*
-committed-move stream through the *same* ``advance`` path, so its
-per-corner states evolve through the same float operations and stay
-bit-identical to the main process's.  A candidate verified here therefore
+propagation) and advances it once per committed move.  A replica
+compiles and propagates a bit-identical copy of the same starting tree
+(or of a later published baseline) and replays the *same* committed-move
+stream through the *same* ``advance`` path, so its per-corner states
+evolve through the same float operations and stay bit-identical to the
+main process's.  A candidate verified here therefore
 returns exactly the floats the serial loop would have computed — which is
 what lets the parallel reduce pick the same winner, bit for bit.
 """
@@ -84,14 +85,9 @@ class VerifyOutcome:
 class Replica:
     """A long-lived tree + timer replica that stays in sync via deltas.
 
-    Given the attached arena ``view`` that published ``spec``, replay
-    starts at the arena's baseline index, and if the publisher exported
-    its kernel planes and state the engine adopts them directly
-    (zero-copy structure views + a baseline :class:`~repro.sta.kernel.
-    KernelState` whose arrays stay read-only shared memory — every
-    mutation path copies before writing), skipping the per-net compile
-    and full propagation.  Otherwise the engine attaches with a full
-    propagation.
+    The engine attaches to the spec's tree with one compile and a full
+    propagation.  Given the attached arena ``view`` that published
+    ``spec``, replay starts at the arena's baseline index.
     """
 
     def __init__(self, spec: ReplicaSpec, view=None) -> None:
@@ -102,27 +98,7 @@ class Replica:
             wire_metric=spec.wire_metric,
             segment_um=spec.segment_um,
         )
-        corner_names = view.meta.get("corner_names") if view is not None else None
-        if corner_names and "tree/ids" in view.arrays:
-            from repro.sta.kernel import CompiledTree, KernelState
-
-            planes = {
-                name[len("tree/") :]: arr
-                for name, arr in view.arrays.items()
-                if name.startswith("tree/")
-            }
-            compiled = CompiledTree.from_planes(
-                self.engine._kernel_obj(), planes, corner_names
-            )
-            state = KernelState(
-                **{
-                    field.name: view.arrays["state/" + field.name]
-                    for field in dataclasses.fields(KernelState)
-                }
-            )
-            self.engine.adopt_compiled(self.tree, compiled, state)
-        else:
-            self.engine.ensure(self.tree)
+        self.engine.ensure(self.tree)
         #: Number of committed moves replayed so far (the arena's spec
         #: carries the tree as of its baseline index, not the run's move 0).
         self.applied = int(view.meta.get("baseline_index", 0)) if view is not None else 0
@@ -190,31 +166,16 @@ class Replica:
 
 
 def publish_replica_arena(
-    arena, spec: ReplicaSpec, tree: ClockTree, engine=None, baseline_index: int = 0
+    arena, spec: ReplicaSpec, tree: ClockTree, baseline_index: int = 0
 ) -> str:
     """Export a replica baseline into ``arena``; returns the segment name.
 
     The published spec carries ``tree`` serialized *as of*
     ``baseline_index`` committed moves, so workers built from this
-    generation replay only the delta suffix.  When ``engine`` is an
-    :class:`IncrementalTimer` attached to ``tree``, its compiled SoA
-    planes and propagation state ride along and workers adopt them
-    instead of recompiling (see :class:`Replica`); otherwise each worker
-    compiles and propagates the published tree itself.
+    generation compile and propagate that tree and replay only the delta
+    suffix.
     """
     snapshot_spec = dataclasses.replace(spec, tree_payload=tree_to_dict(tree))
     blobs = {"spec": pickle.dumps(snapshot_spec, protocol=5)}
-    arrays: Dict[str, Any] = {}
-    meta: Dict[str, Any] = {
-        "kind": "replica",
-        "baseline_index": int(baseline_index),
-    }
-    snapshot = engine.kernel_snapshot(tree) if engine is not None else None
-    if snapshot is not None:
-        compiled, state = snapshot
-        for name, arr in compiled.export_planes().items():
-            arrays["tree/" + name] = arr
-        for field in dataclasses.fields(type(state)):
-            arrays["state/" + field.name] = getattr(state, field.name)
-        meta["corner_names"] = [c.name for c in compiled.corners]
-    return arena.export(blobs, arrays, meta)
+    meta = {"kind": "replica", "baseline_index": int(baseline_index)}
+    return arena.export(blobs, {}, meta)

@@ -2,11 +2,10 @@
 
 A :class:`SharedPlaneArena` publishes the compiled state workers need —
 pickled blobs (the replica spec, the sweep context) plus numpy arrays
-(the SoA timing planes, the baseline kernel state, the ECO stage-LUT
-planes) — as one POSIX shared-memory segment per *generation*.  Workers
-:func:`attach` by name and get read-only zero-copy array views, so a
-spawn or crash-respawn maps the arena instead of rebuilding or
-unpickling compiled state.
+(the ECO stage-LUT planes) — as one POSIX shared-memory segment per
+*generation*.  Workers :func:`attach` by name and get read-only
+zero-copy array views, so a spawn or crash-respawn maps the arena
+instead of receiving state over its pipe.
 
 Generation protocol
 -------------------

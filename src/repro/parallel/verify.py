@@ -10,11 +10,11 @@ the subsequent pick (:meth:`LocalOptimizer._pick_best`) produce the same
 committed-move trajectory regardless of worker count.
 
 The verifier owns the pool's :class:`~repro.parallel.shm.
-SharedPlaneArena`: it publishes the run's starting tree plus the main
-engine's compiled kernel planes as generation 1, and republishes a fresh
-baseline every ``compact_every`` committed moves so the pool can compact
-its delta stream — a respawned worker then adopts the latest baseline
-and replays only the delta suffix instead of the whole run history.
+SharedPlaneArena`: it publishes the run's starting tree as generation 1,
+and republishes a fresh baseline every ``compact_every`` committed moves
+so the pool can compact its delta stream — a respawned worker then
+compiles the latest baseline tree and replays only the delta suffix
+instead of the whole run history.
 """
 
 from __future__ import annotations
@@ -57,13 +57,7 @@ class ParallelVerifier:
         )
         self._compact_every = max(2, compact_every)
         self._arena = SharedPlaneArena(tag="verify")
-        publish_replica_arena(
-            self._arena,
-            self._spec,
-            tree,
-            engine=problem.engine(),
-            baseline_index=0,
-        )
+        publish_replica_arena(self._arena, self._spec, tree, baseline_index=0)
         self._pool = WorkerPool(
             workers, mp_context=mp_context, arena=self._arena, tag="verify"
         )
@@ -117,11 +111,7 @@ class ParallelVerifier:
     def _refresh_baseline(self, tree: ClockTree) -> None:
         """Republish the arena at the current state and compact deltas."""
         publish_replica_arena(
-            self._arena,
-            self._spec,
-            tree,
-            engine=self._problem.engine(),
-            baseline_index=self._pool.committed,
+            self._arena, self._spec, tree, baseline_index=self._pool.committed
         )
         self._pool.compact_deltas()
 

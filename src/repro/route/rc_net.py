@@ -3,9 +3,11 @@
 Three builders cover every analysis need:
 
 * :func:`edge_rc_tree` — one routed edge (polyline) with a lumped load at
-  the far end; used for per-edge wire delay inside the golden timer.
+  the far end.
 * :func:`star_rc_tree` — a driver with several independently routed edges
   (the clock tree's electrical net model); the root is the driver output.
+  The golden timer's scalar loop, the timing kernels' oracle, builds one
+  per net.
 * :func:`route_rc_tree` — an arbitrary :class:`~repro.route.rsmt.RouteTree`
   (RSMT or single-trunk) with pin loads; used by the delta-latency
   predictor's analytical features.
@@ -15,13 +17,15 @@ All wire segments are discretized into pi-segments of at most
 
 :func:`straight_wire_moments` evaluates the far-end Elmore and D2M of
 many :func:`edge_rc_tree` straight wires at once, without building the
-trees.
+trees.  Star branches share only the driver output, so each branch of a
+:func:`star_rc_tree` has its own straight wire's metrics bit for bit:
+the timing kernel and the stage-delay characterization evaluate every
+edge through it and build no RC tree.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import islice
 from typing import Dict, Hashable, Sequence, Tuple
 
 import numpy as np
@@ -156,87 +160,6 @@ def star_rc_tree(
         )
         tree.add_cap(sink_name, load_ff)
     return tree
-
-
-class EdgeRCCache:
-    """Memoized per-edge wire metrics for star-routed nets.
-
-    A star net's branches share only the driver output (zero resistance
-    from the RC root), so every branch's Elmore and D2M moments involve
-    exclusively that branch's own segments and load — the per-branch
-    values of :func:`star_rc_tree` analysis equal those of the branch
-    analyzed alone.  That makes per-edge memoization *exact*: the cache
-    key is the routed length, the far-end pin load, the segmentation
-    pitch, and the corner's wire RC constants, and a hit skips both the
-    RC-tree segment construction and the moment recursions.
-
-    Eviction is LRU: a hit moves the entry to the most-recent end, and
-    at ``max_entries`` the least-recently-used half is dropped (counted
-    in ``evictions``).  Dropping entries only costs recomputation, never
-    correctness.
-    """
-
-    def __init__(self, max_entries: int = 262144) -> None:
-        if max_entries < 2:
-            raise ValueError("cache needs at least two entries")
-        self._max = max_entries
-        self._metrics: Dict[Tuple, Tuple[float, float]] = {}
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def __len__(self) -> int:
-        return len(self._metrics)
-
-    def clear(self) -> None:
-        self._metrics.clear()
-
-    def _evict_if_full(self) -> None:
-        if len(self._metrics) >= self._max:
-            stale = list(islice(self._metrics, self._max // 2))
-            for key in stale:
-                del self._metrics[key]
-            self.evictions += len(stale)
-
-    def metrics(
-        self,
-        wire: WireModel,
-        length_um: float,
-        load_ff: float,
-        segment_um: float = DEFAULT_SEGMENT_UM,
-    ) -> Tuple[float, float]:
-        """``(elmore_ps, d2m_ps)`` at the far end of one routed edge."""
-        key = (
-            wire.res_per_um,
-            wire.cap_per_um,
-            segment_um,
-            length_um,
-            load_ff,
-        )
-        metrics = self._metrics
-        found = metrics.get(key)
-        if found is not None:
-            self.hits += 1
-            # LRU refresh: dict preserves insertion order, so re-inserting
-            # moves the hot key out of the half that eviction drops.
-            del metrics[key]
-            metrics[key] = found
-            return found
-        self.misses += 1
-        # Local imports: repro.sta depends on this module for RC builders,
-        # so the metric evaluators cannot be imported at module load time.
-        from repro.sta.d2m import d2m_delays
-        from repro.sta.elmore import elmore_delays
-
-        rc = star_rc_tree(
-            [("end", [Point(0.0, 0.0), Point(length_um, 0.0)], load_ff)],
-            wire,
-            segment_um=segment_um,
-        )
-        value = (elmore_delays(rc)["end"], d2m_delays(rc)["end"])
-        self._evict_if_full()
-        self._metrics[key] = value
-        return value
 
 
 def route_rc_tree(

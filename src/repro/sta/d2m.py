@@ -14,10 +14,11 @@ with the standard linear-time recursion:
     m2_i = sum_k R_common(i, k) * C_k * m1_k
 
 Per-edge D2M values are slew-independent, so the array kernel
-(:mod:`repro.sta.kernel`) evaluates them once at tree-compile time via
-:class:`repro.route.rc_net.EdgeRCCache` — the cached scalars feed the
-kernel and the scalar reference alike, which keeps the kernel's wire
-delays bit-identical to this implementation by construction.
+(:mod:`repro.sta.kernel`) evaluates them once at tree-compile time, all
+edges of a compile in one :func:`repro.route.rc_net.straight_wire_moments`
+pass per corner; that pass reproduces these recursions' float
+operations in order, which keeps the kernel's wire delays bit-identical
+to this implementation (``tests/test_rc_net.py``, ``tests/test_kernel.py``).
 """
 
 from __future__ import annotations

@@ -7,11 +7,12 @@ Elmore is a provable upper bound on the 50% step-response delay of an RC
 tree, which several tests exploit as an invariant.
 
 Like D2M, per-edge Elmore values are slew-independent compile-time
-constants to the array kernel (:mod:`repro.sta.kernel`): they are
-computed here once per (edge geometry, load, corner) through the shared
-:class:`repro.route.rc_net.EdgeRCCache` and stored in the compiled
-per-corner arrays, so kernel and reference wire delays are the same
-floats, not merely close.
+constants to the array kernel (:mod:`repro.sta.kernel`): a compile
+evaluates every edge's straight wire in one
+:func:`repro.route.rc_net.straight_wire_moments` pass per corner, whose
+padded cumulative sums add this recursion's terms in its order, so the
+kernel's wire delays and the RC-tree values here are the same floats,
+not merely close.
 """
 
 from __future__ import annotations

@@ -11,14 +11,14 @@ and its input slew alone — arrival only offsets them.
 kernel (:mod:`repro.sta.kernel`):
 
 1. **Compiled state** — the attached tree is compiled once into
-   struct-of-arrays form and all corners propagate together; per-edge
-   Elmore/D2M metrics come from :class:`repro.route.rc_net.EdgeRCCache`,
-   keyed on edge length, load, and wire RC, so recompiles of mutated
-   trees skip RC reconstruction for unchanged edges.
+   struct-of-arrays form and all corners propagate together; every
+   edge's Elmore/D2M metrics come from one straight-wire moment pass per
+   corner (:func:`repro.route.rc_net.straight_wire_moments`), so a
+   compile builds no RC tree.
 2. **Dirty-frontier re-propagation** — :meth:`IncrementalTimer.preview`
    and :meth:`IncrementalTimer.advance` take the set of structurally
-   dirty drivers, re-evaluate their rows from that frontier in depth
-   order with per-corner masks, and handle clean subtrees whose input
+   dirty drivers, re-evaluate their rows (all in one pass) and re-time
+   from that frontier in depth order with per-corner masks, and handle clean subtrees whose input
    slew is unchanged with a constant arrival shift instead of
    re-evaluation.  Committed displacement/sizing moves patch rows in
    place; surgery recompiles.
@@ -42,10 +42,12 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.geometry import BBox
+from repro.geometry import BBox, Point
 from repro.netlist.tree import ClockNode, ClockTree
 from repro.route.congestion import routed_length_factor
-from repro.route.rc_net import DEFAULT_SEGMENT_UM, EdgeRCCache
+from repro.route.rc_net import DEFAULT_SEGMENT_UM, star_rc_tree
+from repro.sta.d2m import d2m_delays
+from repro.sta.elmore import elmore_delays
 from repro.sta.gate import inverter_pair_timing, quantize_gate_inputs
 from repro.sta.signoff import signoff_gate_factor
 from repro.sta.skew import SkewAnalysis
@@ -133,9 +135,6 @@ class IncrementalTimer:
       from its dirty frontier, *without* adopting the new state (caller
       undoes the mutation and calls :meth:`rebase`);
     * :meth:`advance` — like preview, but commits the new state.
-
-    The per-edge RC memo (an :class:`~repro.route.rc_net.EdgeRCCache` of
-    its default size) is shared by the kernel across compiles.
     """
 
     def __init__(
@@ -149,7 +148,6 @@ class IncrementalTimer:
         self._library = library
         self._wire_metric = wire_metric
         self._segment_um = segment_um
-        self._edge_cache = EdgeRCCache()
         self._kernel = None  # lazy TimingKernel
         self._compiled = None  # CompiledTree of the attached tree
         self._kstate = None  # KernelState of the attached tree
@@ -180,26 +178,17 @@ class IncrementalTimer:
     def wire_metric(self) -> str:
         return self._wire_metric
 
-    @property
-    def edge_cache(self) -> EdgeRCCache:
-        return self._edge_cache
-
     def _kernel_obj(self):
         """The lazily built :class:`~repro.sta.kernel.TimingKernel`.
 
-        Shares this timer's :class:`EdgeRCCache`, so every compile draws
-        its edge metrics from one pool.  Raises
-        :class:`~repro.sta.kernel.KernelUnsupported` when the library
-        cannot be batched.
+        Raises :class:`~repro.sta.kernel.KernelUnsupported` when the
+        library cannot be batched.
         """
         if self._kernel is None:
             from repro.sta.kernel import TimingKernel
 
             self._kernel = TimingKernel(
-                self._library,
-                self._wire_metric,
-                self._segment_um,
-                edge_cache=self._edge_cache,
+                self._library, self._wire_metric, self._segment_um
             )
         return self._kernel
 
@@ -235,32 +224,6 @@ class IncrementalTimer:
         if self._tree is not tree:
             raise ValueError("rebase target is not the attached tree")
         self._stamp = (id(tree), tree.revision)
-
-    def kernel_snapshot(self, tree: ClockTree):
-        """The attached ``(CompiledTree, KernelState)``, or ``None``.
-
-        Only available while attached to ``tree`` — the pair describes
-        exactly that tree's geometry.  The shared-memory arena exports
-        it so worker replicas can adopt the main engine's compiled
-        planes instead of recompiling.
-        """
-        if not self.is_attached(tree):
-            return None
-        return self._compiled, self._kstate
-
-    def adopt_compiled(self, tree: ClockTree, compiled, state) -> None:
-        """Bind to ``tree`` by adopting a pre-built kernel compile.
-
-        ``compiled``/``state`` must describe ``tree``'s exact geometry
-        (an arena snapshot of an engine whose floats evolved through the
-        same ``advance`` path), so adopting them is bit-identical to
-        :meth:`attach` plus a delta replay — without the per-net scalar
-        compile and full propagation.
-        """
-        self._kernel = compiled._kernel
-        self._compiled = compiled
-        self._kstate = state
-        self._bind(tree)
 
     # ------------------------------------------------------------------
     # Evaluation entry points
@@ -409,8 +372,9 @@ class ReferenceIncrementalTimer(IncrementalTimer):
        input slew, and per-fanout (location, via geometry, pin class).
        Any change that could alter the result changes the signature, so
        a hit is exact.
-    2. **Per-edge RC caching** — each edge's Elmore/D2M metrics come from
-       the shared :class:`~repro.route.rc_net.EdgeRCCache`.
+    2. **Per-net RC trees** — a net evaluation builds the net's star RC
+       tree and reads each edge's Elmore/D2M off it, as the golden
+       timer's scalar loop does.
     3. **Dirty-frontier re-propagation** — the scalar walk that
        :meth:`~repro.sta.kernel.CompiledTree.retime` replays with
        per-corner masks, decision for decision.
@@ -672,17 +636,19 @@ class ReferenceIncrementalTimer(IncrementalTimer):
             corner, size, input_slew, total_load
         )
 
-        edge_delay: List[float] = []
-        edge_elmore: List[float] = []
-        child_slew: List[float] = []
-        use_d2m = self._wire_metric == "d2m"
-        for length, pin_cap in zip(lengths, pin_caps):
-            elmore, d2m = self._edge_cache.metrics(
-                wire, length, pin_cap, self._segment_um
-            )
-            edge_delay.append(d2m if use_d2m else elmore)
-            edge_elmore.append(elmore)
-            child_slew.append(wire_degraded_slew(out_slew, elmore))
+        rc = star_rc_tree(
+            [
+                (j, [Point(0.0, 0.0), Point(length, 0.0)], pin_cap)
+                for j, (length, pin_cap) in enumerate(zip(lengths, pin_caps))
+            ],
+            wire,
+            segment_um=self._segment_um,
+        )
+        elmore = elmore_delays(rc)
+        wire_delay = d2m_delays(rc) if self._wire_metric == "d2m" else elmore
+        edge_delay = [wire_delay[j] for j in range(fanout)]
+        edge_elmore = [elmore[j] for j in range(fanout)]
+        child_slew = [wire_degraded_slew(out_slew, e) for e in edge_elmore]
 
         ev = _NetEval(
             driver_delay=driver_delay,

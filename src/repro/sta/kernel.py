@@ -11,12 +11,13 @@ once** (corner as the leading axis):
 * **CSR child adjacency** — one ``child_ptr``/``child_idx`` pair over
   nodes in BFS (topological) order, so each depth level's drivers and
   edges occupy contiguous ranges;
-* **compile-time per-edge metrics** — routed lengths (congestion factor
-  included), per-corner Elmore/D2M wire delays and squared PERI step
-  slews, evaluated through the same :class:`~repro.route.rc_net
-  .EdgeRCCache` the scalar engines use (star branches are electrically
-  independent, so per-edge values equal the star-net values bit for
-  bit);
+* **compile-time per-edge metrics** — one Python sweep gathers every
+  driver row's routed lengths (congestion factor included) and pin caps
+  in CSR order, and one :func:`~repro.route.rc_net.straight_wire_moments`
+  pass per corner gives every edge's Elmore/D2M wire delay and squared
+  PERI step slew (star branches are electrically independent, so each
+  edge's values equal the star-net RC tree's bit for bit); each driver's
+  load is the left-to-right sum of its edges' wire-plus-pin terms;
 * **vectorized NLDM evaluation** — every library cell shares one
   (slew, load) characterization grid, so the per-(size, corner) tables
   stack into one ``(corners, sizes, slews, loads)`` array and the
@@ -46,12 +47,13 @@ Incremental use
 ---------------
 :meth:`CompiledTree.retime` replays the incremental engine's
 dirty-frontier walk with per-corner boolean masks: re-evaluated rows
-come from :meth:`CompiledTree.compile_row` *overrides* (the compiled
-arrays are never mutated by a preview, which is what keeps the
+come from :meth:`CompiledTree.build_overrides` (every dirty row in one
+pass of the same row evaluator a compile uses; the compiled arrays are
+never mutated by a preview, which is what keeps the
 apply→preview→undo→rebase round-trip free), cascade-vs-rigid-shift
 decisions are made per corner exactly as the scalar engine makes them,
 and committed moves either patch rows in place (displace/resize) or
-trigger a cache-amortized full recompile (surgery).
+trigger a full recompile (surgery).
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ import numpy as np
 from repro.geometry import BBox
 from repro.netlist.tree import ClockTree
 from repro.route.congestion import routed_length_factor
-from repro.route.rc_net import DEFAULT_SEGMENT_UM, EdgeRCCache
+from repro.route.rc_net import DEFAULT_SEGMENT_UM, straight_wire_moments
 from repro.sta.gate import GATE_LOAD_QUANTUM_FF, GATE_SLEW_QUANTUM_PS
 from repro.sta.signoff import (
     LOAD_GAIN,
@@ -184,9 +186,8 @@ class TimingKernel:
     """Library-level compiled context: stacked NLDM tables plus memos.
 
     One instance per (library, wire metric, segmentation); it owns the
-    caches shared across compiles — the per-edge RC metric cache and the
-    routed-length-factor memo — so repeated compiles of mutated trees
-    amortize all scalar evaluation.
+    scalar memos shared across compiles (routed-length factors and pin
+    caps).
     """
 
     def __init__(
@@ -194,14 +195,12 @@ class TimingKernel:
         library: Library,
         wire_metric: str = "d2m",
         segment_um: float = DEFAULT_SEGMENT_UM,
-        edge_cache: Optional[EdgeRCCache] = None,
     ) -> None:
         if wire_metric not in ("d2m", "elmore"):
             raise ValueError("wire_metric must be 'd2m' or 'elmore'")
         self._library = library
         self._wire_metric = wire_metric
         self._segment_um = segment_um
-        self._edge_cache = edge_cache if edge_cache is not None else EdgeRCCache()
         self._factor_memo: Dict[Tuple, float] = {}
         self._pin_cap_memo: Dict[int, float] = {}
         self._stack_tables()
@@ -260,10 +259,6 @@ class TimingKernel:
     @property
     def wire_metric(self) -> str:
         return self._wire_metric
-
-    @property
-    def edge_cache(self) -> EdgeRCCache:
-        return self._edge_cache
 
     # ------------------------------------------------------------------
     # Scalar memos (bit-identical to the reference helpers)
@@ -433,12 +428,7 @@ class CompiledTree:
         self.has_edge = np.ones(n, dtype=bool)
         self.has_edge[self.root_pos] = False
 
-        n_edges = int(child_ptr[-1])
-        self.load = np.zeros((self.C, n))
-        self.edge_wdelay = np.empty((self.C, n_edges))
-        self.edge_elmore = np.empty((self.C, n_edges))
-        self.edge_step_sq = np.empty((self.C, n_edges))
-
+        drivers: List[int] = []
         for i, node in enumerate(nodes):
             if node.is_sink or not fanout[i]:
                 continue
@@ -447,14 +437,14 @@ class CompiledTree:
             if pos is None:
                 raise KernelUnsupported(f"drive size {size} not in library")
             size_idx[i] = pos
-            e0, e1 = int(child_ptr[i]), int(child_ptr[i + 1])
-            load, wdelay, elmore, step_sq = self._eval_net(
-                tree, node, fanouts[i]
-            )
-            self.load[:, i] = load
-            self.edge_wdelay[:, e0:e1] = wdelay
-            self.edge_elmore[:, e0:e1] = elmore
-            self.edge_step_sq[:, e0:e1] = step_sq
+            drivers.append(i)
+        # Sinks have no fanout, so the drivers' edges, in BFS order, are
+        # the CSR edge list.
+        load, self.edge_wdelay, self.edge_elmore, self.edge_step_sq = (
+            self._eval_rows(tree, [(nodes[i], fanouts[i]) for i in drivers])
+        )
+        self.load = np.zeros((self.C, n))
+        self.load[:, drivers] = load
         self.size_idx = size_idx
         self.levels = self._build_levels()
 
@@ -474,145 +464,67 @@ class CompiledTree:
         return levels
 
     # ------------------------------------------------------------------
-    # Zero-copy plane export/import (shared-memory worker backplane)
+    # Row evaluation (compiles and overrides alike)
     # ------------------------------------------------------------------
-    #: Arrays :meth:`apply_rows` patches in place; an attached compile
-    #: must own writable copies of these.  Everything else is immutable
-    #: after compile and can stay a read-only shared view.
-    MUTABLE_PLANES = ("load", "edge_wdelay", "edge_elmore", "edge_step_sq", "size_idx")
-    STRUCTURE_PLANES = ("ids", "fanout", "depth", "child_ptr", "child_idx", "has_edge")
-
-    def export_planes(self) -> Dict[str, np.ndarray]:
-        """Flat ``{name: array}`` snapshot of this compile's SoA planes."""
-        planes = {
-            name: getattr(self, name)
-            for name in self.MUTABLE_PLANES + self.STRUCTURE_PLANES
-            if name != "ids"
-        }
-        planes["ids"] = np.asarray(self.ids, dtype=np.int64)
-        return planes
-
-    @classmethod
-    def from_planes(
-        cls,
-        kernel: TimingKernel,
-        planes: Mapping[str, np.ndarray],
-        corner_names: Sequence[str],
-    ) -> "CompiledTree":
-        """Rebuild a compile from exported planes, skipping ``_eval_net``.
-
-        Structure planes are adopted as-is (read-only shared views are
-        fine — nothing ever writes them); the :attr:`MUTABLE_PLANES`
-        are copied into process-local memory because :meth:`apply_rows`
-        patches them in place on every committed move.  Level partitions
-        are recomputed — they are derived data, cheap next to the per-net
-        scalar compile this path avoids.
-        """
-        self = cls.__new__(cls)
-        self._kernel = kernel
-        by_name = {c.name: c for c in kernel._library.corners}
-        self.corners = tuple(by_name[name] for name in corner_names)
-        self.corner_rows = np.array(
-            [kernel._corner_row[name] for name in corner_names], dtype=np.int64
-        )
-        self.corner_pos = {name: k for k, name in enumerate(corner_names)}
-        self.C = len(self.corners)
-        self.ids = [int(nid) for nid in planes["ids"]]
-        self.index = {nid: i for i, nid in enumerate(self.ids)}
-        self.n = len(self.ids)
-        self.root_pos = 0
-        for name in cls.STRUCTURE_PLANES:
-            if name != "ids":
-                setattr(self, name, planes[name])
-        for name in cls.MUTABLE_PLANES:
-            setattr(self, name, np.array(planes[name], copy=True))
-        self.levels = self._build_levels()
-        return self
-
-    # ------------------------------------------------------------------
-    # Per-net scalar evaluation (compile time; shared with row overrides)
-    # ------------------------------------------------------------------
-    def _eval_net(
-        self, tree: ClockTree, node, children: Sequence[int]
+    def _eval_rows(
+        self, tree: ClockTree, rows: Sequence[Tuple[object, Sequence[int]]]
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Per-corner (load, wire delay, Elmore, step²) of one driver net.
+        """Per-corner (load, wire delay, Elmore, step²) of driver rows.
 
-        Scalar per edge — routed-length factor, pin caps and the
-        Elmore/D2M metrics come from the same memoized helpers the
-        reference engine uses, so compiled values are bit-identical to
-        the reference evaluation of the same geometry.
+        ``rows`` holds ``(driver node, children)`` pairs; the returned
+        load is ``(corners, rows)`` and the edge arrays are ``(corners,
+        edges)`` with each row's edges consecutive, in row order.  One
+        Python sweep gathers every edge's routed length and pin cap from
+        the memoized helpers the reference engine uses; one
+        :func:`~repro.route.rc_net.straight_wire_moments` pass per corner
+        gives every edge's Elmore and D2M, bit-identical to the
+        reference's RC trees; each load adds its row's
+        ``cap_per_um * length + pin_cap`` terms left to right, as the
+        reference does, over a zero-padded column per fanout position.
         """
         kernel = self._kernel
         lib = kernel._library
-        child_nodes = [tree.node(c) for c in children]
-        net_points = [node.location] + [c.location for c in child_nodes]
-        bbox_area = BBox.of_points(net_points).area
-        fanout = len(children)
+        edge_factor = kernel._edge_factor
+        sink_cap = lib.sink_cap_ff
         lengths: List[float] = []
         pin_caps: List[float] = []
-        for child, child_node in zip(children, child_nodes):
-            factor = kernel._edge_factor(
-                fanout, bbox_area, node.location, child_node.location
-            )
-            lengths.append(tree.edge_length(child) * factor)
-            pin_caps.append(
-                lib.sink_cap_ff
-                if child_node.is_sink
-                else kernel._pin_cap(child_node.size)
-            )
-        load = np.empty(self.C)
-        wdelay = np.empty((self.C, fanout))
-        elmore = np.empty((self.C, fanout))
-        step_sq = np.empty((self.C, fanout))
+        fanouts: List[int] = []
+        for node, children in rows:
+            child_nodes = [tree.node(c) for c in children]
+            loc = node.location
+            bbox_area = BBox.of_points([loc] + [c.location for c in child_nodes]).area
+            fanout = len(children)
+            fanouts.append(fanout)
+            for child, child_node in zip(children, child_nodes):
+                factor = edge_factor(fanout, bbox_area, loc, child_node.location)
+                lengths.append(tree.edge_length(child) * factor)
+                pin_caps.append(
+                    sink_cap if child_node.is_sink else kernel._pin_cap(child_node.size)
+                )
+        length = np.asarray(lengths, dtype=float)
+        pin_cap = np.asarray(pin_caps, dtype=float)
+        C = self.C
+        elmore = np.empty((C, length.size))
+        wdelay = np.empty((C, length.size))
+        cap_per_um = np.empty((C, 1))
         use_d2m = kernel._wire_metric == "d2m"
-        cache = kernel._edge_cache
-        segment = kernel._segment_um
         for k, corner in enumerate(self.corners):
             wire = lib.wire(corner)
-            total = 0.0
-            for j, (length, pin_cap) in enumerate(zip(lengths, pin_caps)):
-                total += wire.segment_cap(length) + pin_cap
-                elm, d2m = cache.metrics(wire, length, pin_cap, segment)
-                elmore[k, j] = elm
-                wdelay[k, j] = d2m if use_d2m else elm
-                step = LN9 * elm
-                step_sq[k, j] = step * step
-            load[k] = total
-        return load, wdelay, elmore, step_sq
-
-    def compile_row(self, tree: ClockTree, nid: int) -> Optional[_Row]:
-        """Recompile one driver's row against the (mutated) ``tree``.
-
-        Returns ``None`` for a driver with no fanout (the scalar engine
-        pops its artifacts).  Raises :class:`KernelStale` when the row
-        references nodes or sizes the compiled arrays do not know —
-        callers fall back to a full recompile.
-        """
-        node = tree.node(nid)
-        children = tree.children(nid)
-        if not children:
-            return None
-        positions = []
-        for child in children:
-            pos = self.index.get(child)
-            if pos is None:
-                raise KernelStale(f"unknown child {child}")
-            positions.append(pos)
-        lib = self._kernel._library
-        size = lib.source_drive_size if node.is_source else node.size
-        size_pos = self._kernel._size_pos.get(size)
-        if size_pos is None:
-            raise KernelStale(f"drive size {size} not in library")
-        load, wdelay, elmore, step_sq = self._eval_net(tree, node, children)
-        return _Row(
-            child_pos=np.asarray(positions, dtype=np.int64),
-            child_ids=tuple(children),
-            size_idx=size_pos,
-            load=load,
-            wdelay=wdelay,
-            elmore=elmore,
-            step_sq=step_sq,
-        )
+            elm, d2m = straight_wire_moments(wire, length, pin_cap, kernel._segment_um)
+            elmore[k] = elm
+            wdelay[k] = d2m if use_d2m else elm
+            cap_per_um[k] = wire.cap_per_um
+        step = LN9 * elmore
+        terms = cap_per_um * length + pin_cap
+        counts = np.asarray(fanouts, dtype=np.int64)
+        starts = np.cumsum(counts) - counts
+        padded = np.zeros((C, counts.size, int(counts.max()) if counts.size else 0))
+        owner = np.repeat(np.arange(counts.size), counts)
+        padded[:, owner, np.arange(length.size) - starts[owner]] = terms
+        load = np.zeros((C, counts.size))
+        for j in range(padded.shape[2]):
+            load += padded[:, :, j]
+        return load, wdelay, elmore, step * step
 
     # ------------------------------------------------------------------
     # Full propagation
@@ -660,19 +572,61 @@ class CompiledTree:
     def build_overrides(
         self, tree: ClockTree, dirty: Iterable[int]
     ) -> Tuple[Dict[int, Optional[_Row]], List[Tuple[int, int]]]:
-        """Row overrides plus ``(depth, position)`` seeds for ``dirty``."""
+        """Row overrides plus ``(depth, position)`` seeds for ``dirty``.
+
+        Every dirty driver's row is recompiled against the (mutated)
+        ``tree`` in one :meth:`_eval_rows` pass; a driver with no fanout
+        maps to ``None`` (the scalar engine pops its artifacts).  Raises
+        :class:`KernelStale` when a row references nodes or sizes the
+        compiled arrays do not know — callers fall back to a full
+        recompile.
+        """
         overrides: Dict[int, Optional[_Row]] = {}
         seeds: List[Tuple[int, int]] = []
+        pending = []
+        lib = self._kernel._library
         for nid in dirty:
             if nid not in tree:
                 continue
             pos = self.index.get(nid)
             if pos is None:
                 raise KernelStale(f"unknown dirty node {nid}")
-            if tree.node(nid).is_sink:
+            node = tree.node(nid)
+            if node.is_sink:
                 continue
-            overrides[pos] = self.compile_row(tree, nid)
             seeds.append((tree.depth(nid), pos))
+            overrides[pos] = None
+            children = tree.children(nid)
+            if not children:
+                continue
+            positions = []
+            for child in children:
+                child_pos = self.index.get(child)
+                if child_pos is None:
+                    raise KernelStale(f"unknown child {child}")
+                positions.append(child_pos)
+            size = lib.source_drive_size if node.is_source else node.size
+            size_pos = self._kernel._size_pos.get(size)
+            if size_pos is None:
+                raise KernelStale(f"drive size {size} not in library")
+            pending.append((pos, node, children, positions, size_pos))
+        if pending:
+            load, wdelay, elmore, step_sq = self._eval_rows(
+                tree, [(node, children) for _, node, children, _, _ in pending]
+            )
+            e0 = 0
+            for r, (pos, _, children, positions, size_pos) in enumerate(pending):
+                e1 = e0 + len(children)
+                overrides[pos] = _Row(
+                    child_pos=np.asarray(positions, dtype=np.int64),
+                    child_ids=tuple(children),
+                    size_idx=size_pos,
+                    load=load[:, r],
+                    wdelay=wdelay[:, e0:e1],
+                    elmore=elmore[:, e0:e1],
+                    step_sq=step_sq[:, e0:e1],
+                )
+                e0 = e1
         return overrides, seeds
 
     def retime(

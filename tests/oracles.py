@@ -34,9 +34,9 @@ from repro.core.ml.pipeline import (
     move_dependencies,
 )
 from repro.core.moves import apply_move
-from repro.geometry import Point, path_length
-from repro.route.congestion import chain_length_factor
-from repro.route.rc_net import edge_rc_tree
+from repro.geometry import BBox, Point, path_length
+from repro.route.congestion import chain_length_factor, routed_length_factor
+from repro.route.rc_net import edge_rc_tree, star_rc_tree
 from repro.route.rsmt import (
     ONE_STEINER_MAX_PINS,
     RouteTree,
@@ -44,6 +44,8 @@ from repro.route.rsmt import (
 )
 from repro.sta.d2m import d2m_delays
 from repro.sta.elmore import elmore_delays
+from repro.sta.kernel import KernelStale
+from repro.sta.slew import LN9
 from repro.sta.timer import GoldenTimer
 from repro.tech import ratio_bounds
 from repro.tech.cells import NLDMTable
@@ -92,6 +94,103 @@ def per_corner_timings(timer, tree):
     }
 
 
+def reference_eval_net(compiled, tree, node, children):
+    """Oracle of the timing kernel's row evaluator for one driver net.
+
+    Per-corner ``(load, wire delay, Elmore, step²)`` of ``node`` driving
+    ``children``: one scalar loop per corner and edge, each edge's
+    metrics read off its own single-edge star RC tree.
+    """
+    kernel = compiled._kernel
+    lib = kernel.library
+    child_nodes = [tree.node(c) for c in children]
+    net_points = [node.location] + [c.location for c in child_nodes]
+    bbox_area = BBox.of_points(net_points).area
+    fanout = len(children)
+    lengths: List[float] = []
+    pin_caps: List[float] = []
+    for child, child_node in zip(children, child_nodes):
+        factor = routed_length_factor(
+            fanout, bbox_area, node.location, child_node.location
+        )
+        lengths.append(tree.edge_length(child) * factor)
+        pin_caps.append(
+            lib.sink_cap_ff if child_node.is_sink else lib.input_cap_ff(child_node.size)
+        )
+    load = np.empty(compiled.C)
+    wdelay = np.empty((compiled.C, fanout))
+    elmore = np.empty((compiled.C, fanout))
+    step_sq = np.empty((compiled.C, fanout))
+    use_d2m = kernel.wire_metric == "d2m"
+    for k, corner in enumerate(compiled.corners):
+        wire = lib.wire(corner)
+        total = 0.0
+        for j, (length, pin_cap) in enumerate(zip(lengths, pin_caps)):
+            total += wire.segment_cap(length) + pin_cap
+            rc = star_rc_tree(
+                [("end", [Point(0.0, 0.0), Point(length, 0.0)], pin_cap)],
+                wire,
+                segment_um=kernel._segment_um,
+            )
+            elm = elmore_delays(rc)["end"]
+            elmore[k, j] = elm
+            wdelay[k, j] = d2m_delays(rc)["end"] if use_d2m else elm
+            step = LN9 * elm
+            step_sq[k, j] = step * step
+        load[k] = total
+    return load, wdelay, elmore, step_sq
+
+
+def reference_compiled_rows(compiled, tree):
+    """Oracle of a compile's row arrays: ``{name: array}`` for ``load``,
+    ``edge_wdelay``, ``edge_elmore`` and ``edge_step_sq``, one
+    :func:`reference_eval_net` per driver in CSR order."""
+    n_edges = int(compiled.child_ptr[-1])
+    out = {
+        "load": np.zeros((compiled.C, compiled.n)),
+        "edge_wdelay": np.empty((compiled.C, n_edges)),
+        "edge_elmore": np.empty((compiled.C, n_edges)),
+        "edge_step_sq": np.empty((compiled.C, n_edges)),
+    }
+    for i, nid in enumerate(compiled.ids):
+        node = tree.node(nid)
+        children = tree.children(nid)
+        if node.is_sink or not children:
+            continue
+        e0, e1 = int(compiled.child_ptr[i]), int(compiled.child_ptr[i + 1])
+        load, wdelay, elmore, step_sq = reference_eval_net(compiled, tree, node, children)
+        out["load"][:, i] = load
+        out["edge_wdelay"][:, e0:e1] = wdelay
+        out["edge_elmore"][:, e0:e1] = elmore
+        out["edge_step_sq"][:, e0:e1] = step_sq
+    return out
+
+
+def reference_compile_row(compiled, tree, nid):
+    """Oracle of one row of ``CompiledTree.build_overrides``: ``None`` for
+    a driver with no fanout, else ``(child positions, child ids, size
+    index, load, wire delay, Elmore, step²)``; raises
+    :class:`~repro.sta.kernel.KernelStale` where the kernel must."""
+    node = tree.node(nid)
+    children = tree.children(nid)
+    if not children:
+        return None
+    positions = []
+    for child in children:
+        pos = compiled.index.get(child)
+        if pos is None:
+            raise KernelStale(f"unknown child {child}")
+        positions.append(pos)
+    lib = compiled._kernel.library
+    size = lib.source_drive_size if node.is_source else node.size
+    size_pos = compiled._kernel._size_pos.get(size)
+    if size_pos is None:
+        raise KernelStale(f"drive size {size} not in library")
+    return (positions, tuple(children), size_pos) + reference_eval_net(
+        compiled, tree, node, children
+    )
+
+
 def reference_golden_subtree_delta(timer, tree, legalizer, move, before):
     """Oracle of :func:`repro.core.ml.dataset.golden_subtree_delta`: the
     trial clone is timed one corner at a time."""
@@ -114,9 +213,34 @@ def use_per_corner_labels(patch):
     patch.setattr(dataset, "golden_subtree_delta", reference_golden_subtree_delta)
 
 
+def _layer_forward(model, x):
+    """The per-layer forward pass of one network (activations kept)."""
+    activations = [x]
+    h = x
+    for i, (w, b) in enumerate(zip(model._weights, model._biases)):
+        z = h @ w + b
+        h = z if i == len(model._weights) - 1 else np.tanh(z)
+        activations.append(h)
+    return h, activations
+
+
+def _layer_backward(model, activations, grad_out):
+    """The per-layer backward pass of one network."""
+    grads_w = [None] * len(model._weights)
+    grads_b = [None] * len(model._weights)
+    delta = grad_out
+    for i in reversed(range(len(model._weights))):
+        grads_w[i] = activations[i].T @ delta + model.config.l2 * model._weights[i]
+        grads_b[i] = delta.sum(axis=0)
+        if i > 0:
+            delta = (delta @ model._weights[i].T) * (1.0 - activations[i] ** 2)
+    return grads_w, grads_b
+
+
 def reference_ann_fit(model, x, y):
-    """Oracle of :meth:`ANNRegressor.fit`: parameters and Adam moments
-    kept per layer array, one Adam update per array and step."""
+    """Oracle of :meth:`ANNRegressor.fit`: one network at a time, its
+    parameters and Adam moments kept per layer array, one Adam update
+    per array and step, 2-D matmuls."""
     cfg = model.config
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float).reshape(-1)
@@ -155,14 +279,16 @@ def reference_ann_fit(model, x, y):
     best_val = np.inf
     best_params = None
     stall = 0
+    model.epochs = 0
     for _ in range(cfg.max_epochs):
+        model.epochs += 1
         perm = rng.permutation(len(x_train))
         for start in range(0, len(perm), cfg.batch_size):
             idx = perm[start : start + cfg.batch_size]
             xb, yb = x_train[idx], y_train[idx]
-            pred, acts = model._forward(xb)
+            pred, acts = _layer_forward(model, xb)
             grad = 2.0 * (pred - yb[:, None]) / max(len(idx), 1)
-            gw, gb = model._backward(acts, grad)
+            gw, gb = _layer_backward(model, acts, grad)
             step += 1
             for i in range(len(model._weights)):
                 m_w[i] = beta1 * m_w[i] + (1 - beta1) * gw[i]
@@ -180,7 +306,7 @@ def reference_ann_fit(model, x, y):
                     np.sqrt(vb_hat) + eps
                 )
         if n_val:
-            val_pred, _ = model._forward(x_val)
+            val_pred, _ = _layer_forward(model, x_val)
             val_mse = float(np.mean((val_pred[:, 0] - y_val) ** 2))
             if val_mse < best_val - 1e-6:
                 best_val = val_mse
@@ -198,9 +324,17 @@ def reference_ann_fit(model, x, y):
     return model
 
 
+def reference_ann_fit_group(jobs):
+    """Oracle of :meth:`ANNRegressor.fit_group`: one
+    :func:`reference_ann_fit` per job."""
+    for model, x, y in jobs:
+        reference_ann_fit(model, x, y)
+
+
 def use_per_layer_adam(patch):
-    """Train every ANN with the per-layer Adam oracle."""
+    """Train every ANN, alone or in a group, with the per-layer Adam oracle."""
     patch.setattr(ANNRegressor, "fit", reference_ann_fit)
+    patch.setattr(ANNRegressor, "fit_group", staticmethod(reference_ann_fit_group))
 
 
 def per_move_components(kernel, tree, timings, moves, cache):

@@ -17,17 +17,28 @@ from repro.core.eco_flow import ECOConfig
 from repro.core.local_opt import LocalOptConfig, LocalOptimizer
 from repro.core.ml.feature_kernel import FeatureKernel
 from repro.core.ml.training import train_predictor
-from repro.core.moves import apply_move_undoable, enumerate_moves, undo_move
+from repro.core.moves import MoveType, apply_move_undoable, enumerate_moves, undo_move
 from repro.core.objective import SkewVariationProblem
 from repro.eco.candidate_kernel import ECOCandidateKernel
+from repro.geometry import Point
+from repro.rc import RCTree
+from repro.route import rc_net
+from repro.sta import incremental as incremental_mod
+from repro.sta import kernel as kernel_mod
+from repro.sta import timer as timer_mod
 from repro.sta.incremental import IncrementalTimer, ReferenceIncrementalTimer
-from repro.sta.kernel import ArrayMap, TimingKernel
+from repro.sta.kernel import ArrayMap, KernelStale, TimingKernel
 from repro.sta.timer import GoldenTimer
 from repro.tech.stage_lut import characterize_stage_luts
 from repro.testcases.cls1 import build_cls1
 from repro.testcases.cls2 import build_cls2
 from repro.testcases.mini import build_mini
-from tests.oracles import reference_time_tree, reference_timings
+from tests.oracles import (
+    reference_compile_row,
+    reference_compiled_rows,
+    reference_time_tree,
+    reference_timings,
+)
 
 TOL_PS = 1e-9
 
@@ -256,14 +267,194 @@ def test_array_map_behaves_like_dict(mini4_design):
     assert got.arrival.get(sink) == want.arrival[sink]
 
 
-def test_kernel_shares_edge_cache_with_incremental(mini4_design):
+# ----------------------------------------------------------------------
+# Row evaluation: one pass per compile or override set vs per-net oracle
+# ----------------------------------------------------------------------
+ROW_FIELDS = ("load", "edge_wdelay", "edge_elmore", "edge_step_sq")
+
+COMPILE_BUILDS = {
+    "MINI/3": build_mini,
+    "MINI/4": lambda: build_mini(corner_names=("c0", "c1", "c2", "c3")),
+    "CLS1v1": lambda: build_cls1(1),
+    "CLS1v2": lambda: build_cls1(2),
+    "CLS2v1": build_cls2,
+}
+
+
+def _assert_rows_equal_oracle(compiled, tree):
+    want = reference_compiled_rows(compiled, tree)
+    for field in ROW_FIELDS:
+        assert np.array_equal(getattr(compiled, field), want[field]), field
+
+
+@pytest.mark.parametrize("metric", ["d2m", "elmore"])
+@pytest.mark.parametrize("name", sorted(COMPILE_BUILDS))
+def test_compile_rows_match_per_net_oracle(name, metric):
+    design = COMPILE_BUILDS[name]()
+    compiled = TimingKernel(design.library, metric).compile(design.tree)
+    _assert_rows_equal_oracle(compiled, design.tree)
+
+
+@pytest.mark.parametrize("metric", ["d2m", "elmore"])
+def test_zero_length_edge_and_wide_fanout(mini4_design, metric):
+    """A sink on its driver's pin (zero-length edge) and a 40-fanout
+    driver compile to the oracle's rows, and time like the scalar loop."""
+    tree = mini4_design.tree.clone()
+    buffer = tree.buffers()[0]
+    here = tree.node(buffer).location
+    tree.add_sink(buffer, here)
+    while len(tree.children(buffer)) < 40:
+        k = len(tree.children(buffer))
+        tree.add_sink(buffer, Point(here.x + 7.0 * (k % 6), here.y + 11.0 * (k // 6)))
+    tree.validate()
+    zero = [c for c in tree.children(buffer) if tree.edge_length(c) == 0.0]
+    assert zero
+    compiled = TimingKernel(mini4_design.library, metric).compile(tree)
+    i = compiled.index[buffer]
+    assert compiled.fanout[i] == 40
+    _assert_rows_equal_oracle(compiled, tree)
+    e = int(compiled.child_ptr[i]) + tree.children(buffer).index(zero[0])
+    assert not compiled.edge_wdelay[:, e].any()
+    timer = GoldenTimer(mini4_design.library, wire_metric=metric)
+    _assert_timings_match(
+        timer.analyze_all_corners(tree), reference_timings(timer, tree), "fanout-40"
+    )
+
+
+def _assert_overrides_match_oracle(compiled, tree, dirty):
+    overrides, seeds = compiled.build_overrides(tree, dirty)
+    wanted = {
+        compiled.index[nid]: nid
+        for nid in dirty
+        if nid in tree and not tree.node(nid).is_sink
+    }
+    assert sorted(overrides) == sorted(wanted)
+    assert sorted(pos for _, pos in seeds) == sorted(wanted)
+    for pos, nid in wanted.items():
+        row = overrides[pos]
+        want = reference_compile_row(compiled, tree, nid)
+        if want is None:
+            assert row is None
+            continue
+        positions, child_ids, size_idx, load, wdelay, elmore, step_sq = want
+        assert row.child_pos.tolist() == positions
+        assert row.child_ids == child_ids and row.size_idx == size_idx
+        for got, value in (
+            (row.load, load),
+            (row.wdelay, wdelay),
+            (row.elmore, elmore),
+            (row.step_sq, step_sq),
+        ):
+            assert np.array_equal(got, value)
+    return overrides
+
+
+@pytest.mark.parametrize("metric,seed", [("d2m", 5), ("elmore", 6)])
+def test_overrides_match_per_row_oracle_on_random_walk(mini4_design, metric, seed):
+    """Every move type's override set equals the per-row oracle, on
+    previews and on commits alike (surgery commits recompile)."""
+    design = mini4_design
+    inc = IncrementalTimer(design.library, wire_metric=metric)
+    tree = design.tree.clone()
+    inc.ensure(tree)
+    rng = np.random.default_rng(seed)
+    seen = set()
+    for step in range(60):
+        moves = enumerate_moves(tree, design.library)
+        by_type = {t: [m for m in moves if m.type is t] for t in MoveType}
+        move_type = list(MoveType)[step % len(MoveType)]
+        if not by_type[move_type]:
+            continue
+        move = by_type[move_type][int(rng.integers(len(by_type[move_type])))]
+        undo = apply_move_undoable(tree, design.legalizer, design.library, move)
+        _assert_overrides_match_oracle(inc._compiled, tree, set(undo.dirty))
+        seen.add(move.type)
+        if step % 4 == 3:
+            inc.advance(tree, undo.dirty, design.pairs)
+            _assert_rows_equal_oracle(inc._compiled, tree)
+        else:
+            inc.preview(tree, undo.dirty, design.pairs)
+            undo_move(tree, undo)
+            inc.rebase(tree)
+    assert seen == set(MoveType)
+
+
+def test_unknown_nodes_and_sizes_raise_stale_and_recompile(mini4_design):
     design = mini4_design
     inc = IncrementalTimer(design.library)
-    inc.ensure(design.tree.clone())
-    kernel = inc._kernel
-    assert isinstance(kernel, TimingKernel)
-    assert kernel.edge_cache is inc.edge_cache
-    assert inc.edge_cache.misses > 0
+    tree = design.tree.clone()
+    inc.ensure(tree)
+    compiled = inc._compiled
+    # A resize to a drive size outside the library.
+    buffer = tree.buffers()[0]
+    tree.resize_buffer(buffer, max(design.library.sizes) + 1)
+    with pytest.raises(KernelStale, match="drive size"):
+        compiled.build_overrides(tree, {buffer})
+    with pytest.raises(KernelStale, match="drive size"):
+        reference_compile_row(compiled, tree, buffer)
+    tree.resize_buffer(buffer, design.library.sizes[0])
+    # A buffer the compiled arrays do not know (ECO insertion).
+    child = tree.children(buffer)[0]
+    parent_loc, child_loc = tree.node(buffer).location, tree.node(child).location
+    mid = Point((parent_loc.x + child_loc.x) / 2, (parent_loc.y + child_loc.y) / 2)
+    new = tree.insert_buffer_on_edge(child, mid, design.library.sizes[0])
+    with pytest.raises(KernelStale, match="unknown child"):
+        compiled.build_overrides(tree, {buffer})
+    with pytest.raises(KernelStale, match="unknown"):
+        compiled.build_overrides(tree, {new})
+    full = inc.stats["full_passes"]
+    got = inc.advance(tree, {buffer, new}, design.pairs)
+    # The stale override set fell back to a full recompile.
+    assert inc._compiled is not compiled and new in inc._compiled.index
+    assert inc.stats["full_passes"] == full
+    _assert_rows_equal_oracle(inc._compiled, tree)
+    want = reference_time_tree(GoldenTimer(design.library), tree, design.pairs)
+    assert got.latencies == want.latencies
+
+
+def test_production_timing_builds_no_rc_tree(mini4_design, monkeypatch):
+    """Compiles, previews and commits evaluate every edge without an
+    RC tree, in at most one straight-wire pass per corner."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("production timing built an RC tree")
+
+    for module in (rc_net, timer_mod, incremental_mod):
+        for name in ("star_rc_tree", "edge_rc_tree"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    monkeypatch.setattr(RCTree, "__init__", forbidden)
+    calls = []
+    moments = kernel_mod.straight_wire_moments
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return moments(*args, **kwargs)
+
+    monkeypatch.setattr(kernel_mod, "straight_wire_moments", counting)
+    design = mini4_design
+    corners = len(design.library.corners)
+    GoldenTimer(design.library).analyze_all_corners(design.tree)
+    assert len(calls) == corners
+    inc = IncrementalTimer(design.library)
+    tree = design.tree.clone()
+    inc.time_tree(tree, design.pairs)
+    rng = np.random.default_rng(3)
+    for step in range(30):
+        moves = enumerate_moves(tree, design.library)
+        move = moves[int(rng.integers(len(moves)))]
+        undo = apply_move_undoable(tree, design.legalizer, design.library, move)
+        calls.clear()
+        if step % 3 == 2:
+            inc.advance(tree, undo.dirty, design.pairs)
+            # One override set, plus one recompile for a surgery commit.
+            bound = 2 * corners if move.type is MoveType.SURGERY else corners
+            assert len(calls) <= bound
+        else:
+            inc.preview(tree, undo.dirty, design.pairs)
+            assert len(calls) <= corners
+            undo_move(tree, undo)
+            inc.rebase(tree)
 
 
 # ----------------------------------------------------------------------

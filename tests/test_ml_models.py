@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.core.ml import ann as ann_module
 from repro.core.ml.ann import ANNConfig, ANNRegressor
+from repro.core.ml.dataset import dataset_arrays, generate_dataset
 from repro.core.ml.hsm import HybridSurrogateModel, kfold_mse
 from repro.core.ml.svr import RBFKernelSVR, SVRConfig
-from repro.core.ml.training import _make_model
+from repro.core.ml.training import _ANCHOR_COLUMN, _make_model, train_predictor
+from repro.tech.library import default_library
 from tests.oracles import reference_ann_fit, use_per_layer_adam
 
 
@@ -64,38 +67,23 @@ def assert_same_network(got, want, x):
 
 
 class TestANNParity:
-    """The flat-vector Adam step equals the per-layer oracle bit for bit."""
+    """A fit equals the per-layer oracle bit for bit, epoch count included."""
 
-    def test_early_stopped_fit_matches_oracle(self, monkeypatch):
+    def test_early_stopped_fit_matches_oracle(self):
         x, y = toy_problem(n=200)
         cfg = ANNConfig(max_epochs=400, patience=5, seed=1)
-        calls = []
-        forward = ANNRegressor._forward
-
-        def counting_forward(self, xb):
-            calls.append(len(xb))
-            return forward(self, xb)
-
-        monkeypatch.setattr(ANNRegressor, "_forward", counting_forward)
         got = ANNRegressor(cfg).fit(x, y)
-        # 170 training rows make 6 batches an epoch, and the 30 validation
-        # rows one more forward pass: fewer than max_epochs epochs ran.
-        assert len(calls) % 7 == 0 and len(calls) // 7 < cfg.max_epochs
         want = reference_ann_fit(ANNRegressor(cfg), x, y)
+        assert got.epochs == want.epochs < cfg.max_epochs
         assert_same_network(got, want, x)
 
     def test_fit_without_validation_matches_oracle(self):
         x, y = toy_problem(n=8)
         cfg = ANNConfig(max_epochs=60, seed=3)
         got = ANNRegressor(cfg).fit(x, y)
-        # No validation split: the final parameters are the trained views
-        # into the one flat vector.
-        params = got._weights + got._biases
-        theta = params[0].base
-        assert theta.ndim == 1 and theta.size == sum(a.size for a in params)
-        for array in params:
-            assert array.base is theta and array.flags.c_contiguous
         want = reference_ann_fit(ANNRegressor(cfg), x, y)
+        # No validation split: no early stop, the last epoch's weights.
+        assert got.epochs == want.epochs == cfg.max_epochs
         assert_same_network(got, want, x)
 
     def test_hsm_ann_matches_oracle(self, monkeypatch):
@@ -108,6 +96,104 @@ class TestANNParity:
         assert got.weights == want.weights
         assert_same_network(got._models[0], want._models[0], x)
         assert np.array_equal(got.predict(x), want.predict(x))
+
+
+class TestLockstepGroups:
+    """``ANNRegressor.fit_group`` trains same-shape jobs in lockstep, and
+    every member equals its own oracle fit, epoch count included."""
+
+    @staticmethod
+    def _jobs(cfg, rows, seeds):
+        return [(ANNRegressor(cfg), *toy_problem(n=n, seed=s)) for n, s in zip(rows, seeds)]
+
+    @staticmethod
+    def _assert_members_match_oracle(jobs):
+        for model, x, y in jobs:
+            want = reference_ann_fit(ANNRegressor(model.config), x, y)
+            assert model.epochs == want.epochs
+            assert_same_network(model, want, x)
+
+    @pytest.fixture
+    def stacks(self, monkeypatch):
+        """``(members, rows)`` of every lockstep stack trained."""
+        seen = []
+        train = ann_module._train_lockstep
+
+        def recording(models, xs, ys):
+            seen.append((len(models), xs.shape[1]))
+            return train(models, xs, ys)
+
+        monkeypatch.setattr(ann_module, "_train_lockstep", recording)
+        return seen
+
+    def test_members_stopping_at_different_epochs(self, stacks):
+        cfg = ANNConfig(max_epochs=300, patience=5, seed=1)
+        jobs = self._jobs(cfg, [150] * 5, range(5))
+        ANNRegressor.fit_group(jobs)
+        assert stacks == [(5, 150)]
+        epochs = [model.epochs for model, _, _ in jobs]
+        assert len(set(epochs)) > 1 and max(epochs) < cfg.max_epochs
+        self._assert_members_match_oracle(jobs)
+
+    def test_group_of_one(self, stacks):
+        jobs = self._jobs(ANNConfig(max_epochs=80, patience=4, seed=2), [60], [7])
+        ANNRegressor.fit_group(jobs)
+        assert stacks == [(1, 60)]
+        self._assert_members_match_oracle(jobs)
+
+    def test_group_without_validation_split(self, stacks):
+        cfg = ANNConfig(max_epochs=40, seed=4)
+        jobs = self._jobs(cfg, [9, 9, 9], [1, 2, 3])
+        ANNRegressor.fit_group(jobs)
+        assert stacks == [(3, 9)]
+        assert all(model.epochs == cfg.max_epochs for model, _, _ in jobs)
+        self._assert_members_match_oracle(jobs)
+
+    def test_two_row_counts_form_two_groups(self, stacks):
+        cfg = ANNConfig(max_epochs=120, patience=6, seed=5)
+        jobs = self._jobs(cfg, [90, 120, 90, 120, 90], range(5))
+        ANNRegressor.fit_group(jobs)
+        assert stacks == [(3, 90), (2, 120)]
+        self._assert_members_match_oracle(jobs)
+
+    def test_hsm_corner_fits_form_one_fold_and_one_refit_group(self, stacks):
+        """Three HSMs on 48 rows: 12 fold fits of 36 rows, 3 refits of 48."""
+        jobs = [(_make_model("hsm"), *toy_problem(n=48, seed=s)) for s in range(3)]
+        HybridSurrogateModel.fit_group(jobs)
+        assert stacks == [(12, 36), (3, 48)]
+
+
+@pytest.fixture(scope="module", params=[("c0", "c1", "c3"), ("c0", "c1", "c2", "c3")])
+def corner_samples(request):
+    library = default_library(request.param)
+    return library, generate_dataset(library, n_cases=3, moves_per_case=8, seed=5)
+
+
+def _assert_same_model(got, want, x):
+    if isinstance(want, HybridSurrogateModel):
+        assert got.cv_mse == want.cv_mse
+        assert got.weights == want.weights
+        for a, b in zip(got._models, want._models):
+            _assert_same_model(a, b, x)
+    elif isinstance(want, ANNRegressor):
+        assert got.epochs == want.epochs
+        assert_same_network(got, want, x)
+    else:
+        assert np.array_equal(got._dual, want._dual)
+    assert np.array_equal(got.predict(x), want.predict(x))
+
+
+@pytest.mark.parametrize("kind", ["hsm", "ann", "svr"])
+def test_train_predictor_matches_per_corner_fits(corner_samples, kind, monkeypatch):
+    """One group fit over every corner equals per-corner oracle fits."""
+    library, samples = corner_samples
+    got = train_predictor(library, samples, kind)
+    with monkeypatch.context() as patch:
+        use_per_layer_adam(patch)
+        for corner in library.corners:
+            x, y = dataset_arrays(samples, corner.name)
+            want = _make_model(kind).fit(x, y - x[:, _ANCHOR_COLUMN])
+            _assert_same_model(got.models[corner.name], want, x)
 
 
 class TestSVR:

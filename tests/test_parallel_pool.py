@@ -11,7 +11,8 @@ The contracts under test:
   rebuilt to full strength for the next batch; only when every worker
   is dead does the verifier re-verify serially;
 * the parallel local-opt trajectory is identical to the serial one;
-* arena-born replicas, the event-driven scheduler, and delta compaction
+* arena-born replicas (each compiling and propagating its own copy of
+  the published tree), the event-driven scheduler, and delta compaction
   produce byte-identical verdicts and trajectories to the serial loop,
   and leave no orphaned /dev/shm segments behind.
 """
@@ -284,16 +285,16 @@ class TestParallelLocalOpt:
 class TestSharedArena:
     def test_arena_replica_bit_identical_to_pipe_replica(self, problem, moves):
         tree = problem.design.tree.clone()
-        problem.evaluate(tree)  # attach the main engine (kernel planes)
         spec = ReplicaSpec.from_problem(problem, tree)
         arena = SharedPlaneArena(tag="test")
         try:
-            publish_replica_arena(
-                arena, spec, tree, engine=problem.engine(), baseline_index=0
-            )
+            publish_replica_arena(arena, spec, tree, baseline_index=0)
             view = attach(arena.name)
             try:
+                # The arena carries the spec alone: no kernel planes.
+                assert view.arrays == {}
                 shared = Replica.from_arena(view)
+                assert shared.engine.stats["full_passes"] == 1
                 fresh = Replica(spec)
                 a, b = shared.evaluate(), fresh.evaluate()
                 assert a.total_variation == b.total_variation
@@ -448,25 +449,27 @@ class TestShmLocalOpt:
         return trajectory, outcome
 
     def test_shm_trajectory_identical_to_serial_and_pipe(self, predictor, monkeypatch):
-        """Serial vs a pool whose workers adopt the published kernel
-        planes vs a pool whose workers compile and propagate their own
-        replicas (the arena is published without a kernel snapshot)."""
+        """Serial vs a pool whose workers compile and propagate their own
+        replicas from the published tree, with a baseline republished
+        after every second commit."""
         serial, serial_outcome = self._run(predictor, workers=1)
-        adopted, adopted_outcome = self._run(predictor, workers=2)
+        pooled, pooled_outcome = self._run(predictor, workers=2)
+        init = verify_mod.ParallelVerifier.__init__
 
-        def publish_without_planes(arena, spec, tree, engine=None, baseline_index=0):
-            return publish_replica_arena(arena, spec, tree, baseline_index=baseline_index)
+        def compacting(self, *args, **kwargs):
+            init(self, *args, compact_every=2, **kwargs)
 
-        monkeypatch.setattr(verify_mod, "publish_replica_arena", publish_without_planes)
-        rebuilt, rebuilt_outcome = self._run(predictor, workers=2)
-        assert serial == adopted == rebuilt
+        monkeypatch.setattr(verify_mod.ParallelVerifier, "__init__", compacting)
+        compacted, compacted_outcome = self._run(predictor, workers=2)
+        assert serial == pooled == compacted
         assert (
             serial_outcome.final_objective_ps
-            == adopted_outcome.final_objective_ps
-            == rebuilt_outcome.final_objective_ps
+            == pooled_outcome.final_objective_ps
+            == compacted_outcome.final_objective_ps
         )
-        for outcome in (adopted_outcome, rebuilt_outcome):
+        for outcome in (pooled_outcome, compacted_outcome):
             assert outcome.stats["parallel"]["serial_fallbacks"] == 0
+        assert compacted_outcome.stats["parallel"]["arena_generation"] > 1
         assert _own_shm_segments() == []
 
     def test_shm_oversubscribed_trajectory_identical(self, predictor):

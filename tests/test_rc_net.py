@@ -6,7 +6,6 @@ import numpy as np
 
 from repro.geometry import Point
 from repro.route.rc_net import (
-    EdgeRCCache,
     edge_rc_tree,
     route_rc_tree,
     star_rc_tree,
@@ -165,40 +164,3 @@ class TestRouteRC:
             wire,
         )
         assert shared.total_cap_ff() < star.total_cap_ff() * 0.62
-
-
-class TestEdgeRCCache:
-    def test_hit_and_miss_counters(self, wire):
-        cache = EdgeRCCache()
-        first = cache.metrics(wire, 120.0, 2.0)
-        again = cache.metrics(wire, 120.0, 2.0)
-        assert first == again
-        assert cache.misses == 1 and cache.hits == 1
-        assert cache.metrics(wire, 120.0, 2.0) == first
-        assert cache.hits == 2 and len(cache) == 1
-
-    def test_eviction_is_lru_and_counted(self, wire):
-        cache = EdgeRCCache(max_entries=4)
-        lengths = [10.0, 20.0, 30.0, 40.0]
-        for length in lengths:
-            cache.metrics(wire, length, 1.0)
-        assert len(cache) == 4 and cache.evictions == 0
-        # Touch the oldest entry: the hit must move it to the
-        # most-recent end, out of the half the next insert drops.
-        cache.metrics(wire, 10.0, 1.0)
-        cache.metrics(wire, 50.0, 1.0)
-        assert cache.evictions == 2
-        misses_before = cache.misses
-        cache.metrics(wire, 10.0, 1.0)  # survived eviction
-        assert cache.misses == misses_before
-        cache.metrics(wire, 20.0, 1.0)  # evicted, recomputed
-        assert cache.misses == misses_before + 1
-
-    def test_eviction_never_changes_values(self, wire):
-        cache = EdgeRCCache(max_entries=2)
-        fresh = EdgeRCCache()
-        for length in (11.0, 22.0, 33.0, 11.0, 22.0):
-            assert cache.metrics(wire, length, 1.5) == fresh.metrics(
-                wire, length, 1.5
-            )
-        assert cache.evictions > 0
