@@ -9,6 +9,12 @@ and ``workers=4``, asserts the committed-move trajectories are
 ``results/BENCH_parallel.json`` with wall times, the trial-stage
 speedup, and the pool's counters.
 
+A round runs the serial leg, then the pooled leg, so drift in host
+speed hits both legs of a round alike.  The trajectories must be
+identical in every round.  Times are medians of the rounds and each
+speedup is the median of the rounds' ratios, as the timer, ECO and
+feature benches take theirs.
+
 Wall-clock speedup needs real cores: the **>= 2x** acceptance floor is
 asserted only when >= 4 CPUs are available (the CI runners), so the
 bench stays honest on smaller machines instead of flaking.  When the
@@ -21,9 +27,10 @@ regression gate.
 
 from __future__ import annotations
 
+import statistics
 import time
 
-from _util import emit, write_record
+from _util import emit, median_speedup, write_record
 from repro.core.local_opt import LocalOptConfig, LocalOptimizer
 from repro.core.ml.training import train_predictor
 from repro.core.objective import SkewVariationProblem
@@ -58,39 +65,48 @@ def _trajectory(outcome):
     ]
 
 
-def _run_comparison(build, workers, max_iterations):
-    design, serial, serial_s = _run_once(build, 1, max_iterations)
-    _, parallel, parallel_s = _run_once(build, workers, max_iterations)
+def _median_s(rounds, leg):
+    return round(statistics.median(r[leg] for r in rounds), 4)
 
-    identical = (
-        _trajectory(serial) == _trajectory(parallel)
-        and serial.final_objective_ps == parallel.final_objective_ps
-    )
-    serial_trial = serial.stats["stage"]["seconds"].get("trial", 0.0)
-    parallel_trial = parallel.stats["stage"]["seconds"].get("trial", 0.0)
-    pool_stats = parallel.stats["parallel"]
+
+def _run_comparison(build, workers, max_iterations, rounds):
+    timed = []
+    identical = True
+    for _ in range(rounds):
+        design, serial, serial_s = _run_once(build, 1, max_iterations)
+        _, parallel, parallel_s = _run_once(build, workers, max_iterations)
+        identical &= (
+            _trajectory(serial) == _trajectory(parallel)
+            and serial.final_objective_ps == parallel.final_objective_ps
+        )
+        timed.append(
+            {
+                "serial": serial_s,
+                "parallel": parallel_s,
+                "serial_trial": serial.stats["stage"]["seconds"].get("trial", 0.0),
+                "parallel_trial": parallel.stats["stage"]["seconds"].get("trial", 0.0),
+            }
+        )
     cpus = effective_cpu_count()
-    record = {
+    return {
         "design": design.name,
         "corners": [c.name for c in design.library.corners],
         "cpus": cpus,
         "workers": workers,
         "oversubscribed": workers > cpus,
         "iterations": len(parallel.history),
-        "serial_s": round(serial_s, 4),
-        "parallel_s": round(parallel_s, 4),
-        "speedup": round(serial_s / parallel_s, 2),
-        "serial_trial_s": round(serial_trial, 4),
-        "parallel_trial_s": round(parallel_trial, 4),
-        "trial_speedup": round(serial_trial / parallel_trial, 2)
-        if parallel_trial > 0
-        else 0.0,
+        "rounds": rounds,
+        "serial_s": _median_s(timed, "serial"),
+        "parallel_s": _median_s(timed, "parallel"),
+        "speedup": median_speedup(timed, "serial", "parallel"),
+        "serial_trial_s": _median_s(timed, "serial_trial"),
+        "parallel_trial_s": _median_s(timed, "parallel_trial"),
+        "trial_speedup": median_speedup(timed, "serial_trial", "parallel_trial"),
         "trajectory_identical": identical,
         "initial_objective_ps": round(parallel.initial_objective_ps, 6),
         "final_objective_ps": round(parallel.final_objective_ps, 6),
-        "pool_stats": pool_stats,
+        "pool_stats": parallel.stats["parallel"],
     }
-    return record
 
 
 def _report(tag, record):
@@ -109,7 +125,8 @@ def _report(tag, record):
         f"(trial stage {record['parallel_trial_s']:.3f} s)",
         f"  speedup  : {record['speedup']:.2f}x end-to-end, "
         f"{record['trial_speedup']:.2f}x trial stage "
-        f"(trajectory identical: {record['trajectory_identical']})",
+        f"(median of {record['rounds']} paired rounds; "
+        f"trajectory identical: {record['trajectory_identical']})",
         f"  pool     : {pool['verify_batches']} batches, "
         f"{pool['verify_tasks']} tasks, {pool['steals']} steals, "
         f"{pool['crashes']} crashes, "
@@ -121,7 +138,9 @@ def _report(tag, record):
 
 def test_bench_parallel_cls1():
     """Tentpole acceptance: identical trajectory; >= 2x with >= 4 CPUs."""
-    record = _run_comparison(lambda: build_cls1(1), workers=4, max_iterations=10)
+    record = _run_comparison(
+        lambda: build_cls1(1), workers=4, max_iterations=10, rounds=3
+    )
     _report("BENCH_parallel", record)
     write_record("BENCH_parallel", record)
     assert record["trajectory_identical"], record
@@ -135,7 +154,7 @@ def test_bench_parallel_cls1():
 
 def test_bench_parallel_smoke():
     """MINI-scale smoke (CI): identical trajectories, pool engaged."""
-    record = _run_comparison(build_mini, workers=2, max_iterations=4)
+    record = _run_comparison(build_mini, workers=2, max_iterations=4, rounds=7)
     _report("BENCH_parallel_smoke", record)
     write_record("BENCH_parallel_smoke", record)
     assert record["trajectory_identical"], record

@@ -1,14 +1,14 @@
-"""Bench: the arena-backed worker pool (zero-copy backplane).
+"""Bench: the verification worker pool's fixed costs.
 
-Two numbers describe the pool's fixed costs, both in absolute seconds:
+Two numbers describe them, both in absolute seconds:
 
-* **cold verify epoch** — verifier construction (arena publish + pool
-  bring-up), a mixed batch schedule streamed through the event-driven
-  scheduler, and one mid-epoch crash whose in-flight candidate is
-  requeued to the survivors.
+* **cold verify epoch** — verifier construction (pool bring-up from the
+  replica spec), a mixed batch schedule streamed through the
+  event-driven scheduler, and one mid-epoch crash whose in-flight
+  candidate is requeued to the survivors.
 * **respawn-to-ready** — crash to a respawned worker answering its first
-  request: it maps the arena, compiles and propagates its replica of the
-  published tree.  Median of a few respawns.
+  request: it starts from the pool's replica spec, then compiles and
+  propagates its replica of the spec's tree.  Median of a few respawns.
 
 Verdicts must equal the serial ``problem.evaluate_move`` verdicts; the
 gate checks that flag.  There is no second transport or start-up path
@@ -25,40 +25,29 @@ import time
 from _util import emit, write_record
 from repro.core.moves import enumerate_moves
 from repro.core.objective import SkewVariationProblem
-from repro.parallel import (
-    ParallelVerifier,
-    ReplicaSpec,
-    SharedPlaneArena,
-    WorkerPool,
-    publish_replica_arena,
-)
+from repro.parallel import ParallelVerifier, ReplicaSpec, WorkerPool
 from repro.parallel.pool import effective_cpu_count
 from repro.testcases.cls1 import build_cls1
 
 
 def _respawn_to_ready_s(problem, tree, reps: int) -> float:
-    """Median crash -> respawned-worker-serving time on a fresh arena.
+    """Median crash -> respawned-worker-serving time.
 
     The clock covers spawn through the first answered request, so it
-    includes everything a fresh worker does before it is useful: map
-    the arena, then compile and propagate its replica.
+    includes everything a fresh worker does before it is useful: compile
+    and propagate its replica.
     """
-    arena = SharedPlaneArena(tag="bench")
-    try:
-        spec = ReplicaSpec.from_problem(problem, tree)
-        publish_replica_arena(arena, spec, tree)
-        with WorkerPool(1, arena=arena) as pool:
-            times = []
-            for _ in range(reps):
-                pool._mark_dead(pool._workers[0])
-                t0 = time.perf_counter()
-                pool._spawn_missing()
-                worker = pool._workers[-1]
-                worker.conn.send(("ping",))
-                pool._recv(worker)
-                times.append(time.perf_counter() - t0)
-    finally:
-        arena.close()
+    spec = ReplicaSpec.from_problem(problem, tree)
+    with WorkerPool(1, state=spec) as pool:
+        times = []
+        for _ in range(reps):
+            pool._mark_dead(pool._workers[0])
+            t0 = time.perf_counter()
+            pool._spawn_missing()
+            worker = pool._workers[-1]
+            worker.conn.send(("ping",))
+            pool._recv(worker)
+            times.append(time.perf_counter() - t0)
     return statistics.median(times)
 
 
@@ -111,8 +100,6 @@ def _run(workers: int, schedule, respawn_reps: int):
         "verdicts_identical": verdicts == serial,
         "serial_fallbacks": stats["serial_fallbacks"],
         "requeued": stats["requeued"],
-        "arena_generation": stats["arena_generation"],
-        "arena_bytes": stats["arena_bytes"],
         "stats": stats,
     }
 
@@ -128,9 +115,7 @@ def _report(tag, record):
         f"  epoch   : {record['epoch_s']:8.3f} s cold (bring-up + schedule + crash requeue)",
         f"  respawn : {record['respawn_s']:8.4f} s to ready "
         f"(median of {record['respawn_reps']})",
-        f"  arena   : gen {record['arena_generation']}, "
-        f"{record['arena_bytes']} bytes shared, "
-        f"{record['requeued']} requeued, "
+        f"  crash   : {record['requeued']} requeued, "
         f"{record['serial_fallbacks']} serial fallbacks "
         f"(verdicts identical to serial: {record['verdicts_identical']})",
     ]

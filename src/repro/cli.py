@@ -539,8 +539,8 @@ def _add_telemetry_args(parser: argparse.ArgumentParser) -> None:
         default=0.1,
         metavar="SECONDS",
         help=(
-            "resource-sampler interval for traced runs: RSS/CPU/arena/"
-            "pool gauges stream into their own trace lane (0 disables; "
+            "resource-sampler interval for traced runs: RSS/CPU/pool "
+            "gauges stream into their own trace lane (0 disables; "
             "default 0.1s, inside the 2%% traced-overhead budget)"
         ),
     )

@@ -59,8 +59,8 @@ class GlobalOptConfig:
     so each sweep point runs on its own worker; the fold over sweep
     points keeps the serial order and comparison, so the chosen tree is
     the one the serial sweep would have chosen.  The static realization
-    context — library, stage LUTs, compiled ECO planes — is published
-    once into a shared-memory arena that workers map zero-copy, so
+    context — library, stage LUTs, compiled ECO planes — is the pool's
+    start state, which forked workers inherit without a copy, so
     sweep-point payloads carry only the per-point dynamics.
     """
 
@@ -72,7 +72,6 @@ class GlobalOptConfig:
     eco: ECOConfig = ECOConfig()
     improvement_eps_ps: float = 0.25
     workers: int = 1
-    mp_context: Optional[str] = None
     #: Unread; kept because the frozen end-to-end benchmark still passes it.
     pool_backend: str = "pipe"
 
@@ -141,9 +140,9 @@ class TechnologyCache:
 class RealizationContext:
     """The problem surface :func:`realize_verified_plan` consumes.
 
-    Built either from the live :class:`SkewVariationProblem` (serial
-    path) or from a shipped payload inside a pool worker (parallel
-    U-sweep; see :mod:`repro.parallel.sweep`) — both expose the same
+    Built from the live :class:`SkewVariationProblem` (serial path); a
+    pool worker of the parallel U-sweep gets a copy with a fresh engine
+    (see :mod:`repro.parallel.sweep`) — both expose the same
     engine-backed evaluation, so realizations are bit-identical wherever
     they run.
     """
@@ -308,24 +307,17 @@ class GlobalOptimizer:
             self._problem, self._tech.stage_luts, cfg
         )
         pool = None
-        arena = None
         if cfg.workers > 1:
             from repro.parallel.pool import WorkerPool
-            from repro.parallel.shm import SharedPlaneArena
             from repro.parallel.sweep import publish_sweep_arena
 
-            arena = SharedPlaneArena(tag="sweep")
-            publish_sweep_arena(arena, ctx, self._problem)
-            pool = WorkerPool(
-                cfg.workers, mp_context=cfg.mp_context, arena=arena, tag="sweep"
-            )
+            state = publish_sweep_arena(ctx, self._problem)
+            pool = WorkerPool(cfg.workers, state=state, tag="sweep")
         try:
             return self._run(tree, pool, ctx)
         finally:
             if pool is not None:
                 pool.close()
-            if arena is not None:
-                arena.close()
 
     def _run(self, tree: Optional[ClockTree], pool, ctx) -> GlobalOptResult:
         cfg = self._config

@@ -64,8 +64,6 @@ class LocalOptConfig:
     #: actually available to this process and degrades to serial when a
     #: pool cannot win (effective CPUs < 2).
     workers: object = 1
-    #: Multiprocessing start method (``None`` = fork where available).
-    mp_context: Optional[str] = None
     #: Unread; kept because the frozen end-to-end benchmark still passes it.
     pool_backend: str = "pipe"
 
@@ -146,7 +144,6 @@ class LocalOptimizer:
                 current,
                 workers,
                 local_skew_tolerance_ps=cfg.local_skew_tolerance_ps,
-                mp_context=cfg.mp_context,
             )
 
         try:

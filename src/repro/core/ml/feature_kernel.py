@@ -90,6 +90,7 @@ from repro.sta.d2m import LN2
 from repro.sta.gate import GATE_LOAD_QUANTUM_FF, GATE_SLEW_QUANTUM_PS
 from repro.sta.slew import LN9
 from repro.sta.timer import CornerTiming
+from repro.tech.cells import _vector_weights
 from repro.tech.library import Library
 
 
@@ -324,11 +325,8 @@ class _LazyImpacts(Mapping):
 class FeatureKernel:
     """Batched analytical move featurization over SoA numpy arrays."""
 
-    def __init__(
-        self, library: Library, segment_um: float = ESTIMATE_SEGMENT_UM
-    ) -> None:
+    def __init__(self, library: Library) -> None:
         self.library = library
-        self.segment_um = segment_um
         self._stack_tables()
         corners = list(library.corners)
         self._corners = corners
@@ -400,15 +398,8 @@ class FeatureKernel:
         slew: np.ndarray,
         load: np.ndarray,
     ) -> np.ndarray:
-        sax, lax = self._sax, self._lax
-        s = np.clip(slew, sax[0], sax[-1])
-        c = np.clip(load, lax[0], lax[-1])
-        i = np.searchsorted(sax, s, side="right") - 1
-        i = np.clip(i, 0, sax.size - 2)
-        j = np.searchsorted(lax, c, side="right") - 1
-        j = np.clip(j, 0, lax.size - 2)
-        u = (s - sax[i]) / (sax[i + 1] - sax[i])
-        t = (c - lax[j]) / (lax[j + 1] - lax[j])
+        i, u = _vector_weights(self._sax, slew)
+        j, t = _vector_weights(self._lax, load)
         v00 = values[ci, si, i, j]
         v01 = values[ci, si, i, j + 1]
         v10 = values[ci, si, i + 1, j]
@@ -458,7 +449,6 @@ class FeatureKernel:
         piece cap, its pin cap, then the near-end half caps of the
         edges leaving it.
         """
-        segment_um = self.segment_um
         parent: List[int] = [-1]
         seg: List[float] = [0.0]
         terms: List[List[Tuple[int, float]]] = [[]]
@@ -470,7 +460,7 @@ class FeatureKernel:
                 seg.append(0.0)
                 terms.append([])
                 return len(parent) - 1
-            pieces = max(1, math.ceil(length / segment_um))
+            pieces = max(1, math.ceil(length / ESTIMATE_SEGMENT_UM))
             piece_len = length / pieces
             terms[start].append((_TERM_HALF, piece_len))
             prev = start

@@ -63,9 +63,7 @@ class SkewVariationProblem:
         engine = self.__dict__.get("_engine")
         if engine is None:
             engine = IncrementalTimer(
-                self.design.library,
-                wire_metric=self.timer.wire_metric,
-                segment_um=self.timer.segment_um,
+                self.design.library, wire_metric=self.timer.wire_metric
             )
             self.__dict__["_engine"] = engine
         return engine

@@ -15,8 +15,8 @@ Modules (import them directly; the package re-exports nothing):
 * :mod:`repro.obs.report` — the ``repro report`` renderer, including
   ``--perf-diff`` (per-path self-time deltas between two traces);
 * :mod:`repro.obs.sampler` — :class:`ResourceSampler`, a background
-  thread emitting RSS/CPU/arena/pool gauge time series into its own
-  trace lane;
+  thread emitting RSS/CPU/pool gauge time series into its own trace
+  lane;
 * :mod:`repro.obs.profile` — :class:`SpanProfiler`, opt-in cProfile
   wrapping of glob-matched spans with flamegraph/top-N sidecars;
 * :mod:`repro.obs.export` — Chrome trace-event JSON (Perfetto) export

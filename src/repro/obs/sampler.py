@@ -6,9 +6,6 @@ records it as ``metric`` events:
 
 * ``proc.rss_bytes`` / ``proc.cpu_pct`` — process resident set size and
   CPU utilization (user+system time delta over the sampling window);
-* ``shm.segments`` / ``shm.bytes`` and per-arena
-  ``shm.arena_generation{arena=<tag>}`` — owned /dev/shm segments via
-  the :mod:`repro.parallel.shm` live-arena registry;
 * ``pool.queue_depth`` / ``pool.inflight`` / ``pool.alive`` and the
   cumulative lifetime counters ``pool.steals`` / ``pool.requeued`` /
   ``pool.compactions`` / ``pool.crashes`` (labelled ``pool=<tag>``) via
@@ -76,7 +73,7 @@ def _rss_bytes() -> int:
 
 
 class ResourceSampler:
-    """Daemon thread sampling process/pool/arena load into a trace lane."""
+    """Daemon thread sampling process and pool load into a trace lane."""
 
     def __init__(
         self,
@@ -154,24 +151,8 @@ class ResourceSampler:
         self._last_cpu = cpu
         self._last_wall = now
 
-        self._sample_arenas(tracer)
         self._sample_pools(tracer, window)
         self.samples += 1
-
-    @staticmethod
-    def _sample_arenas(tracer: Tracer) -> None:
-        from repro.parallel import shm
-
-        stats = shm.live_arena_stats()
-        tracer.metric("shm.segments", stats["segments"], kind="gauge")
-        tracer.metric("shm.bytes", stats["bytes"], kind="gauge")
-        for arena in stats["arenas"]:
-            tracer.metric(
-                "shm.arena_generation",
-                arena["generation"],
-                kind="gauge",
-                labels={"arena": arena["tag"]},
-            )
 
     def _sample_pools(self, tracer: Tracer, window: float) -> None:
         from repro.parallel import pool as pool_mod
@@ -188,12 +169,6 @@ class ResourceSampler:
             )
             tracer.metric(
                 "pool.alive", snap["alive"], kind="gauge", labels=labels
-            )
-            tracer.metric(
-                "pool.arena_generation",
-                snap["arena_generation"],
-                kind="gauge",
-                labels=labels,
             )
             # Cumulative lifetime counters sampled as a monotonic
             # counter series (steal/requeue *rates* fall out of the

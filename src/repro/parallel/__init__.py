@@ -7,12 +7,13 @@ The package splits into four layers:
 * :mod:`repro.parallel.pool` — the persistent process pool with
   per-worker pipes, an event-driven work-stealing scheduler, crash
   requeue/respawn, and the stateless ``call`` channel used by the
-  global flow's U-sweep;
+  global flow's U-sweep.  Workers start from the pool's ``state``,
+  passed as a process argument: forked workers inherit it without a
+  copy, spawned ones unpickle it once;
 * :mod:`repro.parallel.verify` — the local-opt bridge: top-R candidate
   fan-out with a deterministic reduce;
-* :mod:`repro.parallel.shm` — the zero-copy shared-memory backplane:
-  the replica baseline (and the sweep's stage-LUT planes) exported once
-  per generation, mapped read-only by every worker.
+* :mod:`repro.parallel.sweep` — the U-sweep's worker entry points and
+  its pool's start state.
 """
 
 from repro.parallel.pool import (
@@ -20,7 +21,7 @@ from repro.parallel.pool import (
     WorkerCrash,
     WorkerError,
     WorkerPool,
-    worker_arena,
+    worker_state,
 )
 from repro.parallel.replica import (
     Replica,
@@ -28,21 +29,17 @@ from repro.parallel.replica import (
     VerifyOutcome,
     publish_replica_arena,
 )
-from repro.parallel.shm import ArenaView, SharedPlaneArena, attach
 from repro.parallel.verify import ParallelVerifier
 
 __all__ = [
-    "ArenaView",
     "CRASH_EXIT_CODE",
     "ParallelVerifier",
     "Replica",
     "ReplicaSpec",
-    "SharedPlaneArena",
     "VerifyOutcome",
     "WorkerCrash",
     "WorkerError",
     "WorkerPool",
-    "attach",
     "publish_replica_arena",
-    "worker_arena",
+    "worker_state",
 ]

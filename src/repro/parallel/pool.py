@@ -13,22 +13,25 @@ worker's death without losing the batch.  Two request kinds exist:
   The function is named ``"module:function"`` and must be importable in
   the worker.
 
-Workers are born from a :class:`~repro.parallel.shm.SharedPlaneArena`:
-they attach the published baseline (the serialized replica tree for a
-verify pool, which each worker compiles and propagates itself; the
-static realization context and zero-copy stage-LUT planes for a sweep
-pool) instead of receiving state over the pipe, and requests carry only delta
-suffixes and single tasks.  Both request kinds drain one shared queue
-through an event-driven ``multiprocessing.connection.wait`` loop with
-work-stealing refill, so a straggler never blocks the batch.
+Workers start from the pool's ``state``, passed to each worker process
+as an argument: under fork, which the pool uses wherever the platform
+has it, a worker inherits the state without a copy; under spawn,
+multiprocessing pickles it once per worker.  A
+:class:`~repro.parallel.replica.ReplicaSpec` state gives the worker its
+verification replica, which compiles and propagates the spec's tree
+itself; any other state only feeds ``call`` targets, which read it
+through :func:`worker_state`.  Requests carry only delta suffixes and
+single tasks.  Both request kinds drain one shared queue through an
+event-driven ``multiprocessing.connection.wait`` loop with work-stealing
+refill, so a straggler never blocks the batch.
 
 Crash policy: a worker that dies mid-task has its in-flight verify task
 requeued to the survivors (verification is pure); ``call`` targets are
 not assumed idempotent, so only a crashed worker's in-flight payload is
 forfeited while its queued payloads migrate.  Dead workers are respawned
-before the next request and re-attach the live arena generation,
-replaying only the delta suffix from its baseline.  Results fold through
-an index-keyed deterministic reduce, so committed-move trajectories are
+before the next request from the pool's current ``state``, replaying
+only the delta suffix from its baseline.  Results fold through an
+index-keyed deterministic reduce, so committed-move trajectories are
 byte-identical across worker counts and completion orders.
 """
 
@@ -47,8 +50,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.moves import Move
 from repro.obs import trace as obs_trace
-from repro.parallel import shm as shm_arena
-from repro.parallel.replica import Replica, VerifyOutcome
+from repro.parallel.replica import Replica, ReplicaSpec, VerifyOutcome
 
 #: Exit code used by the test-only ``crash`` request.
 CRASH_EXIT_CODE = 13
@@ -122,32 +124,28 @@ def _resolve(fn_spec: str) -> Callable[[Any], Any]:
     return getattr(importlib.import_module(module_name), fn_name)
 
 
-#: Worker-process arena view, for ``call`` targets that read shared
-#: context (the U-sweep's :func:`repro.parallel.sweep.realize_point`).
-_WORKER_ARENA: Optional[shm_arena.ArenaView] = None
+#: The start state this worker process was given (``None`` in the parent).
+_WORKER_STATE: Any = None
 
 
-def worker_arena() -> Optional[shm_arena.ArenaView]:
-    """The arena view this worker process attached at startup, if any."""
-    return _WORKER_ARENA
+def worker_state() -> Any:
+    """The start state the pool gave this worker process, if any."""
+    return _WORKER_STATE
 
 
-def _worker_main(conn, lane: int, arena_name: Optional[str]) -> None:
-    """Worker loop: attach the arena once, then serve until told to exit.
+def _worker_main(conn, lane: int, state: Any) -> None:
+    """Worker loop: adopt the start state, then serve until told to exit.
 
     The worker traces into its own observability lane and ships the
     drained span/metric events with every response — the parent merges
     them into the run trace (or discards them when tracing is off).  A
-    replica arena gives the worker its verification replica, built from
-    the published baseline; a sweep arena only feeds ``call`` targets.
+    :class:`ReplicaSpec` state gives the worker its verification
+    replica; any other state only feeds ``call`` targets.
     """
-    global _WORKER_ARENA
+    global _WORKER_STATE
+    _WORKER_STATE = state
     tracer = obs_trace.activate(obs_trace.Tracer(worker=lane))
-    replica = None
-    if arena_name is not None:
-        _WORKER_ARENA = shm_arena.attach(arena_name)
-        if _WORKER_ARENA.meta.get("kind") == "replica":
-            replica = Replica.from_arena(_WORKER_ARENA)
+    replica = Replica(state) if isinstance(state, ReplicaSpec) else None
     crash_after: Optional[int] = None
     while True:
         try:
@@ -171,7 +169,7 @@ def _worker_main(conn, lane: int, arena_name: Optional[str]) -> None:
             elif op == "verify":
                 _, deltas, first_index, index, move = message
                 if replica is None:
-                    raise RuntimeError("pool has no replica arena")
+                    raise RuntimeError("pool has no replica")
                 if crash_after is not None:
                     if crash_after <= 0:
                         os._exit(CRASH_EXIT_CODE)
@@ -208,7 +206,7 @@ class _WorkerHandle:
         self.process = process
         self.conn = conn
         #: Global index of the next committed-move delta this worker
-        #: needs (arena-born workers start at the arena baseline).
+        #: needs (a fresh worker starts at its start state's baseline).
         self.synced = synced
         self.alive = True
         self.lane = lane  # observability lane id (unique per process)
@@ -229,29 +227,23 @@ class WorkerError(RuntimeError):
 
 
 class WorkerPool:
-    """Persistent pool of arena-born workers addressed over per-worker pipes.
+    """Persistent pool of workers addressed over per-worker pipes.
 
-    ``arena`` is the published :class:`~repro.parallel.shm.
-    SharedPlaneArena` every worker attaches at spawn; ``verify_batch``
-    needs a replica arena (:func:`~repro.parallel.replica.
-    publish_replica_arena`), while ``call`` works with any arena or none.
+    ``state`` is every worker's start state (see the module docstring);
+    ``verify_batch`` needs a :class:`ReplicaSpec`, while ``call`` works
+    with any state or none.  Assigning ``state`` changes what workers
+    spawned afterwards start from; live workers keep theirs.
     """
 
-    def __init__(
-        self,
-        workers: int,
-        mp_context: Optional[str] = None,
-        arena: Optional[shm_arena.SharedPlaneArena] = None,
-        tag: str = "pool",
-    ) -> None:
+    def __init__(self, workers: int, state: Any = None, tag: str = "pool") -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if mp_context is None:
-            methods = multiprocessing.get_all_start_methods()
-            mp_context = "fork" if "fork" in methods else "spawn"
-        self._ctx = multiprocessing.get_context(mp_context)
+        methods = multiprocessing.get_all_start_methods()
+        self._ctx = multiprocessing.get_context(
+            "fork" if "fork" in methods else "spawn"
+        )
         self._size = workers
-        self._arena = arena
+        self.state = state
         self.tag = tag  # telemetry label ("verify", "sweep", "batch"...)
         self._closed = False
         #: Tasks queued but not yet dispatched (0 outside a batch).
@@ -293,11 +285,11 @@ class WorkerPool:
     def size(self) -> int:
         return self._size
 
-    def _arena_baseline(self) -> int:
+    def _baseline(self) -> int:
         """Global delta index a freshly spawned worker starts from."""
-        if self._arena is None:
-            return 0
-        return int(self._arena.meta.get("baseline_index", 0))
+        if isinstance(self.state, ReplicaSpec):
+            return self.state.baseline_index
+        return 0
 
     def _spawn_one(self) -> _WorkerHandle:
         # Lane ids come from the process-global observability allocator
@@ -306,17 +298,12 @@ class WorkerPool:
         # lane and (lane, span-id) keys never collide.
         lane = obs_trace.allocate_lane()
         parent_conn, child_conn = self._ctx.Pipe()
-        # The worker maps the live arena generation; no state crosses
-        # the pipe at spawn.
-        arena_name = self._arena.name if self._arena is not None else None
         process = self._ctx.Process(
-            target=_worker_main, args=(child_conn, lane, arena_name), daemon=True
+            target=_worker_main, args=(child_conn, lane, self.state), daemon=True
         )
         process.start()
         child_conn.close()
-        return _WorkerHandle(
-            process, parent_conn, lane, synced=self._arena_baseline()
-        )
+        return _WorkerHandle(process, parent_conn, lane, synced=self._baseline())
 
     def _spawn_missing(self) -> None:
         """Respawn dead workers until the pool is at full strength."""
@@ -440,9 +427,6 @@ class WorkerPool:
             "requeued": int(self.stats["requeued"]),
             "compactions": int(self.stats["compactions"]),
             "crashes": int(self.stats["crashes"]),
-            "arena_generation": (
-                self._arena.generation if self._arena is not None else 0
-            ),
         }
 
     # ------------------------------------------------------------------
@@ -469,10 +453,10 @@ class WorkerPool:
         """Drop the delta prefix every consumer has passed; returns count.
 
         A prefix is droppable once every *live* worker's ``synced``
-        watermark and the arena baseline (where respawned workers start
-        replaying) are both beyond it.
+        watermark and the start state's baseline (where respawned workers
+        start replaying) are both beyond it.
         """
-        floor = self._arena_baseline()
+        floor = self._baseline()
         for worker in self._workers:
             if worker.alive:
                 floor = min(floor, worker.synced)
@@ -503,8 +487,8 @@ class WorkerPool:
         keyed by candidate index, which makes the reduce independent of
         completion order.
         """
-        if self._arena is None or self._arena.meta.get("kind") != "replica":
-            raise RuntimeError("verify_batch requires a pool on a replica arena")
+        if not isinstance(self.state, ReplicaSpec):
+            raise RuntimeError("verify_batch requires a pool started from a ReplicaSpec")
         if not moves:
             return []
         started = time.perf_counter()

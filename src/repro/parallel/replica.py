@@ -13,18 +13,19 @@ Bit-identity contract
 The main process attaches its engine to the run's starting tree (a full
 propagation) and advances it once per committed move.  A replica
 compiles and propagates a bit-identical copy of the same starting tree
-(or of a later published baseline) and replays the *same* committed-move
-stream through the *same* ``advance`` path, so its per-corner states
-evolve through the same float operations and stay bit-identical to the
-main process's.  A candidate verified here therefore
-returns exactly the floats the serial loop would have computed — which is
-what lets the parallel reduce pick the same winner, bit for bit.
+and replays the *same* committed-move stream through the *same*
+``advance`` path, so its per-corner states evolve through the same float
+operations and stay bit-identical to the main process's.  A candidate
+verified here therefore returns exactly the floats the serial loop would
+have computed — which is what lets the parallel reduce pick the same
+winner, bit for bit.  A replica started from a later baseline snapshot
+(:func:`publish_replica_arena`) propagates that tree afresh instead, and
+matches the main process only to round-off.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import pickle
 import time
 from dataclasses import dataclass
 from typing import Any, Dict, Sequence, Tuple
@@ -33,7 +34,6 @@ from repro.core.moves import Move, apply_move_undoable, undo_move
 from repro.eco.legalize import Legalizer
 from repro.netlist.serialize import tree_from_dict, tree_to_dict
 from repro.netlist.tree import ClockTree
-from repro.route.rc_net import DEFAULT_SEGMENT_UM
 from repro.sta.incremental import IncrementalTimer
 from repro.sta.skew import SkewAnalysis
 from repro.sta.timer import TimingResult
@@ -42,7 +42,12 @@ from repro.tech.library import Library
 
 @dataclass(frozen=True)
 class ReplicaSpec:
-    """Everything needed to build a worker replica, in picklable form."""
+    """Everything needed to build a worker replica, in picklable form.
+
+    ``tree_payload`` is the run's tree as of ``baseline_index`` committed
+    moves, so a replica built from the spec replays only the moves after
+    that.
+    """
 
     tree_payload: Dict[str, Any]
     library: Library
@@ -51,8 +56,8 @@ class ReplicaSpec:
     alphas: Dict[str, float]
     baseline_skews: SkewAnalysis
     wire_metric: str = "d2m"
-    segment_um: float = DEFAULT_SEGMENT_UM
     local_skew_tolerance_ps: float = 0.5
+    baseline_index: int = 0
 
     @staticmethod
     def from_problem(
@@ -67,7 +72,6 @@ class ReplicaSpec:
             alphas=dict(problem.alphas),
             baseline_skews=problem.baseline.skews,
             wire_metric=problem.timer.wire_metric,
-            segment_um=problem.timer.segment_um,
             local_skew_tolerance_ps=local_skew_tolerance_ps,
         )
 
@@ -86,27 +90,17 @@ class Replica:
     """A long-lived tree + timer replica that stays in sync via deltas.
 
     The engine attaches to the spec's tree with one compile and a full
-    propagation.  Given the attached arena ``view`` that published
-    ``spec``, replay starts at the arena's baseline index.
+    propagation; replay starts at the spec's baseline index.
     """
 
-    def __init__(self, spec: ReplicaSpec, view=None) -> None:
+    def __init__(self, spec: ReplicaSpec) -> None:
         self.spec = spec
         self.tree = tree_from_dict(spec.tree_payload)
-        self.engine = IncrementalTimer(
-            spec.library,
-            wire_metric=spec.wire_metric,
-            segment_um=spec.segment_um,
-        )
+        self.engine = IncrementalTimer(spec.library, wire_metric=spec.wire_metric)
         self.engine.ensure(self.tree)
-        #: Number of committed moves replayed so far (the arena's spec
-        #: carries the tree as of its baseline index, not the run's move 0).
-        self.applied = int(view.meta.get("baseline_index", 0)) if view is not None else 0
-
-    @classmethod
-    def from_arena(cls, view) -> "Replica":
-        """Build a replica from an attached shared-memory arena view."""
-        return cls(pickle.loads(view.blob("spec")), view)
+        #: Number of committed moves replayed so far, counting the
+        #: ``baseline_index`` moves already in the spec's tree.
+        self.applied = spec.baseline_index
 
     # ------------------------------------------------------------------
     def sync(self, deltas: Sequence[Move], first_index: int) -> None:
@@ -166,16 +160,16 @@ class Replica:
 
 
 def publish_replica_arena(
-    arena, spec: ReplicaSpec, tree: ClockTree, baseline_index: int = 0
-) -> str:
-    """Export a replica baseline into ``arena``; returns the segment name.
+    spec: ReplicaSpec, tree: ClockTree, baseline_index: int = 0
+) -> ReplicaSpec:
+    """A verify pool's start state: ``spec`` rebased onto ``tree``.
 
-    The published spec carries ``tree`` serialized *as of*
-    ``baseline_index`` committed moves, so workers built from this
-    generation compile and propagate that tree and replay only the delta
-    suffix.
+    ``tree`` is the run's state after ``baseline_index`` committed moves,
+    so workers started from the returned spec compile and propagate that
+    tree and replay only the delta suffix.  The name is historical (the
+    baseline once went into a shared-memory arena); it stays because
+    ``e2ebench/layers.py`` wraps this function by name.
     """
-    snapshot_spec = dataclasses.replace(spec, tree_payload=tree_to_dict(tree))
-    blobs = {"spec": pickle.dumps(snapshot_spec, protocol=5)}
-    meta = {"kind": "replica", "baseline_index": int(baseline_index)}
-    return arena.export(blobs, {}, meta)
+    return dataclasses.replace(
+        spec, tree_payload=tree_to_dict(tree), baseline_index=int(baseline_index)
+    )

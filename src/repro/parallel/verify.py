@@ -9,12 +9,12 @@ order and bit-identical to what the serial loop computes, which makes
 the subsequent pick (:meth:`LocalOptimizer._pick_best`) produce the same
 committed-move trajectory regardless of worker count.
 
-The verifier owns the pool's :class:`~repro.parallel.shm.
-SharedPlaneArena`: it publishes the run's starting tree as generation 1,
-and republishes a fresh baseline every ``compact_every`` committed moves
-so the pool can compact its delta stream — a respawned worker then
-compiles the latest baseline tree and replays only the delta suffix
-instead of the whole run history.
+The pool's start state is a :class:`~repro.parallel.replica.ReplicaSpec`
+of the run's starting tree.  Every ``compact_every`` committed moves the
+verifier replaces it with a snapshot of the current tree and compacts
+the pool's delta stream — a respawned worker then compiles the latest
+baseline tree and replays only the delta suffix instead of the whole run
+history.
 """
 
 from __future__ import annotations
@@ -27,12 +27,11 @@ from repro.obs.merge import merge_worker_events
 from repro.obs.trace import active as active_tracer
 from repro.parallel.pool import WorkerPool
 from repro.parallel.replica import ReplicaSpec, publish_replica_arena
-from repro.parallel.shm import SharedPlaneArena
 
 #: One candidate's verification verdict: (total variation, degraded?).
 Verdict = Tuple[float, bool]
 
-#: Republish the arena baseline (and compact the delta stream) once this
+#: Replace the pool's baseline (and compact the delta stream) once this
 #: many committed moves have accumulated since the last baseline.
 DEFAULT_COMPACT_EVERY = 64
 
@@ -46,7 +45,6 @@ class ParallelVerifier:
         tree: ClockTree,
         workers: int,
         local_skew_tolerance_ps: float = 0.5,
-        mp_context: Optional[str] = None,
         compact_every: int = DEFAULT_COMPACT_EVERY,
     ) -> None:
         if workers < 2:
@@ -56,11 +54,7 @@ class ParallelVerifier:
             problem, tree, local_skew_tolerance_ps=local_skew_tolerance_ps
         )
         self._compact_every = max(2, compact_every)
-        self._arena = SharedPlaneArena(tag="verify")
-        publish_replica_arena(self._arena, self._spec, tree, baseline_index=0)
-        self._pool = WorkerPool(
-            workers, mp_context=mp_context, arena=self._arena, tag="verify"
-        )
+        self._pool = WorkerPool(workers, state=self._spec, tag="verify")
         self._serial_fallbacks = 0
 
     # ------------------------------------------------------------------
@@ -100,7 +94,7 @@ class ParallelVerifier:
     def record_commit(self, move: Move, tree: Optional[ClockTree] = None) -> None:
         """Extend the delta stream the workers replay to stay in sync.
 
-        With the committed ``tree`` in hand, a baseline republish + delta
+        With the committed ``tree`` in hand, a new baseline + delta
         compaction triggers once the retained stream reaches the
         compaction threshold.
         """
@@ -109,9 +103,9 @@ class ParallelVerifier:
             self._refresh_baseline(tree)
 
     def _refresh_baseline(self, tree: ClockTree) -> None:
-        """Republish the arena at the current state and compact deltas."""
-        publish_replica_arena(
-            self._arena, self._spec, tree, baseline_index=self._pool.committed
+        """Start later workers from the current state and compact deltas."""
+        self._pool.state = publish_replica_arena(
+            self._spec, tree, baseline_index=self._pool.committed
         )
         self._pool.compact_deltas()
 
@@ -124,14 +118,11 @@ class ParallelVerifier:
         # per wall second of fan-out.  > 1 means the pool verified faster
         # than one process could have.
         stats["verify_speedup"] = round(busy / wall, 3) if wall > 0 else 0.0
-        stats["arena_generation"] = self._arena.generation
-        stats["arena_bytes"] = self._arena.bytes_shared
         stats["retained_deltas"] = self._pool.retained_deltas
         return stats
 
     def close(self) -> None:
         self._pool.close()
-        self._arena.close()
 
     def __enter__(self) -> "ParallelVerifier":
         return self

@@ -137,17 +137,11 @@ class IncrementalTimer:
     * :meth:`advance` — like preview, but commits the new state.
     """
 
-    def __init__(
-        self,
-        library: Library,
-        wire_metric: str = "d2m",
-        segment_um: float = DEFAULT_SEGMENT_UM,
-    ) -> None:
+    def __init__(self, library: Library, wire_metric: str = "d2m") -> None:
         if wire_metric not in ("d2m", "elmore"):
             raise ValueError("wire_metric must be 'd2m' or 'elmore'")
         self._library = library
         self._wire_metric = wire_metric
-        self._segment_um = segment_um
         self._kernel = None  # lazy TimingKernel
         self._compiled = None  # CompiledTree of the attached tree
         self._kstate = None  # KernelState of the attached tree
@@ -187,9 +181,7 @@ class IncrementalTimer:
         if self._kernel is None:
             from repro.sta.kernel import TimingKernel
 
-            self._kernel = TimingKernel(
-                self._library, self._wire_metric, self._segment_um
-            )
+            self._kernel = TimingKernel(self._library, self._wire_metric)
         return self._kernel
 
     def is_attached(self, tree: ClockTree) -> bool:
@@ -383,13 +375,8 @@ class ReferenceIncrementalTimer(IncrementalTimer):
     no production path does.
     """
 
-    def __init__(
-        self,
-        library: Library,
-        wire_metric: str = "d2m",
-        segment_um: float = DEFAULT_SEGMENT_UM,
-    ) -> None:
-        super().__init__(library, wire_metric, segment_um)
+    def __init__(self, library: Library, wire_metric: str = "d2m") -> None:
+        super().__init__(library, wire_metric)
         self._net_cache: Dict[Tuple, _NetEval] = {}
         self._gate_cache: Dict[Tuple, Tuple[float, float]] = {}
         self._states: Dict[str, _CornerState] = {}
@@ -642,7 +629,7 @@ class ReferenceIncrementalTimer(IncrementalTimer):
                 for j, (length, pin_cap) in enumerate(zip(lengths, pin_caps))
             ],
             wire,
-            segment_um=self._segment_um,
+            segment_um=DEFAULT_SEGMENT_UM,
         )
         elmore = elmore_delays(rc)
         wire_delay = d2m_delays(rc) if self._wire_metric == "d2m" else elmore

@@ -80,7 +80,7 @@ from repro.sta.signoff import (
 )
 from repro.sta.slew import LN9
 from repro.sta.timer import CornerTiming
-from repro.tech.cells import _exact_tanh
+from repro.tech.cells import _exact_tanh, _vector_weights
 from repro.tech.corners import Corner
 from repro.tech.library import Library
 
@@ -185,22 +185,16 @@ class _Row:
 class TimingKernel:
     """Library-level compiled context: stacked NLDM tables plus memos.
 
-    One instance per (library, wire metric, segmentation); it owns the
+    One instance per (library, wire metric); it owns the
     scalar memos shared across compiles (routed-length factors and pin
     caps).
     """
 
-    def __init__(
-        self,
-        library: Library,
-        wire_metric: str = "d2m",
-        segment_um: float = DEFAULT_SEGMENT_UM,
-    ) -> None:
+    def __init__(self, library: Library, wire_metric: str = "d2m") -> None:
         if wire_metric not in ("d2m", "elmore"):
             raise ValueError("wire_metric must be 'd2m' or 'elmore'")
         self._library = library
         self._wire_metric = wire_metric
-        self._segment_um = segment_um
         self._factor_memo: Dict[Tuple, float] = {}
         self._pin_cap_memo: Dict[int, float] = {}
         self._stack_tables()
@@ -300,19 +294,12 @@ class TimingKernel:
         """Vectorized NLDM bilinear interpolation over ``(corner, driver)``.
 
         Reproduces :meth:`repro.tech.cells.NLDMTable.lookup` operation
-        for operation: clamp to the grid, right-side ``searchsorted``
-        minus one clamped to the last cell, then the four-corner blend in
-        the same association order.
+        for operation: :func:`~repro.tech.cells._vector_weights` clamps
+        to the grid and finds each query's cell and fraction, then the
+        four-corner blend runs in the same association order.
         """
-        sax, lax = self._sax, self._lax
-        s = np.clip(slew, sax[0], sax[-1])
-        c = np.clip(load, lax[0], lax[-1])
-        si = np.searchsorted(sax, s, side="right") - 1
-        si = np.clip(si, 0, sax.size - 2)
-        ci = np.searchsorted(lax, c, side="right") - 1
-        ci = np.clip(ci, 0, lax.size - 2)
-        u = (s - sax[si]) / (sax[si + 1] - sax[si])
-        t = (c - lax[ci]) / (lax[ci + 1] - lax[ci])
+        si, u = _vector_weights(self._sax, slew)
+        ci, t = _vector_weights(self._lax, load)
         cr = corner_rows[:, None]
         sz = size_idx[None, :]
         v00 = values[cr, sz, si, ci]
@@ -510,7 +497,7 @@ class CompiledTree:
         use_d2m = kernel._wire_metric == "d2m"
         for k, corner in enumerate(self.corners):
             wire = lib.wire(corner)
-            elm, d2m = straight_wire_moments(wire, length, pin_cap, kernel._segment_um)
+            elm, d2m = straight_wire_moments(wire, length, pin_cap, DEFAULT_SEGMENT_UM)
             elmore[k] = elm
             wdelay[k] = d2m if use_d2m else elm
             cap_per_um[k] = wire.cap_per_um

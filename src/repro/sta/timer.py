@@ -94,17 +94,11 @@ class GoldenTimer:
     :class:`~repro.sta.kernel.KernelUnsupported` on first use.
     """
 
-    def __init__(
-        self,
-        library: Library,
-        wire_metric: str = "d2m",
-        segment_um: float = DEFAULT_SEGMENT_UM,
-    ) -> None:
+    def __init__(self, library: Library, wire_metric: str = "d2m") -> None:
         if wire_metric not in ("d2m", "elmore"):
             raise ValueError("wire_metric must be 'd2m' or 'elmore'")
         self._library = library
         self._wire_metric = wire_metric
-        self._segment_um = segment_um
         self._kernel = None
 
     @property
@@ -115,18 +109,12 @@ class GoldenTimer:
     def wire_metric(self) -> str:
         return self._wire_metric
 
-    @property
-    def segment_um(self) -> float:
-        return self._segment_um
-
     def _timing_kernel(self):
         """The shared :class:`~repro.sta.kernel.TimingKernel` (built lazily)."""
         if self._kernel is None:
             from repro.sta.kernel import TimingKernel
 
-            self._kernel = TimingKernel(
-                self._library, self._wire_metric, self._segment_um
-            )
+            self._kernel = TimingKernel(self._library, self._wire_metric)
         return self._kernel
 
     def analyze_corner(self, tree: ClockTree, corner: Corner) -> CornerTiming:
@@ -196,7 +184,7 @@ class GoldenTimer:
             driver_load[nid] = total_load
             driver_out_slew[nid] = pair.output_slew_ps
 
-            rc = star_rc_tree(edges, wire, segment_um=self._segment_um)
+            rc = star_rc_tree(edges, wire, segment_um=DEFAULT_SEGMENT_UM)
             elmore = elmore_delays(rc)
             wire_delay = d2m_delays(rc) if self._wire_metric == "d2m" else elmore
 

@@ -19,6 +19,7 @@ from repro.core import local_opt, placement_model
 from repro.core.eco_flow import LPGuidedECO
 from repro.core.local_opt import predicted_variation_reduction
 from repro.core.ml import dataset
+from repro.core.ml.analytical import ESTIMATE_SEGMENT_UM
 from repro.core.ml.ann import ANNRegressor
 from repro.core.ml.feature_kernel import (
     _TERM_CONST,
@@ -36,7 +37,7 @@ from repro.core.ml.pipeline import (
 from repro.core.moves import apply_move
 from repro.geometry import BBox, Point, path_length
 from repro.route.congestion import chain_length_factor, routed_length_factor
-from repro.route.rc_net import edge_rc_tree, star_rc_tree
+from repro.route.rc_net import DEFAULT_SEGMENT_UM, edge_rc_tree, star_rc_tree
 from repro.route.rsmt import (
     ONE_STEINER_MAX_PINS,
     RouteTree,
@@ -130,7 +131,7 @@ def reference_eval_net(compiled, tree, node, children):
             rc = star_rc_tree(
                 [("end", [Point(0.0, 0.0), Point(length, 0.0)], pin_cap)],
                 wire,
-                segment_um=kernel._segment_um,
+                segment_um=DEFAULT_SEGMENT_UM,
             )
             elm = elmore_delays(rc)["end"]
             elmore[k, j] = elm
@@ -421,7 +422,6 @@ class _NetProgram:
 def reference_compile_plan(kernel, plan) -> _NetProgram:
     """Oracle of the feature kernel's templates: one plan's RC
     construction, pin caps included, replayed as flat arrays."""
-    segment_um = kernel.segment_um
     slot_of: Dict[object, int] = {}
     parent: List[int] = []
     seg: List[float] = []
@@ -447,7 +447,7 @@ def reference_compile_plan(kernel, plan) -> _NetProgram:
         if length <= 0.0:
             add_node(end, start, 0.0, None)
             return
-        pieces = max(1, int(np.ceil(length / segment_um)))
+        pieces = max(1, int(np.ceil(length / ESTIMATE_SEGMENT_UM)))
         piece_len = length / pieces
         add_cap(start, (_TERM_HALF, piece_len))
         prev = start

@@ -11,16 +11,17 @@ The contracts under test:
   rebuilt to full strength for the next batch; only when every worker
   is dead does the verifier re-verify serially;
 * the parallel local-opt trajectory is identical to the serial one;
-* arena-born replicas (each compiling and propagating its own copy of
-  the published tree), the event-driven scheduler, and delta compaction
-  produce byte-identical verdicts and trajectories to the serial loop,
-  and leave no orphaned /dev/shm segments behind.
+* workers start from the pool's start state (under fork, inherited with
+  no pickle round trip), each compiling and propagating its own replica
+  of the spec's tree; the event-driven scheduler and delta compaction
+  produce byte-identical verdicts and trajectories to the serial loop.
 """
 
 from __future__ import annotations
 
 import contextlib
-import os
+import multiprocessing
+import pickle
 
 import pytest
 
@@ -33,23 +34,13 @@ from repro.parallel import (
     ParallelVerifier,
     Replica,
     ReplicaSpec,
-    SharedPlaneArena,
     WorkerPool,
-    attach,
     publish_replica_arena,
+    worker_state,
 )
 from repro.parallel import verify as verify_mod
 from repro.parallel.pool import effective_cpu_count, resolve_workers
 from repro.testcases.mini import build_mini
-
-
-def _own_shm_segments():
-    """This process's arena segments currently backed in /dev/shm."""
-    prefix = f"repro-arena-{os.getpid()}-"
-    try:
-        return sorted(f for f in os.listdir("/dev/shm") if f.startswith(prefix))
-    except FileNotFoundError:  # non-Linux: nothing to assert against
-        return []
 
 
 @pytest.fixture(scope="module")
@@ -72,14 +63,31 @@ def predictor(problem):
 
 @contextlib.contextmanager
 def replica_pool(problem, tree, workers=2):
-    """A verify pool born from a replica arena of ``tree``."""
-    arena = SharedPlaneArena(tag="test")
-    try:
-        publish_replica_arena(arena, ReplicaSpec.from_problem(problem, tree), tree)
-        with WorkerPool(workers, arena=arena) as pool:
-            yield pool
-    finally:
-        arena.close()
+    """A verify pool started from a replica spec of ``tree``."""
+    with WorkerPool(workers, state=ReplicaSpec.from_problem(problem, tree)) as pool:
+        yield pool
+
+
+def ping(pool, index):
+    """Worker ``index``'s replica watermark: committed moves applied."""
+    worker = pool._workers[index]
+    worker.conn.send(("ping",))
+    return pool._recv(worker)
+
+
+class _Unpicklable:
+    """A start state that fails any attempt to pickle it."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __reduce__(self):
+        raise TypeError("this start state must not be pickled")
+
+
+def _start_state_value(_payload):
+    """``call`` target: the value of the worker's start state."""
+    return worker_state().value
 
 
 def serial_verdict(problem, tree, move, tol_ps=0.5):
@@ -144,6 +152,34 @@ class TestReplica:
         with pytest.raises(ValueError, match="gap"):
             replica.sync([move], first_index=3)
 
+    def test_snapshot_replica_matches_replayed_replica(self, problem, moves):
+        """A replica started from a baseline snapshot taken after two
+        commits starts at index 2 and times like one that replayed them."""
+        tree = problem.design.tree.clone()
+        spec = ReplicaSpec.from_problem(problem, tree)
+        replayed = Replica(spec)
+        committed = []
+        for move in moves:
+            try:
+                problem.commit_move(tree, move)
+            except Exception:
+                continue
+            committed.append(move)
+            if len(committed) == 2:
+                break
+        assert len(committed) == 2
+        replayed.sync(committed, first_index=0)
+        snapshot = Replica(publish_replica_arena(spec, tree, baseline_index=2))
+        assert snapshot.applied == replayed.applied == 2
+        assert snapshot.engine.stats["full_passes"] == 1
+        a, b = snapshot.evaluate(), replayed.evaluate()
+        assert abs(a.total_variation - b.total_variation) <= 1e-9
+        for index, move in enumerate(moves):
+            va = snapshot.verify(index, move)
+            vb = replayed.verify(index, move)
+            assert abs(va.total_variation - vb.total_variation) <= 1e-9
+            assert va.degraded == vb.degraded
+
 
 # ----------------------------------------------------------------------
 # WorkerPool
@@ -162,8 +198,29 @@ class TestWorkerPool:
 
     def test_verify_batch_requires_replica_arena(self, moves):
         with WorkerPool(2) as pool:
-            with pytest.raises(RuntimeError, match="replica arena"):
+            with pytest.raises(RuntimeError, match="ReplicaSpec"):
                 pool.verify_batch(moves)
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="start-state inheritance needs the fork start method",
+    )
+    def test_forked_workers_inherit_start_state_unpickled(self):
+        state = _Unpicklable(1)
+        with pytest.raises(TypeError):
+            pickle.dumps(state)
+        target = f"{__name__}:_start_state_value"
+        with WorkerPool(2, state=state) as pool:
+            assert pool.call(target, [None] * 4) == [1] * 4
+            # A worker respawned after the state is replaced starts from
+            # the new state; the survivor keeps the one it started from.
+            pool.state = _Unpicklable(2)
+            pool.crash_worker(0)
+            # The survivor serves this call; the dead worker is respawned
+            # after it.
+            assert pool.call(target, [None] * 4) == [1] * 4
+            assert pool.stats["crashes"] == 1
+            assert sorted(set(pool.call(target, [None] * 4))) == [1, 2]
 
     def test_crash_mid_batch_recovers_with_correct_results(self, problem, moves):
         tree = problem.design.tree.clone()
@@ -204,8 +261,8 @@ class TestWorkerPool:
             assert outcomes == [None, None]
             assert pool.stats["failed_shards"] == 2
             assert pool.alive_workers() == 2
-            # Fresh workers replay the delta stream from the arena
-            # baseline, so verdicts match the advanced main engine.
+            # Fresh workers replay the delta stream from the start
+            # state's baseline, so verdicts match the advanced main engine.
             outcomes = pool.verify_batch(moves[:2])
             for move, outcome in zip(moves[:2], outcomes):
                 assert outcome is not None
@@ -217,6 +274,15 @@ class TestWorkerPool:
             payloads = [[1], [1, 2], [1, 2, 3], []]
             results = pool.call("builtins:len", payloads)
             assert results == [1, 2, 3, 0]
+
+    def test_oversubscription_note(self):
+        cpus = effective_cpu_count()
+        count, note = resolve_workers(cpus + 1)
+        assert count == cpus + 1
+        assert "oversubscribe" in note
+        count, note = resolve_workers(cpus)
+        assert count == cpus
+        assert note == "explicit"
 
     def test_call_crash_yields_none_for_forfeited_payloads(self):
         with WorkerPool(2) as pool:
@@ -280,67 +346,6 @@ class TestParallelLocalOpt:
 
 
 # ----------------------------------------------------------------------
-# Shared-memory arena
-# ----------------------------------------------------------------------
-class TestSharedArena:
-    def test_arena_replica_bit_identical_to_pipe_replica(self, problem, moves):
-        tree = problem.design.tree.clone()
-        spec = ReplicaSpec.from_problem(problem, tree)
-        arena = SharedPlaneArena(tag="test")
-        try:
-            publish_replica_arena(arena, spec, tree, baseline_index=0)
-            view = attach(arena.name)
-            try:
-                # The arena carries the spec alone: no kernel planes.
-                assert view.arrays == {}
-                shared = Replica.from_arena(view)
-                assert shared.engine.stats["full_passes"] == 1
-                fresh = Replica(spec)
-                a, b = shared.evaluate(), fresh.evaluate()
-                assert a.total_variation == b.total_variation
-                assert a.latencies == b.latencies
-                for index, move in enumerate(moves):
-                    va = shared.verify(index, move)
-                    vb = fresh.verify(index, move)
-                    assert va.total_variation == vb.total_variation
-                    assert va.degraded == vb.degraded
-            finally:
-                view.close()
-        finally:
-            arena.close()
-        assert _own_shm_segments() == []
-
-    def test_generation_republish_unlinks_previous(self, problem):
-        tree = problem.design.tree.clone()
-        spec = ReplicaSpec.from_problem(problem, tree)
-        arena = SharedPlaneArena(tag="gen")
-        try:
-            first = publish_replica_arena(arena, spec, tree)
-            assert arena.generation == 1
-            second = publish_replica_arena(arena, spec, tree)
-            assert arena.generation == 2
-            assert first != second
-            segments = _own_shm_segments()
-            assert any(second in name for name in segments)
-            assert not any(first in name for name in segments)
-            view = attach(arena.name)
-            assert view.generation == 2
-            view.close()
-        finally:
-            arena.close()
-        assert _own_shm_segments() == []
-
-    def test_oversubscription_note(self):
-        cpus = effective_cpu_count()
-        count, note = resolve_workers(cpus + 1)
-        assert count == cpus + 1
-        assert "oversubscribe" in note
-        count, note = resolve_workers(cpus)
-        assert count == cpus
-        assert note == "explicit"
-
-
-# ----------------------------------------------------------------------
 # Event-driven scheduler, crash requeue, compaction
 # ----------------------------------------------------------------------
 class TestShmPool:
@@ -353,7 +358,7 @@ class TestShmPool:
             verdicts = verifier.verify_batch(tree, list(moves))
             stats = verifier.stats_dict()
             assert "backend" not in stats
-            assert stats["arena_generation"] == 1
+            assert not any(key.startswith("arena") for key in stats)
             assert stats["serial_fallbacks"] == 0
         for move, verdict in zip(moves, verdicts):
             assert verdict == serial_verdict(problem, tree, move)
@@ -372,18 +377,17 @@ class TestShmPool:
             assert stats["crashes"] == 1
             assert stats["failed_shards"] == 0
             assert stats["serial_fallbacks"] == 0
-            # Respawned back to strength; the fresh worker adopted the
-            # live arena generation and verifies correctly.
+            # Respawned back to strength; the fresh worker started from
+            # the pool's start state and verifies correctly.
             assert pool.alive_workers() == 2
             again = verifier.verify_batch(tree, list(moves))
         for move, verdict in zip(moves, verdicts):
             assert verdict == serial_verdict(problem, tree, move)
         assert again == verdicts
-        assert _own_shm_segments() == []
 
     def test_delta_compaction_republishes_baseline(self, problem, moves):
         tree = problem.design.tree.clone()
-        with self._verifier(problem, tree, compact_every=2) as verifier:
+        with self._verifier(problem, tree, compact_every=3) as verifier:
             pool = verifier._pool
             committed = 0
             for move in moves:
@@ -402,18 +406,19 @@ class TestShmPool:
                     break
             assert committed == 4
             stats = verifier.stats_dict()
-            assert stats["arena_generation"] > 1
             assert stats["compactions"] >= 1
             assert stats["retained_deltas"] < pool.committed
-            # Fresh workers replay only the delta suffix from the
-            # republished baseline — crash both and re-verify.
+            # The third commit took a new baseline.  Workers respawned
+            # after it start there and replay only the fourth move.
+            assert (pool.state.baseline_index, pool.committed) == (3, 4)
             pool.crash_worker(0)
             pool.crash_worker(1)
             verifier.verify_batch(tree, list(moves[:2]))  # forfeits, rebuilds
+            assert [ping(pool, i) for i in range(2)] == [3, 3]
             verdicts = verifier.verify_batch(tree, list(moves[:2]))
             for move, verdict in zip(moves[:2], verdicts):
                 assert verdict == serial_verdict(problem, tree, move)
-        assert _own_shm_segments() == []
+            assert [ping(pool, i) for i in range(2)] == [4, 4]
 
     def test_call_overlapped_migrates_queued_payloads(self, problem):
         tree = problem.design.tree.clone()
@@ -426,7 +431,6 @@ class TestShmPool:
             assert results == [1] * 5
             assert pool.stats["crashes"] == 1
             assert pool.alive_workers() == 2
-        assert _own_shm_segments() == []
 
 
 # ----------------------------------------------------------------------
@@ -450,8 +454,8 @@ class TestShmLocalOpt:
 
     def test_shm_trajectory_identical_to_serial_and_pipe(self, predictor, monkeypatch):
         """Serial vs a pool whose workers compile and propagate their own
-        replicas from the published tree, with a baseline republished
-        after every second commit."""
+        replicas from the start state's tree, with a new baseline after
+        every second commit."""
         serial, serial_outcome = self._run(predictor, workers=1)
         pooled, pooled_outcome = self._run(predictor, workers=2)
         init = verify_mod.ParallelVerifier.__init__
@@ -469,15 +473,13 @@ class TestShmLocalOpt:
         )
         for outcome in (pooled_outcome, compacted_outcome):
             assert outcome.stats["parallel"]["serial_fallbacks"] == 0
-        assert compacted_outcome.stats["parallel"]["arena_generation"] > 1
-        assert _own_shm_segments() == []
+        assert compacted_outcome.stats["parallel"]["compactions"] >= 1
 
     def test_shm_oversubscribed_trajectory_identical(self, predictor):
         serial, _ = self._run(predictor, workers=1, top_r=2, iterations=2)
-        shm, outcome = self._run(predictor, workers=5, top_r=2, iterations=2)
-        assert serial == shm
+        pooled, outcome = self._run(predictor, workers=5, top_r=2, iterations=2)
+        assert serial == pooled
         workers_stats = outcome.stats["workers"]
         assert workers_stats["requested"] == 5
         if effective_cpu_count() < 5:
             assert "oversubscribe" in workers_stats["note"]
-        assert _own_shm_segments() == []
