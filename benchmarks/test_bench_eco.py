@@ -1,10 +1,11 @@
 """Bench: vectorized ECO candidate kernel vs the scalar reference scan.
 
-The kernel compiles each corner's stage LUT into dense planes once per
-library, enumerates the full (size, wirelength, count) candidate grid as
-arrays, and resolves each arc with one masked argmin; the reference path
-(the test oracle ``LPGuidedECO._scan_candidates``, swapped in for the
-kernel search) scans candidates one scalar estimate at a time.  Both are
+The kernel gathers from each corner's stage LUT arrays and the
+library's NLDM stack, enumerates the full (size, wirelength, count)
+candidate grid as arrays, and resolves each arc with one masked argmin;
+the reference path (the test oracle ``LPGuidedECO._scan_candidates``,
+swapped in for the kernel search) scans candidates one scalar estimate
+at a time.  Both are
 the *same* search — the kernel's contract is identical chosen candidates
 and estimate agreement to <= 1e-9 ps (bit-identical trees in practice) —
 so this bench measures pure candidate-evaluation speedup.

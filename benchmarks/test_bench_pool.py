@@ -25,7 +25,7 @@ import time
 from _util import emit, write_record
 from repro.core.moves import enumerate_moves
 from repro.core.objective import SkewVariationProblem
-from repro.parallel import ParallelVerifier, ReplicaSpec, WorkerPool
+from repro.parallel import ParallelVerifier, WorkerPool, publish_replica_arena
 from repro.parallel.pool import effective_cpu_count
 from repro.testcases.cls1 import build_cls1
 
@@ -37,7 +37,7 @@ def _respawn_to_ready_s(problem, tree, reps: int) -> float:
     includes everything a fresh worker does before it is useful: compile
     and propagate its replica.
     """
-    spec = ReplicaSpec.from_problem(problem, tree)
+    spec = publish_replica_arena(problem, tree)
     with WorkerPool(1, state=spec) as pool:
         times = []
         for _ in range(reps):

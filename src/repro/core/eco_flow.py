@@ -91,7 +91,7 @@ class LPGuidedECO:
 
     The candidate search runs on the vectorized
     :class:`~repro.eco.candidate_kernel.ECOCandidateKernel`, built at
-    construction; stage LUTs it cannot compile raise
+    construction; stage LUTs that do not fit it raise
     :class:`~repro.eco.candidate_kernel.ECOKernelUnsupported` with the
     reason.  :meth:`_search` is the one search entry point: it takes a
     chunk of :class:`~repro.eco.candidate_kernel.ArcQuery` and returns
@@ -327,7 +327,7 @@ class LPGuidedECO:
         chain_budget = target0 - ctx["driver_floor"][nominal]
         for size in lib.sizes:
             for wl in wl_axis:
-                stage0 = lut0.uniform[(size, lut0.snap_wl(wl))]
+                stage0 = lut0.uniform_delay(size, wl)
                 if stage0 <= 0:
                     continue
                 u_est = int(round(chain_budget / stage0))
@@ -473,8 +473,8 @@ class LPGuidedECO:
                 total += lut.detail_delay(size, wl_snap, slew1, end_cap)
             else:
                 total += lut.detail_delay(size, wl_snap, slew1, pin)
-                total += lut.uniform[(size, wl_snap)] * (count - 2)
-                steady_slew = lut.uniform_slew[(size, wl_snap)]
+                total += lut.uniform_delay(size, wl_snap) * (count - 2)
+                steady_slew = lut.steady_slew(size, wl_snap)
                 total += lut.detail_delay(size, wl_snap, steady_slew, end_cap)
             estimates.append(total)
         return estimates

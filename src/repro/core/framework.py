@@ -59,8 +59,8 @@ class GlobalOptConfig:
     so each sweep point runs on its own worker; the fold over sweep
     points keeps the serial order and comparison, so the chosen tree is
     the one the serial sweep would have chosen.  The static realization
-    context — library, stage LUTs, compiled ECO planes — is the pool's
-    start state, which forked workers inherit without a copy, so
+    context — library with its NLDM stack, stage LUT arrays — is the
+    pool's start state, which forked workers inherit without a copy, so
     sweep-point payloads carry only the per-point dynamics.
     """
 

@@ -178,9 +178,7 @@ class LocalOptimizer:
                                         current, features.move
                                     )
                                     if verifier is not None:
-                                        verifier.record_commit(
-                                            features.move, tree=current
-                                        )
+                                        verifier.record_commit(features.move)
                                     self._invalidate_pipeline(
                                         pipeline, features.move
                                     )

@@ -95,11 +95,8 @@ def _min_delay_per_um(
 ) -> float:
     """Minimum achievable stage delay per unit wirelength at one corner."""
     lut = luts[corner_name]
-    best = np.inf
-    for size in sizes:
-        for wl in lut.wl_axis:
-            best = min(best, lut.uniform[(size, wl)] / wl)
-    return float(best)
+    rows = [lut.sizes.index(size) for size in sizes]
+    return float(np.min(lut.uniform[rows] / np.asarray(lut.wl_axis)))
 
 
 def build_model_data(

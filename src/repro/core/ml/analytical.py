@@ -68,9 +68,10 @@ def _pair_timing(
     slew jitter below half a quantum collapses to one table lookup and
     one :class:`AnalyticalCache` time-memo key, which is what makes the
     memo recur across local-opt epochs.  The feature kernel
-    (:mod:`repro.core.ml.feature_kernel`) mirrors this exact sequence
-    (``np.rint`` on the same quanta, then the four NLDM lookups), so any
-    change here must be reflected there.
+    (:mod:`repro.core.ml.feature_kernel`) runs this exact sequence on
+    arrays (:func:`~repro.sta.gate.quantize_gate_arrays`, then the four
+    lookups of the library's :meth:`~repro.tech.cells.NLDMStack.pair`),
+    so any change here must be reflected there.
     """
     slew_q, load_q = quantize_gate_inputs(in_slew_ps, load_ff)
     return inverter_pair_timing(cell, slew_q, load_q)

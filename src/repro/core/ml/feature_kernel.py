@@ -24,9 +24,10 @@ star side-effect variant) in broadcast numpy:
   D2M second-moment recursion and the Elmore forward pass run over all
   (plans x corners) at once, one vectorized gather/scatter per node
   step, preserving each net's per-node operation order exactly;
-* **batched NLDM gate rounds** — driver pairs evaluate through one
-  stacked ``(corners, sizes, slews, loads)`` table with the same
-  quantize -> clamp -> ``searchsorted`` -> four-corner-blend sequence as
+* **batched NLDM gate rounds** — driver pairs evaluate through the
+  library's shared :class:`~repro.tech.cells.NLDMStack`
+  (:attr:`Library.nldm`) with the same quantize -> clamp ->
+  ``searchsorted`` -> four-corner-blend sequence as
   :func:`repro.sta.gate.inverter_pair_timing` via
   ``repro.core.ml.analytical._pair_timing``;
 * **wire-metric memo** — per-plan child Elmore/D2M vectors and total
@@ -50,9 +51,9 @@ Moves the array path cannot express — tree surgery (changes both
 drivers' child sets) and drive sizes outside the stacked tables — take
 the per-move :func:`~repro.core.ml.features.compute_move_components`
 inside a batch; it is the only path for those inputs, and the test
-oracle for every other move.  Libraries whose cells do not share one
-characterization grid raise :class:`FeatureKernelUnsupported` at
-construction; there is no wholesale scalar fallback.
+oracle for every other move.  A library whose NLDM tables cannot be
+stacked raises the stack's :class:`ValueError` at construction; there
+is no wholesale scalar fallback.
 """
 
 from __future__ import annotations
@@ -87,15 +88,10 @@ from repro.geometry import BBox, Point, path_length
 from repro.netlist.tree import ClockNode, ClockTree
 from repro.obs.metrics import StageTimers
 from repro.sta.d2m import LN2
-from repro.sta.gate import GATE_LOAD_QUANTUM_FF, GATE_SLEW_QUANTUM_PS
+from repro.sta.gate import quantize_gate_arrays
 from repro.sta.slew import LN9
 from repro.sta.timer import CornerTiming
-from repro.tech.cells import _vector_weights
 from repro.tech.library import Library
-
-
-class FeatureKernelUnsupported(Exception):
-    """The library cannot be compiled into stacked NLDM tables."""
 
 
 #: Route models featurization evaluates, in the reference's sorted order.
@@ -327,12 +323,9 @@ class FeatureKernel:
 
     def __init__(self, library: Library) -> None:
         self.library = library
-        self._stack_tables()
-        corners = list(library.corners)
-        self._corners = corners
-        self._res = np.array([library.wire(c).res_per_um for c in corners])
-        self._capu = np.array([library.wire(c).cap_per_um for c in corners])
-        self._nom = self._corner_row[library.corners.nominal.name]
+        self._nldm = library.nldm
+        self._corners = list(library.corners)
+        self._nom = self._nldm.corner_row[library.corners.nominal.name]
         self._wire_memo: Dict[MemoKey, _WireMetrics] = {}
         self.max_entries = 200_000
         self.timers = StageTimers(phase="features")
@@ -343,96 +336,7 @@ class FeatureKernel:
             "wire_hits": 0,
             "wire_misses": 0,
             "programs_compiled": 0,
-            "gate_evals": 0,
         }
-
-    # ------------------------------------------------------------------
-    # Library compilation (mirrors sta.kernel.TimingKernel._stack_tables)
-    # ------------------------------------------------------------------
-    def _stack_tables(self) -> None:
-        lib = self.library
-        sizes = tuple(lib.sizes)
-        if not sizes:
-            raise FeatureKernelUnsupported("library has no drive sizes")
-        if lib.source_drive_size not in sizes:
-            raise FeatureKernelUnsupported("source drive size outside size list")
-        corners = list(lib.corners)
-        ref = lib.cell(sizes[0], corners[0])
-        sax = ref.delay_table.slew_grid
-        lax = ref.delay_table.load_grid
-        if sax.size < 2 or lax.size < 2:
-            raise FeatureKernelUnsupported("NLDM axes too small to batch")
-        delay_vals = np.empty((len(corners), len(sizes), sax.size, lax.size))
-        slew_vals = np.empty_like(delay_vals)
-        icap = np.empty((len(corners), len(sizes)))
-        for ci, corner in enumerate(corners):
-            for si, size in enumerate(sizes):
-                cell = lib.cell(size, corner)
-                for table in (cell.delay_table, cell.slew_table):
-                    if not (
-                        np.array_equal(table.slew_grid, sax)
-                        and np.array_equal(table.load_grid, lax)
-                    ):
-                        raise FeatureKernelUnsupported(
-                            "cells do not share one characterization grid"
-                        )
-                delay_vals[ci, si] = cell.delay_table.value_grid
-                slew_vals[ci, si] = cell.slew_table.value_grid
-                icap[ci, si] = cell.input_cap_ff
-        self._corner_row = {c.name: i for i, c in enumerate(corners)}
-        self._size_pos = {size: i for i, size in enumerate(sizes)}
-        self._sax = sax
-        self._lax = lax
-        self._delay_vals = delay_vals
-        self._slew_vals = slew_vals
-        self._icap = icap
-
-    # ------------------------------------------------------------------
-    # Batched NLDM evaluation (bit-identical to NLDMTable.lookup)
-    # ------------------------------------------------------------------
-    def _lookup(
-        self,
-        values: np.ndarray,
-        ci: np.ndarray,
-        si: np.ndarray,
-        slew: np.ndarray,
-        load: np.ndarray,
-    ) -> np.ndarray:
-        i, u = _vector_weights(self._sax, slew)
-        j, t = _vector_weights(self._lax, load)
-        v00 = values[ci, si, i, j]
-        v01 = values[ci, si, i, j + 1]
-        v10 = values[ci, si, i + 1, j]
-        v11 = values[ci, si, i + 1, j + 1]
-        return (
-            v00 * (1 - u) * (1 - t)
-            + v01 * (1 - u) * t
-            + v10 * u * (1 - t)
-            + v11 * u * t
-        )
-
-    def _pair_batch(
-        self,
-        ci: np.ndarray,
-        si: np.ndarray,
-        slew_ps: np.ndarray,
-        load_ff: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Quantized inverter-pair (delay, output slew), elementwise.
-
-        Mirrors ``analytical._pair_timing``: snap (slew, load) to the
-        gate grid (``np.rint`` == banker's ``round``), then the four
-        NLDM lookups with the raw input-pin cap on the first stage.
-        """
-        slew_q = np.rint(slew_ps / GATE_SLEW_QUANTUM_PS) * GATE_SLEW_QUANTUM_PS
-        load_q = np.rint(load_ff / GATE_LOAD_QUANTUM_FF) * GATE_LOAD_QUANTUM_FF
-        icap = self._icap[ci, si]
-        d1 = self._lookup(self._delay_vals, ci, si, slew_q, icap)
-        s1 = self._lookup(self._slew_vals, ci, si, slew_q, icap)
-        d2 = self._lookup(self._delay_vals, ci, si, s1, load_q)
-        s2 = self._lookup(self._slew_vals, ci, si, s1, load_q)
-        self.stats["gate_evals"] += int(np.size(d1))
-        return d1 + d2, s2
 
     # ------------------------------------------------------------------
     # Template compilation: replay the RC builders into flat arrays
@@ -601,12 +505,12 @@ class FeatureKernel:
         )
         n_prog, max_n, max_t = code.shape
         n_corner = len(self._corners)
-        res = self._res[:, None, None] * seg[None, :, :]
+        res = self._nldm.res_per_um[:, None, None] * seg[None, :, :]
         cap = np.zeros((n_corner, n_prog, max_n))
         for t in range(max_t):
             ct = code[:, :, t][None, :, :]
             vt = tval[:, :, t][None, :, :]
-            wirecap = self._capu[:, None, None] * vt
+            wirecap = self._nldm.cap_per_um[:, None, None] * vt
             term = np.where(ct == _TERM_WIRE, wirecap, 0.0)
             term = np.where(ct == _TERM_HALF, wirecap / 2.0, term)
             term = np.where(
@@ -704,7 +608,7 @@ class FeatureKernel:
                 results = self._eval_programs(chunk_templates, caps)
                 wirelength = np.array([t.wirelength_um for t in chunk_templates])
                 capsum = np.array([sum(plan_caps) for plan_caps in caps], dtype=float)
-                total_load = self._capu[:, None] * wirelength + capsum
+                total_load = self._nldm.cap_per_um[:, None] * wirelength + capsum
                 for j, ((key, plan), t, (elm, d2m)) in enumerate(
                     zip(chunk, chunk_templates, results)
                 ):
@@ -791,7 +695,7 @@ class FeatureKernel:
         route model in one :meth:`AnalyticalCache.plan_nets` call.
         """
         lib = self.library
-        size_pos = self._size_pos
+        size_pos = self._nldm.size_pos
         batch = _Batch()
         fallback: List[int] = []
         specs: List[Tuple[Point, List[Tuple[int, Point, float]]]] = []
@@ -1013,7 +917,7 @@ class FeatureKernel:
         w_par, old_par, valid_par = w_par[pbuf], old_par[:, pbuf], valid_par[pbuf]
         w_b, old_b, valid_b = w_b[bbuf], old_b[:, bbuf], valid_b[bbuf]
 
-        size_pos = self._size_pos
+        size_pos = self._nldm.size_pos
         b_pos = np.array([bufs[i].b_pos for i in pbuf.tolist()], dtype=np.int64)
         si_parent = np.broadcast_to(
             np.array([size_pos[x.parent_size] for x in bufs], dtype=np.int64)[pbuf],
@@ -1056,6 +960,7 @@ class FeatureKernel:
 
         # --- per route model: gate rounds + per-metric deltas ---------
         nom = self._nom
+        pair = self._nldm.pair
         per_variant: Dict[Tuple[str, str], Tuple[np.ndarray, ...]] = {}
         own_nets: Dict[str, _NominalNets] = {}
         parent_nets: Dict[str, _NominalNets] = {}
@@ -1067,14 +972,16 @@ class FeatureKernel:
             elm_to_b = elm_par[:, p_rows, b_pos]
             d2m_to_b = d2m_par[:, p_rows, b_pos]
 
-            pair_parent, slew_parent = self._pair_batch(
-                ci_p, si_parent, s_parent_p, tl_par
+            pair_parent, slew_parent = pair(
+                ci_p, si_parent, *quantize_gate_arrays(s_parent_p, tl_par)
             )
             step = LN9 * elm_to_b
             slew_at_b = np.sqrt(slew_parent * slew_parent + step * step)
             tl_b_move = tl_b[:, move_bnet]
-            pair_b, slew_b = self._pair_batch(
-                ci_move, si_b, slew_at_b[:, move_pnet], tl_b_move
+            pair_b, slew_b = pair(
+                ci_move,
+                si_b,
+                *quantize_gate_arrays(slew_at_b[:, move_pnet], tl_b_move),
             )
 
             d_child_pair = np.zeros((n_corner, n_move))
@@ -1083,8 +990,8 @@ class FeatureKernel:
                 child_slew = np.sqrt(
                     slew_b[:, sub] * slew_b[:, sub] + cstep * cstep
                 )
-                pair_child, _ = self._pair_batch(
-                    ci_sub, si_child, child_slew, load_child
+                pair_child, _ = pair(
+                    ci_sub, si_child, *quantize_gate_arrays(child_slew, load_child)
                 )
                 d_child_pair[:, sub] = share[None, :] * (pair_child - dd_child)
 

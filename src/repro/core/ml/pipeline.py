@@ -119,8 +119,9 @@ class FeatureBatch:
 class CandidatePipeline:
     """Cross-iteration cache + vectorized assembly for move featurization.
 
-    A library whose cells do not share one characterization grid raises
-    :class:`~repro.core.ml.feature_kernel.FeatureKernelUnsupported` here.
+    A library whose NLDM tables cannot be stacked
+    (:attr:`~repro.tech.library.Library.nldm`) raises that
+    :class:`ValueError` here.
     """
 
     def __init__(self, library: Library) -> None:

@@ -9,10 +9,10 @@ iteration of ``sweep_upper_bound``.  This kernel, the only production
 search, compiles it into array form and searches a chunk of arcs at a
 time:
 
-* each corner's :class:`~repro.tech.stage_lut.StageDelayLUT` is compiled
-  once into dense numpy planes (:meth:`StageDelayLUT.planes`), and the
-  library's NLDM delay and slew tables into stacked (corner, size)
-  planes;
+* the kernel gathers straight from each corner's
+  :class:`~repro.tech.stage_lut.StageDelayLUT` arrays and from the
+  library's :class:`~repro.tech.cells.NLDMStack` (:attr:`Library.nldm`,
+  shared with the timing and feature kernels);
 * the full candidate grid is enumerated as flat arrays — wire-only
   extensions first, then buffered candidates in size-major, wirelength,
   count order, exactly the reference enumeration order;
@@ -68,13 +68,13 @@ Pick = Tuple[int, float, int, float, List[float]]
 
 
 class ECOKernelUnsupported(Exception):
-    """The stage LUTs cannot be compiled for the array kernel.
+    """The stage LUTs do not fit the library or the array kernel.
 
-    Raised at construction when the LUT planes cannot represent the
-    scalar lookup semantics (missing corners/sizes, detail grids that
-    disagree on axes, degenerate single-point axes, cells that do not
-    share one NLDM grid).  The message names the reason; there is no
-    scalar fallback.
+    Raised at construction for a corner or library size without a LUT,
+    corner LUTs that disagree on axes, or single-point LUTdetail axes.
+    The message names the reason; there is no scalar fallback.  A
+    library whose NLDM tables cannot be stacked raises the stack's
+    :class:`ValueError`.
     """
 
 
@@ -162,7 +162,7 @@ class CandidateBatch:
 
 
 class ECOCandidateKernel:
-    """Vectorized candidate search over compiled stage-LUT planes.
+    """Vectorized candidate search over the stage-LUT arrays.
 
     One kernel serves one (library, stage LUTs, config) triple; each
     :class:`~repro.core.eco_flow.LPGuidedECO` builds its own.
@@ -177,48 +177,28 @@ class ECOCandidateKernel:
         self._library = library
         self._config = config
         self._corners = list(library.corners)
+        self._nldm = library.nldm
         try:
-            planes = [stage_luts[c.name].planes() for c in self._corners]
-        except (KeyError, ValueError) as exc:
-            raise ECOKernelUnsupported(str(exc)) from exc
-        if not planes:
-            raise ECOKernelUnsupported("library has no corners")
-        p0 = planes[0]
-        for p in planes[1:]:
+            luts = [stage_luts[c.name] for c in self._corners]
+        except KeyError as exc:
+            raise ECOKernelUnsupported(f"no stage LUT for corner {exc}") from exc
+        lut0 = luts[0]
+        for lut in luts[1:]:
             if (
-                p.sizes != p0.sizes
-                or p.wl_axis != p0.wl_axis
-                or not np.array_equal(p.detail_slew_axis, p0.detail_slew_axis)
-                or not np.array_equal(p.detail_load_axis, p0.detail_load_axis)
+                lut.sizes != lut0.sizes
+                or lut.wl_axis != lut0.wl_axis
+                or not np.array_equal(lut.slew_axis, lut0.slew_axis)
+                or not np.array_equal(lut.load_axis, lut0.load_axis)
             ):
                 raise ECOKernelUnsupported("corner LUTs disagree on axes")
+        if not lut0.wl_axis or lut0.slew_axis.size < 2 or lut0.load_axis.size < 2:
+            raise ECOKernelUnsupported("stage LUT axes too small to gather")
         try:
             # The reference search iterates library sizes; every one must
-            # be characterized or the scalar path would KeyError too.
-            size_rows = [p0.sizes.index(s) for s in library.sizes]
+            # be characterized or the scalar path would fail too.
+            size_rows = [lut0.sizes.index(s) for s in library.sizes]
         except ValueError as exc:
             raise ECOKernelUnsupported("library size missing from LUTs") from exc
-        if not size_rows:
-            raise ECOKernelUnsupported("library has no drive sizes")
-        if library.source_drive_size not in library.sizes:
-            raise ECOKernelUnsupported("source drive size outside the size list")
-        # Start anchors time against stacked (corner, size) NLDM planes,
-        # so every delay and slew table must share one axis pair.
-        ref = library.cell(library.sizes[0], self._corners[0]).delay_table
-        nldm_sax, nldm_lax = ref.slew_grid, ref.load_grid
-        if nldm_sax.size < 2 or nldm_lax.size < 2:
-            raise ECOKernelUnsupported("degenerate NLDM axes")
-        cells = [[library.cell(s, c) for s in library.sizes] for c in self._corners]
-        for row in cells:
-            for cell in row:
-                for table in (cell.delay_table, cell.slew_table):
-                    if not (
-                        np.array_equal(table.slew_grid, nldm_sax)
-                        and np.array_equal(table.load_grid, nldm_lax)
-                    ):
-                        raise ECOKernelUnsupported(
-                            "cells do not share one NLDM grid"
-                        )
 
         self.timers = StageTimers(phase="eco")
         self.counters: Dict[str, int] = {
@@ -227,22 +207,21 @@ class ECOCandidateKernel:
             "selects": 0,
         }
         with self.timers.stage("compile"):
-            uniform = np.stack([p.uniform for p in planes])
-            detail = np.stack([p.detail for p in planes])
-            n_corners, n_planes, n_wl_full = uniform.shape
+            n_corners = len(luts)
+            n_planes, n_wl_full = lut0.uniform.shape
             # (corner, size, wirelength) slices in library size order.
-            self._uni = uniform[:, size_rows, :]
-            self._steady = np.stack([p.uniform_slew for p in planes])[:, size_rows, :]
-            self._detail_flat = detail.reshape(-1)
-            self._det_sax = p0.detail_slew_axis
-            self._det_lax = p0.detail_load_axis
+            self._uni = np.stack([lut.uniform[size_rows] for lut in luts])
+            self._steady = np.stack([lut.uniform_slew[size_rows] for lut in luts])
+            self._detail_flat = np.stack([lut.detail for lut in luts]).reshape(-1)
+            self._det_sax = lut0.slew_axis
+            self._det_lax = lut0.load_axis
             self._n_slew = int(self._det_sax.size)
             self._n_load = int(self._det_lax.size)
             # Flat detail-plane offset of (corner, size, wirelength 0).
             self._plane_rows = (
                 np.arange(n_corners)[:, None] * n_planes + np.asarray(size_rows)
             ) * n_wl_full
-            self._wl_full = np.asarray(p0.wl_axis)
+            self._wl_full = np.asarray(lut0.wl_axis)
             stride = max(1, config.wl_stride)
             wl_sel = np.arange(0, self._wl_full.size, stride)
             self._wl_vals = self._wl_full[wl_sel]
@@ -252,17 +231,6 @@ class ECOCandidateKernel:
             pin_ci, pin_t = _vector_weights(self._det_lax, np.asarray(self._pin_caps))
             self._pin_ci = pin_ci[None, :, None]
             self._pin_t = pin_t[None, :, None]
-            # Start-pair NLDM planes: flat (size, slew, load) per corner.
-            self._nldm_sax = nldm_sax
-            self._nldm_lax = nldm_lax
-            self._nldm_delay = np.stack(
-                [np.stack([c.delay_table.value_grid for c in row]) for row in cells]
-            ).reshape(n_corners, -1)
-            self._nldm_slew = np.stack(
-                [np.stack([c.slew_table.value_grid for c in row]) for row in cells]
-            ).reshape(n_corners, -1)
-            self._start_pin = np.asarray([[c.input_cap_ff for c in row] for row in cells])
-            self._cap_per_um = [library.wire(c).cap_per_um for c in self._corners]
             self._counts = np.arange(1, config.max_pair_count + 1, dtype=np.int64)
             self._counts_p1 = self._counts + 1.0
             self._ext = np.asarray(config.wire_extension_steps, dtype=float)
@@ -382,20 +350,6 @@ class ECOCandidateKernel:
         """Vectorized ``snap_wl``: index of the nearest axis point (first tie wins)."""
         return np.argmin(np.abs(self._wl_full[None, :] - values[:, None]), axis=1)
 
-    def _start_lookup(
-        self, planes: np.ndarray, rows: np.ndarray, slew_w, load_ff: np.ndarray
-    ) -> np.ndarray:
-        """``NLDMTable.lookup_array`` of each lane's start-size table.
-
-        ``rows`` picks the size plane per lane, ``slew_w`` is the lanes'
-        ``(index, fraction)`` on the slew axis; the blend reads the same
-        four values with the same arithmetic as the per-table lookup.
-        """
-        ci, t = _vector_weights(self._nldm_lax, load_ff)
-        n_load = self._nldm_lax.size
-        si, u = slew_w
-        return _blend(planes, (rows + si) * n_load + ci, n_load, u, t)
-
     def _build_batch(self, queries: Sequence[ArcQuery]) -> CandidateBatch:
         lib = self._library
         n_arcs = len(queries)
@@ -442,7 +396,6 @@ class ECOCandidateKernel:
         # end pin, then every size's first hop loaded by its own pin.
         n_ext = n_arcs * n_wire
         lane_arc = np.concatenate([np.repeat(arcs, n_wire), np.tile(sp_arc, n_sizes)])
-        buf_arc = lane_arc[n_ext:]
         routed_len = np.concatenate([ext_len.reshape(-1), np.tile(sp, n_sizes)])
         routed_len *= routed[lane_arc]
         pins = np.concatenate(
@@ -455,7 +408,7 @@ class ECOCandidateKernel:
         # Wire-only hops take one memo row per distinct end pin cap.
         end_caps, end_group = np.unique(end_cap, return_inverse=True)
         n_lanes = routed_len.size
-        start_plane = start_row * self._nldm_sax.size
+        stack = self._nldm
 
         wire_est = np.empty((n_corners, n_arcs, n_wire))
         head = np.empty((n_corners, n_sizes, n_sp_all))
@@ -470,20 +423,24 @@ class ECOCandidateKernel:
                 [c["load_base"][name] - c["old_contrib"][name] for c in ctxs],
                 dtype=float,
             )
-            delay_k = self._nldm_delay[k]
-            slew_k = self._nldm_slew[k]
-            si, u = _vector_weights(self._nldm_sax, in_slew)
-            pin_k = self._start_pin[k, start_row]
-            d1 = self._start_lookup(delay_k, start_plane, (si, u), pin_k)
-            s1 = self._start_lookup(slew_k, start_plane, (si, u), pin_k)
+            plane = stack.plane(k, start_row)
+            slew_w = _vector_weights(stack.slew_axis, in_slew)
+            pin_w = _vector_weights(stack.load_axis, stack.input_cap[k, start_row])
+            d1 = stack.lookup(stack.delay_flat, plane, slew_w, pin_w)
+            s1 = stack.lookup(stack.slew_flat, plane, slew_w, pin_w)
             load = np.maximum(
-                (base[lane_arc] + self._cap_per_um[k] * routed_len) + pins, 0.0
+                (base[lane_arc] + stack.cap_per_um[k] * routed_len) + pins, 0.0
             )
-            si, u = _vector_weights(self._nldm_sax, s1)
-            si, u = si[lane_arc], u[lane_arc]
-            d2 = self._start_lookup(delay_k, start_plane[lane_arc], (si, u), load)
-            s2 = self._start_lookup(
-                slew_k, start_plane[buf_arc], (si[n_ext:], u[n_ext:]), load[n_ext:]
+            si, u = _vector_weights(stack.slew_axis, s1)
+            slew_w = si[lane_arc], u[lane_arc]
+            load_w = _vector_weights(stack.load_axis, load)
+            plane = plane[lane_arc]
+            d2 = stack.lookup(stack.delay_flat, plane, slew_w, load_w)
+            s2 = stack.lookup(
+                stack.slew_flat,
+                plane[n_ext:],
+                (slew_w[0][n_ext:], slew_w[1][n_ext:]),
+                (load_w[0][n_ext:], load_w[1][n_ext:]),
             )
             tanh = _exact_tanh(
                 np.concatenate([load / LOAD_SCALE_FF, in_slew / SLEW_SCALE_PS])

@@ -8,7 +8,7 @@ records it as ``metric`` events:
   CPU utilization (user+system time delta over the sampling window);
 * ``pool.queue_depth`` / ``pool.inflight`` / ``pool.alive`` and the
   cumulative lifetime counters ``pool.steals`` / ``pool.requeued`` /
-  ``pool.compactions`` / ``pool.crashes`` (labelled ``pool=<tag>``) via
+  ``pool.crashes`` (labelled ``pool=<tag>``) via
   the :mod:`repro.parallel.pool` live-pool registry — steal/requeue
   rates become time series instead of end-of-run totals;
 * ``pool.busy_frac{pool=<tag>, lane=<n>}`` — per-worker fraction of the
@@ -173,7 +173,7 @@ class ResourceSampler:
             # Cumulative lifetime counters sampled as a monotonic
             # counter series (steal/requeue *rates* fall out of the
             # per-interval deltas in any downstream consumer).
-            for counter in ("steals", "requeued", "compactions", "crashes"):
+            for counter in ("steals", "requeued", "crashes"):
                 tracer.metric(
                     f"pool.{counter}", snap[counter], kind="counter",
                     labels=labels,

@@ -29,8 +29,8 @@ Crash policy: a worker that dies mid-task has its in-flight verify task
 requeued to the survivors (verification is pure); ``call`` targets are
 not assumed idempotent, so only a crashed worker's in-flight payload is
 forfeited while its queued payloads migrate.  Dead workers are respawned
-before the next request from the pool's current ``state``, replaying
-only the delta suffix from its baseline.  Results fold through an
+before the next request from the pool's ``state`` and replay the whole
+delta stream from its tree.  Results fold through an
 index-keyed deterministic reduce, so committed-move trajectories are
 byte-identical across worker counts and completion orders.
 """
@@ -202,12 +202,12 @@ class _WorkerHandle:
         "busy_s",
     )
 
-    def __init__(self, process, conn, lane: int, synced: int = 0) -> None:
+    def __init__(self, process, conn, lane: int) -> None:
         self.process = process
         self.conn = conn
-        #: Global index of the next committed-move delta this worker
-        #: needs (a fresh worker starts at its start state's baseline).
-        self.synced = synced
+        #: Index of the next committed-move delta this worker needs (a
+        #: fresh worker starts at the first).
+        self.synced = 0
         self.alive = True
         self.lane = lane  # observability lane id (unique per process)
         self.last_events: List[Dict[str, object]] = []
@@ -251,8 +251,6 @@ class WorkerPool:
         self._queue_depth = 0
         self._workers: List[_WorkerHandle] = []
         self._deltas: List[Move] = []
-        #: Global index of ``_deltas[0]`` (compaction drops prefixes).
-        self._delta_base = 0
         self.stats: Dict[str, float] = {
             "workers": workers,
             "verify_batches": 0,
@@ -265,7 +263,6 @@ class WorkerPool:
             "worker_busy_s": 0.0,
             "steals": 0,
             "requeued": 0,
-            "compactions": 0,
         }
         #: Worker trace deltas from the most recent request, as
         #: ``(lane, events)`` — per answered task for ``verify_batch``,
@@ -285,12 +282,6 @@ class WorkerPool:
     def size(self) -> int:
         return self._size
 
-    def _baseline(self) -> int:
-        """Global delta index a freshly spawned worker starts from."""
-        if isinstance(self.state, ReplicaSpec):
-            return self.state.baseline_index
-        return 0
-
     def _spawn_one(self) -> _WorkerHandle:
         # Lane ids come from the process-global observability allocator
         # (shared with the resource sampler), so every spawned worker —
@@ -303,7 +294,7 @@ class WorkerPool:
         )
         process.start()
         child_conn.close()
-        return _WorkerHandle(process, parent_conn, lane, synced=self._baseline())
+        return _WorkerHandle(process, parent_conn, lane)
 
     def _spawn_missing(self) -> None:
         """Respawn dead workers until the pool is at full strength."""
@@ -325,7 +316,7 @@ class WorkerPool:
             tracer = obs_trace.active()
             if getattr(tracer, "enabled", False):
                 labels = {"pool": self.tag}
-                for counter in ("steals", "requeued", "compactions", "crashes"):
+                for counter in ("steals", "requeued", "crashes"):
                     tracer.metric(
                         f"pool.{counter}",
                         int(self.stats[counter]),
@@ -425,7 +416,6 @@ class WorkerPool:
             "workers": per_worker,
             "steals": int(self.stats["steals"]),
             "requeued": int(self.stats["requeued"]),
-            "compactions": int(self.stats["compactions"]),
             "crashes": int(self.stats["crashes"]),
         }
 
@@ -438,35 +428,11 @@ class WorkerPool:
 
     @property
     def committed(self) -> int:
-        """Global count of committed moves recorded so far."""
-        return self._delta_base + len(self._deltas)
-
-    @property
-    def retained_deltas(self) -> int:
-        """Deltas still buffered (global count minus compacted prefix)."""
+        """Count of committed moves recorded so far."""
         return len(self._deltas)
 
     def _sync_args(self, worker: _WorkerHandle) -> Tuple[List[Move], int]:
-        return self._deltas[worker.synced - self._delta_base :], worker.synced
-
-    def compact_deltas(self) -> int:
-        """Drop the delta prefix every consumer has passed; returns count.
-
-        A prefix is droppable once every *live* worker's ``synced``
-        watermark and the start state's baseline (where respawned workers
-        start replaying) are both beyond it.
-        """
-        floor = self._baseline()
-        for worker in self._workers:
-            if worker.alive:
-                floor = min(floor, worker.synced)
-        drop = floor - self._delta_base
-        if drop <= 0:
-            return 0
-        del self._deltas[:drop]
-        self._delta_base = floor
-        self.stats["compactions"] += 1
-        return drop
+        return self._deltas[worker.synced :], worker.synced
 
     # ------------------------------------------------------------------
     # Verification fan-out

@@ -18,14 +18,12 @@ and replays the *same* committed-move stream through the *same*
 operations and stay bit-identical to the main process's.  A candidate
 verified here therefore returns exactly the floats the serial loop would
 have computed — which is what lets the parallel reduce pick the same
-winner, bit for bit.  A replica started from a later baseline snapshot
-(:func:`publish_replica_arena`) propagates that tree afresh instead, and
-matches the main process only to round-off.
+winner, bit for bit.  A respawned worker is no exception: it starts from
+the run's starting tree too and replays the whole stream.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from dataclasses import dataclass
 from typing import Any, Dict, Sequence, Tuple
@@ -44,9 +42,8 @@ from repro.tech.library import Library
 class ReplicaSpec:
     """Everything needed to build a worker replica, in picklable form.
 
-    ``tree_payload`` is the run's tree as of ``baseline_index`` committed
-    moves, so a replica built from the spec replays only the moves after
-    that.
+    ``tree_payload`` is the run's starting tree; a replica built from
+    the spec replays every committed move after it.
     """
 
     tree_payload: Dict[str, Any]
@@ -57,23 +54,6 @@ class ReplicaSpec:
     baseline_skews: SkewAnalysis
     wire_metric: str = "d2m"
     local_skew_tolerance_ps: float = 0.5
-    baseline_index: int = 0
-
-    @staticmethod
-    def from_problem(
-        problem, tree: ClockTree, local_skew_tolerance_ps: float = 0.5
-    ) -> "ReplicaSpec":
-        """Snapshot a :class:`SkewVariationProblem` run's starting state."""
-        return ReplicaSpec(
-            tree_payload=tree_to_dict(tree),
-            library=problem.design.library,
-            legalizer=problem.design.legalizer,
-            pairs=tuple(problem.pairs),
-            alphas=dict(problem.alphas),
-            baseline_skews=problem.baseline.skews,
-            wire_metric=problem.timer.wire_metric,
-            local_skew_tolerance_ps=local_skew_tolerance_ps,
-        )
 
 
 @dataclass(frozen=True)
@@ -90,7 +70,7 @@ class Replica:
     """A long-lived tree + timer replica that stays in sync via deltas.
 
     The engine attaches to the spec's tree with one compile and a full
-    propagation; replay starts at the spec's baseline index.
+    propagation; replay starts at the first committed move.
     """
 
     def __init__(self, spec: ReplicaSpec) -> None:
@@ -98,9 +78,8 @@ class Replica:
         self.tree = tree_from_dict(spec.tree_payload)
         self.engine = IncrementalTimer(spec.library, wire_metric=spec.wire_metric)
         self.engine.ensure(self.tree)
-        #: Number of committed moves replayed so far, counting the
-        #: ``baseline_index`` moves already in the spec's tree.
-        self.applied = spec.baseline_index
+        #: Number of committed moves replayed so far.
+        self.applied = 0
 
     # ------------------------------------------------------------------
     def sync(self, deltas: Sequence[Move], first_index: int) -> None:
@@ -160,16 +139,22 @@ class Replica:
 
 
 def publish_replica_arena(
-    spec: ReplicaSpec, tree: ClockTree, baseline_index: int = 0
+    problem, tree: ClockTree, local_skew_tolerance_ps: float = 0.5
 ) -> ReplicaSpec:
-    """A verify pool's start state: ``spec`` rebased onto ``tree``.
+    """A verify pool's start state: a :class:`SkewVariationProblem` run's
+    starting ``tree`` and frozen baseline artifacts.
 
-    ``tree`` is the run's state after ``baseline_index`` committed moves,
-    so workers started from the returned spec compile and propagate that
-    tree and replay only the delta suffix.  The name is historical (the
-    baseline once went into a shared-memory arena); it stays because
-    ``e2ebench/layers.py`` wraps this function by name.
+    The name is historical (the start state once went into a
+    shared-memory arena); it stays because ``e2ebench/layers.py`` wraps
+    this function by name.
     """
-    return dataclasses.replace(
-        spec, tree_payload=tree_to_dict(tree), baseline_index=int(baseline_index)
+    return ReplicaSpec(
+        tree_payload=tree_to_dict(tree),
+        library=problem.design.library,
+        legalizer=problem.design.legalizer,
+        pairs=tuple(problem.pairs),
+        alphas=dict(problem.alphas),
+        baseline_skews=problem.baseline.skews,
+        wire_metric=problem.timer.wire_metric,
+        local_skew_tolerance_ps=local_skew_tolerance_ps,
     )

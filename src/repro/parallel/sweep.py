@@ -6,11 +6,11 @@ the *same* base tree.  These functions are the ``"module:function"``
 targets :meth:`repro.parallel.pool.WorkerPool.call` resolves inside a
 worker process, so the workers need no replica state.
 
-The static realization context — library, stage LUTs with their
-compiled ECO planes, legalizer, region, frozen baseline artifacts — is
-the sweep pool's start state (:func:`publish_sweep_arena`), which the
-workers inherit; per-point payloads carry only the dynamic part (tree,
-LP data, solution).
+The static realization context — library, stage LUT arrays,
+legalizer, region, frozen baseline artifacts — is the sweep pool's
+start state (:func:`publish_sweep_arena`), which the workers inherit;
+per-point payloads carry only the dynamic part (tree, LP data,
+solution).
 """
 
 from __future__ import annotations
@@ -38,14 +38,10 @@ def publish_sweep_arena(ctx, problem) -> Tuple[Any, str]:
     """A sweep pool's start state: ``ctx`` without its engine, and the
     engine's wire metric.
 
-    Each stage LUT's ``planes()`` is compiled here, in the parent, so
-    forked workers inherit the compiled planes instead of compiling them
-    per worker.  The name is historical (the context once went into a
-    shared-memory arena); it stays because ``e2ebench/layers.py`` wraps
-    this function by name.
+    The name is historical (the context once went into a shared-memory
+    arena); it stays because ``e2ebench/layers.py`` wraps this function
+    by name.
     """
-    for lut in ctx.stage_luts.values():
-        lut.planes()
     return dataclasses.replace(ctx, engine=None), problem.timer.wire_metric
 
 

@@ -10,30 +10,24 @@ the subsequent pick (:meth:`LocalOptimizer._pick_best`) produce the same
 committed-move trajectory regardless of worker count.
 
 The pool's start state is a :class:`~repro.parallel.replica.ReplicaSpec`
-of the run's starting tree.  Every ``compact_every`` committed moves the
-verifier replaces it with a snapshot of the current tree and compacts
-the pool's delta stream — a respawned worker then compiles the latest
-baseline tree and replays only the delta suffix instead of the whole run
-history.
+of the run's starting tree (:func:`publish_replica_arena`); a respawned
+worker compiles that tree and replays the whole committed-move stream,
+so its verdicts stay bit-identical to the serial loop's.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.core.moves import Move
 from repro.netlist.tree import ClockTree
 from repro.obs.merge import merge_worker_events
 from repro.obs.trace import active as active_tracer
 from repro.parallel.pool import WorkerPool
-from repro.parallel.replica import ReplicaSpec, publish_replica_arena
+from repro.parallel.replica import publish_replica_arena
 
 #: One candidate's verification verdict: (total variation, degraded?).
 Verdict = Tuple[float, bool]
-
-#: Replace the pool's baseline (and compact the delta stream) once this
-#: many committed moves have accumulated since the last baseline.
-DEFAULT_COMPACT_EVERY = 64
 
 
 class ParallelVerifier:
@@ -45,15 +39,11 @@ class ParallelVerifier:
         tree: ClockTree,
         workers: int,
         local_skew_tolerance_ps: float = 0.5,
-        compact_every: int = DEFAULT_COMPACT_EVERY,
     ) -> None:
         if workers < 2:
             raise ValueError("ParallelVerifier needs >= 2 workers")
         self._problem = problem
-        self._spec = ReplicaSpec.from_problem(
-            problem, tree, local_skew_tolerance_ps=local_skew_tolerance_ps
-        )
-        self._compact_every = max(2, compact_every)
+        self._spec = publish_replica_arena(problem, tree, local_skew_tolerance_ps)
         self._pool = WorkerPool(workers, state=self._spec, tag="verify")
         self._serial_fallbacks = 0
 
@@ -91,23 +81,9 @@ class ParallelVerifier:
         )
 
     # ------------------------------------------------------------------
-    def record_commit(self, move: Move, tree: Optional[ClockTree] = None) -> None:
-        """Extend the delta stream the workers replay to stay in sync.
-
-        With the committed ``tree`` in hand, a new baseline + delta
-        compaction triggers once the retained stream reaches the
-        compaction threshold.
-        """
+    def record_commit(self, move: Move) -> None:
+        """Extend the delta stream the workers replay to stay in sync."""
         self._pool.record_commit(move)
-        if tree is not None and self._pool.retained_deltas >= self._compact_every:
-            self._refresh_baseline(tree)
-
-    def _refresh_baseline(self, tree: ClockTree) -> None:
-        """Start later workers from the current state and compact deltas."""
-        self._pool.state = publish_replica_arena(
-            self._spec, tree, baseline_index=self._pool.committed
-        )
-        self._pool.compact_deltas()
 
     def stats_dict(self) -> Dict[str, float]:
         stats = dict(self._pool.stats)
@@ -118,7 +94,6 @@ class ParallelVerifier:
         # per wall second of fan-out.  > 1 means the pool verified faster
         # than one process could have.
         stats["verify_speedup"] = round(busy / wall, 3) if wall > 0 else 0.0
-        stats["retained_deltas"] = self._pool.retained_deltas
         return stats
 
     def close(self) -> None:

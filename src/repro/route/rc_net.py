@@ -16,11 +16,13 @@ All wire segments are discretized into pi-segments of at most
 ``segment_um`` so that Elmore/D2M see distributed, not lumped, wire.
 
 :func:`straight_wire_moments` evaluates the far-end Elmore and D2M of
-many :func:`edge_rc_tree` straight wires at once, without building the
-trees.  Star branches share only the driver output, so each branch of a
+many :func:`edge_rc_tree` straight wires at once, at one corner's wire
+parasitics or at every corner's, without building the trees.  Star
+branches share only the driver output, so each branch of a
 :func:`star_rc_tree` has its own straight wire's metrics bit for bit:
-the timing kernel and the stage-delay characterization evaluate every
-edge through it and build no RC tree.
+the timing kernel (all corners in one call) and the stage-delay
+characterization (one corner's hops) evaluate every edge through it
+and build no RC tree.
 """
 
 from __future__ import annotations
@@ -86,7 +88,8 @@ def edge_rc_tree(
 
 
 def straight_wire_moments(
-    wire: WireModel,
+    res_per_um,
+    cap_per_um,
     lengths,
     loads,
     segment_um: float = DEFAULT_SEGMENT_UM,
@@ -94,12 +97,16 @@ def straight_wire_moments(
     """``(elmore, d2m)`` at the far end of straight wires, one lane each.
 
     Lane ``i`` is the :func:`edge_rc_tree` of a wire ``lengths[i]`` long
-    with ``loads[i]`` at its far end (the two broadcast together).  The
-    chains are laid out on a segment axis padded with zero caps past
-    each lane's far end: downstream sums are reversed ``np.cumsum``s and
-    the moments forward ones, which add the tree recursions' terms in
-    their order, and the padding only adds exact zeros.  Every value
-    therefore equals :func:`~repro.sta.elmore.elmore_delays` and
+    with ``loads[i]`` at its far end (the two broadcast together), on a
+    wire of ``res_per_um``/``cap_per_um`` parasitics.  Scalars time one
+    corner; ``(corners,)`` arrays time every corner in one pass and add
+    a leading corner axis to the result, since the piece layout does not
+    depend on the corner.  The chains are laid out on a segment axis
+    padded with zero caps past each lane's far end: downstream sums are
+    reversed ``np.cumsum``s and the moments forward ones, which add the
+    tree recursions' terms in their order, and the padding only adds
+    exact zeros.  Every value therefore equals
+    :func:`~repro.sta.elmore.elmore_delays` and
     :func:`~repro.sta.d2m.d2m_delays` on the tree bit for bit.  A
     negative length or load raises :class:`ValueError`, as
     :meth:`WireModel.segment_cap` and :meth:`RCTree.add_cap` do.
@@ -113,32 +120,34 @@ def straight_wire_moments(
         raise ValueError("negative wire length")
     if (loads < 0.0).any():
         raise ValueError("negative capacitance")
+    res_per_um = np.asarray(res_per_um, dtype=float)
+    lead = res_per_um.shape
     # A zero length takes one zero-RC piece: the same zero moments as
     # the tree's zero-length node.
     pieces = np.maximum(np.ceil(lengths / segment_um), 1.0)
     piece_len = lengths / pieces
-    res = wire.res_per_um * piece_len
-    cap = wire.cap_per_um * piece_len
+    res = res_per_um[..., None] * piece_len
+    cap = np.asarray(cap_per_um, dtype=float)[..., None] * piece_len
     last = pieces.astype(np.intp) - 1
     lane = np.arange(lengths.size)
     # Node caps below the driver: a full piece cap at each interior
     # junction, half a piece plus the pin at the far end, zeros after.
     axis = np.arange(int(last.max()) + 1 if lengths.size else 0)
-    caps = np.where(axis < last[:, None], cap[:, None], 0.0)
-    caps[lane, last] = cap / 2.0 + loads
-    res = res[:, None]
-    down = np.cumsum(caps[:, ::-1], axis=1)[:, ::-1]
-    m1 = np.cumsum(res * down, axis=1)
-    down_cm = np.cumsum((caps * m1)[:, ::-1], axis=1)[:, ::-1]
-    m2 = np.cumsum(res * down_cm, axis=1)
-    first = m1[lane, last]
-    second = m2[lane, last]
+    caps = np.where(axis < last[:, None], cap[..., None], 0.0)
+    caps[..., lane, last] = cap / 2.0 + loads
+    res = res[..., None]
+    down = np.cumsum(caps[..., ::-1], axis=-1)[..., ::-1]
+    m1 = np.cumsum(res * down, axis=-1)
+    down_cm = np.cumsum((caps * m1)[..., ::-1], axis=-1)[..., ::-1]
+    m2 = np.cumsum(res * down_cm, axis=-1)
+    first = m1[..., lane, last]
+    second = m2[..., lane, last]
     live = (second > 0.0) & (first > 0.0)
     d2m = np.zeros_like(first)
     d2m[live] = np.minimum(
         LN2 * first[live] * first[live] / np.sqrt(second[live]), first[live]
     )
-    return first.reshape(shape), d2m.reshape(shape)
+    return first.reshape(lead + shape), d2m.reshape(lead + shape)
 
 
 def star_rc_tree(

@@ -15,8 +15,9 @@ with the standard linear-time recursion:
 
 Per-edge D2M values are slew-independent, so the array kernel
 (:mod:`repro.sta.kernel`) evaluates them once at tree-compile time, all
-edges of a compile in one :func:`repro.route.rc_net.straight_wire_moments`
-pass per corner; that pass reproduces these recursions' float
+edges and corners of a compile in one
+:func:`repro.route.rc_net.straight_wire_moments` pass; that pass
+reproduces these recursions' float
 operations in order, which keeps the kernel's wire delays bit-identical
 to this implementation (``tests/test_rc_net.py``, ``tests/test_kernel.py``).
 """

@@ -8,8 +8,8 @@ tree, which several tests exploit as an invariant.
 
 Like D2M, per-edge Elmore values are slew-independent compile-time
 constants to the array kernel (:mod:`repro.sta.kernel`): a compile
-evaluates every edge's straight wire in one
-:func:`repro.route.rc_net.straight_wire_moments` pass per corner, whose
+evaluates every edge's straight wire at every corner in one
+:func:`repro.route.rc_net.straight_wire_moments` pass, whose
 padded cumulative sums add this recursion's terms in its order, so the
 kernel's wire delays and the RC-tree values here are the same floats,
 not merely close.

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 from typing import Tuple
 
+import numpy as np
+
 from repro.tech.cells import InverterCell
 
 #: Input quantization of gate evaluations.  NLDM interpolation is smooth,
@@ -40,6 +42,15 @@ def quantize_gate_inputs(
     return (
         round(input_slew_ps / GATE_SLEW_QUANTUM_PS) * GATE_SLEW_QUANTUM_PS,
         round(net_load_ff / GATE_LOAD_QUANTUM_FF) * GATE_LOAD_QUANTUM_FF,
+    )
+
+
+def quantize_gate_arrays(slew_ps, load_ff) -> Tuple[np.ndarray, np.ndarray]:
+    """:func:`quantize_gate_inputs` elementwise (``np.rint`` rounds half
+    to even, like ``round``), for the array kernels."""
+    return (
+        np.rint(slew_ps / GATE_SLEW_QUANTUM_PS) * GATE_SLEW_QUANTUM_PS,
+        np.rint(load_ff / GATE_LOAD_QUANTUM_FF) * GATE_LOAD_QUANTUM_FF,
     )
 
 

@@ -12,8 +12,8 @@ kernel (:mod:`repro.sta.kernel`):
 
 1. **Compiled state** — the attached tree is compiled once into
    struct-of-arrays form and all corners propagate together; every
-   edge's Elmore/D2M metrics come from one straight-wire moment pass per
-   corner (:func:`repro.route.rc_net.straight_wire_moments`), so a
+   edge's Elmore/D2M metrics come from one all-corner straight-wire
+   moment pass (:func:`repro.route.rc_net.straight_wire_moments`), so a
    compile builds no RC tree.
 2. **Dirty-frontier re-propagation** — :meth:`IncrementalTimer.preview`
    and :meth:`IncrementalTimer.advance` take the set of structurally
@@ -175,8 +175,8 @@ class IncrementalTimer:
     def _kernel_obj(self):
         """The lazily built :class:`~repro.sta.kernel.TimingKernel`.
 
-        Raises :class:`~repro.sta.kernel.KernelUnsupported` when the
-        library cannot be batched.
+        Raises the NLDM stack's :class:`ValueError` when the library's
+        tables cannot be stacked.
         """
         if self._kernel is None:
             from repro.sta.kernel import TimingKernel

@@ -13,16 +13,17 @@ once** (corner as the leading axis):
   edges occupy contiguous ranges;
 * **compile-time per-edge metrics** — one Python sweep gathers every
   driver row's routed lengths (congestion factor included) and pin caps
-  in CSR order, and one :func:`~repro.route.rc_net.straight_wire_moments`
-  pass per corner gives every edge's Elmore/D2M wire delay and squared
-  PERI step slew (star branches are electrically independent, so each
-  edge's values equal the star-net RC tree's bit for bit); each driver's
-  load is the left-to-right sum of its edges' wire-plus-pin terms;
-* **vectorized NLDM evaluation** — every library cell shares one
-  (slew, load) characterization grid, so the per-(size, corner) tables
-  stack into one ``(corners, sizes, slews, loads)`` array and the
-  bilinear interpolation (clamp, ``searchsorted``, the four-corner
-  blend) runs on whole driver batches;
+  in CSR order, and one all-corner
+  :func:`~repro.route.rc_net.straight_wire_moments` pass gives every
+  edge's Elmore/D2M wire delay and squared PERI step slew (star branches
+  are electrically independent, so each edge's values equal the
+  star-net RC tree's bit for bit); each driver's load is the
+  left-to-right sum of its edges' wire-plus-pin terms;
+* **vectorized NLDM evaluation** — the library's
+  :class:`~repro.tech.cells.NLDMStack` (:attr:`Library.nldm`, stacked
+  once and shared with the feature and ECO kernels) runs the inverter
+  pair's four bilinear lookups (clamp, ``searchsorted``, the
+  four-corner blend) on whole driver batches;
 * **vectorized PERI slew degradation** and the signoff gate correction
   (``math.tanh`` evaluated once per unique quantized argument of a
   batch, because ``numpy.tanh`` and ``math.tanh`` differ in the last
@@ -69,7 +70,7 @@ from repro.geometry import BBox
 from repro.netlist.tree import ClockTree
 from repro.route.congestion import routed_length_factor
 from repro.route.rc_net import DEFAULT_SEGMENT_UM, straight_wire_moments
-from repro.sta.gate import GATE_LOAD_QUANTUM_FF, GATE_SLEW_QUANTUM_PS
+from repro.sta.gate import quantize_gate_arrays
 from repro.sta.signoff import (
     LOAD_GAIN,
     LOAD_SCALE_FF,
@@ -80,13 +81,13 @@ from repro.sta.signoff import (
 )
 from repro.sta.slew import LN9
 from repro.sta.timer import CornerTiming
-from repro.tech.cells import _exact_tanh, _vector_weights
+from repro.tech.cells import _exact_tanh
 from repro.tech.corners import Corner
 from repro.tech.library import Library
 
 
 class KernelUnsupported(Exception):
-    """The library/tree cannot be compiled (the message names the reason)."""
+    """The tree cannot be compiled: a drive size outside the library."""
 
 
 class KernelStale(Exception):
@@ -183,11 +184,13 @@ class _Row:
 
 
 class TimingKernel:
-    """Library-level compiled context: stacked NLDM tables plus memos.
+    """Library-level compiled context: the library's NLDM stack plus memos.
 
     One instance per (library, wire metric); it owns the
     scalar memos shared across compiles (routed-length factors and pin
-    caps).
+    caps).  The NLDM tables are :attr:`Library.nldm`, shared with the
+    feature and ECO kernels; a library it cannot stack raises its
+    :class:`ValueError`.
     """
 
     def __init__(self, library: Library, wire_metric: str = "d2m") -> None:
@@ -195,52 +198,12 @@ class TimingKernel:
             raise ValueError("wire_metric must be 'd2m' or 'elmore'")
         self._library = library
         self._wire_metric = wire_metric
+        self._nldm = library.nldm
         self._factor_memo: Dict[Tuple, float] = {}
         self._pin_cap_memo: Dict[int, float] = {}
-        self._stack_tables()
-
-    # ------------------------------------------------------------------
-    # Library compilation
-    # ------------------------------------------------------------------
-    def _stack_tables(self) -> None:
-        lib = self._library
-        sizes = tuple(lib.sizes)
-        if not sizes:
-            raise KernelUnsupported("library has no drive sizes")
-        if lib.source_drive_size not in sizes:
-            raise KernelUnsupported("source drive size outside the size list")
-        corners = list(lib.corners)
-        ref = lib.cell(sizes[0], corners[0])
-        sax = ref.delay_table.slew_grid
-        lax = ref.delay_table.load_grid
-        if sax.size < 2 or lax.size < 2:
-            raise KernelUnsupported("NLDM axes too small to batch")
-        delay_vals = np.empty((len(corners), len(sizes), sax.size, lax.size))
-        slew_vals = np.empty_like(delay_vals)
-        icap = np.empty((len(corners), len(sizes)))
-        for ci, corner in enumerate(corners):
-            for si, size in enumerate(sizes):
-                cell = lib.cell(size, corner)
-                for table in (cell.delay_table, cell.slew_table):
-                    if not (
-                        np.array_equal(table.slew_grid, sax)
-                        and np.array_equal(table.load_grid, lax)
-                    ):
-                        raise KernelUnsupported(
-                            "cells do not share one characterization grid"
-                        )
-                delay_vals[ci, si] = cell.delay_table.value_grid
-                slew_vals[ci, si] = cell.slew_table.value_grid
-                icap[ci, si] = cell.input_cap_ff
-        self._corner_row = {c.name: i for i, c in enumerate(corners)}
-        self._size_pos = {size: i for i, size in enumerate(sizes)}
-        self._sax = sax
-        self._lax = lax
-        self._delay_vals = delay_vals
-        self._slew_vals = slew_vals
-        self._icap = icap
         # Per-size signoff factors, computed with math.sqrt so the
         # vectorized correction multiplies the exact scalar constants.
+        sizes = self._nldm.sizes
         self._sqrt_ref = np.array(
             [math.sqrt(REFERENCE_SIZE / size) for size in sizes]
         )
@@ -283,36 +246,6 @@ class TimingKernel:
     # ------------------------------------------------------------------
     # Batched gate evaluation
     # ------------------------------------------------------------------
-    def _lookup(
-        self,
-        values: np.ndarray,
-        corner_rows: np.ndarray,
-        size_idx: np.ndarray,
-        slew: np.ndarray,
-        load: np.ndarray,
-    ) -> np.ndarray:
-        """Vectorized NLDM bilinear interpolation over ``(corner, driver)``.
-
-        Reproduces :meth:`repro.tech.cells.NLDMTable.lookup` operation
-        for operation: :func:`~repro.tech.cells._vector_weights` clamps
-        to the grid and finds each query's cell and fraction, then the
-        four-corner blend runs in the same association order.
-        """
-        si, u = _vector_weights(self._sax, slew)
-        ci, t = _vector_weights(self._lax, load)
-        cr = corner_rows[:, None]
-        sz = size_idx[None, :]
-        v00 = values[cr, sz, si, ci]
-        v01 = values[cr, sz, si, ci + 1]
-        v10 = values[cr, sz, si + 1, ci]
-        v11 = values[cr, sz, si + 1, ci + 1]
-        return (
-            v00 * (1 - u) * (1 - t)
-            + v01 * (1 - u) * t
-            + v10 * u * (1 - t)
-            + v11 * u * t
-        )
-
     def gate_batch(
         self,
         corner_rows: np.ndarray,
@@ -323,23 +256,15 @@ class TimingKernel:
         """Signoff-corrected inverter-pair (delay, output slew) batches.
 
         ``input_slew``/``load`` are ``(corners, drivers)``; quantization,
-        the four table lookups (first stage into the pair's internal pin
-        cap, second stage into the net load) and the signoff correction
-        all follow the scalar sequence in
+        the stack's four-lookup pair and the signoff correction all
+        follow the scalar sequence in
         :func:`repro.sta.gate.inverter_pair_timing` and
         :func:`repro.sta.signoff.signoff_gate_factor`.
         """
-        gate_slew = (
-            np.rint(input_slew / GATE_SLEW_QUANTUM_PS) * GATE_SLEW_QUANTUM_PS
+        gate_slew, gate_load = quantize_gate_arrays(input_slew, load)
+        delay, out_slew = self._nldm.pair(
+            corner_rows[:, None], size_idx[None, :], gate_slew, gate_load
         )
-        gate_load = (
-            np.rint(load / GATE_LOAD_QUANTUM_FF) * GATE_LOAD_QUANTUM_FF
-        )
-        icap = self._icap[corner_rows[:, None], size_idx[None, :]]
-        d1 = self._lookup(self._delay_vals, corner_rows, size_idx, gate_slew, icap)
-        s1 = self._lookup(self._slew_vals, corner_rows, size_idx, gate_slew, icap)
-        d2 = self._lookup(self._delay_vals, corner_rows, size_idx, s1, gate_load)
-        s2 = self._lookup(self._slew_vals, corner_rows, size_idx, s1, gate_load)
         correction = (
             1.0
             + (LOAD_GAIN * self._tanh(gate_load / LOAD_SCALE_FF))
@@ -347,7 +272,7 @@ class TimingKernel:
             - (SLEW_GAIN * self._tanh(gate_slew / SLEW_SCALE_PS))
             * self._size_frac[size_idx][None, :]
         )
-        return (d1 + d2) * correction, s2
+        return delay * correction, out_slew
 
     # ------------------------------------------------------------------
     # Tree compilation
@@ -374,7 +299,7 @@ class CompiledTree:
             corners if corners is not None else lib.corners
         )
         self.corner_rows = np.array(
-            [kernel._corner_row[c.name] for c in self.corners], dtype=np.int64
+            [kernel._nldm.corner_row[c.name] for c in self.corners], dtype=np.int64
         )
         self.corner_pos = {c.name: k for k, c in enumerate(self.corners)}
         self.C = len(self.corners)
@@ -420,7 +345,7 @@ class CompiledTree:
             if node.is_sink or not fanout[i]:
                 continue
             size = lib.source_drive_size if node.is_source else node.size
-            pos = kernel._size_pos.get(size)
+            pos = kernel._nldm.size_pos.get(size)
             if pos is None:
                 raise KernelUnsupported(f"drive size {size} not in library")
             size_idx[i] = pos
@@ -462,10 +387,10 @@ class CompiledTree:
         load is ``(corners, rows)`` and the edge arrays are ``(corners,
         edges)`` with each row's edges consecutive, in row order.  One
         Python sweep gathers every edge's routed length and pin cap from
-        the memoized helpers the reference engine uses; one
-        :func:`~repro.route.rc_net.straight_wire_moments` pass per corner
-        gives every edge's Elmore and D2M, bit-identical to the
-        reference's RC trees; each load adds its row's
+        the memoized helpers the reference engine uses; one all-corner
+        :func:`~repro.route.rc_net.straight_wire_moments` pass gives
+        every edge's Elmore and D2M, bit-identical to the reference's RC
+        trees; each load adds its row's
         ``cap_per_um * length + pin_cap`` terms left to right, as the
         reference does, over a zero-padded column per fanout position.
         """
@@ -490,21 +415,18 @@ class CompiledTree:
                 )
         length = np.asarray(lengths, dtype=float)
         pin_cap = np.asarray(pin_caps, dtype=float)
-        C = self.C
-        elmore = np.empty((C, length.size))
-        wdelay = np.empty((C, length.size))
-        cap_per_um = np.empty((C, 1))
-        use_d2m = kernel._wire_metric == "d2m"
-        for k, corner in enumerate(self.corners):
-            wire = lib.wire(corner)
-            elm, d2m = straight_wire_moments(wire, length, pin_cap, DEFAULT_SEGMENT_UM)
-            elmore[k] = elm
-            wdelay[k] = d2m if use_d2m else elm
-            cap_per_um[k] = wire.cap_per_um
+        stack = kernel._nldm
+        rows = self.corner_rows
+        elmore, d2m = straight_wire_moments(
+            stack.res_per_um[rows], stack.cap_per_um[rows], length, pin_cap,
+            DEFAULT_SEGMENT_UM,
+        )
+        wdelay = d2m if kernel._wire_metric == "d2m" else elmore.copy()
         step = LN9 * elmore
-        terms = cap_per_um * length + pin_cap
+        terms = stack.cap_per_um[rows][:, None] * length + pin_cap
         counts = np.asarray(fanouts, dtype=np.int64)
         starts = np.cumsum(counts) - counts
+        C = self.C
         padded = np.zeros((C, counts.size, int(counts.max()) if counts.size else 0))
         owner = np.repeat(np.arange(counts.size), counts)
         padded[:, owner, np.arange(length.size) - starts[owner]] = terms
@@ -593,7 +515,7 @@ class CompiledTree:
                     raise KernelStale(f"unknown child {child}")
                 positions.append(child_pos)
             size = lib.source_drive_size if node.is_source else node.size
-            size_pos = self._kernel._size_pos.get(size)
+            size_pos = self._kernel._nldm.size_pos.get(size)
             if size_pos is None:
                 raise KernelStale(f"drive size {size} not in library")
             pending.append((pos, node, children, positions, size_pos))

@@ -89,9 +89,9 @@ class GoldenTimer:
     once.  :meth:`_analyze_corner_reference`, the scalar per-node,
     per-corner loop, is the authoritative definition of the timing model
     and the oracle of the differential tests; the kernel agrees with it
-    bit for bit.  A library the kernel cannot batch (cells that do not
-    share one NLDM grid) raises
-    :class:`~repro.sta.kernel.KernelUnsupported` on first use.
+    bit for bit.  A library whose NLDM tables cannot be stacked
+    (:attr:`~repro.tech.library.Library.nldm`; for example cells that do
+    not share one grid) raises that :class:`ValueError` on first use.
     """
 
     def __init__(self, library: Library, wire_metric: str = "d2m") -> None:

@@ -6,15 +6,23 @@ load capacitance (fF), exactly like a Liberty NLDM group.  Tables are
 *generated* from a smooth analytical template at characterization time, but
 the STA only ever sees the sampled grid plus bilinear interpolation, so the
 table-vs-reality gap the paper's ML models must absorb is genuine.
+
+The array kernels (timing, features, ECO start pairs) read a library's
+tables from one :class:`NLDMStack`, built once per library
+(:attr:`~repro.tech.library.Library.nldm`), whose lookups equal
+:meth:`NLDMTable.lookup` bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import TYPE_CHECKING, Sequence, Tuple
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from repro.tech.library import Library
 
 
 @dataclass(frozen=True)
@@ -68,39 +76,7 @@ class NLDMTable:
 
     def lookup(self, slew_ps: float, load_ff: float) -> float:
         """Bilinearly interpolated table value at (slew, load), clamped."""
-        slews = self._slews
-        loads = self._loads
-        vals = self._vals
-
-        s = float(np.clip(slew_ps, slews[0], slews[-1]))
-        c = float(np.clip(load_ff, loads[0], loads[-1]))
-
-        si = int(np.searchsorted(slews, s, side="right") - 1)
-        ci = int(np.searchsorted(loads, c, side="right") - 1)
-        si = min(max(si, 0), slews.size - 2) if slews.size > 1 else 0
-        ci = min(max(ci, 0), loads.size - 2) if loads.size > 1 else 0
-
-        if slews.size == 1 and loads.size == 1:
-            return float(vals[0, 0])
-        if slews.size == 1:
-            t = (c - loads[ci]) / (loads[ci + 1] - loads[ci])
-            return float(vals[0, ci] * (1 - t) + vals[0, ci + 1] * t)
-        if loads.size == 1:
-            u = (s - slews[si]) / (slews[si + 1] - slews[si])
-            return float(vals[si, 0] * (1 - u) + vals[si + 1, 0] * u)
-
-        u = (s - slews[si]) / (slews[si + 1] - slews[si])
-        t = (c - loads[ci]) / (loads[ci + 1] - loads[ci])
-        v00 = vals[si, ci]
-        v01 = vals[si, ci + 1]
-        v10 = vals[si + 1, ci]
-        v11 = vals[si + 1, ci + 1]
-        return float(
-            v00 * (1 - u) * (1 - t)
-            + v01 * (1 - u) * t
-            + v10 * u * (1 - t)
-            + v11 * u * t
-        )
+        return bilinear(self._slews, self._loads, self._vals, slew_ps, load_ff)
 
     def lookup_array(self, slew_ps, load_ff) -> np.ndarray:
         """:meth:`lookup` elementwise over broadcast slew/load arrays.
@@ -116,6 +92,50 @@ class NLDMTable:
         si, u = _vector_weights(slews, np.asarray(slew_ps, dtype=float))
         ci, t = _vector_weights(loads, np.asarray(load_ff, dtype=float))
         return _blend(self._vals.reshape(-1), si * loads.size + ci, loads.size, u, t)
+
+
+def bilinear(
+    slews: np.ndarray,
+    loads: np.ndarray,
+    vals: np.ndarray,
+    slew_ps: float,
+    load_ff: float,
+) -> float:
+    """One clamped bilinear lookup of a ``(slews, loads)`` grid ``vals``.
+
+    The scalar body of :meth:`NLDMTable.lookup`, shared by every table
+    stored as arrays (the stage-delay LUTs); single-point axes take
+    their own one-axis branches.
+    """
+    s = float(np.clip(slew_ps, slews[0], slews[-1]))
+    c = float(np.clip(load_ff, loads[0], loads[-1]))
+
+    si = int(np.searchsorted(slews, s, side="right") - 1)
+    ci = int(np.searchsorted(loads, c, side="right") - 1)
+    si = min(max(si, 0), slews.size - 2) if slews.size > 1 else 0
+    ci = min(max(ci, 0), loads.size - 2) if loads.size > 1 else 0
+
+    if slews.size == 1 and loads.size == 1:
+        return float(vals[0, 0])
+    if slews.size == 1:
+        t = (c - loads[ci]) / (loads[ci + 1] - loads[ci])
+        return float(vals[0, ci] * (1 - t) + vals[0, ci + 1] * t)
+    if loads.size == 1:
+        u = (s - slews[si]) / (slews[si + 1] - slews[si])
+        return float(vals[si, 0] * (1 - u) + vals[si + 1, 0] * u)
+
+    u = (s - slews[si]) / (slews[si + 1] - slews[si])
+    t = (c - loads[ci]) / (loads[ci + 1] - loads[ci])
+    v00 = vals[si, ci]
+    v01 = vals[si, ci + 1]
+    v10 = vals[si + 1, ci]
+    v11 = vals[si + 1, ci + 1]
+    return float(
+        v00 * (1 - u) * (1 - t)
+        + v01 * (1 - u) * t
+        + v10 * u * (1 - t)
+        + v11 * u * t
+    )
 
 
 def _vector_weights(axis: np.ndarray, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -155,6 +175,95 @@ def _exact_tanh(values: np.ndarray) -> np.ndarray:
     uniq, inverse = np.unique(values, return_inverse=True)
     out = np.fromiter(map(math.tanh, uniq.tolist()), dtype=float, count=uniq.size)
     return out[inverse]
+
+
+class NLDMStack:
+    """A library's NLDM tables stacked once, for the array kernels.
+
+    ``delay`` and ``slew`` are ``(corners, sizes, slews, loads)`` arrays
+    and ``input_cap`` is ``(corners, sizes)``, in library corner and size
+    order; ``res_per_um`` and ``cap_per_um`` hold each corner's wire
+    parasitics.  Built by :attr:`~repro.tech.library.Library.nldm` on
+    first use, so the timing, feature and ECO kernels of one library
+    share it.  A library the stack cannot represent raises
+    :class:`ValueError` naming the reason: no drive sizes, a source
+    drive size outside the size list, a single-point axis (the scalar
+    lookup's special-case branches), or cells off one grid.
+
+    :meth:`lookup` reads one value per lane from the flat tables through
+    :func:`_blend`, so every value equals :meth:`NLDMTable.lookup` bit
+    for bit.
+    """
+
+    def __init__(self, library: Library) -> None:
+        sizes = tuple(library.sizes)
+        if not sizes:
+            raise ValueError("library has no drive sizes")
+        if library.source_drive_size not in sizes:
+            raise ValueError("source drive size outside the size list")
+        corners = list(library.corners)
+        cells = [[library.cell(size, corner) for size in sizes] for corner in corners]
+        ref = cells[0][0].delay_table
+        self.slew_axis = ref.slew_grid
+        self.load_axis = ref.load_grid
+        if self.slew_axis.size < 2 or self.load_axis.size < 2:
+            raise ValueError("NLDM axes too small to stack")
+        for row in cells:
+            for cell in row:
+                for table in (cell.delay_table, cell.slew_table):
+                    if not (
+                        np.array_equal(table.slew_grid, self.slew_axis)
+                        and np.array_equal(table.load_grid, self.load_axis)
+                    ):
+                        raise ValueError("cells do not share one NLDM grid")
+        self.sizes = sizes
+        self.size_pos = {size: i for i, size in enumerate(sizes)}
+        self.corner_row = {corner.name: k for k, corner in enumerate(corners)}
+        self.delay = np.array([[c.delay_table.value_grid for c in r] for r in cells])
+        self.slew = np.array([[c.slew_table.value_grid for c in r] for r in cells])
+        self.input_cap = np.array([[c.input_cap_ff for c in row] for row in cells])
+        wires = [library.wire(corner) for corner in corners]
+        self.res_per_um = np.array([w.res_per_um for w in wires])
+        self.cap_per_um = np.array([w.cap_per_um for w in wires])
+        self.delay_flat = self.delay.reshape(-1)
+        self.slew_flat = self.slew.reshape(-1)
+        # Every pair's first stage drives its own input pin.
+        self._pin_w = _vector_weights(self.load_axis, self.input_cap)
+
+    def plane(self, corner, size):
+        """Flat offset of each lane's (corner, size) table."""
+        return (corner * len(self.sizes) + size) * self.slew_axis.size
+
+    def lookup(self, table: np.ndarray, plane, slew_w, load_w) -> np.ndarray:
+        """``table`` (``delay_flat`` or ``slew_flat``) at each lane.
+
+        ``slew_w`` and ``load_w`` are the lanes' ``(index, fraction)``
+        pairs from :func:`_vector_weights` on :attr:`slew_axis` and
+        :attr:`load_axis`; a stage's delay and slew lookups share them.
+        """
+        i, u = slew_w
+        j, t = load_w
+        n_load = self.load_axis.size
+        return _blend(table, (plane + i) * n_load + j, n_load, u, t)
+
+    def pair(self, corner, size, slew, load) -> Tuple[np.ndarray, np.ndarray]:
+        """Inverter pair ``(d1 + d2, s2)`` of each (corner, size) lane.
+
+        The four lookups of :func:`repro.sta.gate.inverter_pair_timing`:
+        the first stage into the pair's own input pin, the second, at
+        the first stage's output slew, into ``load``.  The index arrays
+        and ``slew``/``load`` broadcast together.
+        """
+        plane = self.plane(corner, size)
+        pin_w = (self._pin_w[0][corner, size], self._pin_w[1][corner, size])
+        slew_w = _vector_weights(self.slew_axis, slew)
+        d1 = self.lookup(self.delay_flat, plane, slew_w, pin_w)
+        s1 = self.lookup(self.slew_flat, plane, slew_w, pin_w)
+        slew_w = _vector_weights(self.slew_axis, s1)
+        load_w = _vector_weights(self.load_axis, load)
+        d2 = self.lookup(self.delay_flat, plane, slew_w, load_w)
+        s2 = self.lookup(self.slew_flat, plane, slew_w, load_w)
+        return d1 + d2, s2
 
 
 #: Characterization grid (ps) for input slew.

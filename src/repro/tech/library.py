@@ -6,7 +6,9 @@ STA, ECO and the optimizers.  It provides:
 * the corner set in use,
 * one :class:`~repro.tech.cells.InverterCell` per (size, corner),
 * a :class:`~repro.tech.wire.WireModel` per corner,
-* sink (flip-flop clock pin) capacitance and the source driver model.
+* sink (flip-flop clock pin) capacitance and the source driver model,
+* :attr:`Library.nldm`, its NLDM tables stacked once for the array
+  kernels (:class:`~repro.tech.cells.NLDMStack`).
 
 The paper's lookup tables use five inverter sizes; we use X2..X32.
 """
@@ -14,9 +16,10 @@ The paper's lookup tables use five inverter sizes; we use X2..X32.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Sequence, Tuple
 
-from repro.tech.cells import InverterCell, characterize_inverter
+from repro.tech.cells import InverterCell, NLDMStack, characterize_inverter
 from repro.tech.corners import Corner, CornerSet, default_corners
 from repro.tech.derating import DerateModel
 from repro.tech.wire import WireModel
@@ -46,6 +49,15 @@ class Library:
             raise KeyError(
                 f"no INVX{size} at corner {corner.name}; sizes={self.sizes}"
             ) from None
+
+    @cached_property
+    def nldm(self) -> NLDMStack:
+        """The library's NLDM tables stacked once (built on first use).
+
+        Raises :class:`ValueError` naming the reason when the tables
+        cannot be stacked.
+        """
+        return NLDMStack(self)
 
     def wire(self, corner: Corner) -> WireModel:
         """The wire model at ``corner``."""

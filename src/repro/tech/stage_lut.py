@@ -16,7 +16,12 @@ Wirelengths sweep 10um..200um in 5um steps, matching the paper.
 
 Both tables are built by :func:`stage_delays`, the array form of the
 scalar :func:`stage_delay` (kept unchanged as its definition and test
-oracle); every table value equals the scalar result bit for bit.
+oracle); every table value equals the scalar result bit for bit.  A
+:class:`StageDelayLUT` stores them as the arrays characterization
+produces — ``(sizes, wirelengths)`` for LUTuniform and ``(sizes,
+wirelengths, slews, loads)`` for LUTdetail — which the ECO candidate
+kernel gathers from directly and the scalar accessors read through
+:func:`~repro.tech.cells.bilinear`.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from repro.sta.signoff import (
     signoff_gate_factor,
 )
 from repro.sta.slew import LN9, wire_degraded_slew
-from repro.tech.cells import NLDMTable, _exact_tanh
+from repro.tech.cells import _exact_tanh, bilinear
 from repro.tech.corners import Corner
 from repro.tech.library import Library
 
@@ -93,8 +98,9 @@ class _HopRow:
         """Time each bucket's hop, all in one straight-wire moment pass."""
         buckets = np.asarray(buckets, dtype=np.intp)
         lengths = buckets / 4.0 * chain_length_factor()
+        wire = self.library.wire(self.corner)
         elmore, d2m = straight_wire_moments(
-            self.library.wire(self.corner), lengths, self.load_ff
+            wire.res_per_um, wire.cap_per_um, lengths, self.load_ff
         )
         self.delay[buckets] = d2m
         self.elmore[buckets] = elmore
@@ -332,114 +338,53 @@ def _steady_state_stages(
     return delay, slew
 
 
-@dataclass(frozen=True)
-class StageLUTPlanes:
-    """One corner's stage-delay LUTs compiled to dense arrays.
-
-    ``uniform``/``uniform_slew`` have shape ``(sizes, wl_axis)``;
-    ``detail``/``detail_slew`` have shape ``(sizes, wl_axis, slew_axis,
-    load_axis)``.  Every value is the exact float stored in the source
-    dicts/tables, so array gathers reproduce dict lookups bit for bit.
-    The detail grids must share one (slew, load) axis pair across all
-    (size, wirelength) entries — the compile step verifies that, and the
-    ECO candidate kernel refuses LUTs that fail it
-    (:class:`~repro.eco.candidate_kernel.ECOKernelUnsupported`).
-    """
-
-    sizes: Tuple[int, ...]
-    wl_axis: Tuple[float, ...]
-    uniform: np.ndarray
-    uniform_slew: np.ndarray
-    detail: np.ndarray
-    detail_slew: np.ndarray
-    detail_slew_axis: np.ndarray
-    detail_load_axis: np.ndarray
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StageDelayLUT:
-    """Characterized stage-delay tables for one corner.
+    """Characterized stage-delay tables for one corner, as arrays.
 
-    ``uniform`` maps (size, wirelength) to the steady-state stage delay;
-    ``uniform_slew`` to the steady-state slew.  ``detail`` maps (size,
-    wirelength) to an :class:`NLDMTable` of stage delay over (input slew,
-    fanout load); ``detail_slew`` to the matching output-slew table.
+    ``uniform`` and ``uniform_slew`` are the steady-state stage delay
+    and slew, ``(sizes, wl_axis)``; ``detail`` and ``detail_slew`` the
+    boundary-pair stage delay and output slew over the (``slew_axis``,
+    ``load_axis``) grid, ``(sizes, wl_axis, slew_axis, load_axis)``.
+    The arrays come straight from :func:`characterize_stage_luts`; the
+    ECO candidate kernel gathers from them, and the accessors below read
+    them for the scalar oracle.
     """
 
     corner: Corner
     sizes: Tuple[int, ...]
     wl_axis: Tuple[float, ...]
-    uniform: Dict[Tuple[int, float], float]
-    uniform_slew: Dict[Tuple[int, float], float]
-    detail: Dict[Tuple[int, float], NLDMTable]
-    detail_slew: Dict[Tuple[int, float], NLDMTable]
+    slew_axis: np.ndarray
+    load_axis: np.ndarray
+    uniform: np.ndarray
+    uniform_slew: np.ndarray
+    detail: np.ndarray
+    detail_slew: np.ndarray
 
     def uniform_delay(self, size: int, wirelength_um: float) -> float:
         """Steady-state stage delay at the nearest characterized wirelength."""
-        return self.uniform[(size, self.snap_wl(wirelength_um))]
+        return float(self.uniform[self.sizes.index(size), self.wl_index(wirelength_um)])
+
+    def steady_slew(self, size: int, wirelength_um: float) -> float:
+        """Steady-state stage slew at the nearest characterized wirelength."""
+        return float(
+            self.uniform_slew[self.sizes.index(size), self.wl_index(wirelength_um)]
+        )
 
     def detail_delay(
         self, size: int, wirelength_um: float, slew_ps: float, load_ff: float
     ) -> float:
         """Boundary-pair stage delay from LUTdetail (interpolated)."""
-        return self.detail[(size, self.snap_wl(wirelength_um))].lookup(
-            slew_ps, load_ff
-        )
+        grid = self.detail[self.sizes.index(size), self.wl_index(wirelength_um)]
+        return bilinear(self.slew_axis, self.load_axis, grid, slew_ps, load_ff)
+
+    def wl_index(self, wirelength_um: float) -> int:
+        """Index of the nearest characterized wirelength (first tie wins)."""
+        return int(np.argmin(np.abs(np.asarray(self.wl_axis) - wirelength_um)))
 
     def snap_wl(self, wirelength_um: float) -> float:
         """Clamp and snap a wirelength to the characterized grid."""
-        axis = np.asarray(self.wl_axis)
-        idx = int(np.argmin(np.abs(axis - wirelength_um)))
-        return float(axis[idx])
-
-    def planes(self) -> StageLUTPlanes:
-        """Compile (and memoize) this corner's tables as dense planes.
-
-        Raises :class:`ValueError` when the tables cannot be compiled
-        (detail grids that disagree on axes, or degenerate single-point
-        axes that would take the scalar lookup's special-case branches).
-        """
-        cached = self.__dict__.get("_planes")
-        if cached is not None:
-            return cached
-        if not self.sizes or not self.wl_axis:
-            raise ValueError("cannot compile empty stage-delay LUT")
-        ref = self.detail[(self.sizes[0], self.wl_axis[0])]
-        sax = ref.slew_grid
-        lax = ref.load_grid
-        if sax.size < 2 or lax.size < 2:
-            raise ValueError("detail axes too small to compile into planes")
-        shape = (len(self.sizes), len(self.wl_axis))
-        uniform = np.empty(shape)
-        uniform_slew = np.empty(shape)
-        detail = np.empty(shape + (sax.size, lax.size))
-        detail_slew = np.empty_like(detail)
-        for i, size in enumerate(self.sizes):
-            for j, wl in enumerate(self.wl_axis):
-                uniform[i, j] = self.uniform[(size, wl)]
-                uniform_slew[i, j] = self.uniform_slew[(size, wl)]
-                dtab = self.detail[(size, wl)]
-                stab = self.detail_slew[(size, wl)]
-                for table in (dtab, stab):
-                    if not (
-                        np.array_equal(table.slew_grid, sax)
-                        and np.array_equal(table.load_grid, lax)
-                    ):
-                        raise ValueError("detail tables do not share one grid")
-                detail[i, j] = dtab.value_grid
-                detail_slew[i, j] = stab.value_grid
-        planes = StageLUTPlanes(
-            sizes=tuple(self.sizes),
-            wl_axis=tuple(self.wl_axis),
-            uniform=uniform,
-            uniform_slew=uniform_slew,
-            detail=detail,
-            detail_slew=detail_slew,
-            detail_slew_axis=sax.copy(),
-            detail_load_axis=lax.copy(),
-        )
-        object.__setattr__(self, "_planes", planes)
-        return planes
+        return float(self.wl_axis[self.wl_index(wirelength_um)])
 
 
 def characterize_stage_luts(
@@ -460,38 +405,22 @@ def characterize_stage_luts(
     """
     use_sizes = tuple(sizes) if sizes else library.sizes
     wls = tuple(wl_axis)
-    slews = tuple(detail_slew_axis)
-    loads = tuple(detail_load_axis)
-    lanes = (
-        np.asarray(wls, dtype=float)[:, None, None],
-        np.asarray(slews, dtype=float)[None, :, None],
-        np.asarray(loads, dtype=float)[None, None, :],
-    )
+    slews = np.asarray(detail_slew_axis, dtype=float)
+    loads = np.asarray(detail_load_axis, dtype=float)
+    lanes = (np.asarray(wls, dtype=float)[:, None, None], slews[:, None], loads)
     luts: Dict[str, StageDelayLUT] = {}
     for corner in library.corners:
-        uniform: Dict[Tuple[int, float], float] = {}
-        uniform_slew: Dict[Tuple[int, float], float] = {}
-        detail: Dict[Tuple[int, float], NLDMTable] = {}
-        detail_slew: Dict[Tuple[int, float], NLDMTable] = {}
-        for size in use_sizes:
-            steady_d, steady_s = _steady_state_stages(library, corner, size, wls)
-            grid_d, grid_s = stage_delays(library, corner, size, *lanes)
-            for j, wl in enumerate(wls):
-                uniform[(size, wl)] = float(steady_d[j])
-                uniform_slew[(size, wl)] = float(steady_s[j])
-                detail[(size, wl)] = NLDMTable(
-                    slews, loads, tuple(map(tuple, grid_d[j].tolist()))
-                )
-                detail_slew[(size, wl)] = NLDMTable(
-                    slews, loads, tuple(map(tuple, grid_s[j].tolist()))
-                )
+        steady = [_steady_state_stages(library, corner, s, wls) for s in use_sizes]
+        grids = [stage_delays(library, corner, s, *lanes) for s in use_sizes]
         luts[corner.name] = StageDelayLUT(
             corner=corner,
             sizes=use_sizes,
             wl_axis=wls,
-            uniform=uniform,
-            uniform_slew=uniform_slew,
-            detail=detail,
-            detail_slew=detail_slew,
+            slew_axis=slews,
+            load_axis=loads,
+            uniform=np.array([d for d, _ in steady]),
+            uniform_slew=np.array([s for _, s in steady]),
+            detail=np.array([d for d, _ in grids]),
+            detail_slew=np.array([s for _, s in grids]),
         )
     return luts

@@ -49,7 +49,6 @@ from repro.sta.kernel import KernelStale
 from repro.sta.slew import LN9
 from repro.sta.timer import GoldenTimer
 from repro.tech import ratio_bounds
-from repro.tech.cells import NLDMTable
 from repro.tech.library import default_library
 from repro.tech.ratio_bounds import RatioBounds, RatioCloud
 from repro.tech.stage_lut import (
@@ -184,7 +183,7 @@ def reference_compile_row(compiled, tree, nid):
         positions.append(pos)
     lib = compiled._kernel.library
     size = lib.source_drive_size if node.is_source else node.size
-    size_pos = compiled._kernel._size_pos.get(size)
+    size_pos = lib.nldm.size_pos.get(size)
     if size_pos is None:
         raise KernelStale(f"drive size {size} not in library")
     return (positions, tuple(children), size_pos) + reference_eval_net(
@@ -745,46 +744,57 @@ def reference_stage_luts(
     scalar :func:`stage_delay` per LUTdetail grid point.
     """
     use_sizes = tuple(sizes) if sizes else library.sizes
+    slews = np.asarray(detail_slew_axis, dtype=float)
+    loads = np.asarray(detail_load_axis, dtype=float)
+    shape = (len(use_sizes), len(wl_axis))
     luts: Dict[str, StageDelayLUT] = {}
     for corner in library.corners:
-        uniform: Dict[Tuple[int, float], float] = {}
-        uniform_slew: Dict[Tuple[int, float], float] = {}
-        detail: Dict[Tuple[int, float], NLDMTable] = {}
-        detail_slew: Dict[Tuple[int, float], NLDMTable] = {}
-        for size in use_sizes:
-            for wl in wl_axis:
-                d, s = steady_state_stage(library, corner, size, wl)
-                uniform[(size, wl)] = d
-                uniform_slew[(size, wl)] = s
-                delay_rows: List[Tuple[float, ...]] = []
-                slew_rows: List[Tuple[float, ...]] = []
-                for slew_in in detail_slew_axis:
-                    drow = []
-                    srow = []
-                    for load in detail_load_axis:
-                        dd, ss = stage_delay(
+        uniform = np.empty(shape)
+        uniform_slew = np.empty(shape)
+        detail = np.empty(shape + (slews.size, loads.size))
+        detail_slew = np.empty_like(detail)
+        for i, size in enumerate(use_sizes):
+            for j, wl in enumerate(wl_axis):
+                uniform[i, j], uniform_slew[i, j] = steady_state_stage(
+                    library, corner, size, wl
+                )
+                for a, slew_in in enumerate(detail_slew_axis):
+                    for b, load in enumerate(detail_load_axis):
+                        detail[i, j, a, b], detail_slew[i, j, a, b] = stage_delay(
                             library, corner, size, wl, slew_in, load
                         )
-                        drow.append(dd)
-                        srow.append(ss)
-                    delay_rows.append(tuple(drow))
-                    slew_rows.append(tuple(srow))
-                detail[(size, wl)] = NLDMTable(
-                    tuple(detail_slew_axis), tuple(detail_load_axis), tuple(delay_rows)
-                )
-                detail_slew[(size, wl)] = NLDMTable(
-                    tuple(detail_slew_axis), tuple(detail_load_axis), tuple(slew_rows)
-                )
         luts[corner.name] = StageDelayLUT(
             corner=corner,
             sizes=use_sizes,
             wl_axis=tuple(wl_axis),
+            slew_axis=slews,
+            load_axis=loads,
             uniform=uniform,
             uniform_slew=uniform_slew,
             detail=detail,
             detail_slew=detail_slew,
         )
     return luts
+
+
+#: The array fields of a :class:`~repro.tech.stage_lut.StageDelayLUT`.
+LUT_ARRAYS = (
+    "slew_axis",
+    "load_axis",
+    "uniform",
+    "uniform_slew",
+    "detail",
+    "detail_slew",
+)
+
+
+def stage_luts_equal(got, expected) -> bool:
+    """Two ``{corner: StageDelayLUT}`` maps agree on every axis and value."""
+    return got.keys() == expected.keys() and all(
+        (lut.corner, lut.sizes, lut.wl_axis) == (ref.corner, ref.sizes, ref.wl_axis)
+        and all(np.array_equal(getattr(lut, f), getattr(ref, f)) for f in LUT_ARRAYS)
+        for lut, ref in ((got[name], expected[name]) for name in got)
+    )
 
 
 def reference_ratio_cloud(

@@ -1,10 +1,16 @@
-"""NLDM tables and inverter cell characterization."""
+"""NLDM tables, the library's NLDM stack and inverter characterization."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.eco_flow import ECOConfig
+from repro.core.ml.pipeline import CandidatePipeline
+from repro.eco.candidate_kernel import ECOCandidateKernel
+from repro.sta.timer import GoldenTimer
 from repro.tech.cells import (
     DEFAULT_LOAD_AXIS,
     DEFAULT_SLEW_AXIS,
@@ -133,3 +139,87 @@ class TestCharacterizeInverter:
         for slew in DEFAULT_SLEW_AXIS:
             for load in DEFAULT_LOAD_AXIS:
                 assert inv8.output_slew(slew, load) > 0.0
+
+
+def _cells_off_one_grid(library):
+    key = sorted(library.cells)[-1]
+    cell = library.cells[key]
+    table = cell.delay_table
+    shifted = NLDMTable(
+        tuple(s + 1.0 for s in table.slew_axis), table.load_axis, table.values
+    )
+    cells = dict(library.cells)
+    cells[key] = dataclasses.replace(cell, delay_table=shifted)
+    return dataclasses.replace(library, cells=cells)
+
+
+def _single_point_slew_axis(library):
+    def first_slew(table):
+        return NLDMTable(table.slew_axis[:1], table.load_axis, table.values[:1])
+
+    cells = {
+        key: dataclasses.replace(
+            cell,
+            delay_table=first_slew(cell.delay_table),
+            slew_table=first_slew(cell.slew_table),
+        )
+        for key, cell in library.cells.items()
+    }
+    return dataclasses.replace(library, cells=cells)
+
+
+class TestNLDMStack:
+    """One stack per library, shared by the timing, feature and ECO kernels."""
+
+    @pytest.mark.parametrize(
+        "doctor, reason",
+        [
+            (_cells_off_one_grid, "cells do not share one NLDM grid"),
+            (
+                lambda lib: dataclasses.replace(lib, source_drive_size=64),
+                "source drive size outside the size list",
+            ),
+            (_single_point_slew_axis, "NLDM axes too small to stack"),
+        ],
+        ids=["off-grid", "source-size", "single-point-axis"],
+    )
+    def test_unstackable_library_raises_in_every_kernel(
+        self, mini_design, stage_luts, doctor, reason
+    ):
+        """No scalar fallback: every kernel refuses the library, with the
+        stack's reason."""
+        library = doctor(mini_design.library)
+        with pytest.raises(ValueError, match=reason):
+            GoldenTimer(library).analyze_all_corners(mini_design.tree)
+        with pytest.raises(ValueError, match=reason):
+            CandidatePipeline(library)
+        with pytest.raises(ValueError, match=reason):
+            ECOCandidateKernel(library, stage_luts, ECOConfig())
+
+    def test_kernels_share_the_library_stack(self, mini_design, stage_luts):
+        # A fresh copy, so the timer's kernel is the one that builds it.
+        library = dataclasses.replace(mini_design.library)
+        assert "nldm" not in library.__dict__
+        timer = GoldenTimer(library)
+        timer.analyze_all_corners(mini_design.tree)
+        stack = library.nldm
+        assert timer._timing_kernel()._nldm is stack
+        assert CandidatePipeline(library).kernel._nldm is stack
+        assert ECOCandidateKernel(library, stage_luts, ECOConfig())._nldm is stack
+
+    def test_pair_equals_scalar_lookups(self, mini_design):
+        """``pair`` reads the four lookups of the scalar tables bit for bit."""
+        library = mini_design.library
+        stack = library.nldm
+        rng = np.random.default_rng(5)
+        n = 40
+        corner = rng.integers(len(library.corners), size=n)
+        size = rng.integers(len(library.sizes), size=n)
+        slew = np.concatenate([[0.0, 400.0], rng.uniform(0.0, 250.0, n - 2)])
+        load = np.concatenate([[300.0, 0.0], rng.uniform(0.0, 180.0, n - 2)])
+        delay, out_slew = stack.pair(corner, size, slew, load)
+        for i in range(n):
+            cell = library.cell(library.sizes[size[i]], library.corners[corner[i]])
+            s1 = cell.output_slew(slew[i], cell.input_cap_ff)
+            d = cell.delay(slew[i], cell.input_cap_ff) + cell.delay(s1, load[i])
+            assert (delay[i], out_slew[i]) == (d, cell.output_slew(s1, load[i]))

@@ -6,8 +6,8 @@ The contracts under test:
   once at stop, and the merged trace stays schema-valid; with a live
   pool its gauges/counters carry the pool tag and per-lane busy
   fractions;
-* pool shutdown emits the lifetime counters (steals/requeued/
-  compactions/crashes) as ``metric`` events, not only ``stats`` (S1);
+* pool shutdown emits the lifetime counters (steals/requeued/crashes)
+  as ``metric`` events, not only ``stats`` (S1);
 * a worker killed mid-span leaves no orphan ``span_start`` after merge,
   and the respawned worker's lane validates against the schema (S3);
 * :class:`SpanProfiler` profiles only glob-matched outermost spans and
@@ -207,7 +207,7 @@ class TestPoolShutdownCounters:
             for e in tracer.events
             if e.get("type") == "metric" and e["name"].startswith("pool.")
         }
-        for counter in ("steals", "requeued", "compactions", "crashes"):
+        for counter in ("steals", "requeued", "crashes"):
             event = emitted[f"pool.{counter}"]
             assert event["kind"] == "counter"
             assert event["labels"] == {"pool": "verify"}

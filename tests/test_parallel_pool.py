@@ -13,8 +13,9 @@ The contracts under test:
 * the parallel local-opt trajectory is identical to the serial one;
 * workers start from the pool's start state (under fork, inherited with
   no pickle round trip), each compiling and propagating its own replica
-  of the spec's tree; the event-driven scheduler and delta compaction
-  produce byte-identical verdicts and trajectories to the serial loop.
+  of the spec's tree; the event-driven scheduler and workers respawned
+  mid-run (replaying the whole delta stream) produce byte-identical
+  verdicts and trajectories to the serial loop.
 """
 
 from __future__ import annotations
@@ -33,12 +34,10 @@ from repro.parallel import (
     CRASH_EXIT_CODE,
     ParallelVerifier,
     Replica,
-    ReplicaSpec,
     WorkerPool,
     publish_replica_arena,
     worker_state,
 )
-from repro.parallel import verify as verify_mod
 from repro.parallel.pool import effective_cpu_count, resolve_workers
 from repro.testcases.mini import build_mini
 
@@ -64,7 +63,7 @@ def predictor(problem):
 @contextlib.contextmanager
 def replica_pool(problem, tree, workers=2):
     """A verify pool started from a replica spec of ``tree``."""
-    with WorkerPool(workers, state=ReplicaSpec.from_problem(problem, tree)) as pool:
+    with WorkerPool(workers, state=publish_replica_arena(problem, tree)) as pool:
         yield pool
 
 
@@ -104,7 +103,7 @@ def serial_verdict(problem, tree, move, tol_ps=0.5):
 class TestReplica:
     def test_verify_matches_main_engine(self, problem, moves):
         tree = problem.design.tree.clone()
-        replica = Replica(ReplicaSpec.from_problem(problem, tree))
+        replica = Replica(publish_replica_arena(problem, tree))
         for index, move in enumerate(moves):
             outcome = replica.verify(index, move)
             tv, degraded = serial_verdict(problem, tree, move)
@@ -113,7 +112,7 @@ class TestReplica:
 
     def test_delta_replay_keeps_timing_within_tolerance(self, problem, moves):
         tree = problem.design.tree.clone()
-        replica = Replica(ReplicaSpec.from_problem(problem, tree))
+        replica = Replica(publish_replica_arena(problem, tree))
         # Commit two moves on the main side, replay them on the replica.
         committed = []
         for move in moves:
@@ -142,7 +141,7 @@ class TestReplica:
 
     def test_sync_skips_already_applied_and_rejects_gaps(self, problem, moves):
         tree = problem.design.tree.clone()
-        replica = Replica(ReplicaSpec.from_problem(problem, tree))
+        replica = Replica(publish_replica_arena(problem, tree))
         move = moves[0]
         problem.engine()  # main engine exists independently
         replica.sync([move], first_index=0)
@@ -151,34 +150,6 @@ class TestReplica:
         assert replica.applied == 1
         with pytest.raises(ValueError, match="gap"):
             replica.sync([move], first_index=3)
-
-    def test_snapshot_replica_matches_replayed_replica(self, problem, moves):
-        """A replica started from a baseline snapshot taken after two
-        commits starts at index 2 and times like one that replayed them."""
-        tree = problem.design.tree.clone()
-        spec = ReplicaSpec.from_problem(problem, tree)
-        replayed = Replica(spec)
-        committed = []
-        for move in moves:
-            try:
-                problem.commit_move(tree, move)
-            except Exception:
-                continue
-            committed.append(move)
-            if len(committed) == 2:
-                break
-        assert len(committed) == 2
-        replayed.sync(committed, first_index=0)
-        snapshot = Replica(publish_replica_arena(spec, tree, baseline_index=2))
-        assert snapshot.applied == replayed.applied == 2
-        assert snapshot.engine.stats["full_passes"] == 1
-        a, b = snapshot.evaluate(), replayed.evaluate()
-        assert abs(a.total_variation - b.total_variation) <= 1e-9
-        for index, move in enumerate(moves):
-            va = snapshot.verify(index, move)
-            vb = replayed.verify(index, move)
-            assert abs(va.total_variation - vb.total_variation) <= 1e-9
-            assert va.degraded == vb.degraded
 
 
 # ----------------------------------------------------------------------
@@ -262,7 +233,7 @@ class TestWorkerPool:
             assert pool.stats["failed_shards"] == 2
             assert pool.alive_workers() == 2
             # Fresh workers replay the delta stream from the start
-            # state's baseline, so verdicts match the advanced main engine.
+            # state's tree, so verdicts match the advanced main engine.
             outcomes = pool.verify_batch(moves[:2])
             for move, outcome in zip(moves[:2], outcomes):
                 assert outcome is not None
@@ -346,11 +317,11 @@ class TestParallelLocalOpt:
 
 
 # ----------------------------------------------------------------------
-# Event-driven scheduler, crash requeue, compaction
+# Event-driven scheduler, crash requeue, respawn replay
 # ----------------------------------------------------------------------
 class TestShmPool:
-    def _verifier(self, problem, tree, workers=2, **kwargs):
-        return ParallelVerifier(problem, tree, workers=workers, **kwargs)
+    def _verifier(self, problem, tree, workers=2):
+        return ParallelVerifier(problem, tree, workers=workers)
 
     def test_shm_verify_batch_matches_serial(self, problem, moves):
         tree = problem.design.tree.clone()
@@ -385,9 +356,11 @@ class TestShmPool:
             assert verdict == serial_verdict(problem, tree, move)
         assert again == verdicts
 
-    def test_delta_compaction_republishes_baseline(self, problem, moves):
+    def test_respawned_workers_replay_from_start_tree(self, problem, moves):
+        """Workers respawned after four commits compile the run's start
+        tree, replay all four moves and return the serial verdicts."""
         tree = problem.design.tree.clone()
-        with self._verifier(problem, tree, compact_every=3) as verifier:
+        with self._verifier(problem, tree) as verifier:
             pool = verifier._pool
             committed = 0
             for move in moves:
@@ -395,30 +368,22 @@ class TestShmPool:
                     problem.commit_move(tree, move)
                 except Exception:
                     continue
-                verifier.record_commit(move, tree=tree)
+                verifier.record_commit(move)
                 committed += 1
-                # Interleave a batch so the live workers' watermarks
-                # advance past the prefix the compactor wants to drop.
                 verdicts = verifier.verify_batch(tree, list(moves[:2]))
                 for move_, verdict in zip(moves[:2], verdicts):
                     assert verdict == serial_verdict(problem, tree, move_)
                 if committed == 4:
                     break
-            assert committed == 4
-            stats = verifier.stats_dict()
-            assert stats["compactions"] >= 1
-            assert stats["retained_deltas"] < pool.committed
-            # The third commit took a new baseline.  Workers respawned
-            # after it start there and replay only the fourth move.
-            assert (pool.state.baseline_index, pool.committed) == (3, 4)
+            assert committed == pool.committed == 4
             pool.crash_worker(0)
             pool.crash_worker(1)
             verifier.verify_batch(tree, list(moves[:2]))  # forfeits, rebuilds
-            assert [ping(pool, i) for i in range(2)] == [3, 3]
-            verdicts = verifier.verify_batch(tree, list(moves[:2]))
-            for move, verdict in zip(moves[:2], verdicts):
-                assert verdict == serial_verdict(problem, tree, move)
+            assert [ping(pool, i) for i in range(2)] == [0, 0]
+            verdicts = verifier.verify_batch(tree, list(moves))
+            assert verdicts == [serial_verdict(problem, tree, m) for m in moves]
             assert [ping(pool, i) for i in range(2)] == [4, 4]
+            assert verifier.stats_dict()["serial_fallbacks"] == 2
 
     def test_call_overlapped_migrates_queued_payloads(self, problem):
         tree = problem.design.tree.clone()
@@ -452,28 +417,14 @@ class TestShmLocalOpt:
         ]
         return trajectory, outcome
 
-    def test_shm_trajectory_identical_to_serial_and_pipe(self, predictor, monkeypatch):
+    def test_shm_trajectory_identical_to_serial_and_pipe(self, predictor):
         """Serial vs a pool whose workers compile and propagate their own
-        replicas from the start state's tree, with a new baseline after
-        every second commit."""
+        replicas from the start state's tree."""
         serial, serial_outcome = self._run(predictor, workers=1)
         pooled, pooled_outcome = self._run(predictor, workers=2)
-        init = verify_mod.ParallelVerifier.__init__
-
-        def compacting(self, *args, **kwargs):
-            init(self, *args, compact_every=2, **kwargs)
-
-        monkeypatch.setattr(verify_mod.ParallelVerifier, "__init__", compacting)
-        compacted, compacted_outcome = self._run(predictor, workers=2)
-        assert serial == pooled == compacted
-        assert (
-            serial_outcome.final_objective_ps
-            == pooled_outcome.final_objective_ps
-            == compacted_outcome.final_objective_ps
-        )
-        for outcome in (pooled_outcome, compacted_outcome):
-            assert outcome.stats["parallel"]["serial_fallbacks"] == 0
-        assert compacted_outcome.stats["parallel"]["compactions"] >= 1
+        assert serial == pooled
+        assert serial_outcome.final_objective_ps == pooled_outcome.final_objective_ps
+        assert pooled_outcome.stats["parallel"]["serial_fallbacks"] == 0
 
     def test_shm_oversubscribed_trajectory_identical(self, predictor):
         serial, _ = self._run(predictor, workers=1, top_r=2, iterations=2)

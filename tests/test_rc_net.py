@@ -66,12 +66,17 @@ class TestEdgeRC:
         assert elmore_delay_to(detour, "sink") > elmore_delay_to(direct, "sink")
 
 
+def _moments(wire, lengths, loads):
+    """:func:`straight_wire_moments` at one corner's wire parasitics."""
+    return straight_wire_moments(wire.res_per_um, wire.cap_per_um, lengths, loads)
+
+
 class TestStraightWireMoments:
     def test_lanes_equal_edge_trees(self, wire):
         """Each lane's (Elmore, D2M) equals its edge tree's, bit for bit."""
         lengths = [0.0, 0.3, 19.99, 20.0, 20.01, 100.0, 333.3, 901.25]
         loads = [0.0, 0.9, 4.0, 80.0, 2.5, 16.64, 1.04, 7.0]
-        elmore, d2m = straight_wire_moments(wire, lengths, loads)
+        elmore, d2m = _moments(wire, lengths, loads)
         for i, (length, load) in enumerate(zip(lengths, loads)):
             tree = edge_rc_tree([Point(0, 0), Point(length, 0)], wire, load)
             assert elmore[i] == elmore_delays(tree)["sink"], length
@@ -79,20 +84,33 @@ class TestStraightWireMoments:
 
     def test_broadcasts_a_scalar_load(self, wire):
         lengths = np.array([[5.0, 45.0], [70.0, 0.0]])
-        elmore, d2m = straight_wire_moments(wire, lengths, 3.0)
+        elmore, d2m = _moments(wire, lengths, 3.0)
         assert elmore.shape == d2m.shape == (2, 2)
-        flat = straight_wire_moments(wire, lengths.ravel(), [3.0] * 4)
+        flat = _moments(wire, lengths.ravel(), [3.0] * 4)
         assert elmore.ravel().tolist() == flat[0].tolist()
         assert d2m.ravel().tolist() == flat[1].tolist()
 
+    def test_corner_arrays_add_a_leading_axis(self, wire):
+        """``(corners,)`` parasitics time every corner in one pass; each
+        corner's row equals that corner's scalar call bit for bit."""
+        res = np.array([wire.res_per_um, 1.3 * wire.res_per_um, 0.8 * wire.res_per_um])
+        cap = np.array([wire.cap_per_um, 0.9 * wire.cap_per_um, 1.2 * wire.cap_per_um])
+        lengths = np.array([[0.0, 19.99, 45.0], [120.5, 333.3, 20.0]])
+        elmore, d2m = straight_wire_moments(res, cap, lengths, 2.5)
+        assert elmore.shape == d2m.shape == (3, 2, 3)
+        for k in range(3):
+            one = straight_wire_moments(float(res[k]), float(cap[k]), lengths, 2.5)
+            assert elmore[k].tolist() == one[0].tolist()
+            assert d2m[k].tolist() == one[1].tolist()
+
     def test_empty_input(self, wire):
-        elmore, d2m = straight_wire_moments(wire, np.zeros(0), 1.0)
+        elmore, d2m = _moments(wire, np.zeros(0), 1.0)
         assert elmore.size == d2m.size == 0
 
     @pytest.mark.parametrize("length, load", [(-1.0, 1.0), (10.0, -0.5)])
     def test_negative_length_or_load_raises(self, wire, length, load):
         with pytest.raises(ValueError):
-            straight_wire_moments(wire, [5.0, length], load)
+            _moments(wire, [5.0, length], load)
 
 
 class TestStarRC:

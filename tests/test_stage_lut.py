@@ -9,6 +9,7 @@ from repro.route.rc_net import edge_rc_tree
 from repro.sta.d2m import d2m_delays
 from repro.sta.elmore import elmore_delays
 from repro.tech import stage_lut
+from repro.tech.cells import NLDMTable
 from repro.tech.stage_lut import (
     DEFAULT_WL_AXIS,
     characterize_stage_luts,
@@ -19,7 +20,12 @@ from repro.tech.stage_lut import (
     stage_delays,
     steady_state_stage,
 )
-from tests.oracles import PARITY_LIBRARIES, reference_hop_fill, reference_stage_luts
+from tests.oracles import (
+    LUT_ARRAYS,
+    PARITY_LIBRARIES,
+    reference_hop_fill,
+    reference_stage_luts,
+)
 
 
 def _hop_at_key(library, corner, wirelength_um, load_ff):
@@ -35,15 +41,16 @@ def _hop_at_key(library, corner, wirelength_um, load_ff):
 
 
 def assert_luts_equal(got, expected):
-    """Every LUTuniform and LUTdetail value equal, bit for bit."""
+    """Every axis and every LUTuniform and LUTdetail value equal, bit for bit."""
     assert got.keys() == expected.keys()
     for name, lut in got.items():
         ref = expected[name]
         assert (lut.sizes, lut.wl_axis) == (ref.sizes, ref.wl_axis)
-        assert lut.uniform == ref.uniform, name
-        assert lut.uniform_slew == ref.uniform_slew, name
-        assert lut.detail == ref.detail, name
-        assert lut.detail_slew == ref.detail_slew, name
+        for field in LUT_ARRAYS:
+            assert np.array_equal(getattr(lut, field), getattr(ref, field)), (
+                name,
+                field,
+            )
 
 
 class TestStageDelay:
@@ -327,9 +334,11 @@ class TestCharacterization:
 
     def test_uniform_entries_complete(self, luts, library_cls1):
         lut = luts["c0"]
-        assert set(lut.uniform) == {
-            (s, w) for s in library_cls1.sizes for w in DEFAULT_WL_AXIS
-        }
+        assert (lut.sizes, lut.wl_axis) == (library_cls1.sizes, DEFAULT_WL_AXIS)
+        grid = (len(library_cls1.sizes), len(DEFAULT_WL_AXIS))
+        assert lut.uniform.shape == lut.uniform_slew.shape == grid
+        detail = grid + (lut.slew_axis.size, lut.load_axis.size)
+        assert lut.detail.shape == lut.detail_slew.shape == detail
 
     def test_snap_wl(self, luts):
         lut = luts["c0"]
@@ -339,7 +348,9 @@ class TestCharacterization:
 
     def test_uniform_delay_accessor(self, luts):
         lut = luts["c0"]
-        assert lut.uniform_delay(4, 61.0) == lut.uniform[(4, 60.0)]
+        row, col = lut.sizes.index(4), lut.wl_axis.index(60.0)
+        assert lut.uniform_delay(4, 61.0) == lut.uniform[row, col]
+        assert lut.steady_slew(4, 61.0) == lut.uniform_slew[row, col]
 
     def test_detail_interpolates_between_grid(self, luts):
         lut = luts["c0"]
@@ -347,6 +358,12 @@ class TestCharacterization:
         hi = lut.detail_delay(4, 60.0, 150.0, 80.0)
         mid = lut.detail_delay(4, 60.0, 40.0, 10.0)
         assert lo < mid < hi
+        # The accessor reads the array grid as an NLDMTable would.
+        grid = lut.detail[lut.sizes.index(4), lut.wl_axis.index(60.0)]
+        table = NLDMTable(
+            tuple(lut.slew_axis), tuple(lut.load_axis), tuple(map(tuple, grid.tolist()))
+        )
+        assert mid == table.lookup(40.0, 10.0)
 
     def test_default_wl_axis_matches_paper(self):
         assert DEFAULT_WL_AXIS[0] == 10.0
@@ -377,12 +394,10 @@ class TestBatchedCharacterization:
             capped, reference_stage_luts(library_cls1, sizes=sizes, wl_axis=axis)
         )
         # The cap bites on some lanes and not on others.
-        same = [
-            capped[c].uniform_slew[k] == settled[c].uniform_slew[k]
-            for c in capped
-            for k in capped[c].uniform_slew
-        ]
-        assert any(same) and not all(same)
+        same = np.array(
+            [capped[c].uniform_slew == settled[c].uniform_slew for c in capped]
+        )
+        assert same.any() and not same.all()
 
     def test_irregular_lanes_equal_scalar(self, library_cls1):
         """Off-grid, clamped, zero and sub-bucket lanes, broadcast together."""
