@@ -9,8 +9,9 @@ evaluates all estimator variants for all corners in broadcast numpy,
 and ``batched_variation_reductions`` vectorizes the scorer.
 
 Runs the same optimization with the scalar oracles swapped in for the
-kernel (per-move ``compute_move_components`` and
-``predicted_variation_reduction``) and on the kernel, checks the
+kernel (``tests.oracles.use_scalar_features``: per-move
+``compute_move_components`` and ``predicted_variation_reduction``, and
+the per-pair Eq. (1)-(3) verdicts) and on the kernel, checks the
 committed-move trajectories are byte-identical, and writes
 ``results/BENCH_features.json`` with the featurize+score stage times and
 kernel counters.  Asserts the tentpole target: **>= 5x** on the

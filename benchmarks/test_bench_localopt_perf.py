@@ -1,101 +1,62 @@
-"""Bench: Algorithm-2 iteration throughput, batched pipeline vs legacy.
+"""Bench: Algorithm-2 cost per committed iteration.
 
-The candidate-ranking stage (enumerate + featurize + predict + score)
-dominated each local-opt iteration: every iteration re-extracted features
-for every candidate move from scratch.  The incremental pipeline caches
-move featurizations across iterations (invalidating only the committed
-move's dirty frontier), shares analytical net evaluations under value
-keys, and assembles/infers per corner in single vectorized calls.
+Runs the local optimizer with the analytical predictor for a fixed number
+of iterations and writes ``results/BENCH_localopt.json``:
 
-Runs the same optimization twice — with the bench-local
-``_LegacyLocalOptimizer`` (the pre-pipeline per-move ranking) and with
-the production ranking — checks the committed-move trajectories are
-identical, and writes ``results/BENCH_localopt.json`` with wall times,
-per-stage timers and cache counters.  Asserts the tentpole target:
-**>= 5x** end-to-end iteration throughput on CLS1v1.  A MINI smoke
-variant (`-k smoke`) runs in seconds for CI.
+* ``iteration_cost_ms`` — the run's milliseconds per committed
+  iteration (enumerate, featurize, predict, score, trials and commits),
+  gated by ``compare_bench.py``'s relative ``_cost_ms`` rule;
+* the per-stage seconds, candidate-pipeline cache counters, engine
+  counters and the cyclic garbage collections of the run
+  (``pipeline_stats``, the run's ``LocalOptResult.stats``);
+* ``trajectory_identical`` — the same flow run once more with the scalar
+  oracles swapped in (``tests.oracles.use_scalar_features``: per-move
+  featurization and scoring, per-pair Eq. (1)-(3) verdicts) commits the
+  same moves with the same floats.
+
+The flow runs ``ROUNDS`` times on CLS1v1 and ``SMOKE_ROUNDS`` times on
+MINI (``-k smoke``, for CI); a sub-second run is timed as the best of a
+few back-to-back runs (``_util.best_of``).  The record keeps the median.
 """
 
 from __future__ import annotations
 
+import statistics
 import time
 
-from _util import emit, write_record
-from repro.core.local_opt import (
-    LocalOptConfig,
-    LocalOptimizer,
-    predicted_variation_reduction,
-)
-from repro.core.ml.features import compute_move_components
-from repro.core.ml.pipeline import FeatureBatch
+import pytest
+from _util import best_of, emit, write_record
+from repro.core.local_opt import LocalOptConfig, LocalOptimizer
 from repro.core.ml.training import train_predictor
-from repro.core.moves import enumerate_moves
 from repro.core.objective import SkewVariationProblem
 from repro.testcases.cls1 import build_cls1
 from repro.testcases.mini import build_mini
+from tests.oracles import use_scalar_features
+
+#: Timed runs of the flow, full and smoke.
+ROUNDS = 3
+SMOKE_ROUNDS = 5
 
 
-class _LegacyLocalOptimizer(LocalOptimizer):
-    """Algorithm 2 with the pre-pipeline ranking.
-
-    Every iteration featurizes each move from scratch with the scalar
-    featurizer (``compute_move_components``, uncached), predicts the
-    assembled batch with ``predict_matrix`` and scores each move with the
-    scalar ``predicted_variation_reduction``; the pipeline the run passes
-    in goes unused.
-    """
-
-    def _rank_moves(self, tree, result, pipeline, timers):
-        cfg = self._config
-        problem = self._problem
-        library = problem.design.library
-        buffers = self._select_buffers(tree, result)
-        with timers.stage("enumerate"):
-            moves = enumerate_moves(
-                tree,
-                library,
-                buffers=buffers,
-                surgery_window_um=cfg.surgery_window_um,
-            )
-        if not moves:
-            return []
-        names = [c.name for c in library.corners]
-        with timers.stage("featurize"):
-            features = [
-                compute_move_components(tree, library, result.per_corner, move)
-                for move in moves
-            ]
-            batch = FeatureBatch.assemble(features, names)
-        with timers.stage("predict"):
-            predictions = self._predictor.predict_matrix(batch)
-        ranked = []
-        with timers.stage("score"):
-            for feats, row in zip(features, predictions):
-                reduction = predicted_variation_reduction(
-                    problem, tree, result, feats, dict(zip(names, row.tolist()))
-                )
-                if reduction > cfg.min_predicted_reduction_ps:
-                    ranked.append((reduction, feats))
-            ranked.sort(key=lambda item: -item[0])
-        return ranked
-
-
-def _run_once(build, optimizer_cls, max_iterations):
-    """One full Algorithm-2 run on a fresh design + engine."""
-    design = build()
-    problem = SkewVariationProblem.create(design)
-    predictor = train_predictor(design.library, [], "full_rsmt_d2m")
-    optimizer = optimizer_cls(
-        problem,
-        predictor,
-        LocalOptConfig(
-            max_iterations=max_iterations,
-            max_batches_per_iteration=8,
-        ),
-    )
-    t0 = time.perf_counter()
-    outcome = optimizer.run()
-    elapsed = time.perf_counter() - t0
+def _run_once(build, max_iterations, scalar=False):
+    """``(design, outcome, seconds)`` of one run on a fresh design + engine."""
+    with pytest.MonkeyPatch.context() as patch:
+        if scalar:
+            use_scalar_features(patch)
+        design = build()
+        problem = SkewVariationProblem.create(design)
+        predictor = train_predictor(design.library, [], "full_rsmt_d2m")
+        optimizer = LocalOptimizer(
+            problem,
+            predictor,
+            LocalOptConfig(
+                max_iterations=max_iterations,
+                max_batches_per_iteration=8,
+            ),
+        )
+        t0 = time.perf_counter()
+        outcome = optimizer.run()
+        elapsed = time.perf_counter() - t0
     return design, outcome, elapsed
 
 
@@ -106,73 +67,82 @@ def _trajectory(outcome):
     ]
 
 
-def _run_comparison(build, max_iterations):
-    design, batched, batched_s = _run_once(build, LocalOptimizer, max_iterations)
-    _, legacy, legacy_s = _run_once(build, _LegacyLocalOptimizer, max_iterations)
+def _measure(build, max_iterations, rounds):
+    first = None
+    seconds = []
+    for _ in range(rounds):
 
+        def once():
+            design, outcome, elapsed = _run_once(build, max_iterations)
+            return (design, outcome), elapsed
+
+        out, elapsed = best_of(once)
+        first = first or out
+        seconds.append(elapsed)
+    design, outcome = first
+    _, oracle, oracle_s = _run_once(build, max_iterations, scalar=True)
     identical = (
-        _trajectory(batched) == _trajectory(legacy)
-        and batched.final_objective_ps == legacy.final_objective_ps
+        _trajectory(outcome) == _trajectory(oracle)
+        and outcome.final_objective_ps == oracle.final_objective_ps
     )
-    iters = max(len(batched.history), 1)
-    record = {
+    pipeline_s = statistics.median(seconds)
+    iters = max(len(outcome.history), 1)
+    return {
         "design": design.name,
         "corners": [c.name for c in design.library.corners],
-        "iterations": len(batched.history),
-        "legacy_s": round(legacy_s, 4),
-        "pipeline_s": round(batched_s, 4),
-        "legacy_s_per_iter": round(legacy_s / iters, 4),
-        "pipeline_s_per_iter": round(batched_s / iters, 4),
-        "speedup": round(legacy_s / batched_s, 2),
+        "iterations": len(outcome.history),
+        "rounds": rounds,
+        "pipeline_s": round(pipeline_s, 4),
+        "iteration_cost_ms": round(1000.0 * pipeline_s / iters, 3),
+        "oracle_s": round(oracle_s, 4),
         "trajectory_identical": identical,
-        "initial_objective_ps": round(batched.initial_objective_ps, 6),
-        "final_objective_ps": round(batched.final_objective_ps, 6),
-        "pipeline_stats": batched.stats,
-        "legacy_stats": legacy.stats,
+        "initial_objective_ps": round(outcome.initial_objective_ps, 6),
+        "final_objective_ps": round(outcome.final_objective_ps, 6),
+        "pipeline_stats": outcome.stats,
     }
-    return record
 
 
 def _report(tag, record):
-    stage = record["pipeline_stats"]["stage"]["seconds"]
-    cache = record["pipeline_stats"]["pipeline"]
+    stats = record["pipeline_stats"]
+    stage = stats["stage"]["seconds"]
+    cache = stats["pipeline"]
+    gc_stats = stats["gc"]
     lines = [
         f"BENCH localopt ({record['design']}): "
         f"{record['iterations']} committed iterations",
-        f"  legacy   : {record['legacy_s']:8.3f} s "
-        f"({record['legacy_s_per_iter']:.3f} s/iter)",
         f"  pipeline : {record['pipeline_s']:8.3f} s "
-        f"({record['pipeline_s_per_iter']:.3f} s/iter)",
-        f"  speedup  : {record['speedup']:.2f}x "
+        f"({record['iteration_cost_ms']:.1f} ms/iter, median of "
+        f"{record['rounds']} rounds)",
+        f"  oracles  : {record['oracle_s']:8.3f} s "
         f"(trajectory identical: {record['trajectory_identical']})",
         "  stages   : "
         + ", ".join(f"{k}={v:.3f}s" for k, v in sorted(stage.items())),
         f"  caches   : move {cache['move_hits']}/{cache['move_misses']} "
         f"hit/miss, plan {cache['plan_hits']}/{cache['plan_misses']}, "
         f"time {cache['time_hits']}/{cache['time_misses']}",
+        "  gc       : "
+        + ", ".join(f"{k}={v}" for k, v in gc_stats["collections"].items())
+        + f" collections, {gc_stats['pause_s']:.3f} s paused",
     ]
     emit(tag, "\n".join(lines))
 
 
 def test_bench_localopt_perf_cls1():
-    """Tentpole acceptance: >= 5x iteration throughput on CLS1v1."""
-    record = _run_comparison(lambda: build_cls1(1), max_iterations=10)
+    """CLS1v1, 10 iterations: cost per iteration, oracle-identical run."""
+    record = _measure(lambda: build_cls1(1), max_iterations=10, rounds=ROUNDS)
     _report("BENCH_localopt", record)
     write_record("BENCH_localopt", record)
     assert record["trajectory_identical"], record
     assert record["iterations"] > 0, record
-    assert record["speedup"] >= 5.0, record
     # Cross-iteration reuse is the point: cached moves must actually be
     # served after the first iteration.
     assert record["pipeline_stats"]["pipeline"]["move_hits"] > 0, record
 
 
 def test_bench_localopt_perf_smoke():
-    """MINI-scale smoke (CI): identical trajectories, modest floor."""
-    record = _run_comparison(build_mini, max_iterations=4)
+    """MINI-scale smoke (CI): the same record on a 4-iteration run."""
+    record = _measure(build_mini, max_iterations=4, rounds=SMOKE_ROUNDS)
     _report("BENCH_localopt_smoke", record)
     write_record("BENCH_localopt_smoke", record)
     assert record["trajectory_identical"], record
-    # MINI's move pool is tiny, so the relative win is smaller; the
-    # floor only guards against the pipeline regressing below parity.
-    assert record["speedup"] >= 1.2, record
+    assert record["iterations"] > 0, record

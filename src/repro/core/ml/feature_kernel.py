@@ -33,7 +33,13 @@ star side-effect variant) in broadcast numpy:
 * **wire-metric memo** — per-plan child Elmore/D2M vectors and total
   loads are slew- and size-independent, so they cache under the plan's
   value key and survive across local-opt epochs; the wirelength, fanout
-  and bounding box come from the template.
+  and bounding box come from the template.  The nominal-corner
+  ``{child: delay}`` maps of a :class:`NetEstimate` are built only when
+  an impact is requested (analytical predictors, the figure benches);
+* **side-effect rows** — each component's ``side`` row, the star
+  variant's old- and new-sibling deltas that the move scorer reads, is a
+  view of one ``(moves, 2, corners)`` batch array, so ranking with a
+  learned predictor builds no per-move impact object.
 
 Bit-compatibility contract
 --------------------------
@@ -141,9 +147,7 @@ class _WireMetrics:
     fanout: int
     bbox_area_um2: float
     bbox_aspect: float
-    #: Nominal-corner ``{metric: {child: delay}}`` maps, shared read-only
-    #: by every :class:`NetEstimate` of this plan.
-    nominal_wire: Dict[str, Dict[int, float]]
+    child_ids: Tuple[int, ...]  # the plan's children, in ``elm``/``d2m`` order
 
 
 @dataclass(frozen=True)
@@ -221,22 +225,28 @@ _VARIANTS: Tuple[Tuple[str, str], ...] = tuple(
 
 @dataclass(frozen=True)
 class _NominalNets:
-    """One role's nets of a batch under one route model, nominal corner."""
+    """One role's nets of a batch under one route model, nominal corner
+    (row ``nom`` of the wire metrics)."""
 
     metrics: Sequence[_WireMetrics]
     pair: List[float]
     out_slew: List[float]
     total_load: List[float]
+    nom: int
 
     def estimate(self, j: int) -> NetEstimate:
-        """Net ``j``'s :class:`NetEstimate`; the plan's per-child wire
-        maps are shared read-only."""
+        """Net ``j``'s :class:`NetEstimate`, its per-child nominal wire
+        maps built on this request."""
         m = self.metrics[j]
+        wire = {
+            "elmore": dict(zip(m.child_ids, m.elm[self.nom].tolist())),
+            "d2m": dict(zip(m.child_ids, m.d2m[self.nom].tolist())),
+        }
         return NetEstimate(
             pair_delay_ps=self.pair[j],
             out_slew_ps=self.out_slew[j],
-            wire_delay_ps=m.nominal_wire,
-            wire_elmore_ps=m.nominal_wire["elmore"],
+            wire_delay_ps=wire,
+            wire_elmore_ps=wire["elmore"],
             total_load_ff=self.total_load[j],
             wirelength_um=m.wirelength_um,
             fanout=m.fanout,
@@ -291,10 +301,11 @@ class _BatchImpacts:
 class _LazyImpacts(Mapping):
     """Read-only ``{variant: MoveImpact}`` of one kernel move.
 
-    Ranking reads one variant per move (the scorer's side-effect
-    variant, or an analytical predictor's own), so each MoveImpact is
-    built from the batch arrays on first access and kept.  Equal, as a
-    mapping, to the dict :func:`compute_move_components` builds.
+    An analytical predictor reads one variant per move, its own; the
+    scorer reads the component's ``side`` row and a learned ranking
+    reads no impact at all.  So each MoveImpact is built from the batch
+    arrays on first access and kept.  Equal, as a mapping, to the dict
+    :func:`compute_move_components` builds.
     """
 
     __slots__ = ("_batch", "_i", "_built")
@@ -591,7 +602,6 @@ class FeatureKernel:
         if not pending:
             return found
         items = list(pending.items())
-        nom = self._nom
         with self.timers.stage("kernel_compile"):
             compiled: Dict[MemoKey, _Template] = {}
             templates = []
@@ -612,7 +622,6 @@ class FeatureKernel:
                 for j, ((key, plan), t, (elm, d2m)) in enumerate(
                     zip(chunk, chunk_templates, results)
                 ):
-                    child_ids = tuple(cid for cid, _, _ in plan.children)
                     self._wire_memo[key] = _WireMetrics(
                         elm=elm,
                         d2m=d2m,
@@ -621,10 +630,7 @@ class FeatureKernel:
                         fanout=t.fanout,
                         bbox_area_um2=t.bbox_area_um2,
                         bbox_aspect=t.bbox_aspect,
-                        nominal_wire={
-                            "elmore": dict(zip(child_ids, elm[nom].tolist())),
-                            "d2m": dict(zip(child_ids, d2m[nom].tolist())),
-                        },
+                        child_ids=tuple(cid for cid, _, _ in plan.children),
                     )
         return [
             metrics if metrics is not None else self._wire_memo[key]
@@ -1016,12 +1022,14 @@ class FeatureKernel:
                 pair=pair_b[nom].tolist(),
                 out_slew=slew_b[nom].tolist(),
                 total_load=tl_b_move[nom].tolist(),
+                nom=nom,
             )
             parent_nets[r] = _NominalNets(
                 metrics=met_par,
                 pair=pair_parent[nom].tolist(),
                 out_slew=slew_parent[nom].tolist(),
                 total_load=tl_par[nom].tolist(),
+                nom=nom,
             )
 
         # The feature rows describe the nets of the rsmt + d2m reference.
@@ -1051,9 +1059,11 @@ class FeatureKernel:
     ) -> List[MoveComponents]:
         """Per-move MoveComponents over batch-wide matrices.
 
-        The base rows form one ``(n_move, n_features)`` matrix and the
-        estimates one ``(n_move, 4)`` matrix per corner; each component
-        holds read-only row views of them.
+        The base rows form one ``(n_move, n_features)`` matrix, the
+        estimates one ``(n_move, 4)`` matrix per corner and the
+        side-effect deltas one ``(n_move, 2, corners)`` array (a kernel
+        move has no new siblings); each component holds read-only row
+        views of them.
         """
         names = [c.name for c in self._corners]
         moves = batch.moves
@@ -1100,16 +1110,14 @@ class FeatureKernel:
             block.flags.writeable = False
             estimates.append(block)
 
-        impacts = _BatchImpacts(
-            names,
-            batch.move_pnet,
-            {
-                key: tuple(np.ascontiguousarray(a.T) for a in arrays)
-                for key, arrays in per_variant.items()
-            },
-            own_nets,
-            parent_nets,
-        )
+        deltas = {
+            key: tuple(np.ascontiguousarray(a.T) for a in arrays)
+            for key, arrays in per_variant.items()
+        }
+        side = np.zeros((len(moves), 2, len(names)))
+        side[:, 0] = deltas[SIDE_EFFECT_VARIANT][2][parent_of]
+        side.flags.writeable = False
+        impacts = _BatchImpacts(names, batch.move_pnet, deltas, own_nets, parent_nets)
         slew_rows = slews.T.tolist()
         return [
             MoveComponents(
@@ -1118,6 +1126,7 @@ class FeatureKernel:
                 base_row=base[i],
                 estimates={name: block[i] for name, block in zip(names, estimates)},
                 input_slew=dict(zip(names, slew_rows[buf])),
+                side=side[i],
             )
             for i, (move, buf) in enumerate(zip(moves, batch.move_buf))
         ]

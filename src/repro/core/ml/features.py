@@ -80,8 +80,11 @@ class MoveComponents:
     ``base_row`` is the full feature row with the corner-dependent
     columns (the four estimator deltas and ``input_slew_ps``) left at
     zero; :func:`assemble_feature_matrix` scatters ``estimates`` and
-    ``input_slew`` into a batch copy per corner.  Analytical predictors
-    and the move scorer read ``impacts``.
+    ``input_slew`` into a batch copy per corner.  ``side`` is the
+    ``(2, corners)`` row of :data:`SIDE_EFFECT_VARIANT`'s old- and
+    new-sibling deltas, columns in library corner order: the only
+    impact values the move scorer reads.  Analytical predictors read
+    ``impacts``.
     """
 
     move: Move
@@ -89,6 +92,7 @@ class MoveComponents:
     base_row: np.ndarray
     estimates: Dict[str, np.ndarray]  # corner name -> (4,) estimator deltas
     input_slew: Dict[str, float]  # corner name -> slew at the buffer (ps)
+    side: np.ndarray  # (2, corners) old-/new-sibling side-effect deltas
 
 
 def compute_move_components(
@@ -159,12 +163,20 @@ def compute_move_components(
             dtype=float,
         )
         input_slew[name] = float(timings[name].input_slew.get(move.buffer, 0.0))
+    side = impacts[SIDE_EFFECT_VARIANT]
+    names = [corner.name for corner in library.corners]
     return MoveComponents(
         move=move,
         impacts=impacts,
         base_row=base_row,
         estimates=estimates,
         input_slew=input_slew,
+        side=np.array(
+            [
+                [side.old_siblings[name] for name in names],
+                [side.new_siblings[name] for name in names],
+            ]
+        ),
     )
 
 

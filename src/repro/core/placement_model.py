@@ -12,8 +12,8 @@ learned predictor — no golden calls), so scoring a buffer costs a few
 milliseconds; the returned location can then be verified with one golden
 evaluation, exactly like any other local move.  The grid moves are
 ranked the way Algorithm 2 ranks its candidates: one candidate-pipeline
-batch, one ``predict_matrix`` call, one ``batched_variation_reductions``
-pass.
+batch, one ``predict_matrix`` call and one ``batched_variation_reductions``
+call, which reads the moves' side-effect rows (no per-move impact).
 """
 
 from __future__ import annotations

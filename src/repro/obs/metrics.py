@@ -21,10 +21,13 @@ holds the three pieces they are built from:
 * :func:`emit_stats` streams every numeric leaf of a finished stats dict
   into a tracer as ``metric`` events, so trace files carry the run's
   counters alongside its spans.
+* :class:`GCWatch` counts the cyclic garbage collector's runs and
+  pauses while it is installed.
 """
 
 from __future__ import annotations
 
+import gc
 import time
 from contextlib import contextmanager
 from typing import Dict, Iterator, Mapping, Optional
@@ -143,3 +146,39 @@ def emit_stats(tracer, stats: Mapping[str, object], prefix: str) -> None:
                 tracer.metric(name, value, kind=kind)
 
     walk(stats, prefix)
+
+
+class GCWatch:
+    """Counts cyclic garbage collections per generation, and their pauses.
+
+    :meth:`install` appends this watch to ``gc.callbacks`` and
+    :meth:`remove` takes it out again; no collector setting changes, so
+    the counts show how much a run allocates, not a tuned collector.
+    """
+
+    def __init__(self) -> None:
+        self.collections: Dict[int, int] = {0: 0, 1: 0, 2: 0}
+        self.pause_s = 0.0
+        self._started = 0.0
+
+    def __call__(self, phase: str, info: Mapping[str, int]) -> None:
+        if phase == "start":
+            self._started = time.perf_counter()
+            return
+        generation = info["generation"]
+        self.collections[generation] = self.collections.get(generation, 0) + 1
+        self.pause_s += time.perf_counter() - self._started
+
+    def install(self) -> None:
+        gc.callbacks.append(self)
+
+    def remove(self) -> None:
+        if self in gc.callbacks:
+            gc.callbacks.remove(self)
+
+    def as_dict(self) -> Dict[str, object]:
+        """``{"collections": {"gen0": n, ...}, "pause_s": seconds}``."""
+        return {
+            "collections": {f"gen{g}": n for g, n in sorted(self.collections.items())},
+            "pause_s": round(self.pause_s, 6),
+        }

@@ -339,14 +339,21 @@ class IncrementalTimer:
         pairs: Sequence[Tuple[int, int]],
         alphas: Optional[Mapping[str, float]],
     ) -> TimingResult:
-        """A :class:`TimingResult` over one kernel state."""
-        latencies = compiled.sink_latencies(state, tree.sinks())
+        """A :class:`TimingResult` over one kernel state.
+
+        The skew analysis reads the state's arrival rows at the pairs'
+        positions in ``compiled``'s node order.
+        """
+        latencies = compiled.sink_latencies(state)
         per_corner = {
             corner.name: compiled.corner_timing(state, corner.name)
             for corner in self._library.corners
         }
-        skews = SkewAnalysis.from_latencies(
-            latencies, list(pairs), self._library.corners, alphas
+        skews = SkewAnalysis.from_arrivals(
+            state.arrival,
+            compiled.pair_positions(pairs),
+            self._library.corners,
+            alphas,
         )
         return TimingResult(
             per_corner=per_corner, latencies=latencies, skews=skews

@@ -60,7 +60,6 @@ trigger a full recompile (surgery).
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -79,6 +78,7 @@ from repro.sta.signoff import (
     SLEW_GAIN,
     SLEW_SCALE_PS,
 )
+from repro.sta.skew import ArrayMap, PairPositions
 from repro.sta.slew import LN9
 from repro.sta.timer import CornerTiming
 from repro.tech.cells import _exact_tanh
@@ -92,48 +92,6 @@ class KernelUnsupported(Exception):
 
 class KernelStale(Exception):
     """The compiled arrays no longer describe the tree (recompile needed)."""
-
-
-class ArrayMap(Mapping):
-    """Read-only dict-shaped view over one corner's row of a state array.
-
-    Keeps :class:`~repro.sta.timer.CornerTiming` consumers (``local_opt``,
-    ``lp``, ``eco_flow``, ``framework``, ``analysis``) unchanged: lookups,
-    ``.get``, iteration, ``len`` and equality behave exactly like the
-    scalar engines' ``Dict[int, float]`` artifacts.  ``mask`` restricts
-    the key set (drivers with fanout, non-root nodes).
-    """
-
-    __slots__ = ("_ids", "_index", "_row", "_mask")
-
-    def __init__(
-        self,
-        ids: Sequence[int],
-        index: Dict[int, int],
-        row: np.ndarray,
-        mask: Optional[np.ndarray] = None,
-    ) -> None:
-        self._ids = ids
-        self._index = index
-        self._row = row
-        self._mask = mask
-
-    def __getitem__(self, nid: int) -> float:
-        i = self._index.get(nid)
-        if i is None or (self._mask is not None and not self._mask[i]):
-            raise KeyError(nid)
-        return float(self._row[i])
-
-    def __iter__(self):
-        if self._mask is None:
-            return iter(self._ids)
-        mask = self._mask
-        return (nid for k, nid in enumerate(self._ids) if mask[k])
-
-    def __len__(self) -> int:
-        if self._mask is None:
-            return len(self._ids)
-        return int(np.count_nonzero(self._mask))
 
 
 @dataclass
@@ -319,6 +277,7 @@ class CompiledTree:
         child_idx_parts: List[np.ndarray] = []
         depth[0] = 0
         nodes = [tree.node(nid) for nid in order]
+        self.is_sink = np.fromiter((node.is_sink for node in nodes), bool, n)
         index = self.index
         for i, kids in enumerate(fanouts):
             fanout[i] = len(kids)
@@ -359,6 +318,7 @@ class CompiledTree:
         self.load[:, drivers] = load
         self.size_idx = size_idx
         self.levels = self._build_levels()
+        self._pair_positions: Optional[PairPositions] = None
 
     def _build_levels(self) -> List[Tuple[np.ndarray, int, int, np.ndarray]]:
         """Level partitions: BFS order is sorted by depth, so each depth's
@@ -763,14 +723,22 @@ class CompiledTree:
             ),
         )
 
-    def sink_latencies(
-        self, state: KernelState, sinks: Sequence[int]
-    ) -> Dict[str, Dict[int, float]]:
-        """``{corner: {sink: arrival}}`` in compiled corner order."""
-        pos = np.fromiter(
-            (self.index[s] for s in sinks), dtype=np.int64, count=len(sinks)
-        )
+    def pair_positions(self, pairs: Sequence[Tuple[int, int]]) -> PairPositions:
+        """Where ``pairs``' sinks sit in this tree's node order, for
+        :meth:`~repro.sta.skew.SkewAnalysis.from_arrivals` on a state's
+        arrival rows; kept for the last pair list asked for.  A surgery
+        recompiles the tree, and the new tree derives them afresh."""
+        pairs = tuple(pairs)
+        positions = self._pair_positions
+        if positions is None or positions.pairs != pairs:
+            positions = self._pair_positions = PairPositions.build(pairs, self.index)
+        return positions
+
+    def sink_latencies(self, state: KernelState) -> Dict[str, ArrayMap]:
+        """``{corner: {sink: arrival}}`` in compiled corner order: read-only
+        views of ``state``'s arrival rows, keyed by the sinks in node
+        order."""
         return {
-            corner.name: dict(zip(sinks, state.arrival[k, pos].tolist()))
+            corner.name: ArrayMap(self.ids, self.index, state.arrival[k], self.is_sink)
             for k, corner in enumerate(self.corners)
         }

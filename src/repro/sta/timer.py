@@ -49,7 +49,7 @@ class CornerTiming:
     ``driver_delay`` the inverter-pair delay at each driver node.
 
     Fields are read-only mappings by contract: the batched kernel returns
-    array-backed views (:class:`repro.sta.kernel.ArrayMap`), the scalar
+    array-backed views (:class:`repro.sta.skew.ArrayMap`), the scalar
     reference fills plain dicts with identical lookup/iteration behavior.
     Consumers must not mutate them.
     """
@@ -69,10 +69,15 @@ class CornerTiming:
 
 @dataclass(frozen=True)
 class TimingResult:
-    """All-corner timing of one tree state."""
+    """All-corner timing of one tree state.
+
+    ``latencies`` maps each corner to a read-only ``{sink: arrival}``
+    mapping: a dict from the golden timer, an array view from the
+    incremental engine.
+    """
 
     per_corner: Dict[str, CornerTiming]
-    latencies: Dict[str, Dict[int, float]]
+    latencies: Dict[str, Mapping[int, float]]
     skews: SkewAnalysis
 
     @property

@@ -17,7 +17,6 @@ import pytest
 
 from repro.core import local_opt, placement_model
 from repro.core.eco_flow import LPGuidedECO
-from repro.core.local_opt import predicted_variation_reduction
 from repro.core.ml import dataset
 from repro.core.ml.analytical import ESTIMATE_SEGMENT_UM
 from repro.core.ml.ann import ANNRegressor
@@ -27,14 +26,14 @@ from repro.core.ml.feature_kernel import (
     _TERM_WIRE,
     FeatureKernel,
 )
-from repro.core.ml.features import compute_move_components
+from repro.core.ml.features import SIDE_EFFECT_VARIANT, compute_move_components
 from repro.core.ml.pipeline import (
     MAX_CACHED_MOVES,
     CandidatePipeline,
     FeatureBatch,
     move_dependencies,
 )
-from repro.core.moves import apply_move
+from repro.core.moves import MoveType, apply_move
 from repro.geometry import BBox, Point, path_length
 from repro.route.congestion import chain_length_factor, routed_length_factor
 from repro.route.rc_net import DEFAULT_SEGMENT_UM, edge_rc_tree, star_rc_tree
@@ -46,6 +45,7 @@ from repro.route.rsmt import (
 from repro.sta.d2m import d2m_delays
 from repro.sta.elmore import elmore_delays
 from repro.sta.kernel import KernelStale
+from repro.sta.skew import SkewAnalysis, pair_skew
 from repro.sta.slew import LN9
 from repro.sta.timer import GoldenTimer
 from repro.tech import ratio_bounds
@@ -345,6 +345,62 @@ def per_move_components(kernel, tree, timings, moves, cache):
     ]
 
 
+def predicted_variation_reduction(problem, tree, result, features, subtree_delta):
+    """Oracle of the move scorer: one move, one pair at a time.
+
+    Applies the predicted subtree delta ``{corner: ps}`` to the moved
+    buffer's sinks and the star side-effect impact's sibling
+    corrections (read off ``features.impacts``) to the neighbouring
+    subtrees, then recomputes the affected pairs' worst normalized
+    variations against the current values.
+    """
+    move = features.move
+    side = features.impacts[SIDE_EFFECT_VARIANT]
+    corners = problem.design.library.corners
+    alphas = problem.alphas
+
+    subtree_sinks = set(tree.subtree_sinks(move.buffer))
+    old_parent = tree.parent(move.buffer)
+    old_sib_sinks = (
+        set(tree.subtree_sinks(old_parent)) - subtree_sinks
+        if old_parent is not None
+        else set()
+    )
+    new_sib_sinks = set()
+    if move.type is MoveType.SURGERY and move.new_parent is not None:
+        new_sib_sinks = set(tree.subtree_sinks(move.new_parent)) - subtree_sinks
+
+    affected = subtree_sinks | old_sib_sinks | new_sib_sinks
+    pairs = [p for p in problem.pairs if p[0] in affected or p[1] in affected]
+    if not pairs:
+        return 0.0
+
+    def delta_for(sink, corner_name):
+        if sink in subtree_sinks:
+            return subtree_delta[corner_name]
+        if sink in old_sib_sinks:
+            return side.old_siblings[corner_name]
+        if sink in new_sib_sinks:
+            return side.new_siblings[corner_name]
+        return 0.0
+
+    total_delta = 0.0
+    for pair in pairs:
+        current_v = result.skews.pair_variation[pair]
+        adjusted = {
+            corner.name: {
+                pair[0]: result.latencies[corner.name][pair[0]]
+                + delta_for(pair[0], corner.name),
+                pair[1]: result.latencies[corner.name][pair[1]]
+                + delta_for(pair[1], corner.name),
+            }
+            for corner in corners
+        }
+        new_v = worst_pair_variation(adjusted, pair, corners, alphas)
+        total_delta += new_v - current_v
+    return -total_delta
+
+
 def per_move_reductions(problem, tree, result, features, predictions):
     """Oracle of :func:`repro.core.local_opt.batched_variation_reductions`.
 
@@ -361,9 +417,11 @@ def per_move_reductions(problem, tree, result, features, predictions):
 
 
 def use_scalar_features(monkeypatch):
-    """Featurize and score per move wherever the feature kernel would run."""
+    """Featurize, score and judge trials per move and per pair wherever
+    the array kernels would run."""
     monkeypatch.setattr(FeatureKernel, "compute_components_batch", per_move_components)
     monkeypatch.setattr(local_opt, "batched_variation_reductions", per_move_reductions)
+    use_scalar_verdicts(monkeypatch)
 
 
 def per_move_grid_reductions(problem, tree, result, predictor, moves):
@@ -875,3 +933,87 @@ def reference_ratio_bounds(library, degree: int = 2) -> Dict[Tuple[str, str], Ra
                     cloud, degree=degree
                 )
     return out
+
+
+# --- Skew verdicts: Eqs. (1)-(3) one pair and one corner pair at a time ---
+def normalization_factors(latencies, pairs, corners) -> Dict[str, float]:
+    """Per-corner ``alpha_k = sum |skew^{c0}| / sum |skew^{ck}|`` (Table 1).
+
+    ``alpha_0`` is exactly 1; corners at which the tree shows zero total
+    skew fall back to 1.0.
+    """
+    nominal = corners.nominal.name
+    base = sum(abs(pair_skew(latencies[nominal], p)) for p in pairs)
+    factors: Dict[str, float] = {}
+    for corner in corners:
+        total = sum(abs(pair_skew(latencies[corner.name], p)) for p in pairs)
+        if corner.name == nominal or total <= 0.0 or base <= 0.0:
+            factors[corner.name] = 1.0
+        else:
+            factors[corner.name] = base / total
+    return factors
+
+
+def normalized_skew_variation(latencies, pair, corner_a, corner_b, alphas) -> float:
+    """Eq. (1): normalized skew variation of one pair across one corner pair."""
+    skew_a = pair_skew(latencies[corner_a.name], pair)
+    skew_b = pair_skew(latencies[corner_b.name], pair)
+    return abs(alphas[corner_a.name] * skew_a - alphas[corner_b.name] * skew_b)
+
+
+def worst_pair_variation(latencies, pair, corners, alphas) -> float:
+    """Eq. (2): max normalized skew variation of ``pair`` over corner pairs."""
+    return max(
+        normalized_skew_variation(latencies, pair, ca, cb, alphas)
+        for ca, cb in corners.pairs()
+    )
+
+
+def sum_of_skew_variations(latencies, pairs, corners, alphas) -> float:
+    """Eq. (3) objective: sum over pairs of the worst normalized variation."""
+    return sum(
+        worst_pair_variation(latencies, pair, corners, alphas) for pair in pairs
+    )
+
+
+def reference_skew_analysis(latencies, pairs, corners, alphas=None) -> SkewAnalysis:
+    """Oracle of :class:`~repro.sta.skew.SkewAnalysis`: the per-pair loop.
+
+    The analysis holds plain dicts; a pair listed twice is counted once.
+    With no pairs the total is 0.0 and every local skew 0.0.
+    """
+    if alphas is None:
+        alphas = normalization_factors(latencies, pairs, corners)
+    alphas = {c.name: alphas[c.name] for c in corners}
+    pair_var: Dict[Tuple[int, int], float] = {}
+    for pair in pairs:
+        pair_var[pair] = worst_pair_variation(latencies, pair, corners, alphas)
+    local: Dict[str, float] = {}
+    for corner in corners:
+        per_corner = latencies[corner.name]
+        local[corner.name] = max(
+            (abs(pair_skew(per_corner, p)) for p in pairs), default=0.0
+        )
+    return SkewAnalysis(
+        alphas=alphas,
+        pair_variation=pair_var,
+        total_variation=sum(pair_var.values(), 0.0),
+        local_skew=local,
+    )
+
+
+def reference_from_arrivals(arrival, positions, corners, alphas=None) -> SkewAnalysis:
+    """Oracle of :meth:`SkewAnalysis.from_arrivals`: gathers the pairs'
+    latencies into dicts and runs :func:`reference_skew_analysis`."""
+    latencies = {c.name: {} for c in corners}
+    for row, (launch, capture) in enumerate(positions.pairs):
+        for k, corner in enumerate(corners):
+            latencies[corner.name][launch] = float(arrival[k, positions.launch[row]])
+            latencies[corner.name][capture] = float(arrival[k, positions.capture[row]])
+    return reference_skew_analysis(latencies, list(positions.pairs), corners, alphas)
+
+
+def use_scalar_verdicts(patch):
+    """Judge every timing result with the per-pair loop, golden and
+    incremental engines alike (both analyze through ``from_arrivals``)."""
+    patch.setattr(SkewAnalysis, "from_arrivals", staticmethod(reference_from_arrivals))

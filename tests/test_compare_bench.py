@@ -53,7 +53,7 @@ RELATIVE_CHECKS = (
     ("features", "end_to_end_speedup"),
     ("kernel", "speedup"),
     ("kernel", "retime_speedup"),
-    ("localopt", "speedup"),
+    ("localopt", "iteration_cost_ms"),
     ("parallel", "speedup"),
     ("parallel", "trial_speedup"),
     ("timer", "speedup"),

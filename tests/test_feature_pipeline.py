@@ -40,9 +40,10 @@ def _assert_batch_matches(problem, tree, timings, moves, batch):
         got = batch.matrices[corner.name]
         assert got.shape == ref.shape
         assert float(np.max(np.abs(got - ref))) <= TOL
-    # The scorer also reads the star side-effect impacts off each
-    # component; those must agree too.
+    # The scorer also reads each component's side-effect row, the star
+    # variant's sibling deltas; rows and impacts must agree too.
     for comp, feats in zip(batch.components, reference):
+        assert float(np.max(np.abs(comp.side - feats.side))) <= TOL
         side_c = comp.impacts[SIDE_EFFECT_VARIANT]
         side_f = feats.impacts[SIDE_EFFECT_VARIANT]
         for name in side_f.old_siblings:
@@ -226,6 +227,7 @@ class TestTrajectoryIdentity:
             "engine",
             "parallel",
             "workers",
+            "gc",
         }
         assert stats["parallel"] is None  # serial run: no pool engaged
         assert stats["workers"]["effective"] == 1

@@ -1,14 +1,19 @@
 """Algorithm 2: predictor-guided local optimization."""
 
+import dataclasses
+import gc
+
+import numpy as np
 import pytest
 
 from repro.core.local_opt import (
     LocalOptConfig,
     LocalOptimizer,
-    predicted_variation_reduction,
+    batched_variation_reductions,
     random_move_baseline,
 )
 from repro.core.ml.training import train_predictor
+from tests.oracles import predicted_variation_reduction
 
 
 @pytest.fixture(scope="module")
@@ -67,7 +72,7 @@ class TestLocalOpt:
 
 class TestPredictedReduction:
     def test_zero_for_untouched_pairs(self, mini_problem, predictor):
-        from repro.core.ml.features import compute_move_components
+        from repro.core.ml.features import SIDE_EFFECT_VARIANT, compute_move_components
         from repro.core.moves import enumerate_moves
 
         tree = mini_problem.design.tree
@@ -80,17 +85,49 @@ class TestPredictedReduction:
         # A predicted zero latency change cannot change the objective...
         # except through sibling corrections; force those to zero too by
         # checking the no-op bound: reduction of exactly 0 when all deltas
-        # are zero.
-        from repro.core.ml.features import SIDE_EFFECT_VARIANT
-
+        # are zero.  The oracle reads the side-effect impact, the array
+        # scorer the component's side row.
         side = feats.impacts[SIDE_EFFECT_VARIANT]
         for name in side.old_siblings:
             side.old_siblings[name] = 0.0
             side.new_siblings[name] = 0.0
+        feats = dataclasses.replace(feats, side=np.zeros_like(feats.side))
         reduction = predicted_variation_reduction(
             mini_problem, tree, result, feats, zero_pred
         )
         assert reduction == pytest.approx(0.0, abs=1e-9)
+        batched = batched_variation_reductions(
+            mini_problem, tree, result, [feats], np.zeros((1, len(zero_pred)))
+        )
+        assert batched.tolist() == [pytest.approx(0.0, abs=1e-9)]
+
+
+class TestGCStats:
+    def test_run_records_collections_and_removes_its_hook(
+        self, mini_problem, predictor
+    ):
+        hooks = list(gc.callbacks)
+        thresholds = gc.get_threshold()
+        outcome = LocalOptimizer(
+            mini_problem, predictor, LocalOptConfig(max_iterations=1)
+        ).run()
+        stats = outcome.stats["gc"]
+        assert set(stats["collections"]) == {"gen0", "gen1", "gen2"}
+        assert all(n >= 0 for n in stats["collections"].values())
+        assert stats["pause_s"] >= 0.0
+        assert gc.callbacks == hooks
+        assert gc.get_threshold() == thresholds
+
+    def test_hook_removed_when_the_run_raises(self, mini_problem, predictor, monkeypatch):
+        hooks = list(gc.callbacks)
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("ranking failed")
+
+        monkeypatch.setattr(LocalOptimizer, "_rank_moves", fail)
+        with pytest.raises(RuntimeError, match="ranking failed"):
+            LocalOptimizer(mini_problem, predictor, LocalOptConfig()).run()
+        assert gc.callbacks == hooks
 
 
 @pytest.mark.slow

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.rc import RCTree
 from repro.sta.d2m import d2m_delays
 from repro.sta.elmore import elmore_delays
-from repro.sta.skew import normalization_factors, sum_of_skew_variations
+from repro.sta.skew import SkewAnalysis
 from repro.tech.cells import NLDMTable
 from repro.tech.corners import default_corners
 
@@ -74,9 +74,11 @@ class TestSkewInvariances:
             "c0": base["c0"],
             "c1": {i: v + 123.0 for i, v in base["c1"].items()},
         }
-        alphas = normalization_factors(base, pairs, corners)
-        a = sum_of_skew_variations(base, pairs, corners, alphas)
-        b = sum_of_skew_variations(shifted, pairs, corners, alphas)
+        analysis = SkewAnalysis.from_latencies(base, pairs, corners)
+        a = analysis.total_variation
+        b = SkewAnalysis.from_latencies(
+            shifted, pairs, corners, analysis.alphas
+        ).total_variation
         assert a == pytest.approx(b, abs=1e-6)
 
     @given(st.floats(0.5, 2.0), st.floats(0.5, 2.0))
@@ -89,11 +91,11 @@ class TestSkewInvariances:
         }
         pairs = [(0, 1), (1, 2)]
         alphas = {"c0": 1.0, "c1": 1.0}
-        a = sum_of_skew_variations(base, pairs, corners, alphas)
+        a = SkewAnalysis.from_latencies(base, pairs, corners, alphas).total_variation
         scaled = {
             name: {k: v * s1 for k, v in lat.items()} for name, lat in base.items()
         }
-        b = sum_of_skew_variations(scaled, pairs, corners, alphas)
+        b = SkewAnalysis.from_latencies(scaled, pairs, corners, alphas).total_variation
         assert b == pytest.approx(a * s1, rel=1e-9)
 
 
