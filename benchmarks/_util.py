@@ -15,6 +15,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import time
 
 import numpy
 import scipy
@@ -93,6 +94,25 @@ def best_of(leg) -> tuple:
         for _ in range(FAST_LEG_REPEATS - 1):
             best = min(best, leg()[1])
     return out, best
+
+
+#: Iterations of :func:`reference_loop` (tens of milliseconds).
+REFERENCE_LOOP = 400_000
+
+
+def reference_loop() -> tuple:
+    """``(None, seconds)`` of a fixed pure-Python loop: the reference leg
+    of a paired round whose other leg has no reference implementation.
+
+    The flows spend most of their time in the interpreter, so a host
+    that slows them slows this loop too, and a ratio of the two legs
+    follows the code rather than the host.
+    """
+    t0 = time.perf_counter()
+    total = 0
+    for i in range(REFERENCE_LOOP):
+        total += i * i % 7
+    return None, time.perf_counter() - t0
 
 
 def median_ms(rounds: list, leg: str) -> float:

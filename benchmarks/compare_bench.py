@@ -17,9 +17,9 @@ is checked the same way:
 * every metric in :data:`CEILINGS` must stay under its absolute bound
   (baseline-free contracts);
 * every top-level number whose key contains ``speedup`` (higher is
-  better) or ends in ``_cost_ms`` (lower is better) may move in its bad
-  direction by at most ``--tolerance`` (default 25%) of the same key in
-  the baseline record.  A zero baseline is never gated relatively: the
+  better) or ends in ``_cost_ms`` or ``_cost_ratio`` (lower is better)
+  may move in its bad direction by at most ``--tolerance`` (default
+  25%) of the same key in the baseline record.  A zero baseline is never gated relatively: the
   drift is undefined, and absolute contracts belong to the ceilings.
 
 The trace bench's ``*overhead_pct`` keys divide the tracer's own cost by
@@ -87,7 +87,7 @@ def direction(metric: str):
     lowered = metric.lower()
     if "speedup" in lowered:
         return "higher"
-    if lowered.endswith("_cost_ms"):
+    if lowered.endswith(("_cost_ms", "_cost_ratio")):
         return "lower"
     return None
 

@@ -3,20 +3,27 @@
 Runs the local optimizer with the analytical predictor for a fixed number
 of iterations and writes ``results/BENCH_localopt.json``:
 
-* ``iteration_cost_ms`` — the run's milliseconds per committed
-  iteration (enumerate, featurize, predict, score, trials and commits),
-  gated by ``compare_bench.py``'s relative ``_cost_ms`` rule;
+* ``iteration_cost_ratio`` — the run's seconds per committed iteration
+  (enumerate, featurize, predict, score, trials and commits) over the
+  seconds of a fixed pure-Python reference loop timed just before it in
+  the same round, the median of the rounds' ratios; gated by
+  ``compare_bench.py``'s relative ``_cost_ratio`` rule.  Host speed
+  drifts by tens of percent on a shared machine, and it moves both legs
+  of a round alike, so the ratio follows the code, where the absolute
+  time follows the host;
+* ``ms_per_iteration`` and ``reference_ms`` — the two legs' medians in
+  milliseconds (not gated);
 * the per-stage seconds, candidate-pipeline cache counters, engine
-  counters and the cyclic garbage collections of the run
-  (``pipeline_stats``, the run's ``LocalOptResult.stats``);
+  counters, the cyclic garbage collections and the minor page faults of
+  the run (``pipeline_stats``, the run's ``LocalOptResult.stats``);
 * ``trajectory_identical`` — the same flow run once more with the scalar
   oracles swapped in (``tests.oracles.use_scalar_features``: per-move
   featurization and scoring, per-pair Eq. (1)-(3) verdicts) commits the
   same moves with the same floats.
 
 The flow runs ``ROUNDS`` times on CLS1v1 and ``SMOKE_ROUNDS`` times on
-MINI (``-k smoke``, for CI); a sub-second run is timed as the best of a
-few back-to-back runs (``_util.best_of``).  The record keeps the median.
+MINI (``-k smoke``, for CI); a sub-second leg is timed as the best of a
+few back-to-back runs (``_util.best_of``).
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ import statistics
 import time
 
 import pytest
-from _util import best_of, emit, write_record
+from _util import best_of, emit, median_ms, reference_loop, write_record
 from repro.core.local_opt import LocalOptConfig, LocalOptimizer
 from repro.core.ml.training import train_predictor
 from repro.core.objective import SkewVariationProblem
@@ -69,31 +76,37 @@ def _trajectory(outcome):
 
 def _measure(build, max_iterations, rounds):
     first = None
-    seconds = []
+    timed = []
     for _ in range(rounds):
 
         def once():
             design, outcome, elapsed = _run_once(build, max_iterations)
             return (design, outcome), elapsed
 
+        _, reference_s = best_of(reference_loop)
         out, elapsed = best_of(once)
         first = first or out
-        seconds.append(elapsed)
+        iters = max(len(out[1].history), 1)
+        timed.append({"flow": elapsed / iters, "reference": reference_s})
     design, outcome = first
     _, oracle, oracle_s = _run_once(build, max_iterations, scalar=True)
     identical = (
         _trajectory(outcome) == _trajectory(oracle)
         and outcome.final_objective_ps == oracle.final_objective_ps
     )
-    pipeline_s = statistics.median(seconds)
     iters = max(len(outcome.history), 1)
+    ms_per_iteration = median_ms(timed, "flow")
     return {
         "design": design.name,
         "corners": [c.name for c in design.library.corners],
         "iterations": len(outcome.history),
         "rounds": rounds,
-        "pipeline_s": round(pipeline_s, 4),
-        "iteration_cost_ms": round(1000.0 * pipeline_s / iters, 3),
+        "pipeline_s": round(ms_per_iteration * iters / 1000.0, 4),
+        "ms_per_iteration": ms_per_iteration,
+        "reference_ms": median_ms(timed, "reference"),
+        "iteration_cost_ratio": round(
+            statistics.median(r["flow"] / r["reference"] for r in timed), 3
+        ),
         "oracle_s": round(oracle_s, 4),
         "trajectory_identical": identical,
         "initial_objective_ps": round(outcome.initial_objective_ps, 6),
@@ -111,8 +124,11 @@ def _report(tag, record):
         f"BENCH localopt ({record['design']}): "
         f"{record['iterations']} committed iterations",
         f"  pipeline : {record['pipeline_s']:8.3f} s "
-        f"({record['iteration_cost_ms']:.1f} ms/iter, median of "
+        f"({record['ms_per_iteration']:.1f} ms/iter, median of "
         f"{record['rounds']} rounds)",
+        f"  cost     : {record['iteration_cost_ratio']:8.3f} reference loops "
+        f"per iteration (loop {record['reference_ms']:.1f} ms, median of "
+        "the rounds' ratios)",
         f"  oracles  : {record['oracle_s']:8.3f} s "
         f"(trajectory identical: {record['trajectory_identical']})",
         "  stages   : "
@@ -123,6 +139,7 @@ def _report(tag, record):
         "  gc       : "
         + ", ".join(f"{k}={v}" for k, v in gc_stats["collections"].items())
         + f" collections, {gc_stats['pause_s']:.3f} s paused",
+        f"  faults   : {stats.get('minor_faults', 'n/a')} minor page faults",
     ]
     emit(tag, "\n".join(lines))
 

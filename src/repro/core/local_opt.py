@@ -38,7 +38,7 @@ from repro.core.ml.training import DeltaLatencyPredictor
 from repro.core.moves import Move, MoveType, enumerate_moves
 from repro.core.objective import SkewVariationProblem
 from repro.netlist.tree import ClockTree
-from repro.obs.metrics import GCWatch, StageTimers, emit_stats
+from repro.obs.metrics import GCWatch, StageTimers, emit_stats, minor_faults
 from repro.obs.trace import active as active_tracer
 from repro.sta.timer import TimingResult
 
@@ -88,10 +88,12 @@ class LocalOptResult:
 
     ``stats`` carries the run's observability payload: per-stage wall
     clock (``stage``), candidate-pipeline cache counters (``pipeline``),
-    incremental-engine counters (``engine``) and the cyclic garbage
+    incremental-engine counters (``engine``), the cyclic garbage
     collections during the run, per generation, with their total pause
-    (``gc``) — what ``benchmarks/test_bench_localopt_perf.py`` dumps to
-    ``BENCH_localopt.json``.
+    (``gc``), and the minor page faults of this process during the run
+    (``minor_faults``, where :mod:`resource` exists; pool workers are
+    not counted) — what ``benchmarks/test_bench_localopt_perf.py``
+    dumps to ``BENCH_localopt.json``.
     """
 
     tree: ClockTree
@@ -149,6 +151,7 @@ class LocalOptimizer:
 
         gc_watch = GCWatch()
         gc_watch.install()
+        faults_before = minor_faults()
         try:
             with tracer.span("local_opt", phase="local") as run_span:
                 for iteration in range(cfg.max_iterations):
@@ -231,6 +234,8 @@ class LocalOptimizer:
             },
             "gc": gc_watch.as_dict(),
         }
+        if faults_before is not None:
+            stats["minor_faults"] = minor_faults() - faults_before
         emit_stats(tracer, stats, "local_opt")
         return LocalOptResult(
             tree=current,

@@ -33,7 +33,7 @@ from repro.geometry import BBox, Point
 from repro.netlist.tree import ClockTree
 from repro.route.rc_net import route_rc_tree, star_rc_tree
 from repro.route.rsmt import rsmt, rsmt_batch
-from repro.route.single_trunk import single_trunk_tree
+from repro.route.single_trunk import single_trunk_batch, single_trunk_tree
 from repro.sta.d2m import d2m_delays
 from repro.sta.elmore import elmore_delays
 from repro.sta.gate import (
@@ -305,6 +305,7 @@ class AnalyticalCache:
             "route_hits": 0,
             "route_misses": 0,
             "rsmt_batches": 0,
+            "trunk_batches": 0,
             "time_hits": 0,
             "time_misses": 0,
         }
@@ -348,8 +349,10 @@ class AnalyticalCache:
         caps or child ids, so a second geometry-keyed memo shares each
         RSMT/trunk route across plans that differ only in sizing.  Every
         RSMT route the batch misses is built by one
-        :func:`~repro.route.rsmt.rsmt_batch` call (counted in
-        ``stats["rsmt_batches"]``).
+        :func:`~repro.route.rsmt.rsmt_batch` call and every single-trunk
+        route by one :func:`~repro.route.single_trunk.single_trunk_batch`
+        call (counted in ``stats["rsmt_batches"]`` and
+        ``stats["trunk_batches"]``).
         """
         for model in route_models:
             if model not in ROUTE_MODELS:
@@ -394,15 +397,13 @@ class AnalyticalCache:
                 row.append(plan)
             out.append(row)
 
-        rsmt_keys = [g for g in new_routes if g.value[0] == "rsmt"]
-        if rsmt_keys:
-            stats["rsmt_batches"] += 1
-            routes = rsmt_batch([[g.value[1], *g.value[2]] for g in rsmt_keys])
-            new_routes.update(zip(rsmt_keys, routes))
+        for model, router in (("rsmt", rsmt_batch), ("trunk", single_trunk_batch)):
+            keys = [g for g in new_routes if g.value[0] == model]
+            if keys:
+                stats[f"{model}_batches"] += 1
+                routes = router([[g.value[1], *g.value[2]] for g in keys])
+                new_routes.update(zip(keys, routes))
         for geometry, route in new_routes.items():
-            if route is None:
-                _, driver_loc, locs = geometry.value
-                route = single_trunk_tree([driver_loc, *locs])
             new_routes[geometry] = (route, route.length)
             if len(self._routes) >= MAX_CACHE_ENTRIES:
                 self._routes.pop(next(iter(self._routes)))

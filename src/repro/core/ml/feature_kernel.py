@@ -10,16 +10,18 @@ struct-of-arrays form and evaluates **every move x every corner x every
 estimator variant** ({rsmt, single_trunk} x {Elmore, D2M}, plus the
 star side-effect variant) in broadcast numpy:
 
-* **geometry templates** — the RC construction
+* **one compile pass per batch** — the RC construction
   (:func:`~repro.route.rc_net.star_rc_tree` /
-  :func:`~repro.route.rc_net.route_rc_tree`) of each net geometry (route
-  model, driver location, child locations) of a batch is replayed once
-  into flat arrays: parent slot per node, per-node segment length
-  (resistance = ``res_per_um * len`` per corner), and an ordered list of
-  capacitance terms (wire half/full pi-caps as lengths, pin loads as
-  constants).  Plans that share a geometry — the sizing variants of one
+  :func:`~repro.route.rc_net.route_rc_tree`) of every net geometry
+  (route model, driver location, child locations) a batch misses is
+  replayed at once into flat arrays: parent slot per node, per-node
+  segment length (resistance = ``res_per_um * len`` per corner), and an
+  ordered list of capacitance terms (wire half/full pi-caps as lengths,
+  pin loads as constants).  Only each routed net's walk from the driver
+  runs in Python; pieces, slots and terms expand with ``repeat`` /
+  ``cumsum``.  Plans that share a geometry — the sizing variants of one
   displacement — differ only in pin caps, which each plan scatters into
-  its template's constant-term slots;
+  its geometry's constant-term slots as the padded eval arrays fill;
 * **lockstep moment engine** — downstream caps, first moments, the
   D2M second-moment recursion and the Elmore forward pass run over all
   (plans x corners) at once, one vectorized gather/scatter per node
@@ -30,12 +32,15 @@ star side-effect variant) in broadcast numpy:
   ``searchsorted`` -> four-corner-blend sequence as
   :func:`repro.sta.gate.inverter_pair_timing` via
   ``repro.core.ml.analytical._pair_timing``;
-* **wire-metric memo** — per-plan child Elmore/D2M vectors and total
-  loads are slew- and size-independent, so they cache under the plan's
-  value key and survive across local-opt epochs; the wirelength, fanout
-  and bounding box come from the template.  The nominal-corner
-  ``{child: delay}`` maps of a :class:`NetEstimate` are built only when
-  an impact is requested (analytical predictors, the figure benches);
+* **wire-metric memo** — per-plan child Elmore/D2M delays, driver
+  loads, wirelength, fanout and bounding box are slew- and
+  size-independent, so they cache under the plan's value key, as one
+  row of flat per-kernel arrays (:class:`_WireRows`), and survive
+  across local-opt epochs; each evaluated chunk writes its rows in one
+  scatter and a batch gathers its nets' rows by index.  The
+  nominal-corner ``{child: delay}`` maps of a :class:`NetEstimate` are
+  built only when an impact is requested (analytical predictors, the
+  figure benches);
 * **side-effect rows** — each component's ``side`` row, the star
   variant's old- and new-sibling deltas that the move scorer reads, is a
   view of one ``(moves, 2, corners)`` batch array, so ranking with a
@@ -64,7 +69,6 @@ is no wholesale scalar fallback.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import islice
@@ -90,7 +94,7 @@ from repro.core.ml.features import (
     compute_move_components,
 )
 from repro.core.moves import Move, MoveType
-from repro.geometry import BBox, Point, path_length
+from repro.geometry import Point
 from repro.netlist.tree import ClockNode, ClockTree
 from repro.obs.metrics import StageTimers
 from repro.sta.d2m import LN2
@@ -114,40 +118,328 @@ _EVAL_CHUNK = 2048
 
 
 @dataclass(frozen=True)
-class _Template:
-    """One net geometry's RC construction, replayed as flat arrays.
+class _Programs:
+    """The RC constructions of a batch's missed net geometries, compiled
+    in one pass into flat arrays.
 
-    A geometry is a route model, a driver location and the child
-    locations; plans that share it differ only in pin caps, the one
-    per-plan input: child ``k``'s cap is the constant term at
-    ``(child_slot[k], cap_term[k])``, which holds 0.0 here.
+    Geometry ``g`` owns nodes ``node_start[g] : + n_nodes[g]`` (slot
+    order: the root, then per routed edge its pi-pieces, near end
+    first), capacitance terms ``term_start[g] : + n_terms[g]`` (each a
+    node slot, a column in that node's ordered term list, a code and a
+    payload; pin caps hold 0.0 here) and children ``child_start[g] :
+    + fanout[g]`` (each child's node slot and the column of its pin cap,
+    in spec order).  A plan of the geometry supplies its pin caps.
     """
 
-    n_nodes: int
-    parent: np.ndarray  # (n,) parent slot, -1 for the root
-    seg: np.ndarray  # (n,) pi-piece length (res = res_per_um * seg)
-    term_code: np.ndarray  # (n, T) term codes, 0 = absent
-    term_val: np.ndarray  # (n, T) term payloads (lengths or constants)
-    child_slot: np.ndarray  # (fanout,) RC slot per plan child, spec order
-    cap_term: np.ndarray  # (fanout,) term column of each child's pin cap
-    wirelength_um: float
-    fanout: int
-    bbox_area_um2: float
-    bbox_aspect: float
+    n_nodes: np.ndarray  # (G,)
+    node_start: np.ndarray  # (G,)
+    parent: np.ndarray  # (N,) parent slot, -1 for the root
+    seg: np.ndarray  # (N,) pi-piece length (res = res_per_um * seg)
+    n_terms: np.ndarray  # (G,)
+    term_start: np.ndarray  # (G,)
+    term_slot: np.ndarray  # (T,)
+    term_col: np.ndarray  # (T,)
+    term_code: np.ndarray  # (T,) int8 term codes
+    term_val: np.ndarray  # (T,) term payloads (lengths or constants)
+    width: np.ndarray  # (G,) term columns, at least 1
+    fanout: np.ndarray  # (G,)
+    child_start: np.ndarray  # (G,)
+    child_slot: np.ndarray  # (C,)
+    child_col: np.ndarray  # (C,)
+    bbox_area: np.ndarray  # (G,) bounding box of driver and children
+    bbox_aspect: np.ndarray  # (G,)
 
 
-@dataclass(frozen=True)
-class _WireMetrics:
-    """Slew/size-independent per-plan wire artifacts, all corners."""
+def _group_cumsum(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Inclusive running sums of ``values``, restarting at each group of
+    ``counts`` consecutive entries."""
+    total = np.cumsum(values)
+    starts = np.cumsum(counts) - counts
+    return total - np.repeat(np.r_[0, total][starts], counts)
 
-    elm: np.ndarray  # (corners, fanout) per-child Elmore (ps)
-    d2m: np.ndarray  # (corners, fanout) per-child D2M (ps)
-    total_load: np.ndarray  # (corners,) driver load (fF)
-    wirelength_um: float
-    fanout: int
-    bbox_area_um2: float
-    bbox_aspect: float
-    child_ids: Tuple[int, ...]  # the plan's children, in ``elm``/``d2m`` order
+
+def _compile_programs(plans: Sequence[_NetPlan]) -> _Programs:
+    """Compile each plan's geometry (one plan per geometry) in one pass.
+
+    Each geometry's routed edges are listed in the RC builders'
+    construction order (see ``route.rc_net``): a star net runs from the
+    driver to child ``k`` in spec order; an rsmt/trunk net walks its
+    route from the driver pin 0 as :func:`~repro.route.rc_net.route_rc_tree`
+    does, child ``k`` being pin ``k + 1``.  That walk is the only Python
+    per geometry.  Pieces, node slots, parents, segment lengths and
+    every node's ordered cap terms (its own piece cap, its pin cap, then
+    the near-end half caps of the edges leaving it) follow for all
+    geometries at once.
+    """
+    xs: List[float] = []
+    ys: List[float] = []
+    e_from: List[int] = []  # flat point ids
+    e_to: List[int] = []
+    e_pin: List[int] = []  # child k of the far point, or -1
+    n_edges: List[int] = []
+    point_base: List[int] = []
+    fanouts: List[int] = []
+    for plan in plans:
+        base = len(xs)
+        fanout = len(plan.children)
+        if plan.route_model == "star":
+            points = [plan.driver_loc, *(loc for _, loc, _ in plan.children)]
+            e_from.extend([base] * fanout)
+            e_to.extend(range(base + 1, base + 1 + fanout))
+            e_pin.extend(range(fanout))
+            n_edges.append(fanout)
+        else:
+            points = plan.route.points
+            adj: List[List[int]] = [[] for _ in points]
+            for a, b in plan.route.edges:
+                adj[a].append(b)
+                adj[b].append(a)
+            seen = [False] * len(points)
+            seen[0] = True
+            stack = [0]
+            count = len(e_from)
+            while stack:
+                cur = stack.pop()
+                for nxt in adj[cur]:
+                    if not seen[nxt]:
+                        seen[nxt] = True
+                        e_from.append(base + cur)
+                        e_to.append(base + nxt)
+                        e_pin.append(nxt - 1 if 0 < nxt <= fanout else -1)
+                        stack.append(nxt)
+            n_edges.append(len(e_from) - count)
+        point_base.append(base)
+        fanouts.append(fanout)
+        xs.extend([p.x for p in points])
+        ys.extend([p.y for p in points])
+
+    x = np.array(xs, dtype=float)
+    y = np.array(ys, dtype=float)
+    src = np.array(e_from, dtype=np.int64)
+    dst = np.array(e_to, dtype=np.int64)
+    pin = np.array(e_pin, dtype=np.int64)
+    n_edges = np.array(n_edges, dtype=np.int64)
+    fanout = np.array(fanouts, dtype=np.int64)
+    n_geo = fanout.size
+    edge_geo = np.repeat(np.arange(n_geo), n_edges)
+    length = np.abs(x[src] - x[dst]) + np.abs(y[src] - y[dst])
+
+    # Pieces and node slots: edge e's nodes end at slot far[e].
+    routed = length > 0.0
+    pieces = np.where(
+        routed, np.maximum(np.ceil(length / ESTIMATE_SEGMENT_UM), 1.0), 1.0
+    ).astype(np.int64)
+    piece_len = np.where(routed, length / pieces, 0.0)
+    far = _group_cumsum(pieces, n_edges)
+    slot_of = np.zeros(x.size, dtype=np.int64)
+    slot_of[dst] = far
+    near = slot_of[src]
+    n_nodes = 1 + np.bincount(edge_geo, weights=pieces, minlength=n_geo).astype(
+        np.int64
+    )
+    node_start = np.cumsum(n_nodes) - n_nodes
+    parent = np.full(int(n_nodes.sum()), -1, dtype=np.int64)
+    seg = np.zeros(parent.size)
+    edge_of, step = _flat_slots(pieces)
+    slot = far[edge_of] - pieces[edge_of] + 1 + step
+    node = node_start[edge_geo[edge_of]] + slot
+    parent[node] = np.where(step == 0, near[edge_of], slot - 1)
+    seg[node] = piece_len[edge_of]
+
+    # Cap terms: each routed piece's own cap (column 0), each pin's cap
+    # after it, then the near-end half caps of the edges leaving a node,
+    # in construction order.  A node's edges leave it consecutively.
+    own = np.flatnonzero(routed[edge_of])
+    own_edge = edge_of[own]
+    pins = np.flatnonzero(pin >= 0)
+    base_col = np.zeros(x.size, dtype=np.int64)
+    base_col[dst] = routed.astype(np.int64) + (pin >= 0)
+    halves = np.flatnonzero(routed)
+    leaves = src[halves]
+    first = np.ones(halves.size, dtype=bool)
+    first[1:] = leaves[1:] != leaves[:-1]
+    run_start = np.maximum.accumulate(np.where(first, np.arange(halves.size), 0))
+    term_geo = np.concatenate([edge_geo[own_edge], edge_geo[pins], edge_geo[halves]])
+    order = np.argsort(term_geo, kind="stable")
+    term_slot = np.concatenate([slot[own], far[pins], near[halves]])[order]
+    term_col = np.concatenate(
+        [
+            np.zeros(own.size, dtype=np.int64),
+            routed[pins].astype(np.int64),
+            base_col[leaves] + np.arange(halves.size) - run_start,
+        ]
+    )[order]
+    term_code = np.concatenate(
+        [
+            np.where(step[own] < pieces[own_edge] - 1, _TERM_WIRE, _TERM_HALF),
+            np.full(pins.size, _TERM_CONST),
+            np.full(halves.size, _TERM_HALF),
+        ]
+    ).astype(np.int8)[order]
+    term_val = np.concatenate(
+        [piece_len[own_edge], np.zeros(pins.size), piece_len[halves]]
+    )[order]
+    term_geo = term_geo[order]
+    n_terms = np.bincount(term_geo, minlength=n_geo)
+    width = np.ones(n_geo, dtype=np.int64)
+    np.maximum.at(width, term_geo, term_col + 1)
+
+    child_start = np.cumsum(fanout) - fanout
+    child_slot = np.zeros(int(fanout.sum()), dtype=np.int64)
+    child_col = np.zeros_like(child_slot)
+    at = child_start[edge_geo[pins]] + pin[pins]
+    child_slot[at] = far[pins]
+    child_col[at] = routed[pins]
+
+    # Bounding box of the driver and the children (route points 0..f).
+    rows, cols = _flat_slots(fanout + 1)
+    pin_x = x[np.array(point_base, dtype=np.int64)[rows] + cols]
+    pin_y = y[np.array(point_base, dtype=np.int64)[rows] + cols]
+    box = np.cumsum(fanout + 1) - (fanout + 1)
+    w = np.maximum.reduceat(pin_x, box) - np.minimum.reduceat(pin_x, box)
+    h = np.maximum.reduceat(pin_y, box) - np.minimum.reduceat(pin_y, box)
+    hi = np.maximum(w, h)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        aspect = np.where(hi == 0.0, 1.0, np.minimum(w, h) / hi)
+    return _Programs(
+        n_nodes=n_nodes,
+        node_start=node_start,
+        parent=parent,
+        seg=seg,
+        n_terms=n_terms,
+        term_start=np.cumsum(n_terms) - n_terms,
+        term_slot=term_slot,
+        term_col=term_col,
+        term_code=term_code,
+        term_val=term_val,
+        width=width,
+        fanout=fanout,
+        child_start=child_start,
+        child_slot=child_slot,
+        child_col=child_col,
+        bbox_area=w * h,
+        bbox_aspect=aspect,
+    )
+
+
+def _pad_programs(
+    programs: _Programs, geo: np.ndarray, caps: Sequence[float]
+) -> Tuple[np.ndarray, ...]:
+    """Padded program arrays of plans given by geometry and pin caps.
+
+    ``geo[i]`` is plan ``i``'s geometry and ``caps`` every plan's pin
+    caps, flat in plan then spec order.  Each array is filled by one
+    scatter from the flat programs.  Returns ``(parent, valid, seg,
+    code, tval)``, each ``(plans, nodes[, terms])`` wide enough for the
+    plans' largest geometry, and the ``(rows, slots)`` of every plan
+    child in spec order.
+    """
+    n_plan = geo.size
+    n = programs.n_nodes[geo]
+    max_n = int(n.max())
+    max_t = int(programs.width[geo].max())
+    rows, cols = _flat_slots(n)
+    node = np.repeat(programs.node_start[geo], n) + cols
+    parent = np.zeros((n_plan, max_n), dtype=np.int64)
+    valid = np.zeros((n_plan, max_n), dtype=bool)
+    seg = np.zeros((n_plan, max_n))
+    parent[rows, cols] = programs.parent[node]
+    valid[rows, cols] = True
+    seg[rows, cols] = programs.seg[node]
+    nt = programs.n_terms[geo]
+    rows, k = _flat_slots(nt)
+    term = np.repeat(programs.term_start[geo], nt) + k
+    at = (rows, programs.term_slot[term], programs.term_col[term])
+    code = np.zeros((n_plan, max_n, max_t), dtype=np.int8)
+    tval = np.zeros((n_plan, max_n, max_t))
+    code[at] = programs.term_code[term]
+    tval[at] = programs.term_val[term]
+    fan = programs.fanout[geo]
+    rows, k = _flat_slots(fan)
+    child = np.repeat(programs.child_start[geo], fan) + k
+    slots = programs.child_slot[child]
+    tval[rows, slots, programs.child_col[child]] = caps
+    return parent, valid, seg, code, tval, (rows, slots)
+
+
+class _WireRows:
+    """The wire memo's values: one row per plan, in flat arrays.
+
+    Row ``r`` is one plan's driver load ``load[:, r]`` (all corners),
+    its ``(wirelength, bbox area, bbox aspect)`` in ``shape[:, r]``, and
+    its children's Elmore and D2M delays ``elm[:, j]`` / ``d2m[:, j]``
+    for ``j`` in ``start[r] : start[r] + fanout[r]``, in spec order.
+    Only the first ``rows`` rows and ``children`` child columns are
+    live; the arrays grow geometrically.
+    """
+
+    def __init__(self, n_corner: int) -> None:
+        self.rows = 0
+        self.children = 0
+        self.start = np.zeros(0, dtype=np.int64)
+        self.fanout = np.zeros(0, dtype=np.int64)
+        self.shape = np.zeros((3, 0))
+        self.load = np.zeros((n_corner, 0))
+        self.elm = np.zeros((n_corner, 0))
+        self.d2m = np.zeros((n_corner, 0))
+
+    def child_index(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Child columns of ``rows``, row after row, and their fanouts."""
+        fan = self.fanout[rows]
+        _, k = _flat_slots(fan)
+        return np.repeat(self.start[rows], fan) + k, fan
+
+    def reserve(self, rows: int, children: int) -> None:
+        """Room for ``rows`` more rows and ``children`` more children."""
+
+        def grown(array: np.ndarray, live: int, need: int) -> np.ndarray:
+            if need <= array.shape[-1]:
+                return array
+            size = max(need, array.shape[-1] * 3 // 2)
+            out = np.empty(array.shape[:-1] + (size,), dtype=array.dtype)
+            out[..., :live] = array[..., :live]
+            return out
+
+        need = self.rows + rows
+        self.start = grown(self.start, self.rows, need)
+        self.fanout = grown(self.fanout, self.rows, need)
+        self.shape = grown(self.shape, self.rows, need)
+        self.load = grown(self.load, self.rows, need)
+        need = self.children + children
+        self.elm = grown(self.elm, self.children, need)
+        self.d2m = grown(self.d2m, self.children, need)
+
+    def append(
+        self,
+        fanout: np.ndarray,
+        shape: np.ndarray,
+        load: np.ndarray,
+        elm: np.ndarray,
+        d2m: np.ndarray,
+    ) -> int:
+        """Write rows after the live ones, one slice per array; returns
+        the first new row."""
+        n, k = fanout.size, elm.shape[1]
+        self.reserve(n, k)
+        r0, c0 = self.rows, self.children
+        self.start[r0 : r0 + n] = c0 + np.cumsum(fanout) - fanout
+        self.fanout[r0 : r0 + n] = fanout
+        self.shape[:, r0 : r0 + n] = shape
+        self.load[:, r0 : r0 + n] = load
+        self.elm[:, c0 : c0 + k] = elm
+        self.d2m[:, c0 : c0 + k] = d2m
+        self.rows += n
+        self.children += k
+        return r0
+
+    def take(self, rows: np.ndarray) -> "_WireRows":
+        """A memo of ``rows`` alone, renumbered from 0 in their order."""
+        child, fan = self.child_index(rows)
+        out = _WireRows(self.load.shape[0])
+        out.append(
+            fan, self.shape[:, rows], self.load[:, rows], self.elm[:, child], self.d2m[:, child]
+        )
+        return out
 
 
 @dataclass(frozen=True)
@@ -225,33 +517,47 @@ _VARIANTS: Tuple[Tuple[str, str], ...] = tuple(
 
 @dataclass(frozen=True)
 class _NominalNets:
-    """One role's nets of a batch under one route model, nominal corner
-    (row ``nom`` of the wire metrics)."""
+    """One role's nets of a batch under one route model, nominal corner.
 
-    metrics: Sequence[_WireMetrics]
+    Entry ``j`` is net ``net[j]``: its plan (the child ids) and its row
+    ``rows[net[j]]`` of the wire memo ``memo`` (the per-child delays and
+    the wirelength and bounding box), driven with entry ``j``'s gate
+    values.  ``memo`` only ever appends rows, and a compaction builds a
+    new one, so the rows stay valid.
+    """
+
+    net: Sequence[int]
+    plans: Sequence[_NetPlan]
+    memo: "_WireRows"
+    rows: np.ndarray
+    nom: int
     pair: List[float]
     out_slew: List[float]
     total_load: List[float]
-    nom: int
 
     def estimate(self, j: int) -> NetEstimate:
-        """Net ``j``'s :class:`NetEstimate`, its per-child nominal wire
+        """Entry ``j``'s :class:`NetEstimate`, its per-child nominal wire
         maps built on this request."""
-        m = self.metrics[j]
+        q = self.net[j]
+        ids = [cid for cid, _, _ in self.plans[q].children]
+        memo, row = self.memo, self.rows[q]
+        lo = int(memo.start[row])
+        hi = lo + len(ids)
         wire = {
-            "elmore": dict(zip(m.child_ids, m.elm[self.nom].tolist())),
-            "d2m": dict(zip(m.child_ids, m.d2m[self.nom].tolist())),
+            "elmore": dict(zip(ids, memo.elm[self.nom, lo:hi].tolist())),
+            "d2m": dict(zip(ids, memo.d2m[self.nom, lo:hi].tolist())),
         }
+        wirelength, area, aspect = memo.shape[:, row].tolist()
         return NetEstimate(
             pair_delay_ps=self.pair[j],
             out_slew_ps=self.out_slew[j],
             wire_delay_ps=wire,
             wire_elmore_ps=wire["elmore"],
             total_load_ff=self.total_load[j],
-            wirelength_um=m.wirelength_um,
-            fanout=m.fanout,
-            bbox_area_um2=m.bbox_area_um2,
-            bbox_aspect=m.bbox_aspect,
+            wirelength_um=wirelength,
+            fanout=len(ids),
+            bbox_area_um2=area,
+            bbox_aspect=aspect,
         )
 
 
@@ -278,6 +584,13 @@ class _BatchImpacts:
         self._own = own
         self._parent = parent
         self._parent_est: Dict[Tuple[str, int], NetEstimate] = {}
+
+    def subtree_rows(
+        self, index: Sequence[int], variant: Tuple[str, str], wire_only: bool
+    ) -> np.ndarray:
+        """The ``(len(index), corners)`` subtree deltas of ``variant`` for
+        moves ``index`` (wire-only with ``wire_only``), library order."""
+        return self._deltas[variant][1 if wire_only else 0][index]
 
     def impact(self, i: int, variant: Tuple[str, str]) -> MoveImpact:
         subtree, wire_only, old_siblings = self._deltas[variant]
@@ -329,6 +642,41 @@ class _LazyImpacts(Mapping):
         return len(_VARIANTS)
 
 
+def subtree_deltas(
+    components: Sequence[MoveComponents],
+    variant: Tuple[str, str],
+    wire_only: bool,
+    corner_names: Sequence[str],
+) -> np.ndarray:
+    """``(moves, corners)`` subtree deltas of ``variant``, columns in
+    ``corner_names`` order: what each move's ``impacts[variant]`` holds
+    in ``subtree``, or with ``wire_only`` in ``subtree_wire_only`` (its
+    ``subtree`` where that is empty).
+
+    Kernel components are read from their batch's delta arrays, one
+    gather per batch, and build no impact; per-move components (surgery
+    moves, the scalar oracle) are read from their impact dicts.
+    """
+    out = np.empty((len(components), len(corner_names)))
+    groups: Dict[int, Tuple[_BatchImpacts, List[int], List[int]]] = {}
+    for pos, component in enumerate(components):
+        impacts = component.impacts
+        if isinstance(impacts, _LazyImpacts):
+            group = groups.get(id(impacts._batch))
+            if group is None:
+                group = groups[id(impacts._batch)] = (impacts._batch, [], [])
+            group[1].append(pos)
+            group[2].append(impacts._i)
+            continue
+        impact = impacts[variant]
+        source = (impact.subtree_wire_only or impact.subtree) if wire_only else impact.subtree
+        out[pos] = [source[name] for name in corner_names]
+    for batch, positions, index in groups.values():
+        cols = [batch._names.index(name) for name in corner_names]
+        out[positions] = batch.subtree_rows(index, variant, wire_only)[:, cols]
+    return out
+
+
 class FeatureKernel:
     """Batched analytical move featurization over SoA numpy arrays."""
 
@@ -337,7 +685,9 @@ class FeatureKernel:
         self._nldm = library.nldm
         self._corners = list(library.corners)
         self._nom = self._nldm.corner_row[library.corners.nominal.name]
-        self._wire_memo: Dict[MemoKey, _WireMetrics] = {}
+        #: Plan value key -> its row of ``_wire_rows``.
+        self._wire_memo: Dict[MemoKey, int] = {}
+        self._wire_rows = _WireRows(len(self._corners))
         self.max_entries = 200_000
         self.timers = StageTimers(phase="features")
         self.stats: Dict[str, int] = {
@@ -350,160 +700,14 @@ class FeatureKernel:
         }
 
     # ------------------------------------------------------------------
-    # Template compilation: replay the RC builders into flat arrays
-    # ------------------------------------------------------------------
-    def _compile_template(self, plan: _NetPlan) -> _Template:
-        """Replay the RC builder of ``plan``'s geometry, pin caps left 0.0.
-
-        Nodes take slots in the builders' insertion order: the root, then
-        per routed edge its pi-pieces, near end first (see
-        ``route.rc_net._add_wire_path``).  Star nets route each child
-        from the driver in spec order; rsmt/trunk nets walk the route
-        depth-first from the driver pin 0, where child ``k`` is pin
-        ``k + 1``.  A node's terms keep the builders' order too: its own
-        piece cap, its pin cap, then the near-end half caps of the
-        edges leaving it.
-        """
-        parent: List[int] = [-1]
-        seg: List[float] = [0.0]
-        terms: List[List[Tuple[int, float]]] = [[]]
-
-        def add_wire(start: int, length: float) -> int:
-            """Append one routed edge below slot ``start``; its far slot."""
-            if length <= 0.0:
-                parent.append(start)
-                seg.append(0.0)
-                terms.append([])
-                return len(parent) - 1
-            pieces = max(1, math.ceil(length / ESTIMATE_SEGMENT_UM))
-            piece_len = length / pieces
-            terms[start].append((_TERM_HALF, piece_len))
-            prev = start
-            for _ in range(pieces - 1):
-                parent.append(prev)
-                seg.append(piece_len)
-                terms.append([(_TERM_WIRE, piece_len)])
-                prev = len(parent) - 1
-            parent.append(prev)
-            seg.append(piece_len)
-            terms.append([(_TERM_HALF, piece_len)])
-            return len(parent) - 1
-
-        fanout = len(plan.children)
-        pin_slot: List[int] = [0] * fanout
-        pin_term: List[int] = [0] * fanout
-
-        def add_pin(k: int, slot: int) -> None:
-            pin_slot[k] = slot
-            pin_term[k] = len(terms[slot])
-            terms[slot].append((_TERM_CONST, 0.0))
-
-        if plan.route_model == "star":
-            for k, (_, loc, _) in enumerate(plan.children):
-                add_pin(k, add_wire(0, path_length([plan.driver_loc, loc])))
-        else:
-            route = plan.route
-            points = route.points
-            adj = route.adjacency()
-            slot_of = {0: 0}
-            stack = [0]
-            while stack:
-                cur = stack.pop()
-                for nxt in adj[cur]:
-                    if nxt in slot_of:
-                        continue
-                    slot_of[nxt] = add_wire(
-                        slot_of[cur], points[cur].manhattan(points[nxt])
-                    )
-                    if 0 < nxt <= fanout:
-                        add_pin(nxt - 1, slot_of[nxt])
-                    stack.append(nxt)
-
-        n = len(parent)
-        width = max(max(len(t) for t in terms), 1)
-        term_code = np.zeros((n, width), dtype=np.int8)
-        term_val = np.zeros((n, width))
-        for slot, tlist in enumerate(terms):
-            for t, (code, val) in enumerate(tlist):
-                term_code[slot, t] = code
-                term_val[slot, t] = val
-        bbox = BBox.of_points(
-            [plan.driver_loc] + [loc for _, loc, _ in plan.children]
-        )
-        self.stats["programs_compiled"] += 1
-        return _Template(
-            n_nodes=n,
-            parent=np.asarray(parent, dtype=np.int64),
-            seg=np.asarray(seg),
-            term_code=term_code,
-            term_val=term_val,
-            child_slot=np.asarray(pin_slot, dtype=np.int64),
-            cap_term=np.asarray(pin_term, dtype=np.int64),
-            wirelength_um=plan.wirelength_um,
-            fanout=fanout,
-            bbox_area_um2=bbox.area,
-            bbox_aspect=bbox.aspect_ratio,
-        )
-
-    # ------------------------------------------------------------------
     # Lockstep moment engine over (corners x plans x nodes)
     # ------------------------------------------------------------------
-    @staticmethod
-    def _pad_programs(
-        templates: Sequence[_Template], caps: Sequence[Sequence[float]]
-    ) -> Tuple[np.ndarray, ...]:
-        """Padded program arrays of plans given as (template, pin caps).
-
-        Each distinct template is padded once; the plans gather its rows
-        and scatter their caps into its constant-term slots.  Returns
-        ``(parent, valid, seg, code, tval)``, each ``(plans, nodes[,
-        terms])``, and the ``(rows, slots)`` of every plan child in
-        spec order.
-        """
-        row_of: Dict[int, int] = {}
-        distinct: List[_Template] = []
-        tix = []
-        for t in templates:
-            row = row_of.get(id(t))
-            if row is None:
-                row = row_of[id(t)] = len(distinct)
-                distinct.append(t)
-            tix.append(row)
-        n_tpl = len(distinct)
-        max_n = max(t.n_nodes for t in distinct)
-        max_t = max(t.term_code.shape[1] for t in distinct)
-        max_f = max(max(t.fanout for t in distinct), 1)
-        parent = np.zeros((n_tpl, max_n), dtype=np.int64)
-        valid = np.zeros((n_tpl, max_n), dtype=bool)
-        seg = np.zeros((n_tpl, max_n))
-        code = np.zeros((n_tpl, max_n, max_t), dtype=np.int8)
-        tval = np.zeros((n_tpl, max_n, max_t))
-        child = np.zeros((n_tpl, max_f), dtype=np.int64)
-        cap_term = np.zeros((n_tpl, max_f), dtype=np.int64)
-        for i, t in enumerate(distinct):
-            n, nt, f = t.n_nodes, t.term_code.shape[1], t.fanout
-            parent[i, :n] = t.parent
-            valid[i, :n] = True
-            seg[i, :n] = t.seg
-            code[i, :n, :nt] = t.term_code
-            tval[i, :n, :nt] = t.term_val
-            child[i, :f] = t.child_slot
-            cap_term[i, :f] = t.cap_term
-        tix = np.asarray(tix, dtype=np.int64)
-        rows, cols = _flat_slots([t.fanout for t in templates])
-        tpl_rows = tix[rows]
-        slots = child[tpl_rows, cols]
-        tval = tval[tix]
-        tval[rows, slots, cap_term[tpl_rows, cols]] = [
-            c for plan_caps in caps for c in plan_caps
-        ]
-        return parent[tix], valid[tix], seg[tix], code[tix], tval, (rows, slots)
-
     def _eval_programs(
-        self, templates: Sequence[_Template], caps: Sequence[Sequence[float]]
-    ) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """Per-child (Elmore, D2M) arrays, one ``(corners, fanout)`` pair
-        per plan (a template and its pin caps), bit-identical to the
+        self, programs: _Programs, geo: np.ndarray, caps: Sequence[float]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-child Elmore and D2M delays of plans given by geometry and
+        pin caps (see :func:`_pad_programs`): two ``(corners, children)``
+        arrays, plan after plan in spec order, bit-identical to the
         scalar moment recursions.
 
         Each array step applies one node's scalar operation across all
@@ -511,23 +715,26 @@ class FeatureKernel:
         insertion order for moments, reverse for subtree accumulations)
         is exactly the scalar engine's, so every float matches.
         """
-        parent, valid, seg, code, tval, children = self._pad_programs(
-            templates, caps
+        parent, valid, seg, code, tval, children = _pad_programs(
+            programs, geo, caps
         )
         n_prog, max_n, max_t = code.shape
         n_corner = len(self._corners)
         res = self._nldm.res_per_um[:, None, None] * seg[None, :, :]
+        # Node caps: each term column added in order, in place (a node's
+        # sum starts at +0.0 and its terms are >= 0, so a masked-out
+        # entry keeps the value ``+ 0.0`` would leave).
         cap = np.zeros((n_corner, n_prog, max_n))
+        wirecap = np.empty_like(cap)
+        cap_per_um = self._nldm.cap_per_um[:, None, None]
         for t in range(max_t):
-            ct = code[:, :, t][None, :, :]
-            vt = tval[:, :, t][None, :, :]
-            wirecap = self._nldm.cap_per_um[:, None, None] * vt
-            term = np.where(ct == _TERM_WIRE, wirecap, 0.0)
-            term = np.where(ct == _TERM_HALF, wirecap / 2.0, term)
-            term = np.where(
-                ct == _TERM_CONST, np.broadcast_to(vt, term.shape), term
-            )
-            cap = cap + term
+            ct = code[:, :, t]
+            vt = tval[:, :, t]
+            np.multiply(cap_per_um, vt, out=wirecap)
+            np.add(cap, wirecap, out=cap, where=ct == _TERM_WIRE)
+            np.divide(wirecap, 2.0, out=wirecap)
+            np.add(cap, wirecap, out=cap, where=ct == _TERM_HALF)
+            np.add(cap, vt, out=cap, where=ct == _TERM_CONST)
 
         # Column index caches: nodes at step k, their parent columns.
         step_rows = [np.nonzero(valid[:, k])[0] for k in range(max_n)]
@@ -569,80 +776,87 @@ class FeatureKernel:
             d2m = np.where(
                 (m2 <= 0.0) | (m1 <= 0.0), 0.0, np.minimum(raw, m1)
             )
-
-        cuts = np.cumsum([t.fanout for t in templates])[:-1]
-        return list(
-            zip(
-                np.split(m1[:, children[0], children[1]], cuts, axis=1),
-                np.split(d2m[:, children[0], children[1]], cuts, axis=1),
-            )
-        )
+        return m1[:, children[0], children[1]], d2m[:, children[0], children[1]]
 
     # ------------------------------------------------------------------
     # Wire-metric memo
     # ------------------------------------------------------------------
-    def ensure_metrics(self, plans: Sequence[_NetPlan]) -> List[_WireMetrics]:
-        """Wire metrics of ``plans``, in order.
+    def ensure_metrics(self, plans: Sequence[_NetPlan]) -> np.ndarray:
+        """Wire-memo rows of ``plans``, in order.
 
-        Every plan missing from the memo is evaluated in lockstep first,
-        from its geometry's template and its own pin caps; each geometry
-        of the batch compiles once.  Nothing is evicted here:
-        :meth:`_trim_wire_memo` runs after the batch has read its
-        metrics.
+        Every plan missing from the memo is evaluated in lockstep first:
+        the batch's missed geometries compile in one pass
+        (:func:`_compile_programs`), each plan fills its geometry's
+        program with its own pin caps, and each evaluated chunk writes
+        its rows with one scatter per memo array.  Nothing is evicted
+        here: :meth:`_trim_wire_memo` runs after the batch has read its
+        rows.
         """
         keys = [plan.key for plan in plans]
-        found = [self._wire_memo.get(key) for key in keys]
+        memo = self._wire_memo
+        found = [memo.get(key) for key in keys]
         pending: Dict[MemoKey, _NetPlan] = {}
-        for key, plan, metrics in zip(keys, plans, found):
-            if metrics is not None:
+        for key, plan, row in zip(keys, plans, found):
+            if row is not None:
                 self.stats["wire_hits"] += 1
             elif key not in pending:
                 self.stats["wire_misses"] += 1
                 pending[key] = plan
-        if not pending:
-            return found
-        items = list(pending.items())
+        if pending:
+            self._evaluate(list(pending.items()))
+            found = [memo[key] if row is None else row for key, row in zip(keys, found)]
+        return np.array(found, dtype=np.int64)
+
+    def _evaluate(self, items: List[Tuple[MemoKey, _NetPlan]]) -> None:
+        """Compile, evaluate and memoize the missed plans ``items``."""
         with self.timers.stage("kernel_compile"):
-            compiled: Dict[MemoKey, _Template] = {}
-            templates = []
+            geo_of: Dict[MemoKey, int] = {}
+            firsts: List[_NetPlan] = []
+            plan_geo = []
             for _, plan in items:
-                template = compiled.get(plan.geometry)
-                if template is None:
-                    template = compiled[plan.geometry] = self._compile_template(plan)
-                templates.append(template)
+                g = geo_of.get(plan.geometry)
+                if g is None:
+                    g = geo_of[plan.geometry] = len(firsts)
+                    firsts.append(plan)
+                plan_geo.append(g)
+            programs = _compile_programs(firsts)
+            plan_geo = np.array(plan_geo, dtype=np.int64)
+            self.stats["programs_compiled"] += len(firsts)
         with self.timers.stage("kernel_eval"):
+            rows = self._wire_rows
+            rows.reserve(len(items), int(programs.fanout[plan_geo].sum()))
             for lo in range(0, len(items), _EVAL_CHUNK):
                 chunk = items[lo : lo + _EVAL_CHUNK]
-                chunk_templates = templates[lo : lo + _EVAL_CHUNK]
+                geo = plan_geo[lo : lo + _EVAL_CHUNK]
                 caps = [[c for _, _, c in plan.children] for _, plan in chunk]
-                results = self._eval_programs(chunk_templates, caps)
-                wirelength = np.array([t.wirelength_um for t in chunk_templates])
+                elm, d2m = self._eval_programs(
+                    programs, geo, [c for plan_caps in caps for c in plan_caps]
+                )
+                wirelength = np.array([plan.wirelength_um for _, plan in chunk])
                 capsum = np.array([sum(plan_caps) for plan_caps in caps], dtype=float)
-                total_load = self._nldm.cap_per_um[:, None] * wirelength + capsum
-                for j, ((key, plan), t, (elm, d2m)) in enumerate(
-                    zip(chunk, chunk_templates, results)
-                ):
-                    self._wire_memo[key] = _WireMetrics(
-                        elm=elm,
-                        d2m=d2m,
-                        total_load=total_load[:, j],
-                        wirelength_um=t.wirelength_um,
-                        fanout=t.fanout,
-                        bbox_area_um2=t.bbox_area_um2,
-                        bbox_aspect=t.bbox_aspect,
-                        child_ids=tuple(cid for cid, _, _ in plan.children),
-                    )
-        return [
-            metrics if metrics is not None else self._wire_memo[key]
-            for key, metrics in zip(keys, found)
-        ]
+                first = rows.append(
+                    programs.fanout[geo],
+                    np.stack(
+                        [wirelength, programs.bbox_area[geo], programs.bbox_aspect[geo]]
+                    ),
+                    self._nldm.cap_per_um[:, None] * wirelength + capsum,
+                    elm,
+                    d2m,
+                )
+                self._wire_memo.update(
+                    zip((key for key, _ in chunk), range(first, first + len(chunk)))
+                )
 
     def _trim_wire_memo(self) -> None:
-        """Evict the oldest wire metrics beyond ``max_entries`` (FIFO)."""
+        """Evict the oldest wire metrics beyond ``max_entries`` (FIFO) and
+        compact the memo's arrays to the rows kept."""
         excess = len(self._wire_memo) - self.max_entries
         if excess > 0:
-            for key in list(islice(self._wire_memo, excess)):
-                del self._wire_memo[key]
+            keep = list(islice(self._wire_memo, excess, None))
+            self._wire_rows = self._wire_rows.take(
+                np.array([self._wire_memo[key] for key in keep], dtype=np.int64)
+            )
+            self._wire_memo = dict(zip(keep, range(len(keep))))
 
     # ------------------------------------------------------------------
     # Batched featurization
@@ -670,11 +884,11 @@ class FeatureKernel:
             batch, fallback = self._prepare(tree, moves, cache)
         if batch.moves:
             nets = (*batch.parent_nets, *batch.own_nets)
-            metrics = self.ensure_metrics(
+            rows = self.ensure_metrics(
                 [plan for net in nets for plan in batch.plans[net.spec]]
             )
             with self.timers.stage("kernel_assemble"):
-                components = self._assemble(tree, timings, batch, metrics, cache)
+                components = self._assemble(tree, timings, batch, rows, cache)
             self._trim_wire_memo()
             for mi, comp in zip(batch.index, components):
                 out[mi] = comp
@@ -854,25 +1068,27 @@ class FeatureKernel:
         return w, old, valid
 
     def _wire_arrays(
-        self, metrics: Sequence[_WireMetrics], width: int
+        self, rows: np.ndarray, width: int
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Padded ``(corners, nets, width)`` Elmore and D2M child delays
-        and the ``(corners, nets)`` driver loads of ``metrics``."""
+        and the ``(corners, nets)`` driver loads of the memo ``rows``,
+        each gathered in one pass."""
+        memo = self._wire_rows
+        child, fan = memo.child_index(rows)
+        at = _flat_slots(fan)
         n_corner = len(self._corners)
-        rows, cols = _flat_slots([m.fanout for m in metrics])
-        elm = np.zeros((n_corner, len(metrics), width))
-        d2m = np.zeros((n_corner, len(metrics), width))
-        elm[:, rows, cols] = np.concatenate([m.elm for m in metrics], axis=1)
-        d2m[:, rows, cols] = np.concatenate([m.d2m for m in metrics], axis=1)
-        total_load = np.stack([m.total_load for m in metrics], axis=1)
-        return elm, d2m, total_load
+        elm = np.zeros((n_corner, rows.size, width))
+        d2m = np.zeros((n_corner, rows.size, width))
+        elm[:, at[0], at[1]] = memo.elm[:, child]
+        d2m[:, at[0], at[1]] = memo.d2m[:, child]
+        return elm, d2m, memo.load[:, rows]
 
     def _assemble(
         self,
         tree: ClockTree,
         timings: Mapping[str, CornerTiming],
         batch: _Batch,
-        metrics: List[_WireMetrics],
+        rows: np.ndarray,
         cache: AnalyticalCache,
     ) -> List[MoveComponents]:
         """Vectorized impact + feature assembly for the prepared moves.
@@ -889,8 +1105,8 @@ class FeatureKernel:
         bufs = batch.buffers
         n_p = len(batch.parent_nets)
         n_route = len(_ROUTE_MODELS)
-        parent_metrics = metrics[: n_p * n_route]
-        own_metrics = metrics[n_p * n_route :]
+        parent_rows = rows[: n_p * n_route]
+        own_rows = rows[n_p * n_route :]
         move_buf = np.asarray(batch.move_buf, dtype=np.int64)
         move_pnet = np.asarray(batch.move_pnet, dtype=np.int64)
         move_bnet = np.asarray(batch.move_bnet, dtype=np.int64)
@@ -971,10 +1187,10 @@ class FeatureKernel:
         own_nets: Dict[str, _NominalNets] = {}
         parent_nets: Dict[str, _NominalNets] = {}
         for k, r in enumerate(_ROUTE_MODELS):
-            met_par = parent_metrics[k::n_route]
-            met_b = own_metrics[k::n_route]
-            elm_par, d2m_par, tl_par = self._wire_arrays(met_par, max_fp)
-            elm_bn, d2m_bn, tl_b = self._wire_arrays(met_b, max_fb)
+            rows_par = parent_rows[k::n_route]
+            rows_b = own_rows[k::n_route]
+            elm_par, d2m_par, tl_par = self._wire_arrays(rows_par, max_fp)
+            elm_bn, d2m_bn, tl_b = self._wire_arrays(rows_b, max_fb)
             elm_to_b = elm_par[:, p_rows, b_pos]
             d2m_to_b = d2m_par[:, p_rows, b_pos]
 
@@ -1018,18 +1234,24 @@ class FeatureKernel:
                     d_parent_pair + old_sib,
                 )
             own_nets[r] = _NominalNets(
-                metrics=[met_b[q] for q in batch.move_bnet],
+                net=batch.move_bnet,
+                plans=[batch.plans[net.spec][k] for net in batch.own_nets],
+                memo=self._wire_rows,
+                rows=rows_b,
+                nom=nom,
                 pair=pair_b[nom].tolist(),
                 out_slew=slew_b[nom].tolist(),
                 total_load=tl_b_move[nom].tolist(),
-                nom=nom,
             )
             parent_nets[r] = _NominalNets(
-                metrics=met_par,
+                net=range(n_p),
+                plans=[batch.plans[net.spec][k] for net in batch.parent_nets],
+                memo=self._wire_rows,
+                rows=rows_par,
+                nom=nom,
                 pair=pair_parent[nom].tolist(),
                 out_slew=slew_parent[nom].tolist(),
                 total_load=tl_par[nom].tolist(),
-                nom=nom,
             )
 
         # The feature rows describe the nets of the rsmt + d2m reference.
@@ -1042,8 +1264,8 @@ class FeatureKernel:
             per_variant,
             own_nets,
             parent_nets,
-            own_metrics[k_ref::n_route],
-            parent_metrics[k_ref::n_route],
+            own_rows[k_ref::n_route],
+            parent_rows[k_ref::n_route],
             slews,
         )
 
@@ -1053,8 +1275,8 @@ class FeatureKernel:
         per_variant: Dict[Tuple[str, str], Tuple[np.ndarray, ...]],
         own_nets: Dict[str, _NominalNets],
         parent_nets: Dict[str, _NominalNets],
-        own_ref: Sequence[_WireMetrics],
-        parent_ref: Sequence[_WireMetrics],
+        own_ref: np.ndarray,
+        parent_ref: np.ndarray,
         slews: np.ndarray,
     ) -> List[MoveComponents]:
         """Per-move MoveComponents over batch-wide matrices.
@@ -1070,9 +1292,11 @@ class FeatureKernel:
         own_of = np.asarray(batch.move_bnet, dtype=np.int64)
         parent_of = np.asarray(batch.move_pnet, dtype=np.int64)
 
-        def column(values, index):
-            return np.asarray(values, dtype=float)[index]
-
+        memo = self._wire_rows
+        own_fanout = memo.fanout[own_ref].astype(float)[own_of]
+        own_wl, own_area, own_aspect = memo.shape[:, own_ref][:, own_of]
+        parent_fanout = memo.fanout[parent_ref].astype(float)[parent_of]
+        parent_wl, parent_area, parent_aspect = memo.shape[:, parent_ref][:, parent_of]
         size_after = np.asarray(batch.size_after, dtype=np.int64)
         onehot = {
             MoveType.SIZING_DISPLACE: (1.0, 0.0, 0.0),
@@ -1084,14 +1308,14 @@ class FeatureKernel:
         base = np.column_stack(
             [
                 *([zeros] * N_ESTIMATE_COLS),
-                column([m.fanout for m in own_ref], own_of),
-                column([m.bbox_area_um2 for m in own_ref], own_of) / 1000.0,
-                column([m.bbox_aspect for m in own_ref], own_of),
-                column([m.wirelength_um for m in own_ref], own_of),
-                column([m.fanout for m in parent_ref], parent_of),
-                column([m.bbox_area_um2 for m in parent_ref], parent_of) / 1000.0,
-                column([m.bbox_aspect for m in parent_ref], parent_of),
-                column([m.wirelength_um for m in parent_ref], parent_of),
+                own_fanout,
+                own_area / 1000.0,
+                own_aspect,
+                own_wl,
+                parent_fanout,
+                parent_area / 1000.0,
+                parent_aspect,
+                parent_wl,
                 zeros,  # input_slew_ps, scattered per corner
                 size_after.astype(float),
                 1.0 / np.maximum(size_after, 1),

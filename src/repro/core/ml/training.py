@@ -16,6 +16,7 @@ import numpy as np
 
 from repro.core.ml.ann import ANNConfig, ANNRegressor
 from repro.core.ml.dataset import MoveSample, dataset_arrays
+from repro.core.ml.feature_kernel import subtree_deltas
 from repro.core.ml.features import ESTIMATOR_VARIANTS, FEATURE_NAMES
 from repro.core.ml.hsm import HybridSurrogateModel, fit_jobs
 from repro.core.ml.pipeline import FeatureBatch
@@ -87,11 +88,12 @@ class DeltaLatencyPredictor:
 
         ``batch`` is a :class:`~repro.core.ml.pipeline.FeatureBatch`:
         learned kinds feed each corner's design matrix to that corner's
-        model in one call; analytical kinds read their estimate off each
-        move's ``impacts``.  Returns an ``(n_moves, n_corners)`` float64
-        array, columns in ``corner_names`` (library) order.  A learned
-        prediction also depends on the batch's row count, in the last
-        bits (DESIGN §5).
+        model in one call; analytical kinds read their variant's subtree
+        deltas (:func:`~repro.core.ml.feature_kernel.subtree_deltas`,
+        one gather per featurized batch and no per-move impact).
+        Returns an ``(n_moves, n_corners)`` float64 array, columns in
+        ``corner_names`` (library) order.  A learned prediction also
+        depends on the batch's row count, in the last bits (DESIGN §5).
         """
         components = batch.components
         out = np.empty((len(components), len(self.corner_names)))
@@ -100,15 +102,9 @@ class DeltaLatencyPredictor:
         if not self.is_learned:
             full = self.kind.startswith("full_")
             variant = tuple(self.kind.removeprefix("full_").rsplit("_", 1))
-            for i, component in enumerate(components):
-                impact = component.impacts[variant]
-                # Plain analytical kinds are the paper's Figure-6
-                # comparators: raw {route estimate} x {wire metric} deltas.
-                source = impact.subtree if full else (
-                    impact.subtree_wire_only or impact.subtree
-                )
-                out[i] = [source[name] for name in self.corner_names]
-            return out
+            # Plain analytical kinds are the paper's Figure-6 comparators:
+            # raw {route estimate} x {wire metric} deltas.
+            return subtree_deltas(components, variant, not full, self.corner_names)
         col = _ANCHOR_COLUMN
         for k, name in enumerate(self.corner_names):
             x = batch.matrices[name]

@@ -70,9 +70,6 @@ class Move:
         )
 
 
-def _sizeable(library: Library, size: int, step: int) -> bool:
-    """True if a one-step resize actually changes the size (not clamped)."""
-    return library.step_size(size, step) != size
 
 
 def _pick_child_buffer(tree: ClockTree, buffer: int) -> Optional[int]:
@@ -176,15 +173,29 @@ def enumerate_moves(
     moves: List[Move] = []
     targets = sorted(buffers) if buffers is not None else sorted(tree.buffers())
     surgery_index = SurgeryIndex(tree, cell_um=surgery_window_um)
+    # The steps that change a size (are not clamped at a library end),
+    # asked once per size, and the displacements, once per call.
+    steps_of: Dict[int, Tuple[int, ...]] = {}
+
+    def sizeable_steps(size: int) -> Tuple[int, ...]:
+        steps = steps_of.get(size)
+        if steps is None:
+            steps = steps_of[size] = tuple(
+                step for step in (+1, -1) if library.step_size(size, step) != size
+            )
+        return steps
+
+    offsets = [compass_offset(direction, displace_um) for direction, _ in COMPASS_DIRECTIONS]
     for nid in targets:
         node = tree.node(nid)
         if not node.is_buffer:
             continue
         child = _pick_child_buffer(tree, nid)
-        for direction, _ in COMPASS_DIRECTIONS:
-            dx, dy = compass_offset(direction, displace_um)
+        own_steps = sizeable_steps(node.size)
+        child_steps = sizeable_steps(tree.node(child).size) if child is not None else ()
+        for dx, dy in offsets:
             for step in (+1, -1):
-                if _sizeable(library, node.size, step):
+                if step in own_steps:
                     moves.append(
                         Move(
                             type=MoveType.SIZING_DISPLACE,
@@ -194,9 +205,7 @@ def enumerate_moves(
                             size_step=step,
                         )
                     )
-                if child is not None and _sizeable(
-                    library, tree.node(child).size, step
-                ):
+                if step in child_steps:
                     moves.append(
                         Move(
                             type=MoveType.CHILD_SIZING,

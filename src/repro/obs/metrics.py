@@ -22,7 +22,8 @@ holds the three pieces they are built from:
   into a tracer as ``metric`` events, so trace files carry the run's
   counters alongside its spans.
 * :class:`GCWatch` counts the cyclic garbage collector's runs and
-  pauses while it is installed.
+  pauses while it is installed, and :func:`minor_faults` reads the
+  process's minor page faults.
 """
 
 from __future__ import annotations
@@ -33,6 +34,11 @@ from contextlib import contextmanager
 from typing import Dict, Iterator, Mapping, Optional
 
 from repro.obs.trace import active as _active_tracer
+
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
 
 #: Key marking a merge collision node (see :func:`merge_stats`).
 COLLISION_KEY = "__collision__"
@@ -182,3 +188,16 @@ class GCWatch:
             "collections": {f"gen{g}": n for g, n in sorted(self.collections.items())},
             "pause_s": round(self.pause_s, 6),
         }
+
+
+def minor_faults() -> Optional[int]:
+    """This process's minor page faults so far (``ru_minflt``), or
+    ``None`` where :mod:`resource` is missing.
+
+    A large array the allocator maps afresh faults in page by page, one
+    it reuses from its heap does not, so a difference of two readings
+    shows how much of a run's memory traffic was fresh pages.
+    """
+    if resource is None:
+        return None
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt

@@ -71,9 +71,20 @@ class Library:
         """Corner-invariant area of an INVX``size``."""
         return self.cell(size, self.corners.nominal).area_um2
 
+    @cached_property
+    def _size_pos(self) -> Dict[int, int]:
+        """The step table: each size's index in the ordered size list."""
+        return {size: i for i, size in enumerate(self.sizes)}
+
     def size_index(self, size: int) -> int:
-        """Index of ``size`` in the ordered size list."""
-        return self.sizes.index(size)
+        """Index of ``size`` in the ordered size list.
+
+        Raises :class:`ValueError` for a size outside the library.
+        """
+        try:
+            return self._size_pos[size]
+        except KeyError:
+            raise ValueError(f"INVX{size} is not in the library; sizes={self.sizes}") from None
 
     def step_size(self, size: int, steps: int) -> int:
         """Size reached from ``size`` after ``steps`` one-step up/down moves.

@@ -9,6 +9,7 @@ production option.
 
 from __future__ import annotations
 
+import statistics
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
@@ -33,8 +34,16 @@ from repro.core.ml.pipeline import (
     FeatureBatch,
     move_dependencies,
 )
-from repro.core.moves import MoveType, apply_move
-from repro.geometry import BBox, Point, path_length
+from repro.core.moves import (
+    DISPLACE_UM,
+    Move,
+    MoveType,
+    SurgeryIndex,
+    _pick_child_buffer,
+    apply_move,
+    surgery_candidates,
+)
+from repro.geometry import COMPASS_DIRECTIONS, BBox, Point, compass_offset, path_length
 from repro.route.congestion import chain_length_factor, routed_length_factor
 from repro.route.rc_net import DEFAULT_SEGMENT_UM, edge_rc_tree, star_rc_tree
 from repro.route.rsmt import (
@@ -463,6 +472,45 @@ def use_scalar_scan(patch):
     patch.setattr(LPGuidedECO, "_search", per_arc_scan)
 
 
+# --- Move enumeration: one library question per buffer, direction, step --
+def reference_enumerate_moves(tree, library, displace_um=DISPLACE_UM):
+    """Oracle of :func:`repro.core.moves.enumerate_moves`: asks the library
+    whether each resize changes the size for every buffer, direction and
+    step (default surgery window)."""
+
+    def sizeable(size, step):
+        return library.step_size(size, step) != size
+
+    moves = []
+    index = SurgeryIndex(tree)
+    for nid in sorted(tree.buffers()):
+        node = tree.node(nid)
+        if not node.is_buffer:
+            continue
+        child = _pick_child_buffer(tree, nid)
+        for direction, _ in COMPASS_DIRECTIONS:
+            dx, dy = compass_offset(direction, displace_um)
+            for step in (+1, -1):
+                if sizeable(node.size, step):
+                    moves.append(
+                        Move(MoveType.SIZING_DISPLACE, nid, dx=dx, dy=dy, size_step=step)
+                    )
+                if child is not None and sizeable(tree.node(child).size, step):
+                    moves.append(
+                        Move(
+                            MoveType.CHILD_SIZING,
+                            nid,
+                            dx=dx,
+                            dy=dy,
+                            child=child,
+                            child_size_step=step,
+                        )
+                    )
+        for new_parent in surgery_candidates(tree, nid, index=index):
+            moves.append(Move(MoveType.SURGERY, nid, new_parent=new_parent))
+    return moves
+
+
 # --- Feature kernel: one program compiled per plan -----------------------
 @dataclass(frozen=True)
 class _NetProgram:
@@ -776,6 +824,81 @@ def reference_rsmt(points: Sequence[Point]) -> RouteTree:
     edges = _mst_edges(dist)
     tree = RouteTree(points=all_points, edges=tuple(edges), num_pins=len(pts))
     return _prune_useless_steiner(tree)
+
+
+# --- Single trunk: one net at a time -------------------------------------
+def reference_trunk_tree(points: Sequence[Point], horizontal: bool) -> RouteTree:
+    """One orientation's trunk tree, before coincident taps merge."""
+    pts = list(points)
+    if horizontal:
+        trunk_coord = statistics.median(p.y for p in pts)
+        taps = [Point(p.x, trunk_coord) for p in pts]
+        order = sorted(range(len(pts)), key=lambda i: (taps[i].x, i))
+    else:
+        trunk_coord = statistics.median(p.x for p in pts)
+        taps = [Point(trunk_coord, p.y) for p in pts]
+        order = sorted(range(len(pts)), key=lambda i: (taps[i].y, i))
+
+    all_points: List[Point] = list(pts)
+    edges: List[Tuple[int, int]] = []
+    tap_index: List[int] = []
+    for i, tap in enumerate(taps):
+        if tap == pts[i]:
+            tap_index.append(i)
+        else:
+            all_points.append(tap)
+            idx = len(all_points) - 1
+            edges.append((i, idx))
+            tap_index.append(idx)
+    for a, b in zip(order, order[1:]):
+        if tap_index[a] != tap_index[b]:
+            edges.append((tap_index[a], tap_index[b]))
+    return RouteTree(
+        points=tuple(all_points), edges=tuple(edges), num_pins=len(pts)
+    )
+
+
+def reference_dedupe(tree: RouteTree) -> RouteTree:
+    """Merge coincident tap points so the edge count matches a tree."""
+    seen = {}
+    remap = {}
+    points: List[Point] = []
+    for idx, p in enumerate(tree.points):
+        key = (p.x, p.y)
+        if idx < tree.num_pins:
+            remap[idx] = len(points)
+            points.append(p)
+            # Pins are never merged away, but later taps may merge onto them.
+            seen.setdefault(key, remap[idx])
+        else:
+            if key in seen:
+                remap[idx] = seen[key]
+            else:
+                remap[idx] = len(points)
+                seen[key] = remap[idx]
+                points.append(p)
+    edges = set()
+    for a, b in tree.edges:
+        ra, rb = remap[a], remap[b]
+        if ra != rb:
+            edges.add((min(ra, rb), max(ra, rb)))
+    return RouteTree(
+        points=tuple(points), edges=tuple(sorted(edges)), num_pins=tree.num_pins
+    )
+
+
+def reference_single_trunk(points: Sequence[Point]) -> RouteTree:
+    """Oracle of :func:`repro.route.single_trunk.single_trunk_batch`: one
+    net at a time, the shorter of its horizontal and vertical trunk trees
+    (horizontal on a tie)."""
+    pts = list(points)
+    if not pts:
+        raise ValueError("cannot route an empty pin set")
+    if len(pts) == 1:
+        return RouteTree(points=tuple(pts), edges=(), num_pins=1)
+    horizontal = reference_dedupe(reference_trunk_tree(pts, horizontal=True))
+    vertical = reference_dedupe(reference_trunk_tree(pts, horizontal=False))
+    return horizontal if horizontal.length <= vertical.length else vertical
 
 
 def reference_hop_fill(row, buckets):

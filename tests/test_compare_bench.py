@@ -41,8 +41,8 @@ FLAG_CHECKS = {
     "trace": ("schema_valid", "span_tree_stable", "result_identical"),
 }
 
-#: (bench, key) gated against the baseline: every ``*speedup*`` and
-#: ``*_cost_ms`` key the committed records carry.
+#: (bench, key) gated against the baseline: every ``*speedup*``,
+#: ``*_cost_ms`` and ``*_cost_ratio`` key the committed records carry.
 RELATIVE_CHECKS = (
     ("characterize", "speedup"),
     ("characterize", "stage_luts_speedup"),
@@ -53,7 +53,7 @@ RELATIVE_CHECKS = (
     ("features", "end_to_end_speedup"),
     ("kernel", "speedup"),
     ("kernel", "retime_speedup"),
-    ("localopt", "iteration_cost_ms"),
+    ("localopt", "iteration_cost_ratio"),
     ("parallel", "speedup"),
     ("parallel", "trial_speedup"),
     ("timer", "speedup"),
@@ -130,6 +130,9 @@ def test_direction_classification(gate):
     assert gate.direction("verify_speedup") == "higher"
     assert gate.direction("tracer_cost_ms") == "lower"
     assert gate.direction("sampler_cost_ms") == "lower"
+    assert gate.direction("iteration_cost_ratio") == "lower"
+    # Absolute milliseconds per iteration follow the host: not gated.
+    assert gate.direction("ms_per_iteration") is None
     # Overhead percentages have absolute ceilings only.
     assert gate.direction("overhead_pct") is None
     assert gate.direction("sampler_overhead_pct") is None

@@ -13,8 +13,9 @@ The suite checks that contract five ways:
 * direct per-move component equality against the scalar path on MINI
   (full move set) and CLS1v1 (randomized subset), all estimator
   variants, all corners;
-* the per-geometry program templates, filled with each plan's pin caps,
-  against the per-plan program compile, array by array;
+* the one-pass program compile of a batch's net geometries, filled
+  with each plan's pin caps, against the per-plan program compile,
+  array by array;
 * a 200+-step randomized move/undo walk where featurize / commit /
   invalidate rounds interleave with returns to the pristine tree, so the
   value-keyed wire memo is exercised warm, cold, and across epochs, and
@@ -50,9 +51,14 @@ from repro.core.ml.features import (
     compute_move_components,
 )
 from repro.core.ml.pipeline import CandidatePipeline
-from repro.core.ml.training import train_predictor
+from repro.core.ml.training import (
+    ANALYTICAL_KINDS,
+    FULL_ANALYTICAL_KINDS,
+    train_predictor,
+)
 from repro.core.moves import MoveType, enumerate_moves
 from repro.core.objective import SkewVariationProblem
+from repro.geometry import BBox, Point
 from repro.parallel.pool import effective_cpu_count, resolve_workers
 from repro.tech.cells import NLDMTable
 from repro.testcases.cls1 import build_cls1
@@ -227,50 +233,106 @@ class TestKernelParity:
                 _assert_components_equal(got, ref)
         assert kernel.stats["wire_hits"] > 0
         assert len(kernel._wire_memo) <= kernel.max_entries
+        # The memo's arrays were compacted to the rows it keeps.
+        assert kernel._wire_rows.rows == len(kernel._wire_memo)
+        assert sorted(kernel._wire_memo.values()) == list(range(kernel._wire_rows.rows))
 
 
 # ---------------------------------------------------------------------------
-# geometry templates against the per-plan program compile
+# the one-pass compile against the per-plan program compile
 # ---------------------------------------------------------------------------
 def _batch_plans(design):
-    """The kernel, and every plan of one batch over the full move set."""
-    problem = SkewVariationProblem.create(design)
-    tree = design.tree
+    """Every plan of one batch over the full move set."""
     kernel = FeatureKernel(design.library)
     batch, _ = kernel._prepare(
-        tree, enumerate_moves(tree, design.library), AnalyticalCache()
+        design.tree, enumerate_moves(design.tree, design.library), AnalyticalCache()
     )
-    return kernel, [plan for plans in batch.plans for plan in plans]
+    return [plan for plans in batch.plans for plan in plans]
+
+
+def _assert_programs_equal(plans, chunk=64):
+    """Compile the geometries of ``plans`` in one pass, fill each plan's
+    program with its pin caps, and hold it to the per-plan oracle."""
+    geo_of = {}
+    firsts = []
+    for plan in plans:
+        if plan.geometry not in geo_of:
+            geo_of[plan.geometry] = len(firsts)
+            firsts.append(plan)
+    geo = np.array([geo_of[plan.geometry] for plan in plans])
+    programs = feature_kernel._compile_programs(firsts)
+    assert programs.n_nodes.size == len(firsts)
+    for g, plan in enumerate(firsts):
+        box = BBox.of_points([plan.driver_loc] + [loc for _, loc, _ in plan.children])
+        assert programs.bbox_area[g] == box.area
+        assert programs.bbox_aspect[g] == box.aspect_ratio
+    for lo in range(0, len(plans), chunk):
+        part = plans[lo : lo + chunk]
+        parent, valid, seg, code, tval, (rows, slots) = feature_kernel._pad_programs(
+            programs, geo[lo : lo + chunk], [c for p in part for _, _, c in p.children]
+        )
+        for i, plan in enumerate(part):
+            ref = reference_compile_plan(None, plan)
+            n, t = ref.n_nodes, ref.term_code.shape[1]
+            assert valid[i].sum() == n and valid[i, :n].all()
+            assert np.array_equal(parent[i, :n], ref.parent)
+            assert np.array_equal(seg[i, :n], ref.seg)
+            assert np.array_equal(code[i, :n, :t], ref.term_code)
+            assert np.array_equal(tval[i, :n, :t], ref.term_val)
+            assert not code[i, n:].any() and not code[i, :, t:].any()
+            assert not tval[i, n:].any() and not tval[i, :, t:].any()
+            assert np.array_equal(slots[rows == i], ref.child_slot)
+    return programs
+
+
+def build_cls1v2():
+    return build_cls1(2)
 
 
 class TestTemplates:
-    @pytest.mark.parametrize("build", [build_mini, lambda: build_cls1(1)])
+    @pytest.mark.parametrize("build", [build_mini, lambda: build_cls1(1), build_cls1v2])
     def test_programs_equal_per_plan_compile(self, build):
-        """Padded template rows plus pin caps are the oracle program."""
-        kernel, plans = _batch_plans(build())
+        """One compile pass over a full-move-set batch: every plan's
+        padded program is the oracle's, the widest star root included."""
+        plans = _batch_plans(build())
         assert {p.route_model for p in plans} == {"star", "rsmt", "trunk"}
-        templates = {}
-        for plan in plans:
-            if plan.geometry not in templates:
-                templates[plan.geometry] = kernel._compile_template(plan)
-        assert kernel.stats["programs_compiled"] == len(templates) < len(plans)
-        for lo in range(0, len(plans), 64):
-            chunk = plans[lo : lo + 64]
-            parent, valid, seg, code, tval, (rows, slots) = kernel._pad_programs(
-                [templates[p.geometry] for p in chunk],
-                [[c for _, _, c in p.children] for p in chunk],
-            )
-            for i, plan in enumerate(chunk):
-                ref = reference_compile_plan(kernel, plan)
-                n, t = ref.n_nodes, ref.term_code.shape[1]
-                assert valid[i].sum() == n and valid[i, :n].all()
-                assert np.array_equal(parent[i, :n], ref.parent)
-                assert np.array_equal(seg[i, :n], ref.seg)
-                assert np.array_equal(code[i, :n, :t], ref.term_code)
-                assert np.array_equal(tval[i, :n, :t], ref.term_val)
-                assert not code[i, n:].any() and not code[i, :, t:].any()
-                assert not tval[i, n:].any() and not tval[i, :, t:].any()
-                assert np.array_equal(slots[rows == i], ref.child_slot)
+        programs = _assert_programs_equal(plans)
+        assert programs.n_nodes.size < len(plans)
+        # The widest star root: one near-end half cap per child, in one
+        # row as wide as the widest program.
+        star = [p for p in plans if p.route_model == "star"]
+        widest = max(star, key=lambda p: len(p.children))
+        assert max(programs.width) >= len(widest.children) >= 6
+
+    def test_zero_length_edges_and_taps_on_pins(self):
+        """Children at the driver's place (zero-length edges), duplicate
+        children, multi-piece edges and trunk taps that land on pins."""
+        d = Point(100.0, 100.0)
+        nets = [
+            (d, [(1, d, 0.5), (2, Point(180.0, 100.0), 0.7)]),
+            (d, [(1, Point(100.0, 130.0), 0.5), (2, Point(100.0, 130.0), 0.6)]),
+            # Horizontal trunk at y = 100: the taps of pins 2 and 3 land
+            # on pins 1 and 0.
+            (
+                d,
+                [
+                    (1, Point(160.0, 100.0), 0.4),
+                    (2, Point(160.0, 150.0), 0.4),
+                    (3, Point(100.0, 20.0), 0.4),
+                    (4, Point(300.0, 110.0), 0.9),
+                ],
+            ),
+            (d, [(1, d, 0.3), (2, d, 0.3), (3, Point(20.0, 0.0), 0.3)]),
+        ]
+        plans = [
+            plan
+            for row in AnalyticalCache().plan_nets(nets, ("star", "rsmt", "trunk"))
+            for plan in row
+        ]
+        trunk = plans[2 * 3 + 2].route
+        assert len(trunk.points) < 2 * trunk.num_pins - 1  # taps merged
+        programs = _assert_programs_equal(plans, chunk=5)
+        assert (programs.seg == 0.0).sum() > len(plans)  # roots + zero-length edges
 
     def test_child_sizing_pair_compiles_one_template(self, mini_design):
         """Two resizes of one child, at one displacement, share every net
@@ -630,7 +692,8 @@ class TestScoreParity:
 
     def test_learned_ranking_builds_no_impacts(self, hsm_predictor, monkeypatch):
         """Featurize, predict and score with a learned predictor read the
-        side rows only: no MoveImpact and no NetEstimate is built."""
+        side rows only, and an analytical predictor its batch's delta
+        rows: no kernel move builds a MoveImpact or a NetEstimate."""
 
         def refuse(*args, **kwargs):
             raise AssertionError("impact built")
@@ -638,11 +701,60 @@ class TestScoreParity:
         monkeypatch.setattr(feature_kernel._BatchImpacts, "impact", refuse)
         monkeypatch.setattr(feature_kernel._NominalNets, "estimate", refuse)
         problem = SkewVariationProblem.create(build_mini())
-        outcome = LocalOptimizer(
-            problem, hsm_predictor, LocalOptConfig(max_iterations=2)
-        ).run()
-        assert outcome.history
-        assert outcome.stats["pipeline"]["kernel"]["kernel_moves"] > 0
+        analytical = train_predictor(problem.design.library, [], "full_rsmt_d2m")
+        for predictor in (hsm_predictor, analytical):
+            outcome = LocalOptimizer(
+                problem, predictor, LocalOptConfig(max_iterations=2)
+            ).run()
+            assert outcome.history
+            assert outcome.stats["pipeline"]["kernel"]["kernel_moves"] > 0
+
+
+class TestAnalyticalPredictions:
+    @pytest.mark.parametrize("build", [build_mini, lambda: build_cls1(1)])
+    def test_predict_matrix_equals_per_move_read(self, build):
+        """Every plain and ``full_`` analytical kind reads the same floats
+        from the batch's delta rows as from each move's impact dicts,
+        surgery moves (per-move components) included."""
+        design = build()
+        problem = SkewVariationProblem.create(design)
+        tree = design.tree.clone()
+        result = problem.evaluate(tree)
+        moves = enumerate_moves(tree, design.library)
+        assert any(m.type is MoveType.SURGERY for m in moves)
+        batch = CandidatePipeline(design.library).featurize(tree, result.per_corner, moves)
+        names = [c.name for c in design.library.corners]
+        for kind in (*ANALYTICAL_KINDS, *FULL_ANALYTICAL_KINDS):
+            got = train_predictor(design.library, [], kind).predict_matrix(batch)
+            variant = tuple(kind.removeprefix("full_").rsplit("_", 1))
+            expected = []
+            for comp in batch.components:
+                impact = comp.impacts[variant]
+                source = (
+                    impact.subtree
+                    if kind.startswith("full_")
+                    else impact.subtree_wire_only or impact.subtree
+                )
+                expected.append([source[name] for name in names])
+            assert got.tolist() == expected, kind
+
+    def test_corner_order_follows_the_predictor(self, mini_design):
+        """Columns come in the predictor's corner order, whatever the
+        library's."""
+        problem = SkewVariationProblem.create(mini_design)
+        tree = mini_design.tree.clone()
+        result = problem.evaluate(tree)
+        moves = enumerate_moves(tree, mini_design.library)
+        batch = CandidatePipeline(mini_design.library).featurize(
+            tree, result.per_corner, moves
+        )
+        predictor = train_predictor(mini_design.library, [], "full_trunk_elmore")
+        flipped = dataclasses.replace(
+            predictor, corner_names=tuple(reversed(predictor.corner_names))
+        )
+        assert np.array_equal(
+            flipped.predict_matrix(batch), predictor.predict_matrix(batch)[:, ::-1]
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from repro.core.ml.pipeline import CandidatePipeline, FeatureBatch, move_depende
 from repro.core.ml.training import train_predictor
 from repro.core.moves import MoveType, enumerate_moves
 from repro.core.objective import SkewVariationProblem
+from repro.obs.metrics import minor_faults
 from repro.testcases.cls1 import build_cls1
 from repro.testcases.mini import build_mini
 
@@ -221,7 +222,7 @@ class TestTrajectoryIdentity:
         outcome = optimizer.run()
         stats = outcome.stats
         assert stats is not None
-        assert set(stats) == {
+        assert set(stats) - {"minor_faults"} == {
             "stage",
             "pipeline",
             "engine",
@@ -229,6 +230,7 @@ class TestTrajectoryIdentity:
             "workers",
             "gc",
         }
+        assert ("minor_faults" in stats) == (minor_faults() is not None)
         assert stats["parallel"] is None  # serial run: no pool engaged
         assert stats["workers"]["effective"] == 1
         assert "featurize" in stats["stage"]["seconds"]

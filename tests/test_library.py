@@ -48,6 +48,12 @@ class TestDefaultLibrary:
         assert library.size_index(2) == 0
         assert library.size_index(32) == 4
 
+    def test_size_index_of_unknown_size_raises(self, library):
+        with pytest.raises(ValueError):
+            library.size_index(3)
+        with pytest.raises(ValueError):
+            library.step_size(64, -1)
+
     def test_wire_per_corner(self, library):
         for corner in library.corners:
             wire = library.wire(corner)

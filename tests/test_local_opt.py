@@ -13,6 +13,8 @@ from repro.core.local_opt import (
     random_move_baseline,
 )
 from repro.core.ml.training import train_predictor
+from repro.obs import metrics
+from repro.obs.metrics import minor_faults
 from tests.oracles import predicted_variation_reduction
 
 
@@ -117,6 +119,24 @@ class TestGCStats:
         assert stats["pause_s"] >= 0.0
         assert gc.callbacks == hooks
         assert gc.get_threshold() == thresholds
+
+    def test_run_records_its_minor_page_faults(self, mini_problem, predictor):
+        before = minor_faults()
+        outcome = LocalOptimizer(
+            mini_problem, predictor, LocalOptConfig(max_iterations=1)
+        ).run()
+        if before is None:
+            assert "minor_faults" not in outcome.stats
+            return
+        faults = outcome.stats["minor_faults"]
+        assert isinstance(faults, int) and 0 <= faults <= minor_faults() - before
+
+    def test_minor_faults_omitted_without_resource(self, mini_problem, predictor, monkeypatch):
+        monkeypatch.setattr(metrics, "resource", None)
+        outcome = LocalOptimizer(
+            mini_problem, predictor, LocalOptConfig(max_iterations=1)
+        ).run()
+        assert "minor_faults" not in outcome.stats
 
     def test_hook_removed_when_the_run_raises(self, mini_problem, predictor, monkeypatch):
         hooks = list(gc.callbacks)

@@ -14,6 +14,9 @@ from repro.core.moves import (
 )
 from repro.geometry import Point
 from repro.netlist.tree import ClockTree
+from repro.testcases.cls1 import build_cls1
+from repro.testcases.mini import build_mini
+from tests.oracles import reference_enumerate_moves
 
 
 def move_tree():
@@ -76,6 +79,23 @@ class TestEnumeration:
         moves = enumerate_moves(t, library)
         touched = {m.buffer for m in moves}
         assert touched == set(t.buffers())
+
+
+@pytest.mark.parametrize("build", [build_mini, lambda: build_cls1(1), lambda: build_cls1(2)])
+def test_enumeration_equals_per_step_oracle(build):
+    """The step table gives the moves, in order, that asking the library
+    about every buffer, direction and step gives; buffers at both end
+    sizes (clamped steps) included."""
+    design = build()
+    tree = design.tree.clone()
+    sizes = design.library.sizes
+    for i, nid in enumerate(sorted(tree.buffers())[:8]):
+        tree.resize_buffer(nid, sizes[0] if i % 2 else sizes[-1])
+    got = enumerate_moves(tree, design.library)
+    assert got == reference_enumerate_moves(tree, design.library)
+    steps = {(m.type, m.size_step or m.child_size_step) for m in got}
+    assert {(MoveType.SIZING_DISPLACE, 1), (MoveType.SIZING_DISPLACE, -1)} <= steps
+    assert {(MoveType.CHILD_SIZING, 1), (MoveType.CHILD_SIZING, -1)} <= steps
 
 
 class TestApplication:
