@@ -134,7 +134,8 @@ def _report(tag, record):
         "  stages   : "
         + ", ".join(f"{k}={v:.3f}s" for k, v in sorted(stage.items())),
         f"  caches   : move {cache['move_hits']}/{cache['move_misses']} "
-        f"hit/miss, plan {cache['plan_hits']}/{cache['plan_misses']}, "
+        f"hit/miss, wire {cache['kernel']['wire_hits']}/"
+        f"{cache['kernel']['wire_misses']}, "
         f"time {cache['time_hits']}/{cache['time_misses']}",
         "  gc       : "
         + ", ".join(f"{k}={v}" for k, v in gc_stats["collections"].items())

@@ -25,15 +25,16 @@ model, corner); callers pick the metric per variant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.moves import Move, MoveType
 from repro.geometry import BBox, Point
 from repro.netlist.tree import ClockTree
 from repro.route.rc_net import route_rc_tree, star_rc_tree
-from repro.route.rsmt import rsmt, rsmt_batch
-from repro.route.single_trunk import single_trunk_batch, single_trunk_tree
+from repro.route.rsmt import rsmt
+from repro.route.single_trunk import single_trunk_tree
 from repro.sta.d2m import d2m_delays
 from repro.sta.elmore import elmore_delays
 from repro.sta.gate import (
@@ -127,37 +128,9 @@ def _pin_cap(tree: ClockTree, library: Library, nid: int) -> float:
     return library.input_cap_ff(node.size)
 
 
-class MemoKey:
-    """A memo key that hashes its value once.
-
-    Plan and geometry keys hold :class:`Point` s, whose dataclass hash
-    is a Python-level call; a key built once and looked up in several
-    memos (plans, routes, the feature kernel's templates and wire
-    metrics) pays for that hash once.
-    """
-
-    __slots__ = ("value", "_hash")
-
-    def __init__(self, value: tuple) -> None:
-        self.value = value
-        self._hash = hash(value)
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, MemoKey) and self.value == other.value
-
-
 @dataclass(frozen=True)
 class _NetPlan:
-    """Route topology for one candidate net, shared across corners.
-
-    ``key`` is the plan's value key (route model, driver location, child
-    spec) and ``geometry`` the key of its route (route model, driver
-    location, child locations): plans that share a geometry differ only
-    in child ids and pin caps.
-    """
+    """Route topology for one candidate net, shared across corners."""
 
     driver_loc: Point
     children: Tuple[Tuple[int, Point, float], ...]
@@ -165,16 +138,21 @@ class _NetPlan:
     route: Optional[object]  # RouteTree for rsmt/trunk, None for star
     name_of: Dict[int, object]
     wirelength_um: float
-    key: MemoKey = field(compare=False, repr=False)
-    geometry: MemoKey = field(compare=False, repr=False)
 
 
-def _make_plan(
-    key: MemoKey, geometry: MemoKey, routed: Optional[Tuple[object, float]] = None
+def plan_net(
+    driver_loc: Point,
+    children: Sequence[Tuple[int, Point, float]],
+    route_model: str,
 ) -> _NetPlan:
-    """The plan of ``key``; rsmt/trunk plans take their ``(route,
-    wirelength)``, in which child ``i`` is route pin ``i + 1``."""
-    route_model, driver_loc, children = key.value
+    """Build the (corner-independent) route topology for a net.
+
+    An rsmt/trunk plan routes the driver as pin 0 and child ``i`` as
+    pin ``i + 1``.
+    """
+    if route_model not in ROUTE_MODELS:
+        raise ValueError(f"unknown route model {route_model!r}")
+    children = tuple(children)
     if route_model == "star":
         return _NetPlan(
             driver_loc=driver_loc,
@@ -183,39 +161,17 @@ def _make_plan(
             route=None,
             name_of={cid: cid for cid, _, _ in children},
             wirelength_um=sum(driver_loc.manhattan(loc) for _, loc, _ in children),
-            key=key,
-            geometry=geometry,
         )
-    route, wirelength_um = routed
+    points = [driver_loc, *(loc for _, loc, _ in children)]
+    route = rsmt(points) if route_model == "rsmt" else single_trunk_tree(points)
     return _NetPlan(
         driver_loc=driver_loc,
         children=children,
         route_model=route_model,
         route=route,
         name_of={cid: i + 1 for i, (cid, _, _) in enumerate(children)},
-        wirelength_um=wirelength_um,
-        key=key,
-        geometry=geometry,
+        wirelength_um=route.length,
     )
-
-
-def plan_net(
-    driver_loc: Point,
-    children: Sequence[Tuple[int, Point, float]],
-    route_model: str,
-) -> _NetPlan:
-    """Build the (corner-independent) route topology for a net."""
-    if route_model not in ROUTE_MODELS:
-        raise ValueError(f"unknown route model {route_model!r}")
-    children = tuple(children)
-    locs = tuple(loc for _, loc, _ in children)
-    key = MemoKey((route_model, driver_loc, children))
-    geometry = MemoKey((route_model, driver_loc, locs))
-    if route_model == "star":
-        return _make_plan(key, geometry)
-    points = [driver_loc, *locs]
-    route = rsmt(points) if route_model == "rsmt" else single_trunk_tree(points)
-    return _make_plan(key, geometry, (route, route.length))
 
 
 def time_net(
@@ -287,44 +243,32 @@ class AnalyticalCache:
 
     A cache instance is implicitly scoped to one :class:`Library` (the
     key does not encode library tables); use one cache per optimization
-    run, as :class:`repro.core.ml.pipeline.CandidatePipeline` does.
+    run, as :class:`repro.core.ml.pipeline.CandidatePipeline` does.  It
+    serves the per-move path (surgery moves and the scalar oracle); the
+    feature kernel keys its nets and routes itself.
 
     ``sink_weights`` additionally memoizes per-driver subtree sink
-    counts, revalidated against ``tree.structure_revision``.
+    counts for one tree object at one ``tree.structure_revision``.
     """
 
     def __init__(self) -> None:
-        self._plans: Dict[MemoKey, _NetPlan] = {}
-        self._routes: Dict[MemoKey, Tuple[object, float]] = {}
+        self._plans: Dict[tuple, _NetPlan] = {}
         self._times: Dict[tuple, NetEstimate] = {}
         self._weights: Dict[int, Dict[int, int]] = {}
-        self._weights_scope: Optional[Tuple[int, int]] = None
+        self._weights_tree: Optional[weakref.ref] = None
+        self._weights_revision = -1
         self.stats: Dict[str, int] = {
             "plan_hits": 0,
             "plan_misses": 0,
-            "route_hits": 0,
-            "route_misses": 0,
-            "rsmt_batches": 0,
-            "trunk_batches": 0,
             "time_hits": 0,
             "time_misses": 0,
         }
 
     def clear(self) -> None:
         self._plans.clear()
-        self._routes.clear()
         self._times.clear()
         self._weights.clear()
-        self._weights_scope = None
-
-    def hit_rates(self) -> Dict[str, float]:
-        """Per-memo hit rates (0..1; memos with no traffic report 0.0)."""
-        out: Dict[str, float] = {}
-        for memo in ("plan", "route", "time"):
-            hits = self.stats[f"{memo}_hits"]
-            total = hits + self.stats[f"{memo}_misses"]
-            out[f"{memo}_hit_rate"] = round(hits / total, 4) if total else 0.0
-        return out
+        self._weights_tree = None
 
     def plan_net(
         self,
@@ -332,91 +276,19 @@ class AnalyticalCache:
         children: Sequence[Tuple[int, Point, float]],
         route_model: str,
     ) -> _NetPlan:
-        """One net's plan under one route model (see :meth:`plan_nets`)."""
-        return self.plan_nets([(driver_loc, children)], (route_model,))[0][0]
-
-    def plan_nets(
-        self,
-        nets: Sequence[Tuple[Point, Sequence[Tuple[int, Point, float]]]],
-        route_models: Sequence[str],
-    ) -> List[Tuple[_NetPlan, ...]]:
-        """Plans of every ``(driver_loc, children)`` net under every model.
-
-        Lookups run in call order, net by net and model by model, and
-        count hits and misses as that many :meth:`plan_net` calls would:
-        a plan or route that an earlier lookup of the batch missed is a
-        hit.  Route topology depends only on the point set, not on pin
-        caps or child ids, so a second geometry-keyed memo shares each
-        RSMT/trunk route across plans that differ only in sizing.  Every
-        RSMT route the batch misses is built by one
-        :func:`~repro.route.rsmt.rsmt_batch` call and every single-trunk
-        route by one :func:`~repro.route.single_trunk.single_trunk_batch`
-        call (counted in ``stats["rsmt_batches"]`` and
-        ``stats["trunk_batches"]``).
-        """
-        for model in route_models:
-            if model not in ROUTE_MODELS:
-                raise ValueError(f"unknown route model {model!r}")
-        stats = self.stats
-        out: List[List[Optional[_NetPlan]]] = []
-        new_plans: Dict[MemoKey, Optional[_NetPlan]] = {}
-        geometry_of: Dict[MemoKey, MemoKey] = {}  # plans waiting for a route
-        new_routes: Dict[MemoKey, object] = {}  # geometry -> (route, length)
-        waiting: List[Tuple[int, int, MemoKey]] = []
-        for i, (driver_loc, children) in enumerate(nets):
-            children = tuple(children)
-            row: List[Optional[_NetPlan]] = []
-            for k, model in enumerate(route_models):
-                key = MemoKey((model, driver_loc, children))
-                plan = self._plans.get(key)
-                if plan is not None or key in new_plans:
-                    stats["plan_hits"] += 1
-                    if plan is None:
-                        plan = new_plans[key]
-                else:
-                    stats["plan_misses"] += 1
-                    geometry = MemoKey(
-                        (model, driver_loc, tuple(loc for _, loc, _ in children))
-                    )
-                    if model == "star":
-                        plan = _make_plan(key, geometry)
-                    else:
-                        routed = self._routes.get(geometry)
-                        if routed is not None or geometry in new_routes:
-                            stats["route_hits"] += 1
-                        else:
-                            stats["route_misses"] += 1
-                            new_routes[geometry] = None
-                        if routed is not None:
-                            plan = _make_plan(key, geometry, routed)
-                        else:
-                            geometry_of[key] = geometry
-                    new_plans[key] = plan
-                if plan is None:
-                    waiting.append((i, k, key))
-                row.append(plan)
-            out.append(row)
-
-        for model, router in (("rsmt", rsmt_batch), ("trunk", single_trunk_batch)):
-            keys = [g for g in new_routes if g.value[0] == model]
-            if keys:
-                stats[f"{model}_batches"] += 1
-                routes = router([[g.value[1], *g.value[2]] for g in keys])
-                new_routes.update(zip(keys, routes))
-        for geometry, route in new_routes.items():
-            new_routes[geometry] = (route, route.length)
-            if len(self._routes) >= MAX_CACHE_ENTRIES:
-                self._routes.pop(next(iter(self._routes)))
-            self._routes[geometry] = new_routes[geometry]
-        for key, geometry in geometry_of.items():
-            new_plans[key] = _make_plan(key, geometry, new_routes[geometry])
-        for i, k, key in waiting:
-            out[i][k] = new_plans[key]
-        for key, plan in new_plans.items():
-            if len(self._plans) >= MAX_CACHE_ENTRIES:
-                self._plans.pop(next(iter(self._plans)))
-            self._plans[key] = plan
-        return [tuple(row) for row in out]
+        """Memoized :func:`plan_net`."""
+        children = tuple(children)
+        key = (route_model, driver_loc, children)
+        plan = self._plans.get(key)
+        if plan is not None:
+            self.stats["plan_hits"] += 1
+            return plan
+        self.stats["plan_misses"] += 1
+        plan = plan_net(driver_loc, children, route_model)
+        if len(self._plans) >= MAX_CACHE_ENTRIES:
+            self._plans.pop(next(iter(self._plans)))
+        self._plans[key] = plan
+        return plan
 
     def time_net(
         self,
@@ -452,9 +324,13 @@ class AnalyticalCache:
         return est
 
     def sink_weights(self, tree: ClockTree, nid: int) -> Dict[int, int]:
-        scope = (id(tree), tree.structure_revision)
-        if scope != self._weights_scope:
-            self._weights_scope = scope
+        # Scoped by the tree object, not its ``id``: a tree allocated at
+        # a collected tree's address, at the same revision, is another
+        # tree (``ClockTree.clone`` copies the revision).
+        scoped = self._weights_tree is not None and self._weights_tree() is tree
+        if not scoped or tree.structure_revision != self._weights_revision:
+            self._weights_tree = weakref.ref(tree)
+            self._weights_revision = tree.structure_revision
             self._weights.clear()
         weights = self._weights.get(nid)
         if weights is None:

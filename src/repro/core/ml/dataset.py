@@ -237,9 +237,9 @@ def generate_dataset(
     ``last_stage_fraction`` of which use last-stage (sink-heavy) fanout.
 
     Each case's sampled moves featurize in one kernel batch through a
-    :class:`CandidatePipeline`.  A fresh pipeline per case keeps the
-    tree-scoped sink-weight memo from aliasing across the generated (and
-    garbage-collected) trees.
+    :class:`CandidatePipeline`.  A fresh pipeline per case keeps its move
+    cache, which is keyed by move and not by tree, from serving one
+    case's components to another's moves.
     """
     rng = np.random.default_rng(seed)
     timer = timer or GoldenTimer(library)

@@ -32,15 +32,19 @@ star side-effect variant) in broadcast numpy:
   ``searchsorted`` -> four-corner-blend sequence as
   :func:`repro.sta.gate.inverter_pair_timing` via
   ``repro.core.ml.analytical._pair_timing``;
-* **wire-metric memo** — per-plan child Elmore/D2M delays, driver
+* **spec-keyed wire memo** — per-plan child Elmore/D2M delays, driver
   loads, wirelength, fanout and bounding box are slew- and
-  size-independent, so they cache under the plan's value key, as one
-  row of flat per-kernel arrays (:class:`_WireRows`), and survive
-  across local-opt epochs; each evaluated chunk writes its rows in one
-  scatter and a batch gathers its nets' rows by index.  The
-  nominal-corner ``{child: delay}`` maps of a :class:`NetEstimate` are
-  built only when an impact is requested (analytical predictors, the
-  figure benches);
+  size-independent, so they cache under the net spec's value key (the
+  bytes of its row: driver x, y, then each child's id, x, y and pin
+  cap), as a block of one row per route model in flat per-kernel arrays
+  (:class:`_WireRows`), and survive across local-opt epochs; a batch
+  builds its specs' rows with one gather and one scatter, looks each
+  key up once, and routes its missed geometries through the kernel's
+  own route memo.  Each evaluated chunk writes its rows in one scatter
+  and a batch gathers its nets' rows by index.  No plan object is
+  built on this path.  The nominal-corner ``{child: delay}`` maps of a
+  :class:`NetEstimate` are built only when an impact is requested
+  (analytical predictors, the figure benches);
 * **side-effect rows** — each component's ``side`` row, the star
   variant's old- and new-sibling deltas that the move scorer reads, is a
   view of one ``(moves, 2, corners)`` batch array, so ranking with a
@@ -71,20 +75,19 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, islice
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.ml.analytical import (
     ESTIMATE_SEGMENT_UM,
+    MAX_CACHE_ENTRIES,
     AnalyticalCache,
-    MemoKey,
     MoveImpact,
     NetEstimate,
     _children_spec,
     _driver_size,
-    _NetPlan,
 )
 from repro.core.ml.features import (
     ESTIMATOR_VARIANTS,
@@ -97,6 +100,8 @@ from repro.core.moves import Move, MoveType
 from repro.geometry import Point
 from repro.netlist.tree import ClockNode, ClockTree
 from repro.obs.metrics import StageTimers
+from repro.route.rsmt import RouteTree, rsmt_batch
+from repro.route.single_trunk import single_trunk_batch
 from repro.sta.d2m import LN2
 from repro.sta.gate import quantize_gate_arrays
 from repro.sta.slew import LN9
@@ -158,18 +163,22 @@ def _group_cumsum(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return total - np.repeat(np.r_[0, total][starts], counts)
 
 
-def _compile_programs(plans: Sequence[_NetPlan]) -> _Programs:
-    """Compile each plan's geometry (one plan per geometry) in one pass.
+def _compile_programs(
+    nets: Sequence[Tuple[Optional[RouteTree], Optional[List[float]]]]
+) -> _Programs:
+    """Compile net geometries in one pass.
 
-    Each geometry's routed edges are listed in the RC builders'
-    construction order (see ``route.rc_net``): a star net runs from the
-    driver to child ``k`` in spec order; an rsmt/trunk net walks its
-    route from the driver pin 0 as :func:`~repro.route.rc_net.route_rc_tree`
-    does, child ``k`` being pin ``k + 1``.  That walk is the only Python
-    per geometry.  Pieces, node slots, parents, segment lengths and
-    every node's ordered cap terms (its own piece cap, its pin cap, then
-    the near-end half caps of the edges leaving it) follow for all
-    geometries at once.
+    Each net is ``(route, pins)``: an rsmt/trunk net's route, in which
+    child ``k`` is pin ``k + 1``, or ``None`` and a star net's pins
+    (driver x, y, then each child's x, y).  Each geometry's routed edges
+    are listed in the RC builders' construction order (see
+    ``route.rc_net``): a star net runs from the driver to child ``k`` in
+    spec order; a routed net walks its route from the driver pin 0 as
+    :func:`~repro.route.rc_net.route_rc_tree` does.  That walk is the
+    only Python per geometry.  Pieces, node slots, parents, segment
+    lengths and every node's ordered cap terms (its own piece cap, its
+    pin cap, then the near-end half caps of the edges leaving it) follow
+    for all geometries at once.
     """
     xs: List[float] = []
     ys: List[float] = []
@@ -179,19 +188,21 @@ def _compile_programs(plans: Sequence[_NetPlan]) -> _Programs:
     n_edges: List[int] = []
     point_base: List[int] = []
     fanouts: List[int] = []
-    for plan in plans:
+    for route, pins in nets:
         base = len(xs)
-        fanout = len(plan.children)
-        if plan.route_model == "star":
-            points = [plan.driver_loc, *(loc for _, loc, _ in plan.children)]
+        if route is None:
+            fanout = len(pins) // 2 - 1
             e_from.extend([base] * fanout)
             e_to.extend(range(base + 1, base + 1 + fanout))
             e_pin.extend(range(fanout))
             n_edges.append(fanout)
+            xs.extend(pins[0::2])
+            ys.extend(pins[1::2])
         else:
-            points = plan.route.points
+            fanout = route.num_pins - 1
+            points = route.points
             adj: List[List[int]] = [[] for _ in points]
-            for a, b in plan.route.edges:
+            for a, b in route.edges:
                 adj[a].append(b)
                 adj[b].append(a)
             seen = [False] * len(points)
@@ -208,10 +219,10 @@ def _compile_programs(plans: Sequence[_NetPlan]) -> _Programs:
                         e_pin.append(nxt - 1 if 0 < nxt <= fanout else -1)
                         stack.append(nxt)
             n_edges.append(len(e_from) - count)
+            xs.extend([p.x for p in points])
+            ys.extend([p.y for p in points])
         point_base.append(base)
         fanouts.append(fanout)
-        xs.extend([p.x for p in points])
-        ys.extend([p.y for p in points])
 
     x = np.array(xs, dtype=float)
     y = np.array(ys, dtype=float)
@@ -449,32 +460,38 @@ class _Buffer:
     node: ClockNode
     parent: int
     parent_size: int
-    parent_loc: Point
-    parent_spec: List[Tuple[int, Point, float]]  # unmodified child specs
-    b_spec: List[Tuple[int, Point, float]]
-    b_pos: int  # the buffer's slot in ``parent_spec``
+    parent_ids: List[int]  # the parent's children, in spec order
+    b_ids: List[int]  # the buffer's children, in spec order
+    b_pos: int  # the buffer's slot in ``parent_ids``
 
 
 @dataclass(frozen=True)
 class _ParentNet:
-    """One distinct parent-net spec of a batch."""
+    """One distinct parent-net spec of a batch: the parent's child spec
+    with the moved buffer's pin displaced and resized."""
 
     buf: int  # row in ``_Batch.buffers``
     new_size: int  # the moved buffer's size after the move
-    spec: int  # row in ``_Batch.plans``
+    dx: float
+    dy: float
+    pin_cap: float  # the moved buffer's pin cap after the move
 
 
 @dataclass(frozen=True)
 class _OwnNet:
-    """One distinct own-net spec (the moved buffer's net)."""
+    """One distinct own-net spec: the moved buffer's child spec, driven
+    from its displaced location."""
 
     buf: int
-    spec: int  # row in ``_Batch.plans``
-    #: Resized child that drives a net of its own (else ``None``), with
-    #: its new size, its slot in the spec and its sink-weight share.
+    dx: float
+    dy: float
+    #: Slot of the resized child in the spec (-1: none) and its new pin cap.
+    rc_pos: int = -1
+    rc_cap: float = 0.0
+    #: The resized child, if it drives a net of its own (else ``None``),
+    #: with its new size and its sink-weight share.
     child: Optional[int] = None
     child_size: Optional[int] = None
-    rc_pos: int = 0
     share: float = 0.0
 
 
@@ -485,8 +502,10 @@ class _Batch:
     The tree is fixed within a batch, so a move's parent-net spec is
     fixed by (buffer, displacement, new size) and its own net's spec by
     (buffer, displacement, resized child, child size): each distinct
-    spec is resolved once and the moves index it.  ``plans`` holds each
-    spec's plans, one per ``_ROUTE_MODELS`` entry, in first-use order.
+    spec is resolved once and the moves index it.  ``specs`` holds the
+    distinct specs as rows (see :meth:`FeatureKernel.ensure_metrics`),
+    the parent nets' and then the own nets', in first-use order, and
+    ``fanout`` their child counts.
     """
 
     index: List[int] = field(default_factory=list)  # position in the input
@@ -498,7 +517,52 @@ class _Batch:
     buffers: List[_Buffer] = field(default_factory=list)
     parent_nets: List[_ParentNet] = field(default_factory=list)
     own_nets: List[_OwnNet] = field(default_factory=list)
-    plans: List[Tuple[_NetPlan, ...]] = field(default_factory=list)
+    specs: Optional[np.ndarray] = None
+    fanout: Optional[np.ndarray] = None
+
+
+@dataclass(frozen=True)
+class _Misses:
+    """The plans of the specs a batch misses, compiled: plan
+    ``3 * j + k`` is missed spec ``j`` under ``_ROUTE_MODELS[k]``."""
+
+    programs: _Programs
+    geo: np.ndarray  # (plans,) each plan's program
+    fanout: np.ndarray  # (plans,)
+    caps: np.ndarray  # every plan's pin caps, plan after plan in spec order
+    wirelength: np.ndarray  # (plans,)
+    capsum: np.ndarray  # (plans,) the pin caps' builtin sums
+
+
+def _spec_row(driver: Point, spec: Sequence[Tuple[int, Point, float]]) -> List[float]:
+    """A net spec as one row: driver x, y, then each child's id, x, y and
+    pin cap."""
+    return [
+        driver.x,
+        driver.y,
+        *chain.from_iterable((cid, loc.x, loc.y, cap) for cid, loc, cap in spec),
+    ]
+
+
+def _padded_rows(rows: Sequence[List[float]], width: int) -> np.ndarray:
+    """Ragged rows zero-padded to ``width`` columns, in one scatter."""
+    out = np.zeros((len(rows), width))
+    out[_flat_slots([len(row) for row in rows])] = list(chain.from_iterable(rows))
+    return out
+
+
+def _keys(rows: np.ndarray, lengths: np.ndarray) -> List[bytes]:
+    """Each row's first ``lengths[i]`` values as bytes, -0.0 as +0.0.
+
+    Bytes are equal exactly when the values are (ids are exact in
+    float64, and NaN does not occur), and a bytes key hashes in C.
+    """
+    blob = (rows + 0.0).tobytes()
+    stride = 8 * rows.shape[1]
+    return [
+        blob[at : at + 8 * n]
+        for at, n in zip(range(0, len(blob), stride), lengths.tolist())
+    ]
 
 
 def _flat_slots(fanouts: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
@@ -519,15 +583,15 @@ _VARIANTS: Tuple[Tuple[str, str], ...] = tuple(
 class _NominalNets:
     """One role's nets of a batch under one route model, nominal corner.
 
-    Entry ``j`` is net ``net[j]``: its plan (the child ids) and its row
-    ``rows[net[j]]`` of the wire memo ``memo`` (the per-child delays and
-    the wirelength and bounding box), driven with entry ``j``'s gate
-    values.  ``memo`` only ever appends rows, and a compaction builds a
-    new one, so the rows stay valid.
+    Entry ``j`` is net ``net[j]``: its child ids ``ids[net[j]]`` (the
+    ids of its spec row) and its row ``rows[net[j]]`` of the wire memo
+    ``memo`` (the per-child delays and the wirelength and bounding box),
+    driven with entry ``j``'s gate values.  ``memo`` only ever appends
+    rows, and a compaction builds a new one, so the rows stay valid.
     """
 
     net: Sequence[int]
-    plans: Sequence[_NetPlan]
+    ids: Sequence[List[int]]
     memo: "_WireRows"
     rows: np.ndarray
     nom: int
@@ -539,7 +603,7 @@ class _NominalNets:
         """Entry ``j``'s :class:`NetEstimate`, its per-child nominal wire
         maps built on this request."""
         q = self.net[j]
-        ids = [cid for cid, _, _ in self.plans[q].children]
+        ids = self.ids[q]
         memo, row = self.memo, self.rows[q]
         lo = int(memo.start[row])
         hi = lo + len(ids)
@@ -685,10 +749,14 @@ class FeatureKernel:
         self._nldm = library.nldm
         self._corners = list(library.corners)
         self._nom = self._nldm.corner_row[library.corners.nominal.name]
-        #: Plan value key -> its row of ``_wire_rows``.
-        self._wire_memo: Dict[MemoKey, int] = {}
+        #: Spec key -> the first row of its block of ``_wire_rows``, one
+        #: row per ``_ROUTE_MODELS`` entry.
+        self._wire_memo: Dict[bytes, int] = {}
         self._wire_rows = _WireRows(len(self._corners))
+        #: Most rows the wire memo keeps after a batch (whole blocks).
         self.max_entries = 200_000
+        #: (route model, geometry key) -> (route, wirelength).
+        self._routes: Dict[Tuple[str, bytes], Tuple[RouteTree, float]] = {}
         self.timers = StageTimers(phase="features")
         self.stats: Dict[str, int] = {
             "batches": 0,
@@ -697,6 +765,10 @@ class FeatureKernel:
             "wire_hits": 0,
             "wire_misses": 0,
             "programs_compiled": 0,
+            "route_hits": 0,
+            "route_misses": 0,
+            "rsmt_batches": 0,
+            "trunk_batches": 0,
         }
 
     # ------------------------------------------------------------------
@@ -781,82 +853,180 @@ class FeatureKernel:
     # ------------------------------------------------------------------
     # Wire-metric memo
     # ------------------------------------------------------------------
-    def ensure_metrics(self, plans: Sequence[_NetPlan]) -> np.ndarray:
-        """Wire-memo rows of ``plans``, in order.
+    def ensure_metrics(self, specs: np.ndarray, fanout: np.ndarray) -> np.ndarray:
+        """The first wire-memo row of each net spec, in order.
 
-        Every plan missing from the memo is evaluated in lockstep first:
-        the batch's missed geometries compile in one pass
-        (:func:`_compile_programs`), each plan fills its geometry's
-        program with its own pin caps, and each evaluated chunk writes
-        its rows with one scatter per memo array.  Nothing is evicted
-        here: :meth:`_trim_wire_memo` runs after the batch has read its
-        rows.
+        Row ``i`` of ``specs`` is a net's driver x, y, then each child's
+        id, x, y and pin cap, for ``fanout[i]`` children, zero-padded.
+        Its first ``2 + 4 * fanout[i]`` values, as bytes with -0.0 read
+        as +0.0, are its key: one dict lookup per spec answers every
+        route model, and the memo row of ``_ROUTE_MODELS[k]`` is the
+        first row plus ``k``.  The counters count plans, one per spec
+        and route model.  Every spec missing from the memo is evaluated
+        in lockstep first, once however often the batch repeats it
+        (:meth:`_evaluate`).  Nothing is evicted here:
+        :meth:`_trim_wire_memo` runs after the batch has read its rows.
         """
-        keys = [plan.key for plan in plans]
+        keys = _keys(specs, 2 + 4 * fanout)
         memo = self._wire_memo
-        found = [memo.get(key) for key in keys]
-        pending: Dict[MemoKey, _NetPlan] = {}
-        for key, plan, row in zip(keys, plans, found):
-            if row is not None:
-                self.stats["wire_hits"] += 1
-            elif key not in pending:
-                self.stats["wire_misses"] += 1
-                pending[key] = plan
+        found = list(map(memo.get, keys))
+        missing = [i for i, row in enumerate(found) if row is None]
+        pending: Dict[bytes, int] = {}
+        for i in missing:
+            pending.setdefault(keys[i], i)
+        n_route = len(_ROUTE_MODELS)
+        self.stats["wire_hits"] += n_route * (len(found) - len(missing))
+        self.stats["wire_misses"] += n_route * len(pending)
         if pending:
-            self._evaluate(list(pending.items()))
-            found = [memo[key] if row is None else row for key, row in zip(keys, found)]
+            at = list(pending.values())
+            self._evaluate(specs[at], fanout[at], list(pending))
+            for i in missing:
+                found[i] = memo[keys[i]]
         return np.array(found, dtype=np.int64)
 
-    def _evaluate(self, items: List[Tuple[MemoKey, _NetPlan]]) -> None:
-        """Compile, evaluate and memoize the missed plans ``items``."""
+    def _plan(self, specs: np.ndarray, fanout: np.ndarray) -> _Misses:
+        """Route and compile distinct missed specs (rows as in
+        :meth:`ensure_metrics`) under every route model.
+
+        Specs that differ only in child ids and pin caps share a
+        geometry, keyed by the bytes of the driver's and the children's
+        coordinates; each geometry is routed (:meth:`_route`) and
+        compiles one program per route model (:func:`_compile_programs`)
+        straight from the first spec's coordinates and the routes.
+        """
+        n_route = len(_ROUTE_MODELS)
+        with self.timers.stage("kernel_route"):
+            f_max = (specs.shape[1] - 2) // 4
+            child_xy = (3 + 4 * np.arange(f_max))[:, None] + np.arange(2)
+            xy = specs[:, np.concatenate([[0, 1], child_xy.ravel()])]
+            geo_of: Dict[bytes, int] = {}
+            spec_geo = [
+                geo_of.setdefault(key, len(geo_of)) for key in _keys(xy, 2 + 2 * fanout)
+            ]
+            firsts = np.unique(spec_geo, return_index=True)[1]
+            pins = [
+                row[: 2 + 2 * f]
+                for row, f in zip(xy[firsts].tolist(), fanout[firsts].tolist())
+            ]
+            routes = self._route(list(geo_of), pins, fanout.size)
+
         with self.timers.stage("kernel_compile"):
-            geo_of: Dict[MemoKey, int] = {}
-            firsts: List[_NetPlan] = []
-            plan_geo = []
-            for _, plan in items:
-                g = geo_of.get(plan.geometry)
-                if g is None:
-                    g = geo_of[plan.geometry] = len(firsts)
-                    firsts.append(plan)
-                plan_geo.append(g)
-            programs = _compile_programs(firsts)
-            plan_geo = np.array(plan_geo, dtype=np.int64)
-            self.stats["programs_compiled"] += len(firsts)
+            programs = _compile_programs(
+                [
+                    (None, pins[g]) if model == "star" else (routes[model][g][0], None)
+                    for g in range(len(pins))
+                    for model in _ROUTE_MODELS
+                ]
+            )
+            self.stats["programs_compiled"] += n_route * len(pins)
+            # Wirelengths and pin-cap totals are the builtin sums the
+            # per-move plans take.
+            caps = specs[:, 5::4]
+            valid = np.arange(f_max)[None, :] < fanout[:, None]
+            spec_caps = caps[valid].tolist()
+            star = np.abs(specs[:, :1] - specs[:, 3::4]) + np.abs(specs[:, 1:2] - specs[:, 4::4])
+            star_len = star[valid].tolist()
+            wirelength: List[float] = []
+            capsum: List[float] = []
+            at = 0
+            for g, f in zip(spec_geo, fanout.tolist()):
+                total = sum(spec_caps[at : at + f])
+                for model in _ROUTE_MODELS:
+                    capsum.append(total)
+                    if model == "star":
+                        wirelength.append(sum(star_len[at : at + f]))
+                    else:
+                        wirelength.append(routes[model][g][1])
+                at += f
+            geo = n_route * np.asarray(spec_geo, dtype=np.int64)[:, None] + np.arange(n_route)
+            return _Misses(
+                programs=programs,
+                geo=geo.ravel(),
+                fanout=np.repeat(fanout, n_route),
+                caps=np.repeat(caps, n_route, axis=0)[np.repeat(valid, n_route, axis=0)],
+                wirelength=np.array(wirelength, dtype=float),
+                capsum=np.array(capsum, dtype=float),
+            )
+
+    def _route(
+        self, geo_keys: List[bytes], pins: List[List[float]], n_specs: int
+    ) -> Dict[str, List[Tuple[RouteTree, float]]]:
+        """Each geometry's ``(route, wirelength)`` under rsmt and trunk.
+
+        ``pins[g]`` is geometry ``g``'s driver x, y and child x, y, and
+        ``n_specs`` the missed specs that share the geometries.  Routes
+        come from the kernel's route memo, keyed by ``(route model,
+        geometry key)``; every route it lacks is built by one
+        :func:`~repro.route.rsmt.rsmt_batch` and one
+        :func:`~repro.route.single_trunk.single_trunk_batch` call per
+        batch.  Lookups count one per missed plan, so a geometry the
+        batch routed already is a hit.
+        """
+        stats = self.stats
+        routes: Dict[str, List[Tuple[RouteTree, float]]] = {}
+        points: Dict[int, List[Point]] = {}  # one pin list per geometry, both routers
+        for model, router in (("rsmt", rsmt_batch), ("trunk", single_trunk_batch)):
+            found = [self._routes.get((model, key)) for key in geo_keys]
+            missing = [g for g, routed in enumerate(found) if routed is None]
+            stats["route_hits"] += n_specs - len(missing)
+            stats["route_misses"] += len(missing)
+            if missing:
+                stats[f"{model}_batches"] += 1
+                for g in missing:
+                    if g not in points:
+                        points[g] = [Point(x, y) for x, y in zip(pins[g][0::2], pins[g][1::2])]
+                built = router([points[g] for g in missing])
+                for g, route in zip(missing, built):
+                    found[g] = (route, route.length)
+                    if len(self._routes) >= MAX_CACHE_ENTRIES:
+                        self._routes.pop(next(iter(self._routes)))
+                    self._routes[(model, geo_keys[g])] = found[g]
+            routes[model] = found
+        return routes
+
+    def _evaluate(self, specs: np.ndarray, fanout: np.ndarray, keys: List[bytes]) -> None:
+        """Plan, evaluate and memoize the distinct missed specs ``specs``
+        under ``keys``: each evaluated chunk of plans writes its rows
+        with one slice per memo array, so each spec's rows form one
+        block, in ``_ROUTE_MODELS`` order."""
+        misses = self._plan(specs, fanout)
         with self.timers.stage("kernel_eval"):
+            programs = misses.programs
             rows = self._wire_rows
-            rows.reserve(len(items), int(programs.fanout[plan_geo].sum()))
-            for lo in range(0, len(items), _EVAL_CHUNK):
-                chunk = items[lo : lo + _EVAL_CHUNK]
-                geo = plan_geo[lo : lo + _EVAL_CHUNK]
-                caps = [[c for _, _, c in plan.children] for _, plan in chunk]
+            first = rows.rows
+            n_plan = misses.geo.size
+            rows.reserve(n_plan, misses.caps.size)
+            cap_end = np.cumsum(misses.fanout)
+            cap_start = cap_end - misses.fanout
+            for lo in range(0, n_plan, _EVAL_CHUNK):
+                hi = min(lo + _EVAL_CHUNK, n_plan)
+                geo = misses.geo[lo:hi]
                 elm, d2m = self._eval_programs(
-                    programs, geo, [c for plan_caps in caps for c in plan_caps]
+                    programs, geo, misses.caps[cap_start[lo] : cap_end[hi - 1]]
                 )
-                wirelength = np.array([plan.wirelength_um for _, plan in chunk])
-                capsum = np.array([sum(plan_caps) for plan_caps in caps], dtype=float)
-                first = rows.append(
+                wirelength = misses.wirelength[lo:hi]
+                rows.append(
                     programs.fanout[geo],
-                    np.stack(
-                        [wirelength, programs.bbox_area[geo], programs.bbox_aspect[geo]]
-                    ),
-                    self._nldm.cap_per_um[:, None] * wirelength + capsum,
+                    np.stack([wirelength, programs.bbox_area[geo], programs.bbox_aspect[geo]]),
+                    self._nldm.cap_per_um[:, None] * wirelength + misses.capsum[lo:hi],
                     elm,
                     d2m,
                 )
-                self._wire_memo.update(
-                    zip((key for key, _ in chunk), range(first, first + len(chunk)))
-                )
+            self._wire_memo.update(zip(keys, range(first, first + n_plan, len(_ROUTE_MODELS))))
 
     def _trim_wire_memo(self) -> None:
-        """Evict the oldest wire metrics beyond ``max_entries`` (FIFO) and
-        compact the memo's arrays to the rows kept."""
-        excess = len(self._wire_memo) - self.max_entries
+        """Evict the oldest row blocks beyond ``max_entries`` rows (FIFO)
+        and compact the memo's arrays to the blocks kept, each still
+        contiguous."""
+        n_route = len(_ROUTE_MODELS)
+        excess = len(self._wire_memo) - self.max_entries // n_route
         if excess > 0:
             keep = list(islice(self._wire_memo, excess, None))
+            first = np.array([self._wire_memo[key] for key in keep], dtype=np.int64)
             self._wire_rows = self._wire_rows.take(
-                np.array([self._wire_memo[key] for key in keep], dtype=np.int64)
+                (first[:, None] + np.arange(n_route)).ravel()
             )
-            self._wire_memo = dict(zip(keep, range(len(keep))))
+            self._wire_memo = dict(zip(keep, range(0, n_route * len(keep), n_route)))
 
     # ------------------------------------------------------------------
     # Batched featurization
@@ -874,8 +1044,8 @@ class FeatureKernel:
         tables route through :func:`compute_move_components` (counted in
         ``stats['fallback_moves']``); everything else evaluates in
         batch.  ``cache`` is the pipeline's shared
-        :class:`AnalyticalCache` — plans, routes and sink weights flow
-        through the same memos as the per-move path.
+        :class:`AnalyticalCache`: the per-move path plans and times its
+        nets through it, and the batch reads its sink weights.
         """
         lib = self.library
         self.stats["batches"] += 1
@@ -883,10 +1053,7 @@ class FeatureKernel:
         with self.timers.stage("kernel_prep"):
             batch, fallback = self._prepare(tree, moves, cache)
         if batch.moves:
-            nets = (*batch.parent_nets, *batch.own_nets)
-            rows = self.ensure_metrics(
-                [plan for net in nets for plan in batch.plans[net.spec]]
-            )
+            rows = self.ensure_metrics(batch.specs, batch.fanout)
             with self.timers.stage("kernel_assemble"):
                 components = self._assemble(tree, timings, batch, rows, cache)
             self._trim_wire_memo()
@@ -909,16 +1076,18 @@ class FeatureKernel:
     ) -> Tuple[_Batch, List[int]]:
         """Scalar per-move setup: sizes, fallback routing, shared specs.
 
-        Each distinct parent-net and own-net spec is built once (from
-        the buffer's unmodified child specs, with the one moved or
-        resized pin replaced); then all of them are planned under every
-        route model in one :meth:`AnalyticalCache.plan_nets` call.
+        Each distinct parent-net and own-net spec is recorded once; then
+        all of them are built as rows at once: one gather of each
+        buffer's unmodified spec row, and one scatter of the moved or
+        resized pin (``x + dx`` is the add :meth:`Point.translated`
+        makes).
         """
         lib = self.library
         size_pos = self._nldm.size_pos
         batch = _Batch()
         fallback: List[int] = []
-        specs: List[Tuple[Point, List[Tuple[int, Point, float]]]] = []
+        parent_rows: List[List[float]] = []  # per buffer: its parent's spec
+        own_rows: List[List[float]] = []  # per buffer: its own spec
         buf_row: Dict[int, int] = {}
         pnet_of: Dict[tuple, int] = {}
         bnet_of: Dict[tuple, int] = {}
@@ -932,17 +1101,21 @@ class FeatureKernel:
                 row = buf_row[b] = len(batch.buffers)
                 parent = tree.parent(b)
                 parent_spec = _children_spec(tree, lib, parent)
+                b_spec = _children_spec(tree, lib, b)
+                parent_ids = [cid for cid, _, _ in parent_spec]
+                node = tree.node(b)
                 batch.buffers.append(
                     _Buffer(
-                        node=tree.node(b),
+                        node=node,
                         parent=parent,
                         parent_size=_driver_size(tree, lib, parent),
-                        parent_loc=tree.node(parent).location,
-                        parent_spec=parent_spec,
-                        b_spec=_children_spec(tree, lib, b),
-                        b_pos=[cid for cid, _, _ in parent_spec].index(b),
+                        parent_ids=parent_ids,
+                        b_ids=[cid for cid, _, _ in b_spec],
+                        b_pos=parent_ids.index(b),
                     )
                 )
+                parent_rows.append(_spec_row(tree.node(parent).location, parent_spec))
+                own_rows.append(_spec_row(node.location, b_spec))
             buf = batch.buffers[row]
             node = buf.node
             new_size = node.size
@@ -966,51 +1139,76 @@ class FeatureKernel:
             pkey = (b, move.dx, move.dy, new_size)
             p = pnet_of.get(pkey)
             if p is None:
-                new_loc = node.location.translated(move.dx, move.dy)
-                spec = list(buf.parent_spec)
-                spec[buf.b_pos] = (b, new_loc, lib.input_cap_ff(new_size))
                 p = pnet_of[pkey] = len(batch.parent_nets)
                 batch.parent_nets.append(
-                    _ParentNet(buf=row, new_size=new_size, spec=len(specs))
+                    _ParentNet(
+                        buf=row,
+                        new_size=new_size,
+                        dx=move.dx,
+                        dy=move.dy,
+                        pin_cap=lib.input_cap_ff(new_size),
+                    )
                 )
-                specs.append((buf.parent_loc, spec))
             bkey = (b, move.dx, move.dy, child, child_size)
             q = bnet_of.get(bkey)
             if q is None:
-                new_loc = node.location.translated(move.dx, move.dy)
-                spec = buf.b_spec
                 sizing = {}
                 if child is not None:
-                    rc_pos = [cid for cid, _, _ in spec].index(child)
-                    spec = list(spec)
-                    spec[rc_pos] = (
-                        child,
-                        spec[rc_pos][1],
-                        lib.input_cap_ff(child_size),
-                    )
+                    rc_pos = buf.b_ids.index(child)
+                    sizing = dict(rc_pos=rc_pos, rc_cap=lib.input_cap_ff(child_size))
                     if tree.children(child):
                         weights = cache.sink_weights(tree, b)
-                        sizing = dict(
+                        sizing.update(
                             child=child,
                             child_size=child_size,
-                            rc_pos=rc_pos,
                             share=weights.get(child, 1)
                             / max(sum(weights.values()), 1),
                         )
                 q = bnet_of[bkey] = len(batch.own_nets)
-                batch.own_nets.append(_OwnNet(buf=row, spec=len(specs), **sizing))
-                specs.append((new_loc, spec))
-            size_after = node.size or 0
-            if move.type is MoveType.SIZING_DISPLACE and move.size_step:
-                size_after = lib.step_size(size_after, move.size_step)
+                batch.own_nets.append(_OwnNet(buf=row, dx=move.dx, dy=move.dy, **sizing))
             batch.index.append(mi)
             batch.moves.append(move)
             batch.move_buf.append(row)
             batch.move_pnet.append(p)
             batch.move_bnet.append(q)
-            batch.size_after.append(size_after)
-        batch.plans = cache.plan_nets(specs, _ROUTE_MODELS)
+            batch.size_after.append(new_size or 0)
+        if batch.moves:
+            self._spec_rows(batch, parent_rows, own_rows)
         return batch, fallback
+
+    @staticmethod
+    def _spec_rows(
+        batch: _Batch, parent_rows: List[List[float]], own_rows: List[List[float]]
+    ) -> None:
+        """Fill ``batch.specs`` and ``batch.fanout`` from each buffer's
+        parent and own spec rows."""
+        bufs = batch.buffers
+        pnets, onets = batch.parent_nets, batch.own_nets
+        n_p = len(pnets)
+        fanout = np.array(
+            [len(bufs[net.buf].parent_ids) for net in pnets]
+            + [len(bufs[net.buf].b_ids) for net in onets],
+            dtype=np.int64,
+        )
+        width = 2 + 4 * int(fanout.max())
+        specs = np.empty((fanout.size, width))
+        pbuf = [net.buf for net in pnets]
+        specs[:n_p] = _padded_rows(parent_rows, width)[pbuf]
+        specs[n_p:] = _padded_rows(own_rows, width)[[net.buf for net in onets]]
+        shift = np.array([(net.dx, net.dy, net.pin_cap) for net in pnets])
+        col = 3 + 4 * np.array([bufs[b].b_pos for b in pbuf], dtype=np.int64)
+        p = np.arange(n_p)
+        specs[p, col] += shift[:, 0]
+        specs[p, col + 1] += shift[:, 1]
+        specs[p, col + 2] = shift[:, 2]
+        own = specs[n_p:]
+        own[:, :2] += np.array([(net.dx, net.dy) for net in onets])
+        resized = [(q, net.rc_pos, net.rc_cap) for q, net in enumerate(onets) if net.rc_pos >= 0]
+        if resized:
+            q, pos, cap = zip(*resized)
+            own[list(q), 5 + 4 * np.array(pos, dtype=np.int64)] = cap
+        batch.specs = specs
+        batch.fanout = fanout
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -1045,20 +1243,20 @@ class FeatureKernel:
         tree: ClockTree,
         cache: AnalyticalCache,
         drivers: Sequence[int],
-        specs: Sequence[List[Tuple[int, Point, float]]],
+        children: Sequence[List[int]],
         edge_delays: Sequence[Mapping[int, float]],
         width: int,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Padded per-driver child rows: sink weights, baseline edge
         delays ``(corners, drivers, width)`` and the slot mask, each
         filled by one flat scatter."""
-        rows, cols = _flat_slots([len(spec) for spec in specs])
-        flat_ids = [cid for spec in specs for cid, _, _ in spec]
+        rows, cols = _flat_slots([len(ids) for ids in children])
+        flat_ids = list(chain.from_iterable(children))
         flat_w: List[int] = []
-        for driver, spec in zip(drivers, specs):
+        for driver, ids in zip(drivers, children):
             weights = cache.sink_weights(tree, driver)
-            flat_w.extend(weights[cid] for cid, _, _ in spec)
-        n = len(specs)
+            flat_w.extend(weights[cid] for cid in ids)
+        n = len(children)
         w = np.zeros((n, width))
         w[rows, cols] = flat_w
         old = np.zeros((len(edge_delays), n, width))
@@ -1104,9 +1302,8 @@ class FeatureKernel:
         n_move = len(batch.moves)
         bufs = batch.buffers
         n_p = len(batch.parent_nets)
-        n_route = len(_ROUTE_MODELS)
-        parent_rows = rows[: n_p * n_route]
-        own_rows = rows[n_p * n_route :]
+        parent_rows = rows[:n_p]
+        own_rows = rows[n_p:]
         move_buf = np.asarray(batch.move_buf, dtype=np.int64)
         move_pnet = np.asarray(batch.move_pnet, dtype=np.int64)
         move_bnet = np.asarray(batch.move_bnet, dtype=np.int64)
@@ -1126,15 +1323,15 @@ class FeatureKernel:
         ed_b = np.array([[t.edge_delay.get(b, 0.0) for b in moved] for t in snaps])
 
         # --- padded per-child weight / baseline-delay rows -------------
-        max_fp = max(max(len(x.parent_spec) for x in bufs), 1)
-        max_fb = max(max(len(x.b_spec) for x in bufs), 1)
+        max_fp = max(max(len(x.parent_ids) for x in bufs), 1)
+        max_fb = max(max(len(x.b_ids) for x in bufs), 1)
         edge_delays = [t.edge_delay for t in snaps]
         w_par, old_par, valid_par = self._child_axis(
-            tree, cache, parents, [x.parent_spec for x in bufs], edge_delays, max_fp
+            tree, cache, parents, [x.parent_ids for x in bufs], edge_delays, max_fp
         )
         valid_par[np.arange(len(bufs)), [x.b_pos for x in bufs]] = False
         w_b, old_b, valid_b = self._child_axis(
-            tree, cache, moved, [x.b_spec for x in bufs], edge_delays, max_fb
+            tree, cache, moved, [x.b_ids for x in bufs], edge_delays, max_fb
         )
         w_par, old_par, valid_par = w_par[pbuf], old_par[:, pbuf], valid_par[pbuf]
         w_b, old_b, valid_b = w_b[bbuf], old_b[:, bbuf], valid_b[bbuf]
@@ -1187,8 +1384,8 @@ class FeatureKernel:
         own_nets: Dict[str, _NominalNets] = {}
         parent_nets: Dict[str, _NominalNets] = {}
         for k, r in enumerate(_ROUTE_MODELS):
-            rows_par = parent_rows[k::n_route]
-            rows_b = own_rows[k::n_route]
+            rows_par = parent_rows + k
+            rows_b = own_rows + k
             elm_par, d2m_par, tl_par = self._wire_arrays(rows_par, max_fp)
             elm_bn, d2m_bn, tl_b = self._wire_arrays(rows_b, max_fb)
             elm_to_b = elm_par[:, p_rows, b_pos]
@@ -1235,7 +1432,7 @@ class FeatureKernel:
                 )
             own_nets[r] = _NominalNets(
                 net=batch.move_bnet,
-                plans=[batch.plans[net.spec][k] for net in batch.own_nets],
+                ids=[bufs[net.buf].b_ids for net in batch.own_nets],
                 memo=self._wire_rows,
                 rows=rows_b,
                 nom=nom,
@@ -1245,7 +1442,7 @@ class FeatureKernel:
             )
             parent_nets[r] = _NominalNets(
                 net=range(n_p),
-                plans=[batch.plans[net.spec][k] for net in batch.parent_nets],
+                ids=[bufs[net.buf].parent_ids for net in batch.parent_nets],
                 memo=self._wire_rows,
                 rows=rows_par,
                 nom=nom,
@@ -1264,8 +1461,8 @@ class FeatureKernel:
             per_variant,
             own_nets,
             parent_nets,
-            own_rows[k_ref::n_route],
-            parent_rows[k_ref::n_route],
+            own_rows + k_ref,
+            parent_rows + k_ref,
             slews,
         )
 

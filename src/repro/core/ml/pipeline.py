@@ -4,9 +4,11 @@
 featurization scale with the committed move's dirty cone instead of the
 tree:
 
-* an :class:`~repro.core.ml.analytical.AnalyticalCache` memoizing route
-  plans and per-corner net evaluations under value keys (geometry +
-  sizes + slews, the same signature scheme as ``sta/incremental.py``);
+* an :class:`~repro.core.ml.analytical.AnalyticalCache` memoizing the
+  per-move path's route plans and per-corner net evaluations under value
+  keys (geometry + sizes + slews, the same signature scheme as
+  ``sta/incremental.py``), and the per-tree sink weights; the feature
+  kernel keeps its own spec-keyed wire and route memos;
 * a move-level :class:`~repro.core.ml.features.MoveComponents` cache
   with explicit dependency tracking: the node ids whose *local* timing
   state (input slew, driver delay/load, edge delays — see
@@ -265,10 +267,19 @@ class CandidatePipeline:
 
     # ------------------------------------------------------------------
     def cache_stats(self) -> Dict[str, object]:
-        """Merged move-level + analytical + kernel counters (JSON-friendly)."""
+        """Merged move-level + analytical + kernel counters (JSON-friendly).
+
+        The kernel's route counters are listed at the top level too, and
+        each memo's hit rate (0..1; 0.0 without traffic) beside them.
+        """
         out: Dict[str, object] = dict(self.stats)
         out.update(self.analytical.stats)
-        out.update(self.analytical.hit_rates())
+        for key in ("route_hits", "route_misses", "rsmt_batches", "trunk_batches"):
+            out[key] = self.kernel.stats[key]
+        for memo in ("plan", "route", "time"):
+            hits = out[f"{memo}_hits"]
+            total = hits + out[f"{memo}_misses"]
+            out[f"{memo}_hit_rate"] = round(hits / total, 4) if total else 0.0
         out["cached_moves"] = len(self._components)
         out["kernel"] = dict(self.kernel.stats)
         out["kernel_seconds"] = {

@@ -11,7 +11,9 @@ results are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Set, Tuple
+from typing import Set, Tuple
+
+import numpy as np
 
 from repro.geometry import BBox, Point
 from repro.netlist.tree import ClockTree
@@ -44,38 +46,41 @@ class Legalizer:
             int(round((point.y - self.region.ylo) / self.pitch_um)),
         )
 
-    def occupied_sites(
-        self, tree: ClockTree, ignore: Iterable[int] = ()
-    ) -> Set[Tuple[int, int]]:
-        """Site keys occupied by tree nodes (excluding ids in ``ignore``)."""
-        skip = set(ignore)
-        return {
-            self._site_key(node.location)
-            for node in tree.nodes()
-            if node.id not in skip
-        }
-
     def legalize(
         self, tree: ClockTree, nid: int, desired: Point
     ) -> Point:
         """Nearest free site to ``desired`` for node ``nid``.
 
-        Searches expanding diamond rings around the snapped target; raises
-        ``RuntimeError`` if no free site exists within ``max_rings`` rings
-        (which would mean a pathologically congested region).
+        Every other node's site key comes from one array pass over the
+        tree's locations (``np.rint`` rounds half to even, as ``round``
+        does).  The snapped target is returned when no other node holds
+        its site; otherwise expanding diamond rings around it are
+        searched against the same keys.  Raises ``RuntimeError`` if no
+        free site exists within ``max_rings`` rings (which would mean a
+        pathologically congested region).
         """
-        occupied = self.occupied_sites(tree, ignore=(nid,))
+        locations = [node.location for node in tree.nodes() if node.id != nid]
+        site_x = np.fromiter((p.x for p in locations), float, len(locations))
+        site_y = np.fromiter((p.y for p in locations), float, len(locations))
+        site_x -= self.region.xlo
+        site_x /= self.pitch_um
+        np.rint(site_x, out=site_x)
+        site_y -= self.region.ylo
+        site_y /= self.pitch_um
+        np.rint(site_y, out=site_y)
         base = self.snap(desired)
         bx, by = self._site_key(base)
-
-        if (bx, by) not in occupied:
+        if not ((site_x == bx) & (site_y == by)).any():
             return base
 
+        occupied: Set[Tuple[int, int]] = set(
+            zip(site_x.astype(np.int64).tolist(), site_y.astype(np.int64).tolist())
+        )
         for ring in range(1, self.max_rings + 1):
             candidates = []
             for dx in range(-ring, ring + 1):
                 dy_mag = ring - abs(dx)
-                for dy in {dy_mag, -dy_mag}:
+                for dy in (dy_mag, -dy_mag) if dy_mag else (0,):
                     candidates.append((bx + dx, by + dy))
             # Deterministic order: prefer sites closest to the desired point.
             for cx, cy in sorted(candidates):

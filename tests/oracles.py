@@ -19,9 +19,10 @@ import pytest
 from repro.core import local_opt, placement_model
 from repro.core.eco_flow import LPGuidedECO
 from repro.core.ml import dataset
-from repro.core.ml.analytical import ESTIMATE_SEGMENT_UM
+from repro.core.ml.analytical import ESTIMATE_SEGMENT_UM, _children_spec, _driver_size
 from repro.core.ml.ann import ANNRegressor
 from repro.core.ml.feature_kernel import (
+    _ROUTE_MODELS,
     _TERM_CONST,
     _TERM_HALF,
     _TERM_WIRE,
@@ -614,6 +615,168 @@ def reference_compile_plan(kernel, plan) -> _NetProgram:
         term_val=term_val,
         child_slot=child_slot,
     )
+
+
+# --- Feature kernel: tuple-keyed planning per (spec, route model) -------
+def spec_nets(specs, fanout):
+    """The ``(driver, children)`` nets of the kernel's spec rows, with
+    ``Point`` s and int ids, as the per-move path builds them."""
+    nets = []
+    for row, f in zip(specs.tolist(), fanout.tolist()):
+        children = tuple(
+            (int(row[2 + 4 * k]), Point(row[3 + 4 * k], row[4 + 4 * k]), row[5 + 4 * k])
+            for k in range(f)
+        )
+        nets.append((Point(row[0], row[1]), children))
+    return nets
+
+
+def reference_batch_specs(tree, library, moves):
+    """The nets the feature kernel plans for a batch of ``moves``: each
+    distinct parent-net spec (buffer, displacement, new size) in first-use
+    order, then each distinct own-net spec (buffer, displacement, resized
+    child, child size), built from ``_children_spec`` tuples and
+    ``Point.translated`` one move at a time."""
+    size_pos = library.nldm.size_pos
+    parent_nets = {}
+    own_nets = {}
+    for move in moves:
+        if move.type is MoveType.SURGERY:
+            continue
+        b = move.buffer
+        node = tree.node(b)
+        parent = tree.parent(b)
+        new_size = node.size
+        if move.type is MoveType.SIZING_DISPLACE and move.size_step:
+            new_size = library.step_size(node.size, move.size_step)
+        child = child_size = None
+        if move.type is MoveType.CHILD_SIZING and move.child is not None:
+            child = move.child
+            child_size = library.step_size(tree.node(child).size, move.child_size_step)
+        if (
+            _driver_size(tree, library, parent) not in size_pos
+            or new_size not in size_pos
+            or (child_size is not None and child_size not in size_pos)
+        ):
+            continue
+        new_loc = node.location.translated(move.dx, move.dy)
+        key = (b, move.dx, move.dy, new_size)
+        if key not in parent_nets:
+            parent_nets[key] = (
+                tree.node(parent).location,
+                tuple(
+                    (b, new_loc, library.input_cap_ff(new_size)) if cid == b else (cid, loc, cap)
+                    for cid, loc, cap in _children_spec(tree, library, parent)
+                ),
+            )
+        key = (b, move.dx, move.dy, child, child_size)
+        if key not in own_nets:
+            own_nets[key] = (
+                new_loc,
+                tuple(
+                    (cid, loc, library.input_cap_ff(child_size)) if cid == child else (cid, loc, cap)
+                    for cid, loc, cap in _children_spec(tree, library, b)
+                ),
+            )
+    return [*parent_nets.values(), *own_nets.values()]
+
+
+class TupleKeyedPlanner:
+    """Oracle of the feature kernel's memo traffic: planning per (spec,
+    route model) under tuple keys, which the spec-keyed memo replaced.
+
+    Each batch plans every spec under every route model in turn.  A plan
+    memo is keyed by ``(model, driver, children)``; a plan the batch
+    already missed is a hit.  Each rsmt/trunk plan miss looks its route
+    up by ``(model, driver, child locations)``, a route the batch already
+    missed being a hit, and a batch with missing routes of a model makes
+    one lockstep call of it.  Then every plan is looked up in a wire
+    memo under its key: a plan missed earlier in the batch counts
+    neither way, and the missed plans compile one program per distinct
+    ``(model, driver, child locations)``.  Nothing is evicted.
+    """
+
+    def __init__(self) -> None:
+        self.plans = set()
+        self.routes = set()
+        self.wire = set()
+        self.stats = dict.fromkeys(
+            (
+                "wire_hits",
+                "wire_misses",
+                "programs_compiled",
+                "route_hits",
+                "route_misses",
+                "rsmt_batches",
+                "trunk_batches",
+            ),
+            0,
+        )
+
+    @staticmethod
+    def _geometry(model, driver, children):
+        return (model, driver, tuple(loc for _, loc, _ in children))
+
+    def batch(self, nets) -> None:
+        """Count one batch of ``(driver, children)`` nets."""
+        stats = self.stats
+        missed_routes = {"rsmt": False, "trunk": False}
+        for driver, children in nets:
+            for model in _ROUTE_MODELS:
+                key = (model, driver, children)
+                if key in self.plans:
+                    continue
+                self.plans.add(key)
+                if model == "star":
+                    continue
+                geometry = self._geometry(model, driver, children)
+                if geometry in self.routes:
+                    stats["route_hits"] += 1
+                else:
+                    stats["route_misses"] += 1
+                    self.routes.add(geometry)
+                    missed_routes[model] = True
+        for model, missed in missed_routes.items():
+            stats[f"{model}_batches"] += missed
+        pending = set()
+        geometries = set()
+        for driver, children in nets:
+            for model in _ROUTE_MODELS:
+                key = (model, driver, children)
+                if key in self.wire:
+                    stats["wire_hits"] += 1
+                elif key not in pending:
+                    stats["wire_misses"] += 1
+                    pending.add(key)
+                    geometries.add(self._geometry(model, driver, children))
+        stats["programs_compiled"] += len(geometries)
+        self.wire |= pending
+
+
+# --- ECO legalizer: a set of every other node's site ---------------------
+def reference_legalize(legalizer, tree, nid, desired):
+    """Oracle of :meth:`Legalizer.legalize`: the set of every other
+    node's site key, two ``round`` s per node, built before the snapped
+    site is looked at, then the same ring search against it."""
+    occupied = {
+        legalizer._site_key(node.location) for node in tree.nodes() if node.id != nid
+    }
+    base = legalizer.snap(desired)
+    bx, by = legalizer._site_key(base)
+    if (bx, by) not in occupied:
+        return base
+    region, pitch = legalizer.region, legalizer.pitch_um
+    for ring in range(1, legalizer.max_rings + 1):
+        candidates = []
+        for dx in range(-ring, ring + 1):
+            dy_mag = ring - abs(dx)
+            for dy in sorted({dy_mag, -dy_mag}):
+                candidates.append((bx + dx, by + dy))
+        for cx, cy in sorted(candidates):
+            point = Point(region.xlo + cx * pitch, region.ylo + cy * pitch)
+            if region.contains(point) and (cx, cy) not in occupied:
+                return point
+    raise RuntimeError(f"no free site within {legalizer.max_rings} rings of {desired}")
 
 
 # --- Candidate pipeline: one registry entry per cached move -------------

@@ -3,13 +3,16 @@
 import numpy as np
 import pytest
 
+from repro.core.ml import analytical
 from repro.core.ml.analytical import (
+    AnalyticalCache,
     estimate_move_impact,
     estimate_move_impacts,
     estimate_net,
 )
 from repro.core.moves import Move, MoveType, apply_move, enumerate_moves
 from repro.geometry import Point
+from repro.netlist.tree import ClockTree
 from repro.sta.timer import GoldenTimer
 
 
@@ -184,3 +187,38 @@ class TestMoveImpactAccuracy:
             gold.append(self.golden_delta(scene, move, "c0"))
         corr = float(np.corrcoef(est, gold)[0, 1])
         assert corr > 0.8
+
+
+class TestSinkWeights:
+    @staticmethod
+    def _tree(sinks_under_a):
+        """A source driving buffers a and b over three sinks, the first
+        ``sinks_under_a`` under a; the same mutations whatever the split,
+        so the same structure revision."""
+        tree = ClockTree()
+        src = tree.add_source(Point(0, 0))
+        a = tree.add_buffer(src, Point(40, 40), 8)
+        b = tree.add_buffer(src, Point(80, 40), 8)
+        for k in range(3):
+            tree.add_sink(a if k < sinks_under_a else b, Point(40 + 10 * k, 60))
+        return tree, src, a, b
+
+    def test_a_tree_at_a_collected_trees_address_gets_its_own_weights(self, monkeypatch):
+        """Two trees the memo cannot tell apart by ``id`` and revision:
+        every ``id`` collides here, as a tree allocated where a collected
+        one lived would."""
+        monkeypatch.setattr(analytical, "id", lambda obj: 1, raising=False)
+        first, src, a, b = self._tree(2)
+        second, *_ = self._tree(1)
+        assert first.structure_revision == second.structure_revision
+        cache = AnalyticalCache()
+        assert cache.sink_weights(first, src) == {a: 2, b: 1}
+        assert cache.sink_weights(second, src) == {a: 1, b: 2}
+        assert cache.sink_weights(first, src) == {a: 2, b: 1}
+
+    def test_memo_follows_structure_revisions(self):
+        tree, src, a, b = self._tree(2)
+        cache = AnalyticalCache()
+        assert cache.sink_weights(tree, src) == {a: 2, b: 1}
+        tree.add_sink(b, Point(90, 60))
+        assert cache.sink_weights(tree, src) == {a: 2, b: 2}

@@ -8,14 +8,18 @@ nominal net estimate, feature row and score must be **bit-identical** —
 not merely close — because the local optimizer's tie-breaking and the
 CI trajectory gates compare exact floats.
 
-The suite checks that contract five ways:
+The suite checks that contract six ways:
 
 * direct per-move component equality against the scalar path on MINI
   (full move set) and CLS1v1 (randomized subset), all estimator
   variants, all corners;
-* the one-pass program compile of a batch's net geometries, filled
-  with each plan's pin caps, against the per-plan program compile,
-  array by array;
+* the one-pass program compile of a batch's net geometries, straight
+  from its spec rows and filled with each plan's pin caps, against the
+  per-plan program compile, array by array;
+* the spec-keyed wire and route memos against the tuple-keyed planning
+  per (spec, route model) they replaced (``TupleKeyedPlanner``): equal
+  counters over multi-batch walks with commits, and the key's value
+  semantics (-0.0, last bits, ids, pin caps, repeats in a batch);
 * a 200+-step randomized move/undo walk where featurize / commit /
   invalidate rounds interleave with returns to the pristine tree, so the
   value-keyed wire memo is exercised warm, cold, and across epochs, and
@@ -42,9 +46,9 @@ from repro.core.local_opt import (
     LocalOptimizer,
     batched_variation_reductions,
 )
-from repro.core.ml.analytical import AnalyticalCache
+from repro.core.ml.analytical import AnalyticalCache, plan_net
 from repro.core.ml import feature_kernel
-from repro.core.ml.feature_kernel import FeatureKernel
+from repro.core.ml.feature_kernel import _ROUTE_MODELS, FeatureKernel
 from repro.core.ml.features import (
     ESTIMATOR_VARIANTS,
     SIDE_EFFECT_VARIANT,
@@ -58,16 +62,19 @@ from repro.core.ml.training import (
 )
 from repro.core.moves import MoveType, enumerate_moves
 from repro.core.objective import SkewVariationProblem
-from repro.geometry import BBox, Point
+from repro.geometry import BBox
 from repro.parallel.pool import effective_cpu_count, resolve_workers
 from repro.tech.cells import NLDMTable
 from repro.testcases.cls1 import build_cls1
 from repro.testcases.mini import build_mini
 from tests.oracles import (
     PerMoveRegistryPipeline,
+    TupleKeyedPlanner,
     per_move_components,
     predicted_variation_reduction,
+    reference_batch_specs,
     reference_compile_plan,
+    spec_nets,
     use_scalar_features,
 )
 
@@ -211,12 +218,12 @@ class TestKernelParity:
         assert kernel.stats["wire_hits"] > 0
 
     def test_full_wire_memo_keeps_the_batch_metrics(self, mini_design):
-        """A batch that overflows the memo still reads all its own plans.
+        """A batch that overflows the memo still reads all its own rows.
 
-        With ``max_entries`` far below the batch's plan count, eviction
-        must not drop a plan the batch has yet to read (a cold batch,
+        With ``max_entries`` far below the batch's row count, eviction
+        must not drop a row the batch has yet to read (a cold batch,
         then a warm repeat that also hits); the memo is back within its
-        bound afterwards.
+        bound afterwards, its blocks whole and contiguous.
         """
         problem = SkewVariationProblem.create(mini_design)
         tree = mini_design.tree
@@ -232,44 +239,156 @@ class TestKernelParity:
             for got, ref in zip(batch, reference):
                 _assert_components_equal(got, ref)
         assert kernel.stats["wire_hits"] > 0
-        assert len(kernel._wire_memo) <= kernel.max_entries
-        # The memo's arrays were compacted to the rows it keeps.
-        assert kernel._wire_rows.rows == len(kernel._wire_memo)
-        assert sorted(kernel._wire_memo.values()) == list(range(kernel._wire_rows.rows))
+        n_route = len(_ROUTE_MODELS)
+        memo, rows = kernel._wire_memo, kernel._wire_rows
+        assert 0 < n_route * len(memo) <= kernel.max_entries
+        # The memo's arrays were compacted to the blocks it keeps, each
+        # one spec's rows in route-model order.
+        assert rows.rows == n_route * len(memo)
+        assert sorted(memo.values()) == list(range(0, rows.rows, n_route))
+        for key, first in memo.items():
+            values = np.frombuffer(key)
+            ((driver, children),) = spec_nets(values[None, :], np.array([(values.size - 2) // 4]))
+            for k, model in enumerate(_ROUTE_MODELS):
+                plan = plan_net(driver, children, model)
+                assert rows.fanout[first + k] == len(children)
+                assert rows.shape[0, first + k] == plan.wirelength_um
+
+
+class TestSpecKeys:
+    """One value key per net spec: the bytes of its row, -0.0 as +0.0."""
+
+    @staticmethod
+    def _specs(*nets):
+        rows = [[x, y, *(v for child in children for v in child)] for (x, y), children in nets]
+        width = max(len(row) for row in rows)
+        specs = np.array([row + [0.0] * (width - len(row)) for row in rows])
+        return specs, np.array([len(children) for _, children in nets])
+
+    NET = ((0.0, 50.0), ((1, 0.0, 90.0, 0.5), (2, 40.0, 50.0, 0.7), (3, 40.0, 130.0, 0.7)))
+
+    def test_negative_zero_hits_the_positive_zero_entry(self, mini_design):
+        kernel = FeatureKernel(mini_design.library)
+        first = kernel.ensure_metrics(*self._specs(self.NET))
+        (_, y), children = self.NET
+        flipped = ((-0.0, y), ((1, -0.0, 90.0, 0.5), *children[1:]))
+        again = kernel.ensure_metrics(*self._specs(flipped))
+        assert again.tolist() == first.tolist()
+        assert kernel.stats["wire_misses"] == len(_ROUTE_MODELS)
+        assert kernel.stats["wire_hits"] == len(_ROUTE_MODELS)
+        assert len(kernel._wire_memo) == 1
+
+    def test_ids_caps_and_last_bits_miss(self, mini_design):
+        (x, y), children = self.NET
+        variants = [
+            ((x, y), ((4, *children[0][1:]), *children[1:])),  # another child id
+            ((x, y), (children[0], (2, 40.0, 50.0, 0.75), children[2])),  # a pin cap
+            ((x, np.nextafter(y, np.inf)), children),  # the driver's last bit
+            ((x, y), (children[0], (2, np.nextafter(40.0, 0.0), 50.0, 0.7), children[2])),
+        ]
+        kernel = FeatureKernel(mini_design.library)
+        rows = kernel.ensure_metrics(*self._specs(self.NET, *variants))
+        assert len(set(rows.tolist())) == 1 + len(variants)
+        assert kernel.stats["wire_misses"] == len(_ROUTE_MODELS) * (1 + len(variants))
+        assert kernel.stats["wire_hits"] == 0
+
+    def test_repeated_spec_is_evaluated_once(self, mini_design):
+        kernel = FeatureKernel(mini_design.library)
+        other = ((10.0, 10.0), ((5, 60.0, 10.0, 0.4),))
+        rows = kernel.ensure_metrics(*self._specs(self.NET, other, self.NET))
+        assert rows[0] == rows[2] != rows[1]
+        n_route = len(_ROUTE_MODELS)
+        assert kernel.stats["wire_misses"] == 2 * n_route
+        assert kernel.stats["wire_hits"] == 0
+        assert kernel.stats["programs_compiled"] == 2 * n_route
+        assert kernel._wire_rows.rows == 2 * n_route
+
+
+class TestTupleKeyedOracle:
+    """Counters of multi-batch walks with a commit between batches."""
+
+    @pytest.mark.parametrize(
+        "build, buffers",
+        [(build_mini, None), (lambda: build_cls1(1), 8), (lambda: build_cls1(2), 8)],
+        ids=["MINI", "CLS1v1", "CLS1v2"],
+    )
+    def test_counters_equal_the_tuple_keyed_planning(self, build, buffers):
+        """The spec-keyed memos count every wire and route lookup, route
+        call and compile as planning each (spec, route model) under tuple
+        keys did, and every component stays the per-move oracle's.
+
+        Each batch takes the moves of a few buffers drawn from a small
+        pool, so batches revisit specs (wire hits), sizing variants share
+        geometries (route hits) and commits make new specs (misses).
+        """
+        design = build()
+        library = design.library
+        problem = SkewVariationProblem.create(design)
+        tree = design.tree.clone()
+        result = problem.evaluate(tree)
+        kernel = FeatureKernel(library)
+        cache = AnalyticalCache()
+        planner = TupleKeyedPlanner()
+        rng = random.Random(43)
+        pool = list(tree.buffers())
+        if buffers is not None:
+            pool = rng.sample(pool, 2 * buffers)
+        for step in range(3):
+            chosen = pool if buffers is None else rng.sample(pool, buffers)
+            moves = [
+                m
+                for m in enumerate_moves(tree, library, buffers=chosen)
+                if buffers is None or rng.random() < 0.5
+            ]
+            got = kernel.compute_components_batch(tree, result.per_corner, moves, cache)
+            planner.batch(reference_batch_specs(tree, library, moves))
+            assert {key: kernel.stats[key] for key in planner.stats} == planner.stats, step
+            reference = _reference_components(tree, library, result.per_corner, moves)
+            for g, ref in zip(got, reference):
+                _assert_components_equal(g, ref)
+            move = rng.choice([m for m in moves if m.type is not MoveType.SURGERY])
+            result = problem.commit_move(tree, move)
+        stats = planner.stats
+        assert stats["wire_hits"] > 0 and stats["route_hits"] > 0
+        assert stats["rsmt_batches"] == stats["trunk_batches"] == 3
 
 
 # ---------------------------------------------------------------------------
 # the one-pass compile against the per-plan program compile
 # ---------------------------------------------------------------------------
-def _batch_plans(design):
-    """Every plan of one batch over the full move set."""
+def _batch_specs(design):
+    """The spec rows of one batch over the full move set."""
     kernel = FeatureKernel(design.library)
     batch, _ = kernel._prepare(
         design.tree, enumerate_moves(design.tree, design.library), AnalyticalCache()
     )
-    return [plan for plans in batch.plans for plan in plans]
+    return batch.specs, batch.fanout
 
 
-def _assert_programs_equal(plans, chunk=64):
-    """Compile the geometries of ``plans`` in one pass, fill each plan's
-    program with its pin caps, and hold it to the per-plan oracle."""
-    geo_of = {}
-    firsts = []
-    for plan in plans:
-        if plan.geometry not in geo_of:
-            geo_of[plan.geometry] = len(firsts)
-            firsts.append(plan)
-    geo = np.array([geo_of[plan.geometry] for plan in plans])
-    programs = feature_kernel._compile_programs(firsts)
-    assert programs.n_nodes.size == len(firsts)
-    for g, plan in enumerate(firsts):
+def _assert_programs_equal(library, specs, fanout, chunk=64):
+    """Route and compile the spec rows' geometries in one pass, fill each
+    plan's program with its pin caps, and hold it to the per-plan oracle
+    (plan ``3 * j + k``: spec ``j`` under ``_ROUTE_MODELS[k]``)."""
+    kernel = FeatureKernel(library)
+    misses = kernel._plan(specs, fanout)
+    programs = misses.programs
+    nets = spec_nets(specs, fanout)
+    plans = [plan_net(driver, children, model) for driver, children in nets for model in _ROUTE_MODELS]
+    geometries = {(p.route_model, p.driver_loc, *(loc for _, loc, _ in p.children)) for p in plans}
+    assert programs.n_nodes.size == len(geometries)
+    assert kernel.stats["programs_compiled"] == len(geometries)
+    for i, plan in enumerate(plans):
         box = BBox.of_points([plan.driver_loc] + [loc for _, loc, _ in plan.children])
-        assert programs.bbox_area[g] == box.area
-        assert programs.bbox_aspect[g] == box.aspect_ratio
+        assert programs.bbox_area[misses.geo[i]] == box.area
+        assert programs.bbox_aspect[misses.geo[i]] == box.aspect_ratio
+        assert misses.wirelength[i] == plan.wirelength_um
+        assert misses.capsum[i] == sum(c for _, _, c in plan.children)
+    start = np.cumsum(misses.fanout) - misses.fanout
     for lo in range(0, len(plans), chunk):
         part = plans[lo : lo + chunk]
+        hi = lo + len(part)
         parent, valid, seg, code, tval, (rows, slots) = feature_kernel._pad_programs(
-            programs, geo[lo : lo + chunk], [c for p in part for _, _, c in p.children]
+            programs, misses.geo[lo:hi], misses.caps[start[lo] : start[hi - 1] + misses.fanout[hi - 1]]
         )
         for i, plan in enumerate(part):
             ref = reference_compile_plan(None, plan)
@@ -282,7 +401,7 @@ def _assert_programs_equal(plans, chunk=64):
             assert not code[i, n:].any() and not code[i, :, t:].any()
             assert not tval[i, n:].any() and not tval[i, :, t:].any()
             assert np.array_equal(slots[rows == i], ref.child_slot)
-    return programs
+    return plans, programs
 
 
 def build_cls1v2():
@@ -292,11 +411,12 @@ def build_cls1v2():
 class TestTemplates:
     @pytest.mark.parametrize("build", [build_mini, lambda: build_cls1(1), build_cls1v2])
     def test_programs_equal_per_plan_compile(self, build):
-        """One compile pass over a full-move-set batch: every plan's
-        padded program is the oracle's, the widest star root included."""
-        plans = _batch_plans(build())
-        assert {p.route_model for p in plans} == {"star", "rsmt", "trunk"}
-        programs = _assert_programs_equal(plans)
+        """One compile pass over a full-move-set batch, from its spec
+        rows: every plan's padded program is the oracle's, the widest
+        star root included."""
+        design = build()
+        specs, fanout = _batch_specs(design)
+        plans, programs = _assert_programs_equal(design.library, specs, fanout)
         assert programs.n_nodes.size < len(plans)
         # The widest star root: one near-end half cap per child, in one
         # row as wide as the widest program.
@@ -304,34 +424,29 @@ class TestTemplates:
         widest = max(star, key=lambda p: len(p.children))
         assert max(programs.width) >= len(widest.children) >= 6
 
-    def test_zero_length_edges_and_taps_on_pins(self):
+    def test_zero_length_edges_and_taps_on_pins(self, mini_design):
         """Children at the driver's place (zero-length edges), duplicate
         children, multi-piece edges and trunk taps that land on pins."""
-        d = Point(100.0, 100.0)
         nets = [
-            (d, [(1, d, 0.5), (2, Point(180.0, 100.0), 0.7)]),
-            (d, [(1, Point(100.0, 130.0), 0.5), (2, Point(100.0, 130.0), 0.6)]),
+            ((100.0, 100.0), ((1, 100.0, 100.0, 0.5), (2, 180.0, 100.0, 0.7))),
+            ((100.0, 100.0), ((1, 100.0, 130.0, 0.5), (2, 100.0, 130.0, 0.6))),
             # Horizontal trunk at y = 100: the taps of pins 2 and 3 land
             # on pins 1 and 0.
             (
-                d,
-                [
-                    (1, Point(160.0, 100.0), 0.4),
-                    (2, Point(160.0, 150.0), 0.4),
-                    (3, Point(100.0, 20.0), 0.4),
-                    (4, Point(300.0, 110.0), 0.9),
-                ],
+                (100.0, 100.0),
+                (
+                    (1, 160.0, 100.0, 0.4),
+                    (2, 160.0, 150.0, 0.4),
+                    (3, 100.0, 20.0, 0.4),
+                    (4, 300.0, 110.0, 0.9),
+                ),
             ),
-            (d, [(1, d, 0.3), (2, d, 0.3), (3, Point(20.0, 0.0), 0.3)]),
+            ((100.0, 100.0), ((1, 100.0, 100.0, 0.3), (2, 100.0, 100.0, 0.3), (3, 20.0, 0.0, 0.3))),
         ]
-        plans = [
-            plan
-            for row in AnalyticalCache().plan_nets(nets, ("star", "rsmt", "trunk"))
-            for plan in row
-        ]
-        trunk = plans[2 * 3 + 2].route
+        specs, fanout = TestSpecKeys._specs(*nets)
+        plans, programs = _assert_programs_equal(mini_design.library, specs, fanout, chunk=5)
+        trunk = plans[2 * 3 + _ROUTE_MODELS.index("trunk")].route
         assert len(trunk.points) < 2 * trunk.num_pins - 1  # taps merged
-        programs = _assert_programs_equal(plans, chunk=5)
         assert (programs.seg == 0.0).sum() > len(plans)  # roots + zero-length edges
 
     def test_child_sizing_pair_compiles_one_template(self, mini_design):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.ml import analytical
+from repro.core.ml import feature_kernel
 from repro.core.ml.pipeline import CandidatePipeline
 from repro.core.moves import enumerate_moves
 from repro.core.objective import SkewVariationProblem
@@ -118,7 +118,7 @@ def _featurize_point_sets(design):
 
     pipeline = CandidatePipeline(design.library)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(analytical, "rsmt_batch", recording)
+        patch.setattr(feature_kernel, "rsmt_batch", recording)
         pipeline.featurize(tree, timings, enumerate_moves(tree, design.library))
     return recorded
 
