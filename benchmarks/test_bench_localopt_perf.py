@@ -135,8 +135,7 @@ def _report(tag, record):
         + ", ".join(f"{k}={v:.3f}s" for k, v in sorted(stage.items())),
         f"  caches   : move {cache['move_hits']}/{cache['move_misses']} "
         f"hit/miss, wire {cache['kernel']['wire_hits']}/"
-        f"{cache['kernel']['wire_misses']}, "
-        f"time {cache['time_hits']}/{cache['time_misses']}",
+        f"{cache['kernel']['wire_misses']}",
         "  gc       : "
         + ", ".join(f"{k}={v}" for k, v in gc_stats["collections"].items())
         + f" collections, {gc_stats['pause_s']:.3f} s paused",

@@ -21,11 +21,18 @@ snapshot, per corner, split into:
 
 Both wire metrics are computed from one shared RC build per (route
 model, corner); callers pick the metric per variant.
+
+These are the per-move estimators: one move, one net plan and one RC
+build at a time, with no memo.  The array feature kernel
+(:mod:`repro.core.ml.feature_kernel`) is held bit-identical to them and
+sends them the moves it does not compile (tree surgery, drive sizes off
+the stacked tables); every feature parity test uses them as its oracle.
+Sink weights come from :meth:`ClockTree.subtree_sinks`, which the tree
+memoizes until its next connectivity edit.
 """
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -37,12 +44,7 @@ from repro.route.rsmt import rsmt
 from repro.route.single_trunk import single_trunk_tree
 from repro.sta.d2m import d2m_delays
 from repro.sta.elmore import elmore_delays
-from repro.sta.gate import (
-    GATE_SLEW_QUANTUM_PS,
-    PairTiming,
-    inverter_pair_timing,
-    quantize_gate_inputs,
-)
+from repro.sta.gate import PairTiming, inverter_pair_timing, quantize_gate_inputs
 from repro.sta.slew import wire_degraded_slew
 from repro.tech.cells import InverterCell
 from repro.sta.timer import CornerTiming
@@ -66,21 +68,15 @@ def _pair_timing(
 
     Every analytical gate evaluation funnels through here so the
     estimator uses the same input quantization as the timing engines:
-    slew jitter below half a quantum collapses to one table lookup and
-    one :class:`AnalyticalCache` time-memo key, which is what makes the
-    memo recur across local-opt epochs.  The feature kernel
-    (:mod:`repro.core.ml.feature_kernel`) runs this exact sequence on
-    arrays (:func:`~repro.sta.gate.quantize_gate_arrays`, then the four
-    lookups of the library's :meth:`~repro.tech.cells.NLDMStack.pair`),
-    so any change here must be reflected there.
+    slew jitter below half a quantum collapses to one table lookup.  The
+    feature kernel (:mod:`repro.core.ml.feature_kernel`) runs this exact
+    sequence on arrays (:func:`~repro.sta.gate.quantize_gate_arrays`,
+    then the four lookups of the library's
+    :meth:`~repro.tech.cells.NLDMStack.pair`), so any change here must
+    be reflected there.
     """
     slew_q, load_q = quantize_gate_inputs(in_slew_ps, load_ff)
     return inverter_pair_timing(cell, slew_q, load_q)
-
-
-def _quantize_slew(in_slew_ps: float) -> float:
-    """The slew half of :func:`quantize_gate_inputs` (memo-key snapping)."""
-    return round(in_slew_ps / GATE_SLEW_QUANTUM_PS) * GATE_SLEW_QUANTUM_PS
 
 
 @dataclass(frozen=True)
@@ -223,140 +219,6 @@ def time_net(
     )
 
 
-#: Entries of each :class:`AnalyticalCache` memo; a full memo drops its
-#: oldest entry.
-MAX_CACHE_ENTRIES = 200_000
-
-
-class AnalyticalCache:
-    """Value-keyed memo for :func:`plan_net` / :func:`time_net` artifacts.
-
-    Keys are pure values — route model, driver location, the ``(id,
-    location, pin-cap)`` child spec, corner name, driver size and input
-    slew — mirroring the per-net signature scheme of
-    ``sta/incremental.py``.  Because the key captures every input the
-    computation reads, entries are *self-validating*: when a committed
-    move changes a net's geometry or slews, the new inputs form a new
-    key and the stale entry is simply never looked up again.  Explicit
-    invalidation is therefore only a memory-bound concern, handled by
-    FIFO eviction at :data:`MAX_CACHE_ENTRIES` per memo.
-
-    A cache instance is implicitly scoped to one :class:`Library` (the
-    key does not encode library tables); use one cache per optimization
-    run, as :class:`repro.core.ml.pipeline.CandidatePipeline` does.  It
-    serves the per-move path (surgery moves and the scalar oracle); the
-    feature kernel keys its nets and routes itself.
-
-    ``sink_weights`` additionally memoizes per-driver subtree sink
-    counts for one tree object at one ``tree.structure_revision``.
-    """
-
-    def __init__(self) -> None:
-        self._plans: Dict[tuple, _NetPlan] = {}
-        self._times: Dict[tuple, NetEstimate] = {}
-        self._weights: Dict[int, Dict[int, int]] = {}
-        self._weights_tree: Optional[weakref.ref] = None
-        self._weights_revision = -1
-        self.stats: Dict[str, int] = {
-            "plan_hits": 0,
-            "plan_misses": 0,
-            "time_hits": 0,
-            "time_misses": 0,
-        }
-
-    def clear(self) -> None:
-        self._plans.clear()
-        self._times.clear()
-        self._weights.clear()
-        self._weights_tree = None
-
-    def plan_net(
-        self,
-        driver_loc: Point,
-        children: Sequence[Tuple[int, Point, float]],
-        route_model: str,
-    ) -> _NetPlan:
-        """Memoized :func:`plan_net`."""
-        children = tuple(children)
-        key = (route_model, driver_loc, children)
-        plan = self._plans.get(key)
-        if plan is not None:
-            self.stats["plan_hits"] += 1
-            return plan
-        self.stats["plan_misses"] += 1
-        plan = plan_net(driver_loc, children, route_model)
-        if len(self._plans) >= MAX_CACHE_ENTRIES:
-            self._plans.pop(next(iter(self._plans)))
-        self._plans[key] = plan
-        return plan
-
-    def time_net(
-        self,
-        plan: _NetPlan,
-        library: Library,
-        corner: Corner,
-        driver_size: int,
-        in_slew_ps: float,
-        segment_um: float = ESTIMATE_SEGMENT_UM,
-    ) -> NetEstimate:
-        # The gate evaluation inside time_net quantizes its slew input,
-        # so keying on the *quantized* slew is exact — and it is what
-        # makes the memo hit across epochs: re-timed snapshots move
-        # slews by sub-quantum jitter that previously forged new keys.
-        key = (
-            plan.route_model,
-            plan.driver_loc,
-            plan.children,
-            corner.name,
-            driver_size,
-            _quantize_slew(in_slew_ps),
-            segment_um,
-        )
-        est = self._times.get(key)
-        if est is not None:
-            self.stats["time_hits"] += 1
-            return est
-        self.stats["time_misses"] += 1
-        est = time_net(plan, library, corner, driver_size, in_slew_ps, segment_um)
-        if len(self._times) >= MAX_CACHE_ENTRIES:
-            self._times.pop(next(iter(self._times)))
-        self._times[key] = est
-        return est
-
-    def sink_weights(self, tree: ClockTree, nid: int) -> Dict[int, int]:
-        # Scoped by the tree object, not its ``id``: a tree allocated at
-        # a collected tree's address, at the same revision, is another
-        # tree (``ClockTree.clone`` copies the revision).
-        scoped = self._weights_tree is not None and self._weights_tree() is tree
-        if not scoped or tree.structure_revision != self._weights_revision:
-            self._weights_tree = weakref.ref(tree)
-            self._weights_revision = tree.structure_revision
-            self._weights.clear()
-        weights = self._weights.get(nid)
-        if weights is None:
-            weights = _subtree_sink_weights(tree, nid)
-            self._weights[nid] = weights
-        return weights
-
-
-def estimate_net(
-    library: Library,
-    corner: Corner,
-    driver_size: int,
-    driver_loc: Point,
-    children: Sequence[Tuple[int, Point, float]],
-    in_slew_ps: float,
-    route_model: str,
-    delay_metric: str = "d2m",
-    segment_um: float = ESTIMATE_SEGMENT_UM,
-) -> NetEstimate:
-    """Single-call convenience wrapper around plan + time."""
-    if delay_metric not in DELAY_METRICS:
-        raise ValueError(f"unknown delay metric {delay_metric!r}")
-    plan = plan_net(driver_loc, children, route_model)
-    return time_net(plan, library, corner, driver_size, in_slew_ps, segment_um)
-
-
 def _children_spec(
     tree: ClockTree,
     library: Library,
@@ -396,13 +258,9 @@ def _weighted_child_delta(
     metric: str,
     timing: CornerTiming,
     exclude: Optional[int] = None,
-    cache: Optional[AnalyticalCache] = None,
 ) -> float:
     """Sink-weighted mean change of per-child wire delay on a net."""
-    if cache is not None:
-        weights = cache.sink_weights(tree, driver)
-    else:
-        weights = _subtree_sink_weights(tree, driver)
+    weights = _subtree_sink_weights(tree, driver)
     total_w = 0.0
     total = 0.0
     for child, w in weights.items():
@@ -425,32 +283,15 @@ def estimate_move_impacts(
     timings: Mapping[str, CornerTiming],
     move: Move,
     route_model: str,
-    cache: Optional[AnalyticalCache] = None,
 ) -> Dict[str, MoveImpact]:
     """Estimate a move's impact under one route model, both metrics.
 
     Returns ``{metric: MoveImpact}``.  ``tree`` is the pre-move tree and
-    is never mutated.  An optional :class:`AnalyticalCache` memoizes the
-    route plans and per-corner net evaluations (numerically identical to
-    the uncached path — the cache is value-keyed).
+    is never mutated.
     """
     if move.type is MoveType.SURGERY:
-        return _estimate_surgery(tree, library, timings, move, route_model, cache)
-    return _estimate_displace(tree, library, timings, move, route_model, cache)
-
-
-def estimate_move_impact(
-    tree: ClockTree,
-    library: Library,
-    timings: Mapping[str, CornerTiming],
-    move: Move,
-    route_model: str = "star",
-    delay_metric: str = "d2m",
-) -> MoveImpact:
-    """Single-variant convenience wrapper."""
-    return estimate_move_impacts(tree, library, timings, move, route_model)[
-        delay_metric
-    ]
+        return _estimate_surgery(tree, library, timings, move, route_model)
+    return _estimate_displace(tree, library, timings, move, route_model)
 
 
 def _estimate_displace(
@@ -459,11 +300,8 @@ def _estimate_displace(
     timings: Mapping[str, CornerTiming],
     move: Move,
     route_model: str,
-    cache: Optional[AnalyticalCache] = None,
 ) -> Dict[str, MoveImpact]:
     """Types I and II: displacement of the buffer plus a one-step resize."""
-    _plan = cache.plan_net if cache is not None else plan_net
-    _time = cache.time_net if cache is not None else time_net
     b = move.buffer
     parent = tree.parent(b)
     node = tree.node(b)
@@ -487,12 +325,12 @@ def _estimate_displace(
             library.input_cap_ff(child_new_size),
         )
 
-    parent_plan = _plan(
+    parent_plan = plan_net(
         tree.node(parent).location,
         _children_spec(tree, library, parent, overrides={b: (new_loc, new_pin)}),
         route_model,
     )
-    b_plan = _plan(
+    b_plan = plan_net(
         new_loc,
         _children_spec(tree, library, b, overrides=child_overrides),
         route_model,
@@ -514,7 +352,7 @@ def _estimate_displace(
     for corner in library.corners:
         name = corner.name
         timing = timings[name]
-        parent_est = _time(
+        parent_est = time_net(
             parent_plan,
             library,
             corner,
@@ -524,7 +362,7 @@ def _estimate_displace(
         slew_at_b = wire_degraded_slew(
             parent_est.out_slew_ps, parent_est.wire_elmore_ps[b]
         )
-        b_est = _time(b_plan, library, corner, new_size, slew_at_b)
+        b_est = time_net(b_plan, library, corner, new_size, slew_at_b)
 
         d_parent_pair = parent_est.pair_delay_ps - timing.driver_delay[parent]
         d_b_pair = b_est.pair_delay_ps - timing.driver_delay.get(b, 0.0)
@@ -540,11 +378,7 @@ def _estimate_displace(
                 child_slew,
                 timing.driver_load.get(resized_child, 0.0),
             )
-            weights = (
-                cache.sink_weights(tree, b)
-                if cache is not None
-                else _subtree_sink_weights(tree, b)
-            )
+            weights = _subtree_sink_weights(tree, b)
             share = weights.get(resized_child, 1) / max(sum(weights.values()), 1)
             d_child_pair = share * (
                 child_pair.delay_ps - timing.driver_delay.get(resized_child, 0.0)
@@ -554,9 +388,7 @@ def _estimate_displace(
             d_wire_to_b = parent_est.delay_to(b, metric) - timing.edge_delay.get(
                 b, 0.0
             )
-            d_b_wire = _weighted_child_delta(
-                tree, b, b_est, metric, timing, cache=cache
-            )
+            d_b_wire = _weighted_child_delta(tree, b, b_est, metric, timing)
             out[metric].subtree[name] = (
                 d_parent_pair + d_wire_to_b + d_b_pair + d_b_wire + d_child_pair
             )
@@ -564,7 +396,7 @@ def _estimate_displace(
             out[metric].old_siblings[name] = (
                 d_parent_pair
                 + _weighted_child_delta(
-                    tree, parent, parent_est, metric, timing, exclude=b, cache=cache
+                    tree, parent, parent_est, metric, timing, exclude=b
                 )
             )
             out[metric].new_siblings[name] = 0.0
@@ -591,11 +423,8 @@ def _estimate_surgery(
     timings: Mapping[str, CornerTiming],
     move: Move,
     route_model: str,
-    cache: Optional[AnalyticalCache] = None,
 ) -> Dict[str, MoveImpact]:
     """Type III: reassign buffer ``b`` from its parent to ``new_parent``."""
-    _plan = cache.plan_net if cache is not None else plan_net
-    _time = cache.time_net if cache is not None else time_net
     b = move.buffer
     old_parent = tree.parent(b)
     new_parent = move.new_parent
@@ -607,11 +436,11 @@ def _estimate_surgery(
         tree, library, new_parent, extra=[(b, b_node.location, b_pin)]
     )
     old_plan = (
-        _plan(tree.node(old_parent).location, old_spec, route_model)
+        plan_net(tree.node(old_parent).location, old_spec, route_model)
         if old_spec
         else None
     )
-    new_plan = _plan(tree.node(new_parent).location, new_spec, route_model)
+    new_plan = plan_net(tree.node(new_parent).location, new_spec, route_model)
 
     out: Dict[str, MoveImpact] = {
         m: MoveImpact(
@@ -631,7 +460,7 @@ def _estimate_surgery(
 
         d_old = {m: 0.0 for m in DELAY_METRICS}
         if old_plan is not None:
-            old_est = _time(
+            old_est = time_net(
                 old_plan,
                 library,
                 corner,
@@ -641,10 +470,10 @@ def _estimate_surgery(
             base = old_est.pair_delay_ps - timing.driver_delay[old_parent]
             for m in DELAY_METRICS:
                 d_old[m] = base + _weighted_child_delta(
-                    tree, old_parent, old_est, m, timing, exclude=b, cache=cache
+                    tree, old_parent, old_est, m, timing, exclude=b
                 )
 
-        new_est = _time(
+        new_est = time_net(
             new_plan,
             library,
             corner,
@@ -684,7 +513,7 @@ def _estimate_surgery(
             ) - timing.arrival[b]
             out[m].old_siblings[name] = d_old[m]
             out[m].new_siblings[name] = d_new_pair + _weighted_child_delta(
-                tree, new_parent, new_est, m, timing, exclude=b, cache=cache
+                tree, new_parent, new_est, m, timing, exclude=b
             )
         if name == library.corners.nominal.name:
             nets_nominal["net"] = new_est

@@ -20,8 +20,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.ml.features import MoveComponents, assemble_feature_matrix
-from repro.core.ml.pipeline import CandidatePipeline
+from repro.core.ml.features import MoveComponents
+from repro.core.ml.pipeline import CandidatePipeline, FeatureBatch
 from repro.core.moves import Move, enumerate_moves
 from repro.eco.legalize import Legalizer
 from repro.geometry import BBox, Point
@@ -45,7 +45,7 @@ class MoveSample:
     """One (features, golden target) training sample."""
 
     features: MoveComponents
-    target: Dict[str, float]  # corner name -> golden subtree delta (ps)
+    target: Dict[str, float]  # corner name -> golden subtree delta (ps), library order
 
 
 def generate_case(
@@ -272,7 +272,12 @@ def generate_dataset(
 def dataset_arrays(
     samples: Sequence[MoveSample], corner_name: str
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """(X, y) arrays for one corner's model."""
-    x = assemble_feature_matrix([s.features for s in samples], corner_name)
+    """(X, y) arrays for one corner's model.
+
+    The samples' ``target`` keys name the corners of their features'
+    arrays, in library order.
+    """
+    names = list(samples[0].target) if samples else [corner_name]
+    batch = FeatureBatch.assemble([s.features for s in samples], names)
     y = np.asarray([s.target[corner_name] for s in samples])
-    return x, y
+    return batch.matrices[corner_name], y

@@ -42,13 +42,14 @@ star side-effect variant) in broadcast numpy:
   key up once, and routes its missed geometries through the kernel's
   own route memo.  Each evaluated chunk writes its rows in one scatter
   and a batch gathers its nets' rows by index.  No plan object is
-  built on this path.  The nominal-corner ``{child: delay}`` maps of a
-  :class:`NetEstimate` are built only when an impact is requested
-  (analytical predictors, the figure benches);
-* **side-effect rows** — each component's ``side`` row, the star
-  variant's old- and new-sibling deltas that the move scorer reads, is a
-  view of one ``(moves, 2, corners)`` batch array, so ranking with a
-  learned predictor builds no per-move impact object.
+  built on this path;
+* **one array record per move** — every array of a component
+  (:class:`~repro.core.ml.features.MoveComponents`: the base feature
+  row, the ``(corners, 4)`` subtree and wire-only deltas of the four
+  estimator variants, the ``(corners,)`` input slews and the
+  ``(2, corners)`` star side-effect row the move scorer reads) is a
+  read-only row view of one batch array, so featurizing, predicting
+  and scoring build no per-move impact object.
 
 Bit-compatibility contract
 --------------------------
@@ -56,11 +57,13 @@ Same as the STA/ECO kernels: every array operation reproduces the
 scalar reference's float operations in the same order, so components
 from :meth:`FeatureKernel.compute_components_batch` equal
 :func:`~repro.core.ml.features.compute_move_components` bit for bit
-(``tests/test_feature_kernel.py`` holds both to 1e-9 and the local-opt
-trajectory to byte identity).  Sequential sums use
-``0.0 + x == x`` / masked ``+ 0.0`` accumulation; ``np.sqrt`` /
-``np.minimum`` / ``np.rint`` match their ``math``/builtin scalar
-counterparts bitwise on these inputs.
+(``tests/test_feature_kernel.py`` holds every array of both records
+``array_equal`` and the local-opt trajectory to byte identity).
+Sequential sums use ``0.0 + x == x`` / masked ``+ 0.0`` accumulation;
+the sink weights are the tree's memoized subtree sink counts, as the
+per-move path reads them, and integers, so their sums are exact;
+``np.sqrt`` / ``np.minimum`` / ``np.rint`` match their
+``math``/builtin scalar counterparts bitwise on these inputs.
 
 Moves the array path cannot express — tree surgery (changes both
 drivers' child sets) and drive sizes outside the stacked tables — take
@@ -73,19 +76,14 @@ is no wholesale scalar fallback.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from itertools import chain, islice
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.ml.analytical import (
     ESTIMATE_SEGMENT_UM,
-    MAX_CACHE_ENTRIES,
-    AnalyticalCache,
-    MoveImpact,
-    NetEstimate,
     _children_spec,
     _driver_size,
 )
@@ -120,6 +118,9 @@ _TERM_CONST = 3  # value                      (pin load, corner-free)
 
 #: Plans per lockstep moment-engine evaluation (memory bound).
 _EVAL_CHUNK = 2048
+
+#: Entries of the kernel's route memo; a full memo drops its oldest entry.
+MAX_CACHE_ENTRIES = 200_000
 
 
 @dataclass(frozen=True)
@@ -489,10 +490,9 @@ class _OwnNet:
     rc_pos: int = -1
     rc_cap: float = 0.0
     #: The resized child, if it drives a net of its own (else ``None``),
-    #: with its new size and its sink-weight share.
+    #: with its new size.
     child: Optional[int] = None
     child_size: Optional[int] = None
-    share: float = 0.0
 
 
 @dataclass
@@ -573,174 +573,6 @@ def _flat_slots(fanouts: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
     return rows, np.arange(rows.size) - np.repeat(starts, fan)
 
 
-#: Impact variants a component publishes, in the reference's order.
-_VARIANTS: Tuple[Tuple[str, str], ...] = tuple(
-    (r, m) for r in _ROUTE_MODELS for m in ("elmore", "d2m")
-)
-
-
-@dataclass(frozen=True)
-class _NominalNets:
-    """One role's nets of a batch under one route model, nominal corner.
-
-    Entry ``j`` is net ``net[j]``: its child ids ``ids[net[j]]`` (the
-    ids of its spec row) and its row ``rows[net[j]]`` of the wire memo
-    ``memo`` (the per-child delays and the wirelength and bounding box),
-    driven with entry ``j``'s gate values.  ``memo`` only ever appends
-    rows, and a compaction builds a new one, so the rows stay valid.
-    """
-
-    net: Sequence[int]
-    ids: Sequence[List[int]]
-    memo: "_WireRows"
-    rows: np.ndarray
-    nom: int
-    pair: List[float]
-    out_slew: List[float]
-    total_load: List[float]
-
-    def estimate(self, j: int) -> NetEstimate:
-        """Entry ``j``'s :class:`NetEstimate`, its per-child nominal wire
-        maps built on this request."""
-        q = self.net[j]
-        ids = self.ids[q]
-        memo, row = self.memo, self.rows[q]
-        lo = int(memo.start[row])
-        hi = lo + len(ids)
-        wire = {
-            "elmore": dict(zip(ids, memo.elm[self.nom, lo:hi].tolist())),
-            "d2m": dict(zip(ids, memo.d2m[self.nom, lo:hi].tolist())),
-        }
-        wirelength, area, aspect = memo.shape[:, row].tolist()
-        return NetEstimate(
-            pair_delay_ps=self.pair[j],
-            out_slew_ps=self.out_slew[j],
-            wire_delay_ps=wire,
-            wire_elmore_ps=wire["elmore"],
-            total_load_ff=self.total_load[j],
-            wirelength_um=wirelength,
-            fanout=len(ids),
-            bbox_area_um2=area,
-            bbox_aspect=aspect,
-        )
-
-
-class _BatchImpacts:
-    """A batch's impact arrays, from which its moves build MoveImpacts.
-
-    Per variant: the ``(n_move, corners)`` subtree and wire-only deltas
-    and the ``(n_parent_nets, corners)`` old-sibling deltas.  Per route
-    model: the nominal own nets (one per move) and parent nets (one per
-    parent-net entry, built once and shared).
-    """
-
-    def __init__(
-        self,
-        names: Sequence[str],
-        move_pnet: List[int],
-        deltas: Dict[Tuple[str, str], Tuple[np.ndarray, np.ndarray, np.ndarray]],
-        own: Dict[str, _NominalNets],
-        parent: Dict[str, _NominalNets],
-    ) -> None:
-        self._names = names
-        self._move_pnet = move_pnet
-        self._deltas = deltas
-        self._own = own
-        self._parent = parent
-        self._parent_est: Dict[Tuple[str, int], NetEstimate] = {}
-
-    def subtree_rows(
-        self, index: Sequence[int], variant: Tuple[str, str], wire_only: bool
-    ) -> np.ndarray:
-        """The ``(len(index), corners)`` subtree deltas of ``variant`` for
-        moves ``index`` (wire-only with ``wire_only``), library order."""
-        return self._deltas[variant][1 if wire_only else 0][index]
-
-    def impact(self, i: int, variant: Tuple[str, str]) -> MoveImpact:
-        subtree, wire_only, old_siblings = self._deltas[variant]
-        route = variant[0]
-        p = self._move_pnet[i]
-        parent_est = self._parent_est.get((route, p))
-        if parent_est is None:
-            parent_est = self._parent[route].estimate(p)
-            self._parent_est[(route, p)] = parent_est
-        names = self._names
-        return MoveImpact(
-            subtree=dict(zip(names, subtree[i].tolist())),
-            old_siblings=dict(zip(names, old_siblings[p].tolist())),
-            new_siblings=dict.fromkeys(names, 0.0),
-            net_after=self._own[route].estimate(i),
-            parent_net=parent_est,
-            subtree_wire_only=dict(zip(names, wire_only[i].tolist())),
-        )
-
-
-class _LazyImpacts(Mapping):
-    """Read-only ``{variant: MoveImpact}`` of one kernel move.
-
-    An analytical predictor reads one variant per move, its own; the
-    scorer reads the component's ``side`` row and a learned ranking
-    reads no impact at all.  So each MoveImpact is built from the batch
-    arrays on first access and kept.  Equal, as a mapping, to the dict
-    :func:`compute_move_components` builds.
-    """
-
-    __slots__ = ("_batch", "_i", "_built")
-
-    def __init__(self, batch: _BatchImpacts, i: int) -> None:
-        self._batch = batch
-        self._i = i
-        self._built: Dict[Tuple[str, str], MoveImpact] = {}
-
-    def __getitem__(self, variant: Tuple[str, str]) -> MoveImpact:
-        impact = self._built.get(variant)
-        if impact is None:
-            impact = self._batch.impact(self._i, variant)
-            self._built[variant] = impact
-        return impact
-
-    def __iter__(self):
-        return iter(_VARIANTS)
-
-    def __len__(self) -> int:
-        return len(_VARIANTS)
-
-
-def subtree_deltas(
-    components: Sequence[MoveComponents],
-    variant: Tuple[str, str],
-    wire_only: bool,
-    corner_names: Sequence[str],
-) -> np.ndarray:
-    """``(moves, corners)`` subtree deltas of ``variant``, columns in
-    ``corner_names`` order: what each move's ``impacts[variant]`` holds
-    in ``subtree``, or with ``wire_only`` in ``subtree_wire_only`` (its
-    ``subtree`` where that is empty).
-
-    Kernel components are read from their batch's delta arrays, one
-    gather per batch, and build no impact; per-move components (surgery
-    moves, the scalar oracle) are read from their impact dicts.
-    """
-    out = np.empty((len(components), len(corner_names)))
-    groups: Dict[int, Tuple[_BatchImpacts, List[int], List[int]]] = {}
-    for pos, component in enumerate(components):
-        impacts = component.impacts
-        if isinstance(impacts, _LazyImpacts):
-            group = groups.get(id(impacts._batch))
-            if group is None:
-                group = groups[id(impacts._batch)] = (impacts._batch, [], [])
-            group[1].append(pos)
-            group[2].append(impacts._i)
-            continue
-        impact = impacts[variant]
-        source = (impact.subtree_wire_only or impact.subtree) if wire_only else impact.subtree
-        out[pos] = [source[name] for name in corner_names]
-    for batch, positions, index in groups.values():
-        cols = [batch._names.index(name) for name in corner_names]
-        out[positions] = batch.subtree_rows(index, variant, wire_only)[:, cols]
-    return out
-
-
 class FeatureKernel:
     """Batched analytical move featurization over SoA numpy arrays."""
 
@@ -748,7 +580,6 @@ class FeatureKernel:
         self.library = library
         self._nldm = library.nldm
         self._corners = list(library.corners)
-        self._nom = self._nldm.corner_row[library.corners.nominal.name]
         #: Spec key -> the first row of its block of ``_wire_rows``, one
         #: row per ``_ROUTE_MODELS`` entry.
         self._wire_memo: Dict[bytes, int] = {}
@@ -1036,34 +867,29 @@ class FeatureKernel:
         tree: ClockTree,
         timings: Mapping[str, CornerTiming],
         moves: Sequence[Move],
-        cache: AnalyticalCache,
     ) -> List[MoveComponents]:
-        """Components for ``moves``, bit-identical to the scalar path.
+        """Components for ``moves``, bit-identical to the per-move path.
 
         Surgery moves and moves touching sizes outside the stacked
         tables route through :func:`compute_move_components` (counted in
         ``stats['fallback_moves']``); everything else evaluates in
-        batch.  ``cache`` is the pipeline's shared
-        :class:`AnalyticalCache`: the per-move path plans and times its
-        nets through it, and the batch reads its sink weights.
+        batch.
         """
         lib = self.library
         self.stats["batches"] += 1
         out: List[Optional[MoveComponents]] = [None] * len(moves)
         with self.timers.stage("kernel_prep"):
-            batch, fallback = self._prepare(tree, moves, cache)
+            batch, fallback = self._prepare(tree, moves)
         if batch.moves:
             rows = self.ensure_metrics(batch.specs, batch.fanout)
             with self.timers.stage("kernel_assemble"):
-                components = self._assemble(tree, timings, batch, rows, cache)
+                components = self._assemble(tree, timings, batch, rows)
             self._trim_wire_memo()
             for mi, comp in zip(batch.index, components):
                 out[mi] = comp
             self.stats["kernel_moves"] += len(batch.moves)
         for mi in fallback:
-            out[mi] = compute_move_components(
-                tree, lib, timings, moves[mi], cache
-            )
+            out[mi] = compute_move_components(tree, lib, timings, moves[mi])
         self.stats["fallback_moves"] += len(fallback)
         return out
 
@@ -1072,7 +898,6 @@ class FeatureKernel:
         self,
         tree: ClockTree,
         moves: Sequence[Move],
-        cache: AnalyticalCache,
     ) -> Tuple[_Batch, List[int]]:
         """Scalar per-move setup: sizes, fallback routing, shared specs.
 
@@ -1157,13 +982,7 @@ class FeatureKernel:
                     rc_pos = buf.b_ids.index(child)
                     sizing = dict(rc_pos=rc_pos, rc_cap=lib.input_cap_ff(child_size))
                     if tree.children(child):
-                        weights = cache.sink_weights(tree, b)
-                        sizing.update(
-                            child=child,
-                            child_size=child_size,
-                            share=weights.get(child, 1)
-                            / max(sum(weights.values()), 1),
-                        )
+                        sizing.update(child=child, child_size=child_size)
                 q = bnet_of[bkey] = len(batch.own_nets)
                 batch.own_nets.append(_OwnNet(buf=row, dx=move.dx, dy=move.dy, **sizing))
             batch.index.append(mi)
@@ -1238,27 +1057,23 @@ class FeatureKernel:
         safe = np.where(total_w != 0.0, total_w, 1.0)
         return np.where(total_w[None, :] != 0.0, total / safe[None, :], 0.0)
 
+    @staticmethod
     def _child_axis(
-        self,
         tree: ClockTree,
-        cache: AnalyticalCache,
-        drivers: Sequence[int],
         children: Sequence[List[int]],
         edge_delays: Sequence[Mapping[int, float]],
         width: int,
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Padded per-driver child rows: sink weights, baseline edge
+        """Padded per-driver child rows: sink weights (each child's
+        subtree sink count, at least 1, as
+        ``analytical._subtree_sink_weights`` takes it), baseline edge
         delays ``(corners, drivers, width)`` and the slot mask, each
         filled by one flat scatter."""
         rows, cols = _flat_slots([len(ids) for ids in children])
         flat_ids = list(chain.from_iterable(children))
-        flat_w: List[int] = []
-        for driver, ids in zip(drivers, children):
-            weights = cache.sink_weights(tree, driver)
-            flat_w.extend(weights[cid] for cid in ids)
         n = len(children)
         w = np.zeros((n, width))
-        w[rows, cols] = flat_w
+        w[rows, cols] = [max(len(tree.subtree_sinks(cid)), 1) for cid in flat_ids]
         old = np.zeros((len(edge_delays), n, width))
         old[:, rows, cols] = [[ed.get(cid, 0.0) for cid in flat_ids] for ed in edge_delays]
         valid = np.zeros((n, width), dtype=bool)
@@ -1287,7 +1102,6 @@ class FeatureKernel:
         timings: Mapping[str, CornerTiming],
         batch: _Batch,
         rows: np.ndarray,
-        cache: AnalyticalCache,
     ) -> List[MoveComponents]:
         """Vectorized impact + feature assembly for the prepared moves.
 
@@ -1327,11 +1141,11 @@ class FeatureKernel:
         max_fb = max(max(len(x.b_ids) for x in bufs), 1)
         edge_delays = [t.edge_delay for t in snaps]
         w_par, old_par, valid_par = self._child_axis(
-            tree, cache, parents, [x.parent_ids for x in bufs], edge_delays, max_fp
+            tree, [x.parent_ids for x in bufs], edge_delays, max_fp
         )
         valid_par[np.arange(len(bufs)), [x.b_pos for x in bufs]] = False
         w_b, old_b, valid_b = self._child_axis(
-            tree, cache, moved, [x.b_ids for x in bufs], edge_delays, max_fb
+            tree, [x.b_ids for x in bufs], edge_delays, max_fb
         )
         w_par, old_par, valid_par = w_par[pbuf], old_par[:, pbuf], valid_par[pbuf]
         w_b, old_b, valid_b = w_b[bbuf], old_b[:, bbuf], valid_b[bbuf]
@@ -1362,7 +1176,10 @@ class FeatureKernel:
             sub_net = move_bnet[sub]
             nets = [batch.own_nets[q] for q in sub_net.tolist()]
             rc_pos = np.array([net.rc_pos for net in nets], dtype=np.int64)
-            share = np.array([net.share for net in nets])
+            # The resized child's sink-weight share of the buffer's net:
+            # integer weights, so the sum is exact and the one division
+            # rounds as the per-move path's int division does.
+            share = w_b[sub_net, rc_pos] / np.maximum(w_b[sub_net].sum(axis=1), 1.0)
             si_child = np.broadcast_to(
                 np.array([size_pos[net.child_size] for net in nets], dtype=np.int64),
                 (n_corner, sub.size),
@@ -1378,11 +1195,8 @@ class FeatureKernel:
             )
 
         # --- per route model: gate rounds + per-metric deltas ---------
-        nom = self._nom
         pair = self._nldm.pair
         per_variant: Dict[Tuple[str, str], Tuple[np.ndarray, ...]] = {}
-        own_nets: Dict[str, _NominalNets] = {}
-        parent_nets: Dict[str, _NominalNets] = {}
         for k, r in enumerate(_ROUTE_MODELS):
             rows_par = parent_rows + k
             rows_b = own_rows + k
@@ -1430,26 +1244,6 @@ class FeatureKernel:
                     d_wire_to_b + d_b_wire,
                     d_parent_pair + old_sib,
                 )
-            own_nets[r] = _NominalNets(
-                net=batch.move_bnet,
-                ids=[bufs[net.buf].b_ids for net in batch.own_nets],
-                memo=self._wire_rows,
-                rows=rows_b,
-                nom=nom,
-                pair=pair_b[nom].tolist(),
-                out_slew=slew_b[nom].tolist(),
-                total_load=tl_b_move[nom].tolist(),
-            )
-            parent_nets[r] = _NominalNets(
-                net=range(n_p),
-                ids=[bufs[net.buf].parent_ids for net in batch.parent_nets],
-                memo=self._wire_rows,
-                rows=rows_par,
-                nom=nom,
-                pair=pair_parent[nom].tolist(),
-                out_slew=slew_parent[nom].tolist(),
-                total_load=tl_par[nom].tolist(),
-            )
 
         # The feature rows describe the nets of the rsmt + d2m reference.
         k_ref = _ROUTE_MODELS.index(ESTIMATOR_VARIANTS[1][0])
@@ -1457,34 +1251,30 @@ class FeatureKernel:
             [[t.input_slew.get(b, 0.0) for b in moved] for t in snaps]
         )
         return self._build_components(
-            batch,
-            per_variant,
-            own_nets,
-            parent_nets,
-            own_rows + k_ref,
-            parent_rows + k_ref,
-            slews,
+            batch, per_variant, own_rows + k_ref, parent_rows + k_ref, slews
         )
 
     def _build_components(
         self,
         batch: _Batch,
         per_variant: Dict[Tuple[str, str], Tuple[np.ndarray, ...]],
-        own_nets: Dict[str, _NominalNets],
-        parent_nets: Dict[str, _NominalNets],
         own_ref: np.ndarray,
         parent_ref: np.ndarray,
         slews: np.ndarray,
     ) -> List[MoveComponents]:
-        """Per-move MoveComponents over batch-wide matrices.
+        """Per-move MoveComponents over batch-wide arrays.
 
-        The base rows form one ``(n_move, n_features)`` matrix, the
-        estimates one ``(n_move, 4)`` matrix per corner and the
-        side-effect deltas one ``(n_move, 2, corners)`` array (a kernel
-        move has no new siblings); each component holds read-only row
-        views of them.
+        ``per_variant[v]`` holds variant ``v``'s ``(corners, moves)``
+        subtree and wire-only deltas and its ``(corners, parent nets)``
+        old-sibling deltas; ``slews`` is the ``(corners, buffers)``
+        input slew.  The base rows form one ``(moves, features)``
+        matrix, the :data:`ESTIMATOR_VARIANTS` subtree and wire-only
+        deltas one ``(moves, corners, 4)`` array each, the slews one
+        ``(moves, corners)`` array and the side-effect deltas one
+        ``(moves, 2, corners)`` array (a kernel move has no new
+        siblings); each component holds read-only row views of them.
         """
-        names = [c.name for c in self._corners]
+        n_corner = len(self._corners)
         moves = batch.moves
         own_of = np.asarray(batch.move_bnet, dtype=np.int64)
         parent_of = np.asarray(batch.move_pnet, dtype=np.int64)
@@ -1522,32 +1312,24 @@ class FeatureKernel:
                 np.array([abs(m.dx) + abs(m.dy) for m in moves]),
             ]
         )
-        base.flags.writeable = False
-        estimates = []
-        for c in range(len(names)):
-            block = np.stack(
-                [per_variant[v][0][c] for v in ESTIMATOR_VARIANTS], axis=1
-            )
-            block.flags.writeable = False
-            estimates.append(block)
-
-        deltas = {
-            key: tuple(np.ascontiguousarray(a.T) for a in arrays)
-            for key, arrays in per_variant.items()
-        }
-        side = np.zeros((len(moves), 2, len(names)))
-        side[:, 0] = deltas[SIDE_EFFECT_VARIANT][2][parent_of]
-        side.flags.writeable = False
-        impacts = _BatchImpacts(names, batch.move_pnet, deltas, own_nets, parent_nets)
-        slew_rows = slews.T.tolist()
+        estimates = np.empty((len(moves), n_corner, N_ESTIMATE_COLS))
+        wire_only = np.empty_like(estimates)
+        for j, variant in enumerate(ESTIMATOR_VARIANTS):
+            estimates[:, :, j] = per_variant[variant][0].T
+            wire_only[:, :, j] = per_variant[variant][1].T
+        input_slew = slews.T[batch.move_buf]
+        side = np.zeros((len(moves), 2, n_corner))
+        side[:, 0] = per_variant[SIDE_EFFECT_VARIANT][2].T[parent_of]
+        for array in (base, estimates, wire_only, input_slew, side):
+            array.flags.writeable = False
         return [
             MoveComponents(
                 move=move,
-                impacts=_LazyImpacts(impacts, i),
                 base_row=base[i],
-                estimates={name: block[i] for name, block in zip(names, estimates)},
-                input_slew=dict(zip(names, slew_rows[buf])),
+                estimates=estimates[i],
+                wire_only=wire_only[i],
+                input_slew=input_slew[i],
                 side=side[i],
             )
-            for i, (move, buf) in enumerate(zip(moves, batch.move_buf))
+            for i, move in enumerate(moves)
         ]

@@ -8,13 +8,17 @@ We add the move descriptors (type, size steps, displacement) that the
 estimates are conditioned on.
 
 One feature vector is produced per (move, corner); the paper trains one
-model per corner.
+model per corner.  A featurized move, :class:`MoveComponents`, is one
+array record that the per-move featurizer here and the array feature
+kernel (:mod:`repro.core.ml.feature_kernel`) fill the same way;
+:meth:`~repro.core.ml.pipeline.FeatureBatch.assemble` stacks a batch of
+them into one design matrix per corner.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Sequence, Tuple
+from typing import Dict, Mapping, Tuple
 
 import numpy as np
 
@@ -75,23 +79,26 @@ SLEW_COL = FEATURE_NAMES.index("input_slew_ps")
 
 @dataclass(frozen=True)
 class MoveComponents:
-    """The feature vectors of one candidate move, split by corner.
+    """One featurized move as plain arrays, corners in library order.
 
-    ``base_row`` is the full feature row with the corner-dependent
-    columns (the four estimator deltas and ``input_slew_ps``) left at
-    zero; :func:`assemble_feature_matrix` scatters ``estimates`` and
-    ``input_slew`` into a batch copy per corner.  ``side`` is the
-    ``(2, corners)`` row of :data:`SIDE_EFFECT_VARIANT`'s old- and
-    new-sibling deltas, columns in library corner order: the only
-    impact values the move scorer reads.  Analytical predictors read
-    ``impacts``.
+    ``base_row`` is the ``(features,)`` feature row with the
+    corner-dependent columns (the four estimator deltas and
+    ``input_slew_ps``) left at zero;
+    :meth:`~repro.core.ml.pipeline.FeatureBatch.assemble` fills them per
+    corner from ``estimates`` and ``input_slew``.  ``estimates`` holds
+    the :data:`ESTIMATOR_VARIANTS` subtree deltas (driver update and
+    PERI slew applied) and ``wire_only`` the same variants' wire-only
+    deltas (gate delays frozen at baseline: the paper's Figure-6
+    analytical models), one row per corner.  ``side`` holds
+    :data:`SIDE_EFFECT_VARIANT`'s old- and new-sibling deltas, the only
+    impact values the move scorer reads.
     """
 
     move: Move
-    impacts: Mapping[Tuple[str, str], MoveImpact]
-    base_row: np.ndarray
-    estimates: Dict[str, np.ndarray]  # corner name -> (4,) estimator deltas
-    input_slew: Dict[str, float]  # corner name -> slew at the buffer (ps)
+    base_row: np.ndarray  # (features,)
+    estimates: np.ndarray  # (corners, 4) subtree deltas
+    wire_only: np.ndarray  # (corners, 4) wire-only subtree deltas
+    input_slew: np.ndarray  # (corners,) slew at the buffer (ps)
     side: np.ndarray  # (2, corners) old-/new-sibling side-effect deltas
 
 
@@ -100,22 +107,18 @@ def compute_move_components(
     library: Library,
     timings: Mapping[str, CornerTiming],
     move: Move,
-    cache=None,
 ) -> MoveComponents:
-    """The scalar featurizer: the components of ``move`` against ``timings``.
+    """The per-move featurizer: the components of ``move`` against ``timings``.
 
-    One move at a time, through the scalar analytical estimators.  The
+    One move at a time, through the per-move analytical estimators.  The
     array :class:`~repro.core.ml.feature_kernel.FeatureKernel` is held
     bit-identical to it and runs it itself for the moves it does not
-    compile (surgery, off-table sizes).  ``cache`` is an optional
-    :class:`repro.core.ml.analytical.AnalyticalCache`.
+    compile (surgery, off-table sizes).
     """
     impacts: Dict[Tuple[str, str], MoveImpact] = {}
     route_models = {r for r, _ in (*ESTIMATOR_VARIANTS, SIDE_EFFECT_VARIANT)}
     for route_model in sorted(route_models):
-        by_metric = estimate_move_impacts(
-            tree, library, timings, move, route_model, cache
-        )
+        by_metric = estimate_move_impacts(tree, library, timings, move, route_model)
         for metric, impact in by_metric.items():
             impacts[(route_model, metric)] = impact
 
@@ -154,23 +157,23 @@ def compute_move_components(
         dtype=float,
     )
 
-    estimates: Dict[str, np.ndarray] = {}
-    input_slew: Dict[str, float] = {}
-    for corner in library.corners:
-        name = corner.name
-        estimates[name] = np.asarray(
-            [impacts[variant].subtree[name] for variant in ESTIMATOR_VARIANTS],
-            dtype=float,
-        )
-        input_slew[name] = float(timings[name].input_slew.get(move.buffer, 0.0))
-    side = impacts[SIDE_EFFECT_VARIANT]
     names = [corner.name for corner in library.corners]
+    side = impacts[SIDE_EFFECT_VARIANT]
     return MoveComponents(
         move=move,
-        impacts=impacts,
         base_row=base_row,
-        estimates=estimates,
-        input_slew=input_slew,
+        estimates=np.array(
+            [[impacts[v].subtree[name] for v in ESTIMATOR_VARIANTS] for name in names]
+        ),
+        wire_only=np.array(
+            [
+                [impacts[v].subtree_wire_only[name] for v in ESTIMATOR_VARIANTS]
+                for name in names
+            ]
+        ),
+        input_slew=np.array(
+            [float(timings[name].input_slew.get(move.buffer, 0.0)) for name in names]
+        ),
         side=np.array(
             [
                 [side.old_siblings[name] for name in names],
@@ -178,24 +181,3 @@ def compute_move_components(
             ]
         ),
     )
-
-
-def assemble_feature_matrix(
-    components: Sequence[MoveComponents], corner_name: str
-) -> np.ndarray:
-    """Vectorized ``(n_moves, n_features)`` design matrix for one corner.
-
-    Row ``i`` is move ``i``'s feature vector for the corner: the shared
-    base rows are stacked once and the corner-dependent columns are
-    scattered in as a block.
-    """
-    if not components:
-        return np.empty((0, len(FEATURE_NAMES)))
-    matrix = np.array([c.base_row for c in components], dtype=float)
-    matrix[:, :N_ESTIMATE_COLS] = np.array(
-        [c.estimates[corner_name] for c in components], dtype=float
-    )
-    matrix[:, SLEW_COL] = np.asarray(
-        [c.input_slew[corner_name] for c in components]
-    )
-    return matrix

@@ -1,31 +1,25 @@
 """Incremental batched candidate-ranking pipeline (Algorithm 2, steps 1-2).
 
-:class:`CandidatePipeline` owns the two cache layers that make repeated
+:class:`CandidatePipeline` owns one cache layer, which makes repeated
 featurization scale with the committed move's dirty cone instead of the
-tree:
-
-* an :class:`~repro.core.ml.analytical.AnalyticalCache` memoizing the
-  per-move path's route plans and per-corner net evaluations under value
-  keys (geometry + sizes + slews, the same signature scheme as
-  ``sta/incremental.py``), and the per-tree sink weights; the feature
-  kernel keeps its own spec-keyed wire and route memos;
-* a move-level :class:`~repro.core.ml.features.MoveComponents` cache
-  with explicit dependency tracking: the node ids whose *local* timing
-  state (input slew, driver delay/load, edge delays — see
-  :func:`move_dependencies`) and whose *arrival* a move reads depend
-  only on its buffer (and, for surgery, its new parent), so cached
-  moves are grouped by that dependency set, and each set is registered
-  once against its nodes.  After a commit, :meth:`invalidate` drops
-  exactly the moves touching the re-timed frontier, a whole group at a
-  time; tree surgery changes subtree membership (sink weights), so
-  structural commits flush the move cache entirely.
+tree: a move-level :class:`~repro.core.ml.features.MoveComponents` cache
+with explicit dependency tracking.  The node ids whose *local* timing
+state (input slew, driver delay/load, edge delays — see
+:func:`move_dependencies`) and whose *arrival* a move reads depend only
+on its buffer (and, for surgery, its new parent), so cached moves are
+grouped by that dependency set, and each set is registered once against
+its nodes.  After a commit, :meth:`invalidate` drops exactly the moves
+touching the re-timed frontier, a whole group at a time; tree surgery
+changes subtree membership (sink weights), so structural commits flush
+the move cache entirely.
 
 Cache misses featurize in one batch through the array-backed
-:class:`~repro.core.ml.feature_kernel.FeatureKernel`; the per-move
+:class:`~repro.core.ml.feature_kernel.FeatureKernel`, which keeps its
+own spec-keyed wire and route memos; the per-move
 :func:`~repro.core.ml.features.compute_move_components` is its test
-oracle.  Feature assembly across the surviving + recomputed components
-is vectorized: one ``(n_moves, n_features)`` numpy matrix per corner
-(:meth:`FeatureBatch.assemble`), the input of
+oracle and runs uncached.  Feature assembly across the surviving +
+recomputed components is vectorized: one ``(n_moves, n_features)``
+numpy matrix per corner (:meth:`FeatureBatch.assemble`), the input of
 :meth:`~repro.core.ml.training.DeltaLatencyPredictor.predict_matrix`.
 """
 
@@ -36,9 +30,13 @@ from typing import Dict, FrozenSet, Iterable, List, Mapping, Sequence, Set, Tupl
 
 import numpy as np
 
-from repro.core.ml.analytical import AnalyticalCache
 from repro.core.ml.feature_kernel import FeatureKernel
-from repro.core.ml.features import MoveComponents, assemble_feature_matrix
+from repro.core.ml.features import (
+    FEATURE_NAMES,
+    N_ESTIMATE_COLS,
+    SLEW_COL,
+    MoveComponents,
+)
 from repro.core.moves import Move, MoveType
 from repro.netlist.tree import ClockTree
 from repro.sta.timer import CornerTiming
@@ -104,15 +102,28 @@ class FeatureBatch:
     def assemble(
         cls, components: Sequence[MoveComponents], corner_names: Sequence[str]
     ) -> "FeatureBatch":
-        """The batch of already-computed ``components``, in their order."""
+        """The batch of already-computed ``components``, in their order.
+
+        ``corner_names`` must be the library's corner names in library
+        order: a component carries no corner names, and row ``k`` of its
+        ``estimates`` and ``input_slew`` belongs to the library's corner
+        ``k``.  The base rows, estimates and slews are stacked once;
+        each corner's matrix is a copy of the base rows with that
+        corner's columns filled in.
+        """
         components = list(components)
-        return cls(
-            components=components,
-            matrices={
-                name: assemble_feature_matrix(components, name)
-                for name in corner_names
-            },
-        )
+        if not components:
+            return cls([], {name: np.empty((0, len(FEATURE_NAMES))) for name in corner_names})
+        base = np.array([c.base_row for c in components])
+        estimates = np.array([c.estimates for c in components])
+        slews = np.array([c.input_slew for c in components])
+        matrices: Dict[str, np.ndarray] = {}
+        for k, name in enumerate(corner_names):
+            matrix = base.copy()
+            matrix[:, :N_ESTIMATE_COLS] = estimates[:, k]
+            matrix[:, SLEW_COL] = slews[:, k]
+            matrices[name] = matrix
+        return cls(components=components, matrices=matrices)
 
     def __len__(self) -> int:
         return len(self.components)
@@ -128,7 +139,6 @@ class CandidatePipeline:
 
     def __init__(self, library: Library) -> None:
         self.library = library
-        self.analytical = AnalyticalCache()
         self.kernel = FeatureKernel(library)
         self._components: Dict[Move, MoveComponents] = {}
         #: Cached moves per ``(local, arrival)`` dependency set, and the
@@ -153,9 +163,8 @@ class CandidatePipeline:
         """Components + per-corner design matrices for ``moves``.
 
         Cached components are reused verbatim; misses are recomputed in
-        one kernel batch through the shared analytical cache and
-        registered, by dependency set, for later :meth:`invalidate`
-        calls.
+        one kernel batch and registered, by dependency set, for later
+        :meth:`invalidate` calls.
         """
         components: List[MoveComponents | None] = []
         miss_at: List[int] = []
@@ -170,9 +179,7 @@ class CandidatePipeline:
                 self.stats["move_hits"] += 1
             components.append(comp)
         if miss_moves:
-            fresh = self.kernel.compute_components_batch(
-                tree, timings, miss_moves, self.analytical
-            )
+            fresh = self.kernel.compute_components_batch(tree, timings, miss_moves)
             for slot, comp in zip(miss_at, fresh):
                 components[slot] = comp
             self._remember(tree, miss_moves, fresh)
@@ -216,7 +223,7 @@ class CandidatePipeline:
         return count
 
     def flush(self) -> None:
-        """Forget every cached move (analytical value-cache survives)."""
+        """Forget every cached move (the kernel's value-keyed memos survive)."""
         self.stats["flushes"] += 1
         self._components.clear()
         self._groups.clear()
@@ -267,19 +274,17 @@ class CandidatePipeline:
 
     # ------------------------------------------------------------------
     def cache_stats(self) -> Dict[str, object]:
-        """Merged move-level + analytical + kernel counters (JSON-friendly).
+        """Merged move-level + kernel counters (JSON-friendly).
 
         The kernel's route counters are listed at the top level too, and
-        each memo's hit rate (0..1; 0.0 without traffic) beside them.
+        the route memo's hit rate (0..1; 0.0 without traffic) beside
+        them.
         """
         out: Dict[str, object] = dict(self.stats)
-        out.update(self.analytical.stats)
         for key in ("route_hits", "route_misses", "rsmt_batches", "trunk_batches"):
             out[key] = self.kernel.stats[key]
-        for memo in ("plan", "route", "time"):
-            hits = out[f"{memo}_hits"]
-            total = hits + out[f"{memo}_misses"]
-            out[f"{memo}_hit_rate"] = round(hits / total, 4) if total else 0.0
+        total = out["route_hits"] + out["route_misses"]
+        out["route_hit_rate"] = round(out["route_hits"] / total, 4) if total else 0.0
         out["cached_moves"] = len(self._components)
         out["kernel"] = dict(self.kernel.stats)
         out["kernel_seconds"] = {

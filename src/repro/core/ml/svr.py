@@ -38,12 +38,17 @@ class RBFKernelSVR:
         self._y_std = 1.0
 
     def _kernel(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        sq = (
-            np.sum(a**2, axis=1)[:, None]
-            + np.sum(b**2, axis=1)[None, :]
-            - 2.0 * a @ b.T
-        )
-        return np.exp(-self._gamma * np.maximum(sq, 0.0))
+        """RBF kernel block ``exp(-gamma * max(|a_i - b_j|^2, 0))``.
+
+        One ``(rows, columns)`` array besides the product: the squared
+        distances are clamped, scaled and exponentiated in place, each
+        step the operation the out-of-place expression would make.
+        """
+        k = np.sum(a**2, axis=1)[:, None] + np.sum(b**2, axis=1)[None, :]
+        k -= 2.0 * a @ b.T
+        np.maximum(k, 0.0, out=k)
+        k *= -self._gamma
+        return np.exp(k, out=k)
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "RBFKernelSVR":
         """Solve the dual system ``(K + alpha I) a = y``."""
@@ -87,9 +92,6 @@ class RBFKernelSVR:
         if x.shape[0] == 0:
             return np.empty(0)
         xs = (x - self._x_mean) / self._x_std
-        if xs.shape[0] <= self.PREDICT_CHUNK_ROWS:
-            k = self._kernel(xs, self._x_train)
-            return k @ self._dual * self._y_std + self._y_mean
         out = np.empty(xs.shape[0])
         for start in range(0, xs.shape[0], self.PREDICT_CHUNK_ROWS):
             chunk = xs[start : start + self.PREDICT_CHUNK_ROWS]

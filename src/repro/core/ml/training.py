@@ -15,8 +15,7 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 
 from repro.core.ml.ann import ANNConfig, ANNRegressor
-from repro.core.ml.dataset import MoveSample, dataset_arrays
-from repro.core.ml.feature_kernel import subtree_deltas
+from repro.core.ml.dataset import MoveSample
 from repro.core.ml.features import ESTIMATOR_VARIANTS, FEATURE_NAMES
 from repro.core.ml.hsm import HybridSurrogateModel, fit_jobs
 from repro.core.ml.pipeline import FeatureBatch
@@ -88,12 +87,12 @@ class DeltaLatencyPredictor:
 
         ``batch`` is a :class:`~repro.core.ml.pipeline.FeatureBatch`:
         learned kinds feed each corner's design matrix to that corner's
-        model in one call; analytical kinds read their variant's subtree
-        deltas (:func:`~repro.core.ml.feature_kernel.subtree_deltas`,
-        one gather per featurized batch and no per-move impact).
-        Returns an ``(n_moves, n_corners)`` float64 array, columns in
-        ``corner_names`` (library) order.  A learned prediction also
-        depends on the batch's row count, in the last bits (DESIGN §5).
+        model in one call; analytical kinds stack their variant's column
+        of the components' ``estimates`` (``full_*`` kinds) or
+        ``wire_only`` deltas once.  Returns an ``(n_moves, n_corners)``
+        float64 array, columns in ``corner_names`` order.  A learned
+        prediction also depends on the batch's row count, in the last
+        bits (DESIGN §5).
         """
         components = batch.components
         out = np.empty((len(components), len(self.corner_names)))
@@ -104,7 +103,10 @@ class DeltaLatencyPredictor:
             variant = tuple(self.kind.removeprefix("full_").rsplit("_", 1))
             # Plain analytical kinds are the paper's Figure-6 comparators:
             # raw {route estimate} x {wire metric} deltas.
-            return subtree_deltas(components, variant, not full, self.corner_names)
+            deltas = np.array([c.estimates if full else c.wire_only for c in components])
+            library_order = list(batch.matrices)
+            cols = [library_order.index(name) for name in self.corner_names]
+            return deltas[:, cols, ESTIMATOR_VARIANTS.index(variant)]
         col = _ANCHOR_COLUMN
         for k, name in enumerate(self.corner_names):
             x = batch.matrices[name]
@@ -138,8 +140,10 @@ def train_predictor(
     col = _ANCHOR_COLUMN
     models: Dict[str, object] = {}
     jobs = []
+    batch = FeatureBatch.assemble([s.features for s in samples], corner_names)
     for name in corner_names:
-        x, y = dataset_arrays(samples, name)
+        x = batch.matrices[name]
+        y = np.asarray([s.target[name] for s in samples])
         if residual:
             y = y - x[:, col]
         models[name] = _make_model(kind)

@@ -28,7 +28,7 @@ from repro.core.ml.feature_kernel import (
     _TERM_WIRE,
     FeatureKernel,
 )
-from repro.core.ml.features import SIDE_EFFECT_VARIANT, compute_move_components
+from repro.core.ml.features import compute_move_components
 from repro.core.ml.pipeline import (
     MAX_CACHED_MOVES,
     CandidatePipeline,
@@ -347,26 +347,56 @@ def use_per_layer_adam(patch):
     patch.setattr(ANNRegressor, "fit_group", staticmethod(reference_ann_fit_group))
 
 
-def per_move_components(kernel, tree, timings, moves, cache):
-    """Oracle of :meth:`FeatureKernel.compute_components_batch`."""
-    return [
-        compute_move_components(tree, kernel.library, timings, move, cache)
-        for move in moves
-    ]
+def reference_svr_kernel(model, a, b):
+    """Oracle of :meth:`RBFKernelSVR._kernel`: the out-of-place
+    expression, four fresh ``(rows, columns)`` arrays."""
+    sq = (
+        np.sum(a**2, axis=1)[:, None]
+        + np.sum(b**2, axis=1)[None, :]
+        - 2.0 * a @ b.T
+    )
+    return np.exp(-model._gamma * np.maximum(sq, 0.0))
+
+
+def reference_svr_predict(model, x):
+    """Oracle of :meth:`RBFKernelSVR.predict`: one kernel block for up to
+    ``PREDICT_CHUNK_ROWS`` rows, the chunk loop beyond, both over
+    :func:`reference_svr_kernel`."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    if x.shape[0] == 0:
+        return np.empty(0)
+    xs = (x - model._x_mean) / model._x_std
+    if xs.shape[0] <= model.PREDICT_CHUNK_ROWS:
+        k = reference_svr_kernel(model, xs, model._x_train)
+        return k @ model._dual * model._y_std + model._y_mean
+    out = np.empty(xs.shape[0])
+    for start in range(0, xs.shape[0], model.PREDICT_CHUNK_ROWS):
+        chunk = xs[start : start + model.PREDICT_CHUNK_ROWS]
+        k = reference_svr_kernel(model, chunk, model._x_train)
+        out[start : start + len(chunk)] = k @ model._dual
+    return out * model._y_std + model._y_mean
+
+
+def per_move_components(kernel, tree, timings, moves):
+    """Oracle of :meth:`FeatureKernel.compute_components_batch`: the
+    per-move featurizer, uncached."""
+    return [compute_move_components(tree, kernel.library, timings, move) for move in moves]
 
 
 def predicted_variation_reduction(problem, tree, result, features, subtree_delta):
     """Oracle of the move scorer: one move, one pair at a time.
 
     Applies the predicted subtree delta ``{corner: ps}`` to the moved
-    buffer's sinks and the star side-effect impact's sibling
-    corrections (read off ``features.impacts``) to the neighbouring
-    subtrees, then recomputes the affected pairs' worst normalized
-    variations against the current values.
+    buffer's sinks and the star side-effect sibling corrections (the
+    rows of ``features.side``, columns in library corner order) to the
+    neighbouring subtrees, then recomputes the affected pairs' worst
+    normalized variations against the current values.
     """
     move = features.move
-    side = features.impacts[SIDE_EFFECT_VARIANT]
     corners = problem.design.library.corners
+    names = [corner.name for corner in corners]
+    old_siblings = dict(zip(names, features.side[0].tolist()))
+    new_siblings = dict(zip(names, features.side[1].tolist()))
     alphas = problem.alphas
 
     subtree_sinks = set(tree.subtree_sinks(move.buffer))
@@ -389,9 +419,9 @@ def predicted_variation_reduction(problem, tree, result, features, subtree_delta
         if sink in subtree_sinks:
             return subtree_delta[corner_name]
         if sink in old_sib_sinks:
-            return side.old_siblings[corner_name]
+            return old_siblings[corner_name]
         if sink in new_sib_sinks:
-            return side.new_siblings[corner_name]
+            return new_siblings[corner_name]
         return 0.0
 
     total_delta = 0.0

@@ -3,16 +3,18 @@
 ``FeatureKernel`` compiles candidate-move batches into structure-of-array
 plans and evaluates every estimator variant for every corner in broadcast
 numpy.  It is contracted to be a *pure performance transform* of the
-scalar reference walk (``compute_move_components``): every impact delta,
-nominal net estimate, feature row and score must be **bit-identical** —
-not merely close — because the local optimizer's tie-breaking and the
-CI trajectory gates compare exact floats.
+per-move walk (``compute_move_components``): every array of a component
+record (base row, subtree and wire-only deltas, input slews, side-effect
+row), every analytical prediction and every score must be
+**bit-identical** — not merely close — because the local optimizer's
+tie-breaking and the CI trajectory gates compare exact floats.
 
 The suite checks that contract six ways:
 
-* direct per-move component equality against the scalar path on MINI
-  (full move set) and CLS1v1 (randomized subset), all estimator
-  variants, all corners;
+* direct per-move record equality against the per-move path on MINI
+  (full move set, fallback moves included), CLS1v1 and CLS1v2
+  (randomized subsets), and every analytical kind's predictions on a
+  batch that mixes kernel and fallback moves;
 * the one-pass program compile of a batch's net geometries, straight
   from its spec rows and filled with each plan's pin caps, against the
   per-plan program compile, array by array;
@@ -46,15 +48,16 @@ from repro.core.local_opt import (
     LocalOptimizer,
     batched_variation_reductions,
 )
-from repro.core.ml.analytical import AnalyticalCache, plan_net
+from repro.core.ml.analytical import estimate_move_impacts, plan_net
 from repro.core.ml import feature_kernel
 from repro.core.ml.feature_kernel import _ROUTE_MODELS, FeatureKernel
 from repro.core.ml.features import (
     ESTIMATOR_VARIANTS,
-    SIDE_EFFECT_VARIANT,
+    FEATURE_NAMES,
+    MoveComponents,
     compute_move_components,
 )
-from repro.core.ml.pipeline import CandidatePipeline
+from repro.core.ml.pipeline import CandidatePipeline, FeatureBatch
 from repro.core.ml.training import (
     ANALYTICAL_KINDS,
     FULL_ANALYTICAL_KINDS,
@@ -78,68 +81,23 @@ from tests.oracles import (
     use_scalar_features,
 )
 
-# The reference path publishes both metrics for every route model it
-# evaluates — the four estimator variants, the star side-effect variant,
-# and the star/elmore by-product.
-_ROUTES = sorted({r for r, _ in (*ESTIMATOR_VARIANTS, SIDE_EFFECT_VARIANT)})
-ALL_VARIANTS = tuple((r, m) for r in _ROUTES for m in ("elmore", "d2m"))
+#: The record's arrays: every field but ``move``.
+RECORD_ARRAYS = tuple(f.name for f in dataclasses.fields(MoveComponents) if f.name != "move")
 
 
 # ---------------------------------------------------------------------------
 # helpers
 # ---------------------------------------------------------------------------
-def _assert_net_equal(got, ref, context):
-    assert (got is None) == (ref is None), context
-    if ref is None:
-        return
-    assert got.pair_delay_ps == ref.pair_delay_ps, context
-    assert got.out_slew_ps == ref.out_slew_ps, context
-    assert got.wire_delay_ps == ref.wire_delay_ps, context
-    assert got.wire_elmore_ps == ref.wire_elmore_ps, context
-    assert got.total_load_ff == ref.total_load_ff, context
-    assert got.wirelength_um == ref.wirelength_um, context
-    assert got.fanout == ref.fanout, context
-    assert got.bbox_area_um2 == ref.bbox_area_um2, context
-    assert got.bbox_aspect == ref.bbox_aspect, context
-
-
 def _assert_components_equal(got, ref):
-    """Exact (bitwise) equality of a kernel vs reference MoveComponents."""
+    """Exact (bitwise) equality of a kernel vs reference MoveComponents:
+    the same move and every array ``array_equal``, shapes included."""
     assert got.move == ref.move
-    assert set(got.impacts) == set(ref.impacts) == set(ALL_VARIANTS)
-    for variant in ALL_VARIANTS:
-        gi, ri = got.impacts[variant], ref.impacts[variant]
-        context = (ref.move, variant)
-        assert gi.subtree == ri.subtree, context
-        assert gi.old_siblings == ri.old_siblings, context
-        assert gi.new_siblings == ri.new_siblings, context
-        assert gi.subtree_wire_only == ri.subtree_wire_only, context
-        _assert_net_equal(gi.net_after, ri.net_after, context)
-        _assert_net_equal(gi.parent_net, ri.parent_net, context)
-    assert np.array_equal(got.base_row, ref.base_row), ref.move
-    assert set(got.estimates) == set(ref.estimates)
-    for name in ref.estimates:
-        assert np.array_equal(got.estimates[name], ref.estimates[name]), (
-            ref.move,
-            name,
-        )
-    assert got.input_slew == ref.input_slew, ref.move
-    # The scorer's side-effect row: the star variant's sibling deltas.
-    assert np.array_equal(got.side, ref.side), ref.move
-    side = ref.impacts[SIDE_EFFECT_VARIANT]
-    names = list(ref.input_slew)
-    assert got.side.tolist() == [
-        [side.old_siblings[name] for name in names],
-        [side.new_siblings[name] for name in names],
-    ], ref.move
+    for name in RECORD_ARRAYS:
+        assert np.array_equal(getattr(got, name), getattr(ref, name)), (ref.move, name)
 
 
 def _reference_components(tree, library, timings, moves):
-    cache = AnalyticalCache()
-    return [
-        compute_move_components(tree, library, timings, move, cache)
-        for move in moves
-    ]
+    return [compute_move_components(tree, library, timings, move) for move in moves]
 
 
 def _kernel_vs_reference(design, subset=None, seed=3):
@@ -150,9 +108,7 @@ def _kernel_vs_reference(design, subset=None, seed=3):
     if subset is not None and len(moves) > subset:
         moves = random.Random(seed).sample(moves, subset)
     kernel = FeatureKernel(design.library)
-    batch = kernel.compute_components_batch(
-        tree, result.per_corner, moves, AnalyticalCache()
-    )
+    batch = kernel.compute_components_batch(tree, result.per_corner, moves)
     reference = _reference_components(tree, design.library, result.per_corner, moves)
     assert len(batch) == len(moves)
     for got, ref in zip(batch, reference):
@@ -168,52 +124,57 @@ class TestKernelParity:
         kernel, moves = _kernel_vs_reference(mini_design)
         assert kernel.stats["kernel_moves"] > 0
         # Surgery (or off-grid sizes) fall back; everything else must
-        # have gone through the array path.
+        # have gone through the array path.  The full set has both.
         surgeries = sum(1 for m in moves if m.type is MoveType.SURGERY)
-        assert kernel.stats["fallback_moves"] <= surgeries
+        assert 0 < kernel.stats["fallback_moves"] <= surgeries
 
     def test_cls1_subset_bit_identical(self):
         design = build_cls1(1)
         kernel, _ = _kernel_vs_reference(design, subset=96, seed=5)
         assert kernel.stats["kernel_moves"] > 0
 
+    def test_cls1v2_subset_bit_identical(self):
+        design = build_cls1(2)
+        kernel, _ = _kernel_vs_reference(design, subset=96, seed=7)
+        assert kernel.stats["kernel_moves"] > 0
+
     def test_all_corners_covered(self, mini_design):
-        """Every corner appears in every impact dict (no broadcast slips)."""
+        """Every array has one row or column per corner (no broadcast
+        slips), and a kernel record's arrays are read-only views."""
         problem = SkewVariationProblem.create(mini_design)
         result = problem.evaluate(mini_design.tree.clone())
         moves = enumerate_moves(mini_design.tree, mini_design.library)[:8]
         kernel = FeatureKernel(mini_design.library)
-        batch = kernel.compute_components_batch(
-            mini_design.tree, result.per_corner, moves, AnalyticalCache()
-        )
-        names = {c.name for c in mini_design.library.corners}
-        assert len(names) >= 2
+        batch = kernel.compute_components_batch(mini_design.tree, result.per_corner, moves)
+        n_corner = len(mini_design.library.corners)
+        assert n_corner >= 2
+        shapes = {
+            "base_row": (len(FEATURE_NAMES),),
+            "estimates": (n_corner, len(ESTIMATOR_VARIANTS)),
+            "wire_only": (n_corner, len(ESTIMATOR_VARIANTS)),
+            "input_slew": (n_corner,),
+            "side": (2, n_corner),
+        }
+        assert set(shapes) == set(RECORD_ARRAYS)
         for comp in batch:
-            for variant in ALL_VARIANTS:
-                impact = comp.impacts[variant]
-                assert set(impact.subtree) == names
-                assert set(impact.old_siblings) == names
-                assert set(impact.new_siblings) == names
-                assert set(impact.subtree_wire_only) == names
-            assert set(comp.estimates) == names
-            assert set(comp.input_slew) == names
+            for name, shape in shapes.items():
+                array = getattr(comp, name)
+                assert array.shape == shape, name
+                assert array.dtype == np.float64, name
+                assert not array.flags.writeable, name
 
     def test_wire_memo_reused_across_batches(self, mini_design):
         problem = SkewVariationProblem.create(mini_design)
         result = problem.evaluate(mini_design.tree.clone())
         moves = enumerate_moves(mini_design.tree, mini_design.library)
         kernel = FeatureKernel(mini_design.library)
-        kernel.compute_components_batch(
-            mini_design.tree, result.per_corner, moves, AnalyticalCache()
-        )
+        kernel.compute_components_batch(mini_design.tree, result.per_corner, moves)
         assert kernel.stats["wire_hits"] == 0  # cold: in-batch dedupe only
         misses = kernel.stats["wire_misses"]
         assert misses > 0
         # A repeat batch reuses every compiled plan from the value-keyed
         # memo — no new compilations, hits only.
-        kernel.compute_components_batch(
-            mini_design.tree, result.per_corner, moves, AnalyticalCache()
-        )
+        kernel.compute_components_batch(mini_design.tree, result.per_corner, moves)
         assert kernel.stats["wire_misses"] == misses
         assert kernel.stats["wire_hits"] > 0
 
@@ -233,9 +194,7 @@ class TestKernelParity:
         kernel.max_entries = 8
         reference = _reference_components(tree, mini_design.library, timings, moves)
         for _ in range(2):
-            batch = kernel.compute_components_batch(
-                tree, timings, moves, AnalyticalCache()
-            )
+            batch = kernel.compute_components_batch(tree, timings, moves)
             for got, ref in zip(batch, reference):
                 _assert_components_equal(got, ref)
         assert kernel.stats["wire_hits"] > 0
@@ -327,7 +286,6 @@ class TestTupleKeyedOracle:
         tree = design.tree.clone()
         result = problem.evaluate(tree)
         kernel = FeatureKernel(library)
-        cache = AnalyticalCache()
         planner = TupleKeyedPlanner()
         rng = random.Random(43)
         pool = list(tree.buffers())
@@ -340,7 +298,7 @@ class TestTupleKeyedOracle:
                 for m in enumerate_moves(tree, library, buffers=chosen)
                 if buffers is None or rng.random() < 0.5
             ]
-            got = kernel.compute_components_batch(tree, result.per_corner, moves, cache)
+            got = kernel.compute_components_batch(tree, result.per_corner, moves)
             planner.batch(reference_batch_specs(tree, library, moves))
             assert {key: kernel.stats[key] for key in planner.stats} == planner.stats, step
             reference = _reference_components(tree, library, result.per_corner, moves)
@@ -359,9 +317,7 @@ class TestTupleKeyedOracle:
 def _batch_specs(design):
     """The spec rows of one batch over the full move set."""
     kernel = FeatureKernel(design.library)
-    batch, _ = kernel._prepare(
-        design.tree, enumerate_moves(design.tree, design.library), AnalyticalCache()
-    )
+    batch, _ = kernel._prepare(design.tree, enumerate_moves(design.tree, design.library))
     return batch.specs, batch.fanout
 
 
@@ -466,7 +422,7 @@ class TestTemplates:
             and a.child_size_step != b.child_size_step
         )
         kernel = FeatureKernel(library)
-        got = kernel.compute_components_batch(tree, timings, pair, AnalyticalCache())
+        got = kernel.compute_components_batch(tree, timings, pair)
         # One parent net and two own nets, under three route models; the
         # own nets differ only in the resized child's pin cap.
         assert kernel.stats["wire_misses"] == 9
@@ -483,7 +439,7 @@ class TestTemplates:
         reference = _reference_components(tree, mini_design.library, timings, moves)
         monkeypatch.setattr(feature_kernel, "_EVAL_CHUNK", 5)
         kernel = FeatureKernel(mini_design.library)
-        batch = kernel.compute_components_batch(tree, timings, moves, AnalyticalCache())
+        batch = kernel.compute_components_batch(tree, timings, moves)
         assert kernel.stats["wire_misses"] > 5 * 4
         for got, ref in zip(batch, reference):
             _assert_components_equal(got, ref)
@@ -716,8 +672,7 @@ class TestScoreParity:
                     value
                     for comp in batch.components
                     if comp.move.type is MoveType.SURGERY
-                    for value in comp.impacts[SIDE_EFFECT_VARIANT]
-                    .new_siblings.values()
+                    for value in comp.side[1].tolist()
                 ]
                 assert any(v != 0.0 for v in new_siblings)
 
@@ -805,53 +760,65 @@ class TestScoreParity:
         batched, scalar = self._scores(problem, tree, result, moves)
         assert batched == scalar
 
-    def test_learned_ranking_builds_no_impacts(self, hsm_predictor, monkeypatch):
-        """Featurize, predict and score with a learned predictor read the
-        side rows only, and an analytical predictor its batch's delta
-        rows: no kernel move builds a MoveImpact or a NetEstimate."""
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("impact built")
-
-        monkeypatch.setattr(feature_kernel._BatchImpacts, "impact", refuse)
-        monkeypatch.setattr(feature_kernel._NominalNets, "estimate", refuse)
-        problem = SkewVariationProblem.create(build_mini())
-        analytical = train_predictor(problem.design.library, [], "full_rsmt_d2m")
-        for predictor in (hsm_predictor, analytical):
-            outcome = LocalOptimizer(
-                problem, predictor, LocalOptConfig(max_iterations=2)
-            ).run()
-            assert outcome.history
-            assert outcome.stats["pipeline"]["kernel"]["kernel_moves"] > 0
-
 
 class TestAnalyticalPredictions:
     @pytest.mark.parametrize("build", [build_mini, lambda: build_cls1(1)])
     def test_predict_matrix_equals_per_move_read(self, build):
-        """Every plain and ``full_`` analytical kind reads the same floats
-        from the batch's delta rows as from each move's impact dicts,
-        surgery moves (per-move components) included."""
+        """Every plain and ``full_`` analytical kind predicts, for a batch
+        of kernel and fallback (surgery) moves, the floats the per-move
+        estimators' impact dicts hold: ``subtree_wire_only`` for plain
+        kinds, ``subtree`` for ``full_`` kinds, in corner order."""
         design = build()
+        library = design.library
         problem = SkewVariationProblem.create(design)
         tree = design.tree.clone()
-        result = problem.evaluate(tree)
-        moves = enumerate_moves(tree, design.library)
-        assert any(m.type is MoveType.SURGERY for m in moves)
-        batch = CandidatePipeline(design.library).featurize(tree, result.per_corner, moves)
-        names = [c.name for c in design.library.corners]
+        timings = problem.evaluate(tree).per_corner
+        moves = enumerate_moves(tree, library)
+        surgeries = [m for m in moves if m.type is MoveType.SURGERY]
+        others = [m for m in moves if m.type is not MoveType.SURGERY]
+        moves = random.Random(13).sample(others, min(len(others), 160)) + surgeries[:40]
+        pipeline = CandidatePipeline(library)
+        batch = pipeline.featurize(tree, timings, moves)
+        stats = pipeline.kernel.stats
+        assert stats["kernel_moves"] > 0 and stats["fallback_moves"] > 0
+        names = [c.name for c in library.corners]
+        impacts = {
+            route: [estimate_move_impacts(tree, library, timings, m, route) for m in moves]
+            for route in ("rsmt", "trunk")
+        }
         for kind in (*ANALYTICAL_KINDS, *FULL_ANALYTICAL_KINDS):
-            got = train_predictor(design.library, [], kind).predict_matrix(batch)
-            variant = tuple(kind.removeprefix("full_").rsplit("_", 1))
+            got = train_predictor(library, [], kind).predict_matrix(batch)
+            route, metric = kind.removeprefix("full_").rsplit("_", 1)
             expected = []
-            for comp in batch.components:
-                impact = comp.impacts[variant]
-                source = (
-                    impact.subtree
-                    if kind.startswith("full_")
-                    else impact.subtree_wire_only or impact.subtree
-                )
+            for by_metric in impacts[route]:
+                impact = by_metric[metric]
+                full = kind.startswith("full_")
+                source = impact.subtree if full else impact.subtree_wire_only
                 expected.append([source[name] for name in names])
             assert got.tolist() == expected, kind
+
+    def test_mixed_batch_equals_per_move_records(self, mini_design):
+        """All 8 analytical kinds predict ``==`` from a pipeline batch
+        that mixes kernel and fallback moves and from the per-move
+        path's records of the same moves."""
+        library = mini_design.library
+        problem = SkewVariationProblem.create(mini_design)
+        tree = mini_design.tree.clone()
+        timings = problem.evaluate(tree).per_corner
+        moves = enumerate_moves(tree, library)
+        pipeline = CandidatePipeline(library)
+        batch = pipeline.featurize(tree, timings, moves)
+        stats = pipeline.kernel.stats
+        assert stats["kernel_moves"] > 0 and stats["fallback_moves"] > 0
+        names = [c.name for c in library.corners]
+        reference = FeatureBatch.assemble(
+            _reference_components(tree, library, timings, moves), names
+        )
+        for kind in (*ANALYTICAL_KINDS, *FULL_ANALYTICAL_KINDS):
+            predictor = train_predictor(library, [], kind)
+            got = predictor.predict_matrix(batch)
+            assert got.shape == (len(moves), len(names))
+            assert got.tolist() == predictor.predict_matrix(reference).tolist(), kind
 
     def test_corner_order_follows_the_predictor(self, mini_design):
         """Columns come in the predictor's corner order, whatever the
@@ -899,9 +866,7 @@ class TestFallbacks:
         if not surgeries:
             pytest.skip("MINI enumerates no surgery moves")
         kernel = FeatureKernel(mini_design.library)
-        kernel.compute_components_batch(
-            mini_design.tree, result.per_corner, surgeries, AnalyticalCache()
-        )
+        kernel.compute_components_batch(mini_design.tree, result.per_corner, surgeries)
         assert kernel.stats["fallback_moves"] == len(surgeries)
         assert kernel.stats["kernel_moves"] == 0
 

@@ -15,11 +15,7 @@ import numpy as np
 import pytest
 
 from repro.core.local_opt import LocalOptConfig, LocalOptimizer
-from repro.core.ml.features import (
-    SIDE_EFFECT_VARIANT,
-    assemble_feature_matrix,
-    compute_move_components,
-)
+from repro.core.ml.features import compute_move_components
 from repro.core.ml.pipeline import CandidatePipeline, FeatureBatch, move_dependencies
 from repro.core.ml.training import train_predictor
 from repro.core.moves import MoveType, enumerate_moves
@@ -35,21 +31,20 @@ TOL = 1e-9
 def _assert_batch_matches(problem, tree, timings, moves, batch):
     """Pipeline output vs fresh per-move featurization, all corners."""
     library = problem.design.library
+    names = [corner.name for corner in library.corners]
     reference = [compute_move_components(tree, library, timings, m) for m in moves]
-    for corner in library.corners:
-        ref = assemble_feature_matrix(reference, corner.name)
-        got = batch.matrices[corner.name]
+    expected = FeatureBatch.assemble(reference, names)
+    for name in names:
+        ref = expected.matrices[name]
+        got = batch.matrices[name]
         assert got.shape == ref.shape
         assert float(np.max(np.abs(got - ref))) <= TOL
     # The scorer also reads each component's side-effect row, the star
-    # variant's sibling deltas; rows and impacts must agree too.
+    # variant's sibling deltas, and analytical predictors the wire-only
+    # deltas; those rows must agree too.
     for comp, feats in zip(batch.components, reference):
         assert float(np.max(np.abs(comp.side - feats.side))) <= TOL
-        side_c = comp.impacts[SIDE_EFFECT_VARIANT]
-        side_f = feats.impacts[SIDE_EFFECT_VARIANT]
-        for name in side_f.old_siblings:
-            assert abs(side_c.old_siblings[name] - side_f.old_siblings[name]) <= TOL
-            assert abs(side_c.new_siblings[name] - side_f.new_siblings[name]) <= TOL
+        assert float(np.max(np.abs(comp.wire_only - feats.wire_only))) <= TOL
 
 
 def _invalidate_like_optimizer(problem, pipeline, move):
@@ -175,7 +170,7 @@ class TestPredictMatrix:
 
         A learned model's matrix products round differently for a
         different row count, so HSM rows may move in the last bits
-        (DESIGN §5); analytical kinds read fixed impacts and match
+        (DESIGN §5); analytical kinds read fixed deltas and match
         exactly.
         """
         if kind == "hsm":

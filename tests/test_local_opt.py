@@ -74,7 +74,7 @@ class TestLocalOpt:
 
 class TestPredictedReduction:
     def test_zero_for_untouched_pairs(self, mini_problem, predictor):
-        from repro.core.ml.features import SIDE_EFFECT_VARIANT, compute_move_components
+        from repro.core.ml.features import compute_move_components
         from repro.core.moves import enumerate_moves
 
         tree = mini_problem.design.tree
@@ -87,12 +87,8 @@ class TestPredictedReduction:
         # A predicted zero latency change cannot change the objective...
         # except through sibling corrections; force those to zero too by
         # checking the no-op bound: reduction of exactly 0 when all deltas
-        # are zero.  The oracle reads the side-effect impact, the array
-        # scorer the component's side row.
-        side = feats.impacts[SIDE_EFFECT_VARIANT]
-        for name in side.old_siblings:
-            side.old_siblings[name] = 0.0
-            side.new_siblings[name] = 0.0
+        # are zero.  The oracle and the array scorer both read the
+        # component's side row.
         feats = dataclasses.replace(feats, side=np.zeros_like(feats.side))
         reduction = predicted_variation_reduction(
             mini_problem, tree, result, feats, zero_pred

@@ -10,7 +10,12 @@ from repro.core.ml.hsm import HybridSurrogateModel, kfold_mse
 from repro.core.ml.svr import RBFKernelSVR, SVRConfig
 from repro.core.ml.training import _ANCHOR_COLUMN, _make_model, train_predictor
 from repro.tech.library import default_library
-from tests.oracles import reference_ann_fit, use_per_layer_adam
+from tests.oracles import (
+    reference_ann_fit,
+    reference_svr_kernel,
+    reference_svr_predict,
+    use_per_layer_adam,
+)
 
 
 def toy_problem(n=200, seed=0, noise=0.05):
@@ -226,6 +231,42 @@ class TestSVR:
         x, y = toy_problem(n=50)
         model = RBFKernelSVR(SVRConfig(gamma=0.5)).fit(x, y)
         assert model._gamma == 0.5
+
+
+class TestSVRParity:
+    """The in-place kernel block against the out-of-place expression."""
+
+    @staticmethod
+    def _model(seed=3, n=120, features=21):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(0.0, 1.0, size=(n, features))
+        y = x @ rng.normal(0.0, 1.0, size=features) + np.sin(x[:, 0])
+        return RBFKernelSVR(SVRConfig(alpha=0.1)).fit(x, y), rng
+
+    def test_fit_matches_oracle_kernel(self, monkeypatch):
+        model, _ = self._model()
+        with monkeypatch.context() as patch:
+            patch.setattr(RBFKernelSVR, "_kernel", reference_svr_kernel)
+            reference, _ = self._model()
+        assert np.array_equal(model._dual, reference._dual)
+
+    def test_kernel_block_equals_oracle(self):
+        model, rng = self._model()
+        for rows in (1, 37, 2592):
+            a = rng.normal(0.0, 2.0, size=(rows, model._x_train.shape[1]))
+            got = model._kernel(a, model._x_train)
+            assert np.array_equal(got, reference_svr_kernel(model, a, model._x_train)), rows
+
+    def test_predict_equals_oracle_across_the_chunk_size(self):
+        """Row counts below, at and above ``PREDICT_CHUNK_ROWS``: the
+        deleted one-block branch and the chunk loop gave the same floats."""
+        model, rng = self._model()
+        chunk = model.PREDICT_CHUNK_ROWS
+        for rows in (0, 1, 300, chunk, chunk + 1, chunk + 517):
+            x = rng.normal(0.0, 1.5, size=(rows, model._x_train.shape[1]))
+            got = model.predict(x)
+            assert got.shape == (rows,)
+            assert np.array_equal(got, reference_svr_predict(model, x)), rows
 
 
 class TestHSM:

@@ -13,7 +13,6 @@ from repro.core.ml.dataset import (
 from repro.core.ml.features import (
     ESTIMATOR_VARIANTS,
     FEATURE_NAMES,
-    assemble_feature_matrix,
     compute_move_components,
 )
 from repro.core.ml.pipeline import FeatureBatch
@@ -73,18 +72,22 @@ class TestFeatures:
         }
         moves = enumerate_moves(case.tree, library_cls1, [case.target_buffer])
         comp = compute_move_components(case.tree, library_cls1, timings, moves[0])
-        for corner in library_cls1.corners:
-            row = assemble_feature_matrix([comp], corner.name)
-            assert row.shape == (1, len(FEATURE_NAMES))
+        names = [corner.name for corner in library_cls1.corners]
+        batch = FeatureBatch.assemble([comp], names)
+        for name in names:
+            assert batch.matrices[name].shape == (1, len(FEATURE_NAMES))
 
-    def test_all_variants_present(self, tiny_dataset):
+    def test_all_variants_present(self, tiny_dataset, library_cls1):
+        """One subtree and one wire-only delta per variant and corner."""
         feats = tiny_dataset[0].features
-        for variant in ESTIMATOR_VARIANTS:
-            assert variant in feats.impacts
+        shape = (len(library_cls1.corners), len(ESTIMATOR_VARIANTS))
+        assert feats.estimates.shape == feats.wire_only.shape == shape
+        assert np.isfinite(feats.estimates).all() and np.isfinite(feats.wire_only).all()
 
-    def test_feature_matrix_stacks(self, tiny_dataset):
-        x = assemble_feature_matrix([s.features for s in tiny_dataset[:5]], "c0")
-        assert x.shape == (5, len(FEATURE_NAMES))
+    def test_feature_matrix_stacks(self, tiny_dataset, library_cls1):
+        names = [corner.name for corner in library_cls1.corners]
+        batch = FeatureBatch.assemble([s.features for s in tiny_dataset[:5]], names)
+        assert batch.matrices["c0"].shape == (5, len(FEATURE_NAMES))
 
 
 class TestDataset:
@@ -169,9 +172,8 @@ class TestTraining:
         sample = tiny_dataset[0]
         batch = FeatureBatch.assemble([sample.features], predictor.corner_names)
         pred = predictor.predict_matrix(batch)[0]
-        impact = sample.features.impacts[("rsmt", "d2m")]
-        for name, value in zip(predictor.corner_names, pred):
-            assert value == impact.subtree_wire_only[name]
+        column = ESTIMATOR_VARIANTS.index(("rsmt", "d2m"))
+        assert pred.tolist() == sample.features.wire_only[:, column].tolist()
 
     def test_unknown_kind_rejected(self, library_cls1):
         with pytest.raises(ValueError):
@@ -184,9 +186,8 @@ class TestTraining:
         sample = tiny_dataset[0]
         batch = FeatureBatch.assemble([sample.features], predictor.corner_names)
         pred = predictor.predict_matrix(batch)[0]
-        impact = sample.features.impacts[("rsmt", "d2m")]
-        for name, value in zip(predictor.corner_names, pred):
-            assert value == impact.subtree[name]
+        column = ESTIMATOR_VARIANTS.index(("rsmt", "d2m"))
+        assert pred.tolist() == sample.features.estimates[:, column].tolist()
 
     def test_learned_requires_samples(self, library_cls1):
         with pytest.raises(ValueError):

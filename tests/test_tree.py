@@ -8,6 +8,13 @@ from repro.geometry import Point
 from repro.netlist.tree import ClockTree, NodeKind
 
 
+def walked_sinks(tree, nid):
+    """The sinks under ``nid``, by a fresh walk over ``children``."""
+    if tree.node(nid).is_sink:
+        return {nid}
+    return set().union(*(walked_sinks(tree, kid) for kid in tree.children(nid)))
+
+
 def small_tree():
     """source -> b1 -> {b2 -> [s1, s2], b3 -> s3}."""
     t = ClockTree()
@@ -171,12 +178,26 @@ class TestMutations:
             t.remove_buffer(n["s1"])
 
     def test_clone_independent(self):
+        """Edits to a clone leave the original alone, and each tree's
+        ``subtree_sinks`` memo follows its own edits only."""
         t, n = small_tree()
+        assert set(t.subtree_sinks(n["b1"])) == {n["s1"], n["s2"], n["s3"]}  # warm
         c = t.clone()
         c.move_node(n["b2"], Point(0, 99))
         assert t.node(n["b2"]).location != Point(0, 99)
+        assert set(c.subtree_sinks(n["b2"])) == {n["s1"], n["s2"]}
+        c.reassign_parent(n["s3"], n["b2"])
+        assert set(c.subtree_sinks(n["b2"])) == {n["s1"], n["s2"], n["s3"]}
+        assert c.subtree_sinks(n["b3"]) == []
+        assert set(t.subtree_sinks(n["b2"])) == {n["s1"], n["s2"]}
+        assert t.subtree_sinks(n["b3"]) == [n["s3"]]
+        t.reassign_parent(n["s1"], n["b3"])
+        assert set(t.subtree_sinks(n["b3"])) == {n["s1"], n["s3"]}
+        assert set(c.subtree_sinks(n["b2"])) == {n["s1"], n["s2"], n["s3"]}
         c.remove_buffer(n["b3"])
         assert n["b3"] in t
+        assert set(c.subtree_sinks(n["b1"])) == {n["s1"], n["s2"], n["s3"]}
+        assert t.subtree_sinks(n["b2"]) == [n["s2"]]
         t.validate()
         c.validate()
 
@@ -190,7 +211,10 @@ class TestMutations:
 @given(st.integers(0, 200), st.lists(st.integers(0, 5), max_size=12))
 @settings(max_examples=30, deadline=None)
 def test_random_surgery_keeps_tree_valid(seed, ops):
-    """Random reassign/remove/insert sequences never corrupt the tree."""
+    """Random reassign/remove/insert sequences never corrupt the tree, and
+    never leave a stale ``subtree_sinks`` memo: each operation runs with
+    the memo warm for every node, and every node's memoized sinks equal a
+    fresh walk afterwards."""
     import numpy as np
 
     rng = np.random.default_rng(seed)
@@ -199,6 +223,8 @@ def test_random_surgery_keeps_tree_valid(seed, ops):
         buffers = t.buffers()
         if not buffers:
             break
+        for nid in t.node_ids():
+            t.subtree_sinks(nid)
         nid = int(rng.choice(buffers))
         if op <= 1:
             # reassign a node under a random other driver if legal
@@ -213,5 +239,7 @@ def test_random_surgery_keeps_tree_valid(seed, ops):
                 t.insert_buffer_on_edge(
                     int(rng.choice(kids)), Point(float(rng.uniform(0, 300)), 0.0), 8
                 )
+        for nid in t.node_ids():
+            assert set(t.subtree_sinks(nid)) == walked_sinks(t, nid), (op, nid)
     t.validate()
     assert len(t.sinks()) == 3  # sinks are never lost
